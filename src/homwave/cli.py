@@ -5,8 +5,8 @@ deterministic: rerunning an identical config reproduces byte-identical
 tables, and every table directory carries a manifest with the config hash
 and per-check pass/fail lines.
 
-Exit codes: 0 all checks passed, 1 a numerical check failed, 2 invalid
-configuration.
+Exit codes: 0 all checks passed, 1 a numerical check failed or a solver
+failed (the manifest records which), 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -22,11 +22,22 @@ from pathlib import Path
 
 import numpy as np
 
-from . import correctors, dispersion, elliptic, oracle1d, transport, wave
-from .torus import ConfigurationError, TorusGrid, coefficient_from_spec
+from . import bloch, correctors, dispersion, elliptic, oracle1d, transport, wave
+from .torus import (ConfigurationError, ConvergenceError, SolvabilityError,
+                    TorusGrid, coefficient_from_spec)
 
 KINDS = ("correctors", "dispersion", "wave-compare", "elliptic-rate",
          "transport", "source-term")
+
+# failures of the numerics rather than of the configuration: exit 1 with a
+# manifest (SolvabilityError is a ValueError, so it is caught first)
+NUMERICAL_ERRORS = (ConvergenceError, SolvabilityError,
+                    correctors.ReconstructionError,
+                    dispersion.InternalConsistencyError,
+                    wave.PositivityError, wave.InstabilityError)
+
+# run-time settings that cannot change a number in the output
+NON_SCIENTIFIC = ("out_dir", "workers")
 
 
 @dataclass
@@ -79,7 +90,11 @@ def load_config(path: str, overrides=()) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    canon = json.dumps(cfg.raw(), sort_keys=True, separators=(",", ":"))
+    """Hash of the scientific fields: where and how fast a run goes is not
+    part of it, so the tables of identical science are identical bytes."""
+    fields = {key: value for key, value in cfg.raw().items()
+              if key not in NON_SCIENTIFIC}
+    canon = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -146,6 +161,7 @@ class Manifest:
         self.checks = []
         self.artifacts = []
         self.warnings = []
+        self.solver = []
 
     def check(self, name: str, value: float, threshold: float,
               larger_is_better: bool = False) -> bool:
@@ -156,11 +172,16 @@ class Manifest:
                             "pass": bool(ok)})
         return ok
 
+    def fail(self, err: Exception) -> None:
+        """Record a solver failure as a failing check that counts it."""
+        self.check("numerical_failure", 1, 0)
+        self.checks[-1].update(error=type(err).__name__, message=str(err))
+
     def write(self, out_dir: Path) -> int:
         ok = all(c["pass"] for c in self.checks)
         doc = {"config": self.cfg.raw(), "config_hash": self.hash,
                "checks": self.checks, "artifacts": self.artifacts,
-               "warnings": self.warnings, "pass": ok}
+               "warnings": self.warnings, "solver": self.solver, "pass": ok}
         with open(out_dir / "manifest.json", "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -247,23 +268,20 @@ def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     side = cfg.box_side
     times = [float(t) for t in range(1, int(cfg.T) + 1)]
     rows = [("eps", "sup_l2_error", "fitted_order")]
-
-    def sweep_member(eps):
+    sups = []
+    for eps in cfg.eps_list:
         n = cfg.box_n or int(cfg.points_per_period * side / eps)
         box = wave.BoxGrid(1, n, side)
         x = wave.box_coordinates(box)[0]
         u0 = np.exp(-0.5 * (x - 0.5 * side) ** 2)
         a_box = wave.coefficient_on_box(cfg.coefficient, box, eps)
-        traj = wave.solve_fine_wave(a_box, box, u0, times=times, eps=eps)
-        return max(wave.box_l2(box, traj.u[i] - wave.homogenized_wave_field(
-            model, spec, u0, box, eps, t)) for i, t in enumerate(traj.times))
-
-    if cfg.workers and cfg.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            sups = list(pool.map(sweep_member, cfg.eps_list))
-    else:
-        sups = [sweep_member(eps) for eps in cfg.eps_list]
+        traj = bloch.solve_fine_wave_exact(a_box, box, u0, times, eps)
+        man.solver.append({"eps": eps, **traj.solver_stats()})
+        sups.append(max(
+            wave.box_l2(box, traj.u[i] - wave.homogenized_wave_field(
+                model, spec, u0, box, eps, t))
+            for i, t in enumerate(traj.times)))
+        del traj  # free the snapshots before the next eps allocates its own
     order = float(np.polyfit(np.log(cfg.eps_list), np.log(sups), 1)[0])
     for eps, sup in zip(cfg.eps_list, sups):
         rows.append((format(eps, ".17g"), format(sup, ".17g"),
@@ -304,6 +322,7 @@ def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         gamma_bar=model.Gamma_bar)
     _write_csv(out / "transport.csv", rep.table(), man.hash)
     man.artifacts.append("transport.csv")
+    man.solver.extend({"eps": r.eps, **r.solver} for r in rep.rows)
     ratios = [r.ratio for r in rep.rows]
     man.check("ratio_non_degenerating", ratios[-1],
               _tolerance(cfg, "ratio_factor", 0.8) * ratios[0],
@@ -372,6 +391,9 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     man.warnings.extend(msg for level, msg in diags if level == "warning")
     try:
         RUNNERS[cfg.kind](cfg, out, man)
+    except NUMERICAL_ERRORS as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        man.fail(err)
     except (ConfigurationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .bloch import solve_fine_wave_exact
 from .torus import ConfigurationError
 from .wave import (
     BoxGrid,
@@ -105,6 +106,7 @@ class BallisticRow:
     conclusive: bool
     valid: bool
     guard_reach: float
+    solver: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -131,11 +133,12 @@ def _mu(alpha, t):
 
 def ballistic_experiment(coeff_spec: dict, box: BoxGrid, eps_list, gamma: float,
                          T: float, ell: int, gamma_bar: float,
-                         alpha=(0.0, 0.0), cfl: float = 0.9,
+                         alpha=(0.0, 0.0),
                          snapshots_per_window: int = 17) -> BallisticReport:
     """Scaled transport experiment after the hyperbolic rescaling.
 
-    For each eps the fine wave runs with unit-width Gaussian data in the
+    For each eps the fine wave is solved exactly in time (Bloch blocks, see
+    ``solve_fine_wave_exact``) with unit-width Gaussian data in the
     rescaled variables up to T' = eps^(-1-gamma) T; the windowed moment over
     [T', T'+1] measured against T' is the ballistic ratio, reported next to
     the dispersive defect budget eps^(ell-1-gamma) T mu(eps^(-2-gamma) T).
@@ -150,14 +153,17 @@ def ballistic_experiment(coeff_spec: dict, box: BoxGrid, eps_list, gamma: float,
         g1 = gaussian_data(box, 1.0)
         ok, _, reach = wrap_guard(g1, box, center, t_resc + 1.0, gamma_bar)
         times = np.linspace(t_resc, t_resc + 1.0, snapshots_per_window)
-        traj = solve_fine_wave(a_box, box, g1, times=times, eps=eps, cfl=cfl)
+        traj = solve_fine_wave_exact(a_box, box, g1, times, eps)
         m_win = windowed_moment(traj, 1.0, t_resc, center)
+        stats = traj.solver_stats()
+        del traj  # free the snapshots before the next eps allocates its own
         defect = (eps ** (ell - 1.0 - gamma) * T
                   * _mu(alpha, eps ** (-2.0 - gamma) * T))
         rows.append(BallisticRow(
             eps=float(eps), T_rescaled=t_resc, windowed=m_win,
             ratio=m_win / t_resc, defect_bound=defect,
-            conclusive=defect < 1.0, valid=bool(ok), guard_reach=reach))
+            conclusive=defect < 1.0, valid=bool(ok), guard_reach=reach,
+            solver=stats))
     return BallisticReport(gamma=gamma, T=T, ell=ell, rows=rows)
 
 

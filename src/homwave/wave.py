@@ -1,11 +1,22 @@
 """Wave propagation on a periodic box: fine-scale and effective solvers.
 
-The fine solver discretizes div(a(x/eps) grad) in conservative flux form
-with harmonic face averaging (robust for laminates) and steps with the
-leapfrog scheme in kick-drift-kick form, which carries the velocity and
-makes energy-norm errors directly measurable.  All effective equations are
-constant-coefficient and are solved exactly per Fourier mode; corrector
-dressing turns the effective fields into fine-scale approximations.
+The fine scale discretizes div(a(x/eps) grad) in conservative flux form
+with harmonic face averaging (robust for laminates).  Two solvers share
+that operator:
+
+- ``homwave.bloch.solve_fine_wave_exact`` (1D, periodic medium, no source)
+  splits the operator into Bloch blocks and evolves every mode exactly in
+  time.  It is the reference of the ``wave-compare`` and ``transport``
+  experiments, so their errors carry no time-stepping error.
+- ``solve_fine_wave`` steps with the leapfrog scheme in kick-drift-kick
+  form, which carries the velocity and makes energy-norm errors directly
+  measurable.  It takes sources and any dimension, and is the reference of
+  the ``source-term`` experiment and the constant-medium moment scan, and
+  the independent cross-check of the exact solver.
+
+All effective equations are constant-coefficient and are solved exactly
+per Fourier mode; corrector dressing turns the effective fields into
+fine-scale approximations.
 """
 
 from __future__ import annotations
@@ -293,6 +304,14 @@ class WaveTrajectory:
             return float(np.max(np.abs(self.energy)))
         return float(np.max(np.abs(self.energy - e0)) / abs(e0))
 
+    def solver_stats(self) -> dict:
+        """Solver name, its work counts and the energy drift, for manifests."""
+        stats = {key: self.meta[key]
+                 for key in ("solver", "blocks", "block_size", "steps")
+                 if key in self.meta}
+        stats["energy_drift"] = self.energy_drift()
+        return stats
+
 
 def _face_harmonic(a_diag: np.ndarray, axis: int) -> np.ndarray:
     nxt = np.roll(a_diag, -1, axis=axis)
@@ -358,6 +377,19 @@ def _global_substep(gaps: np.ndarray, dt_max: float) -> float | None:
     return None
 
 
+def _fine_inputs(box: BoxGrid, u0, v0, times):
+    """Validated fine-solver inputs: sorted snapshot times and float copies
+    of the initial displacement and velocity (zero when ``v0`` is None)."""
+    times = np.asarray(sorted(float(t) for t in times))
+    if times.size == 0 or times[0] < 0:
+        raise ConfigurationError("snapshot times must be nonnegative")
+    u = np.array(u0, dtype=float)
+    v = np.zeros_like(u) if v0 is None else np.array(v0, dtype=float)
+    if u.shape != box.shape or v.shape != box.shape:
+        raise ConfigurationError("initial data shape does not match box")
+    return times, u, v
+
+
 def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
                     v0: np.ndarray | None = None, source=None,
                     times=(1.0,), eps: float | None = None,
@@ -375,14 +407,7 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     dt_max = op.cfl_dt(cfl)
     if dt_max <= 0:
         raise ConfigurationError("CFL limit is not positive")
-    times = np.asarray(sorted(float(t) for t in times))
-    if times.size == 0 or times[0] < 0:
-        raise ConfigurationError("snapshot times must be nonnegative")
-
-    u = np.array(u0, dtype=float)
-    v = np.zeros_like(u) if v0 is None else np.array(v0, dtype=float)
-    if u.shape != box.shape or v.shape != box.shape:
-        raise ConfigurationError("initial data shape does not match box")
+    times, u, v = _fine_inputs(box, u0, v0, times)
 
     snap_times = times if times[0] == 0.0 else np.concatenate([[0.0], times])
     dt_shared = _global_substep(np.diff(np.concatenate([[0.0], snap_times])), dt_max)
@@ -419,9 +444,11 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
                 ft = source(t) if source is not None else None
                 accel = lap_new if ft is None else lap_new + ft
                 v = v_half + 0.5 * dt * accel
-                estar = staggered_energy(v_half, lap, u_new)
+                lap_old = lap
                 u, lap = u_new, lap_new
                 step_count += 1
+            # the invariant is read only at snapshots, from the last step
+            estar = staggered_energy(v_half, lap_old, u)
             t = target
         if not np.all(np.isfinite(u)):
             raise InstabilityError(
@@ -436,7 +463,8 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         box=box, eps=eps, times=snap_times[keep],
         u=np.stack(u_snaps[keep]), v=np.stack(v_snaps[keep]), dt=dt0,
         energy=np.asarray(energies[keep]),
-        meta={"steps": step_count, "cfl_dt": dt_max, "shared_dt": dt_shared,
+        meta={"solver": "leapfrog", "steps": step_count, "cfl_dt": dt_max,
+              "shared_dt": dt_shared,
               "energy_t0": energies[0], "physical_energy": np.asarray(phys[keep]),
               "source_active": source is not None})
 

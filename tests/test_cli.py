@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from homwave import cli
+from homwave import cli, correctors, dispersion, torus, wave
 from homwave.cli import ExperimentConfig, config_hash, load_config, run, validate
 
 
@@ -72,8 +72,42 @@ class TestRun:
         assert run(cfg1) == 0 and run(cfg2) == 0
         csv_a = (tmp_path / "a" / "elliptic_rates.csv").read_bytes()
         csv_b = (tmp_path / "b" / "elliptic_rates.csv").read_bytes()
-        # identical configs modulo out_dir hash into the header; compare rows
-        assert csv_a.split(b"\n", 1)[1] == csv_b.split(b"\n", 1)[1]
+        # out_dir is not hashed, so the config header lines agree too
+        assert csv_a == csv_b
+
+    def test_workers_do_not_change_tables(self, tmp_path):
+        path = write_config(tmp_path, kind="correctors",
+                            coefficient={"kind": "constant", "value": 1.0},
+                            dim=2, grid_n=16, ell=2)
+        assert cli.main(["correctors", "--config", path,
+                         "--out", str(tmp_path / "serial")]) == 0
+        assert cli.main(["correctors", "--config", path, "--workers", "2",
+                         "--out", str(tmp_path / "threads")]) == 0
+        serial = (tmp_path / "serial" / "lambda_table.csv").read_bytes()
+        threads = (tmp_path / "threads" / "lambda_table.csv").read_bytes()
+        assert serial == threads
+
+    @pytest.mark.parametrize("error", [
+        torus.ConvergenceError, torus.SolvabilityError,
+        correctors.ReconstructionError, dispersion.InternalConsistencyError,
+        wave.PositivityError, wave.InstabilityError])
+    def test_numerical_failure_exits_one_with_manifest(self, tmp_path,
+                                                       monkeypatch, error):
+        def failing_runner(cfg, out, man):
+            man.check("before_failure", 0.0, 1.0)
+            raise error("solver gave up")
+
+        monkeypatch.setitem(cli.RUNNERS, "correctors", failing_runner)
+        cfg = ExperimentConfig(kind="correctors",
+                               coefficient={"kind": "constant", "value": 1.0},
+                               dim=2, grid_n=16)
+        assert run(cfg, str(tmp_path)) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert not manifest["pass"]
+        first, failure = manifest["checks"]
+        assert first["pass"] and not failure["pass"]
+        assert failure["error"] == error.__name__
+        assert failure["message"] == "solver gave up"
 
     def test_dispersion_run_emits_curves(self, tmp_path):
         cfg = ExperimentConfig(kind="dispersion",
@@ -83,6 +117,21 @@ class TestRun:
                                out_dir=str(tmp_path / "out"))
         assert run(cfg) == 0
         assert (tmp_path / "out" / "dispersion_curves.csv").exists()
+
+    def test_wave_compare_records_solver(self, tmp_path):
+        cfg = ExperimentConfig(kind="wave-compare",
+                               coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0]},
+                               eps_list=[0.25, 0.125], T=2.0, box_side=16.0,
+                               out_dir=str(tmp_path))
+        run(cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [s["eps"] for s in manifest["solver"]] == [0.25, 0.125]
+        for stats in manifest["solver"]:
+            assert stats["solver"] == "bloch-exact"
+            assert stats["block_size"] == 16
+            assert stats["energy_drift"] < 1e-10
+        assert [s["blocks"] for s in manifest["solver"]] == [33, 65]
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = ExperimentConfig(kind="wave-compare",

@@ -15,6 +15,7 @@ from homwave.transport import (
     transport_moment,
     windowed_moment,
 )
+from homwave.bloch import solve_fine_wave_exact
 from homwave.wave import BoxGrid, solve_fine_wave
 
 from conftest import LAMINATE
@@ -140,14 +141,18 @@ class TestBallisticScaling:
     def test_rescaled_constant_medium_is_eps_independent(self):
         # after the hyperbolic rescaling the constant-coefficient run depends
         # on eps only through the window offset: the measured moments must sit
-        # on the single eps-free reference curve
+        # on the single eps-free reference curve, here one exact-in-time run
+        # (with a third block size) holding both windows
         box = BoxGrid(1, 2048, 32.0)
         rep = ballistic_experiment({"kind": "constant", "value": 1.0}, box,
                                    [1 / 2, 1 / 4], 0.0, 1.0, 2, gamma_bar=1.0)
-        ref = constant_medium_moment_scan(box, 1.0, [2.0, 4.0])
+        times = np.concatenate([np.linspace(T, T + 1.0, 17) for T in (2.0, 4.0)])
+        ref = solve_fine_wave_exact(np.ones((1, 1) + box.shape), box,
+                                    gaussian_data(box, 1.0), times, 1 / 8)
         for row, T in zip(rep.rows, (2.0, 4.0)):
             assert row.T_rescaled == T
-            assert row.windowed == pytest.approx(ref.windowed[T], rel=1e-9)
+            assert row.windowed == pytest.approx(
+                windowed_moment(ref, 1.0, T, np.array([16.0])), rel=1e-9)
 
     def test_laminate_nondegeneration(self):
         box = BoxGrid(1, 8192, 64.0)
@@ -156,6 +161,8 @@ class TestBallisticScaling:
         rows = rep.rows
         assert all(row.valid for row in rows)
         assert rows[1].ratio >= 0.8 * rows[0].ratio
+        assert [row.solver["block_size"] for row in rows] == [32, 16]
+        assert all(row.solver["energy_drift"] < 1e-10 for row in rows)
 
     def test_inconclusive_regime_flagged(self):
         box = BoxGrid(1, 2048, 32.0)

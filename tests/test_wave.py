@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from homwave import correctors, dispersion, oracle1d, torus, wave
+from homwave import bloch, correctors, dispersion, oracle1d, torus, wave
+from homwave.bloch import solve_fine_wave_exact
 from homwave.torus import ConfigurationError
 from homwave.wave import (
     BoxCorrectors,
@@ -128,6 +129,86 @@ class TestFineSolver:
         traj = solve_fine_wave(a_box, box, u0, times=[0.4])
         assert np.all(np.isfinite(traj.u))
         assert traj.energy_drift() < 1e-6
+
+
+class TestExactFineSolver:
+    """The Bloch-block solver against the operator, a dense
+    eigendecomposition and leapfrog."""
+
+    @staticmethod
+    def laminate_run(n, side, eps):
+        box = BoxGrid(1, n, side)
+        x = box_coordinates(box)[0]
+        u0 = np.exp(-2.0 * (x - 0.5 * side) ** 2)
+        v0 = np.sin(2 * np.pi * x / side) * np.exp(-(x - 0.3 * side) ** 2)
+        return box, coefficient_on_box(LAMINATE, box, eps), u0, v0
+
+    def test_blocks_reproduce_operator(self, rng):
+        box, a_box, _, _ = self.laminate_run(1024, 8.0, 1 / 8)
+        p = box.points_per_period(1 / 8)
+        cells = box.n // p
+        faces = wave._face_harmonic(a_box[0, 0], 0)[:p]
+        blocks = bloch.bloch_blocks(faces, box.h,
+                                   2 * np.pi * np.arange(cells) / cells)
+        u = rng.standard_normal(box.n)
+        u_hat = np.fft.fft(u.reshape(cells, p), axis=0)
+        lu = -np.fft.ifft(np.einsum("kij,kj->ki", blocks, u_hat), axis=0)
+        ref = wave.FluxFormOperator(box, a_box).apply(u)
+        assert np.max(np.abs(lu.reshape(-1) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.allclose(blocks, np.conj(np.swapaxes(blocks, 1, 2)),
+                           rtol=0.0, atol=0.0)
+
+    def test_matches_dense_eigendecomposition(self):
+        box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
+        op = wave.FluxFormOperator(box, a_box)
+        dense = -np.stack([op.apply(e) for e in np.eye(box.n)], axis=1)
+        lam, vecs = np.linalg.eigh(0.5 * (dense + dense.T))
+        omega = np.sqrt(np.maximum(lam, 0.0))
+        safe = np.where(omega > 0, omega, 1.0)
+        a0, b0 = vecs.T @ u0, vecs.T @ v0
+        times = [0.5, 3.0, 8.0]
+        traj = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0)
+        for i, t in enumerate(times):
+            sinc = np.where(omega > 0, np.sin(omega * t) / safe, t)
+            u_ref = vecs @ (a0 * np.cos(omega * t) + b0 * sinc)
+            v_ref = vecs @ (b0 * np.cos(omega * t) - a0 * omega * np.sin(omega * t))
+            assert box_l2(box, traj.u[i] - u_ref) < 1e-9
+            assert box_l2(box, traj.v[i] - v_ref) < 1e-9
+        assert traj.energy_drift() < 1e-10
+        assert traj.meta["blocks"] == 33 and traj.meta["block_size"] == 16
+
+    def test_leapfrog_converges_at_second_order(self):
+        box, a_box, u0, v0 = self.laminate_run(128, 4.0, 1 / 2)
+        exact = solve_fine_wave_exact(a_box, box, u0, [1.0], 1 / 2, v0=v0)
+        gaps_u, gaps_v = [], []
+        for cfl in (0.1, 0.05, 0.025, 0.0125):
+            traj = solve_fine_wave(a_box, box, u0, v0=v0, times=[1.0], cfl=cfl)
+            gaps_u.append(box_l2(box, traj.u[0] - exact.u[0]))
+            gaps_v.append(box_l2(box, traj.v[0] - exact.v[0]))
+        for gaps in (gaps_u, gaps_v):
+            rates = np.log2(np.asarray(gaps[:-1]) / np.asarray(gaps[1:]))
+            assert np.all(np.abs(rates - 2.0) < 0.1), rates
+
+    def test_roundoff_periodic_medium_accepted(self):
+        # 16384 cells: the sampled cells differ by about 2e-12 (relative)
+        box = BoxGrid(1, 262144, 512.0)
+        a_box = coefficient_on_box(
+            {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0},
+            box, 1 / 32)
+        traj = solve_fine_wave_exact(a_box, box, np.zeros(box.shape), [1.0],
+                                     1 / 32)
+        assert traj.meta["blocks"] == 8193
+
+    def test_rejects_nonperiodic_and_2d(self):
+        box, a_box, u0, _ = self.laminate_run(512, 8.0, 1 / 4)
+        bumped = a_box.copy()
+        bumped[0, 0, 100] += 0.5
+        with pytest.raises(ConfigurationError):
+            solve_fine_wave_exact(bumped, box, u0, [1.0], 1 / 4)
+        box2 = BoxGrid(2, 32, 1.0)
+        a2 = coefficient_on_box(LAMINATE, box2, 0.5)
+        with pytest.raises(ConfigurationError):
+            solve_fine_wave_exact(a2, box2, np.zeros(box2.shape), [1.0], 0.5)
 
 
 class TestResampling:
