@@ -249,21 +249,12 @@ def run_dispersion(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     man.check("fit_residual", float(np.max(model.fit_residuals)), 1e-6)
 
 
-def _oracle_model(profile, ell):
-    oh = oracle1d.correctors_1d(profile, ell)
-    model = dispersion.DispersionModel(
-        dim=1, ell=ell, polys=[np.array([lam]) for lam in oh.lambdas],
-        directions=np.array([[1.0]]),
-        Gamma_bar=float(np.max(np.abs(oh.lambdas))))
-    model.kmax = dispersion.compute_kmax(model, 1.0)
-    return oh, model
-
-
 def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     if cfg.dim != 1:
         raise ConfigurationError("wave-compare runs in one dimension")
-    profile = oracle1d.profile_from_spec(cfg.coefficient)
-    _, model = _oracle_model(profile, max(cfg.ell, 2))
+    ell = max(cfg.ell, 2)
+    model = dispersion.DispersionModel.from_oracle(
+        oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), ell), ell)
     spec = dispersion.make_cutoff(model)
     side = cfg.box_side
     times = [float(t) for t in range(1, int(cfg.T) + 1)]
@@ -313,8 +304,9 @@ def run_elliptic_rate(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     if cfg.dim != 1:
         raise ConfigurationError("transport runs in one dimension")
-    profile = oracle1d.profile_from_spec(cfg.coefficient)
-    _, model = _oracle_model(profile, max(cfg.ell, 2))
+    ell = max(cfg.ell, 2)
+    model = dispersion.DispersionModel.from_oracle(
+        oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), ell), ell)
     n = cfg.box_n or int(cfg.points_per_period * cfg.box_side / min(cfg.eps_list))
     box = wave.BoxGrid(1, n, cfg.box_side)
     rep = transport.ballistic_experiment(
@@ -336,8 +328,8 @@ def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     if cfg.dim != 1:
         raise ConfigurationError("source-term runs in one dimension")
-    profile = oracle1d.profile_from_spec(cfg.coefficient)
-    oh, model = _oracle_model(profile, cfg.ell)
+    oh = oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), cfg.ell)
+    model = dispersion.DispersionModel.from_oracle(oh, cfg.ell)
     spec = dispersion.make_cutoff(model)
     side = cfg.box_side
     eps = cfg.eps_list[0] if cfg.eps_list else 0.125

@@ -50,6 +50,17 @@ class DispersionModel:
         return evaluate_monomials(np.atleast_1d(self.polys[j]), j + 2,
                                   np.asarray(k, dtype=float))
 
+    @classmethod
+    def from_oracle(cls, oh, ell: int) -> "DispersionModel":
+        """1D model of order ``ell`` from an exact oracle hierarchy ``oh``
+        (``oracle1d.Hierarchy1D`` of order >= ell), with kmax validated."""
+        lams = oh.lambdas[:ell]
+        model = cls(dim=1, ell=ell, polys=[np.array([lam]) for lam in lams],
+                    directions=np.array([[1.0]]),
+                    Gamma_bar=float(np.max(np.abs(lams))))
+        model.kmax = compute_kmax(model, 1.0)
+        return model
+
 
 def eigenvalue(model: DispersionModel, k) -> np.ndarray:
     """Truncated Bloch eigenvalue at wavevector(s) k, real by construction.

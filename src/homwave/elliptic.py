@@ -364,10 +364,7 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
     if f_modes is None:
         f_modes = {1: 1.0}
     oh = oracle1d.correctors_1d(profile, ell)
-    model = DispersionModel(
-        dim=1, ell=ell, polys=[np.array([lam]) for lam in oh.lambdas],
-        directions=np.array([[1.0]]),
-        Gamma_bar=float(np.max(np.abs(oh.lambdas))))
+    model = DispersionModel.from_oracle(oh, ell)
     if gamma is None:
         gamma = wave.choose_gamma(model, ell)
     bt = wave.boussinesq_decomposition(model) if operator == "boussinesq" else None

@@ -14,6 +14,7 @@ where spectral accuracy would be Gibbs-limited.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -22,47 +23,65 @@ from numpy.polynomial import legendre as leg
 from .torus import ConfigurationError
 
 
+@functools.cache
+def _gauss(n: int):
+    """Gauss-Legendre nodes t, Vandermonde V[i, k] = P_k(t_i) and projection
+    Q[i, k] = (k + 1/2) w_i P_k(t_i) for n nodes: ``values @ Q`` are the
+    Legendre coefficients of the degree < n interpolant of ``values``."""
+    t, w = leg.leggauss(n)
+    vander = leg.legvander(t, n - 1)
+    proj = w[:, None] * vander * (np.arange(n) + 0.5)
+    for arr in (t, vander, proj):
+        arr.setflags(write=False)
+    return t, vander, proj
+
+
 def _union_breaks(b1: np.ndarray, b2: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    if b1 is b2 or np.array_equal(b1, b2):
+        return b1
     merged = np.sort(np.concatenate([b1, b2]))
-    keep = [merged[0]]
-    for x in merged[1:]:
-        if x - keep[-1] > tol:
-            keep.append(x)
+    keep = merged[np.concatenate([[True], np.diff(merged) > tol])]
     keep[-1] = max(b1[-1], b2[-1])
-    return np.asarray(keep)
+    return keep
+
+
+def _nodes_on(breaks: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Nodes t mapped onto every segment: shape (segments, len(t))."""
+    a, b = breaks[:-1, None], breaks[1:, None]
+    return 0.5 * (a + b) + 0.5 * (b - a) * t
 
 
 class PiecewisePoly:
     """Piecewise polynomial on [breaks[0], breaks[-1]) in Legendre bases.
 
-    Each segment [breaks[i], breaks[i+1]) stores Legendre coefficients in the
-    affine coordinate t in [-1, 1].  All arithmetic (sums, products,
-    antiderivatives, means) is exact for polynomial operands.
+    Row i of ``coeffs`` (shape (segments, ncoef), zero-padded to a common
+    width) holds the Legendre coefficients of segment [breaks[i],
+    breaks[i+1]) in the affine coordinate t in [-1, 1].  All arithmetic
+    (sums, products, antiderivatives, means) is exact for polynomial
+    operands and acts on every segment at once.
     """
 
     def __init__(self, breaks, coeffs):
         self.breaks = np.asarray(breaks, dtype=float)
-        self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
-        if len(self.coeffs) != len(self.breaks) - 1:
-            raise ConfigurationError("need one coefficient array per segment")
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        if self.coeffs.ndim != 2 or len(self.coeffs) != len(self.breaks) - 1:
+            raise ConfigurationError("need one coefficient row per segment")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value: float, breaks=(0.0, 1.0)) -> "PiecewisePoly":
         breaks = np.asarray(breaks, dtype=float)
-        return cls(breaks, [np.array([float(value)])] * (len(breaks) - 1))
+        return cls(breaks, np.full((len(breaks) - 1, 1), float(value)))
 
     @classmethod
     def from_callable(cls, func, breaks, degree: int = 12) -> "PiecewisePoly":
-        """Per-segment Legendre interpolation of ``func`` at Gauss nodes."""
+        """Per-segment Legendre interpolation of ``func`` at Gauss nodes;
+        ``func`` is called once, on the (segments, degree + 1) node array."""
         breaks = np.asarray(breaks, dtype=float)
-        nodes, _ = leg.leggauss(degree + 1)
-        coeffs = []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-            coeffs.append(leg.legfit(nodes, func(x), degree))
-        return cls(breaks, coeffs)
+        t, _, proj = _gauss(degree + 1)
+        x = _nodes_on(breaks, t)
+        return cls(breaks, np.broadcast_to(func(x), x.shape) @ proj)
 
     # -- helpers -----------------------------------------------------------
 
@@ -75,48 +94,39 @@ class PiecewisePoly:
         return self._on_breaks(breaks), other._on_breaks(breaks), breaks
 
     def _on_breaks(self, breaks: np.ndarray) -> "PiecewisePoly":
-        if len(breaks) == len(self.breaks) and np.allclose(breaks, self.breaks):
+        if breaks is self.breaks or (len(breaks) == len(self.breaks)
+                                     and np.allclose(breaks, self.breaks)):
             return self
-        coeffs = []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            i = min(np.searchsorted(self.breaks, 0.5 * (a + b), side="right") - 1,
-                    len(self.coeffs) - 1)
-            c = self.coeffs[i]
-            sa, sb = self.breaks[i], self.breaks[i + 1]
-            # re-expand on the sub-segment: t_new -> t_old is affine
-            deg = len(c) - 1
-            nodes, _ = leg.leggauss(deg + 1)
-            x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-            t_old = (2.0 * x - sa - sb) / (sb - sa)
-            coeffs.append(leg.legfit(nodes, leg.legval(t_old, c), deg))
-        return PiecewisePoly(breaks, coeffs)
+        # re-expand on each sub-segment: t_new -> t_old is affine
+        mid = 0.5 * (breaks[:-1] + breaks[1:])
+        idx = np.clip(np.searchsorted(self.breaks, mid, side="right") - 1,
+                      0, len(self.coeffs) - 1)
+        sa, sb = self.breaks[idx, None], self.breaks[idx + 1, None]
+        t, _, proj = _gauss(self.coeffs.shape[1])
+        t_old = (2.0 * _nodes_on(breaks, t) - sa - sb) / (sb - sa)
+        vals = leg.legval(t_old, self.coeffs[idx].T[..., None], tensor=False)
+        return PiecewisePoly(breaks, vals @ proj)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if np.isscalar(other):
-            coeffs = [c.copy() for c in self.coeffs]
-            for c in coeffs:
-                c[0] += other
+            coeffs = self.coeffs.copy()
+            coeffs[:, 0] += other
             return PiecewisePoly(self.breaks, coeffs)
         p, q, breaks = self._aligned(other)
-        coeffs = []
-        for cp, cq in zip(p.coeffs, q.coeffs):
-            n = max(len(cp), len(cq))
-            c = np.zeros(n)
-            c[: len(cp)] += cp
-            c[: len(cq)] += cq
-            coeffs.append(c)
+        wp, wq = p.coeffs.shape[1], q.coeffs.shape[1]
+        coeffs = np.zeros((len(breaks) - 1, max(wp, wq)))
+        coeffs[:, :wp] += p.coeffs
+        coeffs[:, :wq] += q.coeffs
         return PiecewisePoly(breaks, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PiecewisePoly(self.breaks, [-c for c in self.coeffs])
+        return PiecewisePoly(self.breaks, -self.coeffs)
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -124,47 +134,33 @@ class PiecewisePoly:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return PiecewisePoly(self.breaks, [c * other for c in self.coeffs])
+            return PiecewisePoly(self.breaks, self.coeffs * other)
         p, q, breaks = self._aligned(other)
-        coeffs = []
-        for cp, cq in zip(p.coeffs, q.coeffs):
-            deg = len(cp) + len(cq) - 2
-            nodes, _ = leg.leggauss(deg + 1)
-            vals = leg.legval(nodes, cp) * leg.legval(nodes, cq)
-            coeffs.append(leg.legfit(nodes, vals, deg))
-        return PiecewisePoly(breaks, coeffs)
+        wp, wq = p.coeffs.shape[1], q.coeffs.shape[1]
+        # Gauss quadrature with wp + wq - 1 nodes is exact for the product
+        _, vander, proj = _gauss(wp + wq - 1)
+        vals = (p.coeffs @ vander[:, :wp].T) * (q.coeffs @ vander[:, :wq].T)
+        return PiecewisePoly(breaks, vals @ proj)
 
     __rmul__ = __mul__
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "PiecewisePoly":
-        coeffs = []
-        for c, a, b in zip(self.coeffs, self.breaks[:-1], self.breaks[1:]):
-            if len(c) == 1:
-                coeffs.append(np.array([0.0]))
-            else:
-                coeffs.append(leg.legder(c) * (2.0 / (b - a)))
-        return PiecewisePoly(self.breaks, coeffs)
+        scale = 2.0 / np.diff(self.breaks)
+        return PiecewisePoly(self.breaks,
+                             leg.legder(self.coeffs, axis=1) * scale[:, None])
 
     def antiderivative(self) -> "PiecewisePoly":
         """Continuous antiderivative vanishing at the left endpoint."""
-        coeffs = []
-        offset = 0.0
-        for c, a, b in zip(self.coeffs, self.breaks[:-1], self.breaks[1:]):
-            ci = leg.legint(c) * (0.5 * (b - a))
-            left = leg.legval(-1.0, ci)
-            ci = ci.copy()
-            ci[0] += offset - left
-            coeffs.append(ci)
-            offset = leg.legval(1.0, ci)
-        return PiecewisePoly(self.breaks, coeffs)
+        ci = leg.legint(self.coeffs, axis=1) * (0.5 * np.diff(self.breaks))[:, None]
+        left = ci @ (-1.0) ** np.arange(ci.shape[1])     # P_k(-1) = (-1)^k
+        rise = ci.sum(axis=1) - left                       # P_k(1) = 1
+        ci[:, 0] += np.concatenate([[0.0], np.cumsum(rise[:-1])]) - left
+        return PiecewisePoly(self.breaks, ci)
 
     def integral(self) -> float:
-        total = 0.0
-        for c, a, b in zip(self.coeffs, self.breaks[:-1], self.breaks[1:]):
-            total += c[0] * (b - a)
-        return float(total)
+        return float(self.coeffs[:, 0] @ np.diff(self.breaks))
 
     def mean(self) -> float:
         return self.integral() / self.domain_length
@@ -176,19 +172,12 @@ class PiecewisePoly:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
                       0, len(self.coeffs) - 1)
-        out = np.empty_like(x)
-        for i in range(len(self.coeffs)):
-            sel = idx == i
-            if not np.any(sel):
-                continue
-            a, b = self.breaks[i], self.breaks[i + 1]
-            t = (2.0 * x[sel] - a - b) / (b - a)
-            out[sel] = leg.legval(t, self.coeffs[i])
-        return out[0] if scalar else out
+        a, b = self.breaks[idx], self.breaks[idx + 1]
+        out = leg.legval((2.0 * x - a - b) / (b - a),
+                         np.moveaxis(self.coeffs[idx], -1, 0), tensor=False)
+        return out[()] if x.ndim == 0 else out
 
     def eval_periodic(self, x):
         """Evaluate with the argument wrapped into the domain."""
@@ -196,11 +185,8 @@ class PiecewisePoly:
         return self(np.mod(np.asarray(x, dtype=float) - x0, self.domain_length) + x0)
 
     def linf(self, samples_per_segment: int = 16) -> float:
-        nodes, _ = leg.leggauss(samples_per_segment)
-        worst = 0.0
-        for c in self.coeffs:
-            worst = max(worst, float(np.max(np.abs(leg.legval(nodes, c)))))
-        return worst
+        t = _gauss(samples_per_segment)[0]
+        return float(np.max(np.abs(leg.legval(t, self.coeffs.T))))
 
     def l2_mean(self) -> float:
         """sqrt of the mean of the square over the domain."""
@@ -221,14 +207,10 @@ def tile_to_box(pp: PiecewisePoly, eps: float, length: float) -> PiecewisePoly:
         raise ConfigurationError(
             f"box of length {length} does not hold an integer number of "
             f"rescaled cells (eps={eps})")
-    breaks = [0.0]
-    coeffs = []
-    for j in range(m_int):
-        for i in range(len(pp.coeffs)):
-            breaks.append((j * cell + (pp.breaks[i + 1] - pp.breaks[0])) * eps)
-            coeffs.append(pp.coeffs[i].copy())
+    cells = np.arange(m_int)[:, None] * cell + (pp.breaks[1:] - pp.breaks[0])
+    breaks = np.concatenate([[0.0], (cells * eps).ravel()])
     breaks[-1] = length
-    return PiecewisePoly(np.asarray(breaks), coeffs)
+    return PiecewisePoly(breaks, np.tile(pp.coeffs, (m_int, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +251,7 @@ class Profile1D:
     def a_pp(self) -> PiecewisePoly:
         if self._a_pp is None:
             if self.values is not None:
-                self._a_pp = PiecewisePoly(
-                    self.breakpoints, [np.array([v]) for v in self.values])
+                self._a_pp = PiecewisePoly(self.breakpoints, self.values[:, None])
             else:
                 breaks = np.linspace(0.0, 1.0, self.n_segments + 1)
                 self._a_pp = PiecewisePoly.from_callable(
@@ -280,8 +261,8 @@ class Profile1D:
     def ainv_pp(self) -> PiecewisePoly:
         if self._ainv_pp is None:
             if self.values is not None:
-                self._ainv_pp = PiecewisePoly(
-                    self.breakpoints, [np.array([1.0 / v]) for v in self.values])
+                self._ainv_pp = PiecewisePoly(self.breakpoints,
+                                              1.0 / self.values[:, None])
             else:
                 breaks = np.linspace(0.0, 1.0, self.n_segments + 1)
                 self._ainv_pp = PiecewisePoly.from_callable(

@@ -417,7 +417,10 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         return float(0.5 * np.sum(v_half * v_half) * cell
                      - 0.5 * np.sum(lap_old * u_new) * cell)
 
-    u_snaps, v_snaps, energies, phys = [], [], [], []
+    skip = len(snap_times) - len(times)     # 1 when t = 0 was prepended
+    u_snaps = np.empty((len(times),) + u.shape)
+    v_snaps = np.empty_like(u_snaps)
+    energies, phys = [], []
     t = 0.0
     lap = op.apply(u)
     ft = source(0.0) if source is not None else None
@@ -427,7 +430,7 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     v_probe = v + 0.5 * dt0 * accel
     estar = staggered_energy(v_probe, lap, u + dt0 * v_probe)
     step_count = 0
-    for target in snap_times:
+    for i, target in enumerate(snap_times):
         span = target - t
         if span > 1e-14:
             if dt_shared is not None:
@@ -453,19 +456,18 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         if not np.all(np.isfinite(u)):
             raise InstabilityError(
                 f"non-finite field at t={t:.6g}", step=step_count)
-        u_snaps.append(u.copy())
-        v_snaps.append(v.copy())
+        if i >= skip:
+            u_snaps[i - skip] = u
+            v_snaps[i - skip] = v
         energies.append(estar)
         phys.append(float(0.5 * np.sum(v * v) * cell - 0.5 * np.sum(lap * u) * cell))
 
-    keep = slice(1, None) if times[0] != 0.0 else slice(None)
     return WaveTrajectory(
-        box=box, eps=eps, times=snap_times[keep],
-        u=np.stack(u_snaps[keep]), v=np.stack(v_snaps[keep]), dt=dt0,
-        energy=np.asarray(energies[keep]),
+        box=box, eps=eps, times=snap_times[skip:], u=u_snaps, v=v_snaps,
+        dt=dt0, energy=np.asarray(energies[skip:]),
         meta={"solver": "leapfrog", "steps": step_count, "cfl_dt": dt_max,
               "shared_dt": dt_shared,
-              "energy_t0": energies[0], "physical_energy": np.asarray(phys[keep]),
+              "energy_t0": energies[0], "physical_energy": np.asarray(phys[skip:]),
               "source_active": source is not None})
 
 

@@ -35,15 +35,6 @@ def laminate_oracle():
     return oracle1d.correctors_1d(LAM_PROFILE, 5)
 
 
-def laminate_model(ell, oh):
-    model = dispersion.DispersionModel(
-        dim=1, ell=ell, polys=[np.array([lam]) for lam in oh.lambdas[:ell]],
-        directions=np.array([[1.0]]),
-        Gamma_bar=float(np.max(np.abs(oh.lambdas[:ell]))))
-    model.kmax = dispersion.compute_kmax(model, 1.0)
-    return model
-
-
 @pytest.fixture(scope="module")
 def wave_compare_runs(laminate_oracle):
     """Fine laminate runs on L = 64 with snapshots at 1..8 and at 2/eps,
@@ -111,8 +102,8 @@ def test_criterion_3_oracle_equivalence(laminate_oracle):
 
 def test_criterion_4_long_time_wave(wave_compare_runs, laminate_oracle):
     eps_list = [1 / 8, 1 / 16, 1 / 32]
-    m2 = laminate_model(2, laminate_oracle)
-    m4 = laminate_model(4, laminate_oracle)
+    m2 = dispersion.DispersionModel.from_oracle(laminate_oracle, 2)
+    m4 = dispersion.DispersionModel.from_oracle(laminate_oracle, 4)
     spec2 = dispersion.make_cutoff(m2)
     spec4 = dispersion.make_cutoff(m4)
     sups = []
@@ -143,7 +134,7 @@ def test_criterion_4_long_time_wave(wave_compare_runs, laminate_oracle):
 
 
 def test_criterion_5_boussinesq_consistency(laminate_oracle, smooth64):
-    m4 = laminate_model(4, laminate_oracle)
+    m4 = dispersion.DispersionModel.from_oracle(laminate_oracle, 4)
     bt = wave.boussinesq_decomposition(m4, n_directions=64)
     lam0, lam2 = laminate_oracle.lambdas[0], laminate_oracle.lambdas[2]
     # Omega(k)^2 = lam0 k^2 + (c - beta lam0) k^4 + O(k^6)
@@ -224,7 +215,7 @@ def test_criterion_9_source_term(laminate_oracle):
     side = 32.0
     ell = 2
     oh = laminate_oracle
-    model = laminate_model(ell, oh)
+    model = dispersion.DispersionModel.from_oracle(oh, ell)
     spec = dispersion.make_cutoff(model)
     budget = wave.ErrorBudget(ell=ell)
     T = 4.0
@@ -322,7 +313,7 @@ def test_criterion_10_structure_suite(smooth64_l5):
 
     # spectral propagator time reversibility
     oh = oracle1d.correctors_1d(LAM_PROFILE, 2)
-    model = laminate_model(2, oh)
+    model = dispersion.DispersionModel.from_oracle(oh, 2)
     spec = dispersion.make_cutoff(model)
     small = wave.BoxGrid(1, 1024, 32.0)
     xs = wave.box_coordinates(small)[0]

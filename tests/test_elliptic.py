@@ -25,12 +25,7 @@ LAM_PROFILE = oracle1d.Profile1D(breakpoints=[0, 0.5, 1], values=[1.0, 4.0])
 
 def laminate_model(ell):
     oh = oracle1d.correctors_1d(LAM_PROFILE, max(ell, 2))
-    model = dispersion.DispersionModel(
-        dim=1, ell=ell, polys=[np.array([lam]) for lam in oh.lambdas[:ell]],
-        directions=np.array([[1.0]]),
-        Gamma_bar=float(np.max(np.abs(oh.lambdas[:ell]))))
-    model.kmax = dispersion.compute_kmax(model, 1.0)
-    return oh, model
+    return oh, dispersion.DispersionModel.from_oracle(oh, ell)
 
 
 class TestFineElliptic:

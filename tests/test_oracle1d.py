@@ -1,9 +1,13 @@
 """Exact 1D reference: piecewise-Legendre calculus and the corrector recursion."""
 
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import legendre
 
-from homwave import oracle1d, torus
+from homwave import elliptic, oracle1d, torus
 from homwave.oracle1d import (
     PiecewisePoly,
     Profile1D,
@@ -55,6 +59,144 @@ class TestPiecewisePoly:
         tiled = tile_to_box(p, 0.25, 2.0)
         x = np.linspace(0, 1.999, 401)
         assert np.max(np.abs(tiled(x) - np.sin(2 * np.pi * x / 0.25))) < 1e-10
+
+
+# -- per-segment reference: one numpy.polynomial.legendre call per segment --
+
+def ref_eval(breaks, rows, x):
+    out = np.empty(len(x))
+    for j, xj in enumerate(x):
+        i = min(max(np.searchsorted(breaks, xj, side="right") - 1, 0), len(rows) - 1)
+        a, b = breaks[i], breaks[i + 1]
+        out[j] = legendre.legval((2.0 * xj - a - b) / (b - a), rows[i])
+    return out
+
+
+def ref_derivative(breaks, rows):
+    return [legendre.legder(c) * (2.0 / (b - a))
+            for c, a, b in zip(rows, breaks[:-1], breaks[1:])]
+
+
+def ref_antiderivative(breaks, rows):
+    out, offset = [], 0.0
+    for c, a, b in zip(rows, breaks[:-1], breaks[1:]):
+        ci = legendre.legint(c) * (0.5 * (b - a))
+        ci[0] += offset - legendre.legval(-1.0, ci)
+        out.append(ci)
+        offset = legendre.legval(1.0, ci)
+    return out
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * max(1.0, np.max(np.abs(want)))
+
+
+@st.composite
+def piecewise(draw, max_segments=12, max_degree=6):
+    """(breaks, rows, pp) on [0, 1) with segments at least 1e-3 wide."""
+    n = draw(st.integers(1, max_segments))
+    inner = draw(st.lists(st.floats(0.01, 0.99), min_size=n - 1, max_size=n - 1,
+                          unique=True))
+    breaks = np.array([0.0] + sorted(inner) + [1.0])
+    if np.min(np.diff(breaks)) < 1e-3:
+        breaks = np.linspace(0.0, 1.0, n + 1)
+    width = draw(st.integers(1, max_degree + 1))
+    seed = draw(st.integers(0, 2 ** 31))
+    rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, width))
+    return breaks, rows, PiecewisePoly(breaks, rows)
+
+
+SAMPLES = np.random.default_rng(7).uniform(0.0, 1.0, 200)
+PROPERTY = settings(max_examples=40, deadline=None, database=None,
+                    derandomize=True)
+
+
+class TestArrayBackedProperties:
+    """Batched operations against the per-segment reference loop, on
+    random breakpoints that operands do not share."""
+
+    @PROPERTY
+    @given(piecewise(), piecewise())
+    def test_product_and_sum(self, p, q):
+        (bp, rp, pp), (bq, rq, qq) = p, q
+        vp, vq = ref_eval(bp, rp, SAMPLES), ref_eval(bq, rq, SAMPLES)
+        assert_close((pp * qq)(SAMPLES), vp * vq)
+        assert_close((pp + qq)(SAMPLES), vp + vq)
+        assert_close((pp - 0.5 * qq)(SAMPLES), vp - 0.5 * vq)
+
+    @PROPERTY
+    @given(piecewise())
+    def test_derivative_and_antiderivative(self, p):
+        breaks, rows, pp = p
+        assert_close(pp.derivative()(SAMPLES),
+                     ref_eval(breaks, ref_derivative(breaks, rows), SAMPLES))
+        assert_close(pp.antiderivative()(SAMPLES),
+                     ref_eval(breaks, ref_antiderivative(breaks, rows), SAMPLES))
+
+    @PROPERTY
+    @given(piecewise(max_degree=8))
+    def test_evaluation_right_continuous_and_clipped(self, p):
+        breaks, rows, pp = p
+        at_left_ends = rows @ (-1.0) ** np.arange(rows.shape[1])
+        assert_close(pp(breaks[:-1]), at_left_ends)
+        # the right endpoint belongs to the last segment, as do points past it
+        assert_close(pp(breaks[-1]), rows[-1].sum())
+        outside = np.array([-0.25, 1.25])
+        assert_close(pp(outside), ref_eval(breaks, rows, outside))
+
+    def test_antiderivative_continuous_over_many_segments(self):
+        rng = np.random.default_rng(3)
+        breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, 640))])
+        rows = rng.uniform(-1.0, 1.0, (640, 9))
+        F = PiecewisePoly(breaks, rows).antiderivative()
+        right_ends = F.coeffs.sum(axis=1)                  # P_k(1) = 1
+        assert abs(F(0.0)) < 1e-15
+        assert_close(F(breaks[1:-1]), right_ends[:-1], rtol=1e-13)
+
+    @pytest.mark.parametrize("eps,length", [(0.25, 2.0), (1 / 128, 1.0),
+                                            (1 / 1024, 1.0), (0.1, 3.0)])
+    def test_tile_to_box_breaks_match_loop(self, eps, length):
+        p = PiecewisePoly(np.array([0.0, 0.3, 0.5, 1.0]), np.ones((3, 2)))
+        m, cell = int(round(length / eps)), p.domain_length
+        loop = [0.0]
+        for j in range(m):
+            for i in range(3):
+                loop.append((j * cell + (p.breaks[i + 1] - p.breaks[0])) * eps)
+        loop[-1] = length
+        tiled = tile_to_box(p, eps, length)
+        assert np.array_equal(tiled.breaks, np.asarray(loop))
+        assert tiled.coeffs.shape == (3 * m, 2)
+
+
+LAM14 = Profile1D(breakpoints=[0.0, 0.5, 1.0], values=[1.0, 4.0])
+
+
+class TestSweepScaling:
+    def _legendre_calls(self, monkeypatch, eps_list):
+        calls = []
+        view = types.ModuleType(legendre.__name__)
+        view.__dict__.update(vars(legendre))
+        for name in ("legval", "legfit"):
+            def counted(*args, _f=getattr(legendre, name), **kwargs):
+                calls.append(1)
+                return _f(*args, **kwargs)
+            setattr(view, name, counted)
+        monkeypatch.setattr(oracle1d, "leg", view)
+        elliptic.elliptic_error_sweep_1d(LAM14, 2, eps_list, mode="prepared")
+        return len(calls)
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    def test_legendre_calls_independent_of_segment_count(self, monkeypatch):
+        few = self._legendre_calls(monkeypatch, [1 / 8])
+        many = self._legendre_calls(monkeypatch, [1 / 256])
+        assert few == many
+        assert few < 20
+
+    @pytest.mark.parametrize("mode", ["prepared", "plain"])
+    def test_rate_down_to_eps_1024(self, mode):
+        study = elliptic.elliptic_error_sweep_1d(
+            LAM14, 2, [2.0 ** -j for j in range(3, 11)], mode=mode)
+        assert study.fitted_order >= 1.8
 
 
 class TestHarmonicMean:

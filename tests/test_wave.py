@@ -1,5 +1,7 @@
 """Wave propagation: fine solver, effective propagators, dressing, sources."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,12 +42,7 @@ LAM_PROFILE = oracle1d.Profile1D(breakpoints=[0, 0.5, 1], values=[1.0, 4.0])
 
 def laminate_model(ell):
     oh = oracle1d.correctors_1d(LAM_PROFILE, max(ell, 2))
-    model = dispersion.DispersionModel(
-        dim=1, ell=ell, polys=[np.array([lam]) for lam in oh.lambdas[:ell]],
-        directions=np.array([[1.0]]),
-        Gamma_bar=float(np.max(np.abs(oh.lambdas[:ell]))))
-    model.kmax = dispersion.compute_kmax(model, 1.0)
-    return oh, model
+    return oh, dispersion.DispersionModel.from_oracle(oh, ell)
 
 
 def identity_model(ell=2):
@@ -118,6 +115,21 @@ class TestFineSolver:
         norm0 = box_l2(box, u0)
         for i in range(traj.times.size):
             assert box_l2(box, traj.u[i]) <= norm0 * (1 + 1e-6)
+
+    def test_snapshots_held_once(self):
+        # snapshots are written into preallocated arrays, so the peak
+        # allocation is one copy of them plus a few work fields
+        box = BoxGrid(1, 2048, 16.0)
+        x = box_coordinates(box)[0]
+        a_box = coefficient_on_box(LAMINATE, box, 0.25)
+        tracemalloc.start()
+        try:
+            traj = solve_fine_wave(a_box, box, np.exp(-((x - 8.0) ** 2)),
+                                   times=np.linspace(0.05, 1.65, 33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (traj.u.nbytes + traj.v.nbytes)
 
     def test_2d_smooth_medium_runs(self):
         box = BoxGrid(2, 32, 1.0)
