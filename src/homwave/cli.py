@@ -104,8 +104,9 @@ def validate(cfg: ExperimentConfig) -> list:
     if cfg.kind not in KINDS:
         out.append(("error", f"unknown kind {cfg.kind!r}"))
     if cfg.kind in ("wave-compare", "elliptic-rate", "transport"):
-        if not cfg.eps_list:
-            out.append(("error", "eps_list is required for this kind"))
+        if len(cfg.eps_list) < 2:
+            out.append(("error", "eps_list needs at least two eps: this kind "
+                                 "fits or compares across eps"))
         elif any(e2 >= e1 for e1, e2 in zip(cfg.eps_list, cfg.eps_list[1:])):
             out.append(("error", "eps_list must be strictly decreasing"))
     for n in (cfg.grid_n, cfg.box_n):
@@ -199,12 +200,8 @@ def _tolerance(cfg, name, default):
 def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     grid = TorusGrid(cfg.dim, cfg.grid_n)
     a = coefficient_from_spec(cfg.coefficient, grid)
-    n_dirs = cfg.directions or (2 * cfg.ell + 4)
-    dirs = (correctors.default_directions(cfg.dim, cfg.ell)
-            if cfg.directions is None else np.stack(
-                [np.cos(np.arange(n_dirs) * np.pi / n_dirs),
-                 np.sin(np.arange(n_dirs) * np.pi / n_dirs)], axis=1)
-            if cfg.dim == 2 else np.array([[1.0]]))
+    dirs = correctors.half_circle_directions(cfg.dim,
+                                             cfg.directions or 2 * cfg.ell + 4)
     hier = correctors.build_hierarchies(a, cfg.ell, dirs, workers=cfg.workers)
     model = correctors.reconstruct_dispersion(
         a, cfg.ell, directions=dirs, kmax_cap=cfg.kmax_cap, hierarchies=hier)

@@ -25,7 +25,6 @@ from .torus import (
     CoefficientField,
     ConfigurationError,
     ConvergenceError,
-    Field,
     TorusGrid,
     deriv_values,
     divergence_values,
@@ -294,13 +293,18 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
 # direction sampling and polynomial reconstruction
 # ---------------------------------------------------------------------------
 
-def default_directions(dim: int, ell: int) -> np.ndarray:
-    """Direction samples: 2*ell + 4 equispaced half-circle angles in 2D."""
+def half_circle_directions(dim: int, n: int, offset: float = 0.0) -> np.ndarray:
+    """Unit directions at the angles (i + offset) pi / n, i = 0..n-1, as rows;
+    the single direction [[1.0]] in 1D."""
     if dim == 1:
         return np.array([[1.0]])
-    m = 2 * ell + 4
-    theta = np.arange(m) * np.pi / m
+    theta = (np.arange(n) + offset) * np.pi / n
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+def default_directions(dim: int, ell: int) -> np.ndarray:
+    """Direction samples: 2*ell + 4 equispaced half-circle angles in 2D."""
+    return half_circle_directions(dim, 2 * ell + 4)
 
 
 def build_hierarchies(a: CoefficientField, ell: int, directions,
@@ -439,9 +443,8 @@ class TensorizedCorrectors:
 
     def phi_in_direction(self, j: int, e) -> np.ndarray:
         e = np.asarray(e, dtype=float).reshape(self.dim, 1)
-        deg = j if self.dim == 2 else j
         if self.dim == 1:
-            return self.phi[j][0] * float(e[0]) ** deg
+            return self.phi[j][0] * float(e[0, 0]) ** j
         flat = evaluate_monomials(
             self.phi[j].reshape(j + 1, -1), j, e)
         return flat.reshape(self.grid.shape)

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import (
-    ConfigurationError,
-    Field,
-    divergence_values,
-    gradient_values,
-)
+from .torus import ConfigurationError, divergence_values, gradient_values
 
 
 class InternalConsistencyError(RuntimeError):
@@ -177,14 +172,15 @@ def dispersion_Lambda(model: DispersionModel, k) -> np.ndarray:
 
 @dataclass
 class TaylorBlochMode:
-    """Truncated Bloch wave data at wavevector kappa * e on the unit cell."""
+    """Truncated Bloch wave data at wavevector kappa * e on the unit cell;
+    ``wave`` and ``defect`` are complex samples on the cell grid."""
 
     kappa: float
     direction: np.ndarray
     order: int
-    wave: Field | None = None
+    wave: np.ndarray | None = None
     eigenvalue: float | None = None
-    defect: Field | None = None
+    defect: np.ndarray | None = None
 
 
 def taylor_bloch_wave(h, kappa: float) -> TaylorBlochMode:
@@ -196,13 +192,12 @@ def taylor_bloch_wave(h, kappa: float) -> TaylorBlochMode:
     lam = kappa ** 2 * sum(
         (1j * kappa) ** j * h.lambdas[j] for j in range(0, h.order, 2))
     return TaylorBlochMode(kappa=kappa, direction=h.direction, order=h.order,
-                           wave=Field(grid, psi), eigenvalue=float(lam.real))
+                           wave=psi, eigenvalue=float(lam.real))
 
 
 def eigendefect(h, kappa: float) -> TaylorBlochMode:
     """Assemble the order-(ell+1) defect field of the truncated eigenrelation."""
     grid = h.grid
-    d = grid.dim
     ell = h.order
     e = h.direction
     ae = np.einsum("mn...,n->m...", h.a.values, e)
@@ -216,7 +211,7 @@ def eigendefect(h, kappa: float) -> TaylorBlochMode:
             series += (1j * kappa) ** (j + l - ell) * h.lambdas[l] * h.phi[j]
     defect = defect + 1j * kappa * (eae * h.phi[ell] - series)
     return TaylorBlochMode(kappa=kappa, direction=e, order=ell,
-                           defect=Field(grid, defect))
+                           defect=defect)
 
 
 def eigendefect_residual(h, kappa: float, refine: int = 1) -> float:
@@ -237,9 +232,9 @@ def eigendefect_residual(h, kappa: float, refine: int = 1) -> float:
     grid = h.grid
     e = h.direction
     mode = taylor_bloch_wave(h, kappa)
-    psi = mode.wave.values
+    psi = mode.wave
     a_values = h.a.values
-    defect = eigendefect(h, kappa).defect.values
+    defect = eigendefect(h, kappa).defect
     if refine > 1:
         fine = TorusGrid(grid.dim, grid.n * refine, grid.period)
         if h.a.spec is not None and h.a.spec.get("kind") != "raw":

@@ -23,8 +23,8 @@ from .correctors import TensorizedCorrectors
 from .torus import (
     CoefficientField,
     ConfigurationError,
+    DerivativeCache,
     SolvabilityError,
-    TorusGrid,
     deriv_values,
     divergence_values,
     fftn,
@@ -35,13 +35,11 @@ from .torus import (
 from .wave import (
     BoxCorrectors,
     BoxGrid,
-    PositivityError,
-    _DerivCache,
     box_l2,
     box_wavevectors,
     dress_with_correctors,
     dressed_gradient,
-    effective_symbol,
+    mode_symbol,
 )
 
 
@@ -63,40 +61,32 @@ def solve_fine_elliptic(a_box: np.ndarray, box: BoxGrid, rhs: np.ndarray,
     return solve_elliptic(cf, rhs, tol=tol, maxiter=maxiter)
 
 
+def _effective_elliptic(f: np.ndarray, box: BoxGrid, eps: float,
+                        model: DispersionModel, **operator) -> np.ndarray:
+    """Divide per nonzero mode by the symbol ``mode_symbol(model, eps, k,
+    **operator)``; zero-mean output."""
+    _require_zero_mean(f, "source")
+    k = box_wavevectors(box)
+    num, den = mode_symbol(model, eps, k, **operator)
+    nz = np.sum(k ** 2, axis=0) > 0
+    grid = box.torus()
+    f_hat = fftn(grid, f)
+    u_hat = np.zeros_like(f_hat)
+    u_hat[nz] = f_hat[nz] * np.broadcast_to(den, num.shape)[nz] / num[nz]
+    return ifftn(grid, u_hat, real=True)
+
+
 def solve_homogenized_elliptic(model: DispersionModel, gamma: float,
                                f: np.ndarray, box: BoxGrid, eps: float,
                                ell: int) -> np.ndarray:
     """Divide per mode by the regularized effective symbol; zero-mean output."""
-    _require_zero_mean(f, "source")
-    k = box_wavevectors(box)
-    sym = effective_symbol(model, gamma, eps, ell, k)
-    k2 = np.sum(k ** 2, axis=0)
-    nz = k2 > 0
-    if np.any(sym[nz] <= 0):
-        idx = tuple(np.argwhere(nz & (sym <= 0))[0])
-        raise PositivityError(
-            f"effective symbol nonpositive at mode index {idx}")
-    grid = box.torus()
-    f_hat = fftn(grid, f)
-    u_hat = np.zeros_like(f_hat)
-    u_hat[nz] = f_hat[nz] / sym[nz]
-    return ifftn(grid, u_hat, real=True)
+    return _effective_elliptic(f, box, eps, model, gamma=gamma, ell=ell)
 
 
 def solve_boussinesq_elliptic(model: DispersionModel, bt, f: np.ndarray,
                               box: BoxGrid, eps: float) -> np.ndarray:
     """Fourth-order nonnegative reformulation with the mass-modified source."""
-    _require_zero_mean(f, "source")
-    k = box_wavevectors(box)
-    k2 = np.sum(k ** 2, axis=0)
-    sym = model.poly_value(0, k) + eps ** 2 * bt.c_quartic(k)
-    rhs_factor = 1.0 + eps ** 2 * bt.b_quadratic(k)
-    nz = k2 > 0
-    grid = box.torus()
-    f_hat = fftn(grid, f)
-    u_hat = np.zeros_like(f_hat)
-    u_hat[nz] = f_hat[nz] * rhs_factor[nz] / sym[nz]
-    return ifftn(grid, u_hat, real=True)
+    return _effective_elliptic(f, box, eps, model, bt=bt)
 
 
 def prepared_rhs(bc: BoxCorrectors, f: np.ndarray,
@@ -116,18 +106,19 @@ class TwoScaleExpansion:
     s: np.ndarray
 
 
-def _coupling_field(bc: BoxCorrectors, model: DispersionModel,
-                    cache: _DerivCache, ell: int, eps: float) -> np.ndarray:
-    """S_m(v): cross terms (phi_j x effective tensor_p) . grad^(p+j+2) v."""
-    dim = bc.dim
-    out = np.zeros(bc.box.shape)
+def _coupling_field(phi: list, model: DispersionModel, cache: DerivativeCache,
+                    ell: int, eps: float = 1.0) -> np.ndarray:
+    """S_ell(v): cross terms eps^(p+j) (phi_j x effective tensor_p) . grad^(p+j+2) v.
+
+    ``phi[j]`` holds the tensorized corrector coefficients (box samples in a
+    two-scale expansion, unit-cell fields with eps = 1 in the identities).
+    """
+    dim = cache.grid.dim
+    out = np.zeros(cache.grid.shape)
     for p in range(0, ell - 1):
         pcoef = np.atleast_1d(model.polys[p])
-        if not np.any(pcoef):
-            continue
         for j in range(1, ell - p):
-            phi = bc.phi[j]
-            for r in range(phi.shape[0]):
+            for r in range(phi[j].shape[0]):
                 for s in range(pcoef.shape[0]):
                     if pcoef[s] == 0.0:
                         continue
@@ -136,15 +127,15 @@ def _coupling_field(bc: BoxCorrectors, model: DispersionModel,
                     else:
                         orders = (j + p + 2,)
                     out = out + (eps ** (p + j) * pcoef[s]
-                                 * phi[r] * cache.get(orders))
+                                 * phi[j][r] * cache.get(orders))
     return out
 
 
 def two_scale_expansion(bc: BoxCorrectors, model: DispersionModel,
                         v: np.ndarray, ell: int) -> TwoScaleExpansion:
-    cache = _DerivCache(bc.box, v)
+    cache = DerivativeCache(bc.box.torus(), v)
     w = dress_with_correctors(bc, v, max_order=ell, cache=cache)
-    s = _coupling_field(bc, model, cache, ell, bc.eps)
+    s = _coupling_field(bc.phi, model, cache, ell, bc.eps)
     return TwoScaleExpansion(order=ell, eps=bc.eps, w=w, s=s)
 
 
@@ -170,22 +161,7 @@ class ResiduumReport:
     full_vs_raw: float
 
 
-class _CellDerivs:
-    def __init__(self, grid: TorusGrid, values: np.ndarray):
-        self.grid = grid
-        self.cache = {(0,) * grid.dim: np.asarray(values)}
-
-    def get(self, orders: tuple) -> np.ndarray:
-        if orders not in self.cache:
-            base = self.cache[(0,) * self.grid.dim]
-            multi = []
-            for ax, m in enumerate(orders):
-                multi.extend([ax] * m)
-            self.cache[orders] = deriv_values(self.grid, base, multi)
-        return self.cache[orders]
-
-
-def _contract(coeffs: np.ndarray, degree: int, cache: _CellDerivs,
+def _contract(coeffs: np.ndarray, degree: int, cache: DerivativeCache,
               dim: int, extra=None) -> np.ndarray:
     """sum_r coeffs[r] * d^(degree-r [+extra_1], r [+extra_2]) v."""
     e1, e2 = (0, 0)
@@ -194,7 +170,7 @@ def _contract(coeffs: np.ndarray, degree: int, cache: _CellDerivs,
             e1, e2 = (1, 0) if extra == 0 else (0, 1)
         else:
             e1 = 1
-    out = np.zeros(cache.cache[(0,) * dim].shape)
+    out = np.zeros(cache.grid.shape)
     for r in range(coeffs.shape[0]):
         orders = (degree - r + e1, r + e2) if dim == 2 else (degree + e1,)
         out = out + coeffs[r] * cache.get(orders)
@@ -216,7 +192,7 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
     dim = grid.dim
     if ell > tensors.order:
         raise ConfigurationError("tensorized correctors below requested order")
-    cache = _CellDerivs(grid, v)
+    cache = DerivativeCache(grid, v)
 
     # w and LHS
     w = np.zeros(grid.shape)
@@ -235,20 +211,6 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
                 continue
             orders = (j + 2 - s, s) if dim == 2 else (j + 2,)
             eff = eff + pc[s] * cache.get(orders)
-
-    def coupling(m):
-        out = np.zeros(grid.shape)
-        for p in range(0, m - 1):
-            pc = np.atleast_1d(model.polys[p])
-            for j in range(1, m - p):
-                for r in range(tensors.phi[j].shape[0]):
-                    for s in range(pc.shape[0]):
-                        if pc[s] == 0.0:
-                            continue
-                        orders = ((j - r) + (p + 2 - s), r + s) if dim == 2 \
-                            else (j + p + 2,)
-                        out = out + pc[s] * tensors.phi[j][r] * cache.get(orders)
-        return out
 
     # gradient fields of the dispersion potentials
     def grad_chi_terms(level, n_derivs):
@@ -287,10 +249,10 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
                 vec[m] = vec[m] + _contract(gc, ell + 1, cache, dim)
         return divergence_values(grid, vec)
 
-    rhs_raw = -(eff + coupling(ell - 1)
+    rhs_raw = -(eff + _coupling_field(tensors.phi, model, cache, ell - 1)
                 - (grad_chi_terms(ell - 1, ell + 1) if ell >= 1 else 0.0)
                 + divergence_term(include_chi=False))
-    rhs_full = (-eff - coupling(ell)
+    rhs_full = (-eff - _coupling_field(tensors.phi, model, cache, ell)
                 + grad_chi_terms(ell, ell + 2)
                 - divergence_term(include_chi=True))
 
@@ -338,16 +300,6 @@ def _fit_order(eps_list, errors) -> float:
     errors = np.maximum(np.asarray(errors, dtype=float), 1e-300)
     slope = np.polyfit(np.log(eps_list), np.log(errors), 1)[0]
     return float(slope)
-
-
-def _mode_symbol_1d(model, gamma, eps, ell, k, operator, bt=None):
-    kv = np.array([[k]])
-    if operator == "boussinesq":
-        num = float(model.poly_value(0, kv)[0]) + eps ** 2 * float(bt.c_quartic(kv)[0])
-        den = 1.0 + eps ** 2 * float(bt.b_quadratic(kv)[0])
-        return num, den
-    sym = float(effective_symbol(model, gamma, eps, ell, kv)[0])
-    return sym, 1.0
 
 
 def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
@@ -398,11 +350,11 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
             rhs_pp = f_pp
         u_fine = oracle1d.solve_elliptic_box(profile, eps, side, rhs_pp)
 
-        u_coeffs = {}
-        for q, c in f_modes.items():
-            k = 2.0 * math.pi * q / side
-            num, den = _mode_symbol_1d(model, gamma, eps, ell, k, operator, bt)
-            u_coeffs[q] = c * den / num
+        kq = np.array([[2.0 * math.pi * q / side for q in f_modes]])
+        num, den = mode_symbol(model, eps, kq, gamma=gamma, ell=ell, bt=bt)
+        den = np.broadcast_to(den, num.shape)
+        u_coeffs = {q: c * float(den[i]) / float(num[i])
+                    for i, (q, c) in enumerate(f_modes.items())}
 
         w_prime = oracle1d.PiecewisePoly.constant(0.0, breaks)
         for j in range(ell + 1):
@@ -446,10 +398,7 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
         bc = BoxCorrectors.from_tensorized(tensors, box, eps)
         rhs = prepared_rhs(bc, f, ell) if mode == "prepared" else f
         u_fine = solve_fine_elliptic(a_box, box, rhs, tol=tol)
-        if operator == "boussinesq":
-            u_hom = solve_boussinesq_elliptic(model, bt, f, box, eps)
-        else:
-            u_hom = solve_homogenized_elliptic(model, gamma, f, box, eps, ell)
+        u_hom = _effective_elliptic(f, box, eps, model, gamma=gamma, ell=ell, bt=bt)
         grad_fine = gradient_values(grid, u_fine)
         grad_dressed = dressed_gradient(bc, u_hom, max_order=ell)
         errors.append(box_l2(box, grad_fine - grad_dressed))

@@ -1,4 +1,4 @@
-"""Grids, fields and spectral calculus on the d-torus (d = 1 or 2).
+"""Grids and spectral calculus on the d-torus (d = 1 or 2).
 
 Everything downstream (corrector hierarchies, Bloch dispersion, residual
 checks) is built on trigonometric collocation: derivatives are exact Fourier
@@ -12,7 +12,7 @@ Laplacian.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,46 +107,6 @@ def _k_squared(grid: TorusGrid):
     return k2
 
 
-@dataclass
-class Field:
-    """Sampled scalar/vector/matrix field on a torus grid.
-
-    ``values`` is component-major: trailing axes are the grid axes, leading
-    axes (if any) index components.  Fields are immutable after construction.
-    """
-
-    grid: TorusGrid
-    values: np.ndarray
-    domain: str = "physical"
-    meta: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape[v.ndim - self.grid.dim:] != self.grid.shape:
-            raise ConfigurationError(
-                f"trailing axes {v.shape} do not match grid shape {self.grid.shape}")
-        if self.domain not in ("physical", "spectral"):
-            raise ConfigurationError(f"unknown domain {self.domain!r}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def component_shape(self) -> tuple:
-        return self.values.shape[: self.values.ndim - self.grid.dim]
-
-    @property
-    def rank(self) -> str:
-        pre = self.component_shape
-        if pre == ():
-            return "scalar"
-        if pre == (self.grid.dim,):
-            return "vector"
-        if pre == (self.grid.dim, self.grid.dim):
-            return "matrix"
-        return f"tensor{pre}"
-
-
 def _grid_axes(grid: TorusGrid, values: np.ndarray) -> tuple:
     return tuple(range(values.ndim - grid.dim, values.ndim))
 
@@ -158,24 +118,6 @@ def fftn(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 def ifftn(grid: TorusGrid, values: np.ndarray, real: bool) -> np.ndarray:
     out = np.fft.ifftn(values, axes=_grid_axes(grid, values))
     return out.real if real else out
-
-
-def spectral_transform(f: Field, direction: str) -> Field:
-    """Forward (physical -> spectral) or inverse FFT of a field.
-
-    Forward of a real field is Hermitian-symmetric; forward then inverse is
-    the identity to roundoff.
-    """
-    if direction == "forward":
-        if f.domain != "physical":
-            raise ConfigurationError("field is already spectral")
-        return Field(f.grid, fftn(f.grid, f.values), domain="spectral")
-    if direction == "inverse":
-        if f.domain != "spectral":
-            raise ConfigurationError("field is already physical")
-        out = ifftn(f.grid, f.values, real=False)
-        return Field(f.grid, out, domain="physical")
-    raise ConfigurationError(f"unknown direction {direction!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,17 +156,27 @@ def deriv_values(grid: TorusGrid, values: np.ndarray, multi_index) -> np.ndarray
     return out
 
 
-def derivative(f: Field, multi_index) -> Field:
-    """Mixed partial derivative, e.g. multi_index=[0, 1] is d^2/dx0 dx1."""
-    return Field(f.grid, deriv_values(f.grid, f.values, multi_index))
+class DerivativeCache:
+    """Spectral derivatives of one sample array, memoized by per-axis orders.
+
+    ``get((m0, m1))`` is d^m0/dx0^m0 d^m1/dx1^m1 of ``values``; each order
+    tuple is transformed once, however many contractions read it.
+    """
+
+    def __init__(self, grid: TorusGrid, values: np.ndarray):
+        self.grid = grid
+        self.values = np.asarray(values)
+        self.cache = {(0,) * grid.dim: self.values}
+
+    def get(self, orders: tuple) -> np.ndarray:
+        if orders not in self.cache:
+            multi = [ax for ax, m in enumerate(orders) for _ in range(m)]
+            self.cache[orders] = deriv_values(self.grid, self.values, multi)
+        return self.cache[orders]
 
 
 def gradient_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return np.stack([deriv_values(grid, values, [ax]) for ax in range(grid.dim)])
-
-
-def gradient(f: Field) -> Field:
-    return Field(f.grid, gradient_values(f.grid, f.values))
 
 
 def divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -237,10 +189,6 @@ def divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def divergence(f: Field) -> Field:
-    return Field(f.grid, divergence_values(f.grid, f.values))
-
-
 def matrix_divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Row-wise divergence of a matrix field: out_m = sum_n d_n values[m, n]."""
     return np.stack([divergence_values(grid, values[m]) for m in range(grid.dim)])
@@ -249,11 +197,6 @@ def matrix_divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 def laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     out = ifftn(grid, fftn(grid, values) * (-_k_squared(grid)), real=False)
     return out.real if np.isrealobj(values) else out
-
-
-def cell_average(f: Field):
-    """Mean over the grid axes (exact for band-limited integrands)."""
-    return mean_values(f.grid, f.values)
 
 
 def mean_values(grid: TorusGrid, values: np.ndarray):
@@ -281,11 +224,6 @@ def solve_poisson_values(grid: TorusGrid, rhs: np.ndarray, strict: bool = False)
     if np.isrealobj(rhs):
         u = u.real
     return u, mean
-
-
-def solve_poisson(rhs: Field, strict: bool = False) -> Field:
-    u, dropped = solve_poisson_values(rhs.grid, rhs.values, strict=strict)
-    return Field(rhs.grid, u, meta={"dropped_mean": dropped})
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,9 +14,13 @@ that operator:
   the ``source-term`` experiment and the constant-medium moment scan, and
   the independent cross-check of the exact solver.
 
-All effective equations are constant-coefficient and are solved exactly
-per Fourier mode; corrector dressing turns the effective fields into
-fine-scale approximations.
+Every effective model is one constant-coefficient symbol omega^2(k) per
+Fourier mode: the filtered truncated Bloch eigenvalue
+(``filtered_dispersion``), the regularized operator or the Boussinesq
+splitting (``mode_symbol``).  Its positivity is checked once; the wave
+solves then rotate each mode by omega (``spectral_wave_state``) and the
+elliptic solves in ``homwave.elliptic`` divide by omega^2.  Corrector
+dressing turns the effective fields into fine-scale approximations.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dispersion import CutoffSpec, DispersionModel, cutoff
+from .dispersion import CutoffSpec, DispersionModel, cutoff, eigenvalue
 from .torus import (
     ConfigurationError,
+    DerivativeCache,
     TorusGrid,
     _sym_eig_bounds,
     deriv_values,
@@ -222,31 +227,12 @@ class BoxCorrectors:
                    phi=phi, grad_phi=grad_phi)
 
 
-def _box_derivative(box: BoxGrid, values: np.ndarray, orders) -> np.ndarray:
-    multi = []
-    for ax, m in enumerate(orders):
-        multi.extend([ax] * m)
-    return deriv_values(box.torus(), values, multi)
-
-
-class _DerivCache:
-    def __init__(self, box: BoxGrid, values: np.ndarray):
-        self.box = box
-        self.cache = {(0,) * box.dim: np.asarray(values)}
-
-    def get(self, orders: tuple) -> np.ndarray:
-        if orders not in self.cache:
-            base = self.cache[(0,) * self.box.dim]
-            self.cache[orders] = _box_derivative(self.box, base, orders)
-        return self.cache[orders]
-
-
 def dress_with_correctors(bc: BoxCorrectors, values: np.ndarray,
                           max_order: int | None = None,
-                          cache: _DerivCache | None = None) -> np.ndarray:
+                          cache: DerivativeCache | None = None) -> np.ndarray:
     """Corrector-dressed expansion sum_j eps^j phi_j(x/eps) . grad^j values."""
     ell = bc.order if max_order is None else max_order
-    cache = cache or _DerivCache(bc.box, values)
+    cache = cache or DerivativeCache(bc.box.torus(), values)
     out = np.zeros_like(np.asarray(values, dtype=float))
     for j in range(ell + 1):
         coeffs = bc.phi[j]
@@ -258,14 +244,14 @@ def dress_with_correctors(bc: BoxCorrectors, values: np.ndarray,
 
 def dressed_gradient(bc: BoxCorrectors, values: np.ndarray,
                      max_order: int | None = None,
-                     cache: _DerivCache | None = None) -> np.ndarray:
+                     cache: DerivativeCache | None = None) -> np.ndarray:
     """Exact gradient of the dressed expansion via the product rule.
 
     Avoids spectrally differentiating the assembled product, which would be
     Gibbs-limited when the corrector fields have kinks.
     """
     ell = bc.order if max_order is None else max_order
-    cache = cache or _DerivCache(bc.box, values)
+    cache = cache or DerivativeCache(bc.box.torus(), values)
     out = np.zeros((bc.dim,) + bc.box.shape)
     for j in range(ell + 1):
         coeffs = bc.phi[j]
@@ -475,32 +461,48 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
 # spectral effective propagators
 # ---------------------------------------------------------------------------
 
+def _filter_weights(spec: CutoffSpec, box: BoxGrid, eps: float):
+    """(low-pass filter weights, wavevectors) on the box mode lattice."""
+    k = box_wavevectors(box)
+    return cutoff(spec, eps * np.sqrt(np.sum(k ** 2, axis=0))), k
+
+
+def _require_positive(sym: np.ndarray, k: np.ndarray) -> None:
+    """Raise PositivityError unless the symbol is positive at every nonzero
+    wavevector in ``k`` (shape (dim, ...), matching ``sym``)."""
+    bad = (sym <= 0.0) & np.any(k != 0.0, axis=0)
+    if np.any(bad):
+        idx = tuple(np.argwhere(bad)[0])
+        raise PositivityError(
+            f"effective symbol nonpositive at mode k={[float(c[idx]) for c in k]}: "
+            f"{float(sym[idx]):.3e}")
+
+
 def filtered_dispersion(model: DispersionModel, spec: CutoffSpec,
                         box: BoxGrid, eps: float):
     """(filter weights, propagation frequency) on the box mode lattice.
 
     The frequency is Lambda(eps k) / eps evaluated only where the filter is
     positive, which is exactly where the truncated eigenvalue is guaranteed
-    nonnegative.
+    positive.
     """
-    k = box_wavevectors(box)
-    radii = np.sqrt(np.sum(k ** 2, axis=0))
-    weights = cutoff(spec, eps * radii)
+    weights, k = _filter_weights(spec, box, eps)
     mask = weights > 0.0
-    from .dispersion import eigenvalue as _eig
     eig = np.zeros(box.shape)
     if np.any(mask):
         km = eps * k[:, mask]
-        eig_vals = _eig(model, km)
-        if np.any(eig_vals < -1e-13 * max(1.0, float(np.max(np.abs(eig_vals))))):
-            raise PositivityError(
-                "truncated eigenvalue negative inside the filter support")
-        eig[mask] = np.maximum(eig_vals, 0.0)
-    omega = np.sqrt(eig) / eps
-    return weights, omega
+        eig_vals = eigenvalue(model, km)
+        _require_positive(eig_vals, km)
+        eig[mask] = eig_vals
+    return weights, np.sqrt(eig) / eps
 
 
-def spectral_wave_state(weights: np.ndarray, omega: np.ndarray,
+def _sin_kernel(omega: np.ndarray, t) -> np.ndarray:
+    """sin(omega t) / omega per mode, continued by t where omega = 0."""
+    return np.where(omega > 0, np.sin(omega * t) / np.where(omega > 0, omega, 1.0), t)
+
+
+def spectral_wave_state(weights, omega: np.ndarray,
                         u0: np.ndarray, box: BoxGrid, t: float,
                         v0: np.ndarray | None = None):
     """Exact per-mode evolution of (u, u_t) for u_tt + omega^2 u = 0.
@@ -510,37 +512,32 @@ def spectral_wave_state(weights: np.ndarray, omega: np.ndarray,
     """
     grid = box.torus()
     u_hat = fftn(grid, u0) * weights
-    v_hat = fftn(grid, v0) * weights if v0 is not None else None
     cos_t = np.cos(omega * t)
     u_t_hat = u_hat * cos_t
-    if v_hat is not None:
-        sinc = np.where(omega > 0, np.sin(omega * t) / np.where(omega > 0, omega, 1.0), t)
-        u_t_hat = u_t_hat + v_hat * sinc
     vel_hat = -omega * np.sin(omega * t) * u_hat
-    if v_hat is not None:
-        vel_hat = vel_hat + np.cos(omega * t) * v_hat
+    if v0 is not None:
+        v_hat = fftn(grid, v0) * weights
+        u_t_hat = u_t_hat + v_hat * _sin_kernel(omega, t)
+        vel_hat = vel_hat + cos_t * v_hat
     return (ifftn(grid, u_t_hat, real=True), ifftn(grid, vel_hat, real=True))
 
 
 def homogenized_wave_field(model: DispersionModel, spec: CutoffSpec,
                            u0: np.ndarray, box: BoxGrid, eps: float,
-                           t: float, return_velocity: bool = False):
+                           t: float) -> np.ndarray:
     """Filtered effective wave field: per-mode cosine of the dispersion.
 
     At t = 0 this returns the low-pass filtered data; the output is real
     because the symbol is even in k.
     """
     weights, omega = filtered_dispersion(model, spec, box, eps)
-    u, v = spectral_wave_state(weights, omega, u0, box, t)
-    return (u, v) if return_velocity else u
+    return spectral_wave_state(weights, omega, u0, box, t)[0]
 
 
 def filtered_data(spec: CutoffSpec, u0: np.ndarray, box: BoxGrid,
                   eps: float) -> np.ndarray:
     grid = box.torus()
-    k = box_wavevectors(box)
-    radii = np.sqrt(np.sum(k ** 2, axis=0))
-    weights = cutoff(spec, eps * radii)
+    weights, _ = _filter_weights(spec, box, eps)
     return ifftn(grid, fftn(grid, u0) * weights, real=True)
 
 
@@ -682,33 +679,6 @@ def symbol_coercivity_margin(model: DispersionModel, gamma: float, eps: float,
     return float(np.min(margin[nz]))
 
 
-def solve_homogenized_wave(model: DispersionModel, gamma: float,
-                           u0: np.ndarray, box: BoxGrid, eps: float, ell: int,
-                           times, return_velocity: bool = False):
-    """Exact per-mode solve of the regularized effective wave equation.
-
-    The initial data is NOT filtered here; positivity of the symbol at every
-    retained mode is required and checked.
-    """
-    k = box_wavevectors(box)
-    sym = effective_symbol(model, gamma, eps, ell, k)
-    bad = sym < -1e-13 * max(1.0, float(np.max(np.abs(sym))))
-    if np.any(bad):
-        idx = tuple(np.argwhere(bad)[0])
-        kbad = [float(k[m][idx]) for m in range(box.dim)]
-        raise PositivityError(
-            f"effective symbol negative at mode k={kbad}: {float(sym[idx]):.3e}; "
-            "increase the regularization constant")
-    omega = np.sqrt(np.maximum(sym, 0.0))
-    weights = np.ones(box.shape)
-    out = []
-    for t in times:
-        out.append(spectral_wave_state(weights, omega, u0, box, float(t)))
-    if return_velocity:
-        return out
-    return [u for u, _ in out]
-
-
 # ---------------------------------------------------------------------------
 # dispersive reformulation with nonnegative tensors
 # ---------------------------------------------------------------------------
@@ -756,11 +726,8 @@ def boussinesq_decomposition(model: DispersionModel,
     """
     if model.ell < 3:
         raise ConfigurationError("needs the order-2 dispersion polynomial")
-    if model.dim == 1:
-        dirs = np.array([[1.0]])
-    else:
-        theta = (np.arange(n_directions) + 0.5) * np.pi / n_directions
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    from .correctors import evaluate_monomials, half_circle_directions
+    dirs = half_circle_directions(model.dim, n_directions, offset=0.5)
     p0 = np.array([float(model.poly_value(0, e.reshape(model.dim, 1))[0])
                    for e in dirs])
     p2 = np.array([float(model.poly_value(2, e.reshape(model.dim, 1))[0])
@@ -768,8 +735,6 @@ def boussinesq_decomposition(model: DispersionModel,
     beta = max(0.0, float(np.max(p2 / p0)))
     c_full = (beta * _poly_times_k2(np.atleast_1d(model.polys[0]), model.dim)
               - np.atleast_1d(model.polys[2]))
-
-    from .correctors import evaluate_monomials
     c_vals = np.array([float(evaluate_monomials(c_full, 4, e.reshape(model.dim, 1))[0])
                        for e in dirs])
     ident = np.max(np.abs(beta * p0 - c_vals - p2)) / max(1.0, np.max(np.abs(p2)),
@@ -782,23 +747,56 @@ def boussinesq_decomposition(model: DispersionModel,
 def boussinesq_frequency(model: DispersionModel, bt: BoussinesqTensors,
                          eps: float, k: np.ndarray) -> np.ndarray:
     """Omega(k)^2 = (P0(k) + eps^2 c(k)) / (1 + eps^2 b(k)), nonneg by PSD."""
-    num = model.poly_value(0, k) + eps ** 2 * bt.c_quartic(k)
-    den = 1.0 + eps ** 2 * bt.b_quadratic(k)
+    num, den = mode_symbol(model, eps, k, bt=bt)
     return num / den
 
 
+# ---------------------------------------------------------------------------
+# per-mode effective wave solves
+# ---------------------------------------------------------------------------
+
+def mode_symbol(model: DispersionModel, eps: float, k: np.ndarray,
+                gamma: float = 0.0, ell: int | None = None,
+                bt: BoussinesqTensors | None = None):
+    """(num, den) with omega^2(k) = num / den for one effective operator.
+
+    Without ``bt`` it is the regularized symbol ``effective_symbol`` over 1;
+    with ``bt`` the Boussinesq pair P0(k) + eps^2 c(k) over 1 + eps^2 b(k).
+    The numerator is checked positive at every nonzero wavevector, so the
+    wave solves may rotate by omega and the elliptic solves divide by it.
+    """
+    if bt is None:
+        num, den = effective_symbol(model, gamma, eps, ell, k), 1.0
+    else:
+        num = model.poly_value(0, k) + eps ** 2 * bt.c_quartic(k)
+        den = 1.0 + eps ** 2 * bt.b_quadratic(k)
+    _require_positive(num, k)
+    return num, den
+
+
+def _unfiltered_wave(num, den, u0: np.ndarray, box: BoxGrid, times) -> list:
+    """u(t) at each time for u_tt + (num / den) u = 0 per mode, u_t(0) = 0."""
+    omega = np.sqrt(num / den)
+    return [spectral_wave_state(1.0, omega, u0, box, float(t))[0] for t in times]
+
+
+def solve_homogenized_wave(model: DispersionModel, gamma: float,
+                           u0: np.ndarray, box: BoxGrid, eps: float, ell: int,
+                           times) -> list:
+    """Exact per-mode solve of the regularized effective wave equation.
+
+    The initial data is NOT filtered here; positivity of the symbol at every
+    retained mode is required and checked.
+    """
+    num, den = mode_symbol(model, eps, box_wavevectors(box), gamma=gamma, ell=ell)
+    return _unfiltered_wave(num, den, u0, box, times)
+
+
 def solve_boussinesq_wave(model: DispersionModel, bt: BoussinesqTensors,
-                          u0: np.ndarray, box: BoxGrid, eps: float, times,
-                          return_velocity: bool = False):
+                          u0: np.ndarray, box: BoxGrid, eps: float, times) -> list:
     """Per-mode exact solve of the dispersive equation with inert mass term."""
-    k = box_wavevectors(box)
-    omega2 = boussinesq_frequency(model, bt, eps, k)
-    omega = np.sqrt(np.maximum(omega2, 0.0))
-    weights = np.ones(box.shape)
-    out = [spectral_wave_state(weights, omega, u0, box, float(t)) for t in times]
-    if return_velocity:
-        return out
-    return [u for u, _ in out]
+    num, den = mode_symbol(model, eps, box_wavevectors(box), bt=bt)
+    return _unfiltered_wave(num, den, u0, box, times)
 
 
 # ---------------------------------------------------------------------------
@@ -833,15 +831,10 @@ def source_term_field(model: DispersionModel, spec: CutoffSpec, source,
         nodes, wq = np.polynomial.legendre.leggauss(n_quad)
         s = 0.5 * s_end * (nodes + 1.0)
         wq = 0.5 * s_end * wq
-        sinc_arg = omega
         for sq, wgt in zip(s, wq):
             f_hat = fftn(grid, source(sq)) * weights
-            phase = sinc_arg * (t - sq)
-            kern = np.where(sinc_arg > 0,
-                            np.sin(phase) / np.where(sinc_arg > 0, sinc_arg, 1.0),
-                            t - sq)
-            u_hat += wgt * f_hat * kern
-            ut_hat += wgt * f_hat * np.cos(phase)
+            u_hat += wgt * f_hat * _sin_kernel(omega, t - sq)
+            ut_hat += wgt * f_hat * np.cos(omega * (t - sq))
     u = ifftn(grid, u_hat, real=True)
     ut = ifftn(grid, ut_hat, real=True)
     if bc is not None:

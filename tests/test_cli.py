@@ -22,6 +22,20 @@ class TestValidate:
         msgs = validate(cfg)
         assert any("eps_list" in m for level, m in msgs if level == "error")
 
+    @pytest.mark.parametrize("kind", ["wave-compare", "elliptic-rate",
+                                      "transport"])
+    def test_single_eps_is_error(self, kind, tmp_path):
+        # an order fitted through one point, or a ratio of eps to itself,
+        # measures nothing
+        cfg = ExperimentConfig(kind=kind,
+                               coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0]},
+                               eps_list=[0.125], out_dir=str(tmp_path / "out"))
+        msgs = validate(cfg)
+        assert any("two eps" in m for level, m in msgs if level == "error")
+        assert run(cfg) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_wrap_guard_warning_reports_horizon(self):
         cfg = ExperimentConfig(kind="wave-compare",
                                coefficient={"kind": "constant", "value": 1.0},

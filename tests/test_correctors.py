@@ -7,6 +7,7 @@ from homwave import correctors, oracle1d, torus
 from homwave.correctors import (
     build_hierarchies,
     build_hierarchy,
+    half_circle_directions,
     hierarchy_invariants,
     load_hierarchy,
     reconstruct_dispersion,
@@ -156,6 +157,42 @@ class TestDispersionReconstruction:
             reconstruct_dispersion(smooth2d_a, 3, directions=dirs)
 
 
+def assert_bitwise(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+class TestDirectionSampler:
+    """The one half-circle sampler reproduces, bit for bit, the three angle
+    sets it replaced; their formulas are kept here as the reference."""
+
+    @pytest.mark.parametrize("ell", [2, 4])
+    def test_default_equispaced(self, ell):
+        m = 2 * ell + 4
+        theta = np.arange(m) * np.pi / m
+        ref = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        assert_bitwise(correctors.default_directions(2, ell), ref)
+        assert_bitwise(half_circle_directions(2, m), ref)
+
+    def test_cli_direction_count(self):
+        n_dirs = 7
+        ref = np.stack([np.cos(np.arange(n_dirs) * np.pi / n_dirs),
+                        np.sin(np.arange(n_dirs) * np.pi / n_dirs)], axis=1)
+        assert_bitwise(half_circle_directions(2, n_dirs), ref)
+
+    def test_boussinesq_midpoints(self):
+        n_directions = 64
+        theta = (np.arange(n_directions) + 0.5) * np.pi / n_directions
+        ref = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        assert_bitwise(half_circle_directions(2, n_directions, offset=0.5), ref)
+
+    def test_one_dimension(self):
+        ref = np.array([[1.0]])
+        assert_bitwise(correctors.default_directions(1, 4), ref)
+        for n, offset in ((7, 0.0), (64, 0.5)):
+            assert_bitwise(half_circle_directions(1, n, offset=offset), ref)
+
+
 class TestTensorizedCorrectors:
     def test_zeroth_is_one(self, smooth2d_a):
         tens = tensorize_correctors(smooth2d_a, 1)
@@ -183,6 +220,12 @@ class TestTensorizedCorrectors:
         rel = (np.sqrt(np.mean((recon - h.phi[2]) ** 2))
                / np.sqrt(np.mean(h.phi[2] ** 2)))
         assert rel < 1e-6
+
+    def test_one_dimensional_direction_sign(self, laminate_a):
+        tens = tensorize_correctors(laminate_a, 3)
+        for j in range(4):
+            got = tens.phi_in_direction(j, [-1.0])
+            assert np.array_equal(got, tens.phi[j][0] * (-1.0) ** j)
 
     def test_fit_residual_recorded(self, smooth2d_a):
         tens = tensorize_correctors(smooth2d_a, 2)

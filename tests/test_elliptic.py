@@ -113,6 +113,26 @@ class TestBoussinesqElliptic:
             oh.lambdas[0] * k ** 2 + eps ** 2 * float(bt.c_coeffs[0]) * k ** 4)
         assert np.max(np.abs(u - expect * f)) < 1e-12
 
+    def test_wave_symbol_inverts_elliptic_solve(self, rng):
+        # the elliptic and wave Boussinesq solves share one symbol: the wave
+        # propagator's omega^2 applied to the elliptic solution returns the
+        # source on every nonzero mode
+        _, model = laminate_model(4)
+        bt = wave.boussinesq_decomposition(model)
+        box = BoxGrid(1, 256, 4.0)
+        eps = 0.25
+        grid = box.torus()
+        f = rng.standard_normal(box.shape)
+        f -= f.mean()
+        u = solve_boussinesq_elliptic(model, bt, f, box, eps)
+        k = wave.box_wavevectors(box)
+        omega2 = wave.boussinesq_frequency(model, bt, eps, k)
+        f_hat = torus.fftn(grid, f)
+        back = omega2 * torus.fftn(grid, u)
+        nz = k[0] != 0.0
+        gap = np.max(np.abs(back[nz] - f_hat[nz])) / np.max(np.abs(f_hat))
+        assert gap < 1e-12
+
     def test_small_eps_limit(self):
         oh, model = laminate_model(3)
         bt = wave.boussinesq_decomposition(model)
