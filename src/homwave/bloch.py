@@ -19,7 +19,7 @@ import numpy as np
 
 from .torus import ConfigurationError
 from .wave import (BoxGrid, FluxFormOperator, WaveTrajectory, _face_harmonic,
-                   _fine_inputs)
+                   _fine_inputs, _rotate)
 
 
 # Bloch phases per eigh call: the eigensystems held at once take
@@ -57,12 +57,12 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     medium repeats every p = n eps / side nodes, so a discrete Fourier
     transform across the M = n / p cells splits the operator into one
     Hermitian p x p block per Bloch phase (M // 2 + 1 of them by conjugate
-    symmetry).  Each block is diagonalized, every eigenmode evolves by
-    cos(omega t) and sin(omega t) / omega, and the snapshots are transformed
-    back.  Blocks are diagonalized ``_PHASE_CHUNK`` phases at a time, so the
-    working set stays O(chunk p^2 + snapshots n).  The energy log is the
-    physical energy of ``FluxFormOperator.energy`` at each snapshot, and
-    ``dt`` is 0 (there is no time step).
+    symmetry).  Each block is diagonalized, every eigenmode is rotated to
+    all snapshot times by ``wave._rotate``, and the snapshots are
+    transformed back.  Blocks are diagonalized ``_PHASE_CHUNK`` phases at a
+    time, so the working set stays O(chunk p^2 + snapshots n).  The energy
+    log is the physical energy of ``FluxFormOperator.energy`` at each
+    snapshot, and ``dt`` is 0 (there is no time step).
     """
     if box.dim != 1:
         raise ConfigurationError("the Bloch-block solver is one-dimensional")
@@ -91,16 +91,11 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         sl = slice(start, start + _PHASE_CHUNK)
         lam, vecs = np.linalg.eigh(bloch_blocks(faces, box.h, phases[sl]))
         omega = np.sqrt(np.maximum(lam, 0.0))[..., None]
-        cos_t = np.cos(omega * times)
-        sin_t = np.sin(omega * times)
-        sinc = np.where(omega > 0, sin_t / np.where(omega > 0, omega, 1.0),
-                        times)
-        vecs_h = np.conj(np.swapaxes(vecs, 1, 2))
-        a_m = vecs_h @ u_hat[sl]
-        b_m = vecs_h @ v_hat[sl]
-        ut_hat[:, sl] = np.moveaxis(vecs @ (a_m * cos_t + b_m * sinc), -1, 0)
-        vt_hat[:, sl] = np.moveaxis(
-            vecs @ (b_m * cos_t - a_m * omega * sin_t), -1, 0)
+        # mode amplitudes of (u, v); no conjugated eigenvectors outlive them
+        modes = np.conj(np.swapaxes(vecs, 1, 2)) @ np.stack([u_hat[sl], v_hat[sl]])
+        a_m, b_m = _rotate(modes[0], modes[1], omega, times)
+        ut_hat[:, sl] = np.moveaxis(vecs @ a_m, -1, 0)
+        vt_hat[:, sl] = np.moveaxis(vecs @ b_m, -1, 0)
 
     def snapshots(spec):
         # one snapshot at a time: no full-size temporary besides the output

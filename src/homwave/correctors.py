@@ -133,7 +133,7 @@ def build_hierarchy(a: CoefficientField, e, ell: int,
                               lambdas=lambdas, atilde=atilde)
 
 
-def _l2(grid: TorusGrid, values: np.ndarray) -> float:
+def _l2(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
@@ -159,19 +159,19 @@ def hierarchy_invariants(h: CorrectorHierarchy) -> dict:
         out["mean_chi"] = max(out["mean_chi"], abs(float(mean_values(grid, h.chi[j]))))
         q_j = h.q[j]
         out["mean_q"] = max(out["mean_q"], float(np.max(np.abs(mean_values(grid, q_j)))))
-        scale = max(_l2(grid, _a_dot(h.a.values, gradient_values(grid, h.phi[j]))),
-                    _l2(grid, h.phi[j - 1] * _a_dot(h.a.values, e_col)),
-                    _l2(grid, gradient_values(grid, h.chi[j - 1])),
+        scale = max(_l2(_a_dot(h.a.values, gradient_values(grid, h.phi[j]))),
+                    _l2(h.phi[j - 1] * _a_dot(h.a.values, e_col)),
+                    _l2(gradient_values(grid, h.chi[j - 1])),
                     float(h.lambdas[0]))
         out["div_q"] = max(out["div_q"],
-                           _l2(grid, divergence_values(grid, q_j)) / scale)
+                           _l2(divergence_values(grid, q_j)) / scale)
         if d == 1:
             out["flux_exactness"] = max(out["flux_exactness"],
-                                        _l2(grid, q_j) / scale)
+                                        _l2(q_j) / scale)
         else:
-            q_scale = _l2(grid, q_j)
+            q_scale = _l2(q_j)
             if q_scale > 1e-12 * scale:
-                gap = _l2(grid, matrix_divergence_values(grid, h.sigma[j]) - q_j)
+                gap = _l2(matrix_divergence_values(grid, h.sigma[j]) - q_j)
                 out["flux_exactness"] = max(out["flux_exactness"], gap / q_scale)
             out["skew_gap"] = max(out["skew_gap"], float(np.max(np.abs(
                 h.sigma[j] + np.swapaxes(h.sigma[j], 0, 1)))))

@@ -182,8 +182,7 @@ def affine_ballistic_fit(T_values, windowed_values):
     return float(offset), float(slope), per_T
 
 
-def constant_medium_moment_scan(box: BoxGrid, lam: float, T_values,
-                                cfl: float = 0.9) -> MomentReport:
+def constant_medium_moment_scan(box: BoxGrid, lam: float, T_values) -> MomentReport:
     """Windowed moments of free propagation at several window offsets.
 
     Used to exhibit the ballistic scaling M(lam, T/lam) ~ T for the
@@ -200,7 +199,7 @@ def constant_medium_moment_scan(box: BoxGrid, lam: float, T_values,
         start = T / lam
         times.update(np.linspace(start, start + window, 17).tolist())
     times = sorted(times)
-    traj = solve_fine_wave(a_box, box, u0, times=times, cfl=cfl)
+    traj = solve_fine_wave(a_box, box, u0, times=times)
     guard_T = max(T_values) / lam + window
     ok, r0, reach = wrap_guard(u0, box, center, guard_T, 1.0)
     windowed = {float(T): windowed_moment(traj, lam, T / lam, center)

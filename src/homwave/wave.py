@@ -17,10 +17,10 @@ that operator:
 Every effective model is one constant-coefficient symbol omega^2(k) per
 Fourier mode: the filtered truncated Bloch eigenvalue
 (``filtered_dispersion``), the regularized operator or the Boussinesq
-splitting (``mode_symbol``).  Its positivity is checked once; the wave
-solves then rotate each mode by omega (``spectral_wave_state``) and the
-elliptic solves in ``homwave.elliptic`` divide by omega^2.  Corrector
-dressing turns the effective fields into fine-scale approximations.
+splitting (``mode_symbol``).  Its positivity is checked once; the elliptic
+solves in ``homwave.elliptic`` divide by omega^2 and every exact wave solve
+(effective, Duhamel or Bloch block) rotates each mode through one kernel,
+``_rotate``.  Corrector dressing makes the fields fine-scale approximations.
 """
 
 from __future__ import annotations
@@ -497,41 +497,53 @@ def filtered_dispersion(model: DispersionModel, spec: CutoffSpec,
     return weights, np.sqrt(eig) / eps
 
 
-def _sin_kernel(omega: np.ndarray, t) -> np.ndarray:
-    """sin(omega t) / omega per mode, continued by t where omega = 0."""
-    return np.where(omega > 0, np.sin(omega * t) / np.where(omega > 0, omega, 1.0), t)
+def _rotate(a, b, omega: np.ndarray, t):
+    """(u, u_t) = (a, b) of u_tt + omega^2 u = 0 per mode, rotated through
+    time t; sin(omega t) / omega is continued by t where omega = 0."""
+    cos_t = np.cos(omega * t)
+    sin_t = np.sin(omega * t)
+    sinc = np.where(omega > 0, sin_t / np.where(omega > 0, omega, 1.0), t)
+    return a * cos_t + b * sinc, b * cos_t - a * omega * sin_t
 
 
 def spectral_wave_state(weights, omega: np.ndarray,
-                        u0: np.ndarray, box: BoxGrid, t: float,
+                        u0: np.ndarray, box: BoxGrid, times,
                         v0: np.ndarray | None = None):
-    """Exact per-mode evolution of (u, u_t) for u_tt + omega^2 u = 0.
+    """Exact per-mode evolution of (u, u_t) for u_tt + omega^2 u = 0, each
+    of shape (times, box...).
 
     Modes are premultiplied by the filter ``weights``; time reversal is exact
     since the mode evolution is a rotation.
     """
     grid = box.torus()
     u_hat = fftn(grid, u0) * weights
-    cos_t = np.cos(omega * t)
-    u_t_hat = u_hat * cos_t
-    vel_hat = -omega * np.sin(omega * t) * u_hat
-    if v0 is not None:
-        v_hat = fftn(grid, v0) * weights
-        u_t_hat = u_t_hat + v_hat * _sin_kernel(omega, t)
-        vel_hat = vel_hat + cos_t * v_hat
-    return (ifftn(grid, u_t_hat, real=True), ifftn(grid, vel_hat, real=True))
+    v_hat = 0.0 if v0 is None else fftn(grid, v0) * weights
+    u = np.empty((len(times),) + box.shape)
+    u_t = np.empty_like(u)
+    for i, t in enumerate(times):
+        u_t_hat, vel_hat = _rotate(u_hat, v_hat, omega, t)
+        u[i] = ifftn(grid, u_t_hat, real=True)
+        u_t[i] = ifftn(grid, vel_hat, real=True)
+    return u, u_t
 
 
 def homogenized_wave_field(model: DispersionModel, spec: CutoffSpec,
                            u0: np.ndarray, box: BoxGrid, eps: float,
-                           t: float) -> np.ndarray:
-    """Filtered effective wave field: per-mode cosine of the dispersion.
+                           times) -> np.ndarray:
+    """Filtered effective wave field at each snapshot time, shape
+    (times, box...): per-mode cosine of the dispersion.
 
     At t = 0 this returns the low-pass filtered data; the output is real
-    because the symbol is even in k.
+    because the symbol is even in k.  It inverts no velocity, which would
+    double the inverse transforms and the snapshot memory.
     """
     weights, omega = filtered_dispersion(model, spec, box, eps)
-    return spectral_wave_state(weights, omega, u0, box, t)[0]
+    grid = box.torus()
+    u_hat = fftn(grid, u0) * weights
+    u = np.empty((len(times),) + box.shape)
+    for i, t in enumerate(times):
+        u[i] = ifftn(grid, _rotate(u_hat, 0.0, omega, t)[0], real=True)
+    return u
 
 
 def filtered_data(spec: CutoffSpec, u0: np.ndarray, box: BoxGrid,
@@ -554,15 +566,17 @@ def well_prepared_data(bc: BoxCorrectors, spec: CutoffSpec, u0: np.ndarray,
 
 def taylor_bloch_ansatz(bc: BoxCorrectors, model: DispersionModel,
                         spec: CutoffSpec, u0: np.ndarray, box: BoxGrid,
-                        eps: float, t: float, ell: int | None = None) -> np.ndarray:
+                        eps: float, times, ell: int | None = None) -> np.ndarray:
     """Bloch-wave-dressed effective field.
 
     Per mode, the dressing multiplies by the truncated Bloch wave at eps*k;
     summed over modes this is exactly the corrector-dressed expansion of the
     effective field, which is how it is assembled here.
     """
-    u_eff = homogenized_wave_field(model, spec, u0, box, eps, t)
-    return dress_with_correctors(bc, u_eff, max_order=ell)
+    u = homogenized_wave_field(model, spec, u0, box, eps, times)
+    for u_i in u:
+        u_i[...] = dress_with_correctors(bc, u_i, max_order=ell)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -774,29 +788,24 @@ def mode_symbol(model: DispersionModel, eps: float, k: np.ndarray,
     return num, den
 
 
-def _unfiltered_wave(num, den, u0: np.ndarray, box: BoxGrid, times) -> list:
-    """u(t) at each time for u_tt + (num / den) u = 0 per mode, u_t(0) = 0."""
-    omega = np.sqrt(num / den)
-    return [spectral_wave_state(1.0, omega, u0, box, float(t))[0] for t in times]
-
-
 def solve_homogenized_wave(model: DispersionModel, gamma: float,
                            u0: np.ndarray, box: BoxGrid, eps: float, ell: int,
-                           times) -> list:
+                           times) -> np.ndarray:
     """Exact per-mode solve of the regularized effective wave equation.
 
     The initial data is NOT filtered here; positivity of the symbol at every
     retained mode is required and checked.
     """
     num, den = mode_symbol(model, eps, box_wavevectors(box), gamma=gamma, ell=ell)
-    return _unfiltered_wave(num, den, u0, box, times)
+    return spectral_wave_state(1.0, np.sqrt(num / den), u0, box, times)[0]
 
 
 def solve_boussinesq_wave(model: DispersionModel, bt: BoussinesqTensors,
-                          u0: np.ndarray, box: BoxGrid, eps: float, times) -> list:
+                          u0: np.ndarray, box: BoxGrid, eps: float,
+                          times) -> np.ndarray:
     """Per-mode exact solve of the dispersive equation with inert mass term."""
     num, den = mode_symbol(model, eps, box_wavevectors(box), bt=bt)
-    return _unfiltered_wave(num, den, u0, box, times)
+    return spectral_wave_state(1.0, np.sqrt(num / den), u0, box, times)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -804,43 +813,38 @@ def solve_boussinesq_wave(model: DispersionModel, bt: BoussinesqTensors,
 # ---------------------------------------------------------------------------
 
 def source_term_field(model: DispersionModel, spec: CutoffSpec, source,
-                      box: BoxGrid, eps: float, t: float,
-                      bc: BoxCorrectors | None = None,
+                      box: BoxGrid, eps: float, times,
                       n_quad: int = 96, support: float = 1.0):
     """Duhamel solution of the filtered effective equation with source f.
 
     Per mode, u(t) integrates f against the kernel sin(omega (t-s)) / omega
     over s in [0, min(t, support)] with Gauss-Legendre quadrature dense
-    enough for the fastest retained frequency.  ``bc`` switches on corrector
-    dressing (the dressed and plain variants share the time integral).
-    Returns (u, u_t).
+    enough for the fastest retained frequency.  The source is evaluated and
+    transformed once per node and distinct integration end, and rotated to
+    every time sharing that end.  Returns (u, u_t), each of shape
+    (times, box...); dressing them is up to the caller.
     """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ConfigurationError("time must be nonnegative")
     weights, omega = filtered_dispersion(model, spec, box, eps)
     omega_max = float(np.max(omega))
-    s_end = min(t, support)
-    if s_end < 0:
-        raise ConfigurationError("time must be nonnegative")
-    if n_quad < 2 * omega_max * s_end / math.pi + 16:
+    ends = np.minimum(times, support)
+    need = 2 * omega_max * np.max(ends, initial=0.0) / math.pi + 16
+    if n_quad < need:
         raise ConfigurationError(
-            f"quadrature too coarse: need >= {2 * omega_max * s_end / math.pi + 16:.0f} "
+            f"quadrature too coarse: need >= {need:.0f} "
             f"nodes for frequency {omega_max:.3g}")
     grid = box.torus()
-    u_hat = np.zeros(box.shape, dtype=complex)
-    ut_hat = np.zeros(box.shape, dtype=complex)
-    if s_end > 0:
-        nodes, wq = np.polynomial.legendre.leggauss(n_quad)
-        s = 0.5 * s_end * (nodes + 1.0)
-        wq = 0.5 * s_end * wq
-        for sq, wgt in zip(s, wq):
-            f_hat = fftn(grid, source(sq)) * weights
-            u_hat += wgt * f_hat * _sin_kernel(omega, t - sq)
-            ut_hat += wgt * f_hat * np.cos(omega * (t - sq))
-    u = ifftn(grid, u_hat, real=True)
-    ut = ifftn(grid, ut_hat, real=True)
-    if bc is not None:
-        u = dress_with_correctors(bc, u)
-        ut = dress_with_correctors(bc, ut)
-    return u, ut
+    nodes, wq = np.polynomial.legendre.leggauss(n_quad)
+    state_hat = np.zeros((2,) + times.shape + box.shape, dtype=complex)
+    for s_end in np.unique(ends[ends > 0]):
+        group = np.flatnonzero(ends == s_end)
+        for sq, wgt in zip(0.5 * s_end * (nodes + 1.0), 0.5 * s_end * wq):
+            f_hat = wgt * (fftn(grid, source(sq)) * weights)
+            for i in group:
+                state_hat[:, i] += _rotate(0.0, f_hat, omega, times[i] - sq)
+    return tuple(ifftn(grid, state_hat, real=True).copy())  # drop the complex buffer
 
 
 # ---------------------------------------------------------------------------

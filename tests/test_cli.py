@@ -36,6 +36,20 @@ class TestValidate:
         assert run(cfg) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("eps_list", [[], [0.125, 0.0625]])
+    def test_source_term_needs_one_eps(self, eps_list, tmp_path):
+        # it runs at one eps: an empty list or the eps after the first would
+        # be ignored
+        cfg = ExperimentConfig(kind="source-term",
+                               coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0]},
+                               eps_list=eps_list, out_dir=str(tmp_path / "out"))
+        msgs = validate(cfg)
+        assert any("exactly one eps" in m for level, m in msgs
+                   if level == "error")
+        assert run(cfg) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_wrap_guard_warning_reports_horizon(self):
         cfg = ExperimentConfig(kind="wave-compare",
                                coefficient={"kind": "constant", "value": 1.0},
@@ -147,6 +161,21 @@ class TestRun:
             assert stats["energy_drift"] < 1e-10
         assert [s["blocks"] for s in manifest["solver"]] == [33, 65]
 
+    def test_source_term_run(self, tmp_path):
+        base = dict(kind="source-term",
+                    coefficient={"kind": "laminate", "values": [1.0, 4.0]},
+                    ell=2, T=4.0, eps_list=[0.25], box_side=8.0)
+        cfg1 = ExperimentConfig(**base, out_dir=str(tmp_path / "a"))
+        cfg2 = ExperimentConfig(**base, out_dir=str(tmp_path / "b"))
+        assert run(cfg1) == 0 and run(cfg2) == 0
+        csv_a = (tmp_path / "a" / "source_term_errors.csv").read_bytes()
+        assert csv_a == (tmp_path / "b" / "source_term_errors.csv").read_bytes()
+        # config line, column header, one row per snapshot time
+        assert len(csv_a.decode().splitlines()) == 2 + 8
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        (check,) = manifest["checks"]
+        assert check["name"] == "dressed_vs_budget" and check["pass"]
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = ExperimentConfig(kind="wave-compare",
                                coefficient={"kind": "constant", "value": 1.0})
@@ -161,9 +190,11 @@ class TestMain:
         assert cli.main(["validate", "--config", path]) == 0
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = write_config(tmp_path, kind="correctors",
-                            coefficient={"kind": "constant"}, bogus=1)
-        assert cli.main(["validate", "--config", path]) == 2
+        # seed was an option that no code read
+        for key in ("bogus", "seed"):
+            path = write_config(tmp_path, kind="correctors",
+                                coefficient={"kind": "constant"}, **{key: 1})
+            assert cli.main(["validate", "--config", path]) == 2
 
     def test_override_changes_hash(self, tmp_path):
         path = write_config(tmp_path, kind="correctors",

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import and every function parameter
+of the package is used."""
 
 import ast
 from pathlib import Path
@@ -28,10 +29,39 @@ def unused_imports(path: Path) -> list:
     return [(line, name) for line, name in bound if name not in read]
 
 
+def unused_parameters(path: Path) -> list:
+    """(line, function, parameter) of each parameter its body never reads.
+
+    A parameter counts as read when its name is loaded anywhere in the body,
+    nested functions included.  ``self``, ``cls`` and ``_``-prefixed names
+    are exempt.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, a.arg) for a in params
+                if a.arg not in ("self", "cls") and not a.arg.startswith("_")
+                and a.arg not in read]
+    return out
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path) == []
 
 
 def test_checker_flags_an_unused_import(tmp_path):
@@ -41,3 +71,13 @@ def test_checker_flags_an_unused_import(tmp_path):
                      "from os import path, sep\n\n"
                      "def f(x: np.ndarray):\n    return path.join(x)\n")
     assert unused_imports(probe) == [(2, "math"), (4, "sep")]
+
+
+def test_checker_flags_an_unused_parameter(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(a, b, *args, c, _d, **kw):\n"
+                     "    def g(x):\n        return a + x\n"
+                     "    b = 1\n    return g(c)\n\n"
+                     "class K:\n    def m(self, y):\n        return 0\n")
+    assert unused_parameters(probe) == [(1, "f", "b"), (1, "f", "args"),
+                                        (1, "f", "kw"), (8, "m", "y")]

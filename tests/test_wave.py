@@ -251,8 +251,8 @@ class TestEffectivePropagator:
         box = BoxGrid(1, 512, 32.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 16.0) ** 2))
-        out = homogenized_wave_field(model, spec, u0, box, 0.25, 0.0)
-        assert np.array_equal(out, filtered_data(spec, u0, box, 0.25))
+        out = homogenized_wave_field(model, spec, u0, box, 0.25, [0.0])
+        assert np.array_equal(out[0], filtered_data(spec, u0, box, 0.25))
 
     def test_constant_medium_is_exact_filtered_wave(self):
         model = identity_model()
@@ -261,7 +261,7 @@ class TestEffectivePropagator:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         u0 = np.sin(k * x)
-        out = homogenized_wave_field(model, spec, u0, box, 0.125, 2.1)
+        out = homogenized_wave_field(model, spec, u0, box, 0.125, [2.1])[0]
         assert np.max(np.abs(out - np.cos(k * 2.1) * u0)) < 1e-12
 
     def test_output_real(self):
@@ -270,7 +270,7 @@ class TestEffectivePropagator:
         box = BoxGrid(1, 1024, 32.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 16.0) ** 2)) * (1 + 0.3 * np.sin(x))
-        out = homogenized_wave_field(model, spec, u0, box, 0.25, 3.3)
+        out = homogenized_wave_field(model, spec, u0, box, 0.25, [3.3])
         assert np.isrealobj(out)
 
     def test_time_reversibility(self):
@@ -281,10 +281,11 @@ class TestEffectivePropagator:
         u0 = np.exp(-((x - 16.0) ** 2))
         from homwave.wave import filtered_dispersion
         w, om = filtered_dispersion(model, spec, box, 0.25)
-        u1, v1 = spectral_wave_state(w, om, u0, box, 5.0)
-        u2, _ = spectral_wave_state(np.ones_like(w), om, u1, box, -5.0, v0=v1)
+        u1, v1 = spectral_wave_state(w, om, u0, box, [5.0])
+        u2, _ = spectral_wave_state(np.ones_like(w), om, u1[0], box, [-5.0],
+                                    v0=v1[0])
         ref = filtered_data(spec, u0, box, 0.25)
-        assert np.max(np.abs(u2 - ref)) < 1e-12
+        assert np.max(np.abs(u2[0] - ref)) < 1e-12
 
     def test_constant_medium_error_is_fine_solver_error(self):
         # vs. the exact effective propagator, the fine solver's own
@@ -298,8 +299,8 @@ class TestEffectivePropagator:
             u0 = np.sin(2 * np.pi * x / 8.0)
             traj = solve_fine_wave(np.ones((1, 1) + box.shape), box, u0,
                                    times=[1.3])
-            eff = homogenized_wave_field(model, spec, u0, box, 0.25, 1.3)
-            errs.append(box_l2(box, traj.u[0] - eff))
+            eff = homogenized_wave_field(model, spec, u0, box, 0.25, [1.3])
+            errs.append(box_l2(box, traj.u[0] - eff[0]))
         assert 3.0 < errs[0] / errs[1] < 5.5
 
     def test_odd_even_truncation_identical(self):
@@ -309,9 +310,35 @@ class TestEffectivePropagator:
         box = BoxGrid(1, 512, 32.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 16.0) ** 2))
-        out3 = homogenized_wave_field(m3, spec, u0, box, 0.25, 2.0)
-        out4 = homogenized_wave_field(m4, spec, u0, box, 0.25, 2.0)
+        out3 = homogenized_wave_field(m3, spec, u0, box, 0.25, [2.0])
+        out4 = homogenized_wave_field(m4, spec, u0, box, 0.25, [2.0])
         assert np.max(np.abs(out3 - out4)) < 1e-14
+
+    def test_all_times_share_one_forward_transform(self, monkeypatch):
+        _, model = laminate_model(2)
+        spec = dispersion.make_cutoff(model)
+        box = BoxGrid(1, 1024, 32.0)
+        x = box_coordinates(box)[0]
+        u0 = np.exp(-((x - 16.0) ** 2))
+        times = np.linspace(0.5, 4.0, 8)
+        forward = []
+        fftn = np.fft.fftn
+
+        def counting_fftn(*args, **kwargs):
+            forward.append(1)
+            return fftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+        singles = []
+        for t in times:
+            forward.clear()
+            singles.append(homogenized_wave_field(model, spec, u0, box, 0.25, [t]))
+            assert len(forward) == 1
+        forward.clear()
+        batch = homogenized_wave_field(model, spec, u0, box, 0.25, times)
+        assert len(forward) == 1
+        assert batch.shape == (8,) + box.shape
+        assert np.array_equal(batch, np.concatenate(singles))
 
 
 @pytest.fixture(scope="module")
@@ -359,9 +386,9 @@ class TestDressing:
         _, model, spec, box, bc = laminate_box_correctors
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 8.0) ** 2))
-        a1 = taylor_bloch_ansatz(bc, model, spec, u0, box, 0.25, 0.0)
+        a1 = taylor_bloch_ansatz(bc, model, spec, u0, box, 0.25, [0.0])
         a2 = well_prepared_data(bc, spec, u0, box, 0.25)
-        assert np.max(np.abs(a1 - a2)) < 1e-10
+        assert np.max(np.abs(a1[0] - a2)) < 1e-10
 
     def test_ansatz_constant_medium_reduces_to_effective(self):
         grid = torus.TorusGrid(1, 64)
@@ -373,8 +400,8 @@ class TestDressing:
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 8.0) ** 2))
         bc = BoxCorrectors.from_tensorized(tens, box, 0.25)
-        ans = taylor_bloch_ansatz(bc, model, spec, u0, box, 0.25, 1.5)
-        eff = homogenized_wave_field(model, spec, u0, box, 0.25, 1.5)
+        ans = taylor_bloch_ansatz(bc, model, spec, u0, box, 0.25, [1.5])
+        eff = homogenized_wave_field(model, spec, u0, box, 0.25, [1.5])
         assert np.max(np.abs(ans - eff)) < 1e-12
 
     def test_dressed_gradient_matches_spectral_for_smooth_correctors(self):
@@ -503,7 +530,7 @@ class TestSourceTerm:
         spec = dispersion.make_cutoff(model)
         box = BoxGrid(1, 256, 8.0)
         u, ut = source_term_field(model, spec,
-                                  lambda s: np.zeros(box.shape), box, 0.25, 2.0)
+                                  lambda s: np.zeros(box.shape), box, 0.25, [2.0])
         assert np.max(np.abs(u)) == 0.0 and np.max(np.abs(ut)) == 0.0
 
     def test_single_mode_closed_form(self):
@@ -518,7 +545,7 @@ class TestSourceTerm:
             return f_field if s <= 1.0 else 0.0 * f_field
 
         t = 2.5
-        u, ut = source_term_field(model, spec, source, box, 0.25, t)
+        (u,), (ut,) = source_term_field(model, spec, source, box, 0.25, [t])
         # integral of sin(omega (t-s))/omega over s in [0, 1]
         omega = k
         amp = (np.cos(omega * (t - 1.0)) - np.cos(omega * t)) / omega ** 2
@@ -540,9 +567,29 @@ class TestSourceTerm:
             return f_field if s <= 1.0 else 0.0 * f_field
 
         bc = BoxCorrectors.from_tensorized(tens, box, 0.25)
-        u_plain, _ = source_term_field(model, spec, source, box, 0.25, 2.0)
-        u_drs, _ = source_term_field(model, spec, source, box, 0.25, 2.0, bc=bc)
+        (u_plain,), _ = source_term_field(model, spec, source, box, 0.25, [2.0])
+        u_drs = dress_with_correctors(bc, u_plain)
         assert np.max(np.abs(u_plain - u_drs)) < 1e-12
+
+    @pytest.mark.parametrize("times, calls", [([1.5, 2.0, 2.5], 96),
+                                              ([0.5, 1.5, 2.0], 192)])
+    def test_source_evaluated_once_per_node_and_end(self, times, calls):
+        # one node set per distinct integration end min(t, support = 1)
+        _, model = laminate_model(2)
+        spec = dispersion.make_cutoff(model)
+        box = BoxGrid(1, 256, 8.0)
+        f_field = np.sin(2 * np.pi * box_coordinates(box)[0] / 8.0)
+        seen = []
+
+        def source(s):
+            seen.append(s)
+            return f_field if s <= 1.0 else 0.0 * f_field
+
+        u, ut = source_term_field(model, spec, source, box, 0.25, times)
+        assert len(seen) == calls
+        for i, t in enumerate(times):
+            u1, ut1 = source_term_field(model, spec, source, box, 0.25, [t])
+            assert np.array_equal(u[i], u1[0]) and np.array_equal(ut[i], ut1[0])
 
     def test_coarse_quadrature_rejected(self):
         _, model = laminate_model(2)
@@ -550,7 +597,7 @@ class TestSourceTerm:
         box = BoxGrid(1, 256, 8.0)
         with pytest.raises(ConfigurationError):
             source_term_field(model, spec, lambda s: np.zeros(box.shape),
-                              box, 0.25, 1.0, n_quad=4)
+                              box, 0.25, [1.0], n_quad=4)
 
 
 class TestErrorReport:
