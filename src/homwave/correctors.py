@@ -46,6 +46,8 @@ class CorrectorHierarchy:
 
     ``lambdas[j]`` is the direction-diagonal homogenized coefficient of order
     j (j = 0..order-1), ``atilde[j]`` the corresponding flux-average vector.
+    ``cg_iterations[j - 1]`` and ``cg_residual[j - 1]`` record the CG solve
+    for phi_j (j = 1..order).
     """
 
     a: CoefficientField
@@ -57,6 +59,8 @@ class CorrectorHierarchy:
     q: list
     lambdas: np.ndarray
     atilde: np.ndarray
+    cg_iterations: list = dc_field(default_factory=list)
+    cg_residual: list = dc_field(default_factory=list)
 
     @property
     def grid(self) -> TorusGrid:
@@ -67,8 +71,7 @@ def _a_dot(a_values: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("mn...,n...->m...", a_values, vec)
 
 
-def build_hierarchy(a: CoefficientField, e, ell: int,
-                    tol: float = 1e-11, maxiter: int = 10000) -> CorrectorHierarchy:
+def build_hierarchy(a: CoefficientField, e, ell: int) -> CorrectorHierarchy:
     """Build the extended corrector hierarchy in direction e up to order ell."""
     if ell < 1:
         raise ConfigurationError("hierarchy order must be >= 1")
@@ -88,18 +91,21 @@ def build_hierarchy(a: CoefficientField, e, ell: int,
     q = [None]
     lambdas = np.zeros(ell)
     atilde = np.zeros((ell, d))
+    cg_iterations, cg_residual = [], []
 
     for j in range(1, ell + 1):
         grad_chi = gradient_values(grid, chi[j - 1])
         sig_e = np.einsum("mn...,n->m...", sigma[j - 1], e)
         flux_src = -sig_e + ae * phi[j - 1] + grad_chi
         try:
-            phi_j = solve_div_a_grad(a, flux_src, tol=tol, maxiter=maxiter)
+            phi_j, iterations, residual = solve_div_a_grad(a, flux_src)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"corrector solve failed at level {j}: {err}",
                 residual=err.residual, iterations=err.iterations) from err
         phi.append(phi_j)
+        cg_iterations.append(iterations)
+        cg_residual.append(residual)
 
         flux = _a_dot(a.values, gradient_values(grid, phi_j)) + ae * phi[j - 1]
         at = mean_values(grid, flux)
@@ -130,7 +136,9 @@ def build_hierarchy(a: CoefficientField, e, ell: int,
 
     return CorrectorHierarchy(a=a, direction=e, order=ell,
                               phi=phi, sigma=sigma, chi=chi[: ell + 1], q=q,
-                              lambdas=lambdas, atilde=atilde)
+                              lambdas=lambdas, atilde=atilde,
+                              cg_iterations=cg_iterations,
+                              cg_residual=cg_residual)
 
 
 def _l2(values: np.ndarray) -> float:
@@ -307,16 +315,10 @@ def default_directions(dim: int, ell: int) -> np.ndarray:
     return half_circle_directions(dim, 2 * ell + 4)
 
 
-def build_hierarchies(a: CoefficientField, ell: int, directions,
-                      workers: int = 0, tol: float = 1e-10) -> list:
-    """Hierarchies for several directions (independent; optionally threaded)."""
+def build_hierarchies(a: CoefficientField, ell: int, directions) -> list:
+    """Hierarchies for several directions, one after the other."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda e: build_hierarchy(a, e, ell, tol=tol), directions))
-    return [build_hierarchy(a, e, ell, tol=tol) for e in directions]
+    return [build_hierarchy(a, e, ell) for e in directions]
 
 
 def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:
@@ -366,7 +368,7 @@ def evaluate_monomials(coeffs: np.ndarray, degree: int, vec) -> np.ndarray:
 
 def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,
                            kmax_cap: float = 1.0, hierarchies=None,
-                           fit_tol: float = 1e-6, workers: int = 0):
+                           fit_tol: float = 1e-6):
     """Fit the homogenized tensors of orders 0..ell-1 as direction polynomials.
 
     Per-direction hierarchies give lambda_j^e; each is a homogeneous
@@ -383,7 +385,7 @@ def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,
         raise ConfigurationError(
             f"need at least {needed} directions for order {ell}")
     if hierarchies is None:
-        hierarchies = build_hierarchies(a, ell, directions, workers=workers)
+        hierarchies = build_hierarchies(a, ell, directions)
     lam = np.stack([h.lambdas for h in hierarchies])  # (n_dir, ell)
     lam0 = float(np.min(lam[:, 0]))
 
@@ -451,7 +453,7 @@ class TensorizedCorrectors:
 
 
 def tensorize_correctors(a: CoefficientField, ell: int, directions=None,
-                         hierarchies=None, workers: int = 0) -> TensorizedCorrectors:
+                         hierarchies=None) -> TensorizedCorrectors:
     """Nodewise direction-polynomial fit of the corrector fields.
 
     phi_j is homogeneous of degree j in the direction, the flux potential of
@@ -465,7 +467,7 @@ def tensorize_correctors(a: CoefficientField, ell: int, directions=None,
         raise ConfigurationError(
             f"need at least {ell + 2} directions to tensorize order {ell}")
     if hierarchies is None:
-        hierarchies = build_hierarchies(a, ell, directions, workers=workers)
+        hierarchies = build_hierarchies(a, ell, directions)
 
     worst = 0.0
     phi_t, sig_t, chi_t = [], [], []
@@ -489,42 +491,6 @@ def tensorize_correctors(a: CoefficientField, ell: int, directions=None,
     return TensorizedCorrectors(grid=a.grid, dim=a.grid.dim, order=ell,
                                 directions=directions, phi=phi_t,
                                 sigma12=sig_t, chi=chi_t, fit_residual=worst)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_hierarchy(h: CorrectorHierarchy, path: str) -> None:
-    """Bundle a hierarchy (grid metadata, component arrays, lambda table)."""
-    import json
-    meta = {"dim": h.grid.dim, "n": h.grid.n, "period": h.grid.period,
-            "order": h.order, "direction": h.direction.tolist()}
-    arrays = {"a": np.asarray(h.a.values), "lambdas": h.lambdas, "atilde": h.atilde}
-    for j in range(h.order + 1):
-        arrays[f"phi{j}"] = h.phi[j]
-        arrays[f"sigma{j}"] = h.sigma[j]
-        arrays[f"chi{j}"] = h.chi[j]
-    for j in range(1, h.order + 1):
-        arrays[f"q{j}"] = h.q[j]
-    np.savez_compressed(path, meta=json.dumps(meta, sort_keys=True), **arrays)
-
-
-def load_hierarchy(path: str) -> CorrectorHierarchy:
-    import json
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        grid = TorusGrid(meta["dim"], meta["n"], meta["period"])
-        a = CoefficientField(grid, data["a"])
-        order = meta["order"]
-        phi = [data[f"phi{j}"] for j in range(order + 1)]
-        sigma = [data[f"sigma{j}"] for j in range(order + 1)]
-        chi = [data[f"chi{j}"] for j in range(order + 1)]
-        q = [None] + [data[f"q{j}"] for j in range(1, order + 1)]
-        return CorrectorHierarchy(
-            a=a, direction=np.asarray(meta["direction"]), order=order,
-            phi=phi, sigma=sigma, chi=chi, q=q,
-            lambdas=data["lambdas"], atilde=data["atilde"])
 
 
 def lambda_table_rows(model) -> list:

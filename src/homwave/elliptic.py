@@ -53,12 +53,10 @@ def _require_zero_mean(values: np.ndarray, what: str) -> None:
         raise SolvabilityError(f"{what} has mean {mean:.3e}; needs zero mean")
 
 
-def solve_fine_elliptic(a_box: np.ndarray, box: BoxGrid, rhs: np.ndarray,
-                        tol: float = 1e-10, maxiter: int = 10000) -> np.ndarray:
-    """-div(a(x/eps) grad u) = rhs on the box, spectral CG, zero-mean u."""
-    _require_zero_mean(rhs, "rhs")
-    cf = CoefficientField(box.torus(), a_box)
-    return solve_elliptic(cf, rhs, tol=tol, maxiter=maxiter)
+def solve_fine_elliptic(a_box: np.ndarray, box: BoxGrid, rhs: np.ndarray) -> np.ndarray:
+    """-div(a(x/eps) grad u) = rhs on the box, spectral CG, zero-mean u;
+    ``SolvabilityError`` when rhs has a non-negligible mean."""
+    return solve_elliptic(CoefficientField(box.torus(), a_box), rhs)
 
 
 def _effective_elliptic(f: np.ndarray, box: BoxGrid, eps: float,
@@ -381,8 +379,7 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
                                   box: BoxGrid, f: np.ndarray,
                                   mode: str = "prepared",
                                   operator: str = "regularized",
-                                  gamma: float | None = None,
-                                  tol: float = 1e-10) -> RateStudy:
+                                  gamma: float | None = None) -> RateStudy:
     """Gradient-error sweep on the box with the spectral pipeline.
 
     Suitable for smooth coefficients; for discontinuous 1D profiles use the
@@ -397,7 +394,7 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
         a_box = wave.coefficient_on_box(coeff_spec, box, eps)
         bc = BoxCorrectors.from_tensorized(tensors, box, eps)
         rhs = prepared_rhs(bc, f, ell) if mode == "prepared" else f
-        u_fine = solve_fine_elliptic(a_box, box, rhs, tol=tol)
+        u_fine = solve_fine_elliptic(a_box, box, rhs)
         u_hom = _effective_elliptic(f, box, eps, model, gamma=gamma, ell=ell, bt=bt)
         grad_fine = gradient_values(grid, u_fine)
         grad_dressed = dressed_gradient(bc, u_hom, max_order=ell)

@@ -4,9 +4,13 @@ Everything downstream (corrector hierarchies, Bloch dispersion, residual
 checks) is built on trigonometric collocation: derivatives are exact Fourier
 multipliers, so discrete integration by parts holds to machine precision,
 which is what makes the algebraic corrector identities verifiable on the
-grid.  Variable-coefficient elliptic problems are solved matrix-free by
-conjugate gradients preconditioned with the constant-coefficient inverse
-Laplacian.
+grid.  Variable-coefficient elliptic problems -div(a grad u) = f are solved
+matrix-free by conjugate gradients on the ``rfftn`` half spectrum: one
+operator application is dim inverse half-size transforms of i k_m u_hat, a
+pointwise product with a, and dim forward transforms; the preconditioner
+(the inverse constant-coefficient operator with the cell mean of a) is a
+diagonal multiply, and inner products follow from Parseval.  Every solve
+runs to the one relative residual ``CG_TOL``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# relative residual and iteration budget of every variable-coefficient CG
+CG_TOL = 1e-10
+CG_MAXITER = 10000
 
 
 class ConfigurationError(ValueError):
@@ -316,79 +325,114 @@ def _matvec(a_values: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("mn...,n...->m...", a_values, vec)
 
 
+def _rfftn(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    return np.fft.rfftn(values, axes=_grid_axes(grid, values))
+
+
+def _irfftn(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=_grid_axes(grid, coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _half_gradient_multiplier(grid: TorusGrid) -> np.ndarray:
+    """(i k_m) for m = 0..dim-1 on the rfftn half spectrum, Nyquist zeroed."""
+    axes = range(grid.dim)
+    ik = np.stack([_derivative_multiplier(grid, tuple(int(ax == m) for ax in axes))
+                   [..., : grid.n // 2 + 1] for m in axes])
+    ik.flags.writeable = False
+    return ik
+
+
+def _half_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Real inner product of the fields with half spectra x and y, times
+    the point count (Parseval): columns 0 and n/2 of the last axis hold
+    their own conjugates, every other column stands for itself and its
+    mirror."""
+    return (2.0 * np.vdot(x, y).real - np.vdot(x[..., 0], y[..., 0]).real
+            - np.vdot(x[..., -1], y[..., -1]).real)
+
+
+def _div_a_grad_hat(a: CoefficientField, u_hat: np.ndarray) -> np.ndarray:
+    """-div(a grad u) from and to half spectra: dim inverse and dim forward
+    half-size transforms around the pointwise product with a."""
+    ik = _half_gradient_multiplier(a.grid)
+    grad = _irfftn(a.grid, ik * u_hat)
+    return -np.sum(ik * _rfftn(a.grid, _matvec(a.values, grad)), axis=0)
+
+
 def apply_div_a_grad(a: CoefficientField, u: np.ndarray) -> np.ndarray:
-    """-div(a grad u) on raw samples."""
-    return -divergence_values(a.grid, _matvec(a.values, gradient_values(a.grid, u)))
+    """-div(a grad u) on real raw samples."""
+    return _irfftn(a.grid, _div_a_grad_hat(a, _rfftn(a.grid, u)))
 
 
 def _l2(grid: TorusGrid, values: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(values, values).real / grid.n ** grid.dim))
 
 
-def _pcg_div_a_grad(a: CoefficientField, rhs: np.ndarray,
-                    tol: float, maxiter: int) -> np.ndarray:
-    """CG for -div(a grad u) = rhs on the zero-mean subspace.
+def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray):
+    """CG for -div(a grad u) = rhs on the zero-mean subspace, run on the
+    half spectrum ``rhs_hat`` of rhs; its mean is dropped.
 
-    Preconditioner: inverse of -div(mean(a) grad), diagonal in Fourier space.
+    Preconditioner: inverse of -div(mean(a) grad) built from the same
+    Nyquist-zeroed derivatives as the operator, a diagonal multiply.
+    Returns (u, iterations, final relative residual); raises
+    ``ConvergenceError`` when ``CG_MAXITER`` iterations do not reach
+    ``CG_TOL``.
     """
     grid = a.grid
-    abar = a.mean_matrix
-    kaxes = _wavenumber_axes(grid)
-    kak = np.zeros(grid.shape)
-    for m in range(grid.dim):
-        for n in range(grid.dim):
-            kak = kak + abar[m, n] * kaxes[m] * kaxes[n]
+    ik = _half_gradient_multiplier(grid)
+    kak = -np.einsum("mn,m...,n...->...", a.mean_matrix, ik, ik).real
     inv = np.zeros_like(kak)
     nz = kak > 0
     inv[nz] = 1.0 / kak[nz]
 
-    def precond(r):
-        return ifftn(grid, fftn(grid, r) * inv, real=True)
-
-    rhs = rhs - rhs.mean()
-    rhs_norm = _l2(grid, rhs)
+    r = rhs_hat.copy()
+    r.flat[0] = 0.0
+    rhs_norm = np.sqrt(_half_dot(r, r))
     if rhs_norm == 0.0:
-        return np.zeros(grid.shape)
+        return np.zeros(grid.shape), 0, 0.0
 
-    u = np.zeros(grid.shape)
-    r = rhs.copy()
-    z = precond(r)
+    u = np.zeros_like(r)
+    z = inv * r
     p = z.copy()
-    rz = np.vdot(r, z).real
-    for it in range(maxiter):
-        res = _l2(grid, r)
-        if res <= tol * rhs_norm:
-            return u - u.mean()
-        Ap = apply_div_a_grad(a, p)
-        alpha = rz / np.vdot(p, Ap).real
-        u = u + alpha * p
-        r = r - alpha * Ap
-        z = precond(r)
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
+    rz = _half_dot(r, z)
+    for it in range(CG_MAXITER):
+        res = np.sqrt(_half_dot(r, r)) / rhs_norm
+        if res <= CG_TOL:
+            return _irfftn(grid, u), it, float(res)
+        Ap = _div_a_grad_hat(a, p)
+        alpha = rz / _half_dot(p, Ap)
+        u += alpha * p
+        r -= alpha * Ap
+        np.multiply(inv, r, out=z)
+        rz_new = _half_dot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
+    res = float(np.sqrt(_half_dot(r, r)) / rhs_norm)
     raise ConvergenceError(
-        f"elliptic CG did not reach tol {tol:g} in {maxiter} iterations "
-        f"(relative residual {_l2(grid, r) / rhs_norm:.3e})",
-        residual=_l2(grid, r) / rhs_norm, iterations=maxiter)
+        f"elliptic CG did not reach tol {CG_TOL:g} in {CG_MAXITER} "
+        f"iterations (relative residual {res:.3e})",
+        residual=res, iterations=CG_MAXITER)
 
 
-def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray,
-                     tol: float = 1e-10, maxiter: int = 10000) -> np.ndarray:
-    """Solve -div(a grad phi) = div(flux_rhs) on the torus, zero-mean phi."""
-    flux_rhs = np.asarray(flux_rhs, dtype=float)
-    rhs = divergence_values(a.grid, flux_rhs)
-    return _pcg_div_a_grad(a, rhs, tol=tol, maxiter=maxiter)
+def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray):
+    """Solve -div(a grad phi) = div(flux_rhs) on the torus, zero-mean phi.
+
+    Returns (phi, CG iterations, final relative residual).
+    """
+    flux_hat = _rfftn(a.grid, np.asarray(flux_rhs, dtype=float))
+    rhs_hat = np.sum(_half_gradient_multiplier(a.grid) * flux_hat, axis=0)
+    return _pcg_div_a_grad(a, rhs_hat)
 
 
-def solve_elliptic(a: CoefficientField, rhs: np.ndarray,
-                   tol: float = 1e-10, maxiter: int = 10000) -> np.ndarray:
+def solve_elliptic(a: CoefficientField, rhs: np.ndarray) -> np.ndarray:
     """Solve -div(a grad u) = rhs (zero-mean rhs required), zero-mean u."""
     rhs = np.asarray(rhs, dtype=float)
     mean = float(rhs.mean())
     if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
         raise SolvabilityError(f"rhs mean {mean:.3e} is not negligible")
-    return _pcg_div_a_grad(a, rhs - mean, tol=tol, maxiter=maxiter)
+    return _pcg_div_a_grad(a, _rfftn(a.grid, rhs))[0]
 
 
 def weak_residual(a: CoefficientField, phi: np.ndarray,

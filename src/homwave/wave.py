@@ -926,42 +926,6 @@ def error_report(reference: WaveTrajectory, approx_u: np.ndarray,
                        warnings=list(warnings))
 
 
-def save_trajectory(traj: WaveTrajectory, stem: str) -> None:
-    """Write snapshots as flat binary arrays plus a JSON sidecar.
-
-    ``stem`` gets the suffixes ``.u.bin``, ``.v.bin`` (float64, C order,
-    snapshots-major) and ``.json`` (grid, times, eps, dt, energy log).
-    """
-    import json
-
-    np.asarray(traj.u, dtype=np.float64).tofile(f"{stem}.u.bin")
-    np.asarray(traj.v, dtype=np.float64).tofile(f"{stem}.v.bin")
-    sidecar = {"dim": traj.box.dim, "n": traj.box.n, "side": traj.box.side,
-               "eps": traj.eps, "dt": traj.dt,
-               "times": [float(t) for t in traj.times],
-               "energy": [float(e) for e in traj.energy],
-               "energy_t0": float(traj.meta.get("energy_t0", traj.energy[0]))}
-    with open(f"{stem}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_trajectory(stem: str) -> WaveTrajectory:
-    import json
-
-    with open(f"{stem}.json") as fh:
-        sidecar = json.load(fh)
-    box = BoxGrid(sidecar["dim"], sidecar["n"], sidecar["side"])
-    n_times = len(sidecar["times"])
-    shape = (n_times,) + box.shape
-    u = np.fromfile(f"{stem}.u.bin", dtype=np.float64).reshape(shape)
-    v = np.fromfile(f"{stem}.v.bin", dtype=np.float64).reshape(shape)
-    return WaveTrajectory(
-        box=box, eps=sidecar["eps"], times=np.asarray(sidecar["times"]),
-        u=u, v=v, dt=sidecar["dt"], energy=np.asarray(sidecar["energy"]),
-        meta={"energy_t0": sidecar["energy_t0"]})
-
-
 def support_radius(u0: np.ndarray, box: BoxGrid, center: np.ndarray,
                    threshold: float = 1e-8) -> float:
     """Radius of the smallest centered ball holding all mass above threshold."""

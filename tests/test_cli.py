@@ -103,17 +103,22 @@ class TestRun:
         # out_dir is not hashed, so the config header lines agree too
         assert csv_a == csv_b
 
-    def test_workers_do_not_change_tables(self, tmp_path):
-        path = write_config(tmp_path, kind="correctors",
-                            coefficient={"kind": "constant", "value": 1.0},
-                            dim=2, grid_n=16, ell=2)
-        assert cli.main(["correctors", "--config", path,
-                         "--out", str(tmp_path / "serial")]) == 0
-        assert cli.main(["correctors", "--config", path, "--workers", "2",
-                         "--out", str(tmp_path / "threads")]) == 0
-        serial = (tmp_path / "serial" / "lambda_table.csv").read_bytes()
-        threads = (tmp_path / "threads" / "lambda_table.csv").read_bytes()
-        assert serial == threads
+    def test_correctors_record_cg_per_direction_and_level(self, tmp_path):
+        cfg = ExperimentConfig(kind="correctors",
+                               coefficient={"kind": "trig_checkerboard",
+                                            "base": 2.0, "amplitude": 1.0},
+                               dim=2, grid_n=16, ell=3,
+                               out_dir=str(tmp_path))
+        run(cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        solver = manifest["solver"]
+        assert len(solver) == 2 * cfg.ell + 4
+        for entry in solver:
+            assert len(entry["direction"]) == 2
+            assert len(entry["cg_iterations"]) == cfg.ell
+            assert len(entry["cg_residual"]) == cfg.ell
+            assert min(entry["cg_iterations"]) > 0
+            assert max(entry["cg_residual"]) <= torus.CG_TOL
 
     @pytest.mark.parametrize("error", [
         torus.ConvergenceError, torus.SolvabilityError,
@@ -195,6 +200,18 @@ class TestMain:
             path = write_config(tmp_path, kind="correctors",
                                 coefficient={"kind": "constant"}, **{key: 1})
             assert cli.main(["validate", "--config", path]) == 2
+
+    def test_workers_option_is_gone(self, tmp_path):
+        path = write_config(tmp_path, kind="correctors",
+                            coefficient={"kind": "constant", "value": 1.0},
+                            dim=2, grid_n=16)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["correctors", "--config", path, "--workers", "2"])
+        assert exc.value.code == 2
+        path = write_config(tmp_path, kind="correctors",
+                            coefficient={"kind": "constant", "value": 1.0},
+                            dim=2, grid_n=16, workers=2)
+        assert cli.main(["correctors", "--config", path]) == 2
 
     def test_override_changes_hash(self, tmp_path):
         path = write_config(tmp_path, kind="correctors",

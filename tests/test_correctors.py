@@ -5,13 +5,10 @@ import pytest
 
 from homwave import correctors, oracle1d, torus
 from homwave.correctors import (
-    build_hierarchies,
     build_hierarchy,
     half_circle_directions,
     hierarchy_invariants,
-    load_hierarchy,
     reconstruct_dispersion,
-    save_hierarchy,
     tensorize_correctors,
     verify_corrector_identities,
 )
@@ -29,6 +26,13 @@ class TestBuildHierarchy:
             assert np.max(np.abs(h.phi[j])) < 1e-12
             assert np.max(np.abs(h.sigma[j])) < 1e-12
             assert np.max(np.abs(h.chi[j])) < 1e-12
+
+    def test_cg_budget_exhausted_names_the_level(self, smooth2d_a, monkeypatch):
+        monkeypatch.setattr(torus, "CG_MAXITER", 3)
+        with pytest.raises(torus.ConvergenceError, match="at level 1") as err:
+            build_hierarchy(smooth2d_a, [1.0, 0.0], 2)
+        assert err.value.iterations == 3
+        assert err.value.residual > torus.CG_TOL
 
     def test_constant_diagonal(self, grid2d):
         a = torus.coefficient_from_spec({"kind": "diagonal", "entries": [2.0, 3.0]},
@@ -233,25 +237,6 @@ class TestTensorizedCorrectors:
 
 
 class TestParallelAndSerialization:
-    def test_threaded_builds_match_serial(self, smooth2d_a):
-        dirs = correctors.default_directions(2, 2)
-        serial = build_hierarchies(smooth2d_a, 2, dirs, workers=0)
-        threaded = build_hierarchies(smooth2d_a, 2, dirs, workers=3)
-        for hs, ht in zip(serial, threaded):
-            assert np.array_equal(hs.phi[2], ht.phi[2])
-            assert np.array_equal(hs.lambdas, ht.lambdas)
-
-    def test_roundtrip(self, tmp_path, laminate_a):
-        h = build_hierarchy(laminate_a, [1.0], 3)
-        path = tmp_path / "hier.npz"
-        save_hierarchy(h, path)
-        back = load_hierarchy(path)
-        assert back.order == h.order
-        assert np.array_equal(back.lambdas, h.lambdas)
-        for j in range(h.order + 1):
-            assert np.array_equal(back.phi[j], h.phi[j])
-            assert np.array_equal(back.chi[j], h.chi[j])
-
     def test_lambda_csv_rows(self, laminate_a):
         model = reconstruct_dispersion(laminate_a, 2)
         rows = correctors.lambda_table_rows(model)

@@ -134,7 +134,7 @@ class TestVariableCoefficientSolve:
         a = coefficient_from_spec({"kind": "constant", "value": 1.0}, grid2d)
         flux = np.zeros((2,) + grid2d.shape)
         flux[0] = 1.0
-        phi = solve_div_a_grad(a, flux)
+        phi, _, _ = solve_div_a_grad(a, flux)
         assert np.max(np.abs(phi)) < 1e-12
 
     def test_laminate_first_corrector_matches_oracle(self):
@@ -148,7 +148,7 @@ class TestVariableCoefficientSolve:
             grid = torus.TorusGrid(1, n)
             a = coefficient_from_spec(LAMINATE, grid)
             flux = a.values[:, 0, :] * 1.0  # a e with e = +1
-            phi = solve_div_a_grad(a, flux.reshape((1,) + grid.shape))
+            phi, _, _ = solve_div_a_grad(a, flux.reshape((1,) + grid.shape))
             x = np.arange(grid.n) * grid.h
             gaps.append(np.sqrt(np.mean((phi - oh.phi[1](x)) ** 2)))
             lam0 = (a.values[0, 0] * (gradient_values(grid, phi)[0] + 1.0)).mean()
@@ -159,15 +159,56 @@ class TestVariableCoefficientSolve:
     def test_weak_residual_contract(self, smooth2d_a, rng):
         flux = np.stack([band_limited(smooth2d_a.grid, rng),
                          band_limited(smooth2d_a.grid, rng)])
-        phi = solve_div_a_grad(smooth2d_a, flux)
+        phi, _, _ = solve_div_a_grad(smooth2d_a, flux)
         assert weak_residual(smooth2d_a, phi, flux) < 1e-10
 
     def test_deterministic(self, smooth2d_a, rng):
         flux = np.stack([band_limited(smooth2d_a.grid, rng),
                          band_limited(smooth2d_a.grid, rng)])
-        phi1 = solve_div_a_grad(smooth2d_a, flux)
-        phi2 = solve_div_a_grad(smooth2d_a, flux)
+        phi1, _, _ = solve_div_a_grad(smooth2d_a, flux)
+        phi2, _, _ = solve_div_a_grad(smooth2d_a, flux)
         assert np.array_equal(phi1, phi2)
+
+    def test_anisotropic_mean_coefficient(self, grid2d, rng):
+        # an off-diagonal cell mean puts mixed terms into the preconditioner
+        x, y = (np.broadcast_to(ax, grid2d.shape)
+                for ax in grid2d.coordinate_axes())
+        vals = np.zeros((2, 2) + grid2d.shape)
+        vals[0, 0] = 3.0 + np.sin(2 * np.pi * x)
+        vals[1, 1] = 3.0 + np.cos(2 * np.pi * y)
+        vals[0, 1] = vals[1, 0] = 0.8 + 0.2 * np.sin(2 * np.pi * (x + y))
+        a = CoefficientField(grid2d, vals)
+        flux = np.stack([band_limited(grid2d, rng), band_limited(grid2d, rng)])
+        phi, _, residual = solve_div_a_grad(a, flux)
+        assert residual <= torus.CG_TOL
+        assert weak_residual(a, phi, flux) < 1e-10
+        assert abs(phi.mean()) < 1e-15
+
+    def test_pcg_runs_on_half_spectra(self, smooth2d_a, rng, monkeypatch):
+        # per iteration: dim inverse and dim forward half-size transforms;
+        # besides, dim forward ones for the right-hand side and one inverse
+        # for the solution
+        grid = smooth2d_a.grid
+        flux = np.stack([band_limited(grid, rng), band_limited(grid, rng)])
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
+                     "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(x, *args, _name=name, _orig=getattr(np.fft, name),
+                        **kwargs):
+                calls.append((_name, np.shape(x)))
+                return _orig(x, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        _, iterations, _ = solve_div_a_grad(smooth2d_a, flux)
+        half = (grid.n, grid.n // 2 + 1)
+        transforms = {"rfftn": 0, "irfftn": 0}
+        for name, shape in calls:
+            assert name in transforms
+            assert shape[-2:] == (grid.shape if name == "rfftn" else half)
+            transforms[name] += int(np.prod(shape[:-2]))
+        d = grid.dim
+        assert iterations > 0
+        assert transforms == {"rfftn": d * iterations + d,
+                              "irfftn": d * iterations + 1}
 
     def test_solve_elliptic_rejects_mean(self, smooth2d_a):
         with pytest.raises(SolvabilityError):
@@ -186,7 +227,7 @@ class TestCellAverage:
         grid = torus.TorusGrid(1, 1024)
         a = coefficient_from_spec(LAMINATE, grid)
         flux = a.values[:, 0, :]
-        phi = solve_div_a_grad(a, flux.reshape((1,) + grid.shape))
+        phi, _, _ = solve_div_a_grad(a, flux.reshape((1,) + grid.shape))
         total = a.values[0, 0] * (gradient_values(grid, phi)[0] + 1.0)
         assert abs(total.mean() - 1.6) < 1e-8
 

@@ -630,17 +630,3 @@ class TestErrorReport:
         assert ok and reach < 8.0
         ok2, _, _ = wrap_guard(u0, box, np.array([8.0]), 20.0, 1.0)
         assert not ok2
-
-    def test_trajectory_roundtrip(self, tmp_path):
-        box = BoxGrid(1, 128, 8.0)
-        x = box_coordinates(box)[0]
-        u0 = np.sin(2 * np.pi * x / 8.0)
-        traj = solve_fine_wave(np.ones((1, 1) + box.shape), box, u0,
-                               times=[0.5, 1.0], eps=0.5)
-        stem = str(tmp_path / "run")
-        wave.save_trajectory(traj, stem)
-        back = wave.load_trajectory(stem)
-        assert np.array_equal(back.u, traj.u)
-        assert np.array_equal(back.v, traj.v)
-        assert np.array_equal(back.times, traj.times)
-        assert back.eps == traj.eps
