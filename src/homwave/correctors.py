@@ -71,8 +71,28 @@ def _a_dot(a_values: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("mn...,n...->m...", a_values, vec)
 
 
-def build_hierarchy(a: CoefficientField, e, ell: int) -> CorrectorHierarchy:
-    """Build the extended corrector hierarchy in direction e up to order ell."""
+def _fitted_guess(solved, e: np.ndarray, j: int) -> np.ndarray | None:
+    """phi_j in direction e from the least-squares degree-j direction
+    polynomial through the ``solved`` hierarchies' phi_j; None in 1D or
+    while fewer than j + 1 directions are solved."""
+    if e.shape[0] == 1 or len(solved) < j + 1:
+        return None
+    design = _monomial_design(np.stack([h.direction for h in solved]), j)
+    weights = _monomial_design(e[None, :], j) @ np.linalg.pinv(design)
+    guess = np.zeros(solved[0].phi[j].shape)
+    for w, h in zip(weights[0], solved):
+        guess += w * h.phi[j]
+    return guess
+
+
+def build_hierarchy(a: CoefficientField, e, ell: int,
+                    solved=()) -> CorrectorHierarchy:
+    """Build the extended corrector hierarchy in direction e up to order ell.
+
+    ``solved`` holds hierarchies already built for the same coefficient;
+    each phi_j solve starts from their direction-polynomial fit (see
+    ``_fitted_guess``) and stops at the same ``CG_TOL`` as a cold start.
+    """
     if ell < 1:
         raise ConfigurationError("hierarchy order must be >= 1")
     grid = a.grid
@@ -98,7 +118,8 @@ def build_hierarchy(a: CoefficientField, e, ell: int) -> CorrectorHierarchy:
         sig_e = np.einsum("mn...,n->m...", sigma[j - 1], e)
         flux_src = -sig_e + ae * phi[j - 1] + grad_chi
         try:
-            phi_j, iterations, residual = solve_div_a_grad(a, flux_src)
+            phi_j, iterations, residual = solve_div_a_grad(
+                a, flux_src, _fitted_guess(solved, e, j))
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"corrector solve failed at level {j}: {err}",
@@ -316,9 +337,13 @@ def default_directions(dim: int, ell: int) -> np.ndarray:
 
 
 def build_hierarchies(a: CoefficientField, ell: int, directions) -> list:
-    """Hierarchies for several directions, one after the other."""
+    """Hierarchies for several directions, one after the other; each build
+    warm-starts its solves from the directions built before it."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    return [build_hierarchy(a, e, ell) for e in directions]
+    hierarchies = []
+    for e in directions:
+        hierarchies.append(build_hierarchy(a, e, ell, solved=hierarchies))
+    return hierarchies
 
 
 def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:

@@ -24,12 +24,12 @@ from .torus import (
     CoefficientField,
     ConfigurationError,
     DerivativeCache,
-    SolvabilityError,
     deriv_values,
     divergence_values,
     fftn,
     gradient_values,
     ifftn,
+    require_zero_mean,
     solve_elliptic,
 )
 from .wave import (
@@ -47,12 +47,6 @@ from .wave import (
 # effective elliptic solves (per Fourier mode)
 # ---------------------------------------------------------------------------
 
-def _require_zero_mean(values: np.ndarray, what: str) -> None:
-    mean = float(np.mean(values))
-    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(values)))):
-        raise SolvabilityError(f"{what} has mean {mean:.3e}; needs zero mean")
-
-
 def solve_fine_elliptic(a_box: np.ndarray, box: BoxGrid, rhs: np.ndarray) -> np.ndarray:
     """-div(a(x/eps) grad u) = rhs on the box, spectral CG, zero-mean u;
     ``SolvabilityError`` when rhs has a non-negligible mean."""
@@ -63,7 +57,7 @@ def _effective_elliptic(f: np.ndarray, box: BoxGrid, eps: float,
                         model: DispersionModel, **operator) -> np.ndarray:
     """Divide per nonzero mode by the symbol ``mode_symbol(model, eps, k,
     **operator)``; zero-mean output."""
-    _require_zero_mean(f, "source")
+    require_zero_mean(f, "source")
     k = box_wavevectors(box)
     num, den = mode_symbol(model, eps, k, **operator)
     nz = np.sum(k ** 2, axis=0) > 0
@@ -90,7 +84,7 @@ def solve_boussinesq_elliptic(model: DispersionModel, bt, f: np.ndarray,
 def prepared_rhs(bc: BoxCorrectors, f: np.ndarray,
                  ell: int | None = None) -> np.ndarray:
     """Corrector-dressed source sum_j eps^j phi_j(x/eps) . grad^j f."""
-    _require_zero_mean(f, "source")
+    require_zero_mean(f, "source")
     return dress_with_correctors(bc, f, max_order=ell)
 
 

@@ -159,10 +159,9 @@ def deriv_values(grid: TorusGrid, values: np.ndarray, multi_index) -> np.ndarray
             raise ConfigurationError(f"axis {ax} out of range for dim {grid.dim}")
         orders[ax] += 1
     mult = _derivative_multiplier(grid, tuple(orders))
-    out = ifftn(grid, fftn(grid, values) * mult, real=False)
     if np.isrealobj(values):
-        return out.real
-    return out
+        return _irfftn(grid, _rfftn(grid, values) * mult[..., : grid.n // 2 + 1])
+    return ifftn(grid, fftn(grid, values) * mult, real=False)
 
 
 class DerivativeCache:
@@ -228,11 +227,9 @@ def solve_poisson_values(grid: TorusGrid, rhs: np.ndarray, strict: bool = False)
     inv = np.zeros_like(k2)
     nonzero = k2 > 0
     inv[nonzero] = 1.0 / k2[nonzero]
-    rhs_hat = fftn(grid, rhs)
-    u = ifftn(grid, rhs_hat * inv, real=False)
     if np.isrealobj(rhs):
-        u = u.real
-    return u, mean
+        return _irfftn(grid, _rfftn(grid, rhs) * inv[..., : grid.n // 2 + 1]), mean
+    return ifftn(grid, fftn(grid, rhs) * inv, real=False), mean
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,12 +366,16 @@ def _l2(grid: TorusGrid, values: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(values, values).real / grid.n ** grid.dim))
 
 
-def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray):
+def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray,
+                    guess: np.ndarray | None = None):
     """CG for -div(a grad u) = rhs on the zero-mean subspace, run on the
     half spectrum ``rhs_hat`` of rhs; its mean is dropped.
 
     Preconditioner: inverse of -div(mean(a) grad) built from the same
-    Nyquist-zeroed derivatives as the operator, a diagonal multiply.
+    Nyquist-zeroed derivatives as the operator, a diagonal multiply.  An
+    optional real-space ``guess`` (its mean dropped) is the starting point
+    unless its residual is no smaller than rhs, in which case CG starts from
+    zero; either way the stop test is the residual relative to rhs.
     Returns (u, iterations, final relative residual); raises
     ``ConvergenceError`` when ``CG_MAXITER`` iterations do not reach
     ``CG_TOL``.
@@ -393,6 +394,12 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray):
         return np.zeros(grid.shape), 0, 0.0
 
     u = np.zeros_like(r)
+    if guess is not None:
+        u_guess = _rfftn(grid, guess)
+        u_guess.flat[0] = 0.0
+        r_guess = r - _div_a_grad_hat(a, u_guess)
+        if _half_dot(r_guess, r_guess) < rhs_norm ** 2:
+            u, r = u_guess, r_guess
     z = inv * r
     p = z.copy()
     rz = _half_dot(r, z)
@@ -416,22 +423,30 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray):
         residual=res, iterations=CG_MAXITER)
 
 
-def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray):
-    """Solve -div(a grad phi) = div(flux_rhs) on the torus, zero-mean phi.
+def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray,
+                     guess: np.ndarray | None = None):
+    """Solve -div(a grad phi) = div(flux_rhs) on the torus, zero-mean phi,
+    starting CG from the real-space ``guess`` when one is given.
 
     Returns (phi, CG iterations, final relative residual).
     """
     flux_hat = _rfftn(a.grid, np.asarray(flux_rhs, dtype=float))
     rhs_hat = np.sum(_half_gradient_multiplier(a.grid) * flux_hat, axis=0)
-    return _pcg_div_a_grad(a, rhs_hat)
+    return _pcg_div_a_grad(a, rhs_hat, guess)
+
+
+def require_zero_mean(values: np.ndarray, what: str = "rhs") -> None:
+    """Periodic solvability: ``SolvabilityError`` unless the mean of
+    ``values`` is below 1e-10 of max(1, max|values|)."""
+    mean = float(np.mean(values))
+    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(values)))):
+        raise SolvabilityError(f"{what} has mean {mean:.3e}; needs zero mean")
 
 
 def solve_elliptic(a: CoefficientField, rhs: np.ndarray) -> np.ndarray:
     """Solve -div(a grad u) = rhs (zero-mean rhs required), zero-mean u."""
     rhs = np.asarray(rhs, dtype=float)
-    mean = float(rhs.mean())
-    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
-        raise SolvabilityError(f"rhs mean {mean:.3e} is not negligible")
+    require_zero_mean(rhs)
     return _pcg_div_a_grad(a, _rfftn(a.grid, rhs))[0]
 
 

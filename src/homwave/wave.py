@@ -499,8 +499,13 @@ def filtered_dispersion(model: DispersionModel, spec: CutoffSpec,
 
 def _rotate(a, b, omega: np.ndarray, t):
     """(u, u_t) = (a, b) of u_tt + omega^2 u = 0 per mode, rotated through
-    time t; sin(omega t) / omega is continued by t where omega = 0."""
+    time t; sin(omega t) / omega is continued by t where omega = 0.
+
+    ``b = None`` is zero velocity and returns the displacement a cos(omega t)
+    alone."""
     cos_t = np.cos(omega * t)
+    if b is None:
+        return a * cos_t
     sin_t = np.sin(omega * t)
     sinc = np.where(omega > 0, sin_t / np.where(omega > 0, omega, 1.0), t)
     return a * cos_t + b * sinc, b * cos_t - a * omega * sin_t
@@ -542,7 +547,7 @@ def homogenized_wave_field(model: DispersionModel, spec: CutoffSpec,
     u_hat = fftn(grid, u0) * weights
     u = np.empty((len(times),) + box.shape)
     for i, t in enumerate(times):
-        u[i] = ifftn(grid, _rotate(u_hat, 0.0, omega, t)[0], real=True)
+        u[i] = ifftn(grid, _rotate(u_hat, None, omega, t), real=True)
     return u
 
 

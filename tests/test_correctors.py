@@ -51,6 +51,31 @@ class TestBuildHierarchy:
         h2 = build_hierarchy(smooth2d_a, [1.0, 0.0], 1)
         assert np.allclose(h1.phi[1], h2.phi[1])
 
+    def test_warm_started_builds_match_cold_builds(self):
+        a = torus.coefficient_from_spec(SMOOTH2D, torus.TorusGrid(2, 64))
+        dirs = half_circle_directions(2, 12)
+        warm = correctors.build_hierarchies(a, 4, dirs)
+        cold = [build_hierarchy(a, e, 4) for e in dirs]
+        lam0 = cold[0].lambdas[0]
+        for hw, hc in zip(warm, cold):
+            assert max(hw.cg_residual) <= torus.CG_TOL
+            assert np.max(np.abs(hw.lambdas - hc.lambdas)) <= 100 * torus.CG_TOL * lam0
+            for j in range(1, 5):
+                gap = np.max(np.abs(hw.phi[j] - hc.phi[j]))
+                assert gap <= 1e-8 * np.max(np.abs(hc.phi[j]))
+        # the first direction has nothing to start from
+        assert warm[0].cg_iterations == cold[0].cg_iterations
+        assert np.array_equal(warm[0].phi[4], cold[0].phi[4])
+        total = [sum(sum(h.cg_iterations) for h in hs) for hs in (warm, cold)]
+        assert total[0] < total[1] / 2
+
+    def test_one_dimensional_builds_get_no_guess(self, laminate_a):
+        (h,) = correctors.build_hierarchies(laminate_a, 3, [[1.0]])
+        cold = build_hierarchy(laminate_a, [1.0], 3, solved=[h] * 4)
+        assert cold.cg_iterations == h.cg_iterations
+        for j in range(4):
+            assert np.array_equal(cold.phi[j], h.phi[j])
+
     def test_order_consistency_bitwise(self, smooth2d_a):
         h4 = build_hierarchy(smooth2d_a, [1.0, 0.0], 4)
         h2 = build_hierarchy(smooth2d_a, [1.0, 0.0], 2)

@@ -70,6 +70,13 @@ class TestHomogenizedElliptic:
         u = solve_homogenized_elliptic(model, 0.0, f, box, 0.25, 1)
         assert np.max(np.abs(u - f / (1.6 * k ** 2))) < 1e-12
 
+    def test_nonzero_mean_source_rejected(self):
+        _, model = laminate_model(2)
+        box = BoxGrid(1, 64, 4.0)
+        with pytest.raises(SolvabilityError, match="source has mean"):
+            solve_homogenized_elliptic(model, 0.0, np.ones(box.shape), box,
+                                       0.25, 2)
+
     def test_low_order_symbol_has_no_regularization(self):
         _, model = laminate_model(2)
         k = wave.box_wavevectors(BoxGrid(1, 64, 4.0))

@@ -83,6 +83,19 @@ class TestDerivative:
         d10 = deriv_values(grid2d, deriv_values(grid2d, f, [1]), [0])
         assert np.max(np.abs(d01 - d10)) < 1e-10
 
+    @pytest.mark.parametrize("multi", [[0], [1, 1], [0, 1]])
+    def test_real_half_spectrum_matches_complex_path(self, grid2d, rng, multi):
+        # white noise carries content on the Nyquist lines of both axes
+        f = rng.standard_normal(grid2d.shape)
+        orders = tuple(multi.count(ax) for ax in range(grid2d.dim))
+        mult = torus._derivative_multiplier(grid2d, orders)
+        full = ifftn(grid2d, fftn(grid2d, f) * mult, real=True)
+        half = deriv_values(grid2d, f, multi)
+        assert np.isrealobj(half)
+        assert np.max(np.abs(half - full)) <= 1e-13 * np.max(np.abs(full))
+        both = deriv_values(grid2d, f + 1j * f, multi)
+        assert np.max(np.abs(both - (1 + 1j) * full)) <= 1e-13 * np.max(np.abs(full))
+
     def test_integration_by_parts_is_exact(self, grid2d, rng):
         u = rng.standard_normal(grid2d.shape)
         v = rng.standard_normal(grid2d.shape)
@@ -110,6 +123,14 @@ class TestPoisson:
         res = -torus.laplacian_values(grid2d, u) - rhs
         assert np.sqrt(np.mean(res ** 2)) / np.sqrt(np.mean(rhs ** 2)) < 1e-12
         assert abs(u.mean()) < 1e-14
+
+    def test_real_and_complex_paths_agree(self, grid2d, rng):
+        rhs = rng.standard_normal(grid2d.shape)
+        u, mean = solve_poisson_values(grid2d, rhs)
+        uc, mean_c = solve_poisson_values(grid2d, rhs + 0j)
+        assert np.isrealobj(u)
+        assert np.max(np.abs(u - uc)) <= 1e-13 * np.max(np.abs(u))
+        assert mean == pytest.approx(mean_c.real, abs=1e-15)
 
     def test_strict_mode_rejects_mean(self, grid1d):
         rhs = np.ones(grid1d.shape)
@@ -209,6 +230,32 @@ class TestVariableCoefficientSolve:
         assert iterations > 0
         assert transforms == {"rfftn": d * iterations + d,
                               "irfftn": d * iterations + 1}
+
+    @pytest.mark.parametrize("kind", ["noise", "near", "exact"])
+    def test_guess_changes_only_the_start(self, smooth2d_a, rng, kind,
+                                          monkeypatch):
+        grid = smooth2d_a.grid
+        flux = np.stack([band_limited(grid, rng), band_limited(grid, rng)])
+        cold, cold_its, _ = solve_div_a_grad(smooth2d_a, flux)
+        with monkeypatch.context() as m:
+            m.setattr(torus, "CG_TOL", 1e-13)
+            tight = solve_div_a_grad(smooth2d_a, flux)[0]
+        # every guess carries a mean, which the solve drops
+        guess = {"noise": 10.0 * rng.standard_normal(grid.shape) + 3.0,
+                 "near": cold + 1e-3 * band_limited(grid, rng) + 3.0,
+                 "exact": tight + 3.0}[kind]
+        phi, its, residual = solve_div_a_grad(smooth2d_a, flux, guess)
+        assert residual <= torus.CG_TOL
+        assert weak_residual(smooth2d_a, phi, flux) < 1e-10
+        assert abs(phi.mean()) < 1e-14
+        assert np.max(np.abs(phi - cold)) <= 1e-8 * np.max(np.abs(cold))
+        if kind == "noise":
+            # residual above rhs: the guess is dropped, a cold start runs
+            assert its == cold_its and np.array_equal(phi, cold)
+        else:
+            assert its < cold_its
+        if kind == "exact":
+            assert its == 0
 
     def test_solve_elliptic_rejects_mean(self, smooth2d_a):
         with pytest.raises(SolvabilityError):

@@ -287,6 +287,20 @@ class TestEffectivePropagator:
         ref = filtered_data(spec, u0, box, 0.25)
         assert np.max(np.abs(u2[0] - ref)) < 1e-12
 
+    def test_displacement_only_rotation_is_bitwise_full_rotation(self):
+        # zero velocity: a cos + 0 sinc is a cos, bit for bit
+        _, model = laminate_model(4)
+        spec = dispersion.make_cutoff(model)
+        box = BoxGrid(1, 512, 32.0)
+        x = box_coordinates(box)[0]
+        u0 = np.exp(-((x - 16.0) ** 2)) * (1 + 0.3 * np.sin(x))
+        from homwave.wave import filtered_dispersion
+        w, om = filtered_dispersion(model, spec, box, 0.25)
+        times = [0.0, 1.7, 5.0]
+        full, _ = spectral_wave_state(w, om, u0, box, times)
+        out = homogenized_wave_field(model, spec, u0, box, 0.25, times)
+        assert np.array_equal(out, full)
+
     def test_constant_medium_error_is_fine_solver_error(self):
         # vs. the exact effective propagator, the fine solver's own
         # discretization error is all that remains, shrinking ~4x per halving
