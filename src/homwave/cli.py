@@ -55,7 +55,6 @@ class ExperimentConfig:
     directions: int | None = None
     gamma: float | None = None
     kmax_cap: float = 1.0
-    tolerances: dict = dc_field(default_factory=dict)
     mode: str = "prepared"
     operator: str = "regularized"
     out_dir: str = "out"
@@ -189,10 +188,6 @@ class Manifest:
         return 0 if ok else 1
 
 
-def _tolerance(cfg, name, default):
-    return float(cfg.tolerances.get(name, default))
-
-
 # ---------------------------------------------------------------------------
 # experiment kinds
 # ---------------------------------------------------------------------------
@@ -214,16 +209,13 @@ def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 
     h0 = hier[0]
     inv = correctors.hierarchy_invariants(h0)
-    man.check("flux_exactness", inv["flux_exactness"],
-              _tolerance(cfg, "flux_exactness", 10 * CG_TOL))
-    man.check("mean_q", inv["mean_q"], _tolerance(cfg, "mean_q", 1e-12))
+    man.check("flux_exactness", inv["flux_exactness"], 10 * CG_TOL)
+    man.check("mean_q", inv["mean_q"], 1e-12)
     man.check("lambda0_elliptic", inv["lambda0"], 1.0, larger_is_better=True)
     if cfg.ell >= 3:
         rep = correctors.verify_corrector_identities(h0)
-        man.check("odd_lambda", max(rep.odd_lambda.values()),
-                  _tolerance(cfg, "odd_lambda", 1e-8))
-        man.check("lambda2_two_ways", rep.lambda2_gap,
-                  _tolerance(cfg, "lambda2_two_ways", 1e-8))
+        man.check("odd_lambda", max(rep.odd_lambda.values()), 1e-8)
+        man.check("lambda2_two_ways", rep.lambda2_gap, 1e-8)
         man.check("lambda2_nonneg", rep.lambda2_quadratic, -1e-10,
                   larger_is_better=True)
 
@@ -278,8 +270,7 @@ def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
                      format(order, ".17g")))
     _write_csv(out / "wave_errors.csv", rows, man.hash)
     man.artifacts.append("wave_errors.csv")
-    man.check("fitted_order", order, _tolerance(cfg, "fitted_order", 0.9),
-              larger_is_better=True)
+    man.check("fitted_order", order, 0.9, larger_is_better=True)
 
 
 def run_elliptic_rate(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
@@ -296,8 +287,7 @@ def run_elliptic_rate(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         for j, lam in enumerate(study.details["lambdas"])]
     _write_csv(out / "oracle_lambdas.csv", lam_rows, man.hash)
     man.artifacts.append("oracle_lambdas.csv")
-    man.check("fitted_order", study.fitted_order,
-              _tolerance(cfg, "fitted_order", 1.8), larger_is_better=True)
+    man.check("fitted_order", study.fitted_order, 1.8, larger_is_better=True)
 
 
 def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
@@ -315,8 +305,7 @@ def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     man.artifacts.append("transport.csv")
     man.solver.extend({"eps": r.eps, **r.solver} for r in rep.rows)
     ratios = [r.ratio for r in rep.rows]
-    man.check("ratio_non_degenerating", ratios[-1],
-              _tolerance(cfg, "ratio_factor", 0.8) * ratios[0],
+    man.check("ratio_non_degenerating", ratios[-1], 0.8 * ratios[0],
               larger_is_better=True)
     for r in rep.rows:
         if not r.valid:
@@ -360,8 +349,7 @@ def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     ref_scale = max(wave.box_l2(box, traj.u[i]) for i in range(traj.times.size))
     man.check("dressed_vs_budget",
               max(errs_dressed) / max(ref_scale, 1e-30),
-              _tolerance(cfg, "budget_factor", 3.0)
-              * float(budget.curve(eps, cfg.T)))
+              3.0 * float(budget.curve(eps, cfg.T)))
 
 
 RUNNERS = {"correctors": run_correctors, "dispersion": run_dispersion,

@@ -116,7 +116,6 @@ class CutoffSpec:
     """Smooth low-pass profile: 1 on [0, kmax/2], 0 on [kmax, inf)."""
 
     kmax: float
-    ell: int
 
     def __post_init__(self):
         if self.kmax <= 0:
@@ -148,7 +147,7 @@ def cutoff(spec: CutoffSpec, r) -> np.ndarray:
 def make_cutoff(model: DispersionModel) -> CutoffSpec:
     if model.kmax is None:
         model.kmax = compute_kmax(model, model.kmax_cap)
-    return CutoffSpec(kmax=model.kmax, ell=model.ell)
+    return CutoffSpec(kmax=model.kmax)
 
 
 def dispersion_Lambda(model: DispersionModel, k) -> np.ndarray:
@@ -214,6 +213,12 @@ def eigendefect(h, kappa: float) -> TaylorBlochMode:
                            defect=defect)
 
 
+def _by_parts(op, grid, values: np.ndarray, *args) -> np.ndarray:
+    """A real spectral operator ``op(grid, values, *args)`` applied to a
+    complex field: to its real part and to its imaginary part."""
+    return op(grid, values.real, *args) + 1j * op(grid, values.imag, *args)
+
+
 def eigendefect_residual(h, kappa: float, refine: int = 1) -> float:
     """Relative residual of the approximate eigenrelation on the cell grid.
 
@@ -241,14 +246,14 @@ def eigendefect_residual(h, kappa: float, refine: int = 1) -> float:
             a_values = coefficient_from_spec(h.a.spec, fine).values
         else:
             a_values = prolong_values(grid, a_values, refine)
-        psi = prolong_values(grid, psi, refine)
-        defect = prolong_values(grid, defect, refine)
+        psi = _by_parts(prolong_values, grid, psi, refine)
+        defect = _by_parts(prolong_values, grid, defect, refine)
         grid = fine
-    grad_psi = gradient_values(grid, psi)
+    grad_psi = _by_parts(gradient_values, grid, psi)
     a_grad = np.einsum("mn...,n...->m...", a_values, grad_psi)
     ae = np.einsum("mn...,n->m...", a_values, e)
-    lhs = (-divergence_values(grid, a_grad)
-           - 1j * kappa * divergence_values(grid, ae * psi)
+    lhs = (-_by_parts(divergence_values, grid, a_grad)
+           - 1j * kappa * _by_parts(divergence_values, grid, ae * psi)
            - 1j * kappa * np.einsum("m,m...->...", e, a_grad)
            + kappa ** 2 * np.einsum("m,m...->...", e, ae) * psi)
     rhs = mode.eigenvalue * psi - (1j * kappa) ** (h.order + 1) * defect

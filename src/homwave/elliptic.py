@@ -26,10 +26,10 @@ from .torus import (
     DerivativeCache,
     deriv_values,
     divergence_values,
-    fftn,
     gradient_values,
-    ifftn,
+    irfftn,
     require_zero_mean,
+    rfftn,
     solve_elliptic,
 )
 from .wave import (
@@ -53,32 +53,20 @@ def solve_fine_elliptic(a_box: np.ndarray, box: BoxGrid, rhs: np.ndarray) -> np.
     return solve_elliptic(CoefficientField(box.torus(), a_box), rhs)
 
 
-def _effective_elliptic(f: np.ndarray, box: BoxGrid, eps: float,
-                        model: DispersionModel, **operator) -> np.ndarray:
-    """Divide per nonzero mode by the symbol ``mode_symbol(model, eps, k,
-    **operator)``; zero-mean output."""
+def solve_effective_elliptic(model: DispersionModel, f: np.ndarray,
+                             box: BoxGrid, eps: float, **operator) -> np.ndarray:
+    """Divide each nonzero mode of the zero-mean source ``f`` by the symbol
+    ``mode_symbol(model, eps, k, **operator)`` (``gamma`` and ``ell`` for the
+    regularized operator, ``bt`` for the Boussinesq one); zero-mean output."""
     require_zero_mean(f, "source")
     k = box_wavevectors(box)
     num, den = mode_symbol(model, eps, k, **operator)
     nz = np.sum(k ** 2, axis=0) > 0
     grid = box.torus()
-    f_hat = fftn(grid, f)
+    f_hat = rfftn(grid, f)
     u_hat = np.zeros_like(f_hat)
     u_hat[nz] = f_hat[nz] * np.broadcast_to(den, num.shape)[nz] / num[nz]
-    return ifftn(grid, u_hat, real=True)
-
-
-def solve_homogenized_elliptic(model: DispersionModel, gamma: float,
-                               f: np.ndarray, box: BoxGrid, eps: float,
-                               ell: int) -> np.ndarray:
-    """Divide per mode by the regularized effective symbol; zero-mean output."""
-    return _effective_elliptic(f, box, eps, model, gamma=gamma, ell=ell)
-
-
-def solve_boussinesq_elliptic(model: DispersionModel, bt, f: np.ndarray,
-                              box: BoxGrid, eps: float) -> np.ndarray:
-    """Fourth-order nonnegative reformulation with the mass-modified source."""
-    return _effective_elliptic(f, box, eps, model, bt=bt)
+    return irfftn(grid, u_hat)
 
 
 def prepared_rhs(bc: BoxCorrectors, f: np.ndarray,
@@ -389,7 +377,8 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
         bc = BoxCorrectors.from_tensorized(tensors, box, eps)
         rhs = prepared_rhs(bc, f, ell) if mode == "prepared" else f
         u_fine = solve_fine_elliptic(a_box, box, rhs)
-        u_hom = _effective_elliptic(f, box, eps, model, gamma=gamma, ell=ell, bt=bt)
+        u_hom = solve_effective_elliptic(model, f, box, eps, gamma=gamma, ell=ell,
+                                         bt=bt)
         grad_fine = gradient_values(grid, u_fine)
         grad_dressed = dressed_gradient(bc, u_hom, max_order=ell)
         errors.append(box_l2(box, grad_fine - grad_dressed))

@@ -1,16 +1,30 @@
 """Grids and spectral calculus on the d-torus (d = 1 or 2).
 
 Everything downstream (corrector hierarchies, Bloch dispersion, residual
-checks) is built on trigonometric collocation: derivatives are exact Fourier
-multipliers, so discrete integration by parts holds to machine precision,
-which is what makes the algebraic corrector identities verifiable on the
-grid.  Variable-coefficient elliptic problems -div(a grad u) = f are solved
-matrix-free by conjugate gradients on the ``rfftn`` half spectrum: one
-operator application is dim inverse half-size transforms of i k_m u_hat, a
-pointwise product with a, and dim forward transforms; the preconditioner
-(the inverse constant-coefficient operator with the cell mean of a) is a
-diagonal multiply, and inner products follow from Parseval.  Every solve
-runs to the one relative residual ``CG_TOL``.
+checks, effective propagators) is built on trigonometric collocation:
+derivatives are exact Fourier multipliers, so discrete integration by parts
+holds to machine precision, which is what makes the algebraic corrector
+identities verifiable on the grid.
+
+There is one spectrum convention: every field is real and every transform
+is the ``rfftn``/``irfftn`` pair of this module, so every Fourier
+multiplier (derivatives, the Laplacian, the wavevectors behind the
+effective symbols) lives on the half lattice whose last axis holds the
+frequencies 0 .. n/2.  Every symbol used is even in k, so the half lattice
+carries all of its values.  One mode row is a convention: in 2D, on the
+first axis' Nyquist row k0 = -n/2, a symbol with a term odd in k0 and in k1
+(k0 k1, from an off-diagonal effective tensor) is read at (-n/2, |k1|) for
+both signs of k1, where the real part of a full-lattice product would
+average the two.  Complex fields are split into real and imaginary parts
+by the caller.
+
+Variable-coefficient elliptic problems -div(a grad u) = f are solved
+matrix-free by conjugate gradients on the half spectrum: one operator
+application is dim inverse transforms of i k_m u_hat, a pointwise product
+with a, and dim forward transforms; the preconditioner (the inverse
+constant-coefficient operator with the cell mean of a) is a diagonal
+multiply, and inner products follow from Parseval.  Every solve runs to the
+one relative residual ``CG_TOL``.
 """
 
 from __future__ import annotations
@@ -69,6 +83,11 @@ class TorusGrid:
         return (self.n,) * self.dim
 
     @property
+    def half_shape(self) -> tuple:
+        """Shape of an ``rfftn`` half spectrum of one field on this grid."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
+
+    @property
     def h(self) -> float:
         return self.period / self.n
 
@@ -77,7 +96,8 @@ class TorusGrid:
         return _coordinate_axes(self)
 
     def wavenumber_axes(self):
-        """Per-axis dual wavenumbers (2*pi/period times integer frequencies)."""
+        """Per-axis dual wavenumbers (2*pi/period times integer frequencies)
+        of the half lattice: the last axis holds 0 .. n/2."""
         return _wavenumber_axes(self)
 
 
@@ -98,9 +118,11 @@ def _coordinate_axes(grid: TorusGrid):
 def _wavenumber_axes(grid: TorusGrid):
     axes = []
     for ax in range(grid.dim):
-        k = 2.0 * np.pi / grid.period * np.fft.fftfreq(grid.n, 1.0 / grid.n)
+        last = ax == grid.dim - 1
+        freqs = (np.fft.rfftfreq if last else np.fft.fftfreq)(grid.n, 1.0 / grid.n)
+        k = 2.0 * np.pi / grid.period * freqs
         shape = [1] * grid.dim
-        shape[ax] = grid.n
+        shape[ax] = k.size
         k = k.reshape(shape)
         k.flags.writeable = False
         axes.append(k)
@@ -109,7 +131,7 @@ def _wavenumber_axes(grid: TorusGrid):
 
 @functools.lru_cache(maxsize=None)
 def _k_squared(grid: TorusGrid):
-    k2 = np.zeros(grid.shape)
+    k2 = np.zeros(grid.half_shape)
     for k in _wavenumber_axes(grid):
         k2 = k2 + k ** 2
     k2.flags.writeable = False
@@ -120,23 +142,24 @@ def _grid_axes(grid: TorusGrid, values: np.ndarray) -> tuple:
     return tuple(range(values.ndim - grid.dim, values.ndim))
 
 
-def fftn(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values, axes=_grid_axes(grid, values))
+def rfftn(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Half spectrum of real samples over the trailing grid axes."""
+    return np.fft.rfftn(values, axes=_grid_axes(grid, values))
 
 
-def ifftn(grid: TorusGrid, values: np.ndarray, real: bool) -> np.ndarray:
-    out = np.fft.ifftn(values, axes=_grid_axes(grid, values))
-    return out.real if real else out
+def irfftn(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of the half spectrum ``coeffs`` (inverse of ``rfftn``)."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=_grid_axes(grid, coeffs))
 
 
 @functools.lru_cache(maxsize=None)
 def _derivative_multiplier(grid: TorusGrid, orders: tuple) -> np.ndarray:
-    """Fourier multiplier for prod_ax (d/dx_ax)^orders[ax].
+    """Half-lattice Fourier multiplier for prod_ax (d/dx_ax)^orders[ax].
 
     The Nyquist mode is zeroed for odd derivative orders so real fields map
     to real fields and the operator stays exactly skew-adjoint.
     """
-    mult = np.ones(grid.shape, dtype=complex)
+    mult = np.ones(grid.half_shape, dtype=complex)
     for ax, m in enumerate(orders):
         if m == 0:
             continue
@@ -152,16 +175,15 @@ def _derivative_multiplier(grid: TorusGrid, orders: tuple) -> np.ndarray:
 
 
 def deriv_values(grid: TorusGrid, values: np.ndarray, multi_index) -> np.ndarray:
-    """Spectral derivative of raw samples; multi_index lists axis indices."""
+    """Spectral derivative of real raw samples; multi_index lists axis
+    indices."""
     orders = [0] * grid.dim
     for ax in multi_index:
         if not 0 <= ax < grid.dim:
             raise ConfigurationError(f"axis {ax} out of range for dim {grid.dim}")
         orders[ax] += 1
-    mult = _derivative_multiplier(grid, tuple(orders))
-    if np.isrealobj(values):
-        return _irfftn(grid, _rfftn(grid, values) * mult[..., : grid.n // 2 + 1])
-    return ifftn(grid, fftn(grid, values) * mult, real=False)
+    return irfftn(grid, rfftn(grid, values)
+                  * _derivative_multiplier(grid, tuple(orders)))
 
 
 class DerivativeCache:
@@ -203,33 +225,26 @@ def matrix_divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 
 
 def laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    out = ifftn(grid, fftn(grid, values) * (-_k_squared(grid)), real=False)
-    return out.real if np.isrealobj(values) else out
+    return irfftn(grid, rfftn(grid, values) * (-_k_squared(grid)))
 
 
 def mean_values(grid: TorusGrid, values: np.ndarray):
     return values.mean(axis=_grid_axes(grid, values))
 
 
-def solve_poisson_values(grid: TorusGrid, rhs: np.ndarray, strict: bool = False):
-    """Solve -Lap(u) = rhs with zero-mean gauge; returns (u, dropped_mean).
+def solve_poisson_values(grid: TorusGrid, rhs: np.ndarray):
+    """Solve -Lap(u) = rhs for real rhs with zero-mean gauge; returns
+    (u, dropped_mean).
 
     Any cell mean of ``rhs`` is unresolvable on the torus; it is subtracted
-    (and returned) before inversion.  In strict mode a non-negligible mean
-    raises ``SolvabilityError``.
+    (and returned) before inversion.  Callers that need solvability check
+    it with ``require_zero_mean``.
     """
-    mean = mean_values(grid, rhs)
-    scale = max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)
-    if strict and np.max(np.abs(np.atleast_1d(mean))) > 1e-12 * scale:
-        raise SolvabilityError(
-            f"rhs has cell mean {mean} above solvability tolerance")
     k2 = _k_squared(grid)
     inv = np.zeros_like(k2)
     nonzero = k2 > 0
     inv[nonzero] = 1.0 / k2[nonzero]
-    if np.isrealobj(rhs):
-        return _irfftn(grid, _rfftn(grid, rhs) * inv[..., : grid.n // 2 + 1]), mean
-    return ifftn(grid, fftn(grid, rhs) * inv, real=False), mean
+    return irfftn(grid, rfftn(grid, rhs) * inv), mean_values(grid, rhs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,20 +269,21 @@ def _spread_matrix(n: int, m: int) -> np.ndarray:
 
 
 def prolong_values(grid: TorusGrid, values: np.ndarray, factor: int) -> np.ndarray:
-    """Exact trigonometric prolongation onto a ``factor``-times finer grid."""
+    """Exact trigonometric prolongation of real samples onto a
+    ``factor``-times finer grid: the half spectrum is spread on the full
+    axes and on the half of the last axis that ``irfftn`` reads."""
     if factor == 1:
         return values.copy()
     n, m = grid.n, grid.n * factor
-    spec = fftn(grid, values)
+    spec = rfftn(grid, values)
     S = _spread_matrix(n, m)
+    half = S[: m // 2 + 1, : n // 2 + 1]
     scale = float(factor) ** grid.dim
     if grid.dim == 1:
-        out = np.einsum("ai,...i->...a", S, spec) * scale
+        out = np.einsum("ai,...i->...a", half, spec) * scale
     else:
-        out = np.einsum("ai,bj,...ij->...ab", S, S, spec) * scale
-    fine = TorusGrid(grid.dim, m, grid.period)
-    res = ifftn(fine, out, real=False)
-    return res.real if np.isrealobj(values) else res
+        out = np.einsum("ai,bj,...ij->...ab", S, half, spec) * scale
+    return irfftn(TorusGrid(grid.dim, m, grid.period), out)
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +338,12 @@ def _matvec(a_values: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("mn...,n...->m...", a_values, vec)
 
 
-def _rfftn(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    return np.fft.rfftn(values, axes=_grid_axes(grid, values))
-
-
-def _irfftn(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=_grid_axes(grid, coeffs))
-
-
 @functools.lru_cache(maxsize=None)
 def _half_gradient_multiplier(grid: TorusGrid) -> np.ndarray:
-    """(i k_m) for m = 0..dim-1 on the rfftn half spectrum, Nyquist zeroed."""
+    """(i k_m) for m = 0..dim-1 on the half lattice, Nyquist zeroed."""
     axes = range(grid.dim)
     ik = np.stack([_derivative_multiplier(grid, tuple(int(ax == m) for ax in axes))
-                   [..., : grid.n // 2 + 1] for m in axes])
+                   for m in axes])
     ik.flags.writeable = False
     return ik
 
@@ -353,13 +361,13 @@ def _div_a_grad_hat(a: CoefficientField, u_hat: np.ndarray) -> np.ndarray:
     """-div(a grad u) from and to half spectra: dim inverse and dim forward
     half-size transforms around the pointwise product with a."""
     ik = _half_gradient_multiplier(a.grid)
-    grad = _irfftn(a.grid, ik * u_hat)
-    return -np.sum(ik * _rfftn(a.grid, _matvec(a.values, grad)), axis=0)
+    grad = irfftn(a.grid, ik * u_hat)
+    return -np.sum(ik * rfftn(a.grid, _matvec(a.values, grad)), axis=0)
 
 
 def apply_div_a_grad(a: CoefficientField, u: np.ndarray) -> np.ndarray:
     """-div(a grad u) on real raw samples."""
-    return _irfftn(a.grid, _div_a_grad_hat(a, _rfftn(a.grid, u)))
+    return irfftn(a.grid, _div_a_grad_hat(a, rfftn(a.grid, u)))
 
 
 def _l2(grid: TorusGrid, values: np.ndarray) -> float:
@@ -395,7 +403,7 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray,
 
     u = np.zeros_like(r)
     if guess is not None:
-        u_guess = _rfftn(grid, guess)
+        u_guess = rfftn(grid, guess)
         u_guess.flat[0] = 0.0
         r_guess = r - _div_a_grad_hat(a, u_guess)
         if _half_dot(r_guess, r_guess) < rhs_norm ** 2:
@@ -406,7 +414,7 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray,
     for it in range(CG_MAXITER):
         res = np.sqrt(_half_dot(r, r)) / rhs_norm
         if res <= CG_TOL:
-            return _irfftn(grid, u), it, float(res)
+            return irfftn(grid, u), it, float(res)
         Ap = _div_a_grad_hat(a, p)
         alpha = rz / _half_dot(p, Ap)
         u += alpha * p
@@ -430,7 +438,7 @@ def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray,
 
     Returns (phi, CG iterations, final relative residual).
     """
-    flux_hat = _rfftn(a.grid, np.asarray(flux_rhs, dtype=float))
+    flux_hat = rfftn(a.grid, np.asarray(flux_rhs, dtype=float))
     rhs_hat = np.sum(_half_gradient_multiplier(a.grid) * flux_hat, axis=0)
     return _pcg_div_a_grad(a, rhs_hat, guess)
 
@@ -447,7 +455,7 @@ def solve_elliptic(a: CoefficientField, rhs: np.ndarray) -> np.ndarray:
     """Solve -div(a grad u) = rhs (zero-mean rhs required), zero-mean u."""
     rhs = np.asarray(rhs, dtype=float)
     require_zero_mean(rhs)
-    return _pcg_div_a_grad(a, _rfftn(a.grid, rhs))[0]
+    return _pcg_div_a_grad(a, rfftn(a.grid, rhs))[0]
 
 
 def weak_residual(a: CoefficientField, phi: np.ndarray,

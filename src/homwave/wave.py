@@ -17,10 +17,15 @@ that operator:
 Every effective model is one constant-coefficient symbol omega^2(k) per
 Fourier mode: the filtered truncated Bloch eigenvalue
 (``filtered_dispersion``), the regularized operator or the Boussinesq
-splitting (``mode_symbol``).  Its positivity is checked once; the elliptic
-solves in ``homwave.elliptic`` divide by omega^2 and every exact wave solve
-(effective, Duhamel or Bloch block) rotates each mode through one kernel,
-``_rotate``.  Corrector dressing makes the fields fine-scale approximations.
+splitting (``mode_symbol``).  Symbols, filter weights and wavevectors live
+on the ``torus`` half lattice (``box_wavevectors``) and fields move through
+the one ``torus.rfftn``/``torus.irfftn`` pair; every symbol is even in k,
+so the half lattice carries all of its values (``homwave.torus`` states the
+one Nyquist-row convention this takes in 2D).  Positivity is checked
+once; the elliptic solve in ``homwave.elliptic`` divides by omega^2 and
+every exact wave solve (effective, Duhamel or Bloch block) rotates each
+mode through one kernel, ``_rotate``.  Corrector dressing makes the fields
+fine-scale approximations.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ from .torus import (
     _sym_eig_bounds,
     deriv_values,
     evaluate_coefficient,
-    fftn,
     gradient_values,
-    ifftn,
+    irfftn,
     prolong_values,
+    rfftn,
 )
 
 
@@ -103,8 +108,11 @@ def box_coordinates(box: BoxGrid) -> np.ndarray:
 
 
 def box_wavevectors(box: BoxGrid) -> np.ndarray:
-    axes = box.torus().wavenumber_axes()
-    return np.stack([np.broadcast_to(ax, box.shape) for ax in axes])
+    """Wavevectors of the box modes on the half lattice, shape
+    (dim,) + half spectrum."""
+    grid = box.torus()
+    return np.stack([np.broadcast_to(ax, grid.half_shape)
+                     for ax in grid.wavenumber_axes()])
 
 
 def coefficient_on_box(spec: dict, box: BoxGrid, eps: float) -> np.ndarray:
@@ -141,20 +149,13 @@ def coefficient_on_box(spec: dict, box: BoxGrid, eps: float) -> np.ndarray:
 # resampling unit-cell fields onto the box
 # ---------------------------------------------------------------------------
 
-def _fold_axis(spec: np.ndarray, axis: int, p: int) -> np.ndarray:
-    n = spec.shape[axis]
-    moved = np.moveaxis(spec, axis, -1)
-    folded = moved.reshape(moved.shape[:-1] + (n // p, p)).sum(axis=-2)
-    return np.moveaxis(folded, -1, axis)
-
-
 def sample_cell_on_box(cell_grid: TorusGrid, values: np.ndarray,
                        box: BoxGrid, eps: float) -> np.ndarray:
     """Evaluate the trig interpolant of a unit-cell field at box nodes x/eps.
 
     Box nodes hit an equispaced sublattice of the rescaled cell, so the exact
-    evaluation reduces to spectral folding (coarser) or zero-padding (finer)
-    followed by periodic tiling.
+    evaluation is subsampling of the cell samples (coarser) or zero-padded
+    prolongation (finer), followed by periodic tiling.
     """
     if abs(cell_grid.period - 1.0) > 1e-12:
         raise ConfigurationError("cell fields must live on the unit cell")
@@ -165,13 +166,7 @@ def sample_cell_on_box(cell_grid: TorusGrid, values: np.ndarray,
     elif p < n_cell:
         if n_cell % p:
             raise ConfigurationError("cell grid does not refine the box lattice")
-        spec = fftn(cell_grid, values)
-        for ax in range(box.dim):
-            spec = _fold_axis(spec, spec.ndim - box.dim + ax, p)
-        small = TorusGrid(box.dim, p, 1.0)
-        tile = ifftn(small, spec, real=False) * (p / n_cell) ** box.dim
-        if np.isrealobj(values):
-            tile = tile.real
+        tile = values[(Ellipsis,) + (slice(None, None, n_cell // p),) * box.dim]
     else:
         if p % n_cell:
             raise ConfigurationError("box lattice does not refine the cell grid")
@@ -488,7 +483,7 @@ def filtered_dispersion(model: DispersionModel, spec: CutoffSpec,
     """
     weights, k = _filter_weights(spec, box, eps)
     mask = weights > 0.0
-    eig = np.zeros(box.shape)
+    eig = np.zeros(weights.shape)
     if np.any(mask):
         km = eps * k[:, mask]
         eig_vals = eigenvalue(model, km)
@@ -521,14 +516,14 @@ def spectral_wave_state(weights, omega: np.ndarray,
     since the mode evolution is a rotation.
     """
     grid = box.torus()
-    u_hat = fftn(grid, u0) * weights
-    v_hat = 0.0 if v0 is None else fftn(grid, v0) * weights
+    u_hat = rfftn(grid, u0) * weights
+    v_hat = 0.0 if v0 is None else rfftn(grid, v0) * weights
     u = np.empty((len(times),) + box.shape)
     u_t = np.empty_like(u)
     for i, t in enumerate(times):
         u_t_hat, vel_hat = _rotate(u_hat, v_hat, omega, t)
-        u[i] = ifftn(grid, u_t_hat, real=True)
-        u_t[i] = ifftn(grid, vel_hat, real=True)
+        u[i] = irfftn(grid, u_t_hat)
+        u_t[i] = irfftn(grid, vel_hat)
     return u, u_t
 
 
@@ -538,16 +533,16 @@ def homogenized_wave_field(model: DispersionModel, spec: CutoffSpec,
     """Filtered effective wave field at each snapshot time, shape
     (times, box...): per-mode cosine of the dispersion.
 
-    At t = 0 this returns the low-pass filtered data; the output is real
-    because the symbol is even in k.  It inverts no velocity, which would
-    double the inverse transforms and the snapshot memory.
+    At t = 0 this returns the low-pass filtered data.  It inverts no
+    velocity, which would double the inverse transforms and the snapshot
+    memory.
     """
     weights, omega = filtered_dispersion(model, spec, box, eps)
     grid = box.torus()
-    u_hat = fftn(grid, u0) * weights
+    u_hat = rfftn(grid, u0) * weights
     u = np.empty((len(times),) + box.shape)
     for i, t in enumerate(times):
-        u[i] = ifftn(grid, _rotate(u_hat, None, omega, t), real=True)
+        u[i] = irfftn(grid, _rotate(u_hat, None, omega, t))
     return u
 
 
@@ -555,7 +550,7 @@ def filtered_data(spec: CutoffSpec, u0: np.ndarray, box: BoxGrid,
                   eps: float) -> np.ndarray:
     grid = box.torus()
     weights, _ = _filter_weights(spec, box, eps)
-    return ifftn(grid, fftn(grid, u0) * weights, real=True)
+    return irfftn(grid, rfftn(grid, u0) * weights)
 
 
 def well_prepared_data(bc: BoxCorrectors, spec: CutoffSpec, u0: np.ndarray,
@@ -763,13 +758,6 @@ def boussinesq_decomposition(model: DispersionModel,
                              c_min_on_directions=float(np.min(c_vals)))
 
 
-def boussinesq_frequency(model: DispersionModel, bt: BoussinesqTensors,
-                         eps: float, k: np.ndarray) -> np.ndarray:
-    """Omega(k)^2 = (P0(k) + eps^2 c(k)) / (1 + eps^2 b(k)), nonneg by PSD."""
-    num, den = mode_symbol(model, eps, k, bt=bt)
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # per-mode effective wave solves
 # ---------------------------------------------------------------------------
@@ -793,23 +781,13 @@ def mode_symbol(model: DispersionModel, eps: float, k: np.ndarray,
     return num, den
 
 
-def solve_homogenized_wave(model: DispersionModel, gamma: float,
-                           u0: np.ndarray, box: BoxGrid, eps: float, ell: int,
-                           times) -> np.ndarray:
-    """Exact per-mode solve of the regularized effective wave equation.
-
-    The initial data is NOT filtered here; positivity of the symbol at every
-    retained mode is required and checked.
-    """
-    num, den = mode_symbol(model, eps, box_wavevectors(box), gamma=gamma, ell=ell)
-    return spectral_wave_state(1.0, np.sqrt(num / den), u0, box, times)[0]
-
-
-def solve_boussinesq_wave(model: DispersionModel, bt: BoussinesqTensors,
-                          u0: np.ndarray, box: BoxGrid, eps: float,
-                          times) -> np.ndarray:
-    """Per-mode exact solve of the dispersive equation with inert mass term."""
-    num, den = mode_symbol(model, eps, box_wavevectors(box), bt=bt)
+def solve_effective_wave(model: DispersionModel, u0: np.ndarray, box: BoxGrid,
+                         eps: float, times, **operator) -> np.ndarray:
+    """Exact per-mode solve of u_tt + omega^2 u = 0 from rest, omega^2 the
+    symbol ``mode_symbol(model, eps, k, **operator)`` (``gamma`` and ``ell``
+    for the regularized operator, ``bt`` for the Boussinesq one), shape
+    (times, box...).  The initial data is not filtered."""
+    num, den = mode_symbol(model, eps, box_wavevectors(box), **operator)
     return spectral_wave_state(1.0, np.sqrt(num / den), u0, box, times)[0]
 
 
@@ -842,14 +820,14 @@ def source_term_field(model: DispersionModel, spec: CutoffSpec, source,
             f"nodes for frequency {omega_max:.3g}")
     grid = box.torus()
     nodes, wq = np.polynomial.legendre.leggauss(n_quad)
-    state_hat = np.zeros((2,) + times.shape + box.shape, dtype=complex)
+    state_hat = np.zeros((2,) + times.shape + weights.shape, dtype=complex)
     for s_end in np.unique(ends[ends > 0]):
         group = np.flatnonzero(ends == s_end)
         for sq, wgt in zip(0.5 * s_end * (nodes + 1.0), 0.5 * s_end * wq):
-            f_hat = wgt * (fftn(grid, source(sq)) * weights)
+            f_hat = wgt * (rfftn(grid, source(sq)) * weights)
             for i in group:
                 state_hat[:, i] += _rotate(0.0, f_hat, omega, times[i] - sq)
-    return tuple(ifftn(grid, state_hat, real=True).copy())  # drop the complex buffer
+    return tuple(irfftn(grid, state_hat))
 
 
 # ---------------------------------------------------------------------------

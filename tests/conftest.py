@@ -48,3 +48,24 @@ def band_limited(grid, rng, kmax=5, complex_valued=False):
     if complex_valued:
         return out
     return out.real
+
+
+def full_wavenumbers(grid):
+    """Wavenumbers of the full complex-FFT lattice, shape (dim,) + grid: the
+    in-test reference for the half-lattice multipliers of the package."""
+    k = 2.0 * np.pi / grid.period * np.fft.fftfreq(grid.n, 1.0 / grid.n)
+    return np.stack(np.meshgrid(*([k] * grid.dim), indexing="ij"))
+
+
+def anisotropic_model_2d():
+    """2D dispersion model of order 4 with distinct axis coefficients and a
+    mixed quartic term, every polynomial even in each wavevector component
+    (as for cells with reflection symmetry)."""
+    from homwave import correctors, dispersion
+    model = dispersion.DispersionModel(
+        dim=2, ell=4,
+        polys=[np.array([1.5, 0.0, 1.2]), np.zeros(4),
+               np.array([0.02, 0.0, 0.05, 0.0, 0.03]), np.zeros(6)],
+        directions=correctors.half_circle_directions(2, 12), Gamma_bar=1.5)
+    model.kmax = dispersion.compute_kmax(model, 1.0)
+    return model

@@ -220,6 +220,17 @@ class TestMain:
                             dim=2, grid_n=16, workers=2)
         assert cli.main(["correctors", "--config", path]) == 2
 
+    def test_tolerances_field_is_gone(self, tmp_path):
+        # gate thresholds are fixed in the program; a config cannot move them
+        path = write_config(tmp_path, kind="correctors",
+                            coefficient={"kind": "constant", "value": 1.0},
+                            dim=2, grid_n=16,
+                            tolerances={"flux_exactness": 1.0},
+                            out_dir=str(tmp_path / "out"))
+        assert cli.main(["correctors", "--config", path]) == 2
+        assert cli.main(["validate", "--config", path]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_override_changes_hash(self, tmp_path):
         path = write_config(tmp_path, kind="correctors",
                             coefficient={"kind": "constant", "value": 1.0})

@@ -74,7 +74,7 @@ class TestKmax:
 
 class TestCutoff:
     def test_plateau_and_decay(self):
-        spec = CutoffSpec(kmax=0.8, ell=2)
+        spec = CutoffSpec(kmax=0.8)
         assert cutoff(spec, 0.0) == 1.0
         assert cutoff(spec, 0.39) == 1.0
         assert cutoff(spec, 0.8) == 0.0
@@ -83,13 +83,13 @@ class TestCutoff:
         assert 0.0 < mid < 1.0
 
     def test_monotone(self):
-        spec = CutoffSpec(kmax=1.0, ell=2)
+        spec = CutoffSpec(kmax=1.0)
         r = np.linspace(0.0, 1.2, 400)
         vals = cutoff(spec, r)
         assert np.all(np.diff(vals) <= 1e-14)
 
     def test_smooth_at_junctions(self):
-        spec = CutoffSpec(kmax=1.0, ell=2)
+        spec = CutoffSpec(kmax=1.0)
         # numerically flat derivatives at the plateau edges
         for r0 in (0.5, 1.0):
             h = 1e-4

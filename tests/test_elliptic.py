@@ -9,15 +9,14 @@ from homwave.elliptic import (
     elliptic_error_sweep_spectral,
     prepared_rhs,
     residuum_identities,
-    solve_boussinesq_elliptic,
+    solve_effective_elliptic,
     solve_fine_elliptic,
-    solve_homogenized_elliptic,
     two_scale_expansion,
 )
 from homwave.torus import SolvabilityError
 from homwave.wave import BoxCorrectors, BoxGrid, box_coordinates
 
-from conftest import LAMINATE, SMOOTH2D
+from conftest import LAMINATE, SMOOTH2D, anisotropic_model_2d, full_wavenumbers
 
 
 LAM_PROFILE = oracle1d.Profile1D(breakpoints=[0, 0.5, 1], values=[1.0, 4.0])
@@ -67,15 +66,15 @@ class TestHomogenizedElliptic:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 4.0
         f = np.sin(k * x)
-        u = solve_homogenized_elliptic(model, 0.0, f, box, 0.25, 1)
+        u = solve_effective_elliptic(model, f, box, 0.25, gamma=0.0, ell=1)
         assert np.max(np.abs(u - f / (1.6 * k ** 2))) < 1e-12
 
     def test_nonzero_mean_source_rejected(self):
         _, model = laminate_model(2)
         box = BoxGrid(1, 64, 4.0)
         with pytest.raises(SolvabilityError, match="source has mean"):
-            solve_homogenized_elliptic(model, 0.0, np.ones(box.shape), box,
-                                       0.25, 2)
+            solve_effective_elliptic(model, np.ones(box.shape), box, 0.25,
+                                     gamma=0.0, ell=2)
 
     def test_low_order_symbol_has_no_regularization(self):
         _, model = laminate_model(2)
@@ -88,9 +87,60 @@ class TestHomogenizedElliptic:
         box = BoxGrid(1, 256, 4.0)
         x = box_coordinates(box)[0]
         f = np.sin(2 * np.pi * x / 4.0) + 0.3 * np.sin(4 * np.pi * x / 4.0)
-        u1 = solve_homogenized_elliptic(model, 0.0, f, box, 0.25, 2)
-        u2 = solve_homogenized_elliptic(model, 0.0, 2.0 * f, box, 0.25, 2)
+        u1 = solve_effective_elliptic(model, f, box, 0.25, gamma=0.0, ell=2)
+        u2 = solve_effective_elliptic(model, 2.0 * f, box, 0.25, gamma=0.0, ell=2)
         assert np.max(np.abs(u2 - 2.0 * u1)) < 1e-13
+
+
+def full_fft_effective_solve(model, f, box, eps, **operator):
+    """Reference effective elliptic solve by the full complex FFT on the
+    full mode lattice."""
+    k = full_wavenumbers(box.torus())
+    num, den = wave.mode_symbol(model, eps, k, **operator)
+    nz = np.sum(k ** 2, axis=0) > 0
+    f_hat = np.fft.fftn(f)
+    u_hat = np.zeros_like(f_hat)
+    u_hat[nz] = f_hat[nz] * np.broadcast_to(den, num.shape)[nz] / num[nz]
+    return np.fft.ifftn(u_hat).real
+
+
+class TestHalfSpectrumSolve:
+    @pytest.mark.parametrize("operator", ["regularized", "boussinesq"])
+    def test_matches_full_fft_on_white_noise(self, rng, operator):
+        # white noise carries content on the Nyquist lines of both axes
+        model = anisotropic_model_2d()
+        op = ({"gamma": wave.choose_gamma(model, 4), "ell": 4}
+              if operator == "regularized"
+              else {"bt": wave.boussinesq_decomposition(model)})
+        box = BoxGrid(2, 32, 8.0)
+        f = rng.standard_normal(box.shape)
+        f -= f.mean()
+        u = solve_effective_elliptic(model, f, box, 0.25, **op)
+        ref = full_fft_effective_solve(model, f, box, 0.25, **op)
+        assert np.isrealobj(u)
+        assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_mixed_symbol_differs_only_on_the_first_axis_nyquist_row(self, rng):
+        # a k0 k1 term is even in k but not in k1 alone: on the row
+        # k0 = -n/2 the half lattice evaluates the symbol at (-n/2, |k1|)
+        # for both signs of k1, where the real part of the full-FFT solve
+        # averages the two signs.  Everywhere else the solves agree.
+        model = dispersion.DispersionModel(
+            dim=2, ell=2, polys=[np.array([1.5, 0.6, 1.2]), np.zeros(4)],
+            directions=correctors.half_circle_directions(2, 8), Gamma_bar=1.5)
+        box = BoxGrid(2, 32, 8.0)
+        f_hat = np.fft.fftn(rng.standard_normal(box.shape))
+        f_hat[0, 0] = 0.0
+        f = np.fft.ifftn(f_hat).real
+        op = {"gamma": 0.0, "ell": 2}
+        gap = (solve_effective_elliptic(model, f, box, 0.25, **op)
+               - full_fft_effective_solve(model, f, box, 0.25, **op))
+        assert np.max(np.abs(gap)) > 1e-6
+        f_hat[box.n // 2, :] = 0.0
+        f = np.fft.ifftn(f_hat).real
+        u = solve_effective_elliptic(model, f, box, 0.25, **op)
+        ref = full_fft_effective_solve(model, f, box, 0.25, **op)
+        assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestBoussinesqElliptic:
@@ -104,7 +154,7 @@ class TestBoussinesqElliptic:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 4.0
         f = np.sin(k * x)
-        u = solve_boussinesq_elliptic(model, bt, f, box, 0.25)
+        u = solve_effective_elliptic(model, f, box, 0.25, bt=bt)
         assert np.max(np.abs(u - f / k ** 2)) < 1e-12
 
     def test_single_mode_ratio(self):
@@ -115,7 +165,7 @@ class TestBoussinesqElliptic:
         k = 2 * np.pi / 4.0
         eps = 0.25
         f = np.sin(k * x)
-        u = solve_boussinesq_elliptic(model, bt, f, box, eps)
+        u = solve_effective_elliptic(model, f, box, eps, bt=bt)
         expect = (1 + eps ** 2 * bt.beta * k ** 2) / (
             oh.lambdas[0] * k ** 2 + eps ** 2 * float(bt.c_coeffs[0]) * k ** 4)
         assert np.max(np.abs(u - expect * f)) < 1e-12
@@ -131,11 +181,11 @@ class TestBoussinesqElliptic:
         grid = box.torus()
         f = rng.standard_normal(box.shape)
         f -= f.mean()
-        u = solve_boussinesq_elliptic(model, bt, f, box, eps)
+        u = solve_effective_elliptic(model, f, box, eps, bt=bt)
         k = wave.box_wavevectors(box)
-        omega2 = wave.boussinesq_frequency(model, bt, eps, k)
-        f_hat = torus.fftn(grid, f)
-        back = omega2 * torus.fftn(grid, u)
+        num, den = wave.mode_symbol(model, eps, k, bt=bt)
+        f_hat = torus.rfftn(grid, f)
+        back = num / den * torus.rfftn(grid, u)
         nz = k[0] != 0.0
         gap = np.max(np.abs(back[nz] - f_hat[nz])) / np.max(np.abs(f_hat))
         assert gap < 1e-12
@@ -150,7 +200,7 @@ class TestBoussinesqElliptic:
         classical = f / (oh.lambdas[0] * k ** 2)
         gaps = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
-            u = solve_boussinesq_elliptic(model, bt, f, box, eps)
+            u = solve_effective_elliptic(model, f, box, eps, bt=bt)
             gaps.append(np.max(np.abs(u - classical)))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 1e-3 * np.max(np.abs(classical))

@@ -1,5 +1,5 @@
 """Source hygiene: every module-level import and every function parameter
-of the package is used."""
+of the package is used, and no module runs a full complex FFT."""
 
 import ast
 from pathlib import Path
@@ -52,6 +52,35 @@ def unused_parameters(path: Path) -> list:
     return out
 
 
+# numpy transforms of complex data over every mode; the package keeps to
+# the torus half-spectrum pair (and bloch's rfft/irfft)
+FULL_COMPLEX = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2")
+
+
+def full_complex_transforms(path: Path) -> list:
+    """(line, name) of each full complex numpy transform a module names:
+    an attribute ``<...>.fft.<name>`` or ``fft.<name>``, or a name imported
+    from ``numpy.fft``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FULL_COMPLEX:
+            base = node.value
+            if ((isinstance(base, ast.Attribute) and base.attr == "fft")
+                    or (isinstance(base, ast.Name) and base.id == "fft")):
+                out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name in FULL_COMPLEX]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_full_complex_transforms(path):
+    assert full_complex_transforms(path) == []
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
@@ -81,3 +110,14 @@ def test_checker_flags_an_unused_parameter(tmp_path):
                      "class K:\n    def m(self, y):\n        return 0\n")
     assert unused_parameters(probe) == [(1, "f", "b"), (1, "f", "args"),
                                         (1, "f", "kw"), (8, "m", "y")]
+
+
+def test_checker_flags_a_full_complex_transform(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nfrom numpy import fft\n"
+                     "from numpy.fft import ifft2, rfft\n\n"
+                     "def f(x):\n"
+                     "    y = np.fft.rfftn(x) + np.fft.fftfreq(4)\n"
+                     "    return np.fft.fftn(x), fft.ifft(y), rfft(x)\n")
+    assert full_complex_transforms(probe) == [(3, "ifft2"), (7, "fftn"),
+                                              (7, "ifft")]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homwave import torus
+from homwave import dispersion, torus
 from homwave.torus import (
     CoefficientField,
     ConfigurationError,
@@ -11,18 +11,46 @@ from homwave.torus import (
     TorusGrid,
     coefficient_from_spec,
     deriv_values,
-    fftn,
     gradient_values,
-    ifftn,
+    irfftn,
     mean_values,
     prolong_values,
+    rfftn,
     solve_div_a_grad,
     solve_elliptic,
     solve_poisson_values,
     weak_residual,
 )
 
-from conftest import LAMINATE, band_limited
+from conftest import LAMINATE, band_limited, full_wavenumbers
+
+
+def full_derivative(grid, values, orders):
+    """Reference derivative by the full complex FFT, Nyquist zeroed for odd
+    orders; complex values stay complex."""
+    mult = np.ones(grid.shape, dtype=complex)
+    for ax, (k, m) in enumerate(zip(full_wavenumbers(grid), orders)):
+        ikm = (1j * k) ** m
+        if m % 2:
+            nyq = [slice(None)] * grid.dim
+            nyq[ax] = grid.n // 2
+            ikm[tuple(nyq)] = 0.0
+        mult = mult * ikm
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.ifftn(np.fft.fftn(values, axes=axes) * mult, axes=axes)
+
+
+def full_prolongation(grid, values, factor):
+    """Reference zero-padded prolongation by the full complex FFT."""
+    m = grid.n * factor
+    S = torus._spread_matrix(grid.n, m)
+    axes = tuple(range(-grid.dim, 0))
+    spec = np.fft.fftn(values, axes=axes)
+    if grid.dim == 1:
+        out = np.einsum("ai,...i->...a", S, spec)
+    else:
+        out = np.einsum("ai,bj,...ij->...ab", S, S, spec)
+    return np.fft.ifftn(out * float(factor) ** grid.dim, axes=axes)
 
 
 class TestGridAndField:
@@ -37,25 +65,38 @@ class TestGridAndField:
 
 class TestSpectralTransform:
     def test_constant_has_single_zero_mode(self, grid1d):
-        spec = fftn(grid1d, np.ones(grid1d.shape))
+        spec = rfftn(grid1d, np.ones(grid1d.shape))
+        assert spec.shape == grid1d.half_shape
         assert abs(spec[0] - grid1d.n) < 1e-12
         assert np.max(np.abs(spec[1:])) < 1e-12
 
     def test_roundtrip(self, grid2d, rng):
         f = rng.standard_normal(grid2d.shape)
-        back = ifftn(grid2d, fftn(grid2d, f), real=True)
+        back = irfftn(grid2d, rfftn(grid2d, f))
         rel = np.max(np.abs(back - f)) / np.max(np.abs(f))
         assert rel < 1e-13
 
     def test_real_input_hermitian_output(self, grid1d, rng):
-        spec = fftn(grid1d, rng.standard_normal(grid1d.shape))
-        assert np.allclose(spec[1:], np.conj(spec[1:][::-1]), atol=1e-10)
+        # the half spectrum is the nonnegative half of the Hermitian full
+        # spectrum; the self-conjugate modes 0 and n/2 are real
+        f = rng.standard_normal(grid1d.shape)
+        spec = rfftn(grid1d, f)
+        assert np.allclose(spec, np.fft.fft(f)[: grid1d.n // 2 + 1], atol=1e-10)
+        assert abs(spec[0].imag) < 1e-10 and abs(spec[-1].imag) < 1e-10
 
     def test_single_mode_pair(self, grid1d):
+        # the pair of modes +-1 is held once, at frequency 1
         x = grid1d.coordinate_axes()[0].ravel()
-        spec = fftn(grid1d, np.sin(2 * np.pi * x))
+        spec = rfftn(grid1d, np.sin(2 * np.pi * x))
         live = np.nonzero(np.abs(spec) > 1e-9)[0]
-        assert set(live) == {1, grid1d.n - 1}
+        assert set(live) == {1}
+
+    def test_half_lattice_wavenumbers(self, grid2d):
+        k0, k1 = grid2d.wavenumber_axes()
+        full = 2 * np.pi * np.fft.fftfreq(grid2d.n, 1.0 / grid2d.n)
+        assert np.array_equal(k0.ravel(), full)
+        assert np.array_equal(k1.ravel(), np.abs(full[: grid2d.n // 2 + 1]))
+        assert torus._k_squared(grid2d).shape == grid2d.half_shape
 
 
 class TestDerivative:
@@ -88,13 +129,15 @@ class TestDerivative:
         # white noise carries content on the Nyquist lines of both axes
         f = rng.standard_normal(grid2d.shape)
         orders = tuple(multi.count(ax) for ax in range(grid2d.dim))
-        mult = torus._derivative_multiplier(grid2d, orders)
-        full = ifftn(grid2d, fftn(grid2d, f) * mult, real=True)
+        full = full_derivative(grid2d, f, orders).real
         half = deriv_values(grid2d, f, multi)
         assert np.isrealobj(half)
         assert np.max(np.abs(half - full)) <= 1e-13 * np.max(np.abs(full))
-        both = deriv_values(grid2d, f + 1j * f, multi)
-        assert np.max(np.abs(both - (1 + 1j) * full)) <= 1e-13 * np.max(np.abs(full))
+        # complex fields (the Bloch wave and its defect) go by parts
+        z = f + 1j * rng.standard_normal(grid2d.shape)
+        full = full_derivative(grid2d, z, orders)
+        parts = dispersion._by_parts(deriv_values, grid2d, z, multi)
+        assert np.max(np.abs(parts - full)) <= 1e-13 * np.max(np.abs(full))
 
     def test_integration_by_parts_is_exact(self, grid2d, rng):
         u = rng.standard_normal(grid2d.shape)
@@ -125,17 +168,15 @@ class TestPoisson:
         assert abs(u.mean()) < 1e-14
 
     def test_real_and_complex_paths_agree(self, grid2d, rng):
+        # the half-spectrum solve against a full complex-FFT solve
         rhs = rng.standard_normal(grid2d.shape)
         u, mean = solve_poisson_values(grid2d, rhs)
-        uc, mean_c = solve_poisson_values(grid2d, rhs + 0j)
+        k2 = np.sum(full_wavenumbers(grid2d) ** 2, axis=0)
+        inv = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+        uc = np.fft.ifftn(np.fft.fftn(rhs) * inv).real
         assert np.isrealobj(u)
         assert np.max(np.abs(u - uc)) <= 1e-13 * np.max(np.abs(u))
-        assert mean == pytest.approx(mean_c.real, abs=1e-15)
-
-    def test_strict_mode_rejects_mean(self, grid1d):
-        rhs = np.ones(grid1d.shape)
-        with pytest.raises(SolvabilityError):
-            solve_poisson_values(grid1d, rhs, strict=True)
+        assert mean == pytest.approx(rhs.mean(), abs=1e-15)
 
     def test_mean_recorded(self, grid1d):
         u, dropped = solve_poisson_values(grid1d, np.ones(grid1d.shape) * 2.0)
@@ -322,3 +363,19 @@ class TestProlongation:
         assert np.max(np.abs(prolong_values(grid2d, probe_c, 2) - probe)) < 1e-12
         assert coarse_on_fine.shape == fine_grid.shape
         assert np.isrealobj(coarse_on_fine)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_half_spectrum_matches_full_complex_fft(self, rng, dim):
+        # white noise: Nyquist content on every axis, split between +-n/2;
+        # leading axes ride along, complex fields are prolonged by parts
+        grid = TorusGrid(dim, 16)
+        f = rng.standard_normal((3,) + grid.shape)
+        z = f + 1j * rng.standard_normal(grid.shape)
+        for factor in (2, 4):
+            full = full_prolongation(grid, f, factor)
+            half = prolong_values(grid, f, factor)
+            assert np.isrealobj(half)
+            assert np.max(np.abs(half - full.real)) <= 1e-14 * np.max(np.abs(full))
+            full_z = full_prolongation(grid, z, factor)
+            parts = dispersion._by_parts(prolong_values, grid, z, factor)
+            assert np.max(np.abs(parts - full_z)) <= 1e-14 * np.max(np.abs(full_z))

@@ -13,9 +13,9 @@ from homwave.wave import (
     BoxGrid,
     ErrorBudget,
     boussinesq_decomposition,
-    boussinesq_frequency,
     box_coordinates,
     box_l2,
+    box_wavevectors,
     choose_gamma,
     coefficient_on_box,
     dress_with_correctors,
@@ -23,9 +23,8 @@ from homwave.wave import (
     filtered_data,
     homogenized_wave_field,
     sample_cell_on_box,
-    solve_boussinesq_wave,
+    solve_effective_wave,
     solve_fine_wave,
-    solve_homogenized_wave,
     source_term_field,
     spectral_wave_state,
     symbol_coercivity_margin,
@@ -34,7 +33,7 @@ from homwave.wave import (
     wrap_guard,
 )
 
-from conftest import LAMINATE
+from conftest import LAMINATE, anisotropic_model_2d, full_wavenumbers
 
 
 LAM_PROFILE = oracle1d.Profile1D(breakpoints=[0, 0.5, 1], values=[1.0, 4.0])
@@ -244,6 +243,93 @@ class TestResampling:
         assert np.max(np.abs(out - np.cos(2 * np.pi * y))) < 1e-12
 
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_coarsening_is_subsampling(self, rng, dim):
+        # box nodes land on every stride-th cell node: the samples
+        # themselves, tiled, with leading axes carried along
+        grid = torus.TorusGrid(dim, 64)
+        vals = rng.standard_normal((3,) + grid.shape)
+        box = BoxGrid(dim, 64, 4.0)  # eps 0.5: 8 periods of 8 points
+        out = sample_cell_on_box(grid, vals, box, 0.5)
+        tile = vals[(Ellipsis,) + (slice(None, None, 8),) * dim]
+        assert np.array_equal(out, np.tile(tile, (1,) + (8,) * dim))
+
+
+class TestHalfSpectrumMatchesFullFFT:
+    """Effective propagators on 2D white noise, which has content on the
+    Nyquist lines of both axes, against in-test references built with the
+    full complex FFT on the full mode lattice."""
+
+    EPS = 0.25
+
+    @pytest.fixture
+    def case(self, rng):
+        box = BoxGrid(2, 32, 8.0)
+        return (box, anisotropic_model_2d(), rng.standard_normal(box.shape),
+                full_wavenumbers(box.torus()))
+
+    @staticmethod
+    def assert_close(out, ref):
+        assert np.isrealobj(out)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def filtered_reference(self, model, k):
+        spec = dispersion.make_cutoff(model)
+        weights = dispersion.cutoff(spec, self.EPS * np.sqrt(np.sum(k ** 2, axis=0)))
+        eig = np.where(weights > 0, dispersion.eigenvalue(model, self.EPS * k), 0.0)
+        return spec, weights, np.sqrt(eig) / self.EPS
+
+    def test_box_wavevectors_are_the_half_lattice(self, case):
+        box, _, _, k = case
+        half = box_wavevectors(box)
+        assert half.shape == (2, 32, 17)
+        assert np.array_equal(half[0], k[0][:, :17])
+        assert np.array_equal(half[1], np.abs(k[1][:, :17]))
+
+    def test_homogenized_wave_field(self, case):
+        box, model, u0, k = case
+        spec, weights, omega = self.filtered_reference(model, k)
+        times = [0.0, 1.3, 4.0]
+        out = homogenized_wave_field(model, spec, u0, box, self.EPS, times)
+        u_hat = np.fft.fftn(u0) * weights
+        for u, t in zip(out, times):
+            self.assert_close(u, np.fft.ifftn(u_hat * np.cos(omega * t)).real)
+
+    def test_spectral_wave_state_velocity(self, case, rng):
+        box, model, u0, k = case
+        v0 = rng.standard_normal(box.shape)
+        operator = {"gamma": choose_gamma(model, 4), "ell": 4}
+        num, den = wave.mode_symbol(model, self.EPS, box_wavevectors(box),
+                                    **operator)
+        times = [0.7, 2.0]
+        _, u_t = spectral_wave_state(1.0, np.sqrt(num / den), u0, box, times,
+                                     v0=v0)
+        num, den = wave.mode_symbol(model, self.EPS, k, **operator)
+        omega = np.sqrt(num / den)
+        u_hat, v_hat = np.fft.fftn(u0), np.fft.fftn(v0)
+        for v, t in zip(u_t, times):
+            ref = v_hat * np.cos(omega * t) - u_hat * omega * np.sin(omega * t)
+            self.assert_close(v, np.fft.ifftn(ref).real)
+
+    def test_source_term_field(self, case):
+        # a source constant on [0, 1]: the Duhamel integral in closed form
+        box, model, f, k = case
+        spec, weights, omega = self.filtered_reference(model, k)
+        times = np.array([0.5, 1.5, 2.5])
+        u, u_t = source_term_field(model, spec, lambda s: f, box, self.EPS, times)
+        f_hat = np.fft.fftn(f) * weights
+        live = omega > 0
+        safe = np.where(live, omega, 1.0)
+        for i, t in enumerate(times):
+            end = min(t, 1.0)
+            disp = np.where(live, (np.cos(omega * (t - end)) - np.cos(omega * t))
+                            / safe ** 2, t * end - 0.5 * end ** 2)
+            vel = np.where(live, (np.sin(omega * t) - np.sin(omega * (t - end)))
+                           / safe, end)
+            self.assert_close(u[i], np.fft.ifftn(f_hat * disp).real)
+            self.assert_close(u_t[i], np.fft.ifftn(f_hat * vel).real)
+
+
 class TestEffectivePropagator:
     def test_t0_returns_filtered_data(self):
         model = identity_model()
@@ -256,7 +342,7 @@ class TestEffectivePropagator:
 
     def test_constant_medium_is_exact_filtered_wave(self):
         model = identity_model()
-        spec = dispersion.CutoffSpec(kmax=100.0, ell=2)  # pass-through filter
+        spec = dispersion.CutoffSpec(kmax=100.0)  # pass-through filter
         box = BoxGrid(1, 256, 8.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
@@ -305,7 +391,7 @@ class TestEffectivePropagator:
         # vs. the exact effective propagator, the fine solver's own
         # discretization error is all that remains, shrinking ~4x per halving
         model = identity_model()
-        spec = dispersion.CutoffSpec(kmax=100.0, ell=2)
+        spec = dispersion.CutoffSpec(kmax=100.0)
         errs = []
         for n in (256, 512):
             box = BoxGrid(1, n, 8.0)
@@ -336,13 +422,13 @@ class TestEffectivePropagator:
         u0 = np.exp(-((x - 16.0) ** 2))
         times = np.linspace(0.5, 4.0, 8)
         forward = []
-        fftn = np.fft.fftn
+        rfftn = np.fft.rfftn
 
-        def counting_fftn(*args, **kwargs):
+        def counting_rfftn(*args, **kwargs):
             forward.append(1)
-            return fftn(*args, **kwargs)
+            return rfftn(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+        monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
         singles = []
         for t in times:
             forward.clear()
@@ -463,7 +549,8 @@ class TestRegularization:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         u0 = np.sin(k * x)
-        outs = solve_homogenized_wave(model, 0.0, u0, box, 0.25, 2, [0.0, 1.7])
+        outs = solve_effective_wave(model, u0, box, 0.25, [0.0, 1.7],
+                                    gamma=0.0, ell=2)
         assert np.max(np.abs(outs[0] - u0)) < 1e-13  # unfiltered initial data
         assert np.max(np.abs(outs[1] - np.cos(k * 1.7) * u0)) < 1e-12
 
@@ -473,7 +560,8 @@ class TestRegularization:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 16.0
         u0 = np.sin(k * x)
-        out = solve_homogenized_wave(model, 0.0, u0, box, 0.25, 1, [1.1])[0]
+        out = solve_effective_wave(model, u0, box, 0.25, [1.1],
+                                   gamma=0.0, ell=1)[0]
         ref = np.cos(np.sqrt(1.6) * k * 1.1) * u0
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -486,7 +574,7 @@ class TestRegularization:
         box = BoxGrid(1, 256, 8.0)
         u0 = np.sin(2 * np.pi * box_coordinates(box)[0] / 8.0)
         with pytest.raises(wave.PositivityError):
-            solve_homogenized_wave(model, 0.0, u0, box, 1.0, 4, [1.0])
+            solve_effective_wave(model, u0, box, 1.0, [1.0], gamma=0.0, ell=4)
 
 
 class TestBoussinesq:
@@ -527,7 +615,7 @@ class TestBoussinesq:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         u0 = np.sin(k * x)
-        outs = solve_boussinesq_wave(model, bt, u0, box, 0.25, [0.0, 1.2])
+        outs = solve_effective_wave(model, u0, box, 0.25, [0.0, 1.2], bt=bt)
         assert np.max(np.abs(outs[0] - u0)) < 1e-13
         assert np.max(np.abs(outs[1] - np.cos(k * 1.2) * u0)) < 1e-12
 
@@ -535,7 +623,8 @@ class TestBoussinesq:
         _, model = laminate_model(4)
         bt = boussinesq_decomposition(model)
         k = np.linspace(0.01, 50.0, 500).reshape(1, -1)
-        assert np.min(boussinesq_frequency(model, bt, 0.25, k)) >= 0.0
+        num, den = wave.mode_symbol(model, 0.25, k, bt=bt)
+        assert np.min(num / den) >= 0.0
 
 
 class TestSourceTerm:
@@ -549,7 +638,7 @@ class TestSourceTerm:
 
     def test_single_mode_closed_form(self):
         model = identity_model()
-        spec = dispersion.CutoffSpec(kmax=100.0, ell=2)
+        spec = dispersion.CutoffSpec(kmax=100.0)
         box = BoxGrid(1, 256, 8.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
