@@ -24,7 +24,8 @@ import numpy as np
 
 from . import bloch, correctors, dispersion, elliptic, oracle1d, transport, wave
 from .torus import (CG_TOL, ConfigurationError, ConvergenceError,
-                    SolvabilityError, TorusGrid, coefficient_from_spec)
+                    DerivativeCache, SolvabilityError, TorusGrid,
+                    coefficient_from_spec, irfftn)
 
 KINDS = ("correctors", "dispersion", "wave-compare", "elliptic-rate",
          "transport", "source-term")
@@ -334,11 +335,12 @@ def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     traj = wave.solve_fine_wave(a_box, box, np.zeros(box.shape), source=source,
                                 times=times, eps=eps)
     bc = wave.BoxCorrectors.from_oracle(oh, box, eps)
-    u_s, _ = wave.source_term_field(model, spec, source, box, eps, traj.times)
+    u_hat, _ = wave.source_term_field(model, spec, source, box, eps, traj.times)
+    u_s = irfftn(box.torus(), u_hat)
     rows = [("t", "l2_error_simplified", "l2_error_dressed")]
     errs_simple, errs_dressed = [], []
     for i, t in enumerate(traj.times):
-        u_d = wave.dress_with_correctors(bc, u_s[i])
+        u_d = wave.dress_with_correctors(bc, DerivativeCache(box.torus(), u_hat[i]))
         errs_simple.append(wave.box_l2(box, traj.u[i] - u_s[i]))
         errs_dressed.append(wave.box_l2(box, traj.u[i] - u_d))
         rows.append((format(t, ".17g"), format(errs_simple[-1], ".17g"),

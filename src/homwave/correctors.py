@@ -26,6 +26,7 @@ from .torus import (
     ConfigurationError,
     ConvergenceError,
     TorusGrid,
+    _matvec,
     deriv_values,
     divergence_values,
     gradient_values,
@@ -67,10 +68,6 @@ class CorrectorHierarchy:
         return self.a.grid
 
 
-def _a_dot(a_values: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return np.einsum("mn...,n...->m...", a_values, vec)
-
-
 def _fitted_guess(solved, e: np.ndarray, j: int) -> np.ndarray | None:
     """phi_j in direction e from the least-squares degree-j direction
     polynomial through the ``solved`` hierarchies' phi_j; None in 1D or
@@ -103,7 +100,7 @@ def build_hierarchy(a: CoefficientField, e, ell: int,
         raise ConfigurationError("direction must be nonzero")
     e = e / norm
 
-    ae = _a_dot(a.values, e.reshape((d,) + (1,) * d))
+    ae = _matvec(a.values, e.reshape((d,) + (1,) * d))
     shape = grid.shape
     phi = [np.ones(shape)]
     sigma = [np.zeros((d, d) + shape)]
@@ -128,7 +125,7 @@ def build_hierarchy(a: CoefficientField, e, ell: int,
         cg_iterations.append(iterations)
         cg_residual.append(residual)
 
-        flux = _a_dot(a.values, gradient_values(grid, phi_j)) + ae * phi[j - 1]
+        flux = _matvec(a.values, gradient_values(grid, phi_j)) + ae * phi[j - 1]
         at = mean_values(grid, flux)
         atilde[j - 1] = at
         lambdas[j - 1] = float(e @ at)
@@ -188,8 +185,8 @@ def hierarchy_invariants(h: CorrectorHierarchy) -> dict:
         out["mean_chi"] = max(out["mean_chi"], abs(float(mean_values(grid, h.chi[j]))))
         q_j = h.q[j]
         out["mean_q"] = max(out["mean_q"], float(np.max(np.abs(mean_values(grid, q_j)))))
-        scale = max(_l2(_a_dot(h.a.values, gradient_values(grid, h.phi[j]))),
-                    _l2(h.phi[j - 1] * _a_dot(h.a.values, e_col)),
+        scale = max(_l2(_matvec(h.a.values, gradient_values(grid, h.phi[j]))),
+                    _l2(h.phi[j - 1] * _matvec(h.a.values, e_col)),
                     _l2(gradient_values(grid, h.chi[j - 1])),
                     float(h.lambdas[0]))
         out["div_q"] = max(out["div_q"],
@@ -260,7 +257,7 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
     lam0 = float(lam[0])
 
     grads = [gradient_values(grid, p) for p in h.phi]
-    agrads = [_a_dot(a_values, g) for g in grads]
+    agrads = [_matvec(a_values, g) for g in grads]
 
     def m(x):
         return float(mean_values(grid, x))
@@ -298,7 +295,7 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
         lambda2_def = float(lam[2])
         w = h.phi[2] - 0.5 * h.phi[1] ** 2
         gw = gradient_values(grid, w)
-        lambda2_quad = m(np.einsum("m...,m...->...", gw, _a_dot(a_values, gw)))
+        lambda2_quad = m(np.einsum("m...,m...->...", gw, _matvec(a_values, gw)))
         denom = max(abs(lambda2_def), abs(lambda2_quad), 1e-14 * lam0)
         lambda2_gap = abs(lambda2_def - lambda2_quad) / denom
 

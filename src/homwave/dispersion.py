@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import ConfigurationError, divergence_values, gradient_values
+from .torus import ConfigurationError, _matvec, divergence_values, gradient_values
 
 
 class InternalConsistencyError(RuntimeError):
@@ -250,7 +250,7 @@ def eigendefect_residual(h, kappa: float, refine: int = 1) -> float:
         defect = _by_parts(prolong_values, grid, defect, refine)
         grid = fine
     grad_psi = _by_parts(gradient_values, grid, psi)
-    a_grad = np.einsum("mn...,n...->m...", a_values, grad_psi)
+    a_grad = _matvec(a_values, grad_psi)
     ae = np.einsum("mn...,n->m...", a_values, e)
     lhs = (-_by_parts(divergence_values, grid, a_grad)
            - 1j * kappa * _by_parts(divergence_values, grid, ae * psi)

@@ -24,7 +24,7 @@ from .torus import (
     CoefficientField,
     ConfigurationError,
     DerivativeCache,
-    deriv_values,
+    _matvec,
     divergence_values,
     gradient_values,
     irfftn,
@@ -73,7 +73,9 @@ def prepared_rhs(bc: BoxCorrectors, f: np.ndarray,
                  ell: int | None = None) -> np.ndarray:
     """Corrector-dressed source sum_j eps^j phi_j(x/eps) . grad^j f."""
     require_zero_mean(f, "source")
-    return dress_with_correctors(bc, f, max_order=ell)
+    grid = bc.box.torus()
+    return dress_with_correctors(bc, DerivativeCache(grid, rfftn(grid, f)),
+                                 max_order=ell)
 
 
 @dataclass
@@ -92,29 +94,25 @@ def _coupling_field(phi: list, model: DispersionModel, cache: DerivativeCache,
 
     ``phi[j]`` holds the tensorized corrector coefficients (box samples in a
     two-scale expansion, unit-cell fields with eps = 1 in the identities).
+    The monomial coefficients of phi_j x tensor_p are the product of the two
+    direction polynomials.
     """
-    dim = cache.grid.dim
     out = np.zeros(cache.grid.shape)
     for p in range(0, ell - 1):
         pcoef = np.atleast_1d(model.polys[p])
         for j in range(1, ell - p):
-            for r in range(phi[j].shape[0]):
-                for s in range(pcoef.shape[0]):
-                    if pcoef[s] == 0.0:
-                        continue
-                    if dim == 2:
-                        orders = ((j - r) + (p + 2 - s), r + s)
-                    else:
-                        orders = (j + p + 2,)
-                    out = out + (eps ** (p + j) * pcoef[s]
-                                 * phi[j][r] * cache.get(orders))
+            product = np.zeros((len(phi[j]) + len(pcoef) - 1,) + phi[j].shape[1:])
+            for s, c in enumerate(pcoef):
+                product[s:s + len(phi[j])] += c * phi[j]
+            out = out + eps ** (p + j) * cache.contract(product, j + p + 2)
     return out
 
 
 def two_scale_expansion(bc: BoxCorrectors, model: DispersionModel,
                         v: np.ndarray, ell: int) -> TwoScaleExpansion:
-    cache = DerivativeCache(bc.box.torus(), v)
-    w = dress_with_correctors(bc, v, max_order=ell, cache=cache)
+    grid = bc.box.torus()
+    cache = DerivativeCache(grid, rfftn(grid, v))
+    w = dress_with_correctors(bc, cache, max_order=ell)
     s = _coupling_field(bc.phi, model, cache, ell, bc.eps)
     return TwoScaleExpansion(order=ell, eps=bc.eps, w=w, s=s)
 
@@ -141,22 +139,6 @@ class ResiduumReport:
     full_vs_raw: float
 
 
-def _contract(coeffs: np.ndarray, degree: int, cache: DerivativeCache,
-              dim: int, extra=None) -> np.ndarray:
-    """sum_r coeffs[r] * d^(degree-r [+extra_1], r [+extra_2]) v."""
-    e1, e2 = (0, 0)
-    if extra is not None:
-        if dim == 2:
-            e1, e2 = (1, 0) if extra == 0 else (0, 1)
-        else:
-            e1 = 1
-    out = np.zeros(cache.grid.shape)
-    for r in range(coeffs.shape[0]):
-        orders = (degree - r + e1, r + e2) if dim == 2 else (degree + e1,)
-        out = out + coeffs[r] * cache.get(orders)
-    return out
-
-
 def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
                         model: DispersionModel, v: np.ndarray,
                         ell: int) -> ResiduumReport:
@@ -172,68 +154,46 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
     dim = grid.dim
     if ell > tensors.order:
         raise ConfigurationError("tensorized correctors below requested order")
-    cache = DerivativeCache(grid, v)
+    cache = DerivativeCache(grid, rfftn(grid, v))
 
     # w and LHS
-    w = np.zeros(grid.shape)
-    for j in range(ell + 1):
-        w = w + _contract(tensors.phi[j], j, cache, dim)
-    lhs = -divergence_values(
-        grid, np.einsum("mn...,n...->m...", a.values, gradient_values(grid, w)))
+    w = sum(cache.contract(tensors.phi[j], j) for j in range(ell + 1))
+    lhs = -divergence_values(grid, _matvec(a.values, gradient_values(grid, w)))
     lhs_norm = float(np.sqrt(np.mean(lhs ** 2)))
 
     # effective-tensor terms
-    eff = np.zeros(grid.shape)
-    for j in range(0, ell, 2):
-        pc = np.atleast_1d(model.polys[j])
-        for s in range(pc.shape[0]):
-            if pc[s] == 0.0:
-                continue
-            orders = (j + 2 - s, s) if dim == 2 else (j + 2,)
-            eff = eff + pc[s] * cache.get(orders)
+    eff = sum(cache.contract(np.atleast_1d(model.polys[j]), j + 2)
+              for j in range(0, ell, 2))
 
-    # gradient fields of the dispersion potentials
-    def grad_chi_terms(level, n_derivs):
-        """(grad chi_level) . grad^(n_derivs) v, n_derivs = level+1 or level+2."""
-        coeffs = tensors.chi[level]  # degree level + 1
-        out = np.zeros(grid.shape)
-        for m in range(dim):
-            gc = np.stack([deriv_values(grid, coeffs[r], [m])
-                           for r in range(coeffs.shape[0])])
-            extra = m if n_derivs == level + 2 else None
-            out = out + _contract(gc, level + 1, cache, dim, extra=extra)
-        return out
+    # gradients of the dispersion potentials chi_(ell-1) and chi_ell, each
+    # of shape (dim, monomials, cell...)
+    grad_chi = {level: gradient_values(grid, tensors.chi[level])
+                for level in (ell - 1, ell) if level >= 0}
+
+    def grad_chi_terms(level):
+        """(grad chi_level) . grad^(level+2) v."""
+        return sum(cache.contract(gc, level + 1, shift=m)
+                   for m, gc in enumerate(grad_chi[level]))
 
     def divergence_term(include_chi: bool):
         """div[(a x phi_ell - sigma_ell [+ grad chi_ell]) . grad^(ell+1) v]."""
-        vec = np.zeros((dim,) + grid.shape)
-        phi_l = tensors.phi[ell]
-        for n in range(dim):
-            extra = n if dim == 2 else 0
-            contr = _contract(phi_l, ell, cache, dim,
-                              extra=extra if dim == 2 else 0)
-            for m in range(dim):
-                vec[m] = vec[m] + a.values[m, n] * contr
+        vec = _matvec(a.values, np.stack([
+            cache.contract(tensors.phi[ell], ell, shift=n) for n in range(dim)]))
         if dim == 2 and tensors.sigma12[ell] is not None:
             s_l = tensors.sigma12[ell]
-            contr0 = _contract(s_l, ell, cache, dim, extra=0)
-            contr1 = _contract(s_l, ell, cache, dim, extra=1)
             # sigma = s * J with J = [[0, 1], [-1, 0]]; (sigma . D)_m = J[m,n] S_n
-            vec[0] = vec[0] - contr1
-            vec[1] = vec[1] + contr0
+            vec[0] = vec[0] - cache.contract(s_l, ell, shift=1)
+            vec[1] = vec[1] + cache.contract(s_l, ell, shift=0)
         if include_chi:
-            coeffs = tensors.chi[ell]
-            for m in range(dim):
-                gc = np.stack([deriv_values(grid, coeffs[r], [m])
-                               for r in range(coeffs.shape[0])])
-                vec[m] = vec[m] + _contract(gc, ell + 1, cache, dim)
+            vec = vec + np.stack([cache.contract(gc, ell + 1)
+                                  for gc in grad_chi[ell]])
         return divergence_values(grid, vec)
 
     rhs_raw = -(eff + _coupling_field(tensors.phi, model, cache, ell - 1)
-                - (grad_chi_terms(ell - 1, ell + 1) if ell >= 1 else 0.0)
+                - (grad_chi_terms(ell - 1) if ell >= 1 else 0.0)
                 + divergence_term(include_chi=False))
     rhs_full = (-eff - _coupling_field(tensors.phi, model, cache, ell)
-                + grad_chi_terms(ell, ell + 2)
+                + grad_chi_terms(ell)
                 - divergence_term(include_chi=True))
 
     def rel(x):
@@ -241,11 +201,7 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
 
     second = None
     if ell <= 2:
-        p0 = np.atleast_1d(model.polys[0])
-        lead = np.zeros(grid.shape)
-        for s in range(p0.shape[0]):
-            orders = (2 - s, s) if dim == 2 else (2,)
-            lead = lead + p0[s] * cache.get(orders)
+        lead = cache.contract(np.atleast_1d(model.polys[0]), 2)
         rhs_21 = -(lead + divergence_term(include_chi=False))
         second = rel(rhs_21)
 
@@ -380,7 +336,8 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
         u_hom = solve_effective_elliptic(model, f, box, eps, gamma=gamma, ell=ell,
                                          bt=bt)
         grad_fine = gradient_values(grid, u_fine)
-        grad_dressed = dressed_gradient(bc, u_hom, max_order=ell)
+        grad_dressed = dressed_gradient(
+            bc, DerivativeCache(grid, rfftn(grid, u_hom)), max_order=ell)
         errors.append(box_l2(box, grad_fine - grad_dressed))
     return RateStudy(eps_list=np.asarray(list(eps_list), dtype=float),
                      errors=np.asarray(errors),

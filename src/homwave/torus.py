@@ -187,22 +187,40 @@ def deriv_values(grid: TorusGrid, values: np.ndarray, multi_index) -> np.ndarray
 
 
 class DerivativeCache:
-    """Spectral derivatives of one sample array, memoized by per-axis orders.
+    """Spectral derivatives of one real field, read from its half spectrum
+    and memoized by per-axis orders.
 
-    ``get((m0, m1))`` is d^m0/dx0^m0 d^m1/dx1^m1 of ``values``; each order
-    tuple is transformed once, however many contractions read it.
+    ``get((m0, m1))`` is d^m0/dx0^m0 d^m1/dx1^m1 of the field: one inverse
+    transform per order tuple, however many contractions read it.  A field
+    held as samples enters as ``rfftn(grid, values)``; a filtered effective
+    field enters as its filtered spectrum, so no content above the filter
+    reaches a derivative.
     """
 
-    def __init__(self, grid: TorusGrid, values: np.ndarray):
+    def __init__(self, grid: TorusGrid, spectrum: np.ndarray):
         self.grid = grid
-        self.values = np.asarray(values)
-        self.cache = {(0,) * grid.dim: self.values}
+        self.spectrum = spectrum
+        self.cache = {}
 
     def get(self, orders: tuple) -> np.ndarray:
         if orders not in self.cache:
-            multi = [ax for ax, m in enumerate(orders) for _ in range(m)]
-            self.cache[orders] = deriv_values(self.grid, self.values, multi)
+            self.cache[orders] = irfftn(
+                self.grid, self.spectrum * _derivative_multiplier(self.grid, orders))
         return self.cache[orders]
+
+    def contract(self, coeffs, degree: int, shift: int | None = None):
+        """Contraction of the degree-th derivative tensor of the field with
+        homogeneous monomial coefficients: sum_r coeffs[r] d^(degree - r)/dx0
+        d^r/dx1 in 2D, coeffs[0] d^degree/dx0 in 1D, each derivative taken
+        once more along axis ``shift`` when one is given.  The coefficients
+        are numbers or fields broadcasting against the grid."""
+        out = 0.0
+        for r, c in enumerate(coeffs):
+            orders = [degree - r, r] if self.grid.dim == 2 else [degree]
+            if shift is not None:
+                orders[shift] += 1
+            out = out + c * self.get(tuple(orders))
+        return out
 
 
 def gradient_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -335,6 +353,7 @@ def _sym_eig_bounds(values: np.ndarray, d: int):
 
 
 def _matvec(a_values: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Pointwise product a . v of a matrix field with a vector field."""
     return np.einsum("mn...,n...->m...", a_values, vec)
 
 

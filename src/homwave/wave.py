@@ -24,8 +24,13 @@ so the half lattice carries all of its values (``homwave.torus`` states the
 one Nyquist-row convention this takes in 2D).  Positivity is checked
 once; the elliptic solve in ``homwave.elliptic`` divides by omega^2 and
 every exact wave solve (effective, Duhamel or Bloch block) rotates each
-mode through one kernel, ``_rotate``.  Corrector dressing makes the fields
-fine-scale approximations.
+mode through one kernel, ``_rotate``.  Corrector dressing
+(``dress_with_correctors``, ``dressed_gradient``) makes the fields
+fine-scale approximations.  It reads the derivatives of a field from a
+``torus.DerivativeCache`` of its half spectrum; the effective fields
+(``well_prepared_data``, ``taylor_bloch_ansatz``, ``source_term_field``)
+reach it as their filtered spectrum, so no content above the filter is
+differentiated.
 """
 
 from __future__ import annotations
@@ -222,44 +227,27 @@ class BoxCorrectors:
                    phi=phi, grad_phi=grad_phi)
 
 
-def dress_with_correctors(bc: BoxCorrectors, values: np.ndarray,
-                          max_order: int | None = None,
-                          cache: DerivativeCache | None = None) -> np.ndarray:
-    """Corrector-dressed expansion sum_j eps^j phi_j(x/eps) . grad^j values."""
+def dress_with_correctors(bc: BoxCorrectors, cache: DerivativeCache,
+                          max_order: int | None = None) -> np.ndarray:
+    """Corrector-dressed expansion sum_j eps^j phi_j(x/eps) . grad^j u of
+    the box field u whose derivatives ``cache`` holds."""
     ell = bc.order if max_order is None else max_order
-    cache = cache or DerivativeCache(bc.box.torus(), values)
-    out = np.zeros_like(np.asarray(values, dtype=float))
-    for j in range(ell + 1):
-        coeffs = bc.phi[j]
-        for r in range(coeffs.shape[0]):
-            orders = (j - r, r) if bc.dim == 2 else (j,)
-            out = out + bc.eps ** j * coeffs[r] * cache.get(orders)
-    return out
+    return sum(bc.eps ** j * cache.contract(bc.phi[j], j) for j in range(ell + 1))
 
 
-def dressed_gradient(bc: BoxCorrectors, values: np.ndarray,
-                     max_order: int | None = None,
-                     cache: DerivativeCache | None = None) -> np.ndarray:
+def dressed_gradient(bc: BoxCorrectors, cache: DerivativeCache,
+                     max_order: int | None = None) -> np.ndarray:
     """Exact gradient of the dressed expansion via the product rule.
 
     Avoids spectrally differentiating the assembled product, which would be
     Gibbs-limited when the corrector fields have kinks.
     """
     ell = bc.order if max_order is None else max_order
-    cache = cache or DerivativeCache(bc.box.torus(), values)
-    out = np.zeros((bc.dim,) + bc.box.shape)
-    for j in range(ell + 1):
-        coeffs = bc.phi[j]
-        gcoeffs = bc.grad_phi[j]
-        for r in range(coeffs.shape[0]):
-            orders = (j - r, r) if bc.dim == 2 else (j,)
-            base = cache.get(orders)
-            for m in range(bc.dim):
-                bumped = list(orders)
-                bumped[m] += 1
-                out[m] = out[m] + bc.eps ** j * (
-                    gcoeffs[m, r] * base + coeffs[r] * cache.get(tuple(bumped)))
-    return out
+    return np.stack([
+        sum(bc.eps ** j * (cache.contract(bc.grad_phi[j][m], j)
+                           + cache.contract(bc.phi[j], j, shift=m))
+            for j in range(ell + 1))
+        for m in range(bc.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -556,27 +544,33 @@ def filtered_data(spec: CutoffSpec, u0: np.ndarray, box: BoxGrid,
 def well_prepared_data(bc: BoxCorrectors, spec: CutoffSpec, u0: np.ndarray,
                        box: BoxGrid, eps: float, ell: int | None = None) -> np.ndarray:
     """Corrector-dressed filtered data: the expansion applied to the low-pass
-    part of u0."""
+    part of u0, read from its filtered spectrum."""
     if ell is not None and ell > bc.order:
         raise ConfigurationError(
             f"corrector order {bc.order} below requested order {ell}")
-    return dress_with_correctors(bc, filtered_data(spec, u0, box, eps),
-                                 max_order=ell)
+    grid = box.torus()
+    weights, _ = _filter_weights(spec, box, eps)
+    return dress_with_correctors(
+        bc, DerivativeCache(grid, rfftn(grid, u0) * weights), max_order=ell)
 
 
 def taylor_bloch_ansatz(bc: BoxCorrectors, model: DispersionModel,
                         spec: CutoffSpec, u0: np.ndarray, box: BoxGrid,
                         eps: float, times, ell: int | None = None) -> np.ndarray:
-    """Bloch-wave-dressed effective field.
+    """Bloch-wave-dressed effective field, shape (times, box...).
 
     Per mode, the dressing multiplies by the truncated Bloch wave at eps*k;
     summed over modes this is exactly the corrector-dressed expansion of the
-    effective field, which is how it is assembled here.
+    effective field, which is how it is assembled here, from the filtered
+    spectrum of the effective field at each time.
     """
-    u = homogenized_wave_field(model, spec, u0, box, eps, times)
-    for u_i in u:
-        u_i[...] = dress_with_correctors(bc, u_i, max_order=ell)
-    return u
+    weights, omega = filtered_dispersion(model, spec, box, eps)
+    grid = box.torus()
+    u_hat = rfftn(grid, u0) * weights
+    return np.stack([
+        dress_with_correctors(
+            bc, DerivativeCache(grid, _rotate(u_hat, None, omega, t)), max_order=ell)
+        for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -804,8 +798,10 @@ def source_term_field(model: DispersionModel, spec: CutoffSpec, source,
     over s in [0, min(t, support)] with Gauss-Legendre quadrature dense
     enough for the fastest retained frequency.  The source is evaluated and
     transformed once per node and distinct integration end, and rotated to
-    every time sharing that end.  Returns (u, u_t), each of shape
-    (times, box...); dressing them is up to the caller.
+    every time sharing that end.  Returns the filtered half spectra
+    (u_hat, u_t_hat), each of shape (times,) + half spectrum: samples are
+    ``torus.irfftn`` of them, and a dressing reads them through a
+    ``DerivativeCache``.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
@@ -827,7 +823,7 @@ def source_term_field(model: DispersionModel, spec: CutoffSpec, source,
             f_hat = wgt * (rfftn(grid, source(sq)) * weights)
             for i in group:
                 state_hat[:, i] += _rotate(0.0, f_hat, omega, times[i] - sq)
-    return tuple(irfftn(grid, state_hat))
+    return state_hat[0], state_hat[1]
 
 
 # ---------------------------------------------------------------------------
@@ -907,29 +903,3 @@ def error_report(reference: WaveTrajectory, approx_u: np.ndarray,
     return ErrorReport(times=times, l2_error=l2, energy_error=energy,
                        budget=budget.curve(eps, times), sup_l2=float(np.max(l2)),
                        warnings=list(warnings))
-
-
-def support_radius(u0: np.ndarray, box: BoxGrid, center: np.ndarray,
-                   threshold: float = 1e-8) -> float:
-    """Radius of the smallest centered ball holding all mass above threshold."""
-    x = box_coordinates(box)
-    delta = np.abs(x - center.reshape((box.dim,) + (1,) * box.dim))
-    delta = np.minimum(delta, box.side - delta)
-    r = np.sqrt(np.sum(delta ** 2, axis=0))
-    mask = np.abs(u0) > threshold * float(np.max(np.abs(u0)))
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(r[mask]))
-
-
-def wrap_guard(u0: np.ndarray, box: BoxGrid, center: np.ndarray,
-               final_time: float, gamma_bar: float):
-    """Check r0 + T sqrt(Gamma_bar) < side/2 (wavefront must not wrap).
-
-    Returns (ok, r0, reach); failing the guard invalidates weighted-moment
-    readings, while plain L2 comparisons of two periodized evolutions stay
-    meaningful.
-    """
-    r0 = support_radius(u0, box, center)
-    reach = r0 + final_time * math.sqrt(max(gamma_bar, 1.0))
-    return reach < 0.5 * box.side, r0, reach

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import and every function parameter
-of the package is used, and no module runs a full complex FFT."""
+"""Source hygiene: every module-level import, every function parameter and
+every private module-level helper of the package is used, and no module
+runs a full complex FFT."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,45 @@ def full_complex_transforms(path: Path) -> list:
     return sorted(out)
 
 
+def _names_referenced(node) -> list:
+    """Names one AST node refers to: a name it reads, the attribute it
+    takes, or the names it imports with ``from ... import``."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def dead_private_helpers(package: Path) -> list:
+    """(module, line, name) of each module-level ``_``-prefixed function or
+    class that no module of ``package`` refers to outside the helper's own
+    definition (so recursion alone does not keep a helper alive).  Dunder
+    names are exempt."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(node.name in _names_referenced(n)
+                       for other in trees.values() for n in ast.walk(other)
+                       if id(n) not in own):
+                out.append((module, node.lineno, node.name))
+    return out
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_helpers(PACKAGE) == []
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_full_complex_transforms(path):
@@ -121,3 +161,21 @@ def test_checker_flags_a_full_complex_transform(tmp_path):
                      "    return np.fft.fftn(x), fft.ifft(y), rfft(x)\n")
     assert full_complex_transforms(probe) == [(3, "ifft2"), (7, "fftn"),
                                               (7, "ifft")]
+
+
+def test_checker_flags_a_dead_private_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used_here():\n    return 1\n\n"
+        "def _imported():\n    return 2\n\n"
+        "def _by_attribute():\n    return 3\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+        "def _dead():\n    return _used_here()\n\n"
+        "class _DeadClass:\n    pass\n\n"
+        "def __getattr__(name):\n    return name\n\n"
+        "def public():\n    return _used_here()\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import _imported\n\n"
+        "def g():\n    return _imported() + a._by_attribute()\n")
+    assert dead_private_helpers(tmp_path) == [
+        ("a.py", 10, "_recursive"), ("a.py", 13, "_dead"),
+        ("a.py", 16, "_DeadClass")]

@@ -105,13 +105,40 @@ class TestDerivative:
         df = deriv_values(grid1d, np.sin(2 * np.pi * x), [0])
         assert np.max(np.abs(df - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-12
 
-    def test_derivative_cache_matches_direct_derivatives(self, grid2d, rng):
-        f = band_limited(grid2d, rng)
-        cache = torus.DerivativeCache(grid2d, f)
-        assert cache.get((0, 0)) is cache.values
-        d21 = cache.get((2, 1))
-        assert np.array_equal(d21, deriv_values(grid2d, f, [0, 0, 1]))
-        assert cache.get((2, 1)) is d21
+    # (dim, degree, shift, coefficients, derivative multi-indices they weigh):
+    # monomial r of degree j weighs d^(j-r)/dx0 d^r/dx1, plus one more
+    # derivative along the shift axis
+    CONTRACTIONS = [
+        (1, 2, None, "fields", [[0, 0]]),
+        (1, 2, 0, "fields", [[0, 0, 0]]),
+        (2, 2, None, "fields", [[0, 0], [0, 1], [1, 1]]),
+        (2, 2, 0, "fields", [[0, 0, 0], [0, 0, 1], [0, 1, 1]]),
+        (2, 2, 1, "fields", [[0, 0, 1], [0, 1, 1], [1, 1, 1]]),
+        (2, 3, 1, [1.5, 0.0, -0.5, 2.0], [[0, 0, 0, 1], [0, 0, 1, 1],
+                                           [0, 1, 1, 1], [1, 1, 1, 1]]),
+    ]
+
+    def test_derivative_cache_matches_direct_derivatives(self, grid1d, grid2d,
+                                                         rng):
+        grids = {1: grid1d, 2: grid2d}
+        for grid, orders, multi in ((grid1d, (3,), [0, 0, 0]),
+                                    (grid2d, (2, 1), [0, 0, 1])):
+            f = band_limited(grid, rng)
+            cache = torus.DerivativeCache(grid, rfftn(grid, f))
+            # order zero is the inverse transform of the spectrum
+            zero = cache.get((0,) * grid.dim)
+            assert np.max(np.abs(zero - f)) <= 1e-14 * np.max(np.abs(f))
+            d = cache.get(orders)
+            assert np.array_equal(d, deriv_values(grid, f, multi))
+            assert cache.get(orders) is d
+        for dim, degree, shift, coeffs, multis in self.CONTRACTIONS:
+            grid = grids[dim]
+            f = band_limited(grid, rng)
+            if coeffs == "fields":
+                coeffs = rng.standard_normal((len(multis),) + grid.shape)
+            ref = sum(c * deriv_values(grid, f, m) for c, m in zip(coeffs, multis))
+            cache = torus.DerivativeCache(grid, rfftn(grid, f))
+            assert np.array_equal(cache.contract(coeffs, degree, shift), ref)
 
     def test_laplacian_of_constant(self, grid2d):
         f = np.full(grid2d.shape, 3.5)

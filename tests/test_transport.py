@@ -14,6 +14,7 @@ from homwave.transport import (
     moment_history,
     transport_moment,
     windowed_moment,
+    wrap_guard,
 )
 from homwave.bloch import solve_fine_wave_exact
 from homwave.wave import BoxGrid, solve_fine_wave
@@ -78,6 +79,17 @@ class TestTransportMoment:
         box = BoxGrid(1, 64, 8.0)
         r = min_image_radius(box, np.array([0.0]))
         assert np.max(r) <= 4.0 + 1e-12
+
+
+class TestWrapGuard:
+    def test_wrap_guard(self):
+        box = BoxGrid(1, 256, 16.0)
+        x = wave.box_coordinates(box)[0]
+        u0 = np.exp(-10 * (x - 8.0) ** 2)
+        ok, r0, reach = wrap_guard(u0, box, np.array([8.0]), 1.0, 1.0)
+        assert ok and reach < 8.0
+        ok2, _, _ = wrap_guard(u0, box, np.array([8.0]), 20.0, 1.0)
+        assert not ok2
 
 
 class TestWindowedMoment:

@@ -30,7 +30,6 @@ from homwave.wave import (
     symbol_coercivity_margin,
     taylor_bloch_ansatz,
     well_prepared_data,
-    wrap_guard,
 )
 
 from conftest import LAMINATE, anisotropic_model_2d, full_wavenumbers
@@ -316,7 +315,8 @@ class TestHalfSpectrumMatchesFullFFT:
         box, model, f, k = case
         spec, weights, omega = self.filtered_reference(model, k)
         times = np.array([0.5, 1.5, 2.5])
-        u, u_t = source_term_field(model, spec, lambda s: f, box, self.EPS, times)
+        u, u_t = (torus.irfftn(box.torus(), half) for half in source_term_field(
+            model, spec, lambda s: f, box, self.EPS, times))
         f_hat = np.fft.fftn(f) * weights
         live = omega > 0
         safe = np.where(live, omega, 1.0)
@@ -504,6 +504,34 @@ class TestDressing:
         eff = homogenized_wave_field(model, spec, u0, box, 0.25, [1.5])
         assert np.max(np.abs(ans - eff)) < 1e-12
 
+    def test_filtered_dressing_matches_closed_form(self):
+        # every derivative of the filtered mode u = w sin(k x) is known in
+        # closed form; dressed from the filtered spectrum, the field and its
+        # gradient carry only the roundoff of the retained modes
+        eps, ell = 1 / 8, 4
+        oh, model = laminate_model(ell)
+        spec = dispersion.make_cutoff(model)
+        box = BoxGrid(1, 2048, 16.0)
+        grid = box.torus()
+        x = box_coordinates(box)[0]
+        k = 2 * np.pi / 16.0
+        u0 = np.sin(k * x)
+        weights = dispersion.cutoff(spec, eps * np.abs(box_wavevectors(box)[0]))
+        du = [weights[1] * k ** j * np.sin(k * x + 0.5 * np.pi * j)
+              for j in range(ell + 2)]
+        y = np.mod(x / eps, 1.0)
+        field = sum(eps ** j * oh.phi[j](y) * du[j] for j in range(ell + 1))
+        grad = sum(eps ** j * (oh.phi[j].derivative()(y) / eps * du[j]
+                               + oh.phi[j](y) * du[j + 1])
+                   for j in range(ell + 1))
+        bc = BoxCorrectors.from_oracle(oh, box, eps)
+        cache = torus.DerivativeCache(grid, torus.rfftn(grid, u0) * weights)
+        ansatz = taylor_bloch_ansatz(bc, model, spec, u0, box, eps, [0.0])
+        for out, ref in ((well_prepared_data(bc, spec, u0, box, eps), field),
+                         (ansatz[0], field),
+                         (wave.dressed_gradient(bc, cache)[0], grad)):
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_dressed_gradient_matches_spectral_for_smooth_correctors(self):
         grid = torus.TorusGrid(1, 128)
         a = torus.coefficient_from_spec(
@@ -514,8 +542,9 @@ class TestDressing:
         x = box_coordinates(box)[0]
         v = np.sin(2 * np.pi * x / 8.0)
         from homwave.wave import dressed_gradient
-        g1 = dressed_gradient(bc, v)
-        w = dress_with_correctors(bc, v)
+        cache = torus.DerivativeCache(box.torus(), torus.rfftn(box.torus(), v))
+        g1 = dressed_gradient(bc, cache)
+        w = dress_with_correctors(bc, cache)
         g2 = torus.gradient_values(box.torus(), w)
         assert np.max(np.abs(g1 - g2)) < 1e-8
 
@@ -648,7 +677,8 @@ class TestSourceTerm:
             return f_field if s <= 1.0 else 0.0 * f_field
 
         t = 2.5
-        (u,), (ut,) = source_term_field(model, spec, source, box, 0.25, [t])
+        (u,), (ut,) = (torus.irfftn(box.torus(), half) for half in
+                       source_term_field(model, spec, source, box, 0.25, [t]))
         # integral of sin(omega (t-s))/omega over s in [0, 1]
         omega = k
         amp = (np.cos(omega * (t - 1.0)) - np.cos(omega * t)) / omega ** 2
@@ -670,8 +700,9 @@ class TestSourceTerm:
             return f_field if s <= 1.0 else 0.0 * f_field
 
         bc = BoxCorrectors.from_tensorized(tens, box, 0.25)
-        (u_plain,), _ = source_term_field(model, spec, source, box, 0.25, [2.0])
-        u_drs = dress_with_correctors(bc, u_plain)
+        (u_hat,), _ = source_term_field(model, spec, source, box, 0.25, [2.0])
+        u_plain = torus.irfftn(box.torus(), u_hat)
+        u_drs = dress_with_correctors(bc, torus.DerivativeCache(box.torus(), u_hat))
         assert np.max(np.abs(u_plain - u_drs)) < 1e-12
 
     @pytest.mark.parametrize("times, calls", [([1.5, 2.0, 2.5], 96),
@@ -724,12 +755,3 @@ class TestErrorReport:
         assert budget.mu(0.0) >= 1.0
         t = np.linspace(0.0, 50.0, 200)
         assert np.all(np.diff(budget.mu(t)) >= 0.0)
-
-    def test_wrap_guard(self):
-        box = BoxGrid(1, 256, 16.0)
-        x = box_coordinates(box)[0]
-        u0 = np.exp(-10 * (x - 8.0) ** 2)
-        ok, r0, reach = wrap_guard(u0, box, np.array([8.0]), 1.0, 1.0)
-        assert ok and reach < 8.0
-        ok2, _, _ = wrap_guard(u0, box, np.array([8.0]), 20.0, 1.0)
-        assert not ok2
