@@ -8,6 +8,15 @@ and every eigenmode evolves by cos(omega t) and sin(omega t) / omega, so
 snapshots at any times cost no time stepping and carry no time-stepping
 error (Conca & Vanninathan, SIAM J. Appl. Math. 57, 1997).
 
+Only the phases that carry data are diagonalized.  Phase m gets the bound
+b_m = w_m (|u_m| + tau |v_m|)^2 from its Bloch data (w_m the Parseval
+weight, tau the last snapshot time or about one CFL step if that is
+longer) and is skipped when b_m is at most eps_mach^2 / n_blocks of the
+sum.  Every block evolves unitarily, so the skipped phases hold at most
+eps_mach (|u0| + tau |v0|) of each displacement snapshot in l2, the
+roundoff of the forward transform itself, and at most sqrt(lambda_max)
+times that of each velocity snapshot.
+
 This is the fine-scale reference of the ``wave-compare`` and ``transport``
 experiments; leapfrog (``wave.solve_fine_wave``) is its independent
 cross-check and covers sources and 2D.
@@ -22,9 +31,11 @@ from .wave import (BoxGrid, FluxFormOperator, WaveTrajectory, _face_harmonic,
                    _fine_inputs, _rotate)
 
 
-# Bloch phases per eigh call: the eigensystems held at once take
-# _PHASE_CHUNK p^2 complex numbers, small next to the snapshots
-_PHASE_CHUNK = 16
+# block entries per eigh call: the eigensystems and work arrays of one call
+# hold a few _CHUNK_ENTRIES complex numbers whatever the block size p (16
+# phases per call at p = 16, one at p = 64), so they stay small next to the
+# snapshots and the allocator recycles them instead of keeping megabytes
+_CHUNK_ENTRIES = 4096
 
 
 def bloch_blocks(faces: np.ndarray, h: float, phases) -> np.ndarray:
@@ -48,6 +59,26 @@ def bloch_blocks(faces: np.ndarray, h: float, phases) -> np.ndarray:
     return blocks / h ** 2
 
 
+def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
+                          tau: float) -> np.ndarray:
+    """Indices of the Bloch phases whose bound w_m (|u_m| + tau |v_m|)^2 is
+    above eps_mach^2 / n_blocks of the sum over all phases.
+
+    ``u_hat`` and ``v_hat`` hold the rfft across the ``n_cells`` periods;
+    w_m is the Parseval weight of phase m: 1 at m = 0 and m = M / 2, whose
+    spectra are their own conjugates, and 2 for every other phase, which
+    also stands for its mirror.  Zero data keeps no phase.
+    """
+    weight = np.full(u_hat.shape[0], 2.0)
+    weight[0] = 1.0
+    if n_cells % 2 == 0:
+        weight[n_cells // 2] = 1.0
+    bound = weight * (np.linalg.norm(u_hat, axis=1)
+                      + tau * np.linalg.norm(v_hat, axis=1)) ** 2
+    cut = np.finfo(float).eps ** 2 / bound.size * np.sum(bound)
+    return np.flatnonzero(bound > cut)
+
+
 def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
                           times, eps: float,
                           v0: np.ndarray | None = None) -> WaveTrajectory:
@@ -56,13 +87,31 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     The spatial operator is the flux form of ``FluxFormOperator``.  The
     medium repeats every p = n eps / side nodes, so a discrete Fourier
     transform across the M = n / p cells splits the operator into one
-    Hermitian p x p block per Bloch phase (M // 2 + 1 of them by conjugate
-    symmetry).  Each block is diagonalized, every eigenmode is rotated to
-    all snapshot times by ``wave._rotate``, and the snapshots are
-    transformed back.  Blocks are diagonalized ``_PHASE_CHUNK`` phases at a
-    time, so the working set stays O(chunk p^2 + snapshots n).  The energy
-    log is the physical energy of ``FluxFormOperator.energy`` at each
-    snapshot, and ``dt`` is 0 (there is no time step).
+    Hermitian p x p block per Bloch phase (n_blocks = M // 2 + 1 of them by
+    conjugate symmetry).  Each block that carries data is diagonalized,
+    every eigenmode is rotated to all snapshot times by ``wave._rotate``,
+    and the snapshots are transformed back.  Blocks are diagonalized
+    ``_CHUNK_ENTRIES`` / p^2 phases at a time, so the working set stays
+    O(``_CHUNK_ENTRIES`` + snapshots n).  The energy log is the physical
+    energy of ``FluxFormOperator.energy`` at each snapshot, and ``dt`` is 0
+    (there is no time step).
+
+    Phase m is skipped (neither built, diagonalized nor rotated) when
+    b_m = w_m (|u_m| + tau |v_m|)^2 <= eps_mach^2 / n_blocks * sum_m b_m,
+    with u_m, v_m the Bloch data of the phase, w_m its Parseval weight and
+    tau = max(t_max, 1 / sqrt(Lambda)); Lambda = 2 max(f_j + f_{j-1}) / h^2
+    is the Gershgorin bound on every block's eigenvalues, so tau = t_max
+    unless t_max is shorter than about one CFL time step.  A block evolves
+    unitarily: its displacement stays within |u_m| + t |v_m| and its
+    velocity within sqrt(Lambda) (|u_m| + tau |v_m|).  By Parseval the
+    skipped phases therefore hold, at every snapshot time t <= t_max,
+
+        |u_skipped(t)|_2 <= eps_mach (|u0|_2 + tau |v0|_2),
+        |v_skipped(t)|_2 <= sqrt(Lambda) eps_mach (|u0|_2 + tau |v0|_2),
+
+    the roundoff of the forward transform itself and the order of the
+    all-phase solve's own velocity roundoff.  ``meta`` records ``blocks``
+    (n_blocks) and ``blocks_solved`` (the phases diagonalized).
     """
     if box.dim != 1:
         raise ConfigurationError("the Bloch-block solver is one-dimensional")
@@ -82,13 +131,19 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
 
     faces = _face_harmonic(a, 0)[:p]
     n_blocks = n_cells // 2 + 1
-    phases = 2.0 * np.pi * np.arange(n_blocks) / n_cells
-    u_hat = np.fft.rfft(u.reshape(n_cells, p), axis=0)[..., None]
-    v_hat = np.fft.rfft(v.reshape(n_cells, p), axis=0)[..., None]
-    ut_hat = np.empty((times.size, n_blocks, p), dtype=complex)
+    u_hat = np.fft.rfft(u.reshape(n_cells, p), axis=0)
+    v_hat = np.fft.rfft(v.reshape(n_cells, p), axis=0)
+    lam_bound = 2.0 * np.max(np.abs(faces) + np.abs(np.roll(faces, 1))) / box.h ** 2
+    kept = _phases_carrying_data(u_hat, v_hat, n_cells,
+                                 max(times[-1], 1.0 / np.sqrt(lam_bound)))
+    phases = 2.0 * np.pi * kept / n_cells
+    u_hat = u_hat[kept, :, None]
+    v_hat = v_hat[kept, :, None]
+    ut_hat = np.empty((times.size, kept.size, p), dtype=complex)
     vt_hat = np.empty_like(ut_hat)
-    for start in range(0, n_blocks, _PHASE_CHUNK):
-        sl = slice(start, start + _PHASE_CHUNK)
+    chunk = max(1, _CHUNK_ENTRIES // p ** 2)
+    for start in range(0, kept.size, chunk):
+        sl = slice(start, start + chunk)
         lam, vecs = np.linalg.eigh(bloch_blocks(faces, box.h, phases[sl]))
         omega = np.sqrt(np.maximum(lam, 0.0))[..., None]
         # mode amplitudes of (u, v); no conjugated eigenvectors outlive them
@@ -98,10 +153,13 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         vt_hat[:, sl] = np.moveaxis(vecs @ b_m, -1, 0)
 
     def snapshots(spec):
-        # one snapshot at a time: no full-size temporary besides the output
+        # one snapshot at a time, the kept phases scattered into one
+        # zero-filled spectrum: no full-size temporary besides the output
         out = np.empty((times.size,) + box.shape)
+        full = np.zeros((n_blocks, p), dtype=complex)
         for i in range(times.size):
-            out[i].reshape(n_cells, p)[...] = np.fft.irfft(spec[i], n=n_cells,
+            full[kept] = spec[i]
+            out[i].reshape(n_cells, p)[...] = np.fft.irfft(full, n=n_cells,
                                                            axis=0)
         return out
 
@@ -113,5 +171,6 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     energy = np.array([op.energy(u_t[i], v_t[i]) for i in range(times.size)])
     return WaveTrajectory(
         box=box, eps=eps, times=times, u=u_t, v=v_t, dt=0.0, energy=energy,
-        meta={"solver": "bloch-exact", "blocks": n_blocks, "block_size": p,
+        meta={"solver": "bloch-exact", "blocks": n_blocks,
+              "blocks_solved": int(kept.size), "block_size": p,
               "energy_t0": op.energy(u, v)})

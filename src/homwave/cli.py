@@ -211,6 +211,7 @@ def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     h0 = hier[0]
     inv = correctors.hierarchy_invariants(h0)
     man.check("flux_exactness", inv["flux_exactness"], 10 * CG_TOL)
+    man.check("q_nyquist", inv["q_nyquist"], 10 * CG_TOL)
     man.check("mean_q", inv["mean_q"], 1e-12)
     man.check("lambda0_elliptic", inv["lambda0"], 1.0, larger_is_better=True)
     if cfg.ell >= 3:

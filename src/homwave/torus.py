@@ -186,6 +186,25 @@ def deriv_values(grid: TorusGrid, values: np.ndarray, multi_index) -> np.ndarray
                   * _derivative_multiplier(grid, tuple(orders)))
 
 
+@functools.lru_cache(maxsize=None)
+def _nyquist_lines(grid: TorusGrid) -> np.ndarray:
+    """Half-lattice mask of the Nyquist lines: the modes at frequency n/2
+    along some axis, where the derivative along that axis is zeroed."""
+    mask = np.zeros(grid.half_shape, dtype=bool)
+    for ax in range(grid.dim):
+        line = [slice(None)] * grid.dim
+        line[ax] = grid.n // 2
+        mask[tuple(line)] = True
+    mask.flags.writeable = False
+    return mask
+
+
+def nyquist_part(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """The part of real samples on the Nyquist lines (see ``_nyquist_lines``):
+    a divergence cannot reproduce a vector field's content there."""
+    return irfftn(grid, rfftn(grid, values) * _nyquist_lines(grid))
+
+
 class DerivativeCache:
     """Spectral derivatives of one real field, read from its half spectrum
     and memoized by per-axis orders.

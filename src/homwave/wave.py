@@ -45,8 +45,8 @@ from .torus import (
     ConfigurationError,
     DerivativeCache,
     TorusGrid,
+    _half_gradient_multiplier,
     _sym_eig_bounds,
-    deriv_values,
     evaluate_coefficient,
     gradient_values,
     irfftn,
@@ -203,10 +203,9 @@ class BoxCorrectors:
         for j in range(tensors.order + 1):
             coeffs = tensors.phi[j]
             phi.append(sample_cell_on_box(grid, coeffs, box, eps))
-            cell_grad = np.stack([
-                np.stack([deriv_values(grid, coeffs[r], [ax])
-                          for r in range(coeffs.shape[0])])
-                for ax in range(grid.dim)])
+            # one forward transform per coefficient, one inverse for all axes
+            cell_grad = irfftn(grid, _half_gradient_multiplier(grid)[:, None]
+                               * rfftn(grid, coeffs))
             grad_phi.append(sample_cell_on_box(grid, cell_grad, box, eps) / eps)
         return cls(box=box, eps=eps, order=tensors.order, dim=box.dim,
                    phi=phi, grad_phi=grad_phi)
@@ -276,7 +275,8 @@ class WaveTrajectory:
     def solver_stats(self) -> dict:
         """Solver name, its work counts and the energy drift, for manifests."""
         stats = {key: self.meta[key]
-                 for key in ("solver", "blocks", "block_size", "steps")
+                 for key in ("solver", "blocks", "blocks_solved", "block_size",
+                             "steps")
                  if key in self.meta}
         stats["energy_drift"] = self.energy_drift()
         return stats

@@ -280,6 +280,7 @@ def test_criterion_10_structure_suite(smooth64_l5):
         inv = correctors.hierarchy_invariants(h)
         checks[f"{tag}: skew"] = inv["skew_gap"] == 0.0
         checks[f"{tag}: flux exactness"] = inv["flux_exactness"] <= 1e-9
+        checks[f"{tag}: q resolved"] = inv["q_nyquist"] <= 1e-9
         checks[f"{tag}: mean q"] = inv["mean_q"] <= 1e-12
         checks[f"{tag}: lambda0 >= 1"] = inv["lambda0"] >= 1.0
 

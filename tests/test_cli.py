@@ -127,6 +127,17 @@ class TestRun:
                    for e in correctors.half_circle_directions(2, len(solver)))
         assert sum(sum(entry["cg_iterations"]) for entry in solver) < cold
 
+    def test_under_resolved_correctors_fail_the_resolution_check(self, tmp_path):
+        cfg = ExperimentConfig(kind="correctors",
+                               coefficient={"kind": "trig_checkerboard",
+                                            "base": 2.0, "amplitude": 1.0},
+                               dim=2, grid_n=32, ell=3, directions=7,
+                               out_dir=str(tmp_path))
+        assert run(cfg) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        failed = [c["name"] for c in manifest["checks"] if not c["pass"]]
+        assert failed == ["q_nyquist"]
+
     @pytest.mark.parametrize("error", [
         torus.ConvergenceError, torus.SolvabilityError,
         correctors.ReconstructionError, dispersion.InternalConsistencyError,

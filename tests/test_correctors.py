@@ -108,12 +108,21 @@ class TestInvariants:
         inv = hierarchy_invariants(smooth_hierarchy)
         assert inv["skew_gap"] == 0.0
         assert inv["flux_exactness"] < 1e-9
+        assert inv["q_nyquist"] < 1e-9
         assert inv["div_q"] < 1e-9
         assert inv["mean_q"] < 1e-12
         assert inv["mean_phi"] < 1e-12
         assert inv["mean_sigma"] < 1e-12
         assert inv["mean_chi"] < 1e-12
         assert inv["lambda0"] >= 1.0
+
+    def test_under_resolved_flux_shows_on_the_nyquist_lines(self, smooth2d_a):
+        # 32^2 does not resolve q_3 of the checkerboard: div sigma matches
+        # q off the Nyquist lines to CG tolerance, and the unresolved share
+        # of q is what fails
+        inv = hierarchy_invariants(build_hierarchy(smooth2d_a, [1.0, 0.0], 3))
+        assert inv["flux_exactness"] < 1e-10
+        assert 1e-9 < inv["q_nyquist"] < 1e-8
 
     def test_1d_flux_vanishes(self, laminate_a):
         h = build_hierarchy(laminate_a, [1.0], 3)

@@ -174,6 +174,20 @@ class TestDerivative:
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs + rhs) / scale < 1e-12
 
+    def test_nyquist_part_is_the_content_no_divergence_reaches(self, grid2d, rng):
+        x0, x1 = grid2d.coordinate_axes()
+        smooth = band_limited(grid2d, rng)
+        assert np.max(np.abs(torus.nyquist_part(grid2d, smooth))) <= 1e-15
+        # frequency n/2 along axis 0: wholly on a Nyquist line, and the
+        # derivative along that axis is zero
+        line = np.cos(np.pi * grid2d.n * x0) * (1.0 + np.sin(2 * np.pi * x1))
+        assert np.max(np.abs(torus.nyquist_part(grid2d, line) - line)) <= 1e-14
+        assert not np.any(deriv_values(grid2d, line, [0]))
+        noise = rng.standard_normal(grid2d.shape)
+        on = torus.nyquist_part(grid2d, noise)
+        assert np.max(np.abs(torus.nyquist_part(grid2d, on) - on)) <= 1e-14
+        assert np.max(np.abs(torus.nyquist_part(grid2d, noise - on))) <= 1e-14
+
 
 class TestPoisson:
     def test_single_mode(self, grid1d):

@@ -168,24 +168,86 @@ class TestExactFineSolver:
         assert np.allclose(blocks, np.conj(np.swapaxes(blocks, 1, 2)),
                            rtol=0.0, atol=0.0)
 
-    def test_matches_dense_eigendecomposition(self):
-        box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
+    @staticmethod
+    def dense_reference(box, a_box, u0, v0, times):
+        """(u, v) snapshots from one eigendecomposition of the whole box
+        operator, no Bloch transform."""
         op = wave.FluxFormOperator(box, a_box)
         dense = -np.stack([op.apply(e) for e in np.eye(box.n)], axis=1)
         lam, vecs = np.linalg.eigh(0.5 * (dense + dense.T))
         omega = np.sqrt(np.maximum(lam, 0.0))
         safe = np.where(omega > 0, omega, 1.0)
         a0, b0 = vecs.T @ u0, vecs.T @ v0
+        for t in times:
+            sinc = np.where(omega > 0, np.sin(omega * t) / safe, t)
+            yield (vecs @ (a0 * np.cos(omega * t) + b0 * sinc),
+                   vecs @ (b0 * np.cos(omega * t) - a0 * omega * np.sin(omega * t)))
+
+    def test_matches_dense_eigendecomposition(self):
+        box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
         times = [0.5, 3.0, 8.0]
         traj = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0)
-        for i, t in enumerate(times):
-            sinc = np.where(omega > 0, np.sin(omega * t) / safe, t)
-            u_ref = vecs @ (a0 * np.cos(omega * t) + b0 * sinc)
-            v_ref = vecs @ (b0 * np.cos(omega * t) - a0 * omega * np.sin(omega * t))
+        refs = self.dense_reference(box, a_box, u0, v0, times)
+        for i, (u_ref, v_ref) in enumerate(refs):
             assert box_l2(box, traj.u[i] - u_ref) < 1e-9
             assert box_l2(box, traj.v[i] - v_ref) < 1e-9
         assert traj.energy_drift() < 1e-10
         assert traj.meta["blocks"] == 33 and traj.meta["block_size"] == 16
+
+    def test_skipped_phases_leave_dense_reference_unchanged(self):
+        # a Gaussian of width 8 periodized over the 64-long box: its Bloch
+        # data lie on few phases, and most blocks are never diagonalized
+        box, a_box, _, _ = self.laminate_run(1024, 64.0, 1.0)
+        x = box_coordinates(box)[0]
+
+        def periodized(center, width):
+            return sum(np.exp(-0.5 * ((x - center - s) / width) ** 2)
+                       for s in 64.0 * np.arange(-3, 4))
+
+        u0, v0 = periodized(32.0, 8.0), 2.0 * periodized(31.0, 9.6)
+        times = [0.25, 0.5]
+        traj = solve_fine_wave_exact(a_box, box, u0, times, 1.0, v0=v0)
+        assert traj.meta["blocks"] == 33 and traj.meta["blocks_solved"] == 11
+        refs = self.dense_reference(box, a_box, u0, v0, times)
+        for i, (u_ref, v_ref) in enumerate(refs):
+            assert box_l2(box, traj.u[i] - u_ref) <= 1e-12 * box_l2(box, u_ref)
+            assert box_l2(box, traj.v[i] - v_ref) <= 1e-12 * box_l2(box, v_ref)
+
+    def test_zero_data_diagonalizes_no_phase(self):
+        box, a_box, u0, _ = self.laminate_run(1024, 8.0, 1 / 8)
+        zero = np.zeros_like(u0)
+        traj = solve_fine_wave_exact(a_box, box, zero, [0.5, 3.0], 1 / 8,
+                                     v0=zero)
+        assert traj.meta["blocks_solved"] == 0
+        assert not np.any(traj.u) and not np.any(traj.v)
+        assert not np.any(traj.energy) and traj.energy_drift() == 0.0
+
+    def test_white_noise_keeps_every_phase(self, rng):
+        box, a_box, u0, _ = self.laminate_run(1024, 8.0, 1 / 8)
+        traj = solve_fine_wave_exact(a_box, box, rng.standard_normal(box.n),
+                                     [1.0], 1 / 8)
+        assert traj.meta["blocks_solved"] == traj.meta["blocks"] == 33
+
+    def test_velocity_only_data_at_time_zero_is_kept(self):
+        # with t_max = 0 the velocity still weighs in through one CFL step
+        box, a_box, u0, _ = self.laminate_run(1024, 8.0, 1 / 8)
+        traj = solve_fine_wave_exact(a_box, box, np.zeros_like(u0), [0.0],
+                                     1 / 8, v0=u0)
+        assert traj.meta["blocks_solved"] > 0
+        assert np.max(np.abs(traj.v[0] - u0)) <= 1e-13 * np.max(np.abs(u0))
+
+    def test_phases_solved_on_the_readme_wave_compare_config(self):
+        # data and snapshot times of the README wave-compare config: the
+        # counts are deterministic, so any change to the rule shows here
+        solved = []
+        for eps in (1 / 8, 1 / 16, 1 / 32):
+            box = BoxGrid(1, int(16 * 64.0 / eps), 64.0)
+            x = box_coordinates(box)[0]
+            traj = solve_fine_wave_exact(
+                coefficient_on_box(LAMINATE, box, eps), box,
+                np.exp(-0.5 * (x - 32.0) ** 2), np.arange(1.0, 9.0), eps)
+            solved.append((traj.meta["blocks_solved"], traj.meta["blocks"]))
+        assert solved == [(107, 257), (150, 513), (232, 1025)]
 
     def test_leapfrog_converges_at_second_order(self):
         box, a_box, u0, v0 = self.laminate_run(128, 4.0, 1 / 2)
@@ -252,6 +314,19 @@ class TestResampling:
         out = sample_cell_on_box(grid, vals, box, 0.5)
         tile = vals[(Ellipsis,) + (slice(None, None, 8),) * dim]
         assert np.array_equal(out, np.tile(tile, (1,) + (8,) * dim))
+
+    def test_tensorized_gradient_is_bitwise_per_axis_derivative(self, smooth2d_a):
+        # one batched transform pair per corrector order gives the same
+        # bits as one spectral derivative per axis and monomial
+        tens = correctors.tensorize_correctors(smooth2d_a, 2)
+        box = BoxGrid(2, 64, 2.0)
+        bc = BoxCorrectors.from_tensorized(tens, box, 0.5)
+        for j, coeffs in enumerate(tens.phi):
+            per_axis = np.stack([
+                np.stack([torus.deriv_values(tens.grid, c, [ax]) for c in coeffs])
+                for ax in range(2)])
+            ref = sample_cell_on_box(tens.grid, per_axis, box, 0.5) / 0.5
+            assert np.array_equal(bc.grad_phi[j], ref)
 
 
 class TestHalfSpectrumMatchesFullFFT:
