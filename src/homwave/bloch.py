@@ -19,7 +19,7 @@ times that of each velocity snapshot.
 
 This is the fine-scale reference of the ``wave-compare`` and ``transport``
 experiments; leapfrog (``wave.solve_fine_wave``) is its independent
-cross-check and covers sources and 2D.
+cross-check and covers sources.
 """
 
 from __future__ import annotations

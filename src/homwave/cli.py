@@ -198,17 +198,20 @@ def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     a = coefficient_from_spec(cfg.coefficient, grid)
     dirs = correctors.half_circle_directions(cfg.dim,
                                              cfg.directions or 2 * cfg.ell + 4)
-    hier = correctors.build_hierarchies(a, cfg.ell, dirs)
-    man.solver.extend({"direction": h.direction.tolist(),
-                       "cg_iterations": h.cg_iterations,
-                       "cg_residual": h.cg_residual} for h in hier)
+    tens = correctors.tensorize_correctors(a, cfg.ell)
+    man.solver = {
+        "levels": [{"level": j, "cg_iterations": its, "cg_residual": res}
+                   for j, (its, res) in enumerate(
+                       zip(tens.cg_iterations, tens.cg_residual), start=1)],
+        "pcg_solves": sum(len(its) for its in tens.cg_iterations),
+        "cg_iterations_total": sum(sum(its) for its in tens.cg_iterations)}
     model = correctors.reconstruct_dispersion(
-        a, cfg.ell, directions=dirs, kmax_cap=cfg.kmax_cap, hierarchies=hier)
+        a, cfg.ell, directions=dirs, kmax_cap=cfg.kmax_cap, tensors=tens)
     _write_csv(out / "lambda_table.csv", correctors.lambda_table_rows(model),
                man.hash)
     man.artifacts.append("lambda_table.csv")
 
-    h0 = hier[0]
+    h0 = tens.in_direction(dirs[0])
     inv = correctors.hierarchy_invariants(h0)
     man.check("flux_exactness", inv["flux_exactness"], 10 * CG_TOL)
     man.check("q_nyquist", inv["q_nyquist"], 10 * CG_TOL)
@@ -220,6 +223,8 @@ def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         man.check("lambda2_two_ways", rep.lambda2_gap, 1e-8)
         man.check("lambda2_nonneg", rep.lambda2_quadratic, -1e-10,
                   larger_is_better=True)
+    if cfg.ell >= 5:
+        man.check("lambda4_two_ways", rep.lambda4_gap, 1e-7)
 
 
 def run_dispersion(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:

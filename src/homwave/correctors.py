@@ -1,17 +1,24 @@
 """Extended corrector hierarchies and homogenized dispersion tensors.
 
-For a fixed unit direction e, the hierarchy interleaves four families of
-periodic cell fields: scalar correctors phi_j, higher-order fluxes q_j,
+For a unit direction e, the hierarchy interleaves four families of periodic
+cell fields: scalar correctors phi_j, higher-order fluxes q_j,
 skew-symmetric flux potentials sigma_j with div(sigma_j) = q_j, and scalar
 potentials chi_j absorbing lower-order dispersion.  Each level feeds the
-next, so a single build is inherently sequential:
+next, so the recursion is sequential in j:
 
     phi_j  ->  atilde_{j-1}, lambda_{j-1}  ->  q_j  ->  sigma_j  ->  chi_j
 
-Direction-resolved quantities are homogeneous polynomials in e; fitting them
-over sampled directions recovers the effective tensors (as direction
-polynomials) and the tensorized corrector fields used to dress slowly
-varying profiles.
+Every field is a homogeneous polynomial in e: phi_j, sigma_j and q_j of
+degree j, chi_j and lambda_{j-1} of degree j + 1 (the multi-index
+correctors of Bakhvalov & Panasenko).  The recursion therefore runs on
+coefficient stacks.  A degree-k field is held as its coefficients over the
+degree-k monomials of a few direction variables.  Multiplying by a
+component of e is a convolution with that component's coefficients, and
+each coefficient of phi_j is one elliptic solve.  With the monomial basis
+e1^(k-r) e2^r (``tensorize_correctors``) the recursion gives the effective
+tensors and the tensorized corrector fields exactly, with j + 1 solves at
+level j in 2D.  With one variable t and e = t e0 (``build_hierarchy``) it is
+the hierarchy in the one direction e0, with one solve per level.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ from .torus import (
 
 
 class ReconstructionError(RuntimeError):
-    """Direction-polynomial fit failed to reproduce the sampled values."""
+    """An odd-order effective tensor does not vanish on the sampled
+    directions."""
 
 
 @dataclass
@@ -47,9 +55,10 @@ class CorrectorHierarchy:
     """Per-direction extended correctors up to a given order.
 
     ``lambdas[j]`` is the direction-diagonal homogenized coefficient of order
-    j (j = 0..order-1), ``atilde[j]`` the corresponding flux-average vector.
-    ``cg_iterations[j - 1]`` and ``cg_residual[j - 1]`` record the CG solve
-    for phi_j (j = 1..order).
+    j (j = 0..order-1), e . atilde_j for the flux average atilde_j.
+    ``cg_iterations[j - 1]`` and ``cg_residual[j - 1]`` record the CG solves
+    behind phi_j (j = 1..order): their total iteration count and their
+    largest final relative residual.
     """
 
     a: CoefficientField
@@ -60,7 +69,6 @@ class CorrectorHierarchy:
     chi: list
     q: list
     lambdas: np.ndarray
-    atilde: np.ndarray
     cg_iterations: list = dc_field(default_factory=list)
     cg_residual: list = dc_field(default_factory=list)
 
@@ -69,95 +77,191 @@ class CorrectorHierarchy:
         return self.a.grid
 
 
-def _fitted_guess(solved, e: np.ndarray, j: int) -> np.ndarray | None:
-    """phi_j in direction e from the least-squares degree-j direction
-    polynomial through the ``solved`` hierarchies' phi_j; None in 1D or
-    while fewer than j + 1 directions are solved."""
-    if e.shape[0] == 1 or len(solved) < j + 1:
-        return None
-    design = _monomial_design(np.stack([h.direction for h in solved]), j)
-    weights = _monomial_design(e[None, :], j) @ np.linalg.pinv(design)
-    guess = np.zeros(solved[0].phi[j].shape)
-    for w, h in zip(weights[0], solved):
-        guess += w * h.phi[j]
-    return guess
+# ---------------------------------------------------------------------------
+# the recursion on coefficient stacks
+# ---------------------------------------------------------------------------
+
+@dataclass
+class TensorizedCorrectors:
+    """The corrector hierarchy as homogeneous polynomials in the direction.
+
+    Every entry is a coefficient stack over the monomials e1^(k-r) e2^r,
+    r = 0..k, of its degree k (one coefficient e1^k in 1D), on the leading
+    axis of the fields.  ``phi[j]`` (degree j) and ``chi[j]`` (degree j + 1)
+    have shape (n_coefficients, grid...); contracting phi_j against the j-th
+    derivative tensor of a slowly varying profile realizes the
+    corrector-dressed expansion.  ``sigma12[j]`` is the one component s of
+    the skew flux potential sigma_j = s [[0, 1], [-1, 0]] (degree j; None in
+    1D, where sigma_j vanishes).  ``q[j]`` (j >= 1, degree j) has shape
+    (dim, n_coefficients, grid...), and ``lambdas[j]`` holds the
+    coefficients of the effective tensor lambda_j (degree j + 2),
+    j = 0..order-1.
+    ``cg_iterations[j - 1]`` and ``cg_residual[j - 1]`` list the CG solve of
+    each coefficient of phi_j.
+    """
+
+    a: CoefficientField
+    order: int
+    phi: list
+    sigma12: list
+    chi: list
+    q: list
+    lambdas: list
+    cg_iterations: list
+    cg_residual: list
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self.a.grid
+
+    def in_direction(self, e) -> CorrectorHierarchy:
+        """The hierarchy in direction e, contracted from the coefficients
+        (no solve)."""
+        e = _unit_direction(self.grid.dim, e)
+        return _contract(self, e, e)
 
 
-def build_hierarchy(a: CoefficientField, e, ell: int,
-                    solved=()) -> CorrectorHierarchy:
-    """Build the extended corrector hierarchy in direction e up to order ell.
+def times_polynomial(poly, stack) -> np.ndarray:
+    """Coefficient stack of the product of the direction polynomial with
+    coefficients ``poly`` (numbers) and the field held as ``stack``, both in
+    the same monomial basis: their convolution along the leading axis."""
+    out = np.zeros((len(poly) + len(stack) - 1,) + np.shape(stack)[1:])
+    for r, c in enumerate(poly):
+        out[r:r + len(stack)] += c * stack
+    return out
 
-    ``solved`` holds hierarchies already built for the same coefficient;
-    each phi_j solve starts from their direction-polynomial fit (see
-    ``_fitted_guess``) and stops at the same ``CG_TOL`` as a cold start.
+
+def _unit_direction(dim: int, e) -> np.ndarray:
+    e = np.asarray(e, dtype=float).reshape(dim)
+    norm = np.linalg.norm(e)
+    if norm == 0:
+        raise ConfigurationError("direction must be nonzero")
+    return e / norm
+
+
+def _corrector_stacks(a: CoefficientField, ell: int,
+                      basis: np.ndarray) -> TensorizedCorrectors:
+    """The corrector recursion up to order ell on coefficient stacks.
+
+    The direction is e = sum_i t_i basis[i] for the variables t_i, so column
+    m of ``basis`` holds the coefficients of e_m, and a degree-k field has
+    (len(basis) - 1) k + 1 coefficients, on the monomials of t.  Each
+    coefficient of phi_j is one cold PCG solve to ``CG_TOL``; the curl and
+    chi Poisson solves take a whole stack per transform.
     """
     if ell < 1:
         raise ConfigurationError("hierarchy order must be >= 1")
     grid = a.grid
     d = grid.dim
-    e = np.asarray(e, dtype=float).reshape(d)
-    norm = np.linalg.norm(e)
-    if norm == 0:
-        raise ConfigurationError("direction must be nonzero")
-    e = e / norm
+    e = basis.T
+    # a broadcast against the coefficient axis of a stack of vector fields
+    a_stack = a.values[:, :, None]
 
-    ae = _matvec(a.values, e.reshape((d,) + (1,) * d))
-    shape = grid.shape
-    phi = [np.ones(shape)]
-    sigma = [np.zeros((d, d) + shape)]
-    chi = [np.zeros(shape), np.zeros(shape)]
+    def zeros(degree):
+        return np.zeros(((len(basis) - 1) * degree + 1,) + grid.shape)
+
+    def dot_e(vec):
+        return sum(times_polynomial(e[m], vec[m]) for m in range(d))
+
+    phi = [np.ones((1,) + grid.shape)]
+    s = [zeros(0) if d == 2 else None]
+    chi = [zeros(1), zeros(2)]
     q = [None]
-    lambdas = np.zeros(ell)
-    atilde = np.zeros((ell, d))
+    lambdas = []
     cg_iterations, cg_residual = [], []
 
     for j in range(1, ell + 1):
         grad_chi = gradient_values(grid, chi[j - 1])
-        sig_e = np.einsum("mn...,n->m...", sigma[j - 1], e)
-        flux_src = -sig_e + ae * phi[j - 1] + grad_chi
-        try:
-            phi_j, iterations, residual = solve_div_a_grad(
-                a, flux_src, _fitted_guess(solved, e, j))
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"corrector solve failed at level {j}: {err}",
-                residual=err.residual, iterations=err.iterations) from err
+        # sigma e for sigma = s [[0, 1], [-1, 0]]
+        sig_e = 0.0 if d == 1 else np.stack([times_polynomial(e[1], s[j - 1]),
+                                             -times_polynomial(e[0], s[j - 1])])
+        a_e_phi = _matvec(a_stack, np.stack([times_polynomial(e[m], phi[j - 1])
+                                             for m in range(d)]))
+        flux_src = a_e_phi + grad_chi - sig_e
+        phi_j = np.empty(flux_src.shape[1:])
+        iterations, residuals = [], []
+        for r in range(len(phi_j)):
+            try:
+                phi_j[r], its, res = solve_div_a_grad(a, flux_src[:, r])
+            except ConvergenceError as err:
+                raise ConvergenceError(
+                    f"corrector solve failed at level {j}, coefficient {r}: "
+                    f"{err}", residual=err.residual,
+                    iterations=err.iterations) from err
+            iterations.append(its)
+            residuals.append(res)
         phi.append(phi_j)
         cg_iterations.append(iterations)
-        cg_residual.append(residual)
+        cg_residual.append(residuals)
 
-        flux = _matvec(a.values, gradient_values(grid, phi_j)) + ae * phi[j - 1]
+        flux = _matvec(a_stack, gradient_values(grid, phi_j)) + a_e_phi
         at = mean_values(grid, flux)
-        atilde[j - 1] = at
-        lambdas[j - 1] = float(e @ at)
-
-        q_j = flux - at.reshape((d,) + (1,) * d) + grad_chi - sig_e
+        lambdas.append(dot_e(at))
+        q_j = flux - at[(...,) + (None,) * d] + grad_chi - sig_e
         q.append(q_j)
 
         if d == 1:
             # 1x1 skew-symmetry: the flux potential vanishes identically and
             # the flux itself is zero up to the elliptic solver residual.
-            sigma.append(np.zeros((1, 1) + shape))
+            s.append(None)
         else:
             curl = deriv_values(grid, q_j[1], [0]) - deriv_values(grid, q_j[0], [1])
-            s, _ = solve_poisson_values(grid, curl)
-            sig = np.zeros((2, 2) + shape)
-            sig[0, 1] = s
-            sig[1, 0] = -s
-            sigma.append(sig)
+            s.append(solve_poisson_values(grid, curl)[0])
 
         if j >= 2:
-            src = np.einsum("m...,m->...", grad_chi, e)
+            src = dot_e(grad_chi)
             for p in range(1, j):
-                src = src + lambdas[j - 1 - p] * phi[p]
-            chi_j, _ = solve_poisson_values(grid, src)
-            chi.append(chi_j)
+                src = src + times_polynomial(lambdas[j - 1 - p], phi[p])
+            chi.append(solve_poisson_values(grid, src)[0])
 
-    return CorrectorHierarchy(a=a, direction=e, order=ell,
-                              phi=phi, sigma=sigma, chi=chi[: ell + 1], q=q,
-                              lambdas=lambdas, atilde=atilde,
-                              cg_iterations=cg_iterations,
-                              cg_residual=cg_residual)
+    return TensorizedCorrectors(a=a, order=ell, phi=phi, sigma12=s, chi=chi,
+                                q=q, lambdas=lambdas,
+                                cg_iterations=cg_iterations,
+                                cg_residual=cg_residual)
+
+
+def _contract(t: TensorizedCorrectors, e: np.ndarray,
+              coords) -> CorrectorHierarchy:
+    """The hierarchy in the unit direction e from the stacks of ``t``, each
+    evaluated at ``coords``, the values of t's direction variables at e."""
+    d = t.grid.dim
+    shape = t.grid.shape
+
+    def value(stack, degree):
+        return evaluate_monomials(stack, degree, coords)
+
+    sigma = []
+    for j, s in enumerate(t.sigma12):
+        sig = np.zeros((d, d) + shape)
+        if d == 2:
+            sig[0, 1] = value(s, j)
+            sig[1, 0] = -sig[0, 1]
+        sigma.append(sig)
+    return CorrectorHierarchy(
+        a=t.a, direction=e, order=t.order,
+        phi=[value(p, j) for j, p in enumerate(t.phi)],
+        sigma=sigma,
+        chi=[value(c, j + 1) for j, c in enumerate(t.chi)],
+        q=[None] + [np.stack([value(qm, j) for qm in t.q[j]])
+                    for j in range(1, t.order + 1)],
+        lambdas=np.array([float(value(lam, j + 2))
+                          for j, lam in enumerate(t.lambdas)]),
+        cg_iterations=[sum(its) for its in t.cg_iterations],
+        cg_residual=[max(res) for res in t.cg_residual])
+
+
+def build_hierarchy(a: CoefficientField, e, ell: int) -> CorrectorHierarchy:
+    """Build the extended corrector hierarchy in direction e up to order ell:
+    the recursion of ``tensorize_correctors`` with the direction fixed, one
+    CG solve per level."""
+    e = _unit_direction(a.grid.dim, e)
+    return _contract(_corrector_stacks(a, ell, e[None, :]), e, [1.0])
+
+
+def tensorize_correctors(a: CoefficientField, ell: int) -> TensorizedCorrectors:
+    """Monomial coefficients of the corrector hierarchy up to order ell:
+    sum_{j <= ell} (j + 1) CG solves in 2D, ell in 1D."""
+    return _corrector_stacks(a, ell, np.eye(a.grid.dim))
 
 
 def _l2(values: np.ndarray) -> float:
@@ -325,8 +429,10 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
                           pair_identity=report_pairs, step_identity=report_steps)
 
 
+
+
 # ---------------------------------------------------------------------------
-# direction sampling and polynomial reconstruction
+# direction sampling and the effective tensors
 # ---------------------------------------------------------------------------
 
 def half_circle_directions(dim: int, n: int, offset: float = 0.0) -> np.ndarray:
@@ -341,44 +447,6 @@ def half_circle_directions(dim: int, n: int, offset: float = 0.0) -> np.ndarray:
 def default_directions(dim: int, ell: int) -> np.ndarray:
     """Direction samples: 2*ell + 4 equispaced half-circle angles in 2D."""
     return half_circle_directions(dim, 2 * ell + 4)
-
-
-def build_hierarchies(a: CoefficientField, ell: int, directions) -> list:
-    """Hierarchies for several directions, one after the other; each build
-    warm-starts its solves from the directions built before it."""
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    hierarchies = []
-    for e in directions:
-        hierarchies.append(build_hierarchy(a, e, ell, solved=hierarchies))
-    return hierarchies
-
-
-def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:
-    """Rows evaluate the monomials e1^(degree-r) e2^r, r = 0..degree."""
-    e1, e2 = directions[:, 0], directions[:, 1]
-    return np.stack([e1 ** (degree - r) * e2 ** r for r in range(degree + 1)],
-                    axis=1)
-
-
-def fit_direction_polynomial(directions: np.ndarray, samples: np.ndarray,
-                             degree: int):
-    """Least-squares homogeneous polynomial fit over unit directions.
-
-    ``samples`` has shape (n_directions, ...); returns (coeffs, max relative
-    residual) where coeffs has shape (degree + 1, ...) in the monomial basis
-    e1^(degree-r) e2^r.  In 1D the single coefficient is the e = +1 sample.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if directions.shape[1] == 1:
-        coeffs = samples[:1].copy()
-        return coeffs, 0.0
-    design = _monomial_design(directions, degree)
-    flat = samples.reshape(samples.shape[0], -1)
-    coeffs, *_ = np.linalg.lstsq(design, flat, rcond=None)
-    recon = design @ coeffs
-    scale = max(float(np.max(np.abs(flat))), 1e-30)
-    residual = float(np.max(np.abs(recon - flat))) / scale
-    return coeffs.reshape((degree + 1,) + samples.shape[1:]), residual
 
 
 def evaluate_monomials(coeffs: np.ndarray, degree: int, vec) -> np.ndarray:
@@ -399,130 +467,59 @@ def evaluate_monomials(coeffs: np.ndarray, degree: int, vec) -> np.ndarray:
 
 
 def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,
-                           kmax_cap: float = 1.0, hierarchies=None,
+                           kmax_cap: float = 1.0, tensors=None,
                            fit_tol: float = 1e-6):
-    """Fit the homogenized tensors of orders 0..ell-1 as direction polynomials.
+    """The homogenized tensors of orders 0..ell-1 as direction polynomials.
 
-    Per-direction hierarchies give lambda_j^e; each is a homogeneous
-    polynomial of degree j + 2 in e, recovered by least squares over the
-    sampled directions.  Odd orders are checked to vanish (symmetric
-    coefficients) and stored as zero.  Returns a dispersion model carrying
-    the polynomials, their sup magnitude, and the positivity radius k_max.
+    lambda_j is a homogeneous polynomial of degree j + 2 in e, and the
+    monomial build (``tensors``, built when not given) holds its
+    coefficients exactly.  The sampled directions are evaluation points:
+    odd orders (zero for symmetric coefficients) must vanish on them to
+    ``fit_tol`` lambda_0 and are stored as zero, and ``Gamma_bar`` is the
+    largest |lambda_j| on them.  A degree-(ell + 1) polynomial that vanishes
+    at ell + 2 distinct half-circle directions vanishes identically, so at
+    least that many are required in 2D.  Returns a dispersion model carrying
+    the polynomials, the odd-order magnitudes as ``fit_residuals`` (0 at
+    even orders), and the positivity radius k_max.
     """
+    dim = a.grid.dim
     if directions is None:
-        directions = default_directions(a.grid.dim, ell)
+        directions = default_directions(dim, ell)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    needed = ell + 2  # coefficients of the highest-degree polynomial
-    if a.grid.dim == 2 and directions.shape[0] < needed:
+    needed = ell + 2
+    if dim == 2 and directions.shape[0] < needed:
         raise ConfigurationError(
             f"need at least {needed} directions for order {ell}")
-    if hierarchies is None:
-        hierarchies = build_hierarchies(a, ell, directions)
-    lam = np.stack([h.lambdas for h in hierarchies])  # (n_dir, ell)
+    if tensors is None:
+        tensors = tensorize_correctors(a, ell)
+    if tensors.order < ell:
+        raise ConfigurationError("tensorized correctors below requested order")
+    lam = np.stack([evaluate_monomials(tensors.lambdas[j], j + 2, directions.T)
+                    for j in range(ell)], axis=1)  # (n_dir, ell)
     lam0 = float(np.min(lam[:, 0]))
 
     polys = []
     residuals = []
     for j in range(ell):
-        degree = j + 2
-        if j % 2 == 1:
-            mag = float(np.max(np.abs(lam[:, j])))
-            if mag > fit_tol * lam0:
-                raise ReconstructionError(
-                    f"odd-order coefficient {j} has magnitude {mag:.3e}, "
-                    f"exceeds {fit_tol:g} * lambda_0")
-            polys.append(np.zeros(degree + 1 if a.grid.dim == 2 else 1))
-            residuals.append(mag / lam0)
+        if j % 2 == 0:
+            polys.append(tensors.lambdas[j])
+            residuals.append(0.0)
             continue
-        coeffs, res = fit_direction_polynomial(directions, lam[:, j], degree)
-        if res > fit_tol:
+        mag = float(np.max(np.abs(lam[:, j])))
+        if mag > fit_tol * lam0:
             raise ReconstructionError(
-                f"direction fit at order {j} has relative residual {res:.3e}")
-        polys.append(coeffs)
-        residuals.append(res)
+                f"odd-order coefficient {j} has magnitude {mag:.3e}, "
+                f"exceeds {fit_tol:g} * lambda_0")
+        polys.append(np.zeros_like(tensors.lambdas[j]))
+        residuals.append(mag / lam0)
 
-    gamma_bar = max(float(np.max(np.abs(lam[:, j]))) for j in range(ell))
+    gamma_bar = float(np.max(np.abs(lam)))
     model = _dispersion.DispersionModel(
-        dim=a.grid.dim, ell=ell, polys=polys, directions=directions,
+        dim=dim, ell=ell, polys=polys, directions=directions,
         Gamma_bar=gamma_bar, kmax_cap=float(kmax_cap),
         fit_residuals=np.asarray(residuals))
     model.kmax = _dispersion.compute_kmax(model, kmax_cap)
     return model
-
-
-# ---------------------------------------------------------------------------
-# tensorized correctors
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TensorizedCorrectors:
-    """Corrector fields as nodewise homogeneous polynomials in the direction.
-
-    ``phi[j]`` has shape (n_monomials, grid...) with n_monomials = j + 1 in
-    2D (monomial basis e1^(j-r) e2^r) and 1 in 1D; contracting against the
-    j-th derivative tensor of a slowly varying profile realizes the
-    corrector-dressed expansion.  ``sigma12`` (2D only) and ``chi`` carry the
-    flux potential component and the dispersion potential at degrees j and
-    j + 1 respectively; they feed the divergence-form residuum identities.
-    """
-
-    grid: TorusGrid
-    dim: int
-    order: int
-    directions: np.ndarray
-    phi: list
-    sigma12: list
-    chi: list
-    fit_residual: float
-
-    def phi_in_direction(self, j: int, e) -> np.ndarray:
-        e = np.asarray(e, dtype=float).reshape(self.dim, 1)
-        if self.dim == 1:
-            return self.phi[j][0] * float(e[0, 0]) ** j
-        flat = evaluate_monomials(
-            self.phi[j].reshape(j + 1, -1), j, e)
-        return flat.reshape(self.grid.shape)
-
-
-def tensorize_correctors(a: CoefficientField, ell: int, directions=None,
-                         hierarchies=None) -> TensorizedCorrectors:
-    """Nodewise direction-polynomial fit of the corrector fields.
-
-    phi_j is homogeneous of degree j in the direction, the flux potential of
-    degree j, and chi_j of degree j + 1; the recursion preserves these
-    degrees, which the recorded fit residual confirms a posteriori.
-    """
-    if directions is None:
-        directions = default_directions(a.grid.dim, ell)
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if a.grid.dim == 2 and directions.shape[0] < ell + 2:
-        raise ConfigurationError(
-            f"need at least {ell + 2} directions to tensorize order {ell}")
-    if hierarchies is None:
-        hierarchies = build_hierarchies(a, ell, directions)
-
-    worst = 0.0
-    phi_t, sig_t, chi_t = [], [], []
-    for j in range(ell + 1):
-        phi_samples = np.stack([h.phi[j] for h in hierarchies])
-        coeffs, res = fit_direction_polynomial(directions, phi_samples, j)
-        worst = max(worst, res)
-        phi_t.append(coeffs)
-        if a.grid.dim == 2:
-            sig_samples = np.stack([h.sigma[j][0, 1] for h in hierarchies])
-            coeffs, res = fit_direction_polynomial(directions, sig_samples, j)
-            worst = max(worst, res)
-            sig_t.append(coeffs)
-        else:
-            sig_t.append(None)
-        chi_samples = np.stack([h.chi[j] for h in hierarchies])
-        coeffs, res = fit_direction_polynomial(directions, chi_samples, j + 1)
-        worst = max(worst, res)
-        chi_t.append(coeffs)
-
-    return TensorizedCorrectors(grid=a.grid, dim=a.grid.dim, order=ell,
-                                directions=directions, phi=phi_t,
-                                sigma12=sig_t, chi=chi_t, fit_residual=worst)
 
 
 def lambda_table_rows(model) -> list:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle1d, wave
 from .dispersion import DispersionModel
-from .correctors import TensorizedCorrectors
+from .correctors import TensorizedCorrectors, times_polynomial
 from .torus import (
     CoefficientField,
     ConfigurationError,
@@ -101,10 +101,8 @@ def _coupling_field(phi: list, model: DispersionModel, cache: DerivativeCache,
     for p in range(0, ell - 1):
         pcoef = np.atleast_1d(model.polys[p])
         for j in range(1, ell - p):
-            product = np.zeros((len(phi[j]) + len(pcoef) - 1,) + phi[j].shape[1:])
-            for s, c in enumerate(pcoef):
-                product[s:s + len(phi[j])] += c * phi[j]
-            out = out + eps ** (p + j) * cache.contract(product, j + p + 2)
+            out = out + eps ** (p + j) * cache.contract(
+                times_polynomial(pcoef, phi[j]), j + p + 2)
     return out
 
 

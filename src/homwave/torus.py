@@ -412,16 +412,13 @@ def _l2(grid: TorusGrid, values: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(values, values).real / grid.n ** grid.dim))
 
 
-def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray,
-                    guess: np.ndarray | None = None):
+def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray):
     """CG for -div(a grad u) = rhs on the zero-mean subspace, run on the
     half spectrum ``rhs_hat`` of rhs; its mean is dropped.
 
     Preconditioner: inverse of -div(mean(a) grad) built from the same
-    Nyquist-zeroed derivatives as the operator, a diagonal multiply.  An
-    optional real-space ``guess`` (its mean dropped) is the starting point
-    unless its residual is no smaller than rhs, in which case CG starts from
-    zero; either way the stop test is the residual relative to rhs.
+    Nyquist-zeroed derivatives as the operator, a diagonal multiply.  CG
+    starts from zero and stops at the residual ``CG_TOL`` relative to rhs.
     Returns (u, iterations, final relative residual); raises
     ``ConvergenceError`` when ``CG_MAXITER`` iterations do not reach
     ``CG_TOL``.
@@ -440,12 +437,6 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray,
         return np.zeros(grid.shape), 0, 0.0
 
     u = np.zeros_like(r)
-    if guess is not None:
-        u_guess = rfftn(grid, guess)
-        u_guess.flat[0] = 0.0
-        r_guess = r - _div_a_grad_hat(a, u_guess)
-        if _half_dot(r_guess, r_guess) < rhs_norm ** 2:
-            u, r = u_guess, r_guess
     z = inv * r
     p = z.copy()
     rz = _half_dot(r, z)
@@ -469,16 +460,14 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray,
         residual=res, iterations=CG_MAXITER)
 
 
-def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray,
-                     guess: np.ndarray | None = None):
-    """Solve -div(a grad phi) = div(flux_rhs) on the torus, zero-mean phi,
-    starting CG from the real-space ``guess`` when one is given.
+def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray):
+    """Solve -div(a grad phi) = div(flux_rhs) on the torus, zero-mean phi.
 
     Returns (phi, CG iterations, final relative residual).
     """
     flux_hat = rfftn(a.grid, np.asarray(flux_rhs, dtype=float))
     rhs_hat = np.sum(_half_gradient_multiplier(a.grid) * flux_hat, axis=0)
-    return _pcg_div_a_grad(a, rhs_hat, guess)
+    return _pcg_div_a_grad(a, rhs_hat)
 
 
 def require_zero_mean(values: np.ndarray, what: str = "rhs") -> None:

@@ -164,10 +164,8 @@ def test_criterion_6_elliptic_rates():
 
 
 def test_criterion_7_residuum_identities(smooth64):
-    hier = correctors.build_hierarchies(
-        smooth64, 2, correctors.default_directions(2, 2))
-    model = correctors.reconstruct_dispersion(smooth64, 2, hierarchies=hier)
-    tens = correctors.tensorize_correctors(smooth64, 2, hierarchies=hier)
+    tens = correctors.tensorize_correctors(smooth64, 2)
+    model = correctors.reconstruct_dispersion(smooth64, 2, tensors=tens)
     grid = smooth64.grid
     x, y = (np.broadcast_to(ax, grid.shape) for ax in grid.coordinate_axes())
     v = np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y) + 0.5 * np.cos(

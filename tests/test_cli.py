@@ -103,29 +103,45 @@ class TestRun:
         # out_dir is not hashed, so the config header lines agree too
         assert csv_a == csv_b
 
-    def test_correctors_record_cg_per_direction_and_level(self, tmp_path):
+    def test_correctors_record_cg_per_level_and_coefficient(self, tmp_path):
         cfg = ExperimentConfig(kind="correctors",
                                coefficient={"kind": "trig_checkerboard",
                                             "base": 2.0, "amplitude": 1.0},
                                dim=2, grid_n=16, ell=3,
                                out_dir=str(tmp_path))
         run(cfg)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        solver = manifest["solver"]
-        assert len(solver) == 2 * cfg.ell + 4
-        for entry in solver:
-            assert len(entry["direction"]) == 2
-            assert len(entry["cg_iterations"]) == cfg.ell
-            assert len(entry["cg_residual"]) == cfg.ell
+        solver = json.loads((tmp_path / "manifest.json").read_text())["solver"]
+        # one cold solve per monomial coefficient e1^(j-r) e2^r of phi_j
+        assert [entry["level"] for entry in solver["levels"]] == [1, 2, 3]
+        for j, entry in enumerate(solver["levels"], start=1):
+            assert len(entry["cg_iterations"]) == j + 1
+            assert len(entry["cg_residual"]) == j + 1
+            assert min(entry["cg_iterations"]) > 0
             assert max(entry["cg_residual"]) <= torus.CG_TOL
-        # direction 0 has nothing to warm-start from; later directions start
-        # from the direction-polynomial fit and may meet CG_TOL at once
-        assert min(solver[0]["cg_iterations"]) > 0
+        assert solver["pcg_solves"] == 2 + 3 + 4
+        assert solver["cg_iterations_total"] == sum(
+            sum(entry["cg_iterations"]) for entry in solver["levels"])
         a = torus.coefficient_from_spec(cfg.coefficient,
                                         torus.TorusGrid(cfg.dim, cfg.grid_n))
-        cold = sum(sum(correctors.build_hierarchy(a, e, cfg.ell).cg_iterations)
-                   for e in correctors.half_circle_directions(2, len(solver)))
-        assert sum(sum(entry["cg_iterations"]) for entry in solver) < cold
+        tens = correctors.tensorize_correctors(a, cfg.ell)
+        assert [entry["cg_iterations"] for entry in solver["levels"]] == (
+            tens.cg_iterations)
+
+    def test_correctors_sixth_order(self, tmp_path):
+        cfg = ExperimentConfig(kind="correctors",
+                               coefficient={"kind": "trig_checkerboard",
+                                            "base": 2.0, "amplitude": 1.0},
+                               dim=2, grid_n=64, ell=6,
+                               out_dir=str(tmp_path))
+        assert run(cfg) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        checks = {c["name"]: c for c in manifest["checks"]}
+        assert checks["lambda4_two_ways"]["threshold"] == 1e-7
+        assert all(c["pass"] for c in checks.values())
+        assert manifest["solver"]["pcg_solves"] == 27
+        rows = (tmp_path / "lambda_table.csv").read_text().splitlines()[2:]
+        assert [len(row.split(",")[2].split()) for row in rows] == [
+            3, 4, 5, 6, 7, 8]
 
     def test_under_resolved_correctors_fail_the_resolution_check(self, tmp_path):
         cfg = ExperimentConfig(kind="correctors",

@@ -51,31 +51,6 @@ class TestBuildHierarchy:
         h2 = build_hierarchy(smooth2d_a, [1.0, 0.0], 1)
         assert np.allclose(h1.phi[1], h2.phi[1])
 
-    def test_warm_started_builds_match_cold_builds(self):
-        a = torus.coefficient_from_spec(SMOOTH2D, torus.TorusGrid(2, 64))
-        dirs = half_circle_directions(2, 12)
-        warm = correctors.build_hierarchies(a, 4, dirs)
-        cold = [build_hierarchy(a, e, 4) for e in dirs]
-        lam0 = cold[0].lambdas[0]
-        for hw, hc in zip(warm, cold):
-            assert max(hw.cg_residual) <= torus.CG_TOL
-            assert np.max(np.abs(hw.lambdas - hc.lambdas)) <= 100 * torus.CG_TOL * lam0
-            for j in range(1, 5):
-                gap = np.max(np.abs(hw.phi[j] - hc.phi[j]))
-                assert gap <= 1e-8 * np.max(np.abs(hc.phi[j]))
-        # the first direction has nothing to start from
-        assert warm[0].cg_iterations == cold[0].cg_iterations
-        assert np.array_equal(warm[0].phi[4], cold[0].phi[4])
-        total = [sum(sum(h.cg_iterations) for h in hs) for hs in (warm, cold)]
-        assert total[0] < total[1] / 2
-
-    def test_one_dimensional_builds_get_no_guess(self, laminate_a):
-        (h,) = correctors.build_hierarchies(laminate_a, 3, [[1.0]])
-        cold = build_hierarchy(laminate_a, [1.0], 3, solved=[h] * 4)
-        assert cold.cg_iterations == h.cg_iterations
-        for j in range(4):
-            assert np.array_equal(cold.phi[j], h.phi[j])
-
     def test_order_consistency_bitwise(self, smooth2d_a):
         h4 = build_hierarchy(smooth2d_a, [1.0, 0.0], 4)
         h2 = build_hierarchy(smooth2d_a, [1.0, 0.0], 2)
@@ -254,20 +229,61 @@ class TestTensorizedCorrectors:
         tens = tensorize_correctors(smooth2d_a, 2)
         e = np.array([np.cos(1.1), np.sin(1.1)])
         h = build_hierarchy(smooth2d_a, e, 2)
-        recon = tens.phi_in_direction(2, e)
+        recon = tens.in_direction(e).phi[2]
         rel = (np.sqrt(np.mean((recon - h.phi[2]) ** 2))
                / np.sqrt(np.mean(h.phi[2] ** 2)))
         assert rel < 1e-6
 
     def test_one_dimensional_direction_sign(self, laminate_a):
         tens = tensorize_correctors(laminate_a, 3)
+        h = tens.in_direction([-1.0])
         for j in range(4):
-            got = tens.phi_in_direction(j, [-1.0])
-            assert np.array_equal(got, tens.phi[j][0] * (-1.0) ** j)
+            assert np.array_equal(h.phi[j], tens.phi[j][0] * (-1.0) ** j)
 
-    def test_fit_residual_recorded(self, smooth2d_a):
-        tens = tensorize_correctors(smooth2d_a, 2)
-        assert tens.fit_residual < 1e-8
+
+class TestMonomialBuild:
+    """The monomial build against the per-direction recursion it shares."""
+
+    @pytest.fixture(scope="class")
+    def smooth64(self):
+        return torus.coefficient_from_spec(SMOOTH2D, torus.TorusGrid(2, 64))
+
+    def test_contraction_matches_per_direction_builds(self, smooth64):
+        tens = tensorize_correctors(smooth64, 4)
+        tol = 10 * torus.CG_TOL
+
+        def gap(x, y):
+            return np.max(np.abs(x - y)) / max(np.max(np.abs(x)), 1e-300)
+
+        for e in half_circle_directions(2, 12):
+            cold = build_hierarchy(smooth64, e, 4)
+            h = tens.in_direction(e)
+            assert np.max(np.abs(h.lambdas - cold.lambdas)) <= tol * cold.lambdas[0]
+            for j in range(1, 5):
+                assert gap(cold.phi[j], h.phi[j]) <= tol
+                assert gap(cold.sigma[j], h.sigma[j]) <= tol
+                assert gap(cold.chi[j], h.chi[j]) <= tol
+
+    def test_first_axis_build_is_coefficient_zero(self, smooth2d_a):
+        # e1^k is the only monomial that does not vanish at e = (1, 0), and
+        # coefficient 0 of a product needs coefficient 0 of its factors only
+        tens = tensorize_correctors(smooth2d_a, 3)
+        h = build_hierarchy(smooth2d_a, [1.0, 0.0], 3)
+        assert h.cg_iterations == [its[0] for its in tens.cg_iterations]
+        for j in range(4):
+            assert np.array_equal(h.phi[j], tens.phi[j][0])
+            assert np.array_equal(h.sigma[j][0, 1], tens.sigma12[j][0])
+            assert np.array_equal(h.chi[j], tens.chi[j][0])
+        assert np.array_equal(h.lambdas,
+                              [lam[0] for lam in tens.lambdas])
+
+    def test_one_dimensional_parity(self, laminate_a):
+        # phi_j is homogeneous of degree j in e = +-1
+        plus = build_hierarchy(laminate_a, [1.0], 4)
+        minus = build_hierarchy(laminate_a, [-1.0], 4)
+        for j in range(5):
+            assert np.max(np.abs(minus.phi[j] - (-1) ** j * plus.phi[j])) <= (
+                10 * torus.CG_TOL * np.max(np.abs(plus.phi[j])))
 
 
 class TestParallelAndSerialization:

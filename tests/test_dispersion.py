@@ -1,5 +1,7 @@
 """Truncated Bloch dispersion: eigenvalues, cutoff, waves, eigendefects."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,10 +192,7 @@ class TestEigendefect:
 
     def test_gauge_invariance_in_chi(self, smooth_hierarchy_l3):
         h = smooth_hierarchy_l3
-        shifted = correctors.CorrectorHierarchy(
-            a=h.a, direction=h.direction, order=h.order, phi=h.phi,
-            sigma=h.sigma, chi=h.chi[:-1] + [h.chi[-1] + 0.37], q=h.q,
-            lambdas=h.lambdas, atilde=h.atilde)
+        shifted = dataclasses.replace(h, chi=h.chi[:-1] + [h.chi[-1] + 0.37])
         r0 = eigendefect_residual(h, 0.25)
         r1 = eigendefect_residual(shifted, 0.25)
         assert abs(r0 - r1) < 1e-12
@@ -206,7 +205,6 @@ class TestEigendefect:
 
 class TestMakeCutoff:
     def test_fills_kmax(self, laminate_hierarchy):
-        model = correctors.reconstruct_dispersion(
-            laminate_hierarchy.a, 2, hierarchies=[laminate_hierarchy])
+        model = correctors.reconstruct_dispersion(laminate_hierarchy.a, 2)
         spec = make_cutoff(model)
         assert spec.kmax == model.kmax > 0

@@ -1,5 +1,7 @@
 """Effective elliptic equations, expansions, and representation identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -263,18 +265,16 @@ class TestPreparedRhsAndExpansion:
 def smooth_setup():
     grid = torus.TorusGrid(2, 64)
     a = torus.coefficient_from_spec(SMOOTH2D, grid)
-    hier = correctors.build_hierarchies(a, 2, correctors.default_directions(2, 2))
-    model = correctors.reconstruct_dispersion(a, 2, hierarchies=hier)
-    tens = correctors.tensorize_correctors(a, 2, hierarchies=hier)
+    tens = correctors.tensorize_correctors(a, 2)
+    model = correctors.reconstruct_dispersion(a, 2, tensors=tens)
     return a, model, tens
 
 
 class TestResiduumIdentities:
     def test_constant_medium(self, grid2d):
         a = torus.coefficient_from_spec({"kind": "constant", "value": 2.0}, grid2d)
-        hier = correctors.build_hierarchies(a, 2, correctors.default_directions(2, 2))
-        model = correctors.reconstruct_dispersion(a, 2, hierarchies=hier)
-        tens = correctors.tensorize_correctors(a, 2, hierarchies=hier)
+        tens = correctors.tensorize_correctors(a, 2)
+        model = correctors.reconstruct_dispersion(a, 2, tensors=tens)
         x, y = (np.broadcast_to(ax, grid2d.shape)
                 for ax in grid2d.coordinate_axes())
         v = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
@@ -303,19 +303,15 @@ class TestResiduumIdentities:
         rep0 = residuum_identities(a, tens, model, v, 2)
         shifted_chi = [c.copy() for c in tens.chi]
         shifted_chi[2] = shifted_chi[2] + 0.61  # constant shift, all monomials
-        tens2 = correctors.TensorizedCorrectors(
-            grid=tens.grid, dim=tens.dim, order=tens.order,
-            directions=tens.directions, phi=tens.phi, sigma12=tens.sigma12,
-            chi=shifted_chi, fit_residual=tens.fit_residual)
+        tens2 = dataclasses.replace(tens, chi=shifted_chi)
         rep1 = residuum_identities(a, tens2, model, v, 2)
         assert abs(rep0.full - rep1.full) < 1e-10
 
     def test_1d_laminate_reported(self):
         grid = torus.TorusGrid(1, 1024)
         a = torus.coefficient_from_spec(LAMINATE, grid)
-        h = correctors.build_hierarchy(a, [1.0], 2)
-        model = correctors.reconstruct_dispersion(a, 2, hierarchies=[h])
-        tens = correctors.tensorize_correctors(a, 2, hierarchies=[h])
+        tens = correctors.tensorize_correctors(a, 2)
+        model = correctors.reconstruct_dispersion(a, 2, tensors=tens)
         x = np.broadcast_to(grid.coordinate_axes()[0], grid.shape)
         v = np.sin(2 * np.pi * x)
         rep = residuum_identities(a, tens, model, v, 2)
@@ -354,9 +350,8 @@ class TestRateStudies:
         grid = torus.TorusGrid(1, 128)
         spec_tag = {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0}
         a = torus.coefficient_from_spec(spec_tag, grid)
-        h = correctors.build_hierarchy(a, [1.0], 2)
-        model = correctors.reconstruct_dispersion(a, 2, hierarchies=[h])
-        tens = correctors.tensorize_correctors(a, 2, hierarchies=[h])
+        tens = correctors.tensorize_correctors(a, 2)
+        model = correctors.reconstruct_dispersion(a, 2, tensors=tens)
         box = BoxGrid(1, 1024, 1.0)
         x = box_coordinates(box)[0]
         f = np.sin(2 * np.pi * x)

@@ -179,3 +179,37 @@ def test_checker_flags_a_dead_private_helper(tmp_path):
     assert dead_private_helpers(tmp_path) == [
         ("a.py", 10, "_recursive"), ("a.py", 13, "_dead"),
         ("a.py", 16, "_DeadClass")]
+
+
+def names_read(path: Path) -> set:
+    """Every name and attribute a module refers to."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {name for node in ast.walk(tree) for name in _names_referenced(node)}
+
+
+def parameter_names(path: Path) -> set:
+    """Every parameter name of every function a module defines."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {a.arg for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for a in (node.args.posonlyargs + node.args.args
+                      + node.args.kwonlyargs)}
+
+
+def test_correctors_fit_no_direction_samples():
+    # the recursion runs on monomial coefficients, so nothing is fitted
+    # through per-direction builds
+    assert names_read(PACKAGE / "correctors.py") & {"lstsq", "pinv"} == set()
+
+
+def test_elliptic_solves_start_cold():
+    assert "guess" not in parameter_names(PACKAGE / "torus.py")
+
+
+def test_checkers_see_fits_and_guesses(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nfrom numpy.linalg import pinv\n\n"
+                     "def solve(a, b, *, guess=None):\n"
+                     "    return np.linalg.lstsq(a, b), pinv(a), guess\n")
+    assert names_read(probe) >= {"lstsq", "pinv"}
+    assert parameter_names(probe) == {"a", "b", "guess"}

@@ -313,32 +313,6 @@ class TestVariableCoefficientSolve:
         assert transforms == {"rfftn": d * iterations + d,
                               "irfftn": d * iterations + 1}
 
-    @pytest.mark.parametrize("kind", ["noise", "near", "exact"])
-    def test_guess_changes_only_the_start(self, smooth2d_a, rng, kind,
-                                          monkeypatch):
-        grid = smooth2d_a.grid
-        flux = np.stack([band_limited(grid, rng), band_limited(grid, rng)])
-        cold, cold_its, _ = solve_div_a_grad(smooth2d_a, flux)
-        with monkeypatch.context() as m:
-            m.setattr(torus, "CG_TOL", 1e-13)
-            tight = solve_div_a_grad(smooth2d_a, flux)[0]
-        # every guess carries a mean, which the solve drops
-        guess = {"noise": 10.0 * rng.standard_normal(grid.shape) + 3.0,
-                 "near": cold + 1e-3 * band_limited(grid, rng) + 3.0,
-                 "exact": tight + 3.0}[kind]
-        phi, its, residual = solve_div_a_grad(smooth2d_a, flux, guess)
-        assert residual <= torus.CG_TOL
-        assert weak_residual(smooth2d_a, phi, flux) < 1e-10
-        assert abs(phi.mean()) < 1e-14
-        assert np.max(np.abs(phi - cold)) <= 1e-8 * np.max(np.abs(cold))
-        if kind == "noise":
-            # residual above rhs: the guess is dropped, a cold start runs
-            assert its == cold_its and np.array_equal(phi, cold)
-        else:
-            assert its < cold_its
-        if kind == "exact":
-            assert its == 0
-
     def test_solve_elliptic_rejects_mean(self, smooth2d_a):
         with pytest.raises(SolvabilityError):
             solve_elliptic(smooth2d_a, np.ones(smooth2d_a.grid.shape))
