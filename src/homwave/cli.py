@@ -199,12 +199,22 @@ def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     dirs = correctors.half_circle_directions(cfg.dim,
                                              cfg.directions or 2 * cfg.ell + 4)
     tens = correctors.tensorize_correctors(a, cfg.ell)
+    levels = []
+    coarse_total = {}
+    for j, (its, res, starts) in enumerate(
+            zip(tens.cg_iterations, tens.cg_residual, tens.cg_coarse_iterations),
+            start=1):
+        sizes = sorted({n for start in starts for n in start}, reverse=True)
+        coarse = {str(n): [start.get(n, 0) for start in starts] for n in sizes}
+        for n, counts in coarse.items():
+            coarse_total[n] = coarse_total.get(n, 0) + sum(counts)
+        levels.append({"level": j, "cg_iterations": its, "cg_residual": res,
+                       "coarse_cg_iterations": coarse})
     man.solver = {
-        "levels": [{"level": j, "cg_iterations": its, "cg_residual": res}
-                   for j, (its, res) in enumerate(
-                       zip(tens.cg_iterations, tens.cg_residual), start=1)],
+        "levels": levels,
         "pcg_solves": sum(len(its) for its in tens.cg_iterations),
-        "cg_iterations_total": sum(sum(its) for its in tens.cg_iterations)}
+        "cg_iterations_total": sum(sum(its) for its in tens.cg_iterations),
+        "coarse_cg_iterations_total": coarse_total}
     model = correctors.reconstruct_dispersion(
         a, cfg.ell, directions=dirs, kmax_cap=cfg.kmax_cap, tensors=tens)
     _write_csv(out / "lambda_table.csv", correctors.lambda_table_rows(model),

@@ -97,7 +97,9 @@ class TensorizedCorrectors:
     coefficients of the effective tensor lambda_j (degree j + 2),
     j = 0..order-1.
     ``cg_iterations[j - 1]`` and ``cg_residual[j - 1]`` list the CG solve of
-    each coefficient of phi_j.
+    each coefficient of phi_j, and ``cg_coarse_iterations[j - 1]`` the CG
+    iterations of its coarse-grid start, each a dict keyed by the points per
+    axis of the coarser grid (``torus.PCGSolve``).
     """
 
     a: CoefficientField
@@ -109,6 +111,7 @@ class TensorizedCorrectors:
     lambdas: list
     cg_iterations: list
     cg_residual: list
+    cg_coarse_iterations: list
 
     @property
     def grid(self) -> TorusGrid:
@@ -146,7 +149,7 @@ def _corrector_stacks(a: CoefficientField, ell: int,
     The direction is e = sum_i t_i basis[i] for the variables t_i, so column
     m of ``basis`` holds the coefficients of e_m, and a degree-k field has
     (len(basis) - 1) k + 1 coefficients, on the monomials of t.  Each
-    coefficient of phi_j is one cold PCG solve to ``CG_TOL``; the curl and
+    coefficient of phi_j is one PCG solve to ``CG_TOL``; the curl and
     chi Poisson solves take a whole stack per transform.
     """
     if ell < 1:
@@ -168,7 +171,7 @@ def _corrector_stacks(a: CoefficientField, ell: int,
     chi = [zeros(1), zeros(2)]
     q = [None]
     lambdas = []
-    cg_iterations, cg_residual = [], []
+    cg_iterations, cg_residual, cg_coarse_iterations = [], [], []
 
     for j in range(1, ell + 1):
         grad_chi = gradient_values(grid, chi[j - 1])
@@ -179,20 +182,24 @@ def _corrector_stacks(a: CoefficientField, ell: int,
                                              for m in range(d)]))
         flux_src = a_e_phi + grad_chi - sig_e
         phi_j = np.empty(flux_src.shape[1:])
-        iterations, residuals = [], []
+        iterations, residuals, coarse = [], [], []
         for r in range(len(phi_j)):
             try:
-                phi_j[r], its, res = solve_div_a_grad(a, flux_src[:, r])
+                solved = solve_div_a_grad(a, flux_src[:, r])
             except ConvergenceError as err:
                 raise ConvergenceError(
                     f"corrector solve failed at level {j}, coefficient {r}: "
                     f"{err}", residual=err.residual,
                     iterations=err.iterations) from err
+            phi_j[r], its, res = solved
             iterations.append(its)
             residuals.append(res)
+            coarse.append(solved.coarse_iterations)
         phi.append(phi_j)
         cg_iterations.append(iterations)
         cg_residual.append(residuals)
+        cg_coarse_iterations.append(coarse)
+        del flux_src  # not needed past the solves; frees a level-sized stack
 
         flux = _matvec(a_stack, gradient_values(grid, phi_j)) + a_e_phi
         at = mean_values(grid, flux)
@@ -217,7 +224,8 @@ def _corrector_stacks(a: CoefficientField, ell: int,
     return TensorizedCorrectors(a=a, order=ell, phi=phi, sigma12=s, chi=chi,
                                 q=q, lambdas=lambdas,
                                 cg_iterations=cg_iterations,
-                                cg_residual=cg_residual)
+                                cg_residual=cg_residual,
+                                cg_coarse_iterations=cg_coarse_iterations)
 
 
 def _contract(t: TensorizedCorrectors, e: np.ndarray,

@@ -24,7 +24,11 @@ application is dim inverse transforms of i k_m u_hat, a pointwise product
 with a, and dim forward transforms; the preconditioner (the inverse
 constant-coefficient operator with the cell mean of a) is a diagonal
 multiply, and inner products follow from Parseval.  Every solve runs to the
-one relative residual ``CG_TOL``.
+one relative residual ``CG_TOL``.  A coefficient resolved on the half grid
+(``CoefficientField.coarse``) gives every solve a coarse-grid start: the
+same equation is solved on the half grid first, recursively, and its
+solution is prolonged trigonometrically, so on smooth media the fine CG
+only polishes.  Any other coefficient starts from zero.
 """
 
 from __future__ import annotations
@@ -319,7 +323,9 @@ def prolong_values(grid: TorusGrid, values: np.ndarray, factor: int) -> np.ndarr
     if grid.dim == 1:
         out = np.einsum("ai,...i->...a", half, spec) * scale
     else:
-        out = np.einsum("ai,bj,...ij->...ab", S, half, spec) * scale
+        # every row of S and of half holds at most one nonzero, a power of
+        # two, so the two products are exact in either order
+        out = S @ spec @ half.T * scale
     return irfftn(TorusGrid(grid.dim, m, grid.period), out)
 
 
@@ -361,6 +367,33 @@ class CoefficientField:
         flat = self.values.reshape(self.grid.dim, self.grid.dim, -1)
         return bool(np.all(flat == flat[:, :, :1]))
 
+    @functools.cached_property
+    def coarse(self) -> CoefficientField | None:
+        """This field on the half grid, or None where it is not resolved
+        there.
+
+        The half-grid field is every other sample along each axis.  It is
+        resolved when trigonometric interpolation of those samples
+        reproduces the fine samples to transform roundoff:
+        |prolong(a[::2]) - a| <= 2 eta log2(N) |a| in the 2-norm, with N
+        the fine point count.  The bound is that of the two transforms of
+        the round trip (coarse forward, fine inverse), each accurate to
+        eta log2(N) relative with eta = 8 eps_mach (Higham, Accuracy and
+        Stability of Numerical Algorithms, Thm. 24.2).  The half grid needs
+        n / 2 >= 8 points per axis.
+        """
+        grid = self.grid
+        if grid.n < 16:
+            return None
+        half = TorusGrid(grid.dim, grid.n // 2, grid.period)
+        sub = np.ascontiguousarray(self.values[_every_other(grid)])
+        gap = np.linalg.norm(prolong_values(half, sub, 2) - self.values)
+        eta = 8.0 * np.finfo(float).eps
+        bound = 2.0 * eta * np.log2(grid.n ** grid.dim)
+        if gap > bound * np.linalg.norm(self.values):
+            return None
+        return CoefficientField(half, sub)
+
 
 def _sym_eig_bounds(values: np.ndarray, d: int):
     if d == 1:
@@ -386,6 +419,15 @@ def _half_gradient_multiplier(grid: TorusGrid) -> np.ndarray:
     return ik
 
 
+@functools.lru_cache(maxsize=None)
+def _divergence_range(grid: TorusGrid) -> np.ndarray:
+    """Half-lattice mask of the modes a divergence reaches: those where some
+    Nyquist-zeroed derivative i k_m is nonzero."""
+    mask = np.any(_half_gradient_multiplier(grid) != 0, axis=0)
+    mask.flags.writeable = False
+    return mask
+
+
 def _half_dot(x: np.ndarray, y: np.ndarray) -> float:
     """Real inner product of the fields with half spectra x and y, times
     the point count (Parseval): columns 0 and n/2 of the last axis hold
@@ -408,42 +450,76 @@ def apply_div_a_grad(a: CoefficientField, u: np.ndarray) -> np.ndarray:
     return irfftn(a.grid, _div_a_grad_hat(a, rfftn(a.grid, u)))
 
 
+def _every_other(grid: TorusGrid) -> tuple:
+    """Index of the half-grid nodes: every other sample along each axis."""
+    return (...,) + (slice(None, None, 2),) * grid.dim
+
+
 def _l2(grid: TorusGrid, values: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(values, values).real / grid.n ** grid.dim))
 
 
-def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray):
+class PCGSolve(tuple):
+    """``(u, iterations, residual)`` of one PCG solve on the grid of its
+    coefficient, which unpacks as a plain tuple; ``coarse_iterations`` maps
+    the points per axis of each coarser grid its start was solved on to the
+    CG iterations run there (empty for a cold start)."""
+
+    def __new__(cls, u, iterations, residual, coarse_iterations):
+        out = super().__new__(cls, (u, iterations, residual))
+        out.coarse_iterations = coarse_iterations
+        return out
+
+
+def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray) -> PCGSolve:
     """CG for -div(a grad u) = rhs on the zero-mean subspace, run on the
     half spectrum ``rhs_hat`` of rhs; its mean is dropped.
 
     Preconditioner: inverse of -div(mean(a) grad) built from the same
-    Nyquist-zeroed derivatives as the operator, a diagonal multiply.  CG
-    starts from zero and stops at the residual ``CG_TOL`` relative to rhs.
-    Returns (u, iterations, final relative residual); raises
-    ``ConvergenceError`` when ``CG_MAXITER`` iterations do not reach
-    ``CG_TOL``.
+    Nyquist-zeroed derivatives as the operator, a diagonal multiply.  When
+    a is resolved on the half grid (``CoefficientField.coarse``), CG starts
+    from the solution of the same equation there, with rhs sampled on the
+    half-grid nodes, solved the same way (so recursively) and prolonged
+    trigonometrically; otherwise it starts from zero.  Either way it stops
+    at the residual ``CG_TOL`` relative to rhs, tested before the first
+    iteration too.  Returns a ``PCGSolve``; raises ``ConvergenceError``
+    when ``CG_MAXITER`` iterations do not reach ``CG_TOL``.
     """
     grid = a.grid
+    r = rhs_hat.copy()
+    r.flat[0] = 0.0
+    rhs_norm = np.sqrt(_half_dot(r, r))
+    if rhs_norm == 0.0:
+        return PCGSolve(np.zeros(grid.shape), 0, 0.0, {})
+
+    coarse, coarse_iterations = a.coarse, {}
+    if coarse is None:
+        u = np.zeros_like(r)
+    else:
+        # rhs sampled on the half grid, without the modes every derivative
+        # there zeroes (the mean and the Nyquist corner), which no
+        # divergence reaches
+        start = _pcg_div_a_grad(
+            coarse, rfftn(coarse.grid, irfftn(grid, r)[_every_other(grid)])
+            * _divergence_range(coarse.grid))
+        u_c, its, _ = start
+        coarse_iterations = {coarse.grid.n: its, **start.coarse_iterations}
+        u = rfftn(grid, prolong_values(coarse.grid, u_c, 2))
+        r -= _div_a_grad_hat(a, u)
+
     ik = _half_gradient_multiplier(grid)
     kak = -np.einsum("mn,m...,n...->...", a.mean_matrix, ik, ik).real
     inv = np.zeros_like(kak)
     nz = kak > 0
     inv[nz] = 1.0 / kak[nz]
 
-    r = rhs_hat.copy()
-    r.flat[0] = 0.0
-    rhs_norm = np.sqrt(_half_dot(r, r))
-    if rhs_norm == 0.0:
-        return np.zeros(grid.shape), 0, 0.0
-
-    u = np.zeros_like(r)
     z = inv * r
     p = z.copy()
     rz = _half_dot(r, z)
     for it in range(CG_MAXITER):
         res = np.sqrt(_half_dot(r, r)) / rhs_norm
         if res <= CG_TOL:
-            return irfftn(grid, u), it, float(res)
+            return PCGSolve(irfftn(grid, u), it, float(res), coarse_iterations)
         Ap = _div_a_grad_hat(a, p)
         alpha = rz / _half_dot(p, Ap)
         u += alpha * p
@@ -455,15 +531,16 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray):
         rz = rz_new
     res = float(np.sqrt(_half_dot(r, r)) / rhs_norm)
     raise ConvergenceError(
-        f"elliptic CG did not reach tol {CG_TOL:g} in {CG_MAXITER} "
-        f"iterations (relative residual {res:.3e})",
-        residual=res, iterations=CG_MAXITER)
+        f"elliptic CG on the {grid.n}-point grid did not reach tol "
+        f"{CG_TOL:g} in {CG_MAXITER} iterations (relative residual "
+        f"{res:.3e})", residual=res, iterations=CG_MAXITER)
 
 
-def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray):
+def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray) -> PCGSolve:
     """Solve -div(a grad phi) = div(flux_rhs) on the torus, zero-mean phi.
 
-    Returns (phi, CG iterations, final relative residual).
+    Returns (phi, CG iterations, final relative residual) as a ``PCGSolve``,
+    whose ``coarse_iterations`` count the CG work of a coarse-grid start.
     """
     flux_hat = rfftn(a.grid, np.asarray(flux_rhs, dtype=float))
     rhs_hat = np.sum(_half_gradient_multiplier(a.grid) * flux_hat, axis=0)

@@ -111,21 +111,32 @@ class TestRun:
                                out_dir=str(tmp_path))
         run(cfg)
         solver = json.loads((tmp_path / "manifest.json").read_text())["solver"]
-        # one cold solve per monomial coefficient e1^(j-r) e2^r of phi_j
+        # one solve per monomial coefficient e1^(j-r) e2^r of phi_j, each
+        # started from its solve on the 8^2 grid, where the checkerboard is
+        # resolved
         assert [entry["level"] for entry in solver["levels"]] == [1, 2, 3]
         for j, entry in enumerate(solver["levels"], start=1):
             assert len(entry["cg_iterations"]) == j + 1
             assert len(entry["cg_residual"]) == j + 1
-            assert min(entry["cg_iterations"]) > 0
             assert max(entry["cg_residual"]) <= torus.CG_TOL
+            assert list(entry["coarse_cg_iterations"]) == ["8"]
+            assert len(entry["coarse_cg_iterations"]["8"]) == j + 1
+            assert min(entry["coarse_cg_iterations"]["8"]) > 0
         assert solver["pcg_solves"] == 2 + 3 + 4
         assert solver["cg_iterations_total"] == sum(
             sum(entry["cg_iterations"]) for entry in solver["levels"])
+        assert solver["coarse_cg_iterations_total"] == {"8": sum(
+            sum(entry["coarse_cg_iterations"]["8"])
+            for entry in solver["levels"])}
         a = torus.coefficient_from_spec(cfg.coefficient,
                                         torus.TorusGrid(cfg.dim, cfg.grid_n))
         tens = correctors.tensorize_correctors(a, cfg.ell)
         assert [entry["cg_iterations"] for entry in solver["levels"]] == (
             tens.cg_iterations)
+        assert [entry["coarse_cg_iterations"]["8"]
+                for entry in solver["levels"]] == [
+            [start[8] for start in starts]
+            for starts in tens.cg_coarse_iterations]
 
     def test_correctors_sixth_order(self, tmp_path):
         cfg = ExperimentConfig(kind="correctors",

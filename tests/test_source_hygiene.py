@@ -202,8 +202,12 @@ def test_correctors_fit_no_direction_samples():
     assert names_read(PACKAGE / "correctors.py") & {"lstsq", "pinv"} == set()
 
 
-def test_elliptic_solves_start_cold():
-    assert "guess" not in parameter_names(PACKAGE / "torus.py")
+def test_solve_starts_are_neither_supplied_nor_fitted():
+    # an elliptic solve starts from zero or from its own coarse-grid solve:
+    # no caller hands in a start, and none is fitted
+    torus_py = PACKAGE / "torus.py"
+    assert parameter_names(torus_py) & {"guess", "x0", "start"} == set()
+    assert names_read(torus_py) & {"lstsq", "pinv"} == set()
 
 
 def test_checkers_see_fits_and_guesses(tmp_path):

@@ -22,7 +22,7 @@ from homwave.torus import (
     weak_residual,
 )
 
-from conftest import LAMINATE, band_limited, full_wavenumbers
+from conftest import LAMINATE, SMOOTH2D, band_limited, full_wavenumbers
 
 
 def full_derivative(grid, values, orders):
@@ -287,12 +287,9 @@ class TestVariableCoefficientSolve:
         assert weak_residual(a, phi, flux) < 1e-10
         assert abs(phi.mean()) < 1e-15
 
-    def test_pcg_runs_on_half_spectra(self, smooth2d_a, rng, monkeypatch):
-        # per iteration: dim inverse and dim forward half-size transforms;
-        # besides, dim forward ones for the right-hand side and one inverse
-        # for the solution
-        grid = smooth2d_a.grid
-        flux = np.stack([band_limited(grid, rng), band_limited(grid, rng)])
+    @staticmethod
+    def _count_transforms(monkeypatch):
+        """Route every numpy FFT through a recorder of (name, shape)."""
         calls = []
         for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
                      "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
@@ -301,22 +298,125 @@ class TestVariableCoefficientSolve:
                 calls.append((_name, np.shape(x)))
                 return _orig(x, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
-        _, iterations, _ = solve_div_a_grad(smooth2d_a, flux)
-        half = (grid.n, grid.n // 2 + 1)
-        transforms = {"rfftn": 0, "irfftn": 0}
+        return calls
+
+    @staticmethod
+    def _per_grid(calls, dim):
+        """Transforms per (name, points per axis), fields of a stack counted
+        one by one; forward ones read samples, inverse ones half spectra."""
+        out = {}
         for name, shape in calls:
-            assert name in transforms
-            assert shape[-2:] == (grid.shape if name == "rfftn" else half)
-            transforms[name] += int(np.prod(shape[:-2]))
+            assert name in ("rfftn", "irfftn")
+            n = shape[-dim]
+            grid_shape = (n,) * dim
+            half = grid_shape[:-1] + (n // 2 + 1,)
+            assert shape[-dim:] == (grid_shape if name == "rfftn" else half)
+            key = (name, n)
+            out[key] = out.get(key, 0) + int(np.prod(shape[:-dim]))
+        return out
+
+    def test_pcg_runs_on_half_spectra(self, smooth2d_a, rng, monkeypatch):
+        # per iteration on each grid: dim inverse and dim forward half-size
+        # transforms.  Besides, on the fine grid: dim forward ones for the
+        # right-hand side and one inverse for the solution; on each grid
+        # below it, the sampled right-hand side (one inverse on the grid
+        # above, one forward) and the solution (one inverse).  Each start
+        # is prolonged (one forward on the coarse grid, one inverse and one
+        # forward on the fine one) and its residual taken (dim and dim).
+        grid = smooth2d_a.grid
         d = grid.dim
-        assert iterations > 0
-        assert transforms == {"rfftn": d * iterations + d,
-                              "irfftn": d * iterations + 1}
+        flux = np.stack([band_limited(grid, rng), band_limited(grid, rng)])
+        assert smooth2d_a.coarse.coarse.coarse is None  # resolution tests run
+        calls = self._count_transforms(monkeypatch)
+        solved = solve_div_a_grad(smooth2d_a, flux)
+        its = {grid.n: solved[1], **solved.coarse_iterations}
+        assert sorted(its) == [8, 16, 32]
+        expected = {}
+        for n, k in its.items():
+            started, coarsened = n > 8, n < grid.n
+            expected[("rfftn", n)] = (d * k + (d if n == grid.n else 1)
+                                      + started * (1 + d) + coarsened)
+            expected[("irfftn", n)] = (d * k + 1 + started * (2 + d))
+        assert self._per_grid(calls, d) == expected
+
+    def test_pcg_cold_start_transforms(self, grid2d, rng, monkeypatch):
+        # a laminate takes no coarse level: the cold solve, with its exact
+        # transform counts
+        a = coefficient_from_spec(LAMINATE, grid2d)
+        flux = np.stack([band_limited(grid2d, rng), band_limited(grid2d, rng)])
+        assert a.coarse is None  # the resolution test runs
+        calls = self._count_transforms(monkeypatch)
+        solved = solve_div_a_grad(a, flux)
+        d = grid2d.dim
+        assert solved.coarse_iterations == {}
+        assert solved[1] > 0
+        assert self._per_grid(calls, d) == {
+            ("rfftn", grid2d.n): d * solved[1] + d,
+            ("irfftn", grid2d.n): d * solved[1] + 1}
 
     def test_solve_elliptic_rejects_mean(self, smooth2d_a):
         with pytest.raises(SolvabilityError):
             solve_elliptic(smooth2d_a, np.ones(smooth2d_a.grid.shape))
 
+
+def cold(monkeypatch):
+    """Switch the coarse-grid start off: no coefficient is resolved."""
+    monkeypatch.setattr(CoefficientField, "coarse", property(lambda self: None))
+
+
+class TestCoarseStart:
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_matches_cold_solve(self, n, rng, monkeypatch):
+        grid = TorusGrid(2, n)
+        a = coefficient_from_spec(SMOOTH2D, grid)
+        flux = np.stack([band_limited(grid, rng), a.values[0, 0] * 1.0])
+        phi, iterations, residual = solved = solve_div_a_grad(a, flux)
+        assert sorted(solved.coarse_iterations) == [
+            m for m in (8, 16, 32, 64) if m < n]
+        assert residual <= torus.CG_TOL
+        assert weak_residual(a, phi, flux) <= torus.CG_TOL
+        cold(monkeypatch)
+        ref, cold_iterations, _ = solve_div_a_grad(
+            coefficient_from_spec(SMOOTH2D, grid), flux)
+        assert iterations < cold_iterations
+        assert (np.linalg.norm(phi - ref)
+                <= 10 * torus.CG_TOL * np.linalg.norm(ref))
+
+    def test_solve_elliptic_takes_the_start(self, smooth2d_a, rng):
+        rhs = band_limited(smooth2d_a.grid, rng)
+        rhs -= rhs.mean()
+        u = solve_elliptic(smooth2d_a, rhs)
+        res = torus.apply_div_a_grad(smooth2d_a, u) - rhs
+        assert np.linalg.norm(res) <= torus.CG_TOL * np.linalg.norm(rhs)
+
+    def test_resolution(self, rng):
+        ladder = []
+        a = coefficient_from_spec(SMOOTH2D, TorusGrid(2, 128))
+        while a is not None:
+            ladder.append(a.grid.n)
+            half = a.coarse
+            if half is not None:
+                assert np.array_equal(half.values, a.values[..., ::2, ::2])
+            a = half
+        assert ladder == [128, 64, 32, 16, 8]
+        for dim in (1, 2):
+            grid = TorusGrid(dim, 64)
+            assert coefficient_from_spec(LAMINATE, grid).coarse is None
+            noise = 2.0 + rng.random(grid.shape)
+            assert CoefficientField(grid, noise * np.eye(dim).reshape(
+                (dim, dim) + (1,) * dim)).coarse is None
+
+    def test_checkerboard_hierarchy_polishes_only(self):
+        # the README cell: each of the 14 fine solves starts within a
+        # handful of iterations of CG_TOL
+        from homwave import correctors
+        a = coefficient_from_spec(SMOOTH2D, TorusGrid(2, 128))
+        tens = correctors.tensorize_correctors(a, 4)
+        assert sum(len(its) for its in tens.cg_iterations) == 14
+        assert sum(sum(its) for its in tens.cg_iterations) <= 14
+        assert max(max(res) for res in tens.cg_residual) <= torus.CG_TOL
+        assert all(sorted(start) == [8, 16, 32, 64]
+                   for starts in tens.cg_coarse_iterations for start in starts)
 
 class TestCellAverage:
     def test_constant(self, grid2d):
@@ -378,6 +478,23 @@ class TestProlongation:
         assert np.max(np.abs(prolong_values(grid2d, probe_c, 2) - probe)) < 1e-12
         assert coarse_on_fine.shape == fine_grid.shape
         assert np.isrealobj(coarse_on_fine)
+
+    def test_2d_product_is_the_einsum_bit_for_bit(self, rng):
+        # each output mode takes one nonzero term or the two exact halves of
+        # a Nyquist mode, so matrix products and the three-operand einsum
+        # agree exactly, on single fields and stacks alike
+        for n in (8, 32):
+            grid = TorusGrid(2, n)
+            for shape in (grid.shape, (3,) + grid.shape, (2, 2) + grid.shape):
+                f = rng.standard_normal(shape)
+                for factor in (2, 4):
+                    m = n * factor
+                    S = torus._spread_matrix(n, m)
+                    spec = rfftn(grid, f)
+                    out = np.einsum("ai,bj,...ij->...ab", S,
+                                    S[: m // 2 + 1, : n // 2 + 1], spec)
+                    ref = irfftn(TorusGrid(2, m), out * float(factor) ** 2)
+                    assert np.array_equal(prolong_values(grid, f, factor), ref)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_half_spectrum_matches_full_complex_fft(self, rng, dim):
