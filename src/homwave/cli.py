@@ -214,7 +214,8 @@ def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         "levels": levels,
         "pcg_solves": sum(len(its) for its in tens.cg_iterations),
         "cg_iterations_total": sum(sum(its) for its in tens.cg_iterations),
-        "coarse_cg_iterations_total": coarse_total}
+        "coarse_cg_iterations_total": coarse_total,
+        "direct_grid": a.direct_grid}
     model = correctors.reconstruct_dispersion(
         a, cfg.ell, directions=dirs, kmax_cap=cfg.kmax_cap, tensors=tens)
     _write_csv(out / "lambda_table.csv", correctors.lambda_table_rows(model),

@@ -14,11 +14,12 @@ correctors of Bakhvalov & Panasenko).  The recursion therefore runs on
 coefficient stacks.  A degree-k field is held as its coefficients over the
 degree-k monomials of a few direction variables.  Multiplying by a
 component of e is a convolution with that component's coefficients, and
-each coefficient of phi_j is one elliptic solve.  With the monomial basis
-e1^(k-r) e2^r (``tensorize_correctors``) the recursion gives the effective
-tensors and the tensorized corrector fields exactly, with j + 1 solves at
-level j in 2D.  With one variable t and e = t e0 (``build_hierarchy``) it is
-the hierarchy in the one direction e0, with one solve per level.
+the coefficients of phi_j are one stacked elliptic solve.  With the
+monomial basis e1^(k-r) e2^r (``tensorize_correctors``) the recursion gives
+the effective tensors and the tensorized corrector fields exactly, with
+j + 1 right-hand sides at level j in 2D.  With one variable t and e = t e0
+(``build_hierarchy``) it is the hierarchy in the one direction e0, with one
+solve per level.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .torus import (
     ConvergenceError,
     TorusGrid,
     _matvec,
-    deriv_values,
+    curl_values,
     divergence_values,
     gradient_values,
     matrix_divergence_values,
@@ -148,9 +149,10 @@ def _corrector_stacks(a: CoefficientField, ell: int,
 
     The direction is e = sum_i t_i basis[i] for the variables t_i, so column
     m of ``basis`` holds the coefficients of e_m, and a degree-k field has
-    (len(basis) - 1) k + 1 coefficients, on the monomials of t.  Each
-    coefficient of phi_j is one PCG solve to ``CG_TOL``; the curl and
-    chi Poisson solves take a whole stack per transform.
+    (len(basis) - 1) k + 1 coefficients, on the monomials of t.  The
+    coefficients of phi_j share one operator, so one PCG call solves them
+    all, each to ``CG_TOL``; the curl and chi Poisson solves take a whole
+    stack per transform.
     """
     if ell < 1:
         raise ConfigurationError("hierarchy order must be >= 1")
@@ -181,25 +183,19 @@ def _corrector_stacks(a: CoefficientField, ell: int,
         a_e_phi = _matvec(a_stack, np.stack([times_polynomial(e[m], phi[j - 1])
                                              for m in range(d)]))
         flux_src = a_e_phi + grad_chi - sig_e
-        phi_j = np.empty(flux_src.shape[1:])
-        iterations, residuals, coarse = [], [], []
-        for r in range(len(phi_j)):
-            try:
-                solved = solve_div_a_grad(a, flux_src[:, r])
-            except ConvergenceError as err:
-                raise ConvergenceError(
-                    f"corrector solve failed at level {j}, coefficient {r}: "
-                    f"{err}", residual=err.residual,
-                    iterations=err.iterations) from err
-            phi_j[r], its, res = solved
-            iterations.append(its)
-            residuals.append(res)
-            coarse.append(solved.coarse_iterations)
+        try:
+            solved = solve_div_a_grad(a, flux_src)
+        except ConvergenceError as err:
+            raise ConvergenceError(
+                f"corrector solve failed at level {j}, coefficient "
+                f"{err.column}: {err}", residual=err.residual,
+                iterations=err.iterations, column=err.column) from err
+        del flux_src  # not needed past the solve; frees a level-sized stack
+        phi_j, its, res = solved
         phi.append(phi_j)
-        cg_iterations.append(iterations)
-        cg_residual.append(residuals)
-        cg_coarse_iterations.append(coarse)
-        del flux_src  # not needed past the solves; frees a level-sized stack
+        cg_iterations.append(its)
+        cg_residual.append(res)
+        cg_coarse_iterations.append(solved.coarse_iterations)
 
         flux = _matvec(a_stack, gradient_values(grid, phi_j)) + a_e_phi
         at = mean_values(grid, flux)
@@ -212,8 +208,7 @@ def _corrector_stacks(a: CoefficientField, ell: int,
             # the flux itself is zero up to the elliptic solver residual.
             s.append(None)
         else:
-            curl = deriv_values(grid, q_j[1], [0]) - deriv_values(grid, q_j[0], [1])
-            s.append(solve_poisson_values(grid, curl)[0])
+            s.append(solve_poisson_values(grid, curl_values(grid, q_j))[0])
 
         if j >= 2:
             src = dot_e(grad_chi)
@@ -267,8 +262,9 @@ def build_hierarchy(a: CoefficientField, e, ell: int) -> CorrectorHierarchy:
 
 
 def tensorize_correctors(a: CoefficientField, ell: int) -> TensorizedCorrectors:
-    """Monomial coefficients of the corrector hierarchy up to order ell:
-    sum_{j <= ell} (j + 1) CG solves in 2D, ell in 1D."""
+    """Monomial coefficients of the corrector hierarchy up to order ell: one
+    stacked CG solve per level, of j + 1 right-hand sides at level j in 2D
+    and one in 1D."""
     return _corrector_stacks(a, ell, np.eye(a.grid.dim))
 
 

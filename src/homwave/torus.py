@@ -25,10 +25,11 @@ with a, and dim forward transforms; the preconditioner (the inverse
 constant-coefficient operator with the cell mean of a) is a diagonal
 multiply, and inner products follow from Parseval.  Every solve runs to the
 one relative residual ``CG_TOL``.  A coefficient resolved on the half grid
-(``CoefficientField.coarse``) gives every solve a coarse-grid start: the
-same equation is solved on the half grid first, recursively, and its
-solution is prolonged trigonometrically, so on smooth media the fine CG
-only polishes.  Any other coefficient starts from zero.
+(``CoefficientField.coarse``) gives a stack of right-hand sides one
+coarse-grid start: the stack is solved on the half grid first, recursively
+down to a direct solve on 8 points per axis, and prolonged, all in the half
+spectrum, so on smooth media the fine CG only polishes.  Any other
+coefficient starts from zero.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ class SolvabilityError(ValueError):
 class ConvergenceError(RuntimeError):
     """Iterative solver exhausted its budget."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None, column=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.column = column
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -90,6 +92,13 @@ class TorusGrid:
     def half_shape(self) -> tuple:
         """Shape of an ``rfftn`` half spectrum of one field on this grid."""
         return self.shape[:-1] + (self.n // 2 + 1,)
+
+    @property
+    def half_grid(self) -> TorusGrid | None:
+        """The grid of every other node, if it has >= 8 points per axis."""
+        if self.n < 16:
+            return None
+        return TorusGrid(self.dim, self.n // 2, self.period)
 
     @property
     def h(self) -> float:
@@ -246,18 +255,47 @@ class DerivativeCache:
         return out
 
 
+@functools.lru_cache(maxsize=None)
+def _half_gradient_multiplier(grid: TorusGrid) -> np.ndarray:
+    """(i k_m) for m = 0..dim-1 on the half lattice, Nyquist zeroed."""
+    axes = range(grid.dim)
+    ik = np.stack([_derivative_multiplier(grid, tuple(int(ax == m) for ax in axes))
+                   for m in axes])
+    ik.flags.writeable = False
+    return ik
+
+
 def gradient_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    return np.stack([deriv_values(grid, values, [ax]) for ax in range(grid.dim)])
+    """Gradient on a new leading axis, from one forward transform."""
+    spec = rfftn(grid, values)
+    out = np.empty((grid.dim,) + np.shape(values))
+    for m, ik in enumerate(_half_gradient_multiplier(grid)):
+        out[m] = irfftn(grid, spec * ik)
+    return out
 
 
 def divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Divergence contracting the leading component axis."""
     if values.shape[0] != grid.dim:
         raise ConfigurationError("leading axis must have length dim")
-    out = deriv_values(grid, values[0], [0])
-    for ax in range(1, grid.dim):
-        out = out + deriv_values(grid, values[ax], [ax])
-    return out
+    return irfftn(grid, _divergence_hat(grid, values))
+
+
+def _divergence_hat(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Half spectrum of ``divergence_values``, from one forward transform."""
+    spec = rfftn(grid, values)
+    ik = _half_gradient_multiplier(grid)
+    total = spec[0] * ik[0]
+    for m in range(1, grid.dim):
+        total += spec[m] * ik[m]
+    return total
+
+
+def curl_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Scalar curl d0 v1 - d1 v0 of a 2D field on the leading axis."""
+    spec = rfftn(grid, values)
+    ik = _half_gradient_multiplier(grid)
+    return irfftn(grid, spec[1] * ik[0] - spec[0] * ik[1])
 
 
 def matrix_divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -309,24 +347,39 @@ def _spread_matrix(n: int, m: int) -> np.ndarray:
     return S
 
 
-def prolong_values(grid: TorusGrid, values: np.ndarray, factor: int) -> np.ndarray:
-    """Exact trigonometric prolongation of real samples onto a
-    ``factor``-times finer grid: the half spectrum is spread on the full
-    axes and on the half of the last axis that ``irfftn`` reads."""
-    if factor == 1:
-        return values.copy()
+def _prolong_hat(grid: TorusGrid, spec: np.ndarray, factor: int) -> np.ndarray:
+    """Exact trigonometric prolongation of a half spectrum onto a
+    ``factor``-times finer grid: it is spread on the full axes and on the
+    half of the last axis that ``irfftn`` reads."""
     n, m = grid.n, grid.n * factor
-    spec = rfftn(grid, values)
     S = _spread_matrix(n, m)
     half = S[: m // 2 + 1, : n // 2 + 1]
     scale = float(factor) ** grid.dim
     if grid.dim == 1:
-        out = np.einsum("ai,...i->...a", half, spec) * scale
-    else:
-        # every row of S and of half holds at most one nonzero, a power of
-        # two, so the two products are exact in either order
-        out = S @ spec @ half.T * scale
-    return irfftn(TorusGrid(grid.dim, m, grid.period), out)
+        return np.einsum("ai,...i->...a", half, spec) * scale
+    # every row of S and of half holds at most one nonzero, a power of two,
+    # so the two products are exact in either order
+    return S @ spec @ half.T * scale
+
+
+def prolong_values(grid: TorusGrid, values: np.ndarray, factor: int) -> np.ndarray:
+    """``_prolong_hat`` of real samples."""
+    if factor == 1:
+        return values.copy()
+    fine = TorusGrid(grid.dim, grid.n * factor, grid.period)
+    return irfftn(fine, _prolong_hat(grid, rfftn(grid, values), factor))
+
+
+def _restrict_hat(grid: TorusGrid, spec: np.ndarray) -> np.ndarray:
+    """Half spectrum of the samples at every other node: each coarse mode is
+    the mean of its 2^dim aliases, k1 + n/2 read as conj(-k0, n/2 - k1)."""
+    nc = grid.n // 2
+    mirror = np.conj(spec[..., nc:nc // 2 - 1:-1])
+    if grid.dim == 2:
+        mirror = np.roll(mirror[..., ::-1, :], 1, axis=-2)
+        fold = spec[..., : nc // 2 + 1] + mirror
+        return (fold[..., :nc, :] + fold[..., nc:, :]) * 0.25
+    return (spec[..., : nc // 2 + 1] + mirror) * 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +416,6 @@ class CoefficientField:
     def mean_matrix(self) -> np.ndarray:
         return mean_values(self.grid, self.values)
 
-    def is_constant(self) -> bool:
-        flat = self.values.reshape(self.grid.dim, self.grid.dim, -1)
-        return bool(np.all(flat == flat[:, :, :1]))
-
     @functools.cached_property
     def coarse(self) -> CoefficientField | None:
         """This field on the half grid, or None where it is not resolved
@@ -383,9 +432,9 @@ class CoefficientField:
         n / 2 >= 8 points per axis.
         """
         grid = self.grid
-        if grid.n < 16:
+        half = grid.half_grid
+        if half is None:
             return None
-        half = TorusGrid(grid.dim, grid.n // 2, grid.period)
         sub = np.ascontiguousarray(self.values[_every_other(grid)])
         gap = np.linalg.norm(prolong_values(half, sub, 2) - self.values)
         eta = 8.0 * np.finfo(float).eps
@@ -393,6 +442,30 @@ class CoefficientField:
         if gap > bound * np.linalg.norm(self.values):
             return None
         return CoefficientField(half, sub)
+
+    @property
+    def direct_grid(self) -> int | None:
+        """Points per axis of the coarse ladder's last grid if it is solved
+        directly (``floor_inverse``)."""
+        floor = self.coarse
+        while floor is not None and floor.coarse is not None:
+            floor = floor.coarse
+        if floor is None or floor.grid.half_grid is not None:
+            return None
+        return floor.grid.n
+
+    @functools.cached_property
+    def floor_inverse(self) -> np.ndarray:
+        """Dense inverse of -div(a grad) on the N <= 64 samples of a coarse
+        ladder's 8-point floor: u = b @ floor_inverse for a row b.  The
+        modes no divergence reaches are deflated by adding their projector
+        at the mean eigenvalue; u has none if b has none."""
+        grid = self.grid
+        N = grid.n ** grid.dim
+        spec = rfftn(grid, np.eye(N).reshape((N,) + grid.shape))
+        op = irfftn(grid, _div_a_grad_hat(self, spec)).reshape(N, N)
+        proj = irfftn(grid, spec * ~_divergence_range(grid)).reshape(N, N)
+        return np.linalg.inv(op + np.trace(op) / N * proj)
 
 
 def _sym_eig_bounds(values: np.ndarray, d: int):
@@ -410,16 +483,6 @@ def _matvec(a_values: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _half_gradient_multiplier(grid: TorusGrid) -> np.ndarray:
-    """(i k_m) for m = 0..dim-1 on the half lattice, Nyquist zeroed."""
-    axes = range(grid.dim)
-    ik = np.stack([_derivative_multiplier(grid, tuple(int(ax == m) for ax in axes))
-                   for m in axes])
-    ik.flags.writeable = False
-    return ik
-
-
-@functools.lru_cache(maxsize=None)
 def _divergence_range(grid: TorusGrid) -> np.ndarray:
     """Half-lattice mask of the modes a divergence reaches: those where some
     Nyquist-zeroed derivative i k_m is nonzero."""
@@ -428,21 +491,26 @@ def _divergence_range(grid: TorusGrid) -> np.ndarray:
     return mask
 
 
-def _half_dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Real inner product of the fields with half spectra x and y, times
-    the point count (Parseval): columns 0 and n/2 of the last axis hold
-    their own conjugates, every other column stands for itself and its
-    mirror."""
-    return (2.0 * np.vdot(x, y).real - np.vdot(x[..., 0], y[..., 0]).real
-            - np.vdot(x[..., -1], y[..., -1]).real)
+def _half_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Real inner products of the fields with half spectra x and y, one per
+    column of the leading axis, times the point count (Parseval): columns 0
+    and n/2 of the last axis hold their own conjugates, every other column
+    stands for itself and its mirror.  Per-column ``vdot``s keep a column's
+    value independent of its stack."""
+    return np.array([2.0 * np.vdot(xc, yc).real - np.vdot(xc[..., 0], yc[..., 0]).real
+                     - np.vdot(xc[..., -1], yc[..., -1]).real
+                     for xc, yc in zip(x, y)])
 
 
 def _div_a_grad_hat(a: CoefficientField, u_hat: np.ndarray) -> np.ndarray:
-    """-div(a grad u) from and to half spectra: dim inverse and dim forward
-    half-size transforms around the pointwise product with a."""
-    ik = _half_gradient_multiplier(a.grid)
-    grad = irfftn(a.grid, ik * u_hat)
-    return -np.sum(ik * rfftn(a.grid, _matvec(a.values, grad)), axis=0)
+    """-div(a grad u) from and to half spectra (of a field or a stack): dim
+    inverse and dim forward half-size transforms around the pointwise
+    product with a."""
+    grid = a.grid
+    ik = _half_gradient_multiplier(grid)
+    ik = ik.reshape(ik.shape[:1] + (1,) * (u_hat.ndim - grid.dim) + ik.shape[1:])
+    grad = irfftn(grid, ik * u_hat)
+    return -np.sum(ik * rfftn(grid, _matvec(a.values, grad)), axis=0)
 
 
 def apply_div_a_grad(a: CoefficientField, u: np.ndarray) -> np.ndarray:
@@ -460,10 +528,11 @@ def _l2(grid: TorusGrid, values: np.ndarray) -> float:
 
 
 class PCGSolve(tuple):
-    """``(u, iterations, residual)`` of one PCG solve on the grid of its
+    """``(u, iterations, residual)`` of a PCG solve on the grid of its
     coefficient, which unpacks as a plain tuple; ``coarse_iterations`` maps
     the points per axis of each coarser grid its start was solved on to the
-    CG iterations run there (empty for a cold start)."""
+    CG iterations run there (empty for a cold start); for a stack, all
+    four hold one entry per right-hand side."""
 
     def __new__(cls, u, iterations, residual, coarse_iterations):
         out = super().__new__(cls, (u, iterations, residual))
@@ -471,41 +540,73 @@ class PCGSolve(tuple):
         return out
 
 
-def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray) -> PCGSolve:
-    """CG for -div(a grad u) = rhs on the zero-mean subspace, run on the
-    half spectrum ``rhs_hat`` of rhs; its mean is dropped.
+def _cg(a: CoefficientField, inv: np.ndarray, u: np.ndarray, r: np.ndarray,
+        norms: np.ndarray, columns: np.ndarray):
+    """CG with diagonal preconditioner ``inv`` from the half spectra u with
+    residuals r: each column has its own alpha, beta and stopping test at
+    ``CG_TOL`` relative to ``norms`` and leaves the working set when done.
+    Returns solutions, iterations and residuals per column."""
+    out = np.empty_like(u)
+    iterations = np.zeros(len(r), dtype=int)
+    residuals = np.zeros(len(r))
+    work = np.arange(len(r))
+    per_column = (-1,) + (1,) * a.grid.dim
+    z = inv * r
+    p = z.copy()
+    rz = _half_dot(r, z)
+    for it in range(CG_MAXITER):
+        res = np.sqrt(_half_dot(r, r)) / norms
+        done = res <= CG_TOL
+        if done.any():
+            out[work[done]] = u[done]
+            iterations[work[done]] = it
+            residuals[work[done]] = res[done]
+            if done.all():
+                return out, iterations.tolist(), residuals.tolist()
+            keep = ~done
+            work, u, r, z, p, rz, norms = (
+                work[keep], u[keep], r[keep], z[keep], p[keep], rz[keep], norms[keep])
+        Ap = _div_a_grad_hat(a, p)
+        alpha = (rz / _half_dot(p, Ap)).reshape(per_column)
+        u += alpha * p
+        r -= alpha * Ap
+        np.multiply(inv, r, out=z)
+        rz_new = _half_dot(r, z)
+        p *= (rz_new / rz).reshape(per_column)
+        p += z
+        rz = rz_new
+    res = float(np.sqrt(_half_dot(r, r))[0] / norms[0])
+    column = int(columns[work[0]])
+    raise ConvergenceError(
+        f"elliptic CG on the {a.grid.n}-point grid did not reach tol "
+        f"{CG_TOL:g} in {CG_MAXITER} iterations for column {column} "
+        f"(relative residual {res:.3e})", residual=res, iterations=CG_MAXITER,
+        column=column)
 
-    Preconditioner: inverse of -div(mean(a) grad) built from the same
-    Nyquist-zeroed derivatives as the operator, a diagonal multiply.  When
-    a is resolved on the half grid (``CoefficientField.coarse``), CG starts
-    from the solution of the same equation there, with rhs sampled on the
-    half-grid nodes, solved the same way (so recursively) and prolonged
-    trigonometrically; otherwise it starts from zero.  Either way it stops
-    at the residual ``CG_TOL`` relative to rhs, tested before the first
-    iteration too.  Returns a ``PCGSolve``; raises ``ConvergenceError``
-    when ``CG_MAXITER`` iterations do not reach ``CG_TOL``.
+
+def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray,
+                    polish: bool = True):
+    """CG for -div(a grad u) = rhs for the stack of half spectra
+    ``rhs_hat`` (overwritten), without their content on the modes no
+    divergence reaches (``_divergence_range``), so u has zero mean.
+
+    The preconditioner is the inverse of -div(mean(a) grad), a diagonal
+    multiply.  When a is resolved on the half grid (``a.coarse``), the stack
+    is restricted there, solved as one stack (recursively) and each column
+    starts from its coarse solution, prolonged.  A ladder's last grid
+    starts from the direct solve ``floor_inverse`` if it has no half grid.
+    Coarse grids run all columns in one ``_cg`` loop; this grid
+    (``polish``) runs one column at a time, since at fine sizes a stacked
+    apply costs more than single ones and holds k columns' vectors.  Each
+    column stops at ``CG_TOL``, tested before the first iteration too.
+    Returns (u, iterations, residuals, coarse_iterations) per column, u as
+    samples when ``polish``, else as half spectra.
     """
     grid = a.grid
-    r = rhs_hat.copy()
-    r.flat[0] = 0.0
-    rhs_norm = np.sqrt(_half_dot(r, r))
-    if rhs_norm == 0.0:
-        return PCGSolve(np.zeros(grid.shape), 0, 0.0, {})
-
-    coarse, coarse_iterations = a.coarse, {}
-    if coarse is None:
-        u = np.zeros_like(r)
-    else:
-        # rhs sampled on the half grid, without the modes every derivative
-        # there zeroes (the mean and the Nyquist corner), which no
-        # divergence reaches
-        start = _pcg_div_a_grad(
-            coarse, rfftn(coarse.grid, irfftn(grid, r)[_every_other(grid)])
-            * _divergence_range(coarse.grid))
-        u_c, its, _ = start
-        coarse_iterations = {coarse.grid.n: its, **start.coarse_iterations}
-        u = rfftn(grid, prolong_values(coarse.grid, u_c, 2))
-        r -= _div_a_grad_hat(a, u)
+    r = np.multiply(rhs_hat, _divergence_range(grid), out=rhs_hat)
+    norms = np.sqrt(_half_dot(r, r))
+    norms[norms == 0.0] = 1.0  # a zero rhs is met by the zero start
+    columns = np.arange(len(r))
 
     ik = _half_gradient_multiplier(grid)
     kak = -np.einsum("mn,m...,n...->...", a.mean_matrix, ik, ik).real
@@ -513,53 +614,81 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray) -> PCGSolve:
     nz = kak > 0
     inv[nz] = 1.0 / kak[nz]
 
-    z = inv * r
-    p = z.copy()
-    rz = _half_dot(r, z)
-    for it in range(CG_MAXITER):
-        res = np.sqrt(_half_dot(r, r)) / rhs_norm
-        if res <= CG_TOL:
-            return PCGSolve(irfftn(grid, u), it, float(res), coarse_iterations)
-        Ap = _div_a_grad_hat(a, p)
-        alpha = rz / _half_dot(p, Ap)
-        u += alpha * p
-        r -= alpha * Ap
-        np.multiply(inv, r, out=z)
-        rz_new = _half_dot(r, z)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-    res = float(np.sqrt(_half_dot(r, r)) / rhs_norm)
-    raise ConvergenceError(
-        f"elliptic CG on the {grid.n}-point grid did not reach tol "
-        f"{CG_TOL:g} in {CG_MAXITER} iterations (relative residual "
-        f"{res:.3e})", residual=res, iterations=CG_MAXITER)
+    coarse = a.coarse
+    coarse_iterations = [{} for _ in columns]
+    if coarse is not None:
+        u_c, its, _, below = _pcg_div_a_grad(coarse, _restrict_hat(grid, r),
+                                             polish=False)
+        coarse_iterations = [{coarse.grid.n: i, **b} for i, b in zip(its, below)]
+
+    def solve(cols):
+        if coarse is not None:
+            u = _prolong_hat(coarse.grid, u_c[cols], 2)
+        elif grid.half_grid is None and not polish:
+            # row by row, so that a column's start does not depend on its stack
+            b = irfftn(grid, r[cols])
+            u = rfftn(grid, np.stack([row @ a.floor_inverse for row in
+                                      b.reshape(len(b), -1)]).reshape(b.shape))
+        else:
+            u = np.zeros_like(r[cols])
+        if u.any():
+            r[cols] -= _div_a_grad_hat(a, u)
+        return _cg(a, inv, u, r[cols], norms[cols], columns[cols])
+
+    if not polish:
+        return (*solve(np.s_[:]), coarse_iterations)
+    out = np.empty((len(r),) + grid.shape)
+    iterations, residuals = [], []
+    for c in columns:
+        u, its, res = solve(np.s_[c:c + 1])
+        out[c] = irfftn(grid, u[0])
+        iterations += its
+        residuals += res
+    return out, iterations, residuals, coarse_iterations
 
 
 def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray) -> PCGSolve:
-    """Solve -div(a grad phi) = div(flux_rhs) on the torus, zero-mean phi.
+    """Solve -div(a grad phi) = div(flux_rhs) on the torus, zero-mean phi,
+    for one flux (dim, grid...) or a stack of k (dim, k, grid...).
 
     Returns (phi, CG iterations, final relative residual) as a ``PCGSolve``,
     whose ``coarse_iterations`` count the CG work of a coarse-grid start.
     """
-    flux_hat = rfftn(a.grid, np.asarray(flux_rhs, dtype=float))
-    rhs_hat = np.sum(_half_gradient_multiplier(a.grid) * flux_hat, axis=0)
-    return _pcg_div_a_grad(a, rhs_hat)
+    flux = np.asarray(flux_rhs, dtype=float)
+    single = flux.ndim == 1 + a.grid.dim
+    if single:
+        flux = flux[:, None]
+    solved = _pcg_div_a_grad(a, _divergence_hat(a.grid, flux))
+    if single:
+        solved = [entry[0] for entry in solved]
+    return PCGSolve(*solved)
+
+
+def _solvability_tolerance(values: np.ndarray) -> float:
+    return 1e-10 * max(1.0, float(np.max(np.abs(values))))
 
 
 def require_zero_mean(values: np.ndarray, what: str = "rhs") -> None:
     """Periodic solvability: ``SolvabilityError`` unless the mean of
     ``values`` is below 1e-10 of max(1, max|values|)."""
     mean = float(np.mean(values))
-    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(values)))):
+    if abs(mean) > _solvability_tolerance(values):
         raise SolvabilityError(f"{what} has mean {mean:.3e}; needs zero mean")
 
 
 def solve_elliptic(a: CoefficientField, rhs: np.ndarray) -> np.ndarray:
-    """Solve -div(a grad u) = rhs (zero-mean rhs required), zero-mean u."""
+    """Solve -div(a grad u) = rhs, zero-mean u.  Content of rhs on modes no
+    divergence reaches (its mean, and the Nyquist modes (n/2, 0), (0, n/2),
+    (n/2, n/2) in 2D, n/2 in 1D) above the tolerance of
+    ``require_zero_mean`` raises ``SolvabilityError``; below it is dropped."""
     rhs = np.asarray(rhs, dtype=float)
     require_zero_mean(rhs)
-    return _pcg_div_a_grad(a, rfftn(a.grid, rhs))[0]
+    rhs_hat = rfftn(a.grid, rhs)
+    unreached = float(np.max(np.abs(rhs_hat[~_divergence_range(a.grid)]))) / rhs.size
+    if unreached > _solvability_tolerance(rhs):
+        raise SolvabilityError(f"rhs has amplitude {unreached:.3e} on a Nyquist "
+                               f"mode no divergence reaches; needs none")
+    return _pcg_div_a_grad(a, rhs_hat[None])[0][0]
 
 
 def weak_residual(a: CoefficientField, phi: np.ndarray,

@@ -285,6 +285,40 @@ class TestMonomialBuild:
             assert np.max(np.abs(minus.phi[j] - (-1) ** j * plus.phi[j])) <= (
                 10 * torus.CG_TOL * np.max(np.abs(plus.phi[j])))
 
+    def test_one_solve_call_per_level(self, smooth2d_a, monkeypatch):
+        # the j + 1 coefficients of phi_j share one operator and one
+        # coarse-grid start, so each level is one stacked solve
+        shapes = []
+        solve = correctors.solve_div_a_grad
+
+        def counted(a, flux):
+            shapes.append(np.shape(flux))
+            return solve(a, flux)
+
+        monkeypatch.setattr(correctors, "solve_div_a_grad", counted)
+        tens = tensorize_correctors(smooth2d_a, 3)
+        grid = smooth2d_a.grid
+        assert shapes == [(2, j + 1) + grid.shape for j in (1, 2, 3)]
+        assert [len(its) for its in tens.cg_iterations] == [2, 3, 4]
+        assert all(start[8] == 0 for starts in tens.cg_coarse_iterations
+                   for start in starts)
+
+    def test_transform_budget(self, monkeypatch):
+        # numpy.fft calls of the 32^2 checkerboard build at ell 3, floor
+        # inverse included: 389 with one stacked solve per level and the
+        # direct 8^2 start (784 with a solve per coefficient, each with its
+        # own coarse ladder).  Counters are deterministic, so this is exact.
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
+                     "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(*args, _orig=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        a = torus.coefficient_from_spec(SMOOTH2D, torus.TorusGrid(2, 32))
+        tensorize_correctors(a, 3)
+        assert len(calls) == 389
+
 
 class TestParallelAndSerialization:
     def test_lambda_csv_rows(self, laminate_a):

@@ -1,5 +1,7 @@
 """Spectral substrate: transforms, derivatives, Poisson and elliptic solves."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -317,27 +319,39 @@ class TestVariableCoefficientSolve:
 
     def test_pcg_runs_on_half_spectra(self, smooth2d_a, rng, monkeypatch):
         # per iteration on each grid: dim inverse and dim forward half-size
-        # transforms.  Besides, on the fine grid: dim forward ones for the
-        # right-hand side and one inverse for the solution; on each grid
-        # below it, the sampled right-hand side (one inverse on the grid
-        # above, one forward) and the solution (one inverse).  Each start
-        # is prolonged (one forward on the coarse grid, one inverse and one
-        # forward on the fine one) and its residual taken (dim and dim).
+        # transforms, and as many for the residual of each start.  Besides,
+        # on the fine grid: dim forward ones for the right-hand side and one
+        # inverse for the solution; on the 8^2 floor, one inverse and one
+        # forward around the direct start.  Restriction and prolongation
+        # act on half spectra and take none.
         grid = smooth2d_a.grid
         d = grid.dim
         flux = np.stack([band_limited(grid, rng), band_limited(grid, rng)])
-        assert smooth2d_a.coarse.coarse.coarse is None  # resolution tests run
+        assert smooth2d_a.direct_grid == 8  # the resolution tests run
+        smooth2d_a.coarse.coarse.floor_inverse  # built once per field
         calls = self._count_transforms(monkeypatch)
         solved = solve_div_a_grad(smooth2d_a, flux)
         its = {grid.n: solved[1], **solved.coarse_iterations}
         assert sorted(its) == [8, 16, 32]
+        assert its[8] == 0
         expected = {}
         for n, k in its.items():
-            started, coarsened = n > 8, n < grid.n
-            expected[("rfftn", n)] = (d * k + (d if n == grid.n else 1)
-                                      + started * (1 + d) + coarsened)
-            expected[("irfftn", n)] = (d * k + 1 + started * (2 + d))
+            direct, fine = n == 8, n == grid.n
+            expected[("rfftn", n)] = d * k + d + direct + fine * d
+            expected[("irfftn", n)] = d * k + d + direct + fine
         assert self._per_grid(calls, d) == expected
+
+    def test_floor_inverse_is_built_once(self, smooth2d_a, monkeypatch):
+        # one stacked operator apply to the 64 unit fields, one inverse
+        # transform of the result and one of the deflation projector
+        floor = smooth2d_a.coarse.coarse
+        N, d = floor.grid.n ** 2, floor.grid.dim
+        calls = self._count_transforms(monkeypatch)
+        inverse = floor.floor_inverse
+        assert self._per_grid(calls, d) == {("rfftn", 8): N + d * N,
+                                            ("irfftn", 8): d * N + 2 * N}
+        assert floor.floor_inverse is inverse
+        assert len(calls) == 5
 
     def test_pcg_cold_start_transforms(self, grid2d, rng, monkeypatch):
         # a laminate takes no coarse level: the cold solve, with its exact
@@ -417,6 +431,168 @@ class TestCoarseStart:
         assert max(max(res) for res in tens.cg_residual) <= torus.CG_TOL
         assert all(sorted(start) == [8, 16, 32, 64]
                    for starts in tens.cg_coarse_iterations for start in starts)
+
+
+def textbook_cold_pcg(a, flux):
+    """The cold-start PCG on one right-hand side, one ``vdot`` Parseval
+    product at a time, with the mean alone dropped: the reference
+    arithmetic that a solve on an unresolved coefficient keeps bit for
+    bit."""
+    grid = a.grid
+    ik = torus._half_gradient_multiplier(grid)
+    r = np.sum(ik * rfftn(grid, flux), axis=0)
+    r.flat[0] = 0.0
+
+    def dot(x, y):
+        return (2.0 * np.vdot(x, y).real - np.vdot(x[..., 0], y[..., 0]).real
+                - np.vdot(x[..., -1], y[..., -1]).real)
+
+    rhs_norm = np.sqrt(dot(r, r))
+    kak = -np.einsum("mn,m...,n...->...", a.mean_matrix, ik, ik).real
+    inv = np.zeros_like(kak)
+    inv[kak > 0] = 1.0 / kak[kak > 0]
+    u = np.zeros_like(r)
+    z = inv * r
+    p = z.copy()
+    rz = dot(r, z)
+    for it in range(torus.CG_MAXITER):
+        if np.sqrt(dot(r, r)) / rhs_norm <= torus.CG_TOL:
+            return irfftn(grid, u), it
+        Ap = torus._div_a_grad_hat(a, p)
+        alpha = rz / dot(p, Ap)
+        u += alpha * p
+        r -= alpha * Ap
+        np.multiply(inv, r, out=z)
+        rz_new = dot(r, z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    raise AssertionError("reference CG did not converge")
+
+
+class TestStackedSolve:
+    def test_stack_equals_column_solves(self, rng):
+        # each column has its own alpha, beta and stopping test, and its
+        # own Parseval products, so a column solves as it would alone; the
+        # zero column is met by the zero start
+        grid = TorusGrid(2, 64)
+        a = coefficient_from_spec(SMOOTH2D, grid)
+        flux = np.zeros((2, 4) + grid.shape)
+        flux[:, 0] = [band_limited(grid, rng), band_limited(grid, rng)]
+        flux[0, 1] = a.values[0, 0]
+        flux[:, 3] = [band_limited(grid, rng, kmax=12), a.values[1, 1]]
+        phi, its, res = stacked = solve_div_a_grad(a, flux)
+        assert phi.shape == (4,) + grid.shape
+        assert len(its) == len(res) == len(stacked.coarse_iterations) == 4
+        assert its[2] == 0 and res[2] == 0.0 and not np.any(phi[2])
+        for c in range(4):
+            one = solve_div_a_grad(a, flux[:, c])
+            assert (np.linalg.norm(one[0] - phi[c])
+                    <= 10 * torus.CG_TOL * np.linalg.norm(one[0]))
+            assert np.array_equal(one[0], phi[c])
+            assert (one[1], one[2]) == (its[c], res[c])
+            assert one.coarse_iterations == stacked.coarse_iterations[c]
+            assert res[c] <= torus.CG_TOL
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_unresolved_coefficients_keep_the_textbook_cold_solve(self, dim, rng):
+        # laminates take no coarse level: the solve is the textbook cold
+        # PCG bit for bit
+        grid = TorusGrid(dim, 32 if dim == 2 else 256)
+        a = coefficient_from_spec(LAMINATE, grid)
+        assert a.coarse is None and a.direct_grid is None
+        flux = rng.standard_normal((dim,) + grid.shape)
+        phi, its, _ = solve_div_a_grad(a, flux)
+        ref, ref_its = textbook_cold_pcg(a, flux)
+        assert its == ref_its > 0
+        assert np.array_equal(phi, ref)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_direct_floor_start_matches_cold_solve(self, dim, rng):
+        # on the ladder's 8-point floor the start is the direct solve, so
+        # CG takes no iteration; the caller's own grid starts cold.  White
+        # noise carries content on every mode no divergence reaches, which
+        # both drop.
+        grid = TorusGrid(dim, 8)
+        a = coefficient_from_spec(SMOOTH2D, grid)
+        rhs_hat = rfftn(grid, rng.standard_normal((3,) + grid.shape))
+        u, its, res, _ = torus._pcg_div_a_grad(a, rhs_hat.copy(), polish=False)
+        assert its == [0, 0, 0]
+        assert max(res) <= torus.CG_TOL
+        cold, cold_its, _, _ = torus._pcg_div_a_grad(a, rhs_hat.copy())
+        assert min(cold_its) > 0
+        direct = irfftn(grid, u)
+        for c in range(3):
+            assert (np.linalg.norm(direct[c] - cold[c])
+                    <= 10 * torus.CG_TOL * np.linalg.norm(cold[c]))
+            assert abs(direct[c].mean()) <= 1e-15 * np.max(np.abs(direct[c]))
+
+    def test_budget_exhausted_names_grid_and_column(self, smooth2d_a, rng,
+                                                    monkeypatch):
+        grid = smooth2d_a.grid
+        flux = np.zeros((2, 3) + grid.shape)
+        flux[:, 1] = [band_limited(grid, rng), band_limited(grid, rng)]
+        monkeypatch.setattr(torus, "CG_MAXITER", 2)
+        with pytest.raises(torus.ConvergenceError,
+                           match="16-point grid.*column 1") as err:
+            solve_div_a_grad(smooth2d_a, flux)
+        assert err.value.column == 1
+        assert err.value.iterations == 2
+        assert err.value.residual > torus.CG_TOL
+
+
+class TestUnreachableContent:
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+    @pytest.mark.parametrize("spec", [SMOOTH2D, LAMINATE])
+    def test_rejected_at_once(self, dim, n, spec, rng):
+        # zero-mean white noise has content on the Nyquist modes no
+        # divergence reaches: rejected like a mean, before any iteration
+        grid = TorusGrid(dim, n)
+        a = coefficient_from_spec(spec, grid)
+        rhs = rng.standard_normal(grid.shape)
+        rhs -= rhs.mean()
+        start = time.perf_counter()
+        with pytest.raises(SolvabilityError, match="Nyquist"):
+            solve_elliptic(a, rhs)
+        assert time.perf_counter() - start < 0.1
+        # without that content, or with roundoff of it, the solve converges
+        reachable = irfftn(grid, rfftn(grid, rhs) * torus._divergence_range(grid))
+        nyquist = np.cos(np.pi * grid.n * grid.coordinate_axes()[0])
+        for f in (reachable, reachable + 1e-13 * nyquist):
+            u = solve_elliptic(a, f)
+            res = torus.apply_div_a_grad(a, u) - reachable
+            assert np.linalg.norm(res) <= torus.CG_TOL * np.linalg.norm(reachable)
+
+
+class TestHalfSpectrumTransfers:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_restriction_is_sampling(self, dim, lead, rng):
+        for n in (16, 64):
+            grid = TorusGrid(dim, n)
+            f = rng.standard_normal(lead + grid.shape)
+            sampled = rfftn(grid.half_grid, f[torus._every_other(grid)])
+            folded = torus._restrict_hat(grid, rfftn(grid, f))
+            assert (np.linalg.norm(folded - sampled)
+                    <= 1e-15 * np.linalg.norm(sampled))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_prolongation_is_prolong_values(self, dim, lead, rng):
+        for n in (8, 32):
+            grid = TorusGrid(dim, n)
+            f = rng.standard_normal(lead + grid.shape)
+            fine = TorusGrid(dim, 2 * n)
+            spread = torus._prolong_hat(grid, rfftn(grid, f), 2)
+            round_trip = rfftn(fine, prolong_values(grid, f, 2))
+            assert (np.linalg.norm(spread - round_trip)
+                    <= 1e-15 * np.linalg.norm(round_trip))
+            assert np.array_equal(irfftn(fine, spread), prolong_values(grid, f, 2))
+
+    def test_half_grid(self):
+        assert TorusGrid(2, 16, 2.0).half_grid == TorusGrid(2, 8, 2.0)
+        assert TorusGrid(1, 8).half_grid is None
+
 
 class TestCellAverage:
     def test_constant(self, grid2d):
