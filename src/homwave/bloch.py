@@ -11,11 +11,13 @@ error (Conca & Vanninathan, SIAM J. Appl. Math. 57, 1997).
 Only the phases that carry data are diagonalized.  Phase m gets the bound
 b_m = w_m (|u_m| + tau |v_m|)^2 from its Bloch data (w_m the Parseval
 weight, tau the last snapshot time or about one CFL step if that is
-longer) and is skipped when b_m is at most eps_mach^2 / n_blocks of the
-sum.  Every block evolves unitarily, so the skipped phases hold at most
-eps_mach (|u0| + tau |v0|) of each displacement snapshot in l2, the
-roundoff of the forward transform itself, and at most sqrt(lambda_max)
-times that of each velocity snapshot.
+longer).  The smallest bounds are skipped while their running sum stays
+within eps_mach^2 of the sum over all phases.  Every block evolves
+unitarily, so the skipped phases hold at most eps_mach (|u0| + tau |v0|)
+of each displacement snapshot in l2, the roundoff of the forward
+transform itself (Higham, Accuracy and Stability of Numerical Algorithms,
+Thm. 24.2), and at most sqrt(lambda_max) times that of each velocity
+snapshot.
 
 This is the fine-scale reference of the ``wave-compare`` and ``transport``
 experiments; leapfrog (``wave.solve_fine_wave``) is its independent
@@ -23,6 +25,8 @@ cross-check and covers sources.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,14 +64,18 @@ def bloch_blocks(faces: np.ndarray, h: float, phases) -> np.ndarray:
 
 
 def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
-                          tau: float) -> np.ndarray:
-    """Indices of the Bloch phases whose bound w_m (|u_m| + tau |v_m|)^2 is
-    above eps_mach^2 / n_blocks of the sum over all phases.
+                          tau: float) -> tuple[np.ndarray, float]:
+    """Kept Bloch phases and the share of the data the skipped ones hold.
 
-    ``u_hat`` and ``v_hat`` hold the rfft across the ``n_cells`` periods;
-    w_m is the Parseval weight of phase m: 1 at m = 0 and m = M / 2, whose
-    spectra are their own conjugates, and 2 for every other phase, which
-    also stands for its mirror.  Zero data keeps no phase.
+    Phase m has the bound b_m = w_m (|u_m| + tau |v_m|)^2.  ``u_hat`` and
+    ``v_hat`` hold the rfft across the ``n_cells`` periods; w_m is the
+    Parseval weight of phase m: 1 at m = 0 and m = M / 2, whose spectra are
+    their own conjugates, and 2 for every other phase, which also stands
+    for its mirror.  The phases with the smallest bounds (in a stable sort)
+    are skipped while their running sum stays at most eps_mach^2 sum_m b_m.
+    Returns the kept indices in ascending order and the skipped share
+    sqrt(sum_skipped b / sum b), at most eps_mach (0 for zero data, which
+    keeps no phase).
     """
     weight = np.full(u_hat.shape[0], 2.0)
     weight[0] = 1.0
@@ -75,8 +83,16 @@ def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
         weight[n_cells // 2] = 1.0
     bound = weight * (np.linalg.norm(u_hat, axis=1)
                       + tau * np.linalg.norm(v_hat, axis=1)) ** 2
-    cut = np.finfo(float).eps ** 2 / bound.size * np.sum(bound)
-    return np.flatnonzero(bound > cut)
+    total = np.sum(bound)
+    order = np.argsort(bound, kind="stable")
+    running = np.cumsum(bound[order])
+    # the running sum only grows, so the skipped phases are a prefix of order
+    skipped = order[running <= np.finfo(float).eps ** 2 * total]
+    kept = np.ones(bound.size, dtype=bool)
+    kept[skipped] = False
+    share = (math.sqrt(running[skipped.size - 1] / total)
+             if skipped.size and total > 0 else 0.0)
+    return np.flatnonzero(kept), share
 
 
 def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
@@ -96,22 +112,29 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     energy of ``FluxFormOperator.energy`` at each snapshot, and ``dt`` is 0
     (there is no time step).
 
-    Phase m is skipped (neither built, diagonalized nor rotated) when
-    b_m = w_m (|u_m| + tau |v_m|)^2 <= eps_mach^2 / n_blocks * sum_m b_m,
-    with u_m, v_m the Bloch data of the phase, w_m its Parseval weight and
+    Phase m gets the bound b_m = w_m (|u_m| + tau |v_m|)^2, with u_m, v_m
+    the Bloch data of the phase, w_m its Parseval weight and
     tau = max(t_max, 1 / sqrt(Lambda)); Lambda = 2 max(f_j + f_{j-1}) / h^2
     is the Gershgorin bound on every block's eigenvalues, so tau = t_max
-    unless t_max is shorter than about one CFL time step.  A block evolves
-    unitarily: its displacement stays within |u_m| + t |v_m| and its
-    velocity within sqrt(Lambda) (|u_m| + tau |v_m|).  By Parseval the
-    skipped phases therefore hold, at every snapshot time t <= t_max,
+    unless t_max is shorter than about one CFL time step.  The phases with
+    the smallest bounds are skipped (neither built, diagonalized nor
+    rotated) while their running sum stays within the budget
+
+        sum_skipped b_m <= eps_mach^2 sum_m b_m.
+
+    A block evolves unitarily: its displacement stays within
+    |u_m| + t |v_m| and its velocity within sqrt(Lambda) (|u_m| + tau |v_m|).
+    By Parseval and the triangle inequality the skipped phases hold, at
+    every snapshot time t <= t_max,
 
         |u_skipped(t)|_2 <= eps_mach (|u0|_2 + tau |v0|_2),
         |v_skipped(t)|_2 <= sqrt(Lambda) eps_mach (|u0|_2 + tau |v0|_2),
 
     the roundoff of the forward transform itself and the order of the
     all-phase solve's own velocity roundoff.  ``meta`` records ``blocks``
-    (n_blocks) and ``blocks_solved`` (the phases diagonalized).
+    (n_blocks), ``blocks_solved`` (the phases diagonalized) and
+    ``skipped_share``, sqrt(sum_skipped b / sum b) <= eps_mach, the factor
+    that replaces eps_mach in both bounds.
     """
     if box.dim != 1:
         raise ConfigurationError("the Bloch-block solver is one-dimensional")
@@ -134,8 +157,8 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     u_hat = np.fft.rfft(u.reshape(n_cells, p), axis=0)
     v_hat = np.fft.rfft(v.reshape(n_cells, p), axis=0)
     lam_bound = 2.0 * np.max(np.abs(faces) + np.abs(np.roll(faces, 1))) / box.h ** 2
-    kept = _phases_carrying_data(u_hat, v_hat, n_cells,
-                                 max(times[-1], 1.0 / np.sqrt(lam_bound)))
+    kept, share = _phases_carrying_data(
+        u_hat, v_hat, n_cells, max(times[-1], 1.0 / np.sqrt(lam_bound)))
     phases = 2.0 * np.pi * kept / n_cells
     u_hat = u_hat[kept, :, None]
     v_hat = v_hat[kept, :, None]
@@ -172,5 +195,6 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     return WaveTrajectory(
         box=box, eps=eps, times=times, u=u_t, v=v_t, dt=0.0, energy=energy,
         meta={"solver": "bloch-exact", "blocks": n_blocks,
-              "blocks_solved": int(kept.size), "block_size": p,
+              "blocks_solved": int(kept.size), "skipped_share": share,
+              "block_size": p,
               "energy_t0": op.energy(u, v)})

@@ -67,16 +67,25 @@ def gaussian_data(box: BoxGrid, lam: float, center=None) -> np.ndarray:
     return (lam / math.pi) ** (box.dim / 2.0) * np.exp(-0.5 * (lam * r) ** 2)
 
 
-def transport_moment(u: np.ndarray, box: BoxGrid, lam: float,
-                     center) -> float:
-    """Weighted mass ( integral (1 + lam |x|)^2 u^2 )^(1/2)."""
+def _moment_weight(box: BoxGrid, lam: float, center) -> np.ndarray:
+    """The moment weight (1 + lam |x|)^2, |x| the minimum-image distance."""
     r = min_image_radius(box, np.asarray(center, dtype=float))
-    w = (1.0 + lam * r) ** 2
+    return (1.0 + lam * r) ** 2
+
+
+def _weighted_mass(w: np.ndarray, u: np.ndarray, box: BoxGrid) -> float:
     return float(np.sqrt(np.sum(w * u ** 2) * box.h ** box.dim))
 
 
+def transport_moment(u: np.ndarray, box: BoxGrid, lam: float,
+                     center) -> float:
+    """Weighted mass ( integral (1 + lam |x|)^2 u^2 )^(1/2)."""
+    return _weighted_mass(_moment_weight(box, lam, center), u, box)
+
+
 def moment_history(traj: WaveTrajectory, lam: float, center) -> np.ndarray:
-    return np.array([transport_moment(traj.u[i], traj.box, lam, center)
+    w = _moment_weight(traj.box, lam, center)
+    return np.array([_weighted_mass(w, traj.u[i], traj.box)
                      for i in range(traj.times.size)])
 
 
@@ -96,7 +105,8 @@ def windowed_moment(traj: WaveTrajectory, lam: float, T: float,
     if np.max(np.diff(ts)) > window / 16.0 + 1e-12:
         raise ConfigurationError(
             f"snapshot spacing exceeds {window / 16.0:g} over the window")
-    msq = np.array([transport_moment(traj.u[i], traj.box, lam, center) ** 2
+    w = _moment_weight(traj.box, lam, center)
+    msq = np.array([_weighted_mass(w, traj.u[i], traj.box) ** 2
                     for i in np.nonzero(sel)[0]])
     return float(math.sqrt(np.trapezoid(msq, ts)))
 

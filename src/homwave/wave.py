@@ -275,8 +275,8 @@ class WaveTrajectory:
     def solver_stats(self) -> dict:
         """Solver name, its work counts and the energy drift, for manifests."""
         stats = {key: self.meta[key]
-                 for key in ("solver", "blocks", "blocks_solved", "block_size",
-                             "steps")
+                 for key in ("solver", "blocks", "blocks_solved",
+                             "skipped_share", "block_size", "steps")
                  if key in self.meta}
         stats["energy_drift"] = self.energy_drift()
         return stats

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from homwave import cli, correctors, dispersion, torus, wave
 from homwave.cli import ExperimentConfig, config_hash, load_config, run, validate
+
+EPS_MACH = float(np.finfo(float).eps)
 
 
 def write_config(tmp_path, **kwargs):
@@ -209,7 +212,23 @@ class TestRun:
             assert stats["solver"] == "bloch-exact"
             assert stats["block_size"] == 16
             assert stats["energy_drift"] < 1e-10
+            assert 0.0 <= stats["skipped_share"] <= EPS_MACH
         assert [s["blocks"] for s in manifest["solver"]] == [33, 65]
+
+    def test_transport_records_solver(self, tmp_path):
+        cfg = ExperimentConfig(kind="transport",
+                               coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0]},
+                               eps_list=[0.25, 0.125], T=1.0, gamma=0.0,
+                               box_side=64.0, out_dir=str(tmp_path))
+        run(cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [s["eps"] for s in manifest["solver"]] == [0.25, 0.125]
+        assert [s["block_size"] for s in manifest["solver"]] == [32, 16]
+        for stats in manifest["solver"]:
+            assert stats["solver"] == "bloch-exact"
+            assert 0.0 < stats["skipped_share"] <= EPS_MACH
+            assert 0 < stats["blocks_solved"] < stats["blocks"]
 
     def test_source_term_run(self, tmp_path):
         base = dict(kind="source-term",

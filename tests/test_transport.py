@@ -118,6 +118,23 @@ class TestWindowedMoment:
         assert windowed_moment(traj, 1.0, 1.0, center) == pytest.approx(
             manual, abs=1e-12)
 
+    def test_weight_formed_once_per_trajectory(self, monkeypatch):
+        box = BoxGrid(1, 512, 32.0)
+        traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
+                               gaussian_data(box, 1.0),
+                               times=np.linspace(1.0, 2.0, 17))
+        center = np.array([16.0])
+        each = [transport_moment(u, box, 1.0, center) for u in traj.u]
+        calls = []
+        radius = transport.min_image_radius
+        monkeypatch.setattr(transport, "min_image_radius",
+                            lambda *args: calls.append(1) or radius(*args))
+        history = moment_history(traj, 1.0, center)
+        windowed = windowed_moment(traj, 1.0, 1.0, center)
+        assert len(calls) == 2
+        assert history.tolist() == each
+        assert windowed == np.sqrt(np.trapezoid(np.square(each), traj.times))
+
     def test_short_window_factor_four_of_closed_form(self):
         box = BoxGrid(1, 1024, 48.0)
         times = np.linspace(0.0, 1.0, 17)

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homwave import bloch, correctors, dispersion, oracle1d, torus, wave
+from homwave import (bloch, correctors, dispersion, oracle1d, torus,
+                     transport, wave)
 from homwave.bloch import solve_fine_wave_exact
 from homwave.torus import ConfigurationError
 from homwave.wave import (
@@ -236,18 +237,77 @@ class TestExactFineSolver:
         assert traj.meta["blocks_solved"] > 0
         assert np.max(np.abs(traj.v[0] - u0)) <= 1e-13 * np.max(np.abs(u0))
 
+    @staticmethod
+    def readme_gaussian(eps):
+        """Box, coefficient, data and snapshot times of the README
+        wave-compare config at one eps."""
+        box = BoxGrid(1, int(16 * 64.0 / eps), 64.0)
+        x = box_coordinates(box)[0]
+        return (box, coefficient_on_box(LAMINATE, box, eps),
+                np.exp(-0.5 * (x - 32.0) ** 2), np.arange(1.0, 9.0))
+
+    @pytest.mark.parametrize("data", ["gaussian", "velocity-only"])
+    def test_skipped_phases_spend_at_most_the_budget(self, data):
+        eps = 1 / 8
+        box, a_box, u0, times = self.readme_gaussian(eps)
+        v0 = np.zeros_like(u0)
+        if data == "velocity-only":
+            # at t_max = 0 the velocity weighs in through one CFL step
+            u0, v0, times = v0, u0, np.array([0.0])
+        p = box.points_per_period(eps)
+        cells = box.n // p
+        faces = wave._face_harmonic(a_box[0, 0], 0)[:p]
+        lam_bound = 2.0 * np.max(faces + np.roll(faces, 1)) / box.h ** 2
+        tau = max(times[-1], 1.0 / np.sqrt(lam_bound))
+        # b_m from the full transform: phase m plus its distinct mirror
+        u_full = np.fft.fft(u0.reshape(cells, p), axis=0)
+        v_full = np.fft.fft(v0.reshape(cells, p), axis=0)
+        per_phase = (np.linalg.norm(u_full, axis=1)
+                     + tau * np.linalg.norm(v_full, axis=1)) ** 2
+        m = np.arange(cells // 2 + 1)
+        mirror = (m > 0) & (2 * m != cells)
+        b = per_phase[m] + np.where(mirror, per_phase[(cells - m) % cells], 0)
+
+        kept, share = bloch._phases_carrying_data(
+            np.fft.rfft(u0.reshape(cells, p), axis=0),
+            np.fft.rfft(v0.reshape(cells, p), axis=0), cells, tau)
+        skipped = np.setdiff1d(m, kept)
+        eps2 = np.finfo(float).eps ** 2
+        total = np.sum(b)
+        # the in-test b_m differ from the solver's by roundoff only
+        assert skipped.size > 0 and np.all(np.diff(kept) > 0)
+        assert np.sum(b[skipped]) <= eps2 * total * (1 + 1e-12)
+        # the budget is spent: one more phase, the smallest kept, overruns it
+        assert np.sum(b[skipped]) + np.min(b[kept]) > eps2 * total * (1 - 1e-12)
+        assert share == pytest.approx(np.sqrt(np.sum(b[skipped]) / total),
+                                      rel=1e-12)
+        assert share <= np.finfo(float).eps
+        # the per-phase rule (b_m > eps_mach^2 / n_blocks sum b) keeps more
+        assert set(kept) <= set(np.flatnonzero(b > eps2 / m.size * total))
+
+        traj = solve_fine_wave_exact(a_box, box, u0, times, eps, v0=v0)
+        assert traj.meta["blocks_solved"] == kept.size
+        assert traj.meta["skipped_share"] == share
+
     def test_phases_solved_on_the_readme_wave_compare_config(self):
         # data and snapshot times of the README wave-compare config: the
         # counts are deterministic, so any change to the rule shows here
         solved = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
-            box = BoxGrid(1, int(16 * 64.0 / eps), 64.0)
-            x = box_coordinates(box)[0]
-            traj = solve_fine_wave_exact(
-                coefficient_on_box(LAMINATE, box, eps), box,
-                np.exp(-0.5 * (x - 32.0) ** 2), np.arange(1.0, 9.0), eps)
+            box, a_box, u0, times = self.readme_gaussian(eps)
+            traj = solve_fine_wave_exact(a_box, box, u0, times, eps)
             solved.append((traj.meta["blocks_solved"], traj.meta["blocks"]))
-        assert solved == [(107, 257), (150, 513), (232, 1025)]
+        assert solved == [(86, 257), (86, 513), (86, 1025)]
+
+    def test_phases_solved_on_the_transport_config(self):
+        # the transport-1d benchmark config: one 16384-point box, p = 64,
+        # 32 and 16 (gamma_bar only sets the wrap guard, not the solve)
+        box = BoxGrid(1, 16384, 64.0)
+        rep = transport.ballistic_experiment(LAMINATE, box, [1 / 4, 1 / 8, 1 / 16],
+                                             0.0, 1.0, 2, gamma_bar=1.0)
+        solved = [(r.solver["blocks_solved"], r.solver["blocks"])
+                  for r in rep.rows]
+        assert solved == [(86, 129), (86, 257), (86, 513)]
 
     def test_leapfrog_converges_at_second_order(self):
         box, a_box, u0, v0 = self.laminate_run(128, 4.0, 1 / 2)
