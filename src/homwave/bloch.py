@@ -6,7 +6,11 @@ transform across the periods (a Bloch transform) therefore splits it into
 one Hermitian p x p block per Bloch phase.  Each block is diagonalized once
 and every eigenmode evolves by cos(omega t) and sin(omega t) / omega, so
 snapshots at any times cost no time stepping and carry no time-stepping
-error (Conca & Vanninathan, SIAM J. Appl. Math. 57, 1997).
+error (Conca & Vanninathan, SIAM J. Appl. Math. 57, 1997).  The solver
+returns displacements only; the velocity of a wave is the displacement of
+the wave with data (v0, L u0).  Each eigenmode conserves its energy, so the
+energy log is the Bloch-space energy of the data, held against the
+flux-form energy of (u0, v0).
 
 Only the phases that carry data are diagonalized.  Phase m gets the bound
 b_m = w_m (|u_m| + tau |v_m|)^2 from its Bloch data (w_m the Parseval
@@ -16,8 +20,7 @@ within eps_mach^2 of the sum over all phases.  Every block evolves
 unitarily, so the skipped phases hold at most eps_mach (|u0| + tau |v0|)
 of each displacement snapshot in l2, the roundoff of the forward
 transform itself (Higham, Accuracy and Stability of Numerical Algorithms,
-Thm. 24.2), and at most sqrt(lambda_max) times that of each velocity
-snapshot.
+Thm. 24.2).
 
 This is the fine-scale reference of the ``wave-compare`` and ``transport``
 experiments; leapfrog (``wave.solve_fine_wave``) is its independent
@@ -42,6 +45,31 @@ from .wave import (BoxGrid, FluxFormOperator, WaveTrajectory, _face_harmonic,
 _CHUNK_ENTRIES = 4096
 
 
+def _tridiagonal(faces: np.ndarray) -> np.ndarray:
+    """The phase-free part of every Bloch block times h^2: the periodic
+    tridiagonal matrix of -div(a grad) on one period, corners left out."""
+    p = faces.size
+    tri = np.zeros((p, p), dtype=complex)
+    j = np.arange(p)
+    tri[j, j] = faces + np.roll(faces, 1)
+    tri[j[:-1], j[1:]] -= faces[:-1]
+    tri[j[1:], j[:-1]] -= faces[:-1]
+    return tri
+
+
+def _set_corners(blocks: np.ndarray, tri: np.ndarray, faces: np.ndarray,
+                 h: float, phases: np.ndarray) -> None:
+    """Write the two corner entries of the blocks at ``phases`` into
+    ``blocks``, whose other entries hold tri / h^2."""
+    p = faces.size
+    corner = faces[-1] * np.exp(1j * phases)
+    lower = tri[p - 1, 0] - corner
+    # at p = 1 both corners fall on the one diagonal entry
+    upper = (lower if p == 1 else tri[0, p - 1]) - np.conj(corner)
+    blocks[:, p - 1, 0] = lower / h ** 2
+    blocks[:, 0, p - 1] = upper / h ** 2
+
+
 def bloch_blocks(faces: np.ndarray, h: float, phases) -> np.ndarray:
     """Hermitian p x p blocks of -div(a grad) at the given Bloch phases.
 
@@ -50,17 +78,23 @@ def bloch_blocks(faces: np.ndarray, h: float, phases) -> np.ndarray:
     exp(i phases[m]) from one period to the next; the corner entries carry
     that factor.
     """
-    p = faces.size
     phases = np.asarray(phases, dtype=float)
-    blocks = np.zeros((phases.size, p, p), dtype=complex)
-    j = np.arange(p)
-    blocks[:, j, j] = faces + np.roll(faces, 1)
-    blocks[:, j[:-1], j[1:]] -= faces[:-1]
-    blocks[:, j[1:], j[:-1]] -= faces[:-1]
-    corner = faces[-1] * np.exp(1j * phases)
-    blocks[:, p - 1, 0] -= corner
-    blocks[:, 0, p - 1] -= np.conj(corner)
-    return blocks / h ** 2
+    tri = _tridiagonal(faces)
+    blocks = np.empty((phases.size,) + tri.shape, dtype=complex)
+    blocks[:] = tri / h ** 2
+    _set_corners(blocks, tri, faces, h, phases)
+    return blocks
+
+
+def _parseval_weights(n_cells: int) -> np.ndarray:
+    """Weight of each rfft phase across ``n_cells`` periods in Parseval's
+    sum: 1 at m = 0 and m = M / 2, whose spectra are their own conjugates,
+    and 2 for every other phase, which also stands for its mirror."""
+    weight = np.full(n_cells // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if n_cells % 2 == 0:
+        weight[n_cells // 2] = 1.0
+    return weight
 
 
 def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
@@ -69,20 +103,15 @@ def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
 
     Phase m has the bound b_m = w_m (|u_m| + tau |v_m|)^2.  ``u_hat`` and
     ``v_hat`` hold the rfft across the ``n_cells`` periods; w_m is the
-    Parseval weight of phase m: 1 at m = 0 and m = M / 2, whose spectra are
-    their own conjugates, and 2 for every other phase, which also stands
-    for its mirror.  The phases with the smallest bounds (in a stable sort)
-    are skipped while their running sum stays at most eps_mach^2 sum_m b_m.
+    Parseval weight of phase m (``_parseval_weights``).  The phases with
+    the smallest bounds (in a stable sort) are skipped while their running
+    sum stays at most eps_mach^2 sum_m b_m.
     Returns the kept indices in ascending order and the skipped share
     sqrt(sum_skipped b / sum b), at most eps_mach (0 for zero data, which
     keeps no phase).
     """
-    weight = np.full(u_hat.shape[0], 2.0)
-    weight[0] = 1.0
-    if n_cells % 2 == 0:
-        weight[n_cells // 2] = 1.0
-    bound = weight * (np.linalg.norm(u_hat, axis=1)
-                      + tau * np.linalg.norm(v_hat, axis=1)) ** 2
+    norms = np.linalg.norm(u_hat, axis=1) + tau * np.linalg.norm(v_hat, axis=1)
+    bound = _parseval_weights(n_cells) * norms ** 2
     total = np.sum(bound)
     order = np.argsort(bound, kind="stable")
     running = np.cumsum(bound[order])
@@ -98,7 +127,8 @@ def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
 def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
                           times, eps: float,
                           v0: np.ndarray | None = None) -> WaveTrajectory:
-    """Solve u_tt = div(a grad u) exactly in time for a periodic 1D medium.
+    """Displacement snapshots of u_tt = div(a grad u), exact in time, for a
+    periodic 1D medium.
 
     The spatial operator is the flux form of ``FluxFormOperator``.  The
     medium repeats every p = n eps / side nodes, so a discrete Fourier
@@ -106,35 +136,49 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     Hermitian p x p block per Bloch phase (n_blocks = M // 2 + 1 of them by
     conjugate symmetry).  Each block that carries data is diagonalized,
     every eigenmode is rotated to all snapshot times by ``wave._rotate``,
-    and the snapshots are transformed back.  Blocks are diagonalized
+    and the displacement snapshots are transformed back.  The real
+    tridiagonal part of the blocks is built once; only the two corner
+    entries change with the phase.  Blocks are diagonalized
     ``_CHUNK_ENTRIES`` / p^2 phases at a time, so the working set stays
-    O(``_CHUNK_ENTRIES`` + snapshots n).  The energy log is the physical
-    energy of ``FluxFormOperator.energy`` at each snapshot, and ``dt`` is 0
-    (there is no time step).
+    O(``_CHUNK_ENTRIES`` + snapshots n).  ``dt`` is 0 (there is no time
+    step).
+
+    The trajectory's ``v`` is None.  The velocity u_t solves the same
+    discrete wave equation with data (v0, L u0), L = ``FluxFormOperator.apply``,
+    so it is the displacement of a second solve from those data.
+
+    Every eigenmode's rotation conserves its energy (|b|^2 + omega^2 |a|^2)
+    / 2 exactly, so the energy log holds at every snapshot the Bloch-space
+    energy of the kept modes at t = 0,
+
+        E = h / (2 M) sum_m w_m sum_bands (|b|^2 + omega^2 |a|^2),
+
+    with (a, b) the eigenmode amplitudes of (u0, v0) and w_m the Parseval
+    weight.  ``meta["energy_t0"]`` is the physical energy
+    ``FluxFormOperator.energy(u0, v0)``, so ``energy_drift`` measures how
+    far the block diagonalization agrees with the flux-form operator, plus
+    the energy of the skipped phases.
 
     Phase m gets the bound b_m = w_m (|u_m| + tau |v_m|)^2, with u_m, v_m
-    the Bloch data of the phase, w_m its Parseval weight and
-    tau = max(t_max, 1 / sqrt(Lambda)); Lambda = 2 max(f_j + f_{j-1}) / h^2
-    is the Gershgorin bound on every block's eigenvalues, so tau = t_max
-    unless t_max is shorter than about one CFL time step.  The phases with
-    the smallest bounds are skipped (neither built, diagonalized nor
-    rotated) while their running sum stays within the budget
+    the Bloch data of the phase and tau = max(t_max, 1 / sqrt(Lambda));
+    Lambda = 2 max(f_j + f_{j-1}) / h^2 is the Gershgorin bound on every
+    block's eigenvalues, so tau = t_max unless t_max is shorter than about
+    one CFL time step.  The phases with the smallest bounds are skipped
+    (neither built, diagonalized nor rotated) while their running sum stays
+    within the budget
 
         sum_skipped b_m <= eps_mach^2 sum_m b_m.
 
     A block evolves unitarily: its displacement stays within
-    |u_m| + t |v_m| and its velocity within sqrt(Lambda) (|u_m| + tau |v_m|).
-    By Parseval and the triangle inequality the skipped phases hold, at
-    every snapshot time t <= t_max,
+    |u_m| + t |v_m|.  By Parseval and the triangle inequality the skipped
+    phases hold, at every snapshot time t <= t_max,
 
         |u_skipped(t)|_2 <= eps_mach (|u0|_2 + tau |v0|_2),
-        |v_skipped(t)|_2 <= sqrt(Lambda) eps_mach (|u0|_2 + tau |v0|_2),
 
-    the roundoff of the forward transform itself and the order of the
-    all-phase solve's own velocity roundoff.  ``meta`` records ``blocks``
-    (n_blocks), ``blocks_solved`` (the phases diagonalized) and
+    the roundoff of the forward transform itself.  ``meta`` records
+    ``blocks`` (n_blocks), ``blocks_solved`` (the phases diagonalized) and
     ``skipped_share``, sqrt(sum_skipped b / sum b) <= eps_mach, the factor
-    that replaces eps_mach in both bounds.
+    that replaces eps_mach in the bound.
     """
     if box.dim != 1:
         raise ConfigurationError("the Bloch-block solver is one-dimensional")
@@ -160,41 +204,46 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     kept, share = _phases_carrying_data(
         u_hat, v_hat, n_cells, max(times[-1], 1.0 / np.sqrt(lam_bound)))
     phases = 2.0 * np.pi * kept / n_cells
+    weight = _parseval_weights(n_cells)[kept]
     u_hat = u_hat[kept, :, None]
-    v_hat = v_hat[kept, :, None]
+    v_hat = v_hat[kept, :, None] if np.any(v) else None
     ut_hat = np.empty((times.size, kept.size, p), dtype=complex)
-    vt_hat = np.empty_like(ut_hat)
+    mode_energy = np.empty(kept.size)
     chunk = max(1, _CHUNK_ENTRIES // p ** 2)
+    tri = _tridiagonal(faces)
+    blocks = np.empty((min(chunk, kept.size), p, p), dtype=complex)
+    blocks[:] = tri / box.h ** 2
     for start in range(0, kept.size, chunk):
         sl = slice(start, start + chunk)
-        lam, vecs = np.linalg.eigh(bloch_blocks(faces, box.h, phases[sl]))
+        chunk_blocks = blocks[:phases[sl].size]
+        _set_corners(chunk_blocks, tri, faces, box.h, phases[sl])
+        lam, vecs = np.linalg.eigh(chunk_blocks)
         omega = np.sqrt(np.maximum(lam, 0.0))[..., None]
-        # mode amplitudes of (u, v); no conjugated eigenvectors outlive them
-        modes = np.conj(np.swapaxes(vecs, 1, 2)) @ np.stack([u_hat[sl], v_hat[sl]])
-        a_m, b_m = _rotate(modes[0], modes[1], omega, times)
-        ut_hat[:, sl] = np.moveaxis(vecs @ a_m, -1, 0)
-        vt_hat[:, sl] = np.moveaxis(vecs @ b_m, -1, 0)
+        # eigenmode amplitudes of the data
+        adjoint = np.conj(np.swapaxes(vecs, 1, 2))
+        a_m = adjoint @ u_hat[sl]
+        energy = omega ** 2 * np.abs(a_m) ** 2
+        if v_hat is None:
+            a_t = _rotate(a_m, None, omega, times)
+        else:
+            b_m = adjoint @ v_hat[sl]
+            energy += np.abs(b_m) ** 2
+            a_t = _rotate(a_m, b_m, omega, times)[0]
+        mode_energy[sl] = weight[sl] * np.sum(energy, axis=(1, 2))
+        ut_hat[:, sl] = np.moveaxis(vecs @ a_t, -1, 0)
 
-    def snapshots(spec):
-        # one snapshot at a time, the kept phases scattered into one
-        # zero-filled spectrum: no full-size temporary besides the output
-        out = np.empty((times.size,) + box.shape)
-        full = np.zeros((n_blocks, p), dtype=complex)
-        for i in range(times.size):
-            full[kept] = spec[i]
-            out[i].reshape(n_cells, p)[...] = np.fft.irfft(full, n=n_cells,
-                                                           axis=0)
-        return out
-
-    u_t = snapshots(ut_hat)
-    del ut_hat  # freed before the velocity snapshots are allocated
-    v_t = snapshots(vt_hat)
-    del vt_hat
-    op = FluxFormOperator(box, a_box)
-    energy = np.array([op.energy(u_t[i], v_t[i]) for i in range(times.size)])
+    # one snapshot at a time, the kept phases scattered into one zero-filled
+    # spectrum: no full-size temporary besides the output
+    u_t = np.empty((times.size,) + box.shape)
+    full = np.zeros((n_blocks, p), dtype=complex)
+    for i in range(times.size):
+        full[kept] = ut_hat[i]
+        u_t[i].reshape(n_cells, p)[...] = np.fft.irfft(full, n=n_cells, axis=0)
+    energy_kept = box.h / (2 * n_cells) * float(np.sum(mode_energy))
     return WaveTrajectory(
-        box=box, eps=eps, times=times, u=u_t, v=v_t, dt=0.0, energy=energy,
+        box=box, eps=eps, times=times, u=u_t, v=None, dt=0.0,
+        energy=np.full(times.size, energy_kept),
         meta={"solver": "bloch-exact", "blocks": n_blocks,
               "blocks_solved": int(kept.size), "skipped_share": share,
               "block_size": p,
-              "energy_t0": op.energy(u, v)})
+              "energy_t0": FluxFormOperator(box, a_box).energy(u, v)})

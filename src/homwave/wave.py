@@ -5,9 +5,10 @@ with harmonic face averaging (robust for laminates).  Two solvers share
 that operator:
 
 - ``homwave.bloch.solve_fine_wave_exact`` (1D, periodic medium, no source)
-  splits the operator into Bloch blocks and evolves every mode exactly in
-  time.  It is the reference of the ``wave-compare`` and ``transport``
-  experiments, so their errors carry no time-stepping error.
+  splits the operator into Bloch blocks, evolves every mode exactly in
+  time and returns displacements only.  It is the reference of the
+  ``wave-compare`` and ``transport`` experiments, so their errors carry no
+  time-stepping error.
 - ``solve_fine_wave`` steps with the leapfrog scheme in kick-drift-kick
   form, which carries the velocity and makes energy-norm errors directly
   measurable.  It takes sources and any dimension, and is the reference of
@@ -255,13 +256,16 @@ def dressed_gradient(bc: BoxCorrectors, cache: DerivativeCache,
 
 @dataclass
 class WaveTrajectory:
-    """Snapshots (u, du/dt) of a fine-scale run, with an energy log."""
+    """Snapshots (u, du/dt) of a fine-scale run, with an energy log.
+
+    ``v`` is None where the solver returns displacements only
+    (``bloch.solve_fine_wave_exact``)."""
 
     box: BoxGrid
     eps: float | None
     times: np.ndarray
     u: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
     dt: float
     energy: np.ndarray
     meta: dict = dc_field(default_factory=dict)

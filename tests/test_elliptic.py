@@ -358,3 +358,19 @@ class TestRateStudies:
         st = elliptic_error_sweep_spectral(spec_tag, tens, model, 2,
                                            [1 / 16, 1 / 32], box, f)
         assert st.fitted_order > 1.7
+
+    def test_boussinesq_fourth_order_sweep_with_coarse_cell(self):
+        # a 32-point cell on a 1024-point box: at eps = 1/4 the fourth
+        # derivative of f's transform roundoff would reach the Nyquist mode
+        grid = torus.TorusGrid(1, 32)
+        spec_tag = {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0}
+        a = torus.coefficient_from_spec(spec_tag, grid)
+        tens = correctors.tensorize_correctors(a, 4)
+        model = correctors.reconstruct_dispersion(a, 4, tensors=tens)
+        box = BoxGrid(1, 1024, 1.0)
+        f = np.sin(2 * np.pi * box_coordinates(box)[0])
+        st = elliptic_error_sweep_spectral(spec_tag, tens, model, 4,
+                                           [1 / 4, 1 / 8, 1 / 16], box, f,
+                                           operator="boussinesq")
+        assert np.all(np.diff(st.errors) < 0)
+        assert st.fitted_order >= 3.8

@@ -154,6 +154,14 @@ class TestExactFineSolver:
         v0 = np.sin(2 * np.pi * x / side) * np.exp(-(x - 0.3 * side) ** 2)
         return box, coefficient_on_box(LAMINATE, box, eps), u0, v0
 
+    @staticmethod
+    def exact_velocity(a_box, box, u0, v0, times, eps):
+        """Velocity snapshots of the exact solve: u_t solves the same wave
+        equation with data (v0, L u0), so it is the displacement of a second
+        solve."""
+        accel = wave.FluxFormOperator(box, a_box).apply(u0)
+        return solve_fine_wave_exact(a_box, box, v0, times, eps, v0=accel).u
+
     def test_blocks_reproduce_operator(self, rng):
         box, a_box, _, _ = self.laminate_run(1024, 8.0, 1 / 8)
         p = box.points_per_period(1 / 8)
@@ -188,12 +196,64 @@ class TestExactFineSolver:
         box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
         times = [0.5, 3.0, 8.0]
         traj = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0)
+        v_t = self.exact_velocity(a_box, box, u0, v0, times, 1 / 8)
         refs = self.dense_reference(box, a_box, u0, v0, times)
         for i, (u_ref, v_ref) in enumerate(refs):
             assert box_l2(box, traj.u[i] - u_ref) < 1e-9
-            assert box_l2(box, traj.v[i] - v_ref) < 1e-9
+            assert box_l2(box, v_t[i] - v_ref) < 1e-9
         assert traj.energy_drift() < 1e-10
         assert traj.meta["blocks"] == 33 and traj.meta["block_size"] == 16
+
+    @pytest.mark.parametrize("with_velocity", [False, True])
+    def test_one_inverse_transform_per_snapshot_and_one_apply(
+            self, monkeypatch, with_velocity):
+        # no velocity snapshots and no per-snapshot energy pass: the one
+        # operator apply is the physical energy of the data
+        box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
+        calls = {"irfft": 0, "apply": 0}
+        irfft, apply = np.fft.irfft, wave.FluxFormOperator.apply
+
+        def counted_irfft(*args, **kwargs):
+            calls["irfft"] += 1
+            return irfft(*args, **kwargs)
+
+        def counted_apply(op, u):
+            calls["apply"] += 1
+            return apply(op, u)
+
+        monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        monkeypatch.setattr(wave.FluxFormOperator, "apply", counted_apply)
+        times = [0.5, 1.0, 3.0, 8.0]
+        traj = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8,
+                                     v0=v0 if with_velocity else None)
+        assert calls == {"irfft": len(times), "apply": 1}
+        assert traj.v is None
+
+    @pytest.mark.parametrize("fault", ["corner phase", "one face"])
+    def test_energy_drift_sees_wrong_blocks(self, monkeypatch, fault):
+        # the energy log comes from the blocks, energy_t0 from the flux-form
+        # operator: blocks that are not the operator's show as drift
+        box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
+        times = [0.5, 3.0, 8.0]
+        true = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0)
+        assert true.energy_drift() < 1e-10
+        if fault == "corner phase":
+            set_corners = bloch._set_corners
+            monkeypatch.setattr(
+                bloch, "_set_corners",
+                lambda blocks, tri, faces, h, phases:
+                set_corners(blocks, tri, faces, h, phases + 0.01))
+        else:
+            face_harmonic = bloch._face_harmonic
+
+            def perturbed(a, axis):
+                faces = face_harmonic(a, axis)
+                faces[3] *= 1.0 + 1e-3
+                return faces
+
+            monkeypatch.setattr(bloch, "_face_harmonic", perturbed)
+        wrong = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0)
+        assert wrong.energy_drift() > 1e-6
 
     def test_skipped_phases_leave_dense_reference_unchanged(self):
         # a Gaussian of width 8 periodized over the 64-long box: its Bloch
@@ -209,10 +269,11 @@ class TestExactFineSolver:
         times = [0.25, 0.5]
         traj = solve_fine_wave_exact(a_box, box, u0, times, 1.0, v0=v0)
         assert traj.meta["blocks"] == 33 and traj.meta["blocks_solved"] == 11
+        v_t = self.exact_velocity(a_box, box, u0, v0, times, 1.0)
         refs = self.dense_reference(box, a_box, u0, v0, times)
         for i, (u_ref, v_ref) in enumerate(refs):
             assert box_l2(box, traj.u[i] - u_ref) <= 1e-12 * box_l2(box, u_ref)
-            assert box_l2(box, traj.v[i] - v_ref) <= 1e-12 * box_l2(box, v_ref)
+            assert box_l2(box, v_t[i] - v_ref) <= 1e-12 * box_l2(box, v_ref)
 
     def test_zero_data_diagonalizes_no_phase(self):
         box, a_box, u0, _ = self.laminate_run(1024, 8.0, 1 / 8)
@@ -235,7 +296,9 @@ class TestExactFineSolver:
         traj = solve_fine_wave_exact(a_box, box, np.zeros_like(u0), [0.0],
                                      1 / 8, v0=u0)
         assert traj.meta["blocks_solved"] > 0
-        assert np.max(np.abs(traj.v[0] - u0)) <= 1e-13 * np.max(np.abs(u0))
+        v_t = self.exact_velocity(a_box, box, np.zeros_like(u0), u0, [0.0],
+                                  1 / 8)
+        assert np.max(np.abs(v_t[0] - u0)) <= 1e-13 * np.max(np.abs(u0))
 
     @staticmethod
     def readme_gaussian(eps):
@@ -312,11 +375,12 @@ class TestExactFineSolver:
     def test_leapfrog_converges_at_second_order(self):
         box, a_box, u0, v0 = self.laminate_run(128, 4.0, 1 / 2)
         exact = solve_fine_wave_exact(a_box, box, u0, [1.0], 1 / 2, v0=v0)
+        v_exact = self.exact_velocity(a_box, box, u0, v0, [1.0], 1 / 2)
         gaps_u, gaps_v = [], []
         for cfl in (0.1, 0.05, 0.025, 0.0125):
             traj = solve_fine_wave(a_box, box, u0, v0=v0, times=[1.0], cfl=cfl)
             gaps_u.append(box_l2(box, traj.u[0] - exact.u[0]))
-            gaps_v.append(box_l2(box, traj.v[0] - exact.v[0]))
+            gaps_v.append(box_l2(box, traj.v[0] - v_exact[0]))
         for gaps in (gaps_u, gaps_v):
             rates = np.log2(np.asarray(gaps[:-1]) / np.asarray(gaps[1:]))
             assert np.all(np.abs(rates - 2.0) < 0.1), rates
