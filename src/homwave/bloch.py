@@ -4,27 +4,17 @@ The flux-form operator of ``wave.FluxFormOperator`` on a box holding M
 periods of p nodes commutes with shifts by one period.  A discrete Fourier
 transform across the periods (a Bloch transform) therefore splits it into
 one Hermitian p x p block per Bloch phase.  Each block is diagonalized once
-and every eigenmode evolves by cos(omega t) and sin(omega t) / omega, so
+and every eigenmode evolves by cos(omega t) and sin(omega t) / omega, plus
+its closed-form response to a step source h(x) 1[0, support](t), so
 snapshots at any times cost no time stepping and carry no time-stepping
-error (Conca & Vanninathan, SIAM J. Appl. Math. 57, 1997).  The solver
-returns displacements only; the velocity of a wave is the displacement of
-the wave with data (v0, L u0).  Each eigenmode conserves its energy, so the
-energy log is the Bloch-space energy of the data, held against the
-flux-form energy of (u0, v0).
+error (Conca & Vanninathan, SIAM J. Appl. Math. 57, 1997).  Only the
+phases that carry data are diagonalized, within an eps_mach budget
+(``solve_fine_wave_exact``).
 
-Only the phases that carry data are diagonalized.  Phase m gets the bound
-b_m = w_m (|u_m| + tau |v_m|)^2 from its Bloch data (w_m the Parseval
-weight, tau the last snapshot time or about one CFL step if that is
-longer).  The smallest bounds are skipped while their running sum stays
-within eps_mach^2 of the sum over all phases.  Every block evolves
-unitarily, so the skipped phases hold at most eps_mach (|u0| + tau |v0|)
-of each displacement snapshot in l2, the roundoff of the forward
-transform itself (Higham, Accuracy and Stability of Numerical Algorithms,
-Thm. 24.2).
-
-This is the fine-scale reference of the ``wave-compare`` and ``transport``
-experiments; leapfrog (``wave.solve_fine_wave``) is its independent
-cross-check and covers sources.
+This is the fine-scale reference of every wave experiment
+(``wave-compare``, ``transport``, ``source-term`` and the constant-medium
+moment scan); leapfrog (``wave.solve_fine_wave``) is its independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -35,7 +25,7 @@ import numpy as np
 
 from .torus import ConfigurationError
 from .wave import (BoxGrid, FluxFormOperator, WaveTrajectory, _face_harmonic,
-                   _fine_inputs, _rotate)
+                   _fine_inputs, _rotate, _step_source)
 
 
 # block entries per eigh call: the eigensystems and work arrays of one call
@@ -98,19 +88,23 @@ def _parseval_weights(n_cells: int) -> np.ndarray:
 
 
 def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
-                          tau: float) -> tuple[np.ndarray, float]:
+                          tau: float, h_hat: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, float]:
     """Kept Bloch phases and the share of the data the skipped ones hold.
 
-    Phase m has the bound b_m = w_m (|u_m| + tau |v_m|)^2.  ``u_hat`` and
-    ``v_hat`` hold the rfft across the ``n_cells`` periods; w_m is the
-    Parseval weight of phase m (``_parseval_weights``).  The phases with
-    the smallest bounds (in a stable sort) are skipped while their running
-    sum stays at most eps_mach^2 sum_m b_m.
+    Phase m has the bound b_m = w_m (|u_m| + tau |v_m| + tau^2 |h_m| / 2)^2
+    from the rfft across the ``n_cells`` periods of the data and of the
+    step source (``h_hat`` None for none); w_m is the Parseval weight
+    (``_parseval_weights``).  The phases with the smallest bounds (in a
+    stable sort) are skipped while their running sum stays at most
+    eps_mach^2 sum_m b_m.
     Returns the kept indices in ascending order and the skipped share
     sqrt(sum_skipped b / sum b), at most eps_mach (0 for zero data, which
     keeps no phase).
     """
     norms = np.linalg.norm(u_hat, axis=1) + tau * np.linalg.norm(v_hat, axis=1)
+    if h_hat is not None:
+        norms += 0.5 * tau ** 2 * np.linalg.norm(h_hat, axis=1)
     bound = _parseval_weights(n_cells) * norms ** 2
     total = np.sum(bound)
     order = np.argsort(bound, kind="stable")
@@ -125,60 +119,54 @@ def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
 
 
 def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
-                          times, eps: float,
-                          v0: np.ndarray | None = None) -> WaveTrajectory:
-    """Displacement snapshots of u_tt = div(a grad u), exact in time, for a
-    periodic 1D medium.
+                          times, eps: float, v0: np.ndarray | None = None,
+                          source: np.ndarray | None = None,
+                          support: float = 1.0) -> WaveTrajectory:
+    """Displacement snapshots of u_tt = div(a grad u) + h 1[0, support](t),
+    exact in time, for a periodic 1D medium; h is ``source`` (None for none).
 
-    The spatial operator is the flux form of ``FluxFormOperator``.  The
-    medium repeats every p = n eps / side nodes, so a discrete Fourier
-    transform across the M = n / p cells splits the operator into one
-    Hermitian p x p block per Bloch phase (n_blocks = M // 2 + 1 of them by
-    conjugate symmetry).  Each block that carries data is diagonalized,
-    every eigenmode is rotated to all snapshot times by ``wave._rotate``,
-    and the displacement snapshots are transformed back.  The real
-    tridiagonal part of the blocks is built once; only the two corner
-    entries change with the phase.  Blocks are diagonalized
-    ``_CHUNK_ENTRIES`` / p^2 phases at a time, so the working set stays
-    O(``_CHUNK_ENTRIES`` + snapshots n).  ``dt`` is 0 (there is no time
-    step).
+    The medium repeats every p = n eps / side nodes, so a discrete Fourier
+    transform across the M = n / p cells splits the flux-form operator into
+    one Hermitian p x p block per Bloch phase (n_blocks = M // 2 + 1 of them
+    by conjugate symmetry).  Each block that carries data is diagonalized,
+    every eigenmode is rotated to all snapshot times by ``wave._rotate``
+    (plus ``wave._step_source`` for its amplitude of h), and the
+    displacement snapshots are transformed back.  The real tridiagonal part
+    of the blocks is built once; only the two corner entries change with
+    the phase.  Blocks are diagonalized ``_CHUNK_ENTRIES`` / p^2 phases at a
+    time, so the working set stays O(``_CHUNK_ENTRIES`` + snapshots n).
+    ``dt`` is 0 (there is no time step).
 
-    The trajectory's ``v`` is None.  The velocity u_t solves the same
-    discrete wave equation with data (v0, L u0), L = ``FluxFormOperator.apply``,
-    so it is the displacement of a second solve from those data.
+    The trajectory's ``v`` is None.  Without a source the velocity u_t
+    solves the same discrete wave equation with data (v0, L u0),
+    L = ``FluxFormOperator.apply``, so it is the displacement of a second
+    solve from those data.
 
-    Every eigenmode's rotation conserves its energy (|b|^2 + omega^2 |a|^2)
-    / 2 exactly, so the energy log holds at every snapshot the Bloch-space
-    energy of the kept modes at t = 0,
+    The energy log holds the Bloch-space energy of the kept modes at each
+    snapshot, E = h / (2 M) sum_m w_m sum_bands (|b|^2 + omega^2 |a|^2), with
+    (a, b) the eigenmode amplitudes of (u, u_t) and w_m the Parseval weight.
+    Without a source each rotation conserves it, so it is formed once from
+    the data, and ``meta["energy_t0"]`` is ``FluxFormOperator.energy(u0, v0)``:
+    ``energy_drift`` measures how far the blocks agree with the flux-form
+    operator, plus the energy of the skipped phases.  A sourced run has no
+    ``energy_t0``; its energy is constant once t >= support.
 
-        E = h / (2 M) sum_m w_m sum_bands (|b|^2 + omega^2 |a|^2),
+    Phase m gets the bound b_m = w_m (|u_m| + tau |v_m| + tau^2 |h_m| / 2)^2
+    from its Bloch data, with tau = max(t_max, 1 / sqrt(Lambda)) and
+    Lambda = 2 max(f_j + f_{j-1}) / h^2 the Gershgorin bound of the blocks
+    (so velocity data count at t_max = 0).  The smallest bounds are skipped
+    (neither built, diagonalized nor rotated) while their sum stays within
+    eps_mach^2 sum_m b_m.  A block evolves unitarily and the step response
+    (cos omega (t - s) - cos omega t) / omega^2 is at most t^2 / 2, so by
+    Parseval the skipped phases hold at every snapshot time t <= t_max
 
-    with (a, b) the eigenmode amplitudes of (u0, v0) and w_m the Parseval
-    weight.  ``meta["energy_t0"]`` is the physical energy
-    ``FluxFormOperator.energy(u0, v0)``, so ``energy_drift`` measures how
-    far the block diagonalization agrees with the flux-form operator, plus
-    the energy of the skipped phases.
+        |u_skipped(t)|_2 <= eps_mach (|u0|_2 + tau |v0|_2 + tau^2 |h|_2 / 2),
 
-    Phase m gets the bound b_m = w_m (|u_m| + tau |v_m|)^2, with u_m, v_m
-    the Bloch data of the phase and tau = max(t_max, 1 / sqrt(Lambda));
-    Lambda = 2 max(f_j + f_{j-1}) / h^2 is the Gershgorin bound on every
-    block's eigenvalues, so tau = t_max unless t_max is shorter than about
-    one CFL time step.  The phases with the smallest bounds are skipped
-    (neither built, diagonalized nor rotated) while their running sum stays
-    within the budget
-
-        sum_skipped b_m <= eps_mach^2 sum_m b_m.
-
-    A block evolves unitarily: its displacement stays within
-    |u_m| + t |v_m|.  By Parseval and the triangle inequality the skipped
-    phases hold, at every snapshot time t <= t_max,
-
-        |u_skipped(t)|_2 <= eps_mach (|u0|_2 + tau |v0|_2),
-
-    the roundoff of the forward transform itself.  ``meta`` records
-    ``blocks`` (n_blocks), ``blocks_solved`` (the phases diagonalized) and
-    ``skipped_share``, sqrt(sum_skipped b / sum b) <= eps_mach, the factor
-    that replaces eps_mach in the bound.
+    the roundoff of the forward transform itself (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm. 24.2).  ``meta`` records
+    ``blocks`` (n_blocks), ``blocks_solved`` and ``skipped_share``,
+    sqrt(sum_skipped b / sum b) <= eps_mach, the factor that replaces
+    eps_mach in the bound.
     """
     if box.dim != 1:
         raise ConfigurationError("the Bloch-block solver is one-dimensional")
@@ -200,15 +188,20 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     n_blocks = n_cells // 2 + 1
     u_hat = np.fft.rfft(u.reshape(n_cells, p), axis=0)
     v_hat = np.fft.rfft(v.reshape(n_cells, p), axis=0)
+    h_hat = (None if source is None
+             else np.fft.rfft(np.reshape(source, (n_cells, p)), axis=0))
     lam_bound = 2.0 * np.max(np.abs(faces) + np.abs(np.roll(faces, 1))) / box.h ** 2
     kept, share = _phases_carrying_data(
-        u_hat, v_hat, n_cells, max(times[-1], 1.0 / np.sqrt(lam_bound)))
+        u_hat, v_hat, n_cells, max(times[-1], 1.0 / np.sqrt(lam_bound)), h_hat)
     phases = 2.0 * np.pi * kept / n_cells
     weight = _parseval_weights(n_cells)[kept]
     u_hat = u_hat[kept, :, None]
     v_hat = v_hat[kept, :, None] if np.any(v) else None
+    h_hat = None if h_hat is None else h_hat[kept, :, None]
     ut_hat = np.empty((times.size, kept.size, p), dtype=complex)
-    mode_energy = np.empty(kept.size)
+    # the kept modes' energy: at t = 0 per phase without a source, at every
+    # snapshot with one
+    mode_energy = np.empty(kept.size) if h_hat is None else np.zeros(times.size)
     chunk = max(1, _CHUNK_ENTRIES // p ** 2)
     tri = _tridiagonal(faces)
     blocks = np.empty((min(chunk, kept.size), p, p), dtype=complex)
@@ -222,14 +215,21 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         # eigenmode amplitudes of the data
         adjoint = np.conj(np.swapaxes(vecs, 1, 2))
         a_m = adjoint @ u_hat[sl]
-        energy = omega ** 2 * np.abs(a_m) ** 2
-        if v_hat is None:
-            a_t = _rotate(a_m, None, omega, times)
+        b_m = None if v_hat is None else adjoint @ v_hat[sl]
+        if h_hat is not None:
+            free = _rotate(a_m, 0.0 if b_m is None else b_m, omega, times)
+            forced = _step_source(adjoint @ h_hat[sl], omega, times, support)
+            a_t, b_t = free[0] + forced[0], free[1] + forced[1]
+            mode_energy += np.sum(weight[sl, None, None] * (
+                np.abs(b_t) ** 2 + omega ** 2 * np.abs(a_t) ** 2), axis=(0, 1))
         else:
-            b_m = adjoint @ v_hat[sl]
-            energy += np.abs(b_m) ** 2
-            a_t = _rotate(a_m, b_m, omega, times)[0]
-        mode_energy[sl] = weight[sl] * np.sum(energy, axis=(1, 2))
+            energy = omega ** 2 * np.abs(a_m) ** 2
+            if b_m is None:
+                a_t = _rotate(a_m, None, omega, times)
+            else:
+                energy += np.abs(b_m) ** 2
+                a_t = _rotate(a_m, b_m, omega, times)[0]
+            mode_energy[sl] = weight[sl] * np.sum(energy, axis=(1, 2))
         ut_hat[:, sl] = np.moveaxis(vecs @ a_t, -1, 0)
 
     # one snapshot at a time, the kept phases scattered into one zero-filled
@@ -239,11 +239,13 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     for i in range(times.size):
         full[kept] = ut_hat[i]
         u_t[i].reshape(n_cells, p)[...] = np.fft.irfft(full, n=n_cells, axis=0)
-    energy_kept = box.h / (2 * n_cells) * float(np.sum(mode_energy))
-    return WaveTrajectory(
-        box=box, eps=eps, times=times, u=u_t, v=None, dt=0.0,
-        energy=np.full(times.size, energy_kept),
-        meta={"solver": "bloch-exact", "blocks": n_blocks,
-              "blocks_solved": int(kept.size), "skipped_share": share,
-              "block_size": p,
-              "energy_t0": FluxFormOperator(box, a_box).energy(u, v)})
+    meta = {"solver": "bloch-exact", "blocks": n_blocks,
+            "blocks_solved": int(kept.size), "skipped_share": share,
+            "block_size": p}
+    if h_hat is None:
+        energy = np.full(times.size, box.h / (2 * n_cells) * float(np.sum(mode_energy)))
+        meta["energy_t0"] = FluxFormOperator(box, a_box).energy(u, v)
+    else:
+        energy = box.h / (2 * n_cells) * mode_energy
+    return WaveTrajectory(box=box, eps=eps, times=times, u=u_t, v=None, dt=0.0,
+                          energy=energy, meta=meta)

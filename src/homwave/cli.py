@@ -340,17 +340,15 @@ def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     n = cfg.box_n or int(cfg.points_per_period * side / eps)
     box = wave.BoxGrid(1, n, side)
     x = wave.box_coordinates(box)[0]
-    mode_field = np.sin(2.0 * np.pi * x / side)
-
-    def source(t):
-        return mode_field if 0.0 <= t <= 1.0 else np.zeros_like(mode_field)
-
+    # the step source h(x) 1[0, 1](t); h lies in one Bloch phase
+    h = np.sin(2.0 * np.pi * x / side)
     times = [float(t) for t in np.linspace(0.5, cfg.T, 8)]
     a_box = wave.coefficient_on_box(cfg.coefficient, box, eps)
-    traj = wave.solve_fine_wave(a_box, box, np.zeros(box.shape), source=source,
-                                times=times, eps=eps)
+    traj = bloch.solve_fine_wave_exact(a_box, box, np.zeros(box.shape), times,
+                                       eps, source=h)
+    man.solver.append({"eps": eps, **traj.solver_stats()})
     bc = wave.BoxCorrectors.from_oracle(oh, box, eps)
-    u_hat, _ = wave.source_term_field(model, spec, source, box, eps, traj.times)
+    u_hat, _ = wave.source_term_field(model, spec, h, box, eps, traj.times)
     u_s = irfftn(box.torus(), u_hat)
     rows = [("t", "l2_error_simplified", "l2_error_dressed")]
     errs_simple, errs_dressed = [], []

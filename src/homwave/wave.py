@@ -4,16 +4,15 @@ The fine scale discretizes div(a(x/eps) grad) in conservative flux form
 with harmonic face averaging (robust for laminates).  Two solvers share
 that operator:
 
-- ``homwave.bloch.solve_fine_wave_exact`` (1D, periodic medium, no source)
-  splits the operator into Bloch blocks, evolves every mode exactly in
-  time and returns displacements only.  It is the reference of the
-  ``wave-compare`` and ``transport`` experiments, so their errors carry no
-  time-stepping error.
+- ``homwave.bloch.solve_fine_wave_exact`` (1D, periodic medium) splits the
+  operator into Bloch blocks, evolves every mode exactly in time, with or
+  without a step source h(x) 1[0, support](t), and returns displacements
+  only.  It is the one reference of every wave experiment
+  (``wave-compare``, ``transport``, ``source-term`` and the constant-medium
+  moment scan), so their errors carry no time-stepping error.
 - ``solve_fine_wave`` steps with the leapfrog scheme in kick-drift-kick
-  form, which carries the velocity and makes energy-norm errors directly
-  measurable.  It takes sources and any dimension, and is the reference of
-  the ``source-term`` experiment and the constant-medium moment scan, and
-  the independent cross-check of the exact solver.
+  form, in any dimension and without a source.  No experiment runs it: it
+  is the independent cross-check of the exact solver.
 
 Every effective model is one constant-coefficient symbol omega^2(k) per
 Fourier mode: the filtered truncated Bloch eigenvalue
@@ -24,8 +23,9 @@ the one ``torus.rfftn``/``torus.irfftn`` pair; every symbol is even in k,
 so the half lattice carries all of its values (``homwave.torus`` states the
 one Nyquist-row convention this takes in 2D).  Positivity is checked
 once; the elliptic solve in ``homwave.elliptic`` divides by omega^2 and
-every exact wave solve (effective, Duhamel or Bloch block) rotates each
-mode through one kernel, ``_rotate``.  Corrector dressing
+every exact wave solve (effective or Bloch block) rotates each mode through
+one kernel, ``_rotate``; a step source adds its closed-form Duhamel
+integral, ``_step_source``, on both sides.  Corrector dressing
 (``dress_with_correctors``, ``dressed_gradient``) makes the fields
 fine-scale approximations.  It reads the derivatives of a field from a
 ``torus.DerivativeCache`` of its half spectrum; the effective fields
@@ -277,12 +277,14 @@ class WaveTrajectory:
         return float(np.max(np.abs(self.energy - e0)) / abs(e0))
 
     def solver_stats(self) -> dict:
-        """Solver name, its work counts and the energy drift, for manifests."""
+        """Solver name, its work counts and, for a source-free run, the
+        energy drift, for manifests."""
         stats = {key: self.meta[key]
                  for key in ("solver", "blocks", "blocks_solved",
                              "skipped_share", "block_size", "steps")
                  if key in self.meta}
-        stats["energy_drift"] = self.energy_drift()
+        if "energy_t0" in self.meta:
+            stats["energy_drift"] = self.energy_drift()
         return stats
 
 
@@ -364,17 +366,18 @@ def _fine_inputs(box: BoxGrid, u0, v0, times):
 
 
 def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
-                    v0: np.ndarray | None = None, source=None,
+                    v0: np.ndarray | None = None,
                     times=(1.0,), eps: float | None = None,
                     cfl: float = 0.9) -> WaveTrajectory:
-    """Integrate u_tt = div(a grad u) + f with periodic leapfrog stepping.
+    """Integrate u_tt = div(a grad u) with periodic leapfrog stepping.
 
     Leapfrog is run in kick-drift-kick form so (u, du/dt) is available at
     every snapshot; snapshot times are hit exactly.  The energy log records
     the staggered leapfrog invariant 0.5 |v_half|^2 - 0.5 <L u_n, u_n+1>,
-    which the scheme conserves to roundoff for a source-free run (the
-    instantaneous physical energy only oscillates at O(dt^2) and is kept in
-    ``meta``).
+    which the scheme conserves to roundoff (the instantaneous physical
+    energy only oscillates at O(dt^2)).  This is the independent
+    cross-check of ``bloch.solve_fine_wave_exact``, not an experiment's
+    reference.
     """
     op = FluxFormOperator(box, a_box)
     dt_max = op.cfl_dt(cfl)
@@ -393,14 +396,12 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     skip = len(snap_times) - len(times)     # 1 when t = 0 was prepended
     u_snaps = np.empty((len(times),) + u.shape)
     v_snaps = np.empty_like(u_snaps)
-    energies, phys = [], []
+    energies = []
     t = 0.0
     lap = op.apply(u)
-    ft = source(0.0) if source is not None else None
-    accel = lap if ft is None else lap + ft
     # invariant baseline from a probe step (state not advanced)
     dt0 = dt_shared if dt_shared is not None else dt_max
-    v_probe = v + 0.5 * dt0 * accel
+    v_probe = v + 0.5 * dt0 * lap
     estar = staggered_energy(v_probe, lap, u + dt0 * v_probe)
     step_count = 0
     for i, target in enumerate(snap_times):
@@ -413,13 +414,11 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
                 nsub = max(1, int(math.ceil(span / dt_max - 1e-12)))
                 dt = span / nsub
             for _ in range(nsub):
-                v_half = v + 0.5 * dt * accel
+                v_half = v + 0.5 * dt * lap
                 u_new = u + dt * v_half
                 t += dt
                 lap_new = op.apply(u_new)
-                ft = source(t) if source is not None else None
-                accel = lap_new if ft is None else lap_new + ft
-                v = v_half + 0.5 * dt * accel
+                v = v_half + 0.5 * dt * lap_new
                 lap_old = lap
                 u, lap = u_new, lap_new
                 step_count += 1
@@ -433,15 +432,12 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
             u_snaps[i - skip] = u
             v_snaps[i - skip] = v
         energies.append(estar)
-        phys.append(float(0.5 * np.sum(v * v) * cell - 0.5 * np.sum(lap * u) * cell))
 
     return WaveTrajectory(
         box=box, eps=eps, times=snap_times[skip:], u=u_snaps, v=v_snaps,
         dt=dt0, energy=np.asarray(energies[skip:]),
         meta={"solver": "leapfrog", "steps": step_count, "cfl_dt": dt_max,
-              "shared_dt": dt_shared,
-              "energy_t0": energies[0], "physical_energy": np.asarray(phys[skip:]),
-              "source_active": source is not None})
+              "shared_dt": dt_shared, "energy_t0": energies[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +492,23 @@ def _rotate(a, b, omega: np.ndarray, t):
     sin_t = np.sin(omega * t)
     sinc = np.where(omega > 0, sin_t / np.where(omega > 0, omega, 1.0), t)
     return a * cos_t + b * sinc, b * cos_t - a * omega * sin_t
+
+
+def _step_source(h, omega: np.ndarray, t, support: float):
+    """(u, u_t) at time t of u_tt + omega^2 u = h 1[0, support](t) from
+    rest, per mode: the Duhamel integral of the step source in closed form,
+
+        u = h (cos omega (t - s) - cos omega t) / omega^2,
+        u_t = h (sin omega t - sin omega (t - s)) / omega,   s = min(t, support).
+
+    By the sum-to-product identities this is the free wave launched at time
+    s / 2 with velocity h 2 sin(omega s / 2) / omega, and it is evaluated so
+    through ``_rotate``: free of cancellation at small omega, and continued
+    to (h (t s - s^2 / 2), h s) at omega = 0.  ``t`` broadcasts against
+    ``omega``."""
+    half = 0.5 * np.minimum(t, support)
+    kick = 2.0 * _rotate(0.0, h, omega, half)[0]
+    return _rotate(0.0, kick, omega, t - half)
 
 
 def spectral_wave_state(weights, omega: np.ndarray,
@@ -793,16 +806,13 @@ def solve_effective_wave(model: DispersionModel, u0: np.ndarray, box: BoxGrid,
 # localized-in-time source terms
 # ---------------------------------------------------------------------------
 
-def source_term_field(model: DispersionModel, spec: CutoffSpec, source,
-                      box: BoxGrid, eps: float, times,
-                      n_quad: int = 96, support: float = 1.0):
-    """Duhamel solution of the filtered effective equation with source f.
+def source_term_field(model: DispersionModel, spec: CutoffSpec, h: np.ndarray,
+                      box: BoxGrid, eps: float, times, support: float = 1.0):
+    """Solution of the filtered effective equation from rest with the step
+    source h(x) 1[0, support](t).
 
-    Per mode, u(t) integrates f against the kernel sin(omega (t-s)) / omega
-    over s in [0, min(t, support)] with Gauss-Legendre quadrature dense
-    enough for the fastest retained frequency.  The source is evaluated and
-    transformed once per node and distinct integration end, and rotated to
-    every time sharing that end.  Returns the filtered half spectra
+    Per mode this is the closed-form Duhamel integral ``_step_source`` of
+    the filtered spectrum of h.  Returns the filtered half spectra
     (u_hat, u_t_hat), each of shape (times,) + half spectrum: samples are
     ``torus.irfftn`` of them, and a dressing reads them through a
     ``DerivativeCache``.
@@ -811,23 +821,9 @@ def source_term_field(model: DispersionModel, spec: CutoffSpec, source,
     if np.any(times < 0):
         raise ConfigurationError("time must be nonnegative")
     weights, omega = filtered_dispersion(model, spec, box, eps)
-    omega_max = float(np.max(omega))
-    ends = np.minimum(times, support)
-    need = 2 * omega_max * np.max(ends, initial=0.0) / math.pi + 16
-    if n_quad < need:
-        raise ConfigurationError(
-            f"quadrature too coarse: need >= {need:.0f} "
-            f"nodes for frequency {omega_max:.3g}")
-    grid = box.torus()
-    nodes, wq = np.polynomial.legendre.leggauss(n_quad)
-    state_hat = np.zeros((2,) + times.shape + weights.shape, dtype=complex)
-    for s_end in np.unique(ends[ends > 0]):
-        group = np.flatnonzero(ends == s_end)
-        for sq, wgt in zip(0.5 * s_end * (nodes + 1.0), 0.5 * s_end * wq):
-            f_hat = wgt * (rfftn(grid, source(sq)) * weights)
-            for i in group:
-                state_hat[:, i] += _rotate(0.0, f_hat, omega, times[i] - sq)
-    return state_hat[0], state_hat[1]
+    h_hat = rfftn(box.torus(), h) * weights
+    return _step_source(h_hat, omega, times.reshape(times.shape + (1,) * omega.ndim),
+                        support)
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +890,9 @@ def error_report(reference: WaveTrajectory, approx_u: np.ndarray,
     times = reference.times
     if approx_u.shape[0] != times.size:
         raise ConfigurationError("approximation snapshots do not match times")
+    if approx_v is not None and reference.v is None:
+        raise ConfigurationError("the energy norm needs the reference velocity; "
+                                 "this reference holds displacements only")
     l2 = np.array([box_l2(box, reference.u[i] - approx_u[i])
                    for i in range(times.size)])
     energy = None

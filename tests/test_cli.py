@@ -244,6 +244,10 @@ class TestRun:
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         (check,) = manifest["checks"]
         assert check["name"] == "dressed_vs_budget" and check["pass"]
+        (stats,) = manifest["solver"]
+        assert stats["eps"] == 0.25 and stats["solver"] == "bloch-exact"
+        assert stats["blocks_solved"] >= 1
+        assert 0.0 <= stats["skipped_share"] <= EPS_MACH
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = ExperimentConfig(kind="wave-compare",

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import, every function parameter and
-every private module-level helper of the package is used, and no module
-runs a full complex FFT."""
+every private module-level helper of the package is used, no module runs a
+full complex FFT, and only ``wave`` names the leapfrog solver."""
 
 import ast
 from pathlib import Path
@@ -217,3 +217,28 @@ def test_checkers_see_fits_and_guesses(tmp_path):
                      "    return np.linalg.lstsq(a, b), pinv(a), guess\n")
     assert names_read(probe) >= {"lstsq", "pinv"}
     assert parameter_names(probe) == {"a", "b", "guess"}
+
+
+def modules_naming(package: Path, name: str) -> list:
+    """Modules of ``package`` that refer to ``name`` (read it, take it as an
+    attribute or import it); a module that only defines it does not."""
+    return [path.name for path in sorted(package.glob("*.py"))
+            if name in names_read(path)]
+
+
+def test_leapfrog_is_only_a_cross_check():
+    # every experiment runs the exact Bloch solver: no module but the one
+    # defining it names leapfrog
+    assert [m for m in modules_naming(PACKAGE, "solve_fine_wave")
+            if m != "wave.py"] == []
+
+
+def test_checker_sees_a_named_solver(tmp_path):
+    (tmp_path / "a.py").write_text("def solve_fine_wave():\n    return 0\n")
+    (tmp_path / "b.py").write_text("from .a import solve_fine_wave\n")
+    (tmp_path / "c.py").write_text("from . import a\n\n"
+                                   "def f():\n    return a.solve_fine_wave()\n")
+    (tmp_path / "d.py").write_text(
+        "from .bloch import solve_fine_wave_exact\n"
+        "# solve_fine_wave in a comment\nDOC = 'solve_fine_wave'\n")
+    assert modules_naming(tmp_path, "solve_fine_wave") == ["b.py", "c.py"]

@@ -178,31 +178,96 @@ class TestExactFineSolver:
                            rtol=0.0, atol=0.0)
 
     @staticmethod
-    def dense_reference(box, a_box, u0, v0, times):
-        """(u, v) snapshots from one eigendecomposition of the whole box
-        operator, no Bloch transform."""
+    def dense_modes(box, a_box):
+        """(eigenvectors, frequencies) of the whole box operator, no Bloch
+        transform."""
         op = wave.FluxFormOperator(box, a_box)
         dense = -np.stack([op.apply(e) for e in np.eye(box.n)], axis=1)
         lam, vecs = np.linalg.eigh(0.5 * (dense + dense.T))
-        omega = np.sqrt(np.maximum(lam, 0.0))
-        safe = np.where(omega > 0, omega, 1.0)
+        return vecs, np.sqrt(np.maximum(lam, 0.0))
+
+    @staticmethod
+    def dense_reference(modes, u0, v0, times, source=None, support=1.0):
+        """(u, v) snapshots in the ``dense_modes``, with the step source
+        ``source`` 1[0, support](t) in the cos-difference form of its
+        Duhamel integral."""
+        vecs, omega = modes
+        live = omega > 0
+        safe = np.where(live, omega, 1.0)
         a0, b0 = vecs.T @ u0, vecs.T @ v0
+        c = 0.0 if source is None else vecs.T @ source
         for t in times:
-            sinc = np.where(omega > 0, np.sin(omega * t) / safe, t)
-            yield (vecs @ (a0 * np.cos(omega * t) + b0 * sinc),
-                   vecs @ (b0 * np.cos(omega * t) - a0 * omega * np.sin(omega * t)))
+            s = min(t, support)
+            sinc = np.where(live, np.sin(omega * t) / safe, t)
+            step = np.where(live, (np.cos(omega * (t - s)) - np.cos(omega * t))
+                            / safe ** 2, t * s - 0.5 * s ** 2)
+            step_t = np.where(live, (np.sin(omega * t)
+                                     - np.sin(omega * (t - s))) / safe, s)
+            yield (vecs @ (a0 * np.cos(omega * t) + b0 * sinc + c * step),
+                   vecs @ (b0 * np.cos(omega * t) - a0 * omega * np.sin(omega * t)
+                           + c * step_t))
 
     def test_matches_dense_eigendecomposition(self):
         box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
         times = [0.5, 3.0, 8.0]
         traj = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0)
         v_t = self.exact_velocity(a_box, box, u0, v0, times, 1 / 8)
-        refs = self.dense_reference(box, a_box, u0, v0, times)
+        modes = self.dense_modes(box, a_box)
+        refs = self.dense_reference(modes, u0, v0, times)
         for i, (u_ref, v_ref) in enumerate(refs):
             assert box_l2(box, traj.u[i] - u_ref) < 1e-9
             assert box_l2(box, v_t[i] - v_ref) < 1e-9
         assert traj.energy_drift() < 1e-10
         assert traj.meta["blocks"] == 33 and traj.meta["block_size"] == 16
+        # a step source acting until after the first snapshot: the energy
+        # log is the energy of each dense snapshot
+        h = np.roll(v0, 300) + 0.5 * u0
+        traj = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0,
+                                     source=h, support=1.5)
+        op = wave.FluxFormOperator(box, a_box)
+        refs = self.dense_reference(modes, u0, v0, times, h, 1.5)
+        for i, (u_ref, v_ref) in enumerate(refs):
+            assert box_l2(box, traj.u[i] - u_ref) < 1e-9
+            assert traj.energy[i] == pytest.approx(op.energy(u_ref, v_ref),
+                                                   rel=1e-10)
+        assert traj.energy[0] < traj.energy[1]
+
+    def test_sourced_energy_log_from_rest(self):
+        # zero data: after the source stops, each eigenmode keeps the energy
+        # 2 |c|^2 (1 - cos omega support) / omega^2 of its amplitude c of h
+        box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
+        h, support, cells, p = v0 - np.roll(u0, 100), 0.75, 64, 16
+        times = [0.25, 0.5, 0.75, 2.0, 8.0]
+        traj = solve_fine_wave_exact(a_box, box, np.zeros(box.n), times, 1 / 8,
+                                     source=h, support=support)
+        faces = wave._face_harmonic(a_box[0, 0], 0)[:p]
+        lam, vecs = np.linalg.eigh(bloch.bloch_blocks(
+            faces, box.h, 2 * np.pi * np.arange(cells // 2 + 1) / cells))
+        c = np.einsum("mji,mj->mi", np.conj(vecs),
+                      np.fft.rfft(h.reshape(cells, p), axis=0))
+        omega = np.sqrt(np.maximum(lam, 0.0))
+        live = omega > 0
+        per_mode = np.abs(c) ** 2 * np.where(
+            live, 2 * (1 - np.cos(omega * support))
+            / np.where(live, omega, 1.0) ** 2, support ** 2)
+        expected = box.h / (2 * cells) * np.sum(
+            bloch._parseval_weights(cells)[:, None] * per_mode)
+        after = traj.times >= support
+        assert np.all(np.abs(traj.energy[after] - expected) <= 1e-12 * expected)
+        assert np.all(traj.energy[~after] < expected)
+        stats = traj.solver_stats()
+        assert "energy_drift" not in stats and "energy_t0" not in traj.meta
+        assert stats["skipped_share"] <= np.finfo(float).eps
+
+    def test_sine_source_diagonalizes_one_block(self):
+        # sin(2 pi x / side) lies in Bloch phase 1 alone
+        box, a_box, u0, _ = self.laminate_run(2048, 16.0, 1 / 8)
+        x = box_coordinates(box)[0]
+        zero = np.zeros(box.n)
+        traj = solve_fine_wave_exact(a_box, box, zero, [0.5, 4.0], 1 / 8,
+                                     source=np.sin(2 * np.pi * x / 16.0))
+        assert traj.meta["blocks_solved"] == 1 and traj.meta["blocks"] == 65
+        assert np.any(traj.u[0])
 
     @pytest.mark.parametrize("with_velocity", [False, True])
     def test_one_inverse_transform_per_snapshot_and_one_apply(
@@ -270,7 +335,7 @@ class TestExactFineSolver:
         traj = solve_fine_wave_exact(a_box, box, u0, times, 1.0, v0=v0)
         assert traj.meta["blocks"] == 33 and traj.meta["blocks_solved"] == 11
         v_t = self.exact_velocity(a_box, box, u0, v0, times, 1.0)
-        refs = self.dense_reference(box, a_box, u0, v0, times)
+        refs = self.dense_reference(self.dense_modes(box, a_box), u0, v0, times)
         for i, (u_ref, v_ref) in enumerate(refs):
             assert box_l2(box, traj.u[i] - u_ref) <= 1e-12 * box_l2(box, u_ref)
             assert box_l2(box, v_t[i] - v_ref) <= 1e-12 * box_l2(box, v_ref)
@@ -281,7 +346,7 @@ class TestExactFineSolver:
         traj = solve_fine_wave_exact(a_box, box, zero, [0.5, 3.0], 1 / 8,
                                      v0=zero)
         assert traj.meta["blocks_solved"] == 0
-        assert not np.any(traj.u) and not np.any(traj.v)
+        assert not np.any(traj.u) and traj.v is None
         assert not np.any(traj.energy) and traj.energy_drift() == 0.0
 
     def test_white_noise_keeps_every_phase(self, rng):
@@ -515,7 +580,7 @@ class TestHalfSpectrumMatchesFullFFT:
         spec, weights, omega = self.filtered_reference(model, k)
         times = np.array([0.5, 1.5, 2.5])
         u, u_t = (torus.irfftn(box.torus(), half) for half in source_term_field(
-            model, spec, lambda s: f, box, self.EPS, times))
+            model, spec, f, box, self.EPS, times))
         f_hat = np.fft.fftn(f) * weights
         live = omega > 0
         safe = np.where(live, omega, 1.0)
@@ -860,8 +925,8 @@ class TestSourceTerm:
         _, model = laminate_model(2)
         spec = dispersion.make_cutoff(model)
         box = BoxGrid(1, 256, 8.0)
-        u, ut = source_term_field(model, spec,
-                                  lambda s: np.zeros(box.shape), box, 0.25, [2.0])
+        u, ut = source_term_field(model, spec, np.zeros(box.shape), box, 0.25,
+                                  [2.0])
         assert np.max(np.abs(u)) == 0.0 and np.max(np.abs(ut)) == 0.0
 
     def test_single_mode_closed_form(self):
@@ -871,13 +936,9 @@ class TestSourceTerm:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         f_field = np.sin(k * x)
-
-        def source(s):
-            return f_field if s <= 1.0 else 0.0 * f_field
-
         t = 2.5
         (u,), (ut,) = (torus.irfftn(box.torus(), half) for half in
-                       source_term_field(model, spec, source, box, 0.25, [t]))
+                       source_term_field(model, spec, f_field, box, 0.25, [t]))
         # integral of sin(omega (t-s))/omega over s in [0, 1]
         omega = k
         amp = (np.cos(omega * (t - 1.0)) - np.cos(omega * t)) / omega ** 2
@@ -894,43 +955,11 @@ class TestSourceTerm:
         box = BoxGrid(1, 256, 8.0)
         x = box_coordinates(box)[0]
         f_field = np.sin(2 * np.pi * x / 8.0)
-
-        def source(s):
-            return f_field if s <= 1.0 else 0.0 * f_field
-
         bc = BoxCorrectors.from_tensorized(tens, box, 0.25)
-        (u_hat,), _ = source_term_field(model, spec, source, box, 0.25, [2.0])
+        (u_hat,), _ = source_term_field(model, spec, f_field, box, 0.25, [2.0])
         u_plain = torus.irfftn(box.torus(), u_hat)
         u_drs = dress_with_correctors(bc, torus.DerivativeCache(box.torus(), u_hat))
         assert np.max(np.abs(u_plain - u_drs)) < 1e-12
-
-    @pytest.mark.parametrize("times, calls", [([1.5, 2.0, 2.5], 96),
-                                              ([0.5, 1.5, 2.0], 192)])
-    def test_source_evaluated_once_per_node_and_end(self, times, calls):
-        # one node set per distinct integration end min(t, support = 1)
-        _, model = laminate_model(2)
-        spec = dispersion.make_cutoff(model)
-        box = BoxGrid(1, 256, 8.0)
-        f_field = np.sin(2 * np.pi * box_coordinates(box)[0] / 8.0)
-        seen = []
-
-        def source(s):
-            seen.append(s)
-            return f_field if s <= 1.0 else 0.0 * f_field
-
-        u, ut = source_term_field(model, spec, source, box, 0.25, times)
-        assert len(seen) == calls
-        for i, t in enumerate(times):
-            u1, ut1 = source_term_field(model, spec, source, box, 0.25, [t])
-            assert np.array_equal(u[i], u1[0]) and np.array_equal(ut[i], ut1[0])
-
-    def test_coarse_quadrature_rejected(self):
-        _, model = laminate_model(2)
-        spec = dispersion.make_cutoff(model)
-        box = BoxGrid(1, 256, 8.0)
-        with pytest.raises(ConfigurationError):
-            source_term_field(model, spec, lambda s: np.zeros(box.shape),
-                              box, 0.25, [1.0], n_quad=4)
 
 
 class TestErrorReport:
@@ -943,6 +972,19 @@ class TestErrorReport:
         rep = error_report(traj, traj.u.copy(), ErrorBudget(ell=2), 0.25)
         assert np.all(rep.l2_error == 0.0)
         assert rep.sup_l2 == 0.0
+
+    def test_displacement_only_reference_needs_a_velocity(self):
+        # the exact solver returns no velocity: an energy-norm report says so
+        box = BoxGrid(1, 512, 8.0)
+        u0 = np.exp(-(box_coordinates(box)[0] - 4.0) ** 2)
+        traj = solve_fine_wave_exact(np.ones((1, 1) + box.shape), box, u0,
+                                     [0.5, 1.0], 1 / 4)
+        with pytest.raises(ConfigurationError, match="reference velocity"):
+            error_report(traj, traj.u, ErrorBudget(ell=2), 0.25,
+                         approx_v=np.zeros_like(traj.u),
+                         approx_grad=np.zeros_like(traj.u))
+        rep = error_report(traj, traj.u.copy(), ErrorBudget(ell=2), 0.25)
+        assert rep.sup_l2 == 0.0 and rep.energy_error is None
 
     def test_budget_formula(self):
         budget = ErrorBudget(ell=2)
