@@ -5,7 +5,7 @@ periods of p nodes commutes with shifts by one period.  A discrete Fourier
 transform across the periods (a Bloch transform) therefore splits it into
 one Hermitian p x p block per Bloch phase.  Each block is diagonalized once
 and every eigenmode evolves by cos(omega t) and sin(omega t) / omega, plus
-its closed-form response to a step source h(x) 1[0, support](t), so
+its closed-form response to a step source h(x) 1[0, 1](t), so
 snapshots at any times cost no time stepping and carry no time-stepping
 error (Conca & Vanninathan, SIAM J. Appl. Math. 57, 1997).  Only the
 phases that carry data are diagonalized, within an eps_mach budget
@@ -120,9 +120,8 @@ def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
 
 def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
                           times, eps: float, v0: np.ndarray | None = None,
-                          source: np.ndarray | None = None,
-                          support: float = 1.0) -> WaveTrajectory:
-    """Displacement snapshots of u_tt = div(a grad u) + h 1[0, support](t),
+                          source: np.ndarray | None = None) -> WaveTrajectory:
+    """Displacement snapshots of u_tt = div(a grad u) + h 1[0, 1](t),
     exact in time, for a periodic 1D medium; h is ``source`` (None for none).
 
     The medium repeats every p = n eps / side nodes, so a discrete Fourier
@@ -131,11 +130,9 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     by conjugate symmetry).  Each block that carries data is diagonalized,
     every eigenmode is rotated to all snapshot times by ``wave._rotate``
     (plus ``wave._step_source`` for its amplitude of h), and the
-    displacement snapshots are transformed back.  The real tridiagonal part
-    of the blocks is built once; only the two corner entries change with
-    the phase.  Blocks are diagonalized ``_CHUNK_ENTRIES`` / p^2 phases at a
-    time, so the working set stays O(``_CHUNK_ENTRIES`` + snapshots n).
-    ``dt`` is 0 (there is no time step).
+    displacement snapshots are transformed back.  Blocks are diagonalized
+    ``_CHUNK_ENTRIES`` / p^2 phases at a time, so the working set stays
+    O(``_CHUNK_ENTRIES`` + snapshots n).  ``dt`` is 0 (no time step).
 
     The trajectory's ``v`` is None.  Without a source the velocity u_t
     solves the same discrete wave equation with data (v0, L u0),
@@ -149,7 +146,7 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     the data, and ``meta["energy_t0"]`` is ``FluxFormOperator.energy(u0, v0)``:
     ``energy_drift`` measures how far the blocks agree with the flux-form
     operator, plus the energy of the skipped phases.  A sourced run has no
-    ``energy_t0``; its energy is constant once t >= support.
+    ``energy_t0``; its energy is constant once t >= 1.
 
     Phase m gets the bound b_m = w_m (|u_m| + tau |v_m| + tau^2 |h_m| / 2)^2
     from its Bloch data, with tau = max(t_max, 1 / sqrt(Lambda)) and
@@ -183,6 +180,8 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         raise ConfigurationError(
             f"coefficient is not periodic with {p} points per period eps={eps}")
     times, u, v = _fine_inputs(box, u0, v0, times)
+    if source is not None and np.shape(source) != box.shape:
+        raise ConfigurationError("source shape does not match box")
 
     faces = _face_harmonic(a, 0)[:p]
     n_blocks = n_cells // 2 + 1
@@ -199,8 +198,7 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     v_hat = v_hat[kept, :, None] if np.any(v) else None
     h_hat = None if h_hat is None else h_hat[kept, :, None]
     ut_hat = np.empty((times.size, kept.size, p), dtype=complex)
-    # the kept modes' energy: at t = 0 per phase without a source, at every
-    # snapshot with one
+    # kept-mode energy: per phase at t = 0, or per snapshot with a source
     mode_energy = np.empty(kept.size) if h_hat is None else np.zeros(times.size)
     chunk = max(1, _CHUNK_ENTRIES // p ** 2)
     tri = _tridiagonal(faces)
@@ -218,7 +216,7 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         b_m = None if v_hat is None else adjoint @ v_hat[sl]
         if h_hat is not None:
             free = _rotate(a_m, 0.0 if b_m is None else b_m, omega, times)
-            forced = _step_source(adjoint @ h_hat[sl], omega, times, support)
+            forced = _step_source(adjoint @ h_hat[sl], omega, times)
             a_t, b_t = free[0] + forced[0], free[1] + forced[1]
             mode_energy += np.sum(weight[sl, None, None] * (
                 np.abs(b_t) ** 2 + omega ** 2 * np.abs(a_t) ** 2), axis=(0, 1))

@@ -6,7 +6,7 @@ that operator:
 
 - ``homwave.bloch.solve_fine_wave_exact`` (1D, periodic medium) splits the
   operator into Bloch blocks, evolves every mode exactly in time, with or
-  without a step source h(x) 1[0, support](t), and returns displacements
+  without a step source h(x) 1[0, 1](t), and returns displacements
   only.  It is the one reference of every wave experiment
   (``wave-compare``, ``transport``, ``source-term`` and the constant-medium
   moment scan), so their errors carry no time-stepping error.
@@ -277,8 +277,7 @@ class WaveTrajectory:
         return float(np.max(np.abs(self.energy - e0)) / abs(e0))
 
     def solver_stats(self) -> dict:
-        """Solver name, its work counts and, for a source-free run, the
-        energy drift, for manifests."""
+        """Solver name, work counts and (source-free) energy drift."""
         stats = {key: self.meta[key]
                  for key in ("solver", "blocks", "blocks_solved",
                              "skipped_share", "block_size", "steps")
@@ -494,19 +493,19 @@ def _rotate(a, b, omega: np.ndarray, t):
     return a * cos_t + b * sinc, b * cos_t - a * omega * sin_t
 
 
-def _step_source(h, omega: np.ndarray, t, support: float):
-    """(u, u_t) at time t of u_tt + omega^2 u = h 1[0, support](t) from
-    rest, per mode: the Duhamel integral of the step source in closed form,
+_SOURCE_SUPPORT = 1.0   # every step source acts on the time interval [0, 1]
 
-        u = h (cos omega (t - s) - cos omega t) / omega^2,
-        u_t = h (sin omega t - sin omega (t - s)) / omega,   s = min(t, support).
 
-    By the sum-to-product identities this is the free wave launched at time
-    s / 2 with velocity h 2 sin(omega s / 2) / omega, and it is evaluated so
-    through ``_rotate``: free of cancellation at small omega, and continued
-    to (h (t s - s^2 / 2), h s) at omega = 0.  ``t`` broadcasts against
-    ``omega``."""
-    half = 0.5 * np.minimum(t, support)
+def _step_source(h, omega: np.ndarray, t):
+    """(u, u_t) at time t of u_tt + omega^2 u = h 1[0, 1](t) from rest, per
+    mode: u = h (cos omega (t - s) - cos omega t) / omega^2 and
+    u_t = h (sin omega t - sin omega (t - s)) / omega, s = min(t, 1).
+
+    This is the free wave launched at time s / 2 with velocity
+    h 2 sin(omega s / 2) / omega, evaluated through ``_rotate``: free of
+    cancellation at small omega and continued to (h (t s - s^2 / 2), h s)
+    at omega = 0.  ``t`` broadcasts against ``omega``."""
+    half = 0.5 * np.minimum(t, _SOURCE_SUPPORT)
     kick = 2.0 * _rotate(0.0, h, omega, half)[0]
     return _rotate(0.0, kick, omega, t - half)
 
@@ -807,9 +806,9 @@ def solve_effective_wave(model: DispersionModel, u0: np.ndarray, box: BoxGrid,
 # ---------------------------------------------------------------------------
 
 def source_term_field(model: DispersionModel, spec: CutoffSpec, h: np.ndarray,
-                      box: BoxGrid, eps: float, times, support: float = 1.0):
+                      box: BoxGrid, eps: float, times):
     """Solution of the filtered effective equation from rest with the step
-    source h(x) 1[0, support](t).
+    source h(x) 1[0, 1](t).
 
     Per mode this is the closed-form Duhamel integral ``_step_source`` of
     the filtered spectrum of h.  Returns the filtered half spectra
@@ -820,10 +819,11 @@ def source_term_field(model: DispersionModel, spec: CutoffSpec, h: np.ndarray,
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ConfigurationError("time must be nonnegative")
+    if np.shape(h) != box.shape:
+        raise ConfigurationError("source shape does not match box")
     weights, omega = filtered_dispersion(model, spec, box, eps)
     h_hat = rfftn(box.torus(), h) * weights
-    return _step_source(h_hat, omega, times.reshape(times.shape + (1,) * omega.ndim),
-                        support)
+    return _step_source(h_hat, omega, times.reshape(times.shape + (1,) * omega.ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -891,8 +891,7 @@ def error_report(reference: WaveTrajectory, approx_u: np.ndarray,
     if approx_u.shape[0] != times.size:
         raise ConfigurationError("approximation snapshots do not match times")
     if approx_v is not None and reference.v is None:
-        raise ConfigurationError("the energy norm needs the reference velocity; "
-                                 "this reference holds displacements only")
+        raise ConfigurationError("approx_v needs a reference velocity")
     l2 = np.array([box_l2(box, reference.u[i] - approx_u[i])
                    for i in range(times.size)])
     energy = None

@@ -187,17 +187,17 @@ class TestExactFineSolver:
         return vecs, np.sqrt(np.maximum(lam, 0.0))
 
     @staticmethod
-    def dense_reference(modes, u0, v0, times, source=None, support=1.0):
+    def dense_reference(modes, u0, v0, times, source=None):
         """(u, v) snapshots in the ``dense_modes``, with the step source
-        ``source`` 1[0, support](t) in the cos-difference form of its
-        Duhamel integral."""
+        ``source`` 1[0, 1](t) in the cos-difference form of its Duhamel
+        integral."""
         vecs, omega = modes
         live = omega > 0
         safe = np.where(live, omega, 1.0)
         a0, b0 = vecs.T @ u0, vecs.T @ v0
         c = 0.0 if source is None else vecs.T @ source
         for t in times:
-            s = min(t, support)
+            s = min(t, 1.0)
             sinc = np.where(live, np.sin(omega * t) / safe, t)
             step = np.where(live, (np.cos(omega * (t - s)) - np.cos(omega * t))
                             / safe ** 2, t * s - 0.5 * s ** 2)
@@ -219,13 +219,13 @@ class TestExactFineSolver:
             assert box_l2(box, v_t[i] - v_ref) < 1e-9
         assert traj.energy_drift() < 1e-10
         assert traj.meta["blocks"] == 33 and traj.meta["block_size"] == 16
-        # a step source acting until after the first snapshot: the energy
-        # log is the energy of each dense snapshot
+        # a step source still acting at the first snapshot and stopped at
+        # the others: the energy log is the energy of each dense snapshot
         h = np.roll(v0, 300) + 0.5 * u0
         traj = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0,
-                                     source=h, support=1.5)
+                                     source=h)
         op = wave.FluxFormOperator(box, a_box)
-        refs = self.dense_reference(modes, u0, v0, times, h, 1.5)
+        refs = self.dense_reference(modes, u0, v0, times, h)
         for i, (u_ref, v_ref) in enumerate(refs):
             assert box_l2(box, traj.u[i] - u_ref) < 1e-9
             assert traj.energy[i] == pytest.approx(op.energy(u_ref, v_ref),
@@ -234,12 +234,12 @@ class TestExactFineSolver:
 
     def test_sourced_energy_log_from_rest(self):
         # zero data: after the source stops, each eigenmode keeps the energy
-        # 2 |c|^2 (1 - cos omega support) / omega^2 of its amplitude c of h
+        # 2 |c|^2 (1 - cos omega) / omega^2 of its amplitude c of h
         box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
-        h, support, cells, p = v0 - np.roll(u0, 100), 0.75, 64, 16
-        times = [0.25, 0.5, 0.75, 2.0, 8.0]
+        h, cells, p = v0 - np.roll(u0, 100), 64, 16
+        times = [0.25, 0.5, 1.0, 2.0, 8.0]
         traj = solve_fine_wave_exact(a_box, box, np.zeros(box.n), times, 1 / 8,
-                                     source=h, support=support)
+                                     source=h)
         faces = wave._face_harmonic(a_box[0, 0], 0)[:p]
         lam, vecs = np.linalg.eigh(bloch.bloch_blocks(
             faces, box.h, 2 * np.pi * np.arange(cells // 2 + 1) / cells))
@@ -248,11 +248,10 @@ class TestExactFineSolver:
         omega = np.sqrt(np.maximum(lam, 0.0))
         live = omega > 0
         per_mode = np.abs(c) ** 2 * np.where(
-            live, 2 * (1 - np.cos(omega * support))
-            / np.where(live, omega, 1.0) ** 2, support ** 2)
+            live, 2 * (1 - np.cos(omega)) / np.where(live, omega, 1.0) ** 2, 1.0)
         expected = box.h / (2 * cells) * np.sum(
             bloch._parseval_weights(cells)[:, None] * per_mode)
-        after = traj.times >= support
+        after = traj.times >= 1.0
         assert np.all(np.abs(traj.energy[after] - expected) <= 1e-12 * expected)
         assert np.all(traj.energy[~after] < expected)
         stats = traj.solver_stats()
@@ -268,6 +267,12 @@ class TestExactFineSolver:
                                      source=np.sin(2 * np.pi * x / 16.0))
         assert traj.meta["blocks_solved"] == 1 and traj.meta["blocks"] == 65
         assert np.any(traj.u[0])
+
+    def test_source_shape_checked(self):
+        box, a_box, u0, _ = self.laminate_run(1024, 8.0, 1 / 8)
+        with pytest.raises(ConfigurationError, match="source shape"):
+            solve_fine_wave_exact(a_box, box, u0, [1.0], 1 / 8,
+                                  source=u0.reshape(32, 32))
 
     @pytest.mark.parametrize("with_velocity", [False, True])
     def test_one_inverse_transform_per_snapshot_and_one_apply(
@@ -928,6 +933,13 @@ class TestSourceTerm:
         u, ut = source_term_field(model, spec, np.zeros(box.shape), box, 0.25,
                                   [2.0])
         assert np.max(np.abs(u)) == 0.0 and np.max(np.abs(ut)) == 0.0
+
+    def test_source_shape_checked(self):
+        _, model = laminate_model(2)
+        spec = dispersion.make_cutoff(model)
+        box = BoxGrid(1, 256, 8.0)
+        with pytest.raises(ConfigurationError, match="source shape"):
+            source_term_field(model, spec, np.zeros(255), box, 0.25, [2.0])
 
     def test_single_mode_closed_form(self):
         model = identity_model()
