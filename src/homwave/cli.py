@@ -242,16 +242,15 @@ def run_dispersion(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     grid = TorusGrid(cfg.dim, cfg.grid_n)
     a = coefficient_from_spec(cfg.coefficient, grid)
     model = correctors.reconstruct_dispersion(a, cfg.ell, kmax_cap=cfg.kmax_cap)
-    spec = dispersion.make_cutoff(model)
     rows = [("direction", "kappa", "Lambda", "cutoff")]
-    kappas = np.linspace(0.0, spec.kmax, 65)
+    kappas = np.linspace(0.0, model.kmax, 65)
     for e in model.directions:
         for kap in kappas:
             lam = dispersion.dispersion_Lambda(
                 model, np.asarray(e).reshape(cfg.dim, 1) * kap)
             rows.append((" ".join(format(c, ".6g") for c in e),
                          format(kap, ".17g"), format(float(lam[0]), ".17g"),
-                         format(float(dispersion.cutoff(spec, kap)), ".17g")))
+                         format(float(dispersion.cutoff(model.kmax, kap)), ".17g")))
     _write_csv(out / "dispersion_curves.csv", rows, man.hash)
     man.artifacts.append("dispersion_curves.csv")
     man.check("kmax_positive", model.kmax, 0.0, larger_is_better=True)
@@ -264,7 +263,6 @@ def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     ell = max(cfg.ell, 2)
     model = dispersion.DispersionModel.from_oracle(
         oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), ell), ell)
-    spec = dispersion.make_cutoff(model)
     side = cfg.box_side
     times = [float(t) for t in range(1, int(cfg.T) + 1)]
     rows = [("eps", "sup_l2_error", "fitted_order")]
@@ -277,10 +275,10 @@ def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         a_box = wave.coefficient_on_box(cfg.coefficient, box, eps)
         traj = bloch.solve_fine_wave_exact(a_box, box, u0, times, eps)
         man.solver.append({"eps": eps, **traj.solver_stats()})
-        u_eff = wave.homogenized_wave_field(model, spec, u0, box, eps, times)
+        u_eff = wave.homogenized_wave_field(model, u0, box, eps, times)
         sups.append(max(wave.box_l2(box, r - e) for r, e in zip(traj.u, u_eff)))
         del traj, u_eff  # free the snapshots before the next eps allocates
-    order = float(np.polyfit(np.log(cfg.eps_list), np.log(sups), 1)[0])
+    order = wave.fit_order(cfg.eps_list, sups)
     for eps, sup in zip(cfg.eps_list, sups):
         rows.append((format(eps, ".17g"), format(sup, ".17g"),
                      format(order, ".17g")))
@@ -334,7 +332,6 @@ def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         raise ConfigurationError("source-term runs in one dimension")
     oh = oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), cfg.ell)
     model = dispersion.DispersionModel.from_oracle(oh, cfg.ell)
-    spec = dispersion.make_cutoff(model)
     side = cfg.box_side
     eps = cfg.eps_list[0]
     n = cfg.box_n or int(cfg.points_per_period * side / eps)
@@ -348,7 +345,7 @@ def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
                                        eps, source=h)
     man.solver.append({"eps": eps, **traj.solver_stats()})
     bc = wave.BoxCorrectors.from_oracle(oh, box, eps)
-    u_hat, _ = wave.source_term_field(model, spec, h, box, eps, traj.times)
+    u_hat, _ = wave.source_term_field(model, h, box, eps, traj.times)
     u_s = irfftn(box.torus(), u_hat)
     rows = [("t", "l2_error_simplified", "l2_error_dressed")]
     errs_simple, errs_dressed = [], []

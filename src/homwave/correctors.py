@@ -518,12 +518,10 @@ def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,
         residuals.append(mag / lam0)
 
     gamma_bar = float(np.max(np.abs(lam)))
-    model = _dispersion.DispersionModel(
+    return _dispersion.DispersionModel(
         dim=dim, ell=ell, polys=polys, directions=directions,
         Gamma_bar=gamma_bar, kmax_cap=float(kmax_cap),
         fit_residuals=np.asarray(residuals))
-    model.kmax = _dispersion.compute_kmax(model, kmax_cap)
-    return model
 
 
 def lambda_table_rows(model) -> list:

@@ -3,13 +3,15 @@
 The dispersion model collects the effective tensors of each order as
 homogeneous direction polynomials; the truncated Bloch eigenvalue is the
 even-order alternating sum of those polynomials, real by symmetry of the
-coefficient field.  It is positive on a ball |k| <= k_max, which fixes the
-support of the low-pass filter every spectral propagator uses.
+coefficient field.  It is positive on a ball |k| <= k_max, found when the
+model is built; the model's order ``ell`` and radius ``kmax`` fix every
+symbol and the support of the low-pass filter ``cutoff(kmax, r)`` that
+every spectral propagator uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +29,7 @@ class DispersionModel:
     ``polys[j]`` holds monomial coefficients (basis e1^(deg-r) e2^r; a single
     coefficient in 1D); odd orders are identically zero.  ``Gamma_bar`` is
     the largest coefficient magnitude over sampled directions, ``kmax`` the
-    validated positivity radius (<= kmax_cap).
+    validated positivity radius (<= kmax_cap), computed on construction.
     """
 
     dim: int
@@ -36,8 +38,13 @@ class DispersionModel:
     directions: np.ndarray
     Gamma_bar: float
     kmax_cap: float = 1.0
-    kmax: float | None = None
     fit_residuals: np.ndarray | None = None
+    kmax: float = field(init=False)
+
+    def __post_init__(self):
+        self.kmax = compute_kmax(self, self.kmax_cap)
+        if self.kmax <= 0:
+            raise ConfigurationError("kmax must be positive")
 
     def poly_value(self, j: int, k) -> np.ndarray:
         """P_j evaluated at (stacked) wavevectors k of shape (dim, ...)."""
@@ -48,13 +55,11 @@ class DispersionModel:
     @classmethod
     def from_oracle(cls, oh, ell: int) -> "DispersionModel":
         """1D model of order ``ell`` from an exact oracle hierarchy ``oh``
-        (``oracle1d.Hierarchy1D`` of order >= ell), with kmax validated."""
+        (``oracle1d.Hierarchy1D`` of order >= ell)."""
         lams = oh.lambdas[:ell]
-        model = cls(dim=1, ell=ell, polys=[np.array([lam]) for lam in lams],
-                    directions=np.array([[1.0]]),
-                    Gamma_bar=float(np.max(np.abs(lams))))
-        model.kmax = compute_kmax(model, 1.0)
-        return model
+        return cls(dim=1, ell=ell, polys=[np.array([lam]) for lam in lams],
+                   directions=np.array([[1.0]]),
+                   Gamma_bar=float(np.max(np.abs(lams))))
 
 
 def eigenvalue(model: DispersionModel, k) -> np.ndarray:
@@ -111,25 +116,15 @@ def compute_kmax(model: DispersionModel, cap: float) -> float:
     return float(best)
 
 
-@dataclass
-class CutoffSpec:
-    """Smooth low-pass profile: 1 on [0, kmax/2], 0 on [kmax, inf)."""
-
-    kmax: float
-
-    def __post_init__(self):
-        if self.kmax <= 0:
-            raise ConfigurationError("kmax must be positive")
-
-
-def cutoff(spec: CutoffSpec, r) -> np.ndarray:
-    """Evaluate the filter at radii r (vectorized), values in [0, 1].
+def cutoff(kmax: float, r) -> np.ndarray:
+    """Smooth low-pass filter at radii r (vectorized), values in [0, 1]:
+    1 on [0, kmax/2], 0 on [kmax, inf).
 
     The transition uses the standard smooth-step built from exp(-1/t),
     infinitely differentiable and monotone.
     """
     r = np.asarray(r, dtype=float)
-    t = (spec.kmax - r) / (0.5 * spec.kmax)
+    t = (kmax - r) / (0.5 * kmax)
 
     def bump(s):
         out = np.zeros_like(s)
@@ -142,12 +137,6 @@ def cutoff(spec: CutoffSpec, r) -> np.ndarray:
     den = num + bump(1.0 - t_clipped)
     out = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, num / np.where(den > 0, den, 1.0)))
     return out if out.ndim else float(out)
-
-
-def make_cutoff(model: DispersionModel) -> CutoffSpec:
-    if model.kmax is None:
-        model.kmax = compute_kmax(model, model.kmax_cap)
-    return CutoffSpec(kmax=model.kmax)
 
 
 def dispersion_Lambda(model: DispersionModel, k) -> np.ndarray:

@@ -56,7 +56,7 @@ def solve_fine_elliptic(a_box: np.ndarray, box: BoxGrid, rhs: np.ndarray) -> np.
 def solve_effective_elliptic(model: DispersionModel, f: np.ndarray,
                              box: BoxGrid, eps: float, **operator) -> np.ndarray:
     """Divide each nonzero mode of the zero-mean source ``f`` by the symbol
-    ``mode_symbol(model, eps, k, **operator)`` (``gamma`` and ``ell`` for the
+    ``mode_symbol(model, eps, k, **operator)`` (``gamma`` for the
     regularized operator, ``bt`` for the Boussinesq one); zero-mean output."""
     require_zero_mean(f, "source")
     k = box_wavevectors(box)
@@ -245,13 +245,6 @@ class RateStudy:
         return out
 
 
-def _fit_order(eps_list, errors) -> float:
-    eps_list = np.asarray(eps_list, dtype=float)
-    errors = np.maximum(np.asarray(errors, dtype=float), 1e-300)
-    slope = np.polyfit(np.log(eps_list), np.log(errors), 1)[0]
-    return float(slope)
-
-
 def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
                             side: float = 1.0, f_modes=None, mode: str = "prepared",
                             operator: str = "regularized", gamma: float | None = None,
@@ -268,7 +261,7 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
     oh = oracle1d.correctors_1d(profile, ell)
     model = DispersionModel.from_oracle(oh, ell)
     if gamma is None:
-        gamma = wave.choose_gamma(model, ell)
+        gamma = wave.choose_gamma(model)
     bt = wave.boussinesq_decomposition(model) if operator == "boussinesq" else None
 
     def mode_sum(coeffs_by_q, deriv: int):
@@ -301,7 +294,7 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
         u_fine = oracle1d.solve_elliptic_box(profile, eps, side, rhs_pp)
 
         kq = np.array([[2.0 * math.pi * q / side for q in f_modes]])
-        num, den = mode_symbol(model, eps, kq, gamma=gamma, ell=ell, bt=bt)
+        num, den = mode_symbol(model, eps, kq, gamma=gamma, bt=bt)
         den = np.broadcast_to(den, num.shape)
         u_coeffs = {q: c * float(den[i]) / float(num[i])
                     for i, (q, c) in enumerate(f_modes.items())}
@@ -321,24 +314,26 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
 
     return RateStudy(eps_list=np.asarray(list(eps_list), dtype=float),
                      errors=np.asarray(errors),
-                     fitted_order=_fit_order(eps_list, errors),
+                     fitted_order=wave.fit_order(eps_list, errors),
                      mode=mode, operator=operator,
                      details={"gamma": gamma, "lambdas": oh.lambdas.tolist()})
 
 
 def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrectors,
-                                  model: DispersionModel, ell: int, eps_list,
+                                  model: DispersionModel, eps_list,
                                   box: BoxGrid, f: np.ndarray,
                                   mode: str = "prepared",
                                   operator: str = "regularized",
                                   gamma: float | None = None) -> RateStudy:
-    """Gradient-error sweep on the box with the spectral pipeline.
+    """Gradient-error sweep on the box with the spectral pipeline, dressed
+    to the model's order.
 
     Suitable for smooth coefficients; for discontinuous 1D profiles use the
     exact piecewise variant.
     """
+    ell = model.ell
     if gamma is None:
-        gamma = wave.choose_gamma(model, ell)
+        gamma = wave.choose_gamma(model)
     bt = wave.boussinesq_decomposition(model) if operator == "boussinesq" else None
     grid = box.torus()
     errors = []
@@ -347,13 +342,12 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
         bc = BoxCorrectors.from_tensorized(tensors, box, eps)
         rhs = prepared_rhs(bc, f, ell) if mode == "prepared" else f
         u_fine = solve_fine_elliptic(a_box, box, rhs)
-        u_hom = solve_effective_elliptic(model, f, box, eps, gamma=gamma, ell=ell,
-                                         bt=bt)
+        u_hom = solve_effective_elliptic(model, f, box, eps, gamma=gamma, bt=bt)
         grad_fine = gradient_values(grid, u_fine)
         grad_dressed = dressed_gradient(
             bc, DerivativeCache(grid, rfftn(grid, u_hom)), max_order=ell)
         errors.append(box_l2(box, grad_fine - grad_dressed))
     return RateStudy(eps_list=np.asarray(list(eps_list), dtype=float),
                      errors=np.asarray(errors),
-                     fitted_order=_fit_order(eps_list, errors),
+                     fitted_order=wave.fit_order(eps_list, errors),
                      mode=mode, operator=operator, details={"gamma": gamma})

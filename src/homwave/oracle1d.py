@@ -271,7 +271,11 @@ class Profile1D:
 
 
 def profile_from_spec(spec: dict) -> Profile1D:
-    """1D profile for an analytic coefficient catalog entry."""
+    """1D profile for an analytic coefficient catalog entry, on the unit
+    cell: a spec of another ``period`` would pair the fine medium with the
+    hierarchy of the wrong cell, so it is rejected."""
+    if float(spec.get("period", 1.0)) != 1.0:
+        raise ConfigurationError("the 1D oracle needs coefficient period 1")
     kind = spec.get("kind")
     if kind == "constant":
         value = float(np.asarray(spec.get("value", 1.0)).reshape(-1)[0])
@@ -279,6 +283,8 @@ def profile_from_spec(spec: dict) -> Profile1D:
     if kind == "diagonal":
         return Profile1D(breakpoints=[0.0, 1.0], values=[float(spec["entries"][0])])
     if kind == "laminate":
+        if int(spec.get("axis", 0)) != 0:
+            raise ConfigurationError("a 1D laminate has axis 0")
         vf = float(spec.get("volume_fraction", 0.5))
         v0, v1 = (float(v) for v in spec["values"])
         return Profile1D(breakpoints=[0.0, vf, 1.0], values=[v0, v1])

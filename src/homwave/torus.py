@@ -733,6 +733,8 @@ def evaluate_coefficient(spec: dict, x: np.ndarray, dim: int) -> np.ndarray:
             raise ConfigurationError("laminate needs exactly two phase values")
         vf = float(spec.get("volume_fraction", 0.5))
         axis = int(spec.get("axis", 0))
+        if not 0 <= axis < dim:
+            raise ConfigurationError(f"laminate axis {axis} outside [0, {dim})")
         period = float(spec.get("period", 1.0))
         frac = np.mod(x[axis] / period, 1.0)
         scalar = np.where(frac < vf, values[0], values[1])

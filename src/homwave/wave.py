@@ -29,9 +29,11 @@ integral, ``_step_source``, on both sides.  Corrector dressing
 (``dress_with_correctors``, ``dressed_gradient``) makes the fields
 fine-scale approximations.  It reads the derivatives of a field from a
 ``torus.DerivativeCache`` of its half spectrum; the effective fields
-(``well_prepared_data``, ``taylor_bloch_ansatz``, ``source_term_field``)
-reach it as their filtered spectrum, so no content above the filter is
-differentiated.
+(``taylor_bloch_ansatz``, whose t = 0 snapshot is the well-prepared data,
+and ``source_term_field``) reach it as their filtered spectrum, so no
+content above the filter is differentiated.  The ``DispersionModel`` is
+the one input that carries the effective order ``ell`` and the filter
+radius ``kmax``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dispersion import CutoffSpec, DispersionModel, cutoff, eigenvalue
+from .dispersion import DispersionModel, cutoff, eigenvalue
 from .torus import (
     ConfigurationError,
     DerivativeCache,
@@ -227,11 +229,21 @@ class BoxCorrectors:
                    phi=phi, grad_phi=grad_phi)
 
 
+def _dressing_order(bc: BoxCorrectors, max_order: int | None) -> int:
+    """The dressing order: all of ``bc`` by default, never beyond it."""
+    if max_order is None:
+        return bc.order
+    if max_order > bc.order:
+        raise ConfigurationError(
+            f"corrector order {bc.order} below requested order {max_order}")
+    return max_order
+
+
 def dress_with_correctors(bc: BoxCorrectors, cache: DerivativeCache,
                           max_order: int | None = None) -> np.ndarray:
     """Corrector-dressed expansion sum_j eps^j phi_j(x/eps) . grad^j u of
     the box field u whose derivatives ``cache`` holds."""
-    ell = bc.order if max_order is None else max_order
+    ell = _dressing_order(bc, max_order)
     return sum(bc.eps ** j * cache.contract(bc.phi[j], j) for j in range(ell + 1))
 
 
@@ -242,7 +254,7 @@ def dressed_gradient(bc: BoxCorrectors, cache: DerivativeCache,
     Avoids spectrally differentiating the assembled product, which would be
     Gibbs-limited when the corrector fields have kinks.
     """
-    ell = bc.order if max_order is None else max_order
+    ell = _dressing_order(bc, max_order)
     return np.stack([
         sum(bc.eps ** j * (cache.contract(bc.grad_phi[j][m], j)
                            + cache.contract(bc.phi[j], j, shift=m))
@@ -443,12 +455,6 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
 # spectral effective propagators
 # ---------------------------------------------------------------------------
 
-def _filter_weights(spec: CutoffSpec, box: BoxGrid, eps: float):
-    """(low-pass filter weights, wavevectors) on the box mode lattice."""
-    k = box_wavevectors(box)
-    return cutoff(spec, eps * np.sqrt(np.sum(k ** 2, axis=0))), k
-
-
 def _require_positive(sym: np.ndarray, k: np.ndarray) -> None:
     """Raise PositivityError unless the symbol is positive at every nonzero
     wavevector in ``k`` (shape (dim, ...), matching ``sym``)."""
@@ -460,15 +466,16 @@ def _require_positive(sym: np.ndarray, k: np.ndarray) -> None:
             f"{float(sym[idx]):.3e}")
 
 
-def filtered_dispersion(model: DispersionModel, spec: CutoffSpec,
-                        box: BoxGrid, eps: float):
+def filtered_dispersion(model: DispersionModel, box: BoxGrid, eps: float):
     """(filter weights, propagation frequency) on the box mode lattice.
 
-    The frequency is Lambda(eps k) / eps evaluated only where the filter is
+    The weights are the model's filter ``cutoff(model.kmax, eps |k|)``.  The
+    frequency is Lambda(eps k) / eps evaluated only where the filter is
     positive, which is exactly where the truncated eigenvalue is guaranteed
     positive.
     """
-    weights, k = _filter_weights(spec, box, eps)
+    k = box_wavevectors(box)
+    weights = cutoff(model.kmax, eps * np.sqrt(np.sum(k ** 2, axis=0)))
     mask = weights > 0.0
     eig = np.zeros(weights.shape)
     if np.any(mask):
@@ -531,9 +538,8 @@ def spectral_wave_state(weights, omega: np.ndarray,
     return u, u_t
 
 
-def homogenized_wave_field(model: DispersionModel, spec: CutoffSpec,
-                           u0: np.ndarray, box: BoxGrid, eps: float,
-                           times) -> np.ndarray:
+def homogenized_wave_field(model: DispersionModel, u0: np.ndarray,
+                           box: BoxGrid, eps: float, times) -> np.ndarray:
     """Filtered effective wave field at each snapshot time, shape
     (times, box...): per-mode cosine of the dispersion.
 
@@ -541,7 +547,7 @@ def homogenized_wave_field(model: DispersionModel, spec: CutoffSpec,
     velocity, which would double the inverse transforms and the snapshot
     memory.
     """
-    weights, omega = filtered_dispersion(model, spec, box, eps)
+    weights, omega = filtered_dispersion(model, box, eps)
     grid = box.torus()
     u_hat = rfftn(grid, u0) * weights
     u = np.empty((len(times),) + box.shape)
@@ -550,37 +556,19 @@ def homogenized_wave_field(model: DispersionModel, spec: CutoffSpec,
     return u
 
 
-def filtered_data(spec: CutoffSpec, u0: np.ndarray, box: BoxGrid,
-                  eps: float) -> np.ndarray:
-    grid = box.torus()
-    weights, _ = _filter_weights(spec, box, eps)
-    return irfftn(grid, rfftn(grid, u0) * weights)
-
-
-def well_prepared_data(bc: BoxCorrectors, spec: CutoffSpec, u0: np.ndarray,
-                       box: BoxGrid, eps: float, ell: int | None = None) -> np.ndarray:
-    """Corrector-dressed filtered data: the expansion applied to the low-pass
-    part of u0, read from its filtered spectrum."""
-    if ell is not None and ell > bc.order:
-        raise ConfigurationError(
-            f"corrector order {bc.order} below requested order {ell}")
-    grid = box.torus()
-    weights, _ = _filter_weights(spec, box, eps)
-    return dress_with_correctors(
-        bc, DerivativeCache(grid, rfftn(grid, u0) * weights), max_order=ell)
-
-
 def taylor_bloch_ansatz(bc: BoxCorrectors, model: DispersionModel,
-                        spec: CutoffSpec, u0: np.ndarray, box: BoxGrid,
-                        eps: float, times, ell: int | None = None) -> np.ndarray:
-    """Bloch-wave-dressed effective field, shape (times, box...).
+                        u0: np.ndarray, box: BoxGrid, eps: float, times,
+                        ell: int | None = None) -> np.ndarray:
+    """Bloch-wave-dressed effective field, shape (times, box...), dressed
+    to order ``ell`` (all of ``bc`` by default).
 
     Per mode, the dressing multiplies by the truncated Bloch wave at eps*k;
     summed over modes this is exactly the corrector-dressed expansion of the
     effective field, which is how it is assembled here, from the filtered
-    spectrum of the effective field at each time.
+    spectrum of the effective field at each time.  At t = 0 it is the
+    well-prepared data: the dressing of the low-pass part of u0.
     """
-    weights, omega = filtered_dispersion(model, spec, box, eps)
+    weights, omega = filtered_dispersion(model, box, eps)
     grid = box.torus()
     u_hat = rfftn(grid, u0) * weights
     return np.stack([
@@ -598,23 +586,23 @@ def regularization_order(ell: int) -> int:
 
 
 def effective_symbol(model: DispersionModel, gamma: float, eps: float,
-                     ell: int, k: np.ndarray) -> np.ndarray:
+                     k: np.ndarray) -> np.ndarray:
     """Symbol of the effective elliptic operator with coercive regularization.
 
     sum over even j < ell of (-1)^(j/2) eps^j P_j(k) plus
-    gamma eps^(2m) |k|^(2m+2), m = floor((ell-1)/2) + 1.
+    gamma eps^(2m) |k|^(2m+2), m = floor((ell-1)/2) + 1, ell = model.ell.
     """
     out = np.zeros(k.shape[1:])
-    for j in range(0, ell, 2):
+    for j in range(0, model.ell, 2):
         out = out + (-1.0) ** (j // 2) * eps ** j * model.poly_value(j, k)
     if gamma != 0.0:
-        m = regularization_order(ell)
+        m = regularization_order(model.ell)
         k2 = np.sum(k ** 2, axis=0)
         out = out + gamma * eps ** (2 * m) * k2 ** (m + 1)
     return out
 
 
-def _coercivity_polynomial(model: DispersionModel, gamma: float, ell: int,
+def _coercivity_polynomial(model: DispersionModel, gamma: float,
                            e: np.ndarray) -> np.ndarray:
     """Deficit polynomial p(s^2) = [symbol - target] / s^2 along direction e.
 
@@ -622,10 +610,10 @@ def _coercivity_polynomial(model: DispersionModel, gamma: float, ell: int,
     symbol >= (s^2 + s^(2m+2)) / 2 is eps-independent; p is returned in
     powers of u = s^2 (low to high).
     """
-    m = regularization_order(ell)
+    m = regularization_order(model.ell)
     coeffs = np.zeros(m + 1)
     e = np.asarray(e, dtype=float).reshape(model.dim, 1)
-    for j in range(0, ell, 2):
+    for j in range(0, model.ell, 2):
         coeffs[j // 2] += (-1.0) ** (j // 2) * float(model.poly_value(j, e)[0])
     coeffs[0] -= 0.5
     coeffs[m] += gamma - 0.5
@@ -647,7 +635,7 @@ def _poly_nonneg_on_halfline(coeffs: np.ndarray) -> bool:
     return True
 
 
-def choose_gamma(model: DispersionModel, ell: int) -> float:
+def choose_gamma(model: DispersionModel) -> float:
     """Coercivity constant for the regularized effective operator.
 
     Orders <= 2 need no regularization.  If the unregularized symbol already
@@ -656,13 +644,13 @@ def choose_gamma(model: DispersionModel, ell: int) -> float:
     rescaled one-variable inequality hold is found by bisection and doubled
     for margin; the result does not depend on eps.
     """
-    if ell <= 2:
+    if model.ell <= 2:
         return 0.0
     dirs = model.directions
 
     def feasible(gamma: float, drop_high_order: bool = False) -> bool:
         for e in dirs:
-            coeffs = _coercivity_polynomial(model, gamma, ell, e)
+            coeffs = _coercivity_polynomial(model, gamma, e)
             if drop_high_order:
                 coeffs = coeffs.copy()
                 coeffs[-1] += 0.5  # target without the high-order term
@@ -688,13 +676,13 @@ def choose_gamma(model: DispersionModel, ell: int) -> float:
 
 
 def symbol_coercivity_margin(model: DispersionModel, gamma: float, eps: float,
-                             ell: int, box: BoxGrid) -> float:
+                             box: BoxGrid) -> float:
     """min over nonzero modes of symbol - target (target drops the
     high-order part when gamma = 0)."""
     k = box_wavevectors(box)
-    sym = effective_symbol(model, gamma, eps, ell, k)
+    sym = effective_symbol(model, gamma, eps, k)
     k2 = np.sum(k ** 2, axis=0)
-    m = regularization_order(ell)
+    m = regularization_order(model.ell)
     target = 0.5 * k2
     if gamma > 0:
         target = target + 0.5 * eps ** (2 * m) * k2 ** (m + 1)
@@ -773,8 +761,7 @@ def boussinesq_decomposition(model: DispersionModel,
 # ---------------------------------------------------------------------------
 
 def mode_symbol(model: DispersionModel, eps: float, k: np.ndarray,
-                gamma: float = 0.0, ell: int | None = None,
-                bt: BoussinesqTensors | None = None):
+                gamma: float = 0.0, bt: BoussinesqTensors | None = None):
     """(num, den) with omega^2(k) = num / den for one effective operator.
 
     Without ``bt`` it is the regularized symbol ``effective_symbol`` over 1;
@@ -783,7 +770,7 @@ def mode_symbol(model: DispersionModel, eps: float, k: np.ndarray,
     wave solves may rotate by omega and the elliptic solves divide by it.
     """
     if bt is None:
-        num, den = effective_symbol(model, gamma, eps, ell, k), 1.0
+        num, den = effective_symbol(model, gamma, eps, k), 1.0
     else:
         num = model.poly_value(0, k) + eps ** 2 * bt.c_quartic(k)
         den = 1.0 + eps ** 2 * bt.b_quadratic(k)
@@ -794,8 +781,8 @@ def mode_symbol(model: DispersionModel, eps: float, k: np.ndarray,
 def solve_effective_wave(model: DispersionModel, u0: np.ndarray, box: BoxGrid,
                          eps: float, times, **operator) -> np.ndarray:
     """Exact per-mode solve of u_tt + omega^2 u = 0 from rest, omega^2 the
-    symbol ``mode_symbol(model, eps, k, **operator)`` (``gamma`` and ``ell``
-    for the regularized operator, ``bt`` for the Boussinesq one), shape
+    symbol ``mode_symbol(model, eps, k, **operator)`` (``gamma`` for the
+    regularized operator, ``bt`` for the Boussinesq one), shape
     (times, box...).  The initial data is not filtered."""
     num, den = mode_symbol(model, eps, box_wavevectors(box), **operator)
     return spectral_wave_state(1.0, np.sqrt(num / den), u0, box, times)[0]
@@ -805,8 +792,8 @@ def solve_effective_wave(model: DispersionModel, u0: np.ndarray, box: BoxGrid,
 # localized-in-time source terms
 # ---------------------------------------------------------------------------
 
-def source_term_field(model: DispersionModel, spec: CutoffSpec, h: np.ndarray,
-                      box: BoxGrid, eps: float, times):
+def source_term_field(model: DispersionModel, h: np.ndarray, box: BoxGrid,
+                      eps: float, times):
     """Solution of the filtered effective equation from rest with the step
     source h(x) 1[0, 1](t).
 
@@ -821,7 +808,7 @@ def source_term_field(model: DispersionModel, spec: CutoffSpec, h: np.ndarray,
         raise ConfigurationError("time must be nonnegative")
     if np.shape(h) != box.shape:
         raise ConfigurationError("source shape does not match box")
-    weights, omega = filtered_dispersion(model, spec, box, eps)
+    weights, omega = filtered_dispersion(model, box, eps)
     h_hat = rfftn(box.torus(), h) * weights
     return _step_source(h_hat, omega, times.reshape(times.shape + (1,) * omega.ndim))
 
@@ -855,6 +842,14 @@ class ErrorBudget:
 
 def box_l2(box: BoxGrid, values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2) * box.side ** box.dim))
+
+
+def fit_order(eps_list, errors) -> float:
+    """Least-squares slope of log(error) against log(eps); zero errors are
+    read as 1e-300."""
+    errors = np.maximum(np.asarray(errors, dtype=float), 1e-300)
+    return float(np.polyfit(np.log(np.asarray(eps_list, dtype=float)),
+                            np.log(errors), 1)[0])
 
 
 @dataclass

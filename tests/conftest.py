@@ -62,10 +62,8 @@ def anisotropic_model_2d():
     mixed quartic term, every polynomial even in each wavevector component
     (as for cells with reflection symmetry)."""
     from homwave import correctors, dispersion
-    model = dispersion.DispersionModel(
+    return dispersion.DispersionModel(
         dim=2, ell=4,
         polys=[np.array([1.5, 0.0, 1.2]), np.zeros(4),
                np.array([0.02, 0.0, 0.05, 0.0, 0.03]), np.zeros(6)],
         directions=correctors.half_circle_directions(2, 12), Gamma_bar=1.5)
-    model.kmax = dispersion.compute_kmax(model, 1.0)
-    return model

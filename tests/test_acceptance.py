@@ -104,16 +104,14 @@ def test_criterion_4_long_time_wave(wave_compare_runs, laminate_oracle):
     eps_list = [1 / 8, 1 / 16, 1 / 32]
     m2 = dispersion.DispersionModel.from_oracle(laminate_oracle, 2)
     m4 = dispersion.DispersionModel.from_oracle(laminate_oracle, 4)
-    spec2 = dispersion.make_cutoff(m2)
-    spec4 = dispersion.make_cutoff(m4)
     sups = []
     long_ok = True
     long_detail = []
     for eps in eps_list:
         box, u0, traj = wave_compare_runs[eps]
-        u2 = wave.homogenized_wave_field(m2, spec2, u0, box, eps,
+        u2 = wave.homogenized_wave_field(m2, u0, box, eps,
                                          traj.times[:8])
-        u4 = wave.homogenized_wave_field(m4, spec4, u0, box, eps,
+        u4 = wave.homogenized_wave_field(m4, u0, box, eps,
                                          traj.times[:9])
         errs2 = [wave.box_l2(box, traj.u[i] - u2[i]) for i in range(8)]
         errs4 = [wave.box_l2(box, traj.u[i] - u4[i]) for i in range(8)]
@@ -210,7 +208,6 @@ def test_criterion_9_source_term(laminate_oracle):
     ell = 2
     oh = laminate_oracle
     model = dispersion.DispersionModel.from_oracle(oh, ell)
-    spec = dispersion.make_cutoff(model)
     budget = wave.ErrorBudget(ell=ell)
     T = 4.0
     times = [1.0, 2.0, 3.0, 4.0]
@@ -229,7 +226,7 @@ def test_criterion_9_source_term(laminate_oracle):
         traj = bloch.solve_fine_wave_exact(a_box, box, zero, times, eps,
                                            source=h)
         grid = box.torus()
-        u_hat, ut_hat = wave.source_term_field(model, spec, h, box, eps, times)
+        u_hat, ut_hat = wave.source_term_field(model, h, box, eps, times)
         u_simpl = torus.irfftn(grid, u_hat)
         l2_sups.append(max(wave.box_l2(box, traj.u[i] - u_simpl[i])
                            for i in range(len(times))))
@@ -308,15 +305,14 @@ def test_criterion_10_structure_suite(smooth64_l5):
     # spectral propagator time reversibility
     oh = oracle1d.correctors_1d(LAM_PROFILE, 2)
     model = dispersion.DispersionModel.from_oracle(oh, 2)
-    spec = dispersion.make_cutoff(model)
     small = wave.BoxGrid(1, 1024, 32.0)
     xs = wave.box_coordinates(small)[0]
     us = np.exp(-0.5 * (xs - 16.0) ** 2)
-    w, om = wave.filtered_dispersion(model, spec, small, 0.25)
+    w, om = wave.filtered_dispersion(model, small, 0.25)
     u1, v1 = wave.spectral_wave_state(w, om, us, small, [4.0])
     u2, _ = wave.spectral_wave_state(np.ones_like(w), om, u1[0], small, [-4.0],
                                      v0=v1[0])
-    ref = wave.filtered_data(spec, us, small, 0.25)
+    ref = wave.homogenized_wave_field(model, us, small, 0.25, [0.0])[0]
     checks["time reversibility"] = bool(np.max(np.abs(u2[0] - ref)) < 1e-12)
 
     # determinism: rebuilding gives bit-identical results

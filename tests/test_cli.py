@@ -254,6 +254,28 @@ class TestRun:
                                coefficient={"kind": "constant", "value": 1.0})
         assert run(cfg, str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("correctors", {}),
+        ("wave-compare", {"eps_list": [0.25, 0.125], "T": 1.0}),
+        ("elliptic-rate", {"eps_list": [0.25, 0.125], "box_side": 1.0}),
+    ], ids=["correctors", "wave-compare", "elliptic-rate"])
+    def test_laminate_axis_outside_dim_exit_code(self, kind, extra, tmp_path):
+        cfg = ExperimentConfig(kind=kind, dim=1,
+                               coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0], "axis": 1},
+                               **extra)
+        assert run(cfg, str(tmp_path)) == 2
+
+    def test_oracle_rejects_coefficient_period(self, tmp_path):
+        # the 1D oracle models the unit cell: a half-period laminate would
+        # be compared with the model of the wrong medium
+        cfg = ExperimentConfig(kind="wave-compare",
+                               coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0],
+                                            "period": 0.5},
+                               eps_list=[0.25, 0.125], T=1.0, box_side=16.0)
+        assert run(cfg, str(tmp_path)) == 2
+
 
 class TestMain:
     def test_validate_subcommand(self, tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from homwave import correctors, dispersion, oracle1d, torus
 from homwave.dispersion import (
-    CutoffSpec,
     DispersionModel,
     compute_kmax,
     cutoff,
@@ -15,7 +14,6 @@ from homwave.dispersion import (
     eigendefect,
     eigendefect_residual,
     eigenvalue,
-    make_cutoff,
     taylor_bloch_wave,
 )
 
@@ -76,26 +74,23 @@ class TestKmax:
 
 class TestCutoff:
     def test_plateau_and_decay(self):
-        spec = CutoffSpec(kmax=0.8)
-        assert cutoff(spec, 0.0) == 1.0
-        assert cutoff(spec, 0.39) == 1.0
-        assert cutoff(spec, 0.8) == 0.0
-        assert cutoff(spec, 5.0) == 0.0
-        mid = cutoff(spec, 0.6)
+        assert cutoff(0.8, 0.0) == 1.0
+        assert cutoff(0.8, 0.39) == 1.0
+        assert cutoff(0.8, 0.8) == 0.0
+        assert cutoff(0.8, 5.0) == 0.0
+        mid = cutoff(0.8, 0.6)
         assert 0.0 < mid < 1.0
 
     def test_monotone(self):
-        spec = CutoffSpec(kmax=1.0)
         r = np.linspace(0.0, 1.2, 400)
-        vals = cutoff(spec, r)
+        vals = cutoff(1.0, r)
         assert np.all(np.diff(vals) <= 1e-14)
 
     def test_smooth_at_junctions(self):
-        spec = CutoffSpec(kmax=1.0)
         # numerically flat derivatives at the plateau edges
         for r0 in (0.5, 1.0):
             h = 1e-4
-            d1 = (cutoff(spec, r0 + h) - cutoff(spec, r0 - h)) / (2 * h)
+            d1 = (cutoff(1.0, r0 + h) - cutoff(1.0, r0 - h)) / (2 * h)
             assert abs(d1) < 1e-3
 
 
@@ -203,8 +198,22 @@ class TestEigendefect:
         assert res < 1e-7  # 1D: no aliasing obstruction at this order
 
 
-class TestMakeCutoff:
-    def test_fills_kmax(self, laminate_hierarchy):
-        model = correctors.reconstruct_dispersion(laminate_hierarchy.a, 2)
-        spec = make_cutoff(model)
-        assert spec.kmax == model.kmax > 0
+class TestModelKmax:
+    def test_set_on_construction(self, laminate_hierarchy):
+        model = correctors.reconstruct_dispersion(laminate_hierarchy.a, 4,
+                                                  kmax_cap=20.0)
+        assert isinstance(model.kmax, float)
+        assert model.kmax == compute_kmax(model, 20.0)
+        assert 0.0 < model.kmax < 20.0  # the ell = 4 laminate bends down
+        oh = oracle1d.correctors_1d(oracle1d.profile_from_spec(LAMINATE), 4)
+        m = DispersionModel.from_oracle(oh, 4)
+        assert m.kmax == compute_kmax(m, 1.0)
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(torus.ConfigurationError, match="cap"):
+            DispersionModel(dim=1, ell=1, polys=[np.array([1.0])],
+                            directions=np.array([[1.0]]), Gamma_bar=1.0,
+                            kmax_cap=0.0)
+        # below lambda_0 = 1/4 no radius has eigenvalue >= |k|^2 / 4
+        with pytest.raises(torus.ConfigurationError, match="kmax must be positive"):
+            toy_model([0.1], 1)

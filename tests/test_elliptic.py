@@ -15,7 +15,7 @@ from homwave.elliptic import (
     solve_fine_elliptic,
     two_scale_expansion,
 )
-from homwave.torus import SolvabilityError
+from homwave.torus import ConfigurationError, SolvabilityError
 from homwave.wave import BoxCorrectors, BoxGrid, box_coordinates
 
 from conftest import LAMINATE, SMOOTH2D, anisotropic_model_2d, full_wavenumbers
@@ -68,7 +68,7 @@ class TestHomogenizedElliptic:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 4.0
         f = np.sin(k * x)
-        u = solve_effective_elliptic(model, f, box, 0.25, gamma=0.0, ell=1)
+        u = solve_effective_elliptic(model, f, box, 0.25, gamma=0.0)
         assert np.max(np.abs(u - f / (1.6 * k ** 2))) < 1e-12
 
     def test_nonzero_mean_source_rejected(self):
@@ -76,12 +76,12 @@ class TestHomogenizedElliptic:
         box = BoxGrid(1, 64, 4.0)
         with pytest.raises(SolvabilityError, match="source has mean"):
             solve_effective_elliptic(model, np.ones(box.shape), box, 0.25,
-                                     gamma=0.0, ell=2)
+                                     gamma=0.0)
 
     def test_low_order_symbol_has_no_regularization(self):
         _, model = laminate_model(2)
         k = wave.box_wavevectors(BoxGrid(1, 64, 4.0))
-        sym = wave.effective_symbol(model, 0.0, 0.25, 2, k)
+        sym = wave.effective_symbol(model, 0.0, 0.25, k)
         assert np.allclose(sym, 1.6 * np.sum(k ** 2, axis=0))
 
     def test_linearity(self):
@@ -89,8 +89,8 @@ class TestHomogenizedElliptic:
         box = BoxGrid(1, 256, 4.0)
         x = box_coordinates(box)[0]
         f = np.sin(2 * np.pi * x / 4.0) + 0.3 * np.sin(4 * np.pi * x / 4.0)
-        u1 = solve_effective_elliptic(model, f, box, 0.25, gamma=0.0, ell=2)
-        u2 = solve_effective_elliptic(model, 2.0 * f, box, 0.25, gamma=0.0, ell=2)
+        u1 = solve_effective_elliptic(model, f, box, 0.25, gamma=0.0)
+        u2 = solve_effective_elliptic(model, 2.0 * f, box, 0.25, gamma=0.0)
         assert np.max(np.abs(u2 - 2.0 * u1)) < 1e-13
 
 
@@ -111,7 +111,7 @@ class TestHalfSpectrumSolve:
     def test_matches_full_fft_on_white_noise(self, rng, operator):
         # white noise carries content on the Nyquist lines of both axes
         model = anisotropic_model_2d()
-        op = ({"gamma": wave.choose_gamma(model, 4), "ell": 4}
+        op = ({"gamma": wave.choose_gamma(model)}
               if operator == "regularized"
               else {"bt": wave.boussinesq_decomposition(model)})
         box = BoxGrid(2, 32, 8.0)
@@ -134,7 +134,7 @@ class TestHalfSpectrumSolve:
         f_hat = np.fft.fftn(rng.standard_normal(box.shape))
         f_hat[0, 0] = 0.0
         f = np.fft.ifftn(f_hat).real
-        op = {"gamma": 0.0, "ell": 2}
+        op = {"gamma": 0.0}
         gap = (solve_effective_elliptic(model, f, box, 0.25, **op)
                - full_fft_effective_solve(model, f, box, 0.25, **op))
         assert np.max(np.abs(gap)) > 1e-6
@@ -237,6 +237,14 @@ class TestPreparedRhsAndExpansion:
         f = np.sin(k * x)
         manual = f + eps * oh.phi[1](np.mod(x / eps, 1.0)) * k * np.cos(k * x)
         assert np.max(np.abs(prepared_rhs(bc, f, ell=1) - manual)) < 1e-8
+
+    def test_order_beyond_correctors_rejected(self):
+        oh = oracle1d.correctors_1d(LAM_PROFILE, 2)
+        box = BoxGrid(1, 512, 2.0)
+        bc = BoxCorrectors.from_oracle(oh, box, 0.125)
+        f = np.sin(2 * np.pi * box_coordinates(box)[0] / 2.0)
+        with pytest.raises(ConfigurationError, match="corrector order 2"):
+            prepared_rhs(bc, f, ell=3)
 
     def test_nonzero_mean_rejected(self):
         oh = oracle1d.correctors_1d(LAM_PROFILE, 1)
@@ -355,7 +363,7 @@ class TestRateStudies:
         box = BoxGrid(1, 1024, 1.0)
         x = box_coordinates(box)[0]
         f = np.sin(2 * np.pi * x)
-        st = elliptic_error_sweep_spectral(spec_tag, tens, model, 2,
+        st = elliptic_error_sweep_spectral(spec_tag, tens, model,
                                            [1 / 16, 1 / 32], box, f)
         assert st.fitted_order > 1.7
 
@@ -369,7 +377,7 @@ class TestRateStudies:
         model = correctors.reconstruct_dispersion(a, 4, tensors=tens)
         box = BoxGrid(1, 1024, 1.0)
         f = np.sin(2 * np.pi * box_coordinates(box)[0])
-        st = elliptic_error_sweep_spectral(spec_tag, tens, model, 4,
+        st = elliptic_error_sweep_spectral(spec_tag, tens, model,
                                            [1 / 4, 1 / 8, 1 / 16], box, f,
                                            operator="boussinesq")
         assert np.all(np.diff(st.errors) < 0)

@@ -329,3 +329,15 @@ class TestProfileFromSpec:
         prof = profile_from_spec({"kind": "trig_checkerboard", "base": 2.0,
                                   "amplitude": 1.0})
         assert prof.func(0.25) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "laminate", "values": [1.0, 4.0], "period": 0.5},
+        {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0,
+         "period": 2.0},
+        {"kind": "laminate", "values": [1.0, 4.0], "axis": 1},
+    ])
+    def test_other_cell_rejected(self, spec):
+        # the torus pipeline honours period and axis: an oracle that ignored
+        # them would model a different cell than the fine medium
+        with pytest.raises(torus.ConfigurationError):
+            profile_from_spec(spec)
