@@ -11,6 +11,12 @@ error (Conca & Vanninathan, SIAM J. Appl. Math. 57, 1997).  Only the
 phases that carry data are diagonalized, within an eps_mach budget
 (``solve_fine_wave_exact``).
 
+When the faces of the cell are mirror-symmetric (every two-phase
+laminate), reflection composed with complex conjugation is an antiunitary
+symmetry of every block, so each block is unitarily similar to a real
+symmetric one (``_MirrorBlocks``), diagonalized in real arithmetic.  A cell
+without an exact mirror keeps the complex blocks (``bloch_blocks``).
+
 This is the fine-scale reference of every wave experiment
 (``wave-compare``, ``transport``, ``source-term`` and the constant-medium
 moment scan); leapfrog (``wave.solve_fine_wave``) is its independent
@@ -29,7 +35,7 @@ from .wave import (BoxGrid, FluxFormOperator, WaveTrajectory, _face_harmonic,
 
 
 # block entries per eigh call: the eigensystems and work arrays of one call
-# hold a few _CHUNK_ENTRIES complex numbers whatever the block size p (16
+# hold a few _CHUNK_ENTRIES numbers whatever the block size p (16
 # phases per call at p = 16, one at p = 64), so they stay small next to the
 # snapshots and the allocator recycles them instead of keeping megabytes
 _CHUNK_ENTRIES = 4096
@@ -74,6 +80,128 @@ def bloch_blocks(faces: np.ndarray, h: float, phases) -> np.ndarray:
     blocks[:] = tri / h ** 2
     _set_corners(blocks, tri, faces, h, phases)
     return blocks
+
+
+class _CornerBlocks:
+    """The complex blocks of ``bloch_blocks``, for a cell without a mirror:
+    the data and the eigenmodes are in node coordinates already."""
+
+    field = "complex"
+
+    def __init__(self, faces: np.ndarray, h: float):
+        self.faces, self.h = faces, h
+
+    def blocks(self, phases: np.ndarray) -> np.ndarray:
+        return bloch_blocks(self.faces, self.h, phases)
+
+    def to_basis(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def to_nodes(self, c: np.ndarray) -> np.ndarray:
+        return c
+
+
+def _mirror(faces: np.ndarray) -> int | None:
+    """The s with faces[(s - 1 - j) % p] == faces[j] for every j, or None.
+
+    The node reflection j -> s - j (mod p) then maps each face onto one of
+    equal value.  The test is exact: ``_face_harmonic`` is bitwise symmetric
+    in its two arguments, so a cell whose samples mirror exactly has faces
+    that do."""
+    p = faces.size
+    j = np.arange(p)
+    hits = np.flatnonzero(
+        np.all(faces[(j[:, None] - 1 - j) % p] == faces, axis=1))
+    return int(hits[0]) if hits.size else None
+
+
+class _MirrorBlocks:
+    """Real symmetric Bloch blocks of a cell with the mirror j -> s - j.
+
+    In the uniform gauge y = D^* x, D = diag(exp(i theta j / p)), the block
+    at phase theta couples nodes j and j + 1 (mod p) by -f_j exp(i phi) and
+    its conjugate, phi = theta / p, the corners included.  The reflection
+    maps that block to its complex conjugate, so reflection composed with
+    conjugation is an antiunitary symmetry of every block.  Its fixed
+    vectors form the orthonormal basis Q of the even vectors
+    (e_j + e_{s-j}) / sqrt(2) (e_j alone where j = s - j mod p) and the odd
+    vectors i (e_j - e_{s-j}) / sqrt(2), in which the block is the real
+    symmetric A0 + cos(phi) A1 + sin(phi) A2; the three real p x p parts are
+    built once per solve, the gauge once for the kept ``phases``.
+
+    Each node lies in at most two basis vectors and each basis vector on at
+    most two nodes, so D Q and its adjoint are two weighted gathers each
+    (``to_nodes``, ``to_basis``): pairs scaled by 1 / sqrt(2), a factor
+    -i on the odd part of the data, and the gauge.
+    """
+
+    field = "real"
+
+    def __init__(self, faces: np.ndarray, h: float, s: int,
+                 phases: np.ndarray):
+        self.p = p = faces.size
+        j = np.arange(p)
+        partner = (s - j) % p
+        first, second = j[j < partner], partner[j < partner]
+        fixed = j[j == partner]
+        pairs, n_even = first.size, first.size + fixed.size
+        col = np.arange(pairs)
+        r = math.sqrt(0.5)
+        basis = np.zeros((p, p), dtype=complex)
+        basis[first, col] = basis[second, col] = r
+        basis[fixed, pairs + np.arange(fixed.size)] = 1.0
+        basis[first, n_even + col] = 1j * r
+        basis[second, n_even + col] = -1j * r
+        # the gauged block is diag - exp(i phi) hop - exp(-i phi) hop^T
+        hop = np.zeros((p, p))
+        hop[j, (j + 1) % p] = faces
+        parts = (np.diag(faces + np.roll(faces, 1)), -(hop + hop.T),
+                 1j * (hop.T - hop))
+        self.parts = [(np.conj(basis.T) @ m @ basis).real / h ** 2
+                      for m in parts]
+        # the two nodes of each basis vector, and the two basis vectors of
+        # each node; the second entry of a fixed node has weight zero
+        self.nodes = np.stack([np.concatenate([first, fixed, first]),
+                               np.concatenate([second, fixed, second])])
+        self.cols = np.zeros((2, p), dtype=int)
+        self.cols[:, first] = self.cols[:, second] = [col, n_even + col]
+        self.cols[:, fixed] = pairs + np.arange(fixed.size)
+        self.weight_in = np.conj(basis[self.nodes, j])[..., None]
+        self.weight_out = basis[j, self.cols]
+        self.weight_in[1, pairs:n_even] = self.weight_out[1, fixed] = 0.0
+        self.gauge = np.exp(1j * np.outer(phases / p, j))
+
+    def blocks(self, phases: np.ndarray) -> np.ndarray:
+        phi = (phases / self.p)[:, None, None]
+        a0, a1, a2 = self.parts
+        return a0 + np.cos(phi) * a1 + np.sin(phi) * a2
+
+    def to_basis(self, x: np.ndarray) -> np.ndarray:
+        """(D Q)^* x for data of shape (phases, p, k)."""
+        y = np.conj(self.gauge)[..., None] * x
+        w = self.weight_in
+        return w[0] * y[:, self.nodes[0]] + w[1] * y[:, self.nodes[1]]
+
+    def to_nodes(self, c: np.ndarray) -> np.ndarray:
+        """D Q c for amplitudes of shape (phases, p)."""
+        w, cols = self.weight_out, self.cols
+        return self.gauge * (w[0] * c[:, cols[0]] + w[1] * c[:, cols[1]])
+
+
+def _block_basis(faces: np.ndarray, h: float, phases: np.ndarray):
+    """Real blocks where the cell has an exact mirror, else complex ones."""
+    s = _mirror(faces)
+    return (_CornerBlocks(faces, h) if s is None
+            else _MirrorBlocks(faces, h, s, phases))
+
+
+def _times(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mat @ z for complex z.  A real ``mat`` multiplies the real and
+    imaginary parts side by side in one real product, where matmul would
+    promote it to complex."""
+    if np.iscomplexobj(mat):
+        return mat @ z
+    return (mat @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
 def _parseval_weights(n_cells: int) -> np.ndarray:
@@ -133,6 +261,19 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     displacement snapshots are transformed back.  Blocks are diagonalized
     ``_CHUNK_ENTRIES`` / p^2 phases at a time, so the working set stays
     O(``_CHUNK_ENTRIES`` + snapshots n).  ``dt`` is 0 (no time step).
+
+    When the cell's faces have an exact mirror s, faces[(s - 1 - j) % p] ==
+    faces[j] for all j (``_mirror``; every two-phase laminate has one),
+    reflection composed with conjugation is an antiunitary symmetry of every
+    block.  In the gauge y_j = exp(-i theta j / p) x_j and the orthonormal
+    even/odd basis of the node pairs (j, s - j) each block is then real
+    symmetric (``_MirrorBlocks``): the data are gathered into that basis
+    once, each chunk runs a real ``eigh`` and applies its real eigenvectors
+    to the real and imaginary parts, and each snapshot is gathered back and
+    gauged.  A cell without an exact mirror keeps the complex blocks of
+    ``bloch_blocks``; one loop serves both, and ``meta["block_field"]``
+    records which ("real" or "complex").  The two agree to eigenvalue
+    roundoff of order eps_mach |B|, which grows with omega t.
 
     The trajectory's ``v`` is None.  Without a source the velocity u_t
     solves the same discrete wave equation with data (v0, L u0),
@@ -194,29 +335,25 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         u_hat, v_hat, n_cells, max(times[-1], 1.0 / np.sqrt(lam_bound)), h_hat)
     phases = 2.0 * np.pi * kept / n_cells
     weight = _parseval_weights(n_cells)[kept]
-    u_hat = u_hat[kept, :, None]
-    v_hat = v_hat[kept, :, None] if np.any(v) else None
-    h_hat = None if h_hat is None else h_hat[kept, :, None]
+    basis = _block_basis(faces, box.h, phases)
+    u_hat = basis.to_basis(u_hat[kept, :, None])
+    v_hat = basis.to_basis(v_hat[kept, :, None]) if np.any(v) else None
+    h_hat = None if h_hat is None else basis.to_basis(h_hat[kept, :, None])
     ut_hat = np.empty((times.size, kept.size, p), dtype=complex)
     # kept-mode energy: per phase at t = 0, or per snapshot with a source
     mode_energy = np.empty(kept.size) if h_hat is None else np.zeros(times.size)
     chunk = max(1, _CHUNK_ENTRIES // p ** 2)
-    tri = _tridiagonal(faces)
-    blocks = np.empty((min(chunk, kept.size), p, p), dtype=complex)
-    blocks[:] = tri / box.h ** 2
     for start in range(0, kept.size, chunk):
         sl = slice(start, start + chunk)
-        chunk_blocks = blocks[:phases[sl].size]
-        _set_corners(chunk_blocks, tri, faces, box.h, phases[sl])
-        lam, vecs = np.linalg.eigh(chunk_blocks)
+        lam, vecs = np.linalg.eigh(basis.blocks(phases[sl]))
         omega = np.sqrt(np.maximum(lam, 0.0))[..., None]
         # eigenmode amplitudes of the data
         adjoint = np.conj(np.swapaxes(vecs, 1, 2))
-        a_m = adjoint @ u_hat[sl]
-        b_m = None if v_hat is None else adjoint @ v_hat[sl]
+        a_m = _times(adjoint, u_hat[sl])
+        b_m = None if v_hat is None else _times(adjoint, v_hat[sl])
         if h_hat is not None:
             free = _rotate(a_m, 0.0 if b_m is None else b_m, omega, times)
-            forced = _step_source(adjoint @ h_hat[sl], omega, times)
+            forced = _step_source(_times(adjoint, h_hat[sl]), omega, times)
             a_t, b_t = free[0] + forced[0], free[1] + forced[1]
             mode_energy += np.sum(weight[sl, None, None] * (
                 np.abs(b_t) ** 2 + omega ** 2 * np.abs(a_t) ** 2), axis=(0, 1))
@@ -228,18 +365,18 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
                 energy += np.abs(b_m) ** 2
                 a_t = _rotate(a_m, b_m, omega, times)[0]
             mode_energy[sl] = weight[sl] * np.sum(energy, axis=(1, 2))
-        ut_hat[:, sl] = np.moveaxis(vecs @ a_t, -1, 0)
+        ut_hat[:, sl] = np.moveaxis(_times(vecs, a_t), -1, 0)
 
     # one snapshot at a time, the kept phases scattered into one zero-filled
     # spectrum: no full-size temporary besides the output
     u_t = np.empty((times.size,) + box.shape)
     full = np.zeros((n_blocks, p), dtype=complex)
     for i in range(times.size):
-        full[kept] = ut_hat[i]
+        full[kept] = basis.to_nodes(ut_hat[i])
         u_t[i].reshape(n_cells, p)[...] = np.fft.irfft(full, n=n_cells, axis=0)
     meta = {"solver": "bloch-exact", "blocks": n_blocks,
             "blocks_solved": int(kept.size), "skipped_share": share,
-            "block_size": p}
+            "block_size": p, "block_field": basis.field}
     if h_hat is None:
         energy = np.full(times.size, box.h / (2 * n_cells) * float(np.sum(mode_energy)))
         meta["energy_t0"] = FluxFormOperator(box, a_box).energy(u, v)

@@ -262,7 +262,8 @@ def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         raise ConfigurationError("wave-compare runs in one dimension")
     ell = max(cfg.ell, 2)
     model = dispersion.DispersionModel.from_oracle(
-        oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), ell), ell)
+        oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), ell),
+        ell, cfg.kmax_cap)
     side = cfg.box_side
     times = [float(t) for t in range(1, int(cfg.T) + 1)]
     rows = [("eps", "sup_l2_error", "fitted_order")]
@@ -309,7 +310,8 @@ def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         raise ConfigurationError("transport runs in one dimension")
     ell = max(cfg.ell, 2)
     model = dispersion.DispersionModel.from_oracle(
-        oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), ell), ell)
+        oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), ell),
+        ell, cfg.kmax_cap)
     n = cfg.box_n or int(cfg.points_per_period * cfg.box_side / min(cfg.eps_list))
     box = wave.BoxGrid(1, n, cfg.box_side)
     rep = transport.ballistic_experiment(
@@ -331,7 +333,7 @@ def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     if cfg.dim != 1:
         raise ConfigurationError("source-term runs in one dimension")
     oh = oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), cfg.ell)
-    model = dispersion.DispersionModel.from_oracle(oh, cfg.ell)
+    model = dispersion.DispersionModel.from_oracle(oh, cfg.ell, cfg.kmax_cap)
     side = cfg.box_side
     eps = cfg.eps_list[0]
     n = cfg.box_n or int(cfg.points_per_period * side / eps)

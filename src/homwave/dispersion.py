@@ -53,13 +53,15 @@ class DispersionModel:
                                   np.asarray(k, dtype=float))
 
     @classmethod
-    def from_oracle(cls, oh, ell: int) -> "DispersionModel":
+    def from_oracle(cls, oh, ell: int,
+                    kmax_cap: float = 1.0) -> "DispersionModel":
         """1D model of order ``ell`` from an exact oracle hierarchy ``oh``
-        (``oracle1d.Hierarchy1D`` of order >= ell)."""
+        (``oracle1d.Hierarchy1D`` of order >= ell), its positivity radius
+        capped at ``kmax_cap``."""
         lams = oh.lambdas[:ell]
         return cls(dim=1, ell=ell, polys=[np.array([lam]) for lam in lams],
                    directions=np.array([[1.0]]),
-                   Gamma_bar=float(np.max(np.abs(lams))))
+                   Gamma_bar=float(np.max(np.abs(lams))), kmax_cap=kmax_cap)
 
 
 def eigenvalue(model: DispersionModel, k) -> np.ndarray:

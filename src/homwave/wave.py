@@ -292,7 +292,8 @@ class WaveTrajectory:
         """Solver name, work counts and (source-free) energy drift."""
         stats = {key: self.meta[key]
                  for key in ("solver", "blocks", "blocks_solved",
-                             "skipped_share", "block_size", "steps")
+                             "skipped_share", "block_size", "block_field",
+                             "steps")
                  if key in self.meta}
         if "energy_t0" in self.meta:
             stats["energy_drift"] = self.energy_drift()

@@ -211,9 +211,25 @@ class TestRun:
         for stats in manifest["solver"]:
             assert stats["solver"] == "bloch-exact"
             assert stats["block_size"] == 16
+            assert stats["block_field"] == "real"
             assert stats["energy_drift"] < 1e-10
             assert 0.0 <= stats["skipped_share"] <= EPS_MACH
         assert [s["blocks"] for s in manifest["solver"]] == [33, 65]
+
+    def test_oracle_kinds_apply_kmax_cap(self, tmp_path):
+        # the README wave-compare config: a cap below the model's radius
+        # filters more modes of the effective propagator
+        base = dict(kind="wave-compare", dim=1, ell=2, T=8.0,
+                    coefficient={"kind": "laminate", "values": [1.0, 4.0]},
+                    eps_list=[0.125, 0.0625, 0.03125], box_side=64.0)
+        tables = []
+        for cap in (1.0, 0.5):
+            out = tmp_path / str(cap)
+            assert run(ExperimentConfig(**base, kmax_cap=cap,
+                                        out_dir=str(out))) == 0
+            # rows after the config line and the column header
+            tables.append((out / "wave_errors.csv").read_text().splitlines()[2:])
+        assert len(tables[0]) == 3 and tables[0] != tables[1]
 
     def test_transport_records_solver(self, tmp_path):
         cfg = ExperimentConfig(kind="transport",
@@ -227,6 +243,7 @@ class TestRun:
         assert [s["block_size"] for s in manifest["solver"]] == [32, 16]
         for stats in manifest["solver"]:
             assert stats["solver"] == "bloch-exact"
+            assert stats["block_field"] == "real"
             assert 0.0 < stats["skipped_share"] <= EPS_MACH
             assert 0 < stats["blocks_solved"] < stats["blocks"]
 
@@ -246,6 +263,7 @@ class TestRun:
         assert check["name"] == "dressed_vs_budget" and check["pass"]
         (stats,) = manifest["solver"]
         assert stats["eps"] == 0.25 and stats["solver"] == "bloch-exact"
+        assert stats["block_field"] == "real"
         assert stats["blocks_solved"] >= 1
         assert 0.0 <= stats["skipped_share"] <= EPS_MACH
 

@@ -236,11 +236,14 @@ class TestExactFineSolver:
         times = [0.25, 0.5, 1.0, 2.0, 8.0]
         traj = solve_fine_wave_exact(a_box, box, np.zeros(box.n), times, 1 / 8,
                                      source=h)
+        # the modes of the blocks the solver diagonalizes: the real ones
         faces = wave._face_harmonic(a_box[0, 0], 0)[:p]
-        lam, vecs = np.linalg.eigh(bloch.bloch_blocks(
-            faces, box.h, 2 * np.pi * np.arange(cells // 2 + 1) / cells))
-        c = np.einsum("mji,mj->mi", np.conj(vecs),
-                      np.fft.rfft(h.reshape(cells, p), axis=0))
+        phases = 2 * np.pi * np.arange(cells // 2 + 1) / cells
+        basis = bloch._block_basis(faces, box.h, phases)
+        assert basis.field == "real" and traj.meta["block_field"] == "real"
+        lam, vecs = np.linalg.eigh(basis.blocks(phases))
+        h_hat = np.fft.rfft(h.reshape(cells, p), axis=0)[..., None]
+        c = np.einsum("mji,mj->mi", vecs, basis.to_basis(h_hat)[..., 0])
         omega = np.sqrt(np.maximum(lam, 0.0))
         live = omega > 0
         per_mode = np.abs(c) ** 2 * np.where(
@@ -304,11 +307,11 @@ class TestExactFineSolver:
         true = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0)
         assert true.energy_drift() < 1e-10
         if fault == "corner phase":
-            set_corners = bloch._set_corners
-            monkeypatch.setattr(
-                bloch, "_set_corners",
-                lambda blocks, tri, faces, h, phases:
-                set_corners(blocks, tri, faces, h, phases + 0.01))
+            # the laminate has a mirror: the phase enters its real blocks
+            assert true.meta["block_field"] == "real"
+            blocks = bloch._MirrorBlocks.blocks
+            monkeypatch.setattr(bloch._MirrorBlocks, "blocks",
+                                lambda basis, phases: blocks(basis, phases + 0.01))
         else:
             face_harmonic = bloch._face_harmonic
 
@@ -320,6 +323,82 @@ class TestExactFineSolver:
             monkeypatch.setattr(bloch, "_face_harmonic", perturbed)
         wrong = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0)
         assert wrong.energy_drift() > 1e-6
+
+    @pytest.mark.parametrize("sourced", [False, True])
+    def test_real_blocks_match_complex_blocks(self, monkeypatch, sourced):
+        # the laminate's real blocks against the complex corner blocks
+        # a cell without a mirror takes; over t <= 0.1 the eigenvalue
+        # roundoff of either path has not grown past 1e-12 in the
+        # displacement.  The energies weigh each mode by omega^2, so they
+        # carry that roundoff times the largest eigenvalue: they agree to
+        # the energy-drift gate
+        box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
+        times = [0.0, 0.05, 0.1]
+        h = np.roll(v0, 300) + 0.5 * u0 if sourced else None
+        real = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0,
+                                     source=h)
+        monkeypatch.setattr(bloch, "_mirror", lambda faces: None)
+        cplx = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8, v0=v0,
+                                     source=h)
+        assert real.meta["block_field"] == "real"
+        assert cplx.meta["block_field"] == "complex"
+        for r, c in zip(real.u, cplx.u):
+            assert box_l2(box, r - c) <= 1e-12 * box_l2(box, c)
+        assert np.all(np.abs(real.energy - cplx.energy) <= 1e-10 * cplx.energy)
+
+    def test_cell_without_mirror_takes_complex_blocks(self):
+        # a ramp has no reflection that maps its faces onto equal ones
+        box = BoxGrid(1, 512, 8.0)
+        p, cells = 16, 32
+        a_box = np.tile(1.0 + 3.0 * np.arange(p) / p, cells).reshape(1, 1, -1)
+        x = box_coordinates(box)[0]
+        u0 = np.exp(-2.0 * (x - 4.0) ** 2)
+        v0 = np.sin(2 * np.pi * x / 8.0) * np.exp(-(x - 2.4) ** 2)
+        h = np.roll(v0, 150) + 0.5 * u0
+        times = [0.5, 3.0]
+        assert bloch._mirror(wave._face_harmonic(a_box[0, 0], 0)[:p]) is None
+        traj = solve_fine_wave_exact(a_box, box, u0, times, 0.25, v0=v0,
+                                     source=h)
+        assert traj.meta["block_field"] == "complex"
+        refs = self.dense_reference(self.dense_modes(box, a_box), u0, v0,
+                                    times, h)
+        for i, (u_ref, _) in enumerate(refs):
+            assert box_l2(box, traj.u[i] - u_ref) < 1e-9
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7])
+    def test_benchmark_laminates_have_an_exact_mirror(self, fraction):
+        # every low phase 1 + 0.05 k the benchmark seeds draw, on the
+        # transport box (p = 64, 32, 16) and the wave-compare boxes
+        # (p = 16); the sampled trig_checkerboard has none
+        grids = ([(BoxGrid(1, 16384, 64.0), eps) for eps in (1 / 4, 1 / 8, 1 / 16)]
+                 + [(BoxGrid(1, int(1024 / eps), 64.0), eps)
+                    for eps in (1 / 8, 1 / 16, 1 / 32)])
+
+        def mirror(spec, box, eps):
+            a = coefficient_on_box(spec, box, eps)[0, 0]
+            return bloch._mirror(
+                wave._face_harmonic(a, 0)[:box.points_per_period(eps)])
+
+        for k in range(6):
+            spec = {"kind": "laminate", "values": [1.0 + 0.05 * k, 4.0],
+                    "volume_fraction": fraction}
+            assert all(mirror(spec, box, eps) is not None for box, eps in grids)
+        trig = {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0}
+        assert all(mirror(trig, box, eps) is None for box, eps in grids[:3])
+
+    def test_laminate_run_calls_no_complex_eigh(self, monkeypatch):
+        box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
+        dtypes = []
+        eigh = np.linalg.eigh
+
+        def spy(blocks, *args, **kwargs):
+            dtypes.append(blocks.dtype)
+            return eigh(blocks, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        solve_fine_wave_exact(a_box, box, u0, [0.5, 3.0], 1 / 8, v0=v0,
+                              source=np.roll(u0, 200))
+        assert dtypes and all(d == np.float64 for d in dtypes)
 
     def test_skipped_phases_leave_dense_reference_unchanged(self):
         # a Gaussian of width 8 periodized over the 64-long box: its Bloch
