@@ -11,11 +11,14 @@ error (Conca & Vanninathan, SIAM J. Appl. Math. 57, 1997).  Only the
 phases that carry data are diagonalized, within an eps_mach budget
 (``solve_fine_wave_exact``).
 
-When the faces of the cell are mirror-symmetric (every two-phase
-laminate), reflection composed with complex conjugation is an antiunitary
-symmetry of every block, so each block is unitarily similar to a real
-symmetric one (``_MirrorBlocks``), diagonalized in real arithmetic.  A cell
-without an exact mirror keeps the complex blocks (``bloch_blocks``).
+The blocks have one form (``_GaugedBlocks``): in a uniform gauge each is
+A0 + cos(theta / p) A1 + sin(theta / p) A2 in an orthonormal basis Q of
+the cell.  When the faces of the cell are mirror-symmetric (every
+two-phase laminate), reflection composed with complex conjugation is an
+antiunitary symmetry of every block, and Q, built from the mirror's node
+pairs, makes the three parts real, so the blocks are diagonalized in real
+arithmetic.  A cell without an exact mirror has Q = I and complex
+Hermitian parts.
 
 This is the fine-scale reference of every wave experiment
 (``wave-compare``, ``transport``, ``source-term`` and the constant-medium
@@ -41,66 +44,6 @@ from .wave import (BoxGrid, FluxFormOperator, WaveTrajectory, _face_harmonic,
 _CHUNK_ENTRIES = 4096
 
 
-def _tridiagonal(faces: np.ndarray) -> np.ndarray:
-    """The phase-free part of every Bloch block times h^2: the periodic
-    tridiagonal matrix of -div(a grad) on one period, corners left out."""
-    p = faces.size
-    tri = np.zeros((p, p), dtype=complex)
-    j = np.arange(p)
-    tri[j, j] = faces + np.roll(faces, 1)
-    tri[j[:-1], j[1:]] -= faces[:-1]
-    tri[j[1:], j[:-1]] -= faces[:-1]
-    return tri
-
-
-def _set_corners(blocks: np.ndarray, tri: np.ndarray, faces: np.ndarray,
-                 h: float, phases: np.ndarray) -> None:
-    """Write the two corner entries of the blocks at ``phases`` into
-    ``blocks``, whose other entries hold tri / h^2."""
-    p = faces.size
-    corner = faces[-1] * np.exp(1j * phases)
-    lower = tri[p - 1, 0] - corner
-    # at p = 1 both corners fall on the one diagonal entry
-    upper = (lower if p == 1 else tri[0, p - 1]) - np.conj(corner)
-    blocks[:, p - 1, 0] = lower / h ** 2
-    blocks[:, 0, p - 1] = upper / h ** 2
-
-
-def bloch_blocks(faces: np.ndarray, h: float, phases) -> np.ndarray:
-    """Hermitian p x p blocks of -div(a grad) at the given Bloch phases.
-
-    ``faces`` holds the p face coefficients of one period.  Block m acts on
-    the cell-periodic profile of a Bloch wave whose value gains the factor
-    exp(i phases[m]) from one period to the next; the corner entries carry
-    that factor.
-    """
-    phases = np.asarray(phases, dtype=float)
-    tri = _tridiagonal(faces)
-    blocks = np.empty((phases.size,) + tri.shape, dtype=complex)
-    blocks[:] = tri / h ** 2
-    _set_corners(blocks, tri, faces, h, phases)
-    return blocks
-
-
-class _CornerBlocks:
-    """The complex blocks of ``bloch_blocks``, for a cell without a mirror:
-    the data and the eigenmodes are in node coordinates already."""
-
-    field = "complex"
-
-    def __init__(self, faces: np.ndarray, h: float):
-        self.faces, self.h = faces, h
-
-    def blocks(self, phases: np.ndarray) -> np.ndarray:
-        return bloch_blocks(self.faces, self.h, phases)
-
-    def to_basis(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def to_nodes(self, c: np.ndarray) -> np.ndarray:
-        return c
-
-
 def _mirror(faces: np.ndarray) -> int | None:
     """The s with faces[(s - 1 - j) % p] == faces[j] for every j, or None.
 
@@ -115,19 +58,24 @@ def _mirror(faces: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-class _MirrorBlocks:
-    """Real symmetric Bloch blocks of a cell with the mirror j -> s - j.
+class _GaugedBlocks:
+    """The Bloch blocks of a cell, real symmetric where it has a mirror.
 
     In the uniform gauge y = D^* x, D = diag(exp(i theta j / p)), the block
     at phase theta couples nodes j and j + 1 (mod p) by -f_j exp(i phi) and
-    its conjugate, phi = theta / p, the corners included.  The reflection
-    maps that block to its complex conjugate, so reflection composed with
-    conjugation is an antiunitary symmetry of every block.  Its fixed
+    its conjugate, phi = theta / p, the corners included, so it is the
+    Hermitian A0 + cos(phi) A1 + sin(phi) A2 with three p x p parts built
+    once per solve, the gauge once for the kept ``phases``.
+
+    Where the faces have a mirror j -> s - j (``_mirror``), the reflection
+    maps every gauged block to its complex conjugate, so reflection composed
+    with conjugation is an antiunitary symmetry of every block.  Its fixed
     vectors form the orthonormal basis Q of the even vectors
     (e_j + e_{s-j}) / sqrt(2) (e_j alone where j = s - j mod p) and the odd
-    vectors i (e_j - e_{s-j}) / sqrt(2), in which the block is the real
-    symmetric A0 + cos(phi) A1 + sin(phi) A2; the three real p x p parts are
-    built once per solve, the gauge once for the kept ``phases``.
+    vectors i (e_j - e_{s-j}) / sqrt(2), in which the three parts are real
+    (``field`` "real").  A cell without a mirror is the case where every
+    node is its own partner: Q = I, and the parts stay complex (``field``
+    "complex").
 
     Each node lies in at most two basis vectors and each basis vector on at
     most two nodes, so D Q and its adjoint are two weighted gathers each
@@ -135,13 +83,11 @@ class _MirrorBlocks:
     -i on the odd part of the data, and the gauge.
     """
 
-    field = "real"
-
-    def __init__(self, faces: np.ndarray, h: float, s: int,
-                 phases: np.ndarray):
+    def __init__(self, faces: np.ndarray, h: float, phases: np.ndarray):
         self.p = p = faces.size
         j = np.arange(p)
-        partner = (s - j) % p
+        s = _mirror(faces)
+        partner = j if s is None else (s - j) % p
         first, second = j[j < partner], partner[j < partner]
         fixed = j[j == partner]
         pairs, n_even = first.size, first.size + fixed.size
@@ -155,10 +101,13 @@ class _MirrorBlocks:
         # the gauged block is diag - exp(i phi) hop - exp(-i phi) hop^T
         hop = np.zeros((p, p))
         hop[j, (j + 1) % p] = faces
-        parts = (np.diag(faces + np.roll(faces, 1)), -(hop + hop.T),
-                 1j * (hop.T - hop))
-        self.parts = [(np.conj(basis.T) @ m @ basis).real / h ** 2
-                      for m in parts]
+        parts = [np.conj(basis.T) @ m @ basis
+                 for m in (np.diag(faces + np.roll(faces, 1)), -(hop + hop.T),
+                           1j * (hop.T - hop))]
+        self.field = "complex" if s is None else "real"
+        if s is not None:
+            parts = [m.real for m in parts]
+        self.parts = [m / h ** 2 for m in parts]
         # the two nodes of each basis vector, and the two basis vectors of
         # each node; the second entry of a fixed node has weight zero
         self.nodes = np.stack([np.concatenate([first, fixed, first]),
@@ -186,13 +135,6 @@ class _MirrorBlocks:
         """D Q c for amplitudes of shape (phases, p)."""
         w, cols = self.weight_out, self.cols
         return self.gauge * (w[0] * c[:, cols[0]] + w[1] * c[:, cols[1]])
-
-
-def _block_basis(faces: np.ndarray, h: float, phases: np.ndarray):
-    """Real blocks where the cell has an exact mirror, else complex ones."""
-    s = _mirror(faces)
-    return (_CornerBlocks(faces, h) if s is None
-            else _MirrorBlocks(faces, h, s, phases))
 
 
 def _times(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -262,18 +204,19 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     ``_CHUNK_ENTRIES`` / p^2 phases at a time, so the working set stays
     O(``_CHUNK_ENTRIES`` + snapshots n).  ``dt`` is 0 (no time step).
 
-    When the cell's faces have an exact mirror s, faces[(s - 1 - j) % p] ==
-    faces[j] for all j (``_mirror``; every two-phase laminate has one),
-    reflection composed with conjugation is an antiunitary symmetry of every
-    block.  In the gauge y_j = exp(-i theta j / p) x_j and the orthonormal
-    even/odd basis of the node pairs (j, s - j) each block is then real
-    symmetric (``_MirrorBlocks``): the data are gathered into that basis
-    once, each chunk runs a real ``eigh`` and applies its real eigenvectors
-    to the real and imaginary parts, and each snapshot is gathered back and
-    gauged.  A cell without an exact mirror keeps the complex blocks of
-    ``bloch_blocks``; one loop serves both, and ``meta["block_field"]``
-    records which ("real" or "complex").  The two agree to eigenvalue
-    roundoff of order eps_mach |B|, which grows with omega t.
+    Every block is taken in the gauge y_j = exp(-i theta j / p) x_j and an
+    orthonormal basis Q of the cell (``_GaugedBlocks``): the data are
+    gathered into it once, each chunk runs one ``eigh``, and each snapshot
+    is gathered back and gauged.  When the cell's faces have an exact
+    mirror s, faces[(s - 1 - j) % p] == faces[j] for all j (``_mirror``;
+    every two-phase laminate has one), reflection composed with conjugation
+    is an antiunitary symmetry of every block, and Q is the even/odd basis
+    of the node pairs (j, s - j), in which each block is real symmetric: the
+    real ``eigh`` applies its real eigenvectors to the real and imaginary
+    parts.  A cell without an exact mirror has Q = I and complex Hermitian
+    blocks.  ``meta["block_field"]`` records which ("real" or "complex").
+    The two agree to eigenvalue roundoff of order eps_mach |B|, which grows
+    with omega t.
 
     The trajectory's ``v`` is None.  Without a source the velocity u_t
     solves the same discrete wave equation with data (v0, L u0),
@@ -335,7 +278,7 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         u_hat, v_hat, n_cells, max(times[-1], 1.0 / np.sqrt(lam_bound)), h_hat)
     phases = 2.0 * np.pi * kept / n_cells
     weight = _parseval_weights(n_cells)[kept]
-    basis = _block_basis(faces, box.h, phases)
+    basis = _GaugedBlocks(faces, box.h, phases)
     u_hat = basis.to_basis(u_hat[kept, :, None])
     v_hat = basis.to_basis(v_hat[kept, :, None]) if np.any(v) else None
     h_hat = None if h_hat is None else basis.to_basis(h_hat[kept, :, None])

@@ -193,11 +193,17 @@ class Manifest:
 # experiment kinds
 # ---------------------------------------------------------------------------
 
+def _directions(cfg: ExperimentConfig) -> np.ndarray:
+    """The sampled half-circle directions: ``directions`` of them, or
+    2 ell + 4 by default."""
+    return correctors.half_circle_directions(cfg.dim,
+                                             cfg.directions or 2 * cfg.ell + 4)
+
+
 def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     grid = TorusGrid(cfg.dim, cfg.grid_n)
     a = coefficient_from_spec(cfg.coefficient, grid)
-    dirs = correctors.half_circle_directions(cfg.dim,
-                                             cfg.directions or 2 * cfg.ell + 4)
+    dirs = _directions(cfg)
     tens = correctors.tensorize_correctors(a, cfg.ell)
     levels = []
     coarse_total = {}
@@ -241,7 +247,8 @@ def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 def run_dispersion(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     grid = TorusGrid(cfg.dim, cfg.grid_n)
     a = coefficient_from_spec(cfg.coefficient, grid)
-    model = correctors.reconstruct_dispersion(a, cfg.ell, kmax_cap=cfg.kmax_cap)
+    model = correctors.reconstruct_dispersion(
+        a, cfg.ell, directions=_directions(cfg), kmax_cap=cfg.kmax_cap)
     rows = [("direction", "kappa", "Lambda", "cutoff")]
     kappas = np.linspace(0.0, model.kmax, 65)
     for e in model.directions:

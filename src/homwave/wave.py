@@ -124,33 +124,10 @@ def box_wavevectors(box: BoxGrid) -> np.ndarray:
 
 
 def coefficient_on_box(spec: dict, box: BoxGrid, eps: float) -> np.ndarray:
-    """Sample a(x / eps) at box nodes from an analytic catalog entry.
-
-    Raw-grid coefficients are extended piecewise-constantly (nearest cell
-    sample) when the box lattice refines the cell lattice, and by exact
-    subsampling when it coarsens it.
-    """
+    """Sample a(x / eps) at box nodes from an analytic catalog entry; a
+    ``raw`` grid has no analytic form and is rejected."""
     box.validate_epsilon(eps)
-    if spec.get("kind") != "raw":
-        x = box_coordinates(box) / eps
-        return evaluate_coefficient(spec, x, box.dim)
-    raw = np.asarray(spec["values"], dtype=float)
-    n_cell = raw.shape[-1]
-    p = box.points_per_period(eps)
-    if p % n_cell == 0:
-        rep = p // n_cell
-        out = raw
-        for ax in range(box.dim):
-            out = np.repeat(out, rep, axis=2 + ax)
-    elif n_cell % p == 0:
-        stride = n_cell // p
-        sl = (slice(None), slice(None)) + (slice(None, None, stride),) * box.dim
-        out = raw[sl]
-    else:
-        raise ConfigurationError(
-            f"box lattice ({p}/period) incommensurate with raw cell grid {n_cell}")
-    reps = (1, 1) + (box.n // out.shape[-1],) * box.dim
-    return np.tile(out, reps)
+    return evaluate_coefficient(spec, box_coordinates(box) / eps, box.dim)
 
 
 # ---------------------------------------------------------------------------

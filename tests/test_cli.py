@@ -199,6 +199,18 @@ class TestRun:
         assert run(cfg) == 0
         assert (tmp_path / "out" / "dispersion_curves.csv").exists()
 
+    def test_dispersion_honours_directions(self, tmp_path):
+        cfg = ExperimentConfig(kind="dispersion",
+                               coefficient={"kind": "trig_checkerboard",
+                                            "base": 2.0, "amplitude": 1.0},
+                               dim=2, grid_n=32, ell=4, directions=7,
+                               out_dir=str(tmp_path))
+        assert run(cfg) == 0
+        rows = (tmp_path / "dispersion_curves.csv").read_text().splitlines()
+        # config line, column header, 65 radii per direction
+        assert len(rows) == 2 + 7 * 65
+        assert len({row.split(",")[0] for row in rows[2:]}) == 7
+
     def test_wave_compare_records_solver(self, tmp_path):
         cfg = ExperimentConfig(kind="wave-compare",
                                coefficient={"kind": "laminate",
@@ -215,6 +227,20 @@ class TestRun:
             assert stats["energy_drift"] < 1e-10
             assert 0.0 <= stats["skipped_share"] <= EPS_MACH
         assert [s["blocks"] for s in manifest["solver"]] == [33, 65]
+
+    def test_wave_compare_without_mirror_takes_complex_blocks(self, tmp_path):
+        # the sampled trig_checkerboard has no exact mirror
+        cfg = ExperimentConfig(kind="wave-compare",
+                               coefficient={"kind": "trig_checkerboard",
+                                            "base": 2.0, "amplitude": 1.0},
+                               eps_list=[0.125, 0.0625], T=4.0, box_side=16.0,
+                               out_dir=str(tmp_path))
+        assert run(cfg) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [s["eps"] for s in manifest["solver"]] == [0.125, 0.0625]
+        for stats in manifest["solver"]:
+            assert stats["block_field"] == "complex"
+            assert stats["skipped_share"] <= EPS_MACH
 
     def test_oracle_kinds_apply_kmax_cap(self, tmp_path):
         # the README wave-compare config: a cap below the model's radius

@@ -57,6 +57,12 @@ class TestBoxGrid:
         with pytest.raises(ConfigurationError):
             box.validate_epsilon(1.0 / 128)  # too few points per period
 
+    def test_coefficient_on_box_rejects_raw(self):
+        box = BoxGrid(1, 256, 4.0)
+        raw = {"kind": "raw", "values": np.ones((1, 1, 16)).tolist()}
+        with pytest.raises(ConfigurationError, match="no analytic form"):
+            coefficient_on_box(raw, box, 0.25)
+
     def test_coefficient_on_box_laminate_exact(self):
         box = BoxGrid(1, 512, 8.0)
         a_box = coefficient_on_box(LAMINATE, box, 0.5)
@@ -158,20 +164,43 @@ class TestExactFineSolver:
         accel = wave.FluxFormOperator(box, a_box).apply(u0)
         return solve_fine_wave_exact(a_box, box, v0, times, eps, v0=accel).u
 
-    def test_blocks_reproduce_operator(self, rng):
-        box, a_box, _, _ = self.laminate_run(1024, 8.0, 1 / 8)
-        p = box.points_per_period(1 / 8)
+    @staticmethod
+    def ramp_run():
+        """A ramp cell, p = 16 on a 512-point box at eps 1/4: no reflection
+        maps its faces onto equal ones."""
+        p = 16
+        a_box = np.tile(1.0 + 3.0 * np.arange(p) / p, 32).reshape(1, 1, -1)
+        return BoxGrid(1, 512, 8.0), a_box, 0.25
+
+    @pytest.mark.parametrize("cell, field", [("laminate", "real"),
+                                             ("ramp", "complex"),
+                                             ("trig", "complex")],
+                             ids=["laminate", "ramp", "trig"])
+    def test_blocks_reproduce_operator(self, rng, cell, field):
+        if cell == "ramp":
+            box, a_box, eps = self.ramp_run()
+        else:
+            box, eps = BoxGrid(1, 1024, 8.0), 1 / 8
+            spec = (LAMINATE if cell == "laminate" else
+                    {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0})
+            a_box = coefficient_on_box(spec, box, eps)
+        p = box.points_per_period(eps)
         cells = box.n // p
         faces = wave._face_harmonic(a_box[0, 0], 0)[:p]
-        blocks = bloch.bloch_blocks(faces, box.h,
-                                   2 * np.pi * np.arange(cells) / cells)
+        phases = 2 * np.pi * np.arange(cells) / cells
+        basis = bloch._GaugedBlocks(faces, box.h, phases)
+        assert basis.field == field
+        blocks = basis.blocks(phases)
         u = rng.standard_normal(box.n)
         u_hat = np.fft.fft(u.reshape(cells, p), axis=0)
-        lu = -np.fft.ifft(np.einsum("kij,kj->ki", blocks, u_hat), axis=0)
+        c = basis.to_basis(u_hat[..., None])[..., 0]
+        lu = -np.fft.ifft(basis.to_nodes(np.einsum("kij,kj->ki", blocks, c)),
+                          axis=0)
         ref = wave.FluxFormOperator(box, a_box).apply(u)
         assert np.max(np.abs(lu.reshape(-1) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.allclose(blocks, np.conj(np.swapaxes(blocks, 1, 2)),
-                           rtol=0.0, atol=0.0)
+        if field == "complex":
+            assert np.allclose(blocks, np.conj(np.swapaxes(blocks, 1, 2)),
+                               rtol=0.0, atol=0.0)
 
     @staticmethod
     def dense_modes(box, a_box):
@@ -239,7 +268,7 @@ class TestExactFineSolver:
         # the modes of the blocks the solver diagonalizes: the real ones
         faces = wave._face_harmonic(a_box[0, 0], 0)[:p]
         phases = 2 * np.pi * np.arange(cells // 2 + 1) / cells
-        basis = bloch._block_basis(faces, box.h, phases)
+        basis = bloch._GaugedBlocks(faces, box.h, phases)
         assert basis.field == "real" and traj.meta["block_field"] == "real"
         lam, vecs = np.linalg.eigh(basis.blocks(phases))
         h_hat = np.fft.rfft(h.reshape(cells, p), axis=0)[..., None]
@@ -309,8 +338,8 @@ class TestExactFineSolver:
         if fault == "corner phase":
             # the laminate has a mirror: the phase enters its real blocks
             assert true.meta["block_field"] == "real"
-            blocks = bloch._MirrorBlocks.blocks
-            monkeypatch.setattr(bloch._MirrorBlocks, "blocks",
+            blocks = bloch._GaugedBlocks.blocks
+            monkeypatch.setattr(bloch._GaugedBlocks, "blocks",
                                 lambda basis, phases: blocks(basis, phases + 0.01))
         else:
             face_harmonic = bloch._face_harmonic
@@ -326,8 +355,8 @@ class TestExactFineSolver:
 
     @pytest.mark.parametrize("sourced", [False, True])
     def test_real_blocks_match_complex_blocks(self, monkeypatch, sourced):
-        # the laminate's real blocks against the complex corner blocks
-        # a cell without a mirror takes; over t <= 0.1 the eigenvalue
+        # the laminate's real blocks against the complex ones (Q = I) a
+        # cell without a mirror takes; over t <= 0.1 the eigenvalue
         # roundoff of either path has not grown past 1e-12 in the
         # displacement.  The energies weigh each mode by omega^2, so they
         # carry that roundoff times the largest eigenvalue: they agree to
@@ -347,17 +376,15 @@ class TestExactFineSolver:
         assert np.all(np.abs(real.energy - cplx.energy) <= 1e-10 * cplx.energy)
 
     def test_cell_without_mirror_takes_complex_blocks(self):
-        # a ramp has no reflection that maps its faces onto equal ones
-        box = BoxGrid(1, 512, 8.0)
-        p, cells = 16, 32
-        a_box = np.tile(1.0 + 3.0 * np.arange(p) / p, cells).reshape(1, 1, -1)
+        box, a_box, eps = self.ramp_run()
+        p = box.points_per_period(eps)
         x = box_coordinates(box)[0]
         u0 = np.exp(-2.0 * (x - 4.0) ** 2)
         v0 = np.sin(2 * np.pi * x / 8.0) * np.exp(-(x - 2.4) ** 2)
         h = np.roll(v0, 150) + 0.5 * u0
         times = [0.5, 3.0]
         assert bloch._mirror(wave._face_harmonic(a_box[0, 0], 0)[:p]) is None
-        traj = solve_fine_wave_exact(a_box, box, u0, times, 0.25, v0=v0,
+        traj = solve_fine_wave_exact(a_box, box, u0, times, eps, v0=v0,
                                      source=h)
         assert traj.meta["block_field"] == "complex"
         refs = self.dense_reference(self.dense_modes(box, a_box), u0, v0,
