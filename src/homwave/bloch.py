@@ -18,7 +18,9 @@ two-phase laminate), reflection composed with complex conjugation is an
 antiunitary symmetry of every block, and Q, built from the mirror's node
 pairs, makes the three parts real, so the blocks are diagonalized in real
 arithmetic.  A cell without an exact mirror has Q = I and complex
-Hermitian parts.
+Hermitian parts.  Each eigenvalue is the flux-form Rayleigh quotient of
+its eigenvector (``_GaugedBlocks.omega2``), accurate to a few eps_mach
+relative, where ``eigh``'s own carry an absolute error of eps_mach |B|.
 
 This is the fine-scale reference of every wave experiment
 (``wave-compare``, ``transport``, ``source-term`` and the constant-medium
@@ -42,6 +44,10 @@ from .wave import (BoxGrid, FluxFormOperator, WaveTrajectory, _face_harmonic,
 # phases per call at p = 16, one at p = 64), so they stay small next to the
 # snapshots and the allocator recycles them instead of keeping megabytes
 _CHUNK_ENTRIES = 4096
+
+
+# (Re, Im) of -i z is (Im z, -Re z): the sign on the swapped parts
+_TURN = np.array([1.0, -1.0])[:, None, None]
 
 
 def _mirror(faces: np.ndarray) -> int | None:
@@ -80,7 +86,8 @@ class _GaugedBlocks:
     Each node lies in at most two basis vectors and each basis vector on at
     most two nodes, so D Q and its adjoint are two weighted gathers each
     (``to_nodes``, ``to_basis``): pairs scaled by 1 / sqrt(2), a factor
-    -i on the odd part of the data, and the gauge.
+    -i on the odd part of the data, and the gauge.  ``omega2`` takes the
+    same gathers without the gauge, around the ring of nodes.
     """
 
     def __init__(self, faces: np.ndarray, h: float, phases: np.ndarray):
@@ -119,11 +126,48 @@ class _GaugedBlocks:
         self.weight_out = basis[j, self.cols]
         self.weight_in[1, pairs:n_even] = self.weight_out[1, fixed] = 0.0
         self.gauge = np.exp(1j * np.outer(phases / p, j))
+        # real and imaginary part of Q v at the nodes 0, 1, ..., p - 1, 0:
+        # the even column's weight is real and the odd column's imaginary
+        ring = np.append(j, 0)
+        self.ring_cols = self.cols[:, ring]
+        self.ring_weight = np.stack([self.weight_out[0].real,
+                                     self.weight_out[1].imag])[:, ring, None]
+        self.face_weight = faces / h ** 2
 
     def blocks(self, phases: np.ndarray) -> np.ndarray:
         phi = (phases / self.p)[:, None, None]
         a0, a1, a2 = self.parts
         return a0 + np.cos(phi) * a1 + np.sin(phi) * a2
+
+    def omega2(self, phases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """The eigenvalue of each unit column v of ``vecs`` (eigenvectors of
+        ``blocks(phases)``, shape (phases, p, bands)) as the flux-form
+        Rayleigh quotient, shape (phases, bands),
+
+            omega^2 = sum_j f_j |y_j - exp(i phi) y_{j+1}|^2 / h^2
+
+        with y = Q v, whose real and imaginary parts run on a second axis
+        in real arithmetic.  Every term is a nonnegative square, and
+        y_j - exp(i phi) y_{j+1} is formed as (y_j - y_{j+1}) +
+        (1 - exp(i phi)) y_{j+1}, the factor being 2 sin^2(phi / 2) -
+        i sin(phi), so omega^2 is accurate to a few eps_mach relative at
+        every phase; ``eigh`` gives eigenvalues to about eps_mach |B|
+        absolute, too coarse for the acoustic band at small phases.  The
+        error of v enters only squared (Parlett, The Symmetric Eigenvalue
+        Problem, 1998)."""
+        if self.field == "real":
+            y = self.ring_weight * vecs[:, self.ring_cols]
+        else:
+            y = vecs[:, self.ring_cols[0]]      # Q = I
+            y = np.stack([y.real, y.imag], axis=1)
+        half = (phases / (2 * self.p))[:, None, None, None]
+        ahead = y[:, :, 1:]
+        diff = y[:, :, :-1] - ahead
+        # plus (1 - exp(i phi)) y_{j+1} in real and imaginary part
+        diff += 2.0 * np.sin(half) ** 2 * ahead
+        diff += np.sin(2.0 * half) * _TURN * ahead[:, ::-1]
+        diff *= diff
+        return self.face_weight @ (diff[:, 0] + diff[:, 1])
 
     def to_basis(self, x: np.ndarray) -> np.ndarray:
         """(D Q)^* x for data of shape (phases, p, k)."""
@@ -215,8 +259,10 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     real ``eigh`` applies its real eigenvectors to the real and imaginary
     parts.  A cell without an exact mirror has Q = I and complex Hermitian
     blocks.  ``meta["block_field"]`` records which ("real" or "complex").
-    The two agree to eigenvalue roundoff of order eps_mach |B|, which grows
-    with omega t.
+    Every omega^2 is the Rayleigh quotient ``_GaugedBlocks.omega2`` of its
+    eigenvector, to relative accuracy; ``meta["eigenvalue_correction"]``
+    is the largest relative gap to ``eigh``'s own eigenvalue (the constant
+    mode of phase 0 left out), the error ``eigh`` alone would have left.
 
     The trajectory's ``v`` is None.  Without a source the velocity u_t
     solves the same discrete wave equation with data (v0, L u0),
@@ -286,10 +332,16 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
     # kept-mode energy: per phase at t = 0, or per snapshot with a source
     mode_energy = np.empty(kept.size) if h_hat is None else np.zeros(times.size)
     chunk = max(1, _CHUNK_ENTRIES // p ** 2)
+    correction = 0.0
     for start in range(0, kept.size, chunk):
         sl = slice(start, start + chunk)
         lam, vecs = np.linalg.eigh(basis.blocks(phases[sl]))
-        omega = np.sqrt(np.maximum(lam, 0.0))[..., None]
+        omega2 = basis.omega2(phases[sl], vecs)
+        gap = np.abs(lam - omega2) / np.maximum(omega2, np.finfo(float).tiny)
+        if phases[start] == 0.0:
+            gap[0, 0] = 0.0     # the constant mode, omega = 0
+        correction = max(correction, float(np.max(gap)))
+        omega = np.sqrt(omega2)[..., None]
         # eigenmode amplitudes of the data
         adjoint = np.conj(np.swapaxes(vecs, 1, 2))
         a_m = _times(adjoint, u_hat[sl])
@@ -319,7 +371,8 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
         u_t[i].reshape(n_cells, p)[...] = np.fft.irfft(full, n=n_cells, axis=0)
     meta = {"solver": "bloch-exact", "blocks": n_blocks,
             "blocks_solved": int(kept.size), "skipped_share": share,
-            "block_size": p, "block_field": basis.field}
+            "block_size": p, "block_field": basis.field,
+            "eigenvalue_correction": correction}
     if h_hat is None:
         energy = np.full(times.size, box.h / (2 * n_cells) * float(np.sum(mode_energy)))
         meta["energy_t0"] = FluxFormOperator(box, a_box).energy(u, v)

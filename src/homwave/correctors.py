@@ -350,12 +350,6 @@ class IdentityReport:
     pair_identity: dict = dc_field(default_factory=dict)
     step_identity: dict = dc_field(default_factory=dict)
 
-    def max_pair_residual(self) -> float:
-        return max(self.pair_identity.values(), default=0.0)
-
-    def max_step_residual(self) -> float:
-        return max(self.step_identity.values(), default=0.0)
-
 
 def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
     """Check the algebraic structure of the hierarchy on the grid.

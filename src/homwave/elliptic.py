@@ -1,4 +1,4 @@
-"""Higher-order effective elliptic equations and two-scale expansions.
+"""Higher-order effective elliptic equations and representation identities.
 
 The corrector-dressed expansion of a slowly varying profile turns the
 heterogeneous operator into the effective one plus divergence-form and
@@ -47,12 +47,6 @@ from .wave import (
 # effective elliptic solves (per Fourier mode)
 # ---------------------------------------------------------------------------
 
-def solve_fine_elliptic(a_box: np.ndarray, box: BoxGrid, rhs: np.ndarray) -> np.ndarray:
-    """-div(a(x/eps) grad u) = rhs on the box, spectral CG, zero-mean u;
-    ``SolvabilityError`` when rhs has a non-negligible mean."""
-    return solve_elliptic(CoefficientField(box.torus(), a_box), rhs)
-
-
 def solve_effective_elliptic(model: DispersionModel, f: np.ndarray,
                              box: BoxGrid, eps: float, **operator) -> np.ndarray:
     """Divide each nonzero mode of the zero-mean source ``f`` by the symbol
@@ -94,22 +88,12 @@ def prepared_rhs(bc: BoxCorrectors, f: np.ndarray,
                                  max_order=ell)
 
 
-@dataclass
-class TwoScaleExpansion:
-    """Dressed field w and the lower-order coupling field S of a profile v."""
-
-    order: int
-    eps: float
-    w: np.ndarray
-    s: np.ndarray
-
-
 def _coupling_field(phi: list, model: DispersionModel, cache: DerivativeCache,
-                    ell: int, eps: float = 1.0) -> np.ndarray:
-    """S_ell(v): cross terms eps^(p+j) (phi_j x effective tensor_p) . grad^(p+j+2) v.
+                    ell: int) -> np.ndarray:
+    """S_ell(v): cross terms (phi_j x effective tensor_p) . grad^(p+j+2) v
+    at unit scale, p + j < ell.
 
-    ``phi[j]`` holds the tensorized corrector coefficients (box samples in a
-    two-scale expansion, unit-cell fields with eps = 1 in the identities).
+    ``phi[j]`` holds the tensorized corrector coefficients on the unit cell.
     The monomial coefficients of phi_j x tensor_p are the product of the two
     direction polynomials.
     """
@@ -117,18 +101,9 @@ def _coupling_field(phi: list, model: DispersionModel, cache: DerivativeCache,
     for p in range(0, ell - 1):
         pcoef = np.atleast_1d(model.polys[p])
         for j in range(1, ell - p):
-            out = out + eps ** (p + j) * cache.contract(
+            out = out + cache.contract(
                 times_polynomial(pcoef, phi[j]), j + p + 2)
     return out
-
-
-def two_scale_expansion(bc: BoxCorrectors, model: DispersionModel,
-                        v: np.ndarray, ell: int) -> TwoScaleExpansion:
-    grid = bc.box.torus()
-    cache = DerivativeCache(grid, rfftn(grid, v))
-    w = dress_with_correctors(bc, cache, max_order=ell)
-    s = _coupling_field(bc.phi, model, cache, ell, bc.eps)
-    return TwoScaleExpansion(order=ell, eps=bc.eps, w=w, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +316,7 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
         a_box = wave.coefficient_on_box(coeff_spec, box, eps)
         bc = BoxCorrectors.from_tensorized(tensors, box, eps)
         rhs = prepared_rhs(bc, f, ell) if mode == "prepared" else f
-        u_fine = solve_fine_elliptic(a_box, box, rhs)
+        u_fine = solve_elliptic(CoefficientField(grid, a_box), rhs)
         u_hom = solve_effective_elliptic(model, f, box, eps, gamma=gamma, bt=bt)
         grad_fine = gradient_values(grid, u_fine)
         grad_dressed = dressed_gradient(

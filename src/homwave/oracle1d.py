@@ -179,11 +179,6 @@ class PiecewisePoly:
                          np.moveaxis(self.coeffs[idx], -1, 0), tensor=False)
         return out[()] if x.ndim == 0 else out
 
-    def eval_periodic(self, x):
-        """Evaluate with the argument wrapped into the domain."""
-        x0 = self.breaks[0]
-        return self(np.mod(np.asarray(x, dtype=float) - x0, self.domain_length) + x0)
-
     def linf(self, samples_per_segment: int = 16) -> float:
         t = _gauss(samples_per_segment)[0]
         return float(np.max(np.abs(leg.legval(t, self.coeffs.T))))
@@ -293,11 +288,6 @@ def profile_from_spec(spec: dict) -> Profile1D:
         amp = float(spec.get("amplitude", 1.0))
         return Profile1D(func=lambda x: base + amp * np.sin(2.0 * np.pi * x))
     raise ConfigurationError(f"no 1D profile for coefficient kind {kind!r}")
-
-
-def harmonic_mean(profile: Profile1D) -> float:
-    """(integral of 1/a)^-1 over the unit cell."""
-    return 1.0 / profile.ainv_pp().mean()
 
 
 # ---------------------------------------------------------------------------

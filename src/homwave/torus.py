@@ -187,18 +187,6 @@ def _derivative_multiplier(grid: TorusGrid, orders: tuple) -> np.ndarray:
     return mult
 
 
-def deriv_values(grid: TorusGrid, values: np.ndarray, multi_index) -> np.ndarray:
-    """Spectral derivative of real raw samples; multi_index lists axis
-    indices."""
-    orders = [0] * grid.dim
-    for ax in multi_index:
-        if not 0 <= ax < grid.dim:
-            raise ConfigurationError(f"axis {ax} out of range for dim {grid.dim}")
-        orders[ax] += 1
-    return irfftn(grid, rfftn(grid, values)
-                  * _derivative_multiplier(grid, tuple(orders)))
-
-
 @functools.lru_cache(maxsize=None)
 def _nyquist_lines(grid: TorusGrid) -> np.ndarray:
     """Half-lattice mask of the Nyquist lines: the modes at frequency n/2
@@ -301,10 +289,6 @@ def curl_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 def matrix_divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Row-wise divergence of a matrix field: out_m = sum_n d_n values[m, n]."""
     return np.stack([divergence_values(grid, values[m]) for m in range(grid.dim)])
-
-
-def laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    return irfftn(grid, rfftn(grid, values) * (-_k_squared(grid)))
 
 
 def mean_values(grid: TorusGrid, values: np.ndarray):
@@ -523,10 +507,6 @@ def _every_other(grid: TorusGrid) -> tuple:
     return (...,) + (slice(None, None, 2),) * grid.dim
 
 
-def _l2(grid: TorusGrid, values: np.ndarray) -> float:
-    return float(np.sqrt(np.vdot(values, values).real / grid.n ** grid.dim))
-
-
 class PCGSolve(tuple):
     """``(u, iterations, residual)`` of a PCG solve on the grid of its
     coefficient, which unpacks as a plain tuple; ``coarse_iterations`` maps
@@ -689,17 +669,6 @@ def solve_elliptic(a: CoefficientField, rhs: np.ndarray) -> np.ndarray:
         raise SolvabilityError(f"rhs has amplitude {unreached:.3e} on a Nyquist "
                                f"mode no divergence reaches; needs none")
     return _pcg_div_a_grad(a, rhs_hat[None])[0][0]
-
-
-def weak_residual(a: CoefficientField, phi: np.ndarray,
-                  flux_rhs: np.ndarray) -> float:
-    """Relative residual of -div(a grad phi) = div(flux_rhs)."""
-    rhs = divergence_values(a.grid, np.asarray(flux_rhs))
-    res = apply_div_a_grad(a, phi) - rhs
-    denom = _l2(a.grid, rhs)
-    if denom == 0.0:
-        return _l2(a.grid, res)
-    return _l2(a.grid, res) / denom
 
 
 # ---------------------------------------------------------------------------

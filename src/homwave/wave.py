@@ -270,7 +270,7 @@ class WaveTrajectory:
         stats = {key: self.meta[key]
                  for key in ("solver", "blocks", "blocks_solved",
                              "skipped_share", "block_size", "block_field",
-                             "steps")
+                             "eigenvalue_correction", "steps")
                  if key in self.meta}
         if "energy_t0" in self.meta:
             stats["energy_drift"] = self.energy_drift()
@@ -653,22 +653,6 @@ def choose_gamma(model: DispersionModel) -> float:
     return 2.0 * hi
 
 
-def symbol_coercivity_margin(model: DispersionModel, gamma: float, eps: float,
-                             box: BoxGrid) -> float:
-    """min over nonzero modes of symbol - target (target drops the
-    high-order part when gamma = 0)."""
-    k = box_wavevectors(box)
-    sym = effective_symbol(model, gamma, eps, k)
-    k2 = np.sum(k ** 2, axis=0)
-    m = regularization_order(model.ell)
-    target = 0.5 * k2
-    if gamma > 0:
-        target = target + 0.5 * eps ** (2 * m) * k2 ** (m + 1)
-    margin = sym - target
-    nz = k2 > 0
-    return float(np.min(margin[nz]))
-
-
 # ---------------------------------------------------------------------------
 # dispersive reformulation with nonnegative tensors
 # ---------------------------------------------------------------------------
@@ -754,16 +738,6 @@ def mode_symbol(model: DispersionModel, eps: float, k: np.ndarray,
         den = 1.0 + eps ** 2 * bt.b_quadratic(k)
     _require_positive(num, k)
     return num, den
-
-
-def solve_effective_wave(model: DispersionModel, u0: np.ndarray, box: BoxGrid,
-                         eps: float, times, **operator) -> np.ndarray:
-    """Exact per-mode solve of u_tt + omega^2 u = 0 from rest, omega^2 the
-    symbol ``mode_symbol(model, eps, k, **operator)`` (``gamma`` for the
-    regularized operator, ``bt`` for the Boussinesq one), shape
-    (times, box...).  The initial data is not filtered."""
-    num, den = mode_symbol(model, eps, box_wavevectors(box), **operator)
-    return spectral_wave_state(1.0, np.sqrt(num / den), u0, box, times)[0]
 
 
 # ---------------------------------------------------------------------------

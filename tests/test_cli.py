@@ -171,7 +171,7 @@ class TestRun:
     @pytest.mark.parametrize("error", [
         torus.ConvergenceError, torus.SolvabilityError,
         correctors.ReconstructionError, dispersion.InternalConsistencyError,
-        wave.PositivityError, wave.InstabilityError])
+        wave.PositivityError])
     def test_numerical_failure_exits_one_with_manifest(self, tmp_path,
                                                        monkeypatch, error):
         def failing_runner(cfg, out, man):
@@ -226,6 +226,8 @@ class TestRun:
             assert stats["block_field"] == "real"
             assert stats["energy_drift"] < 1e-10
             assert 0.0 <= stats["skipped_share"] <= EPS_MACH
+            # eigh's own eigenvalues against their Rayleigh quotients
+            assert 0.0 < stats["eigenvalue_correction"] < 1e-6
         assert [s["blocks"] for s in manifest["solver"]] == [33, 65]
 
     def test_wave_compare_without_mirror_takes_complex_blocks(self, tmp_path):

@@ -5,15 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from homwave import correctors, dispersion, elliptic, oracle1d, torus, wave
+from homwave import correctors, dispersion, oracle1d, torus, wave
 from homwave.elliptic import (
     elliptic_error_sweep_1d,
     elliptic_error_sweep_spectral,
     prepared_rhs,
     residuum_identities,
     solve_effective_elliptic,
-    solve_fine_elliptic,
-    two_scale_expansion,
 )
 from homwave.torus import ConfigurationError, SolvabilityError
 from homwave.wave import BoxCorrectors, BoxGrid, box_coordinates
@@ -35,13 +33,14 @@ class TestFineElliptic:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 4.0
         rhs = np.sin(k * x)
-        u = solve_fine_elliptic(np.ones((1, 1) + box.shape), box, rhs)
+        unit = torus.CoefficientField(box.torus(), np.ones((1, 1) + box.shape))
+        u = torus.solve_elliptic(unit, rhs)
         assert np.max(np.abs(u - rhs / k ** 2)) < 1e-11
 
     def test_zero_rhs(self):
         box = BoxGrid(1, 64, 1.0)
-        u = solve_fine_elliptic(np.ones((1, 1) + box.shape), box,
-                                np.zeros(box.shape))
+        unit = torus.CoefficientField(box.torus(), np.ones((1, 1) + box.shape))
+        u = torus.solve_elliptic(unit, np.zeros(box.shape))
         assert np.all(u == 0.0)
 
     def test_residual_contract(self):
@@ -49,16 +48,16 @@ class TestFineElliptic:
         a_box = wave.coefficient_on_box(LAMINATE, box, 0.125)
         x = box_coordinates(box)[0]
         rhs = np.sin(2 * np.pi * x / 2.0)
-        u = solve_fine_elliptic(a_box, box, rhs)
         cf = torus.CoefficientField(box.torus(), a_box)
+        u = torus.solve_elliptic(cf, rhs)
         res = torus.apply_div_a_grad(cf, u) - rhs
         assert np.sqrt(np.mean(res ** 2)) / np.sqrt(np.mean(rhs ** 2)) < 1e-10
 
     def test_nonzero_mean_rejected(self):
         box = BoxGrid(1, 64, 1.0)
+        unit = torus.CoefficientField(box.torus(), np.ones((1, 1) + box.shape))
         with pytest.raises(SolvabilityError):
-            solve_fine_elliptic(np.ones((1, 1) + box.shape), box,
-                                np.ones(box.shape))
+            torus.solve_elliptic(unit, np.ones(box.shape))
 
 
 class TestHomogenizedElliptic:
@@ -252,21 +251,6 @@ class TestPreparedRhsAndExpansion:
         bc = BoxCorrectors.from_oracle(oh, box, 0.125)
         with pytest.raises(SolvabilityError):
             prepared_rhs(bc, np.ones(box.shape))
-
-    def test_two_scale_trivia(self):
-        grid = torus.TorusGrid(1, 64)
-        a = torus.coefficient_from_spec({"kind": "constant", "value": 1.0}, grid)
-        tens = correctors.tensorize_correctors(a, 2)
-        model = correctors.reconstruct_dispersion(a, 2)
-        box = BoxGrid(1, 512, 2.0)
-        bc = BoxCorrectors.from_tensorized(tens, box, 0.125)
-        x = box_coordinates(box)[0]
-        v = np.sin(2 * np.pi * x / 2.0)
-        exp = two_scale_expansion(bc, model, v, 2)
-        assert np.max(np.abs(exp.w - v)) < 1e-12
-        assert np.max(np.abs(exp.s)) < 1e-10
-        exp0 = two_scale_expansion(bc, model, v, 0)
-        assert np.max(np.abs(exp0.w - v)) < 1e-14
 
 
 @pytest.fixture(scope="module")

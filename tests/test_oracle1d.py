@@ -14,7 +14,6 @@ from homwave.oracle1d import (
     coefficient_on_box,
     correctors_1d,
     compare_with_spectral,
-    harmonic_mean,
     profile_from_spec,
     solve_elliptic_box,
     tile_to_box,
@@ -48,10 +47,6 @@ class TestPiecewisePoly:
         back = p.antiderivative().derivative()
         x = np.linspace(0, 0.999, 100)
         assert np.max(np.abs(back(x) - np.cos(x))) < 1e-12
-
-    def test_eval_periodic(self):
-        p = PiecewisePoly.from_callable(lambda x: x, [0.0, 1.0], 2)
-        assert p.eval_periodic(2.25) == pytest.approx(0.25, abs=1e-13)
 
     def test_tile_to_box_matches_rescaled_cell(self):
         p = PiecewisePoly.from_callable(lambda x: np.sin(2 * np.pi * x),
@@ -202,14 +197,14 @@ class TestSweepScaling:
 class TestHarmonicMean:
     def test_constant(self):
         prof = Profile1D(breakpoints=[0, 1], values=[3.0])
-        assert harmonic_mean(prof) == pytest.approx(3.0, abs=1e-14)
+        assert correctors_1d(prof, 1).lambdas[0] == pytest.approx(3.0, abs=1e-14)
 
     def test_laminate_14(self, laminate):
-        assert harmonic_mean(laminate) == pytest.approx(1.6, abs=1e-14)
+        assert correctors_1d(laminate, 1).lambdas[0] == pytest.approx(1.6, abs=1e-14)
 
     def test_laminate_19(self):
         prof = Profile1D(breakpoints=[0, 0.5, 1], values=[1.0, 9.0])
-        assert harmonic_mean(prof) == pytest.approx(1.8, abs=1e-14)
+        assert correctors_1d(prof, 1).lambdas[0] == pytest.approx(1.8, abs=1e-14)
 
 
 class TestCorrectorRecursion:
@@ -323,7 +318,7 @@ class TestBoxElliptic:
 class TestProfileFromSpec:
     def test_laminate_tag(self):
         prof = profile_from_spec(LAMINATE)
-        assert harmonic_mean(prof) == pytest.approx(1.6, abs=1e-14)
+        assert correctors_1d(prof, 1).lambdas[0] == pytest.approx(1.6, abs=1e-14)
 
     def test_trig_tag(self):
         prof = profile_from_spec({"kind": "trig_checkerboard", "base": 2.0,

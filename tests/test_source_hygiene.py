@@ -1,13 +1,18 @@
 """Source hygiene: every module-level import, every function parameter and
 every private module-level helper of the package is used, no module runs a
-full complex FFT, and only ``wave`` names the leapfrog solver."""
+full complex FFT, only ``wave`` names the leapfrog solver, and every name
+the benchmark's tracer binds exists."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "homwave"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "homwave"
 
 
 def unused_imports(path: Path) -> list:
@@ -242,3 +247,26 @@ def test_checker_sees_a_named_solver(tmp_path):
         "from .bloch import solve_fine_wave_exact\n"
         "# solve_fine_wave in a comment\nDOC = 'solve_fine_wave'\n")
     assert modules_naming(tmp_path, "solve_fine_wave") == ["b.py", "c.py"]
+
+
+def install_tracer(prelude: str = "") -> subprocess.CompletedProcess:
+    """``bench/tracer.install`` in a fresh process on ``src/``, after
+    ``prelude``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")]))
+    code = prelude + "import tracer\ntracer.install(tracer.Tracer())\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_benchmark_tracer_binds_existing_names():
+    # the traced benchmark wraps package functions by name: a deleted or
+    # renamed one fails here, not only in the traced benchmark run
+    proc = install_tracer()
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_check_sees_a_missing_name():
+    proc = install_tracer("from homwave import torus\n"
+                          "del torus.apply_div_a_grad\n")
+    assert proc.returncode != 0 and "apply_div_a_grad" in proc.stderr

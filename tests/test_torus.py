@@ -12,7 +12,7 @@ from homwave.torus import (
     SolvabilityError,
     TorusGrid,
     coefficient_from_spec,
-    deriv_values,
+    divergence_values,
     gradient_values,
     irfftn,
     mean_values,
@@ -21,7 +21,6 @@ from homwave.torus import (
     solve_div_a_grad,
     solve_elliptic,
     solve_poisson_values,
-    weak_residual,
 )
 
 from conftest import LAMINATE, SMOOTH2D, band_limited, full_wavenumbers
@@ -40,6 +39,12 @@ def full_derivative(grid, values, orders):
         mult = mult * ikm
     axes = tuple(range(-grid.dim, 0))
     return np.fft.ifftn(np.fft.fftn(values, axes=axes) * mult, axes=axes)
+
+
+def derivative(grid, values, orders):
+    """The derivative of per-axis ``orders`` the dressings read: from a
+    ``DerivativeCache`` of the half spectrum."""
+    return torus.DerivativeCache(grid, rfftn(grid, values)).get(orders)
 
 
 def full_prolongation(grid, values, factor):
@@ -104,7 +109,7 @@ class TestSpectralTransform:
 class TestDerivative:
     def test_sin_derivative(self, grid1d):
         x = grid1d.coordinate_axes()[0].ravel()
-        df = deriv_values(grid1d, np.sin(2 * np.pi * x), [0])
+        df = derivative(grid1d, np.sin(2 * np.pi * x), (1,))
         assert np.max(np.abs(df - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-12
 
     # (dim, degree, shift, coefficients, derivative multi-indices they weigh):
@@ -123,34 +128,34 @@ class TestDerivative:
     def test_derivative_cache_matches_direct_derivatives(self, grid1d, grid2d,
                                                          rng):
         grids = {1: grid1d, 2: grid2d}
-        for grid, orders, multi in ((grid1d, (3,), [0, 0, 0]),
-                                    (grid2d, (2, 1), [0, 0, 1])):
+        for grid, orders in ((grid1d, (3,)), (grid2d, (2, 1))):
             f = band_limited(grid, rng)
             cache = torus.DerivativeCache(grid, rfftn(grid, f))
             # order zero is the inverse transform of the spectrum
             zero = cache.get((0,) * grid.dim)
             assert np.max(np.abs(zero - f)) <= 1e-14 * np.max(np.abs(f))
             d = cache.get(orders)
-            assert np.array_equal(d, deriv_values(grid, f, multi))
+            assert np.array_equal(d, derivative(grid, f, orders))
             assert cache.get(orders) is d
         for dim, degree, shift, coeffs, multis in self.CONTRACTIONS:
             grid = grids[dim]
             f = band_limited(grid, rng)
             if coeffs == "fields":
                 coeffs = rng.standard_normal((len(multis),) + grid.shape)
-            ref = sum(c * deriv_values(grid, f, m) for c, m in zip(coeffs, multis))
+            ref = sum(c * derivative(grid, f, tuple(m.count(ax) for ax in range(dim)))
+                      for c, m in zip(coeffs, multis))
             cache = torus.DerivativeCache(grid, rfftn(grid, f))
             assert np.array_equal(cache.contract(coeffs, degree, shift), ref)
 
     def test_laplacian_of_constant(self, grid2d):
         f = np.full(grid2d.shape, 3.5)
-        out = torus.laplacian_values(grid2d, f)
+        out = divergence_values(grid2d, gradient_values(grid2d, f))
         assert np.max(np.abs(out)) < 1e-12
 
     def test_mixed_partials_commute(self, grid2d, rng):
         f = band_limited(grid2d, rng)
-        d01 = deriv_values(grid2d, deriv_values(grid2d, f, [0]), [1])
-        d10 = deriv_values(grid2d, deriv_values(grid2d, f, [1]), [0])
+        d01 = derivative(grid2d, derivative(grid2d, f, (1, 0)), (0, 1))
+        d10 = derivative(grid2d, derivative(grid2d, f, (0, 1)), (1, 0))
         assert np.max(np.abs(d01 - d10)) < 1e-10
 
     @pytest.mark.parametrize("multi", [[0], [1, 1], [0, 1]])
@@ -159,20 +164,20 @@ class TestDerivative:
         f = rng.standard_normal(grid2d.shape)
         orders = tuple(multi.count(ax) for ax in range(grid2d.dim))
         full = full_derivative(grid2d, f, orders).real
-        half = deriv_values(grid2d, f, multi)
+        half = derivative(grid2d, f, orders)
         assert np.isrealobj(half)
         assert np.max(np.abs(half - full)) <= 1e-13 * np.max(np.abs(full))
         # complex fields (the Bloch wave and its defect) go by parts
         z = f + 1j * rng.standard_normal(grid2d.shape)
         full = full_derivative(grid2d, z, orders)
-        parts = dispersion._by_parts(deriv_values, grid2d, z, multi)
+        parts = dispersion._by_parts(derivative, grid2d, z, orders)
         assert np.max(np.abs(parts - full)) <= 1e-13 * np.max(np.abs(full))
 
     def test_integration_by_parts_is_exact(self, grid2d, rng):
         u = rng.standard_normal(grid2d.shape)
         v = rng.standard_normal(grid2d.shape)
-        lhs = np.mean(u * deriv_values(grid2d, v, [0]))
-        rhs = np.mean(deriv_values(grid2d, u, [0]) * v)
+        lhs = np.mean(u * derivative(grid2d, v, (1, 0)))
+        rhs = np.mean(derivative(grid2d, u, (1, 0)) * v)
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs + rhs) / scale < 1e-12
 
@@ -184,7 +189,7 @@ class TestDerivative:
         # derivative along that axis is zero
         line = np.cos(np.pi * grid2d.n * x0) * (1.0 + np.sin(2 * np.pi * x1))
         assert np.max(np.abs(torus.nyquist_part(grid2d, line) - line)) <= 1e-14
-        assert not np.any(deriv_values(grid2d, line, [0]))
+        assert not np.any(derivative(grid2d, line, (1, 0)))
         noise = rng.standard_normal(grid2d.shape)
         on = torus.nyquist_part(grid2d, noise)
         assert np.max(np.abs(torus.nyquist_part(grid2d, on) - on)) <= 1e-14
@@ -206,7 +211,7 @@ class TestPoisson:
         rhs = band_limited(grid2d, rng)
         rhs -= rhs.mean()
         u, _ = solve_poisson_values(grid2d, rhs)
-        res = -torus.laplacian_values(grid2d, u) - rhs
+        res = -divergence_values(grid2d, gradient_values(grid2d, u)) - rhs
         assert np.sqrt(np.mean(res ** 2)) / np.sqrt(np.mean(rhs ** 2)) < 1e-12
         assert abs(u.mean()) < 1e-14
 
@@ -230,7 +235,8 @@ class TestPoisson:
         rhs = band_limited(grid2d, rng)
         rhs -= rhs.mean()
         u1, _ = solve_poisson_values(grid2d, rhs)
-        u2, _ = solve_poisson_values(grid2d, -torus.laplacian_values(grid2d, u1))
+        u2, _ = solve_poisson_values(
+            grid2d, -divergence_values(grid2d, gradient_values(grid2d, u1)))
         assert np.max(np.abs(u1 - u2)) < 1e-12 * np.max(np.abs(u1))
 
 
@@ -265,7 +271,9 @@ class TestVariableCoefficientSolve:
         flux = np.stack([band_limited(smooth2d_a.grid, rng),
                          band_limited(smooth2d_a.grid, rng)])
         phi, _, _ = solve_div_a_grad(smooth2d_a, flux)
-        assert weak_residual(smooth2d_a, phi, flux) < 1e-10
+        rhs = divergence_values(smooth2d_a.grid, flux)
+        res = torus.apply_div_a_grad(smooth2d_a, phi) - rhs
+        assert np.linalg.norm(res) / np.linalg.norm(rhs) < 1e-10
 
     def test_deterministic(self, smooth2d_a, rng):
         flux = np.stack([band_limited(smooth2d_a.grid, rng),
@@ -286,7 +294,9 @@ class TestVariableCoefficientSolve:
         flux = np.stack([band_limited(grid2d, rng), band_limited(grid2d, rng)])
         phi, _, residual = solve_div_a_grad(a, flux)
         assert residual <= torus.CG_TOL
-        assert weak_residual(a, phi, flux) < 1e-10
+        rhs = divergence_values(grid2d, flux)
+        res = torus.apply_div_a_grad(a, phi) - rhs
+        assert np.linalg.norm(res) / np.linalg.norm(rhs) < 1e-10
         assert abs(phi.mean()) < 1e-15
 
     @staticmethod
@@ -388,7 +398,9 @@ class TestCoarseStart:
         assert sorted(solved.coarse_iterations) == [
             m for m in (8, 16, 32, 64) if m < n]
         assert residual <= torus.CG_TOL
-        assert weak_residual(a, phi, flux) <= torus.CG_TOL
+        rhs = divergence_values(grid, flux)
+        res = torus.apply_div_a_grad(a, phi) - rhs
+        assert np.linalg.norm(res) / np.linalg.norm(rhs) <= torus.CG_TOL
         cold(monkeypatch)
         ref, cold_iterations, _ = solve_div_a_grad(
             coefficient_from_spec(SMOOTH2D, grid), flux)

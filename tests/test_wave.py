@@ -23,11 +23,9 @@ from homwave.wave import (
     error_report,
     homogenized_wave_field,
     sample_cell_on_box,
-    solve_effective_wave,
     solve_fine_wave,
     source_term_field,
     spectral_wave_state,
-    symbol_coercivity_margin,
     taylor_bloch_ansatz,
 )
 
@@ -201,6 +199,37 @@ class TestExactFineSolver:
         if field == "complex":
             assert np.allclose(blocks, np.conj(np.swapaxes(blocks, 1, 2)),
                                rtol=0.0, atol=0.0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_lowest_eigenvalue_to_relative_roundoff(self, monkeypatch, field):
+        # constant a = 2, p = 64, h = 1/8192 (M = 4096 cells): the lowest
+        # band is (4 a / h^2) sin^2(theta / 2p), of size 1e-10 |B| at m = 1
+        if field == "complex":
+            monkeypatch.setattr(bloch, "_mirror", lambda faces: None)
+        p, cells, h = 64, 4096, 1 / 8192
+        phases = 2 * np.pi * np.array([1, 4, 16, 1024, 2048]) / cells
+        basis = bloch._GaugedBlocks(np.full(p, 2.0), h, phases)
+        assert basis.field == field
+        _, vecs = np.linalg.eigh(basis.blocks(phases))
+        lowest = basis.omega2(phases, vecs)[:, 0]
+        exact = 8.0 / h ** 2 * np.sin(phases / (2 * p)) ** 2
+        assert np.max(np.abs(lowest - exact) / exact) <= 1e-14
+
+    def test_constant_medium_long_time_matches_closed_form(self):
+        # a = 2 on side 32, eps 1/32, p = 64: each Fourier mode of the box
+        # turns at (2 sqrt(a) / h) |sin(k h / 2)|; at t = 1024 eigh's
+        # eigenvalues alone put 4.5e-4 into the relative error
+        box, eps, t = BoxGrid(1, 65536, 32.0), 1 / 32, 1024.0
+        x = box_coordinates(box)[0]
+        u0 = np.exp(-0.5 * (x - 16.0) ** 2)
+        traj = solve_fine_wave_exact(np.full((1, 1, box.n), 2.0), box, u0,
+                                     [t], eps)
+        k = 2 * np.pi * np.fft.rfftfreq(box.n, box.h)
+        omega = 2 * np.sqrt(2.0) / box.h * np.abs(np.sin(0.5 * k * box.h))
+        exact = np.fft.irfft(np.fft.rfft(u0) * np.cos(omega * t), n=box.n)
+        assert traj.meta["blocks_solved"] == 44
+        assert box_l2(box, traj.u[0] - exact) <= 1e-11 * box_l2(box, exact)
+        assert traj.energy_drift() < 1e-13
 
     @staticmethod
     def dense_modes(box, a_box):
@@ -619,7 +648,8 @@ class TestResampling:
         bc = BoxCorrectors.from_tensorized(tens, box, 0.5)
         for j, coeffs in enumerate(tens.phi):
             per_axis = np.stack([
-                np.stack([torus.deriv_values(tens.grid, c, [ax]) for c in coeffs])
+                np.stack([torus.DerivativeCache(tens.grid, torus.rfftn(tens.grid, c))
+                          .get((int(ax == 0), int(ax == 1))) for c in coeffs])
                 for ax in range(2)])
             ref = sample_cell_on_box(tens.grid, per_axis, box, 0.5) / 0.5
             assert np.array_equal(bc.grad_phi[j], ref)
@@ -844,7 +874,8 @@ class TestDressing:
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 8.0) ** 2))
         uf = homogenized_wave_field(model, u0, box, eps, [0.0])[0]
-        grad = torus.deriv_values(box.torus(), uf, [0])
+        grad = torus.DerivativeCache(box.torus(),
+                                     torus.rfftn(box.torus(), uf)).get((1,))
         manual = uf + eps * oh.phi[1](np.mod(x / eps, 1.0)) * grad
         out = taylor_bloch_ansatz(bc, model, u0, box, eps, [0.0], ell=1)[0]
         assert np.max(np.abs(out - manual)) < 1e-8
@@ -946,10 +977,16 @@ class TestRegularization:
         assert choose_gamma(model) == pytest.approx(2.0, abs=1e-9)
 
     def test_coercivity_margin_nonnegative(self):
+        # the regularized symbol dominates (|k|^2 + eps^2m |k|^(2m+2)) / 2,
+        # m = 2 at ell = 4, at every nonzero box mode
         _, model = laminate_model(4)
         gamma = choose_gamma(model)
-        box = BoxGrid(1, 512, 16.0)
-        assert symbol_coercivity_margin(model, gamma, 0.25, box) >= 0.0
+        eps = 0.25
+        k = box_wavevectors(BoxGrid(1, 512, 16.0))
+        num, den = wave.mode_symbol(model, eps, k, gamma=gamma)
+        k2 = np.sum(k ** 2, axis=0)
+        target = 0.5 * (k2 + eps ** 4 * k2 ** 3) if gamma > 0 else 0.5 * k2
+        assert np.min((num / den - target)[k2 > 0]) >= 0.0
 
     def test_regularized_wave_trivia(self):
         model = identity_model()
@@ -957,7 +994,8 @@ class TestRegularization:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         u0 = np.sin(k * x)
-        outs = solve_effective_wave(model, u0, box, 0.25, [0.0, 1.7], gamma=0.0)
+        num, den = wave.mode_symbol(model, 0.25, box_wavevectors(box), gamma=0.0)
+        outs = spectral_wave_state(1.0, np.sqrt(num / den), u0, box, [0.0, 1.7])[0]
         assert np.max(np.abs(outs[0] - u0)) < 1e-13  # unfiltered initial data
         assert np.max(np.abs(outs[1] - np.cos(k * 1.7) * u0)) < 1e-12
 
@@ -967,7 +1005,8 @@ class TestRegularization:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 16.0
         u0 = np.sin(k * x)
-        out = solve_effective_wave(model, u0, box, 0.25, [1.1], gamma=0.0)[0]
+        num, den = wave.mode_symbol(model, 0.25, box_wavevectors(box), gamma=0.0)
+        out = spectral_wave_state(1.0, np.sqrt(num / den), u0, box, [1.1])[0][0]
         ref = np.cos(np.sqrt(1.6) * k * 1.1) * u0
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -978,9 +1017,8 @@ class TestRegularization:
                    np.array([0.0])],
             directions=np.array([[1.0]]), Gamma_bar=1.0)
         box = BoxGrid(1, 256, 8.0)
-        u0 = np.sin(2 * np.pi * box_coordinates(box)[0] / 8.0)
         with pytest.raises(wave.PositivityError):
-            solve_effective_wave(model, u0, box, 1.0, [1.0], gamma=0.0)
+            wave.mode_symbol(model, 1.0, box_wavevectors(box), gamma=0.0)
 
 
 class TestBoussinesq:
@@ -1021,7 +1059,8 @@ class TestBoussinesq:
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         u0 = np.sin(k * x)
-        outs = solve_effective_wave(model, u0, box, 0.25, [0.0, 1.2], bt=bt)
+        num, den = wave.mode_symbol(model, 0.25, box_wavevectors(box), bt=bt)
+        outs = spectral_wave_state(1.0, np.sqrt(num / den), u0, box, [0.0, 1.2])[0]
         assert np.max(np.abs(outs[0] - u0)) < 1e-13
         assert np.max(np.abs(outs[1] - np.cos(k * 1.2) * u0)) < 1e-12
 
