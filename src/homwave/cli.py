@@ -34,8 +34,7 @@ KINDS = ("correctors", "dispersion", "wave-compare", "elliptic-rate",
 # manifest (SolvabilityError is a ValueError, so it is caught first)
 NUMERICAL_ERRORS = (ConvergenceError, SolvabilityError,
                     correctors.ReconstructionError,
-                    dispersion.InternalConsistencyError,
-                    wave.PositivityError)
+                    dispersion.PositivityError)
 
 # run-time settings that cannot change a number in the output
 NON_SCIENTIFIC = ("out_dir",)
@@ -195,9 +194,10 @@ class Manifest:
 
 def _directions(cfg: ExperimentConfig) -> np.ndarray:
     """The sampled half-circle directions: ``directions`` of them, or
-    2 ell + 4 by default."""
-    return correctors.half_circle_directions(cfg.dim,
-                                             cfg.directions or 2 * cfg.ell + 4)
+    ``correctors.default_directions`` when it is unset."""
+    if cfg.directions:
+        return correctors.half_circle_directions(cfg.dim, cfg.directions)
+    return correctors.default_directions(cfg.dim, cfg.ell)
 
 
 def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
@@ -251,13 +251,14 @@ def run_dispersion(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         a, cfg.ell, directions=_directions(cfg), kmax_cap=cfg.kmax_cap)
     rows = [("direction", "kappa", "Lambda", "cutoff")]
     kappas = np.linspace(0.0, model.kmax, 65)
+    weights = dispersion.cutoff(model.kmax, kappas)
     for e in model.directions:
-        for kap in kappas:
-            lam = dispersion.dispersion_Lambda(
-                model, np.asarray(e).reshape(cfg.dim, 1) * kap)
-            rows.append((" ".join(format(c, ".6g") for c in e),
-                         format(kap, ".17g"), format(float(lam[0]), ".17g"),
-                         format(float(dispersion.cutoff(model.kmax, kap)), ".17g")))
+        lams = dispersion.dispersion_Lambda(
+            model, np.asarray(e).reshape(cfg.dim, 1) * kappas)
+        label = " ".join(format(c, ".6g") for c in e)
+        rows += [(label, format(kap, ".17g"), format(lam, ".17g"),
+                  format(w, ".17g"))
+                 for kap, lam, w in zip(kappas, lams, weights)]
     _write_csv(out / "dispersion_curves.csv", rows, man.hash)
     man.artifacts.append("dispersion_curves.csv")
     man.check("fit_residual", float(np.max(model.fit_residuals)), 1e-6)

@@ -3,10 +3,13 @@
 The dispersion model collects the effective tensors of each order as
 homogeneous direction polynomials; the truncated Bloch eigenvalue is the
 even-order alternating sum of those polynomials, real by symmetry of the
-coefficient field.  It is positive on a ball |k| <= k_max, found when the
-model is built; the model's order ``ell`` and radius ``kmax`` fix every
-symbol and the support of the low-pass filter ``cutoff(kmax, r)`` that
-every spectral propagator uses.
+coefficient field.  Along a unit direction e it is
+kappa^2 sum_i c_i u^i with u = kappa^2 and c_i = (-1)^i P_2i(e), so the
+bounds on it are roots of one polynomial in u.  It is at least |k|^2 / 4
+on a ball |k| <= k_max, found when the model is built; the model's order
+``ell`` and radius ``kmax`` fix every symbol and the support of the
+low-pass filter ``cutoff(kmax, r)`` that every spectral propagator uses.
+A symbol that is not positive where it must be raises ``PositivityError``.
 """
 
 from __future__ import annotations
@@ -14,12 +17,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 
 from .torus import ConfigurationError, _matvec, divergence_values, gradient_values
 
 
-class InternalConsistencyError(RuntimeError):
-    """Dispersion evaluated where its positivity guarantee does not hold."""
+class PositivityError(RuntimeError):
+    """Effective symbol is not positive at a retained mode."""
+
+
+def _require_positive(sym: np.ndarray, k: np.ndarray) -> None:
+    """Raise PositivityError unless the symbol is positive at every nonzero
+    wavevector in ``k`` (shape (dim, ...), matching ``sym``)."""
+    bad = (sym <= 0.0) & np.any(k != 0.0, axis=0)
+    if np.any(bad):
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
+        raise PositivityError(
+            f"effective symbol nonpositive at mode k={[float(c[idx]) for c in k]}: "
+            f"{float(sym[idx]):.3e}")
 
 
 @dataclass
@@ -83,38 +98,37 @@ def eigenvalue(model: DispersionModel, k) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
+def _radial_coefficients(model: DispersionModel) -> np.ndarray:
+    """Rows c, one per model direction e, with eigenvalue(kappa e) =
+    kappa^2 sum_i c[i] kappa^(2i): c[i] = (-1)^i P_2i(e), i < (ell + 1) // 2."""
+    e = np.asarray(model.directions, dtype=float).T
+    return np.stack([(-1.0) ** i * model.poly_value(2 * i, e)
+                     for i in range((model.ell + 1) // 2)], axis=1)
+
+
+def _positive_real_roots(coeffs: np.ndarray) -> np.ndarray:
+    """The positive roots of a polynomial (coefficients low to high) that
+    numpy returns as real, with an imaginary part of exactly zero."""
+    roots = polyroots(coeffs)
+    return roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+
+
 def compute_kmax(model: DispersionModel, cap: float) -> float:
     """Largest radius (up to cap) with eigenvalue(k) >= |k|^2 / 4 throughout.
 
-    Scans each sampled direction for the first crossing of the deficit
-    polynomial and bisects it to 1e-10; the model's positivity at k = 0
-    (P_0 >= 1) guarantees a positive radius.
+    Along each direction it is the square root of the smallest positive root
+    of sum_i c_i u^i - 1/4 (``_radial_coefficients``), ``cap`` when there is
+    none, and 0 unless c_0 > 1/4; the result is the least over directions.
     """
     if cap <= 0:
         raise ConfigurationError("kmax cap must be positive")
     best = cap
-    for e in model.directions:
-        def ratio(kappa, e=e):
-            k = np.asarray(e, dtype=float).reshape(model.dim, 1) * kappa
-            val = eigenvalue(model, k)
-            return np.where(kappa > 0, val / np.maximum(kappa, 1e-300) ** 2,
-                            model.poly_value(0, np.asarray(e).reshape(model.dim, 1)))
-
-        kappas = np.linspace(1e-6, cap, 512)
-        vals = ratio(kappas)
-        below = np.nonzero(vals < 0.25)[0]
-        if below.size == 0:
-            continue
-        hi_idx = below[0]
-        lo = kappas[hi_idx - 1] if hi_idx > 0 else 0.0
-        hi = kappas[hi_idx]
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if float(ratio(np.array([mid]))[0]) >= 0.25:
-                lo = mid
-            else:
-                hi = mid
-        best = min(best, lo)
+    for c in _radial_coefficients(model):
+        if c[0] <= 0.25:
+            return 0.0
+        roots = _positive_real_roots(np.r_[c[0] - 0.25, c[1:]])
+        if roots.size:
+            best = min(best, float(np.sqrt(roots.min())))
     return float(best)
 
 
@@ -144,16 +158,13 @@ def cutoff(kmax: float, r) -> np.ndarray:
 def dispersion_Lambda(model: DispersionModel, k) -> np.ndarray:
     """sqrt of the truncated Bloch eigenvalue; even in k.
 
-    Only meaningful inside the filter support; a negative eigenvalue there
-    signals an invalid positivity radius and raises.
+    Only meaningful inside the filter support, where the eigenvalue is at
+    least |k|^2 / 4; one that is not positive at a nonzero k raises
+    ``PositivityError``.
     """
     val = eigenvalue(model, k)
-    bad = np.atleast_1d(val) < -1e-13 * max(1.0, float(np.max(np.abs(val))))
-    if np.any(bad):
-        raise InternalConsistencyError(
-            "negative truncated eigenvalue inside the admissible ball; "
-            "k_max is inconsistent with the dispersion polynomials")
-    return np.sqrt(np.maximum(val, 0.0))
+    _require_positive(np.asarray(val), np.asarray(k, dtype=float))
+    return np.sqrt(val)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,13 @@ on the ``torus`` half lattice (``box_wavevectors``) and fields move through
 the one ``torus.rfftn``/``torus.irfftn`` pair; every symbol is even in k,
 so the half lattice carries all of its values (``homwave.torus`` states the
 one Nyquist-row convention this takes in 2D).  Positivity is checked
-once; the elliptic solve in ``homwave.elliptic`` divides by omega^2 and
-every exact wave solve (effective or Bloch block) rotates each mode through
-one kernel, ``_rotate``; a step source adds its closed-form Duhamel
-integral, ``_step_source``, on both sides.  Corrector dressing
+once, by ``dispersion``'s one check and error class (``PositivityError``);
+the regularization constant of the ell >= 3 symbols (``choose_gamma``) is
+a closed form in the roots of one radial polynomial.  The elliptic solve
+in ``homwave.elliptic`` divides by omega^2 and every exact wave solve
+(effective or Bloch block) rotates each mode through one kernel,
+``_rotate``; a step source adds its closed-form Duhamel integral,
+``_step_source``, on both sides.  Corrector dressing
 (``dress_with_correctors``, ``dressed_gradient``) makes the fields
 fine-scale approximations.  It reads the derivatives of a field from a
 ``torus.DerivativeCache`` of its half spectrum; the effective fields
@@ -42,8 +45,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
-from .dispersion import DispersionModel, cutoff, eigenvalue
+from .dispersion import (DispersionModel, PositivityError, _positive_real_roots,
+                         _radial_coefficients, _require_positive, cutoff,
+                         eigenvalue)
 from .torus import (
     ConfigurationError,
     DerivativeCache,
@@ -64,10 +70,6 @@ class InstabilityError(RuntimeError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
-
-
-class PositivityError(RuntimeError):
-    """Effective symbol is negative at a retained mode."""
 
 
 @dataclass(frozen=True)
@@ -433,17 +435,6 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
 # spectral effective propagators
 # ---------------------------------------------------------------------------
 
-def _require_positive(sym: np.ndarray, k: np.ndarray) -> None:
-    """Raise PositivityError unless the symbol is positive at every nonzero
-    wavevector in ``k`` (shape (dim, ...), matching ``sym``)."""
-    bad = (sym <= 0.0) & np.any(k != 0.0, axis=0)
-    if np.any(bad):
-        idx = tuple(np.argwhere(bad)[0])
-        raise PositivityError(
-            f"effective symbol nonpositive at mode k={[float(c[idx]) for c in k]}: "
-            f"{float(sym[idx]):.3e}")
-
-
 def filtered_dispersion(model: DispersionModel, box: BoxGrid, eps: float):
     """(filter weights, propagation frequency) on the box mode lattice.
 
@@ -580,77 +571,33 @@ def effective_symbol(model: DispersionModel, gamma: float, eps: float,
     return out
 
 
-def _coercivity_polynomial(model: DispersionModel, gamma: float,
-                           e: np.ndarray) -> np.ndarray:
-    """Deficit polynomial p(s^2) = [symbol - target] / s^2 along direction e.
-
-    After the rescaling s = eps * kappa the coercivity inequality
-    symbol >= (s^2 + s^(2m+2)) / 2 is eps-independent; p is returned in
-    powers of u = s^2 (low to high).
-    """
-    m = regularization_order(model.ell)
-    coeffs = np.zeros(m + 1)
-    e = np.asarray(e, dtype=float).reshape(model.dim, 1)
-    for j in range(0, model.ell, 2):
-        coeffs[j // 2] += (-1.0) ** (j // 2) * float(model.poly_value(j, e)[0])
-    coeffs[0] -= 0.5
-    coeffs[m] += gamma - 0.5
-    return coeffs
-
-
-def _poly_nonneg_on_halfline(coeffs: np.ndarray) -> bool:
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if coeffs.size == 0:
-        return True
-    if coeffs[-1] < 0 or coeffs[0] < 0:
-        return False
-    from numpy.polynomial import polynomial as npoly
-    crit = npoly.polyroots(npoly.polyder(coeffs)) if coeffs.size > 2 else np.array([])
-    for root in np.atleast_1d(crit):
-        if abs(root.imag) < 1e-9 and root.real > 0:
-            if npoly.polyval(root.real, coeffs) < -1e-12 * max(1.0, abs(coeffs[0])):
-                return False
-    return True
-
-
 def choose_gamma(model: DispersionModel) -> float:
     """Coercivity constant for the regularized effective operator.
 
-    Orders <= 2 need no regularization.  If the unregularized symbol already
-    dominates |k|^2 / 2 along every sampled direction (no negative dispersive
-    correction), zero suffices.  Otherwise the minimal gamma making the
-    rescaled one-variable inequality hold is found by bisection and doubled
-    for margin; the result does not depend on eps.
+    With s = eps kappa along a unit direction e and u = s^2, the inequality
+    symbol >= (s^2 + s^(2m+2)) / 2 reads (gamma - 1/2) u^m >= g(u), where
+    g = 1/2 - sum_{i<m} c_i u^i (``dispersion._radial_coefficients``); it
+    does not depend on eps.  Orders <= 2 need no regularization, nor do
+    models with g <= 0 on every direction (the symbol already dominates
+    |k|^2 / 2): both give 0.  Otherwise the least gamma is 1/2 + max g / u^m
+    over u > 0, reached at a positive root of u g' - m g, and it is doubled
+    for margin.  g(0) >= 0 on a direction (lambda_0 <= 1/2 there) raises
+    ``PositivityError``: the inequality then fails, or at best holds with
+    equality, as u -> 0.
     """
     if model.ell <= 2:
         return 0.0
-    dirs = model.directions
-
-    def feasible(gamma: float, drop_high_order: bool = False) -> bool:
-        for e in dirs:
-            coeffs = _coercivity_polynomial(model, gamma, e)
-            if drop_high_order:
-                coeffs = coeffs.copy()
-                coeffs[-1] += 0.5  # target without the high-order term
-            if not _poly_nonneg_on_halfline(coeffs):
-                return False
-        return True
-
-    if feasible(0.0, drop_high_order=True):
-        return 0.0
-    hi = 1.0
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            raise PositivityError("no feasible regularization constant found")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 2.0 * hi
+    m = regularization_order(model.ell)
+    g = -_radial_coefficients(model)
+    g[:, 0] += 0.5
+    if np.any(g[:, 0] >= 0.0):
+        raise PositivityError("lambda_0 <= 1/2 on a direction: no "
+                              "regularization constant is coercive")
+    peak = 0.0
+    for gd in g:
+        for u in _positive_real_roots((np.arange(m) - m) * gd):
+            peak = max(peak, float(polyval(u, gd) / u ** m))
+    return 2.0 * (0.5 + peak) if peak > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -701,16 +648,13 @@ def boussinesq_decomposition(model: DispersionModel,
     if model.ell < 3:
         raise ConfigurationError("needs the order-2 dispersion polynomial")
     from .correctors import evaluate_monomials, half_circle_directions
-    dirs = half_circle_directions(model.dim, n_directions, offset=0.5)
-    p0 = np.array([float(model.poly_value(0, e.reshape(model.dim, 1))[0])
-                   for e in dirs])
-    p2 = np.array([float(model.poly_value(2, e.reshape(model.dim, 1))[0])
-                   for e in dirs])
+    dirs = half_circle_directions(model.dim, n_directions, offset=0.5).T
+    p0 = model.poly_value(0, dirs)
+    p2 = model.poly_value(2, dirs)
     beta = max(0.0, float(np.max(p2 / p0)))
     c_full = (beta * _poly_times_k2(np.atleast_1d(model.polys[0]), model.dim)
               - np.atleast_1d(model.polys[2]))
-    c_vals = np.array([float(evaluate_monomials(c_full, 4, e.reshape(model.dim, 1))[0])
-                       for e in dirs])
+    c_vals = evaluate_monomials(c_full, 4, dirs)
     ident = np.max(np.abs(beta * p0 - c_vals - p2)) / max(1.0, np.max(np.abs(p2)),
                                                           beta * np.max(p0))
     return BoussinesqTensors(dim=model.dim, beta=beta, c_coeffs=c_full,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from homwave import cli, correctors, dispersion, torus, wave
+from homwave import cli, correctors, torus, wave
 from homwave.cli import ExperimentConfig, config_hash, load_config, run, validate
 
 EPS_MACH = float(np.finfo(float).eps)
@@ -170,8 +170,7 @@ class TestRun:
 
     @pytest.mark.parametrize("error", [
         torus.ConvergenceError, torus.SolvabilityError,
-        correctors.ReconstructionError, dispersion.InternalConsistencyError,
-        wave.PositivityError])
+        correctors.ReconstructionError, wave.PositivityError])
     def test_numerical_failure_exits_one_with_manifest(self, tmp_path,
                                                        monkeypatch, error):
         def failing_runner(cfg, out, man):

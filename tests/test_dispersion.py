@@ -71,6 +71,19 @@ class TestKmax:
         m = toy_model([1.0, 0.0, 1.0], 4)
         assert compute_kmax(m, 0.5) == 0.5
 
+    def test_root_is_exact(self):
+        # deficit 3/4 - u: the radius is sqrt(3)/2 to rounding
+        m = toy_model([1.0, 0.0, 1.0], 4)
+        assert compute_kmax(m, 1.0) == pytest.approx(np.sqrt(3) / 2, rel=1e-15)
+
+    def test_narrow_dip_is_found(self):
+        # deficit (u - 0.5)(u - 0.5001): the eigenvalue drops below |k|^2 / 4
+        # only on kappa in (0.70711, 0.70718), narrower than a grid scan's
+        # step.  The pair's separation of 1e-4 conditions the root, so the
+        # tolerance allows roundoff of about eps_mach / 1e-4 relative.
+        m = toy_model([0.25 + 0.5 * 0.5001, 0.0, 0.5 + 0.5001, 0.0, 1.0, 0.0], 6)
+        assert compute_kmax(m, 1.0) == pytest.approx(np.sqrt(0.5), rel=5e-12)
+
 
 class TestCutoff:
     def test_plateau_and_decay(self):
@@ -113,7 +126,7 @@ class TestLambda:
 
     def test_negative_eigenvalue_raises(self):
         m = toy_model([1.0, 0.0, 50.0], 3)
-        with pytest.raises(dispersion.InternalConsistencyError):
+        with pytest.raises(dispersion.PositivityError):
             dispersion_Lambda(m, np.array([1.0]))
 
 

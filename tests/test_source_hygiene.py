@@ -7,6 +7,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,8 @@ def dead_private_helpers(package: Path) -> list:
     names are exempt."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(package.glob("*.py"))}
+    counts = Counter(name for tree in trees.values() for n in ast.walk(tree)
+                     for name in _names_referenced(n))
     out = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -108,10 +111,9 @@ def dead_private_helpers(package: Path) -> list:
                     and node.name.startswith("_")
                     and not node.name.startswith("__")):
                 continue
-            own = {id(n) for n in ast.walk(node)}
-            if not any(node.name in _names_referenced(n)
-                       for other in trees.values() for n in ast.walk(other)
-                       if id(n) not in own):
+            own = sum(name == node.name for n in ast.walk(node)
+                      for name in _names_referenced(n))
+            if counts[node.name] == own:
                 out.append((module, node.lineno, node.name))
     return out
 

@@ -46,6 +46,15 @@ def identity_model(ell=2, kmax_cap=1.0):
         directions=np.array([[1.0]]), Gamma_bar=1.0, kmax_cap=kmax_cap)
 
 
+def bending_model():
+    """ell = 4, P0 = P2 = 1: the eigenvalue kappa^2 (1 - kappa^2)."""
+    return dispersion.DispersionModel(
+        dim=1, ell=4,
+        polys=[np.array([1.0]), np.array([0.0]), np.array([1.0]),
+               np.array([0.0])],
+        directions=np.array([[1.0]]), Gamma_bar=1.0)
+
+
 class TestBoxGrid:
     def test_epsilon_compatibility(self):
         box = BoxGrid(1, 1024, 16.0)
@@ -975,6 +984,29 @@ class TestRegularization:
                    np.array([0.0])],
             directions=np.array([[1.0]]), Gamma_bar=1.0)
         assert choose_gamma(model) == pytest.approx(2.0, abs=1e-9)
+
+    def test_closed_form_is_exact(self):
+        # g = u - 1/2 peaks against u^2 at u = 1, so gamma is 2 (1/2 + 1/2)
+        assert choose_gamma(bending_model()) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("make", [bending_model,
+                                      lambda: laminate_model(4)[1]],
+                             ids=["P0=P2=1", "laminate"])
+    def test_gamma_is_minimal(self, make):
+        # at ell = 4, u g' - 2 g = (2 P0 - 1) - P2 u, so gamma / 2 makes the
+        # coercivity inequality tight at u = (2 P0 - 1) / P2 and any smaller
+        # constant breaks it there
+        model = make()
+        half = choose_gamma(model) / 2
+        p0, p2 = model.polys[0][0], model.polys[2][0]
+        k = np.array([[np.sqrt((2 * p0 - 1) / p2)]])
+        target = float(0.5 * (k ** 2 + k ** 6)[0, 0])
+
+        def margin(gamma):
+            return float(wave.effective_symbol(model, gamma, 1.0, k)[0]) - target
+
+        assert margin(half) >= -1e-14 * target
+        assert margin(half * (1 - 1e-9)) < -1e-10 * target
 
     def test_coercivity_margin_nonnegative(self):
         # the regularized symbol dominates (|k|^2 + eps^2m |k|^(2m+2)) / 2,
