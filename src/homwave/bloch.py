@@ -34,8 +34,8 @@ import math
 
 import numpy as np
 
-from .torus import ConfigurationError
-from .wave import (BoxGrid, FluxFormOperator, WaveTrajectory, _face_harmonic,
+from .torus import ConfigurationError, TorusGrid
+from .wave import (FluxFormOperator, WaveTrajectory, _face_harmonic,
                    _fine_inputs, _rotate, _step_source)
 
 
@@ -232,21 +232,21 @@ def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
     return np.flatnonzero(kept), share
 
 
-def solve_fine_wave_exact(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
+def solve_fine_wave_exact(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
                           times, eps: float, v0: np.ndarray | None = None,
                           source: np.ndarray | None = None) -> WaveTrajectory:
     """Displacement snapshots of u_tt = div(a grad u) + h 1[0, 1](t),
     exact in time, for a periodic 1D medium; h is ``source`` (None for none).
 
-    The medium repeats every p = n eps / side nodes, so a discrete Fourier
-    transform across the M = n / p cells splits the flux-form operator into
-    one Hermitian p x p block per Bloch phase (n_blocks = M // 2 + 1 of them
-    by conjugate symmetry).  Each block that carries data is diagonalized,
-    every eigenmode is rotated to all snapshot times by ``wave._rotate``
-    (plus ``wave._step_source`` for its amplitude of h), and the
-    displacement snapshots are transformed back.  Blocks are diagonalized
-    ``_CHUNK_ENTRIES`` / p^2 phases at a time, so the working set stays
-    O(``_CHUNK_ENTRIES`` + snapshots n).  ``dt`` is 0 (no time step).
+    The medium repeats every p = ``box.points_per_period(eps)`` nodes, so a
+    discrete Fourier transform across the M = n / p cells of the box splits
+    the flux-form operator into one Hermitian p x p block per Bloch phase
+    (n_blocks = M // 2 + 1 of them by conjugate symmetry).  Each block that
+    carries data is diagonalized, every eigenmode is rotated to all snapshot
+    times by ``wave._rotate`` (plus ``wave._step_source`` for its amplitude
+    of h), and the displacement snapshots are transformed back.  Blocks are
+    diagonalized ``_CHUNK_ENTRIES`` / p^2 phases at a time, so the working
+    set stays O(``_CHUNK_ENTRIES`` + snapshots n); ``dt`` is 0 (no step).
 
     Every block is taken in the gauge y_j = exp(-i theta j / p) x_j and an
     orthonormal basis Q of the cell (``_GaugedBlocks``): the data are

@@ -25,7 +25,7 @@ import numpy as np
 from . import bloch, correctors, dispersion, elliptic, oracle1d, transport, wave
 from .torus import (CG_TOL, ConfigurationError, ConvergenceError,
                     DerivativeCache, SolvabilityError, TorusGrid,
-                    coefficient_from_spec, irfftn)
+                    coefficient_from_spec, irfftn, l2_norm)
 
 KINDS = ("correctors", "dispersion", "wave-compare", "elliptic-rate",
          "transport", "source-term")
@@ -111,16 +111,20 @@ def validate(cfg: ExperimentConfig) -> list:
     for n in (cfg.grid_n, cfg.box_n):
         if n is not None and (n < 8 or n & (n - 1)):
             out.append(("error", f"grid size {n} is not a power of two >= 8"))
-    if cfg.kind in ("wave-compare", "transport", "source-term") and cfg.eps_list:
-        side = cfg.box_side
+    if any(not eps > 0 for eps in cfg.eps_list):
+        out.append(("error", "every eps must be positive"))
+    elif cfg.kind in ("wave-compare", "transport", "source-term"):
         for eps in cfg.eps_list:
-            m = side / eps
-            if abs(m - round(m)) > 1e-9:
-                out.append(("error", f"eps={eps} does not divide box side {side}"))
+            # the box the run builds: transport runs every eps on one box
+            box_eps = min(cfg.eps_list) if cfg.kind == "transport" else eps
+            try:
+                _box(cfg, box_eps).points_per_period(eps)
+            except ConfigurationError as err:
+                out.append(("error", str(err)))
         box_n = cfg.box_n or 0
         if box_n:
             for eps in cfg.eps_list:
-                ppp = box_n * eps / side
+                ppp = box_n * eps / cfg.box_side
                 if ppp < cfg.points_per_period:
                     out.append(("error",
                                 f"eps={eps}: {ppp:.0f} points per period < "
@@ -129,7 +133,7 @@ def validate(cfg: ExperimentConfig) -> list:
         # wavefront wrap guard, assuming data of unit support at the center
         speed = math.sqrt(2.0)
         reach = 1.0 + cfg.T * speed
-        if cfg.kind == "transport" and cfg.eps_list:
+        if cfg.kind == "transport" and cfg.eps_list and min(cfg.eps_list) > 0:
             t_max = min(cfg.eps_list) ** (-1.0 - (cfg.gamma or 0.0)) * cfg.T + 1.0
             reach = 6.0 + t_max * speed
         if reach > 0.5 * cfg.box_side:
@@ -139,7 +143,7 @@ def validate(cfg: ExperimentConfig) -> list:
                         f"admissible horizon about {t_adm:.1f}"))
     if cfg.kmax_cap <= 0:
         out.append(("error", "kmax_cap must be positive"))
-    return out
+    return list(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +275,11 @@ def _oracle_model(cfg: ExperimentConfig, ell: int):
     return oh, dispersion.DispersionModel.from_oracle(oh, ell, cfg.kmax_cap)
 
 
-def _box(cfg: ExperimentConfig, eps: float) -> wave.BoxGrid:
-    """The 1D box: ``box_n`` points, or ``points_per_period`` per period
-    eps."""
+def _box(cfg: ExperimentConfig, eps: float) -> TorusGrid:
+    """The 1D box of side ``box_side``: ``box_n`` points, or
+    ``points_per_period`` per period eps."""
     n = cfg.box_n or int(cfg.points_per_period * cfg.box_side / eps)
-    return wave.BoxGrid(1, n, cfg.box_side)
+    return TorusGrid(1, n, cfg.box_side)
 
 
 def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
@@ -293,7 +297,7 @@ def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         traj = bloch.solve_fine_wave_exact(a_box, box, u0, times, eps)
         man.solver.append({"eps": eps, **traj.solver_stats()})
         u_eff = wave.homogenized_wave_field(model, u0, box, eps, times)
-        sups.append(max(wave.box_l2(box, r - e) for r, e in zip(traj.u, u_eff)))
+        sups.append(max(l2_norm(box, r - e) for r, e in zip(traj.u, u_eff)))
         del traj, u_eff  # free the snapshots before the next eps allocates
     order = wave.fit_order(cfg.eps_list, sups)
     for eps, sup in zip(cfg.eps_list, sups):
@@ -357,19 +361,19 @@ def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     man.solver.append({"eps": eps, **traj.solver_stats()})
     bc = wave.BoxCorrectors.from_oracle(oh, box, eps)
     u_hat, _ = wave.source_term_field(model, h, box, eps, traj.times)
-    u_s = irfftn(box.torus(), u_hat)
+    u_s = irfftn(box, u_hat)
     rows = [("t", "l2_error_simplified", "l2_error_dressed")]
     errs_simple, errs_dressed = [], []
     for i, t in enumerate(traj.times):
-        u_d = wave.dress_with_correctors(bc, DerivativeCache(box.torus(), u_hat[i]))
-        errs_simple.append(wave.box_l2(box, traj.u[i] - u_s[i]))
-        errs_dressed.append(wave.box_l2(box, traj.u[i] - u_d))
+        u_d = wave.dress_with_correctors(bc, DerivativeCache(box, u_hat[i]))
+        errs_simple.append(l2_norm(box, traj.u[i] - u_s[i]))
+        errs_dressed.append(l2_norm(box, traj.u[i] - u_d))
         rows.append((format(t, ".17g"), format(errs_simple[-1], ".17g"),
                      format(errs_dressed[-1], ".17g")))
     _write_csv(out / "source_term_errors.csv", rows, man.hash)
     man.artifacts.append("source_term_errors.csv")
     budget = wave.ErrorBudget(ell=cfg.ell)
-    ref_scale = max(wave.box_l2(box, traj.u[i]) for i in range(traj.times.size))
+    ref_scale = max(l2_norm(box, traj.u[i]) for i in range(traj.times.size))
     man.check("dressed_vs_budget",
               max(errs_dressed) / max(ref_scale, 1e-30),
               3.0 * float(budget.curve(eps, cfg.T)))

@@ -38,6 +38,7 @@ from .torus import (
     curl_values,
     divergence_values,
     gradient_values,
+    l2_norm,
     matrix_divergence_values,
     mean_values,
     nyquist_part,
@@ -268,10 +269,6 @@ def tensorize_correctors(a: CoefficientField, ell: int) -> TensorizedCorrectors:
     return _corrector_stacks(a, ell, np.eye(a.grid.dim))
 
 
-def _l2(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(values) ** 2)))
-
-
 def hierarchy_invariants(h: CorrectorHierarchy) -> dict:
     """Structural residuals of the hierarchy (all should be tiny).
 
@@ -299,24 +296,25 @@ def hierarchy_invariants(h: CorrectorHierarchy) -> dict:
         out["mean_chi"] = max(out["mean_chi"], abs(float(mean_values(grid, h.chi[j]))))
         q_j = h.q[j]
         out["mean_q"] = max(out["mean_q"], float(np.max(np.abs(mean_values(grid, q_j)))))
-        scale = max(_l2(_matvec(h.a.values, gradient_values(grid, h.phi[j]))),
-                    _l2(h.phi[j - 1] * _matvec(h.a.values, e_col)),
-                    _l2(gradient_values(grid, h.chi[j - 1])),
+        a_grad_phi = _matvec(h.a.values, gradient_values(grid, h.phi[j]))
+        scale = max(l2_norm(grid, a_grad_phi),
+                    l2_norm(grid, h.phi[j - 1] * _matvec(h.a.values, e_col)),
+                    l2_norm(grid, gradient_values(grid, h.chi[j - 1])),
                     float(h.lambdas[0]))
         out["div_q"] = max(out["div_q"],
-                           _l2(divergence_values(grid, q_j)) / scale)
+                           l2_norm(grid, divergence_values(grid, q_j)) / scale)
         if d == 1:
             out["flux_exactness"] = max(out["flux_exactness"],
-                                        _l2(q_j) / scale)
+                                        l2_norm(grid, q_j) / scale)
         else:
-            q_scale = _l2(q_j)
+            q_scale = l2_norm(grid, q_j)
             if q_scale > 1e-12 * scale:
                 gap = matrix_divergence_values(grid, h.sigma[j]) - q_j
                 out["flux_exactness"] = max(
                     out["flux_exactness"],
-                    _l2(gap - nyquist_part(grid, gap)) / q_scale)
-                out["q_nyquist"] = max(out["q_nyquist"],
-                                       _l2(nyquist_part(grid, q_j)) / q_scale)
+                    l2_norm(grid, gap - nyquist_part(grid, gap)) / q_scale)
+                out["q_nyquist"] = max(
+                    out["q_nyquist"], l2_norm(grid, nyquist_part(grid, q_j)) / q_scale)
             out["skew_gap"] = max(out["skew_gap"], float(np.max(np.abs(
                 h.sigma[j] + np.swapaxes(h.sigma[j], 0, 1)))))
     return out

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .torus import ConfigurationError, _matvec, divergence_values, gradient_values
+from .torus import (ConfigurationError, _matvec, divergence_values,
+                    gradient_values, l2_norm)
 
 
 class PositivityError(RuntimeError):
@@ -259,8 +260,8 @@ def eigendefect_residual(h, kappa: float, refine: int = 1) -> float:
            - 1j * kappa * np.einsum("m,m...->...", e, a_grad)
            + kappa ** 2 * np.einsum("m,m...->...", e, ae) * psi)
     rhs = mode.eigenvalue * psi - (1j * kappa) ** (h.order + 1) * defect
-    num = float(np.sqrt(np.mean(np.abs(lhs - rhs) ** 2)))
-    den = float(np.sqrt(np.mean(np.abs(rhs) ** 2)))
+    num = l2_norm(grid, lhs - rhs)
+    den = l2_norm(grid, rhs)
     if den == 0.0:
         return num
     return num / den

@@ -24,18 +24,18 @@ from .torus import (
     CoefficientField,
     ConfigurationError,
     DerivativeCache,
+    TorusGrid,
     _matvec,
     divergence_values,
     gradient_values,
     irfftn,
+    l2_norm,
     require_zero_mean,
     rfftn,
     solve_elliptic,
 )
 from .wave import (
     BoxCorrectors,
-    BoxGrid,
-    box_l2,
     box_wavevectors,
     dress_with_correctors,
     dressed_gradient,
@@ -48,7 +48,7 @@ from .wave import (
 # ---------------------------------------------------------------------------
 
 def solve_effective_elliptic(model: DispersionModel, f: np.ndarray,
-                             box: BoxGrid, eps: float, **operator) -> np.ndarray:
+                             box: TorusGrid, eps: float, **operator) -> np.ndarray:
     """Divide each nonzero mode of the zero-mean source ``f`` by the symbol
     ``mode_symbol(model, eps, k, **operator)`` (``gamma`` for the
     regularized operator, ``bt`` for the Boussinesq one); zero-mean output."""
@@ -56,11 +56,10 @@ def solve_effective_elliptic(model: DispersionModel, f: np.ndarray,
     k = box_wavevectors(box)
     num, den = mode_symbol(model, eps, k, **operator)
     nz = np.sum(k ** 2, axis=0) > 0
-    grid = box.torus()
-    f_hat = rfftn(grid, f)
+    f_hat = rfftn(box, f)
     u_hat = np.zeros_like(f_hat)
     u_hat[nz] = f_hat[nz] * np.broadcast_to(den, num.shape)[nz] / num[nz]
-    return irfftn(grid, u_hat)
+    return irfftn(box, u_hat)
 
 
 def prepared_rhs(bc: BoxCorrectors, f: np.ndarray,
@@ -80,12 +79,10 @@ def prepared_rhs(bc: BoxCorrectors, f: np.ndarray,
     the Nyquist mode.
     """
     require_zero_mean(f, "source")
-    grid = bc.box.torus()
-    f_hat = rfftn(grid, f)
-    modes = np.abs(box_wavevectors(bc.box)) * (grid.period / (2 * np.pi))
-    f_hat[np.any(np.rint(modes) >= grid.n // 4, axis=0)] = 0.0
-    return dress_with_correctors(bc, DerivativeCache(grid, f_hat),
-                                 max_order=ell)
+    f_hat = rfftn(bc.box, f)
+    modes = np.abs(box_wavevectors(bc.box)) * (bc.box.period / (2 * np.pi))
+    f_hat[np.any(np.rint(modes) >= bc.box.n // 4, axis=0)] = 0.0
+    return dress_with_correctors(bc, DerivativeCache(bc.box, f_hat), max_order=ell)
 
 
 def _coupling_field(phi: list, model: DispersionModel, cache: DerivativeCache,
@@ -148,7 +145,7 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
     # w and LHS
     w = sum(cache.contract(tensors.phi[j], j) for j in range(ell + 1))
     lhs = -divergence_values(grid, _matvec(a.values, gradient_values(grid, w)))
-    lhs_norm = float(np.sqrt(np.mean(lhs ** 2)))
+    lhs_norm = l2_norm(grid, lhs)
 
     # effective-tensor terms
     eff = sum(cache.contract(np.atleast_1d(model.polys[j]), j + 2)
@@ -186,7 +183,7 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
                 - divergence_term(include_chi=True))
 
     def rel(x):
-        return float(np.sqrt(np.mean((lhs - x) ** 2))) / max(lhs_norm, 1e-30)
+        return l2_norm(grid, lhs - x) / max(lhs_norm, 1e-30)
 
     second = None
     if ell <= 2:
@@ -194,7 +191,7 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
         rhs_21 = -(lead + divergence_term(include_chi=False))
         second = rel(rhs_21)
 
-    gap = float(np.sqrt(np.mean((rhs_full - rhs_raw) ** 2))) / max(lhs_norm, 1e-30)
+    gap = l2_norm(grid, rhs_full - rhs_raw) / max(lhs_norm, 1e-30)
     return ResiduumReport(order=ell, lhs_norm=lhs_norm, second_order=second,
                           full=rel(rhs_full), raw=rel(rhs_raw), full_vs_raw=gap)
 
@@ -296,7 +293,7 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
 
 def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrectors,
                                   model: DispersionModel, eps_list,
-                                  box: BoxGrid, f: np.ndarray,
+                                  box: TorusGrid, f: np.ndarray,
                                   mode: str = "prepared",
                                   operator: str = "regularized",
                                   gamma: float | None = None) -> RateStudy:
@@ -310,18 +307,17 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
     if gamma is None:
         gamma = wave.choose_gamma(model)
     bt = wave.boussinesq_decomposition(model) if operator == "boussinesq" else None
-    grid = box.torus()
     errors = []
     for eps in eps_list:
         a_box = wave.coefficient_on_box(coeff_spec, box, eps)
         bc = BoxCorrectors.from_tensorized(tensors, box, eps)
         rhs = prepared_rhs(bc, f, ell) if mode == "prepared" else f
-        u_fine = solve_elliptic(CoefficientField(grid, a_box), rhs)
+        u_fine = solve_elliptic(CoefficientField(box, a_box), rhs)
         u_hom = solve_effective_elliptic(model, f, box, eps, gamma=gamma, bt=bt)
-        grad_fine = gradient_values(grid, u_fine)
+        grad_fine = gradient_values(box, u_fine)
         grad_dressed = dressed_gradient(
-            bc, DerivativeCache(grid, rfftn(grid, u_hom)), max_order=ell)
-        errors.append(box_l2(box, grad_fine - grad_dressed))
+            bc, DerivativeCache(box, rfftn(box, u_hom)), max_order=ell)
+        errors.append(l2_norm(box, grad_fine - grad_dressed))
     return RateStudy(eps_list=np.asarray(list(eps_list), dtype=float),
                      errors=np.asarray(errors),
                      fitted_order=wave.fit_order(eps_list, errors),

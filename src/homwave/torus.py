@@ -4,7 +4,9 @@ Everything downstream (corrector hierarchies, Bloch dispersion, residual
 checks, effective propagators) is built on trigonometric collocation:
 derivatives are exact Fourier multipliers, so discrete integration by parts
 holds to machine precision, which is what makes the algebraic corrector
-identities verifiable on the grid.
+identities verifiable on the grid.  One grid type, ``TorusGrid``, serves
+the unit cell (period 1) and the box of side L (period L) that stands in
+for free space.
 
 There is one spectrum convention: every field is real and every transform
 is the ``rfftn``/``irfftn`` pair of this module, so every Fourier
@@ -112,6 +114,18 @@ class TorusGrid:
         """Per-axis dual wavenumbers (2*pi/period times integer frequencies)
         of the half lattice: the last axis holds 0 .. n/2."""
         return _wavenumber_axes(self)
+
+    def points_per_period(self, eps: float) -> int:
+        """Grid nodes per period eps of a medium a(x / eps)."""
+        m = self.period / eps
+        m_int = int(round(m))
+        if abs(m - m_int) > 1e-9 * max(1.0, m) or m_int < 1:
+            raise ConfigurationError(
+                f"eps={eps} does not divide the period {self.period}")
+        if self.n % m_int != 0:
+            raise ConfigurationError(
+                f"eps={eps}: {m_int} periods do not divide {self.n} points")
+        return self.n // m_int
 
 
 @functools.lru_cache(maxsize=None)
@@ -293,6 +307,11 @@ def matrix_divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 
 def mean_values(grid: TorusGrid, values: np.ndarray):
     return values.mean(axis=_grid_axes(grid, values))
+
+
+def l2_norm(grid: TorusGrid, values: np.ndarray) -> float:
+    """L2 norm over [0, period)^dim of grid samples, all components together."""
+    return float(np.sqrt(np.mean(np.abs(values) ** 2) * grid.period ** grid.dim))
 
 
 def solve_poisson_values(grid: TorusGrid, rhs: np.ndarray):

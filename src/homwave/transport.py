@@ -16,9 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bloch import solve_fine_wave_exact
-from .torus import ConfigurationError
+from .torus import ConfigurationError, TorusGrid
 from .wave import (
-    BoxGrid,
     ErrorBudget,
     WaveTrajectory,
     box_coordinates,
@@ -26,15 +25,15 @@ from .wave import (
 )
 
 
-def min_image_radius(box: BoxGrid, center: np.ndarray) -> np.ndarray:
+def min_image_radius(box: TorusGrid, center: np.ndarray) -> np.ndarray:
     """Distance to ``center`` with the periodic minimum-image convention."""
     x = box_coordinates(box)
     delta = np.abs(x - np.asarray(center).reshape((box.dim,) + (1,) * box.dim))
-    delta = np.minimum(delta, box.side - delta)
+    delta = np.minimum(delta, box.period - delta)
     return np.sqrt(np.sum(delta ** 2, axis=0))
 
 
-def wrap_guard(u0: np.ndarray, box: BoxGrid, center: np.ndarray,
+def wrap_guard(u0: np.ndarray, box: TorusGrid, center: np.ndarray,
                final_time: float, gamma_bar: float):
     """Check r0 + T sqrt(Gamma_bar) < side/2 (wavefront must not wrap).
 
@@ -46,18 +45,18 @@ def wrap_guard(u0: np.ndarray, box: BoxGrid, center: np.ndarray,
     mask = np.abs(u0) > 1e-8 * float(np.max(np.abs(u0)))
     r0 = float(np.max(min_image_radius(box, center)[mask])) if np.any(mask) else 0.0
     reach = r0 + final_time * math.sqrt(max(gamma_bar, 1.0))
-    return reach < 0.5 * box.side, r0, reach
+    return reach < 0.5 * box.period, r0, reach
 
 
-def gaussian_data(box: BoxGrid, lam: float, center=None) -> np.ndarray:
+def gaussian_data(box: TorusGrid, lam: float, center=None) -> np.ndarray:
     """Centered Gaussian (lam/pi)^(d/2) exp(-lam^2 |x|^2 / 2) on the box.
 
     The formula is used verbatim (its L2 norm is pi^(-d/4), not 1).  The
     tail must fit the box: exp(-lam^2 (L/2)^2 / 2) below 1e-12.
     """
     if center is None:
-        center = np.full(box.dim, 0.5 * box.side)
-    tail = math.exp(-0.5 * (lam * 0.5 * box.side) ** 2)
+        center = np.full(box.dim, 0.5 * box.period)
+    tail = math.exp(-0.5 * (lam * 0.5 * box.period) ** 2)
     if tail > 1e-12:
         raise ConfigurationError(
             f"Gaussian of width 1/{lam:g} does not fit the box "
@@ -66,17 +65,17 @@ def gaussian_data(box: BoxGrid, lam: float, center=None) -> np.ndarray:
     return (lam / math.pi) ** (box.dim / 2.0) * np.exp(-0.5 * (lam * r) ** 2)
 
 
-def _moment_weight(box: BoxGrid, lam: float, center) -> np.ndarray:
+def _moment_weight(box: TorusGrid, lam: float, center) -> np.ndarray:
     """The moment weight (1 + lam |x|)^2, |x| the minimum-image distance."""
     r = min_image_radius(box, np.asarray(center, dtype=float))
     return (1.0 + lam * r) ** 2
 
 
-def _weighted_mass(w: np.ndarray, u: np.ndarray, box: BoxGrid) -> float:
+def _weighted_mass(w: np.ndarray, u: np.ndarray, box: TorusGrid) -> float:
     return float(np.sqrt(np.sum(w * u ** 2) * box.h ** box.dim))
 
 
-def transport_moment(u: np.ndarray, box: BoxGrid, lam: float,
+def transport_moment(u: np.ndarray, box: TorusGrid, lam: float,
                      center) -> float:
     """Weighted mass ( integral (1 + lam |x|)^2 u^2 )^(1/2)."""
     return _weighted_mass(_moment_weight(box, lam, center), u, box)
@@ -151,7 +150,7 @@ class BallisticReport:
         return out
 
 
-def ballistic_experiment(coeff_spec: dict, box: BoxGrid, eps_list, gamma: float,
+def ballistic_experiment(coeff_spec: dict, box: TorusGrid, eps_list, gamma: float,
                          T: float, ell: int, gamma_bar: float,
                          alpha=(0.0, 0.0),
                          snapshots_per_window: int = 17) -> BallisticReport:
@@ -165,7 +164,7 @@ def ballistic_experiment(coeff_spec: dict, box: BoxGrid, eps_list, gamma: float,
     Wrap-around of the wavefront invalidates the weighted moment and flags
     the row.
     """
-    center = np.full(box.dim, 0.5 * box.side)
+    center = np.full(box.dim, 0.5 * box.period)
     mu = ErrorBudget(ell, alpha).mu
     rows = []
     for eps in eps_list:
@@ -203,14 +202,14 @@ def affine_ballistic_fit(T_values, windowed_values):
     return float(offset), float(slope), per_T
 
 
-def constant_medium_moment_scan(box: BoxGrid, lam: float, T_values) -> MomentReport:
+def constant_medium_moment_scan(box: TorusGrid, lam: float, T_values) -> MomentReport:
     """Windowed moments of free propagation at several window offsets.
 
     Used to exhibit the ballistic scaling M(lam, T/lam) ~ T for the
     homogeneous 1D medium; all windows are gathered from one exact
     trajectory, whose Bloch blocks are 1 x 1 (one node per period, eps = h).
     """
-    center = np.full(box.dim, 0.5 * box.side)
+    center = np.full(box.dim, 0.5 * box.period)
     a_box = np.ones((1, 1) + box.shape)
     u0 = gaussian_data(box, lam)
     window = 1.0 / lam
@@ -227,4 +226,4 @@ def constant_medium_moment_scan(box: BoxGrid, lam: float, T_values) -> MomentRep
     return MomentReport(lam=lam, times=traj.times,
                         moments=moment_history(traj, lam, center),
                         windowed=windowed, valid=bool(ok),
-                        guard={"r0": r0, "reach": reach, "limit": box.side / 2})
+                        guard={"r0": r0, "reach": reach, "limit": box.period / 2})

@@ -1,8 +1,9 @@
 """Wave propagation on a periodic box: fine-scale and effective solvers.
 
-The fine scale discretizes div(a(x/eps) grad) in conservative flux form
-with harmonic face averaging (robust for laminates).  Two solvers share
-that operator:
+The box [0, L)^dim stands in for free space; it is a ``torus.TorusGrid``
+of period L, like the unit cell.  The fine scale discretizes
+div(a(x/eps) grad) in conservative flux form with harmonic face averaging
+(robust for laminates).  Two solvers share that operator:
 
 - ``homwave.bloch.solve_fine_wave_exact`` (1D, periodic medium) splits the
   operator into Bloch blocks, evolves every mode exactly in time, with or
@@ -59,6 +60,7 @@ from .torus import (
     evaluate_coefficient,
     gradient_values,
     irfftn,
+    l2_norm,
     prolong_values,
     rfftn,
 )
@@ -72,63 +74,24 @@ class InstabilityError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class BoxGrid:
-    """Periodic computational box [0, side)^dim standing in for free space."""
-
-    dim: int
-    n: int
-    side: float
-
-    def __post_init__(self):
-        TorusGrid(self.dim, self.n, self.side)  # validates
-
-    @property
-    def shape(self) -> tuple:
-        return (self.n,) * self.dim
-
-    @property
-    def h(self) -> float:
-        return self.side / self.n
-
-    def torus(self) -> TorusGrid:
-        return TorusGrid(self.dim, self.n, self.side)
-
-    def points_per_period(self, eps: float) -> int:
-        m = self.side / eps
-        m_int = int(round(m))
-        if abs(m - m_int) > 1e-9 * max(1.0, m) or m_int < 1:
-            raise ConfigurationError(
-                f"eps={eps} does not divide the box side {self.side}")
-        if self.n % m_int != 0:
-            raise ConfigurationError(
-                f"eps={eps}: {m_int} periods do not divide {self.n} points")
-        return self.n // m_int
-
-    def validate_epsilon(self, eps: float, min_points: int = 16) -> None:
-        p = self.points_per_period(eps)
-        if p < min_points:
-            raise ConfigurationError(
-                f"only {p} points per period eps={eps}; need >= {min_points}")
+def box_coordinates(box: TorusGrid) -> np.ndarray:
+    return np.stack([np.broadcast_to(ax, box.shape)
+                     for ax in box.coordinate_axes()])
 
 
-def box_coordinates(box: BoxGrid) -> np.ndarray:
-    axes = box.torus().coordinate_axes()
-    return np.stack([np.broadcast_to(ax, box.shape) for ax in axes])
-
-
-def box_wavevectors(box: BoxGrid) -> np.ndarray:
+def box_wavevectors(box: TorusGrid) -> np.ndarray:
     """Wavevectors of the box modes on the half lattice, shape
     (dim,) + half spectrum."""
-    grid = box.torus()
-    return np.stack([np.broadcast_to(ax, grid.half_shape)
-                     for ax in grid.wavenumber_axes()])
+    return np.stack([np.broadcast_to(ax, box.half_shape)
+                     for ax in box.wavenumber_axes()])
 
 
-def coefficient_on_box(spec: dict, box: BoxGrid, eps: float) -> np.ndarray:
-    """Sample a(x / eps) at box nodes from an analytic catalog entry; a
-    ``raw`` grid has no analytic form and is rejected."""
-    box.validate_epsilon(eps)
+def coefficient_on_box(spec: dict, box: TorusGrid, eps: float) -> np.ndarray:
+    """Sample a(x / eps) at the box nodes, at least 16 per period eps, from
+    an analytic catalog entry; a ``raw`` grid has none and is rejected."""
+    p = box.points_per_period(eps)
+    if p < 16:
+        raise ConfigurationError(f"only {p} points per period eps={eps}; need >= 16")
     return evaluate_coefficient(spec, box_coordinates(box) / eps, box.dim)
 
 
@@ -137,12 +100,13 @@ def coefficient_on_box(spec: dict, box: BoxGrid, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def sample_cell_on_box(cell_grid: TorusGrid, values: np.ndarray,
-                       box: BoxGrid, eps: float) -> np.ndarray:
+                       box: TorusGrid, eps: float) -> np.ndarray:
     """Evaluate the trig interpolant of a unit-cell field at box nodes x/eps.
 
     Box nodes hit an equispaced sublattice of the rescaled cell, so the exact
     evaluation is subsampling of the cell samples (coarser) or zero-padded
-    prolongation (finer), followed by periodic tiling.
+    prolongation (finer), followed by periodic tiling; both point counts are
+    powers of two, so the coarser divides the finer.
     """
     if abs(cell_grid.period - 1.0) > 1e-12:
         raise ConfigurationError("cell fields must live on the unit cell")
@@ -151,12 +115,8 @@ def sample_cell_on_box(cell_grid: TorusGrid, values: np.ndarray,
     if p == n_cell:
         tile = values
     elif p < n_cell:
-        if n_cell % p:
-            raise ConfigurationError("cell grid does not refine the box lattice")
         tile = values[(Ellipsis,) + (slice(None, None, n_cell // p),) * box.dim]
     else:
-        if p % n_cell:
-            raise ConfigurationError("box lattice does not refine the cell grid")
         tile = prolong_values(cell_grid, values, p // n_cell)
     reps = (1,) * (values.ndim - box.dim) + (box.n // p,) * box.dim
     return np.tile(tile, reps)
@@ -171,15 +131,14 @@ class BoxCorrectors:
     phi_j(x/eps), i.e. it carries the 1/eps factor.
     """
 
-    box: BoxGrid
+    box: TorusGrid
     eps: float
     order: int
-    dim: int
     phi: list
     grad_phi: list
 
     @classmethod
-    def from_tensorized(cls, tensors, box: BoxGrid, eps: float) -> "BoxCorrectors":
+    def from_tensorized(cls, tensors, box: TorusGrid, eps: float) -> "BoxCorrectors":
         grid = tensors.grid
         phi, grad_phi = [], []
         for j in range(tensors.order + 1):
@@ -189,11 +148,10 @@ class BoxCorrectors:
             cell_grad = irfftn(grid, _half_gradient_multiplier(grid)[:, None]
                                * rfftn(grid, coeffs))
             grad_phi.append(sample_cell_on_box(grid, cell_grad, box, eps) / eps)
-        return cls(box=box, eps=eps, order=tensors.order, dim=box.dim,
-                   phi=phi, grad_phi=grad_phi)
+        return cls(box=box, eps=eps, order=tensors.order, phi=phi, grad_phi=grad_phi)
 
     @classmethod
-    def from_oracle(cls, hierarchy1d, box: BoxGrid, eps: float) -> "BoxCorrectors":
+    def from_oracle(cls, hierarchy1d, box: TorusGrid, eps: float) -> "BoxCorrectors":
         """Exact piecewise evaluation for 1D profiles (no Gibbs)."""
         if box.dim != 1:
             raise ConfigurationError("oracle correctors are one-dimensional")
@@ -204,7 +162,7 @@ class BoxCorrectors:
             pp = hierarchy1d.phi[j]
             phi.append(pp(y)[None])
             grad_phi.append((pp.derivative()(y) / eps)[None, None])
-        return cls(box=box, eps=eps, order=hierarchy1d.order, dim=1,
+        return cls(box=box, eps=eps, order=hierarchy1d.order,
                    phi=phi, grad_phi=grad_phi)
 
 
@@ -238,7 +196,7 @@ def dressed_gradient(bc: BoxCorrectors, cache: DerivativeCache,
         sum(bc.eps ** j * (cache.contract(bc.grad_phi[j][m], j)
                            + cache.contract(bc.phi[j], j, shift=m))
             for j in range(ell + 1))
-        for m in range(bc.dim)])
+        for m in range(bc.box.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +210,7 @@ class WaveTrajectory:
     ``v`` is None where the solver returns displacements only
     (``bloch.solve_fine_wave_exact``)."""
 
-    box: BoxGrid
+    box: TorusGrid
     eps: float | None
     times: np.ndarray
     u: np.ndarray
@@ -291,7 +249,7 @@ class FluxFormOperator:
     entries (if any) use centered differences, keeping the operator symmetric.
     """
 
-    def __init__(self, box: BoxGrid, a_values: np.ndarray):
+    def __init__(self, box: TorusGrid, a_values: np.ndarray):
         d = box.dim
         if a_values.shape != (d, d) + box.shape:
             raise ConfigurationError("coefficient shape does not match box")
@@ -343,7 +301,7 @@ def _global_substep(gaps: np.ndarray, dt_max: float) -> float | None:
     return None
 
 
-def _fine_inputs(box: BoxGrid, u0, v0, times):
+def _fine_inputs(box: TorusGrid, u0, v0, times):
     """Validated fine-solver inputs: sorted snapshot times and float copies
     of the initial displacement and velocity (zero when ``v0`` is None)."""
     times = np.asarray(sorted(float(t) for t in times))
@@ -356,7 +314,7 @@ def _fine_inputs(box: BoxGrid, u0, v0, times):
     return times, u, v
 
 
-def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
+def solve_fine_wave(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
                     v0: np.ndarray | None = None,
                     times=(1.0,), eps: float | None = None,
                     cfl: float = 0.9) -> WaveTrajectory:
@@ -435,7 +393,7 @@ def solve_fine_wave(a_box: np.ndarray, box: BoxGrid, u0: np.ndarray,
 # spectral effective propagators
 # ---------------------------------------------------------------------------
 
-def filtered_dispersion(model: DispersionModel, box: BoxGrid, eps: float):
+def filtered_dispersion(model: DispersionModel, box: TorusGrid, eps: float):
     """(filter weights, propagation frequency) on the box mode lattice.
 
     The weights are the model's filter ``cutoff(model.kmax, eps |k|)``.  The
@@ -487,7 +445,7 @@ def _step_source(h, omega: np.ndarray, t):
 
 
 def spectral_wave_state(weights, omega: np.ndarray,
-                        u0: np.ndarray, box: BoxGrid, times,
+                        u0: np.ndarray, box: TorusGrid, times,
                         v0: np.ndarray | None = None):
     """Exact per-mode evolution of (u, u_t) for u_tt + omega^2 u = 0, each
     of shape (times, box...).
@@ -495,20 +453,19 @@ def spectral_wave_state(weights, omega: np.ndarray,
     Modes are premultiplied by the filter ``weights``; time reversal is exact
     since the mode evolution is a rotation.
     """
-    grid = box.torus()
-    u_hat = rfftn(grid, u0) * weights
-    v_hat = 0.0 if v0 is None else rfftn(grid, v0) * weights
+    u_hat = rfftn(box, u0) * weights
+    v_hat = 0.0 if v0 is None else rfftn(box, v0) * weights
     u = np.empty((len(times),) + box.shape)
     u_t = np.empty_like(u)
     for i, t in enumerate(times):
         u_t_hat, vel_hat = _rotate(u_hat, v_hat, omega, t)
-        u[i] = irfftn(grid, u_t_hat)
-        u_t[i] = irfftn(grid, vel_hat)
+        u[i] = irfftn(box, u_t_hat)
+        u_t[i] = irfftn(box, vel_hat)
     return u, u_t
 
 
 def homogenized_wave_field(model: DispersionModel, u0: np.ndarray,
-                           box: BoxGrid, eps: float, times) -> np.ndarray:
+                           box: TorusGrid, eps: float, times) -> np.ndarray:
     """Filtered effective wave field at each snapshot time, shape
     (times, box...): per-mode cosine of the dispersion.
 
@@ -517,16 +474,15 @@ def homogenized_wave_field(model: DispersionModel, u0: np.ndarray,
     memory.
     """
     weights, omega = filtered_dispersion(model, box, eps)
-    grid = box.torus()
-    u_hat = rfftn(grid, u0) * weights
+    u_hat = rfftn(box, u0) * weights
     u = np.empty((len(times),) + box.shape)
     for i, t in enumerate(times):
-        u[i] = irfftn(grid, _rotate(u_hat, None, omega, t))
+        u[i] = irfftn(box, _rotate(u_hat, None, omega, t))
     return u
 
 
 def taylor_bloch_ansatz(bc: BoxCorrectors, model: DispersionModel,
-                        u0: np.ndarray, box: BoxGrid, eps: float, times,
+                        u0: np.ndarray, box: TorusGrid, eps: float, times,
                         ell: int | None = None) -> np.ndarray:
     """Bloch-wave-dressed effective field, shape (times, box...), dressed
     to order ``ell`` (all of ``bc`` by default).
@@ -538,11 +494,10 @@ def taylor_bloch_ansatz(bc: BoxCorrectors, model: DispersionModel,
     well-prepared data: the dressing of the low-pass part of u0.
     """
     weights, omega = filtered_dispersion(model, box, eps)
-    grid = box.torus()
-    u_hat = rfftn(grid, u0) * weights
+    u_hat = rfftn(box, u0) * weights
     return np.stack([
         dress_with_correctors(
-            bc, DerivativeCache(grid, _rotate(u_hat, None, omega, t)), max_order=ell)
+            bc, DerivativeCache(box, _rotate(u_hat, None, omega, t)), max_order=ell)
         for t in times])
 
 
@@ -688,7 +643,7 @@ def mode_symbol(model: DispersionModel, eps: float, k: np.ndarray,
 # localized-in-time source terms
 # ---------------------------------------------------------------------------
 
-def source_term_field(model: DispersionModel, h: np.ndarray, box: BoxGrid,
+def source_term_field(model: DispersionModel, h: np.ndarray, box: TorusGrid,
                       eps: float, times):
     """Solution of the filtered effective equation from rest with the step
     source h(x) 1[0, 1](t).
@@ -705,7 +660,7 @@ def source_term_field(model: DispersionModel, h: np.ndarray, box: BoxGrid,
     if np.shape(h) != box.shape:
         raise ConfigurationError("source shape does not match box")
     weights, omega = filtered_dispersion(model, box, eps)
-    h_hat = rfftn(box.torus(), h) * weights
+    h_hat = rfftn(box, h) * weights
     return _step_source(h_hat, omega, times.reshape(times.shape + (1,) * omega.ndim))
 
 
@@ -734,10 +689,6 @@ class ErrorBudget:
     def curve(self, eps: float, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return self.prefactor * (eps + eps ** self.ell * t * self.mu(t / eps))
-
-
-def box_l2(box: BoxGrid, values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(values) ** 2) * box.side ** box.dim))
 
 
 def fit_order(eps_list, errors) -> float:
@@ -783,16 +734,15 @@ def error_report(reference: WaveTrajectory, approx_u: np.ndarray,
         raise ConfigurationError("approximation snapshots do not match times")
     if approx_v is not None and reference.v is None:
         raise ConfigurationError("approx_v needs a reference velocity")
-    l2 = np.array([box_l2(box, reference.u[i] - approx_u[i])
+    l2 = np.array([l2_norm(box, reference.u[i] - approx_u[i])
                    for i in range(times.size)])
     energy = None
     if approx_v is not None and approx_grad is not None:
-        grid = box.torus()
         energy = np.zeros(times.size)
         for i in range(times.size):
             dv = reference.v[i] - approx_v[i]
-            dg = gradient_values(grid, reference.u[i]) - approx_grad[i]
-            energy[i] = math.sqrt(box_l2(box, dv) ** 2 + box_l2(box, dg) ** 2)
+            dg = gradient_values(box, reference.u[i]) - approx_grad[i]
+            energy[i] = math.sqrt(l2_norm(box, dv) ** 2 + l2_norm(box, dg) ** 2)
     return ErrorReport(times=times, l2_error=l2, energy_error=energy,
                        budget=budget.curve(eps, times), sup_l2=float(np.max(l2)),
                        warnings=list(warnings))

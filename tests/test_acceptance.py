@@ -43,7 +43,7 @@ def wave_compare_runs(laminate_oracle):
     runs = {}
     for eps in (1 / 8, 1 / 16, 1 / 32):
         n = int(16 * side / eps)
-        box = wave.BoxGrid(1, n, side)
+        box = torus.TorusGrid(1, n, side)
         x = wave.box_coordinates(box)[0]
         u0 = np.exp(-0.5 * (x - 0.5 * side) ** 2)
         a_box = wave.coefficient_on_box(LAMINATE, box, eps)
@@ -113,10 +113,10 @@ def test_criterion_4_long_time_wave(wave_compare_runs, laminate_oracle):
                                          traj.times[:8])
         u4 = wave.homogenized_wave_field(m4, u0, box, eps,
                                          traj.times[:9])
-        errs2 = [wave.box_l2(box, traj.u[i] - u2[i]) for i in range(8)]
-        errs4 = [wave.box_l2(box, traj.u[i] - u4[i]) for i in range(8)]
+        errs2 = [torus.l2_norm(box, traj.u[i] - u2[i]) for i in range(8)]
+        errs4 = [torus.l2_norm(box, traj.u[i] - u4[i]) for i in range(8)]
         sups.append(max(errs2))
-        e_long = wave.box_l2(box, traj.u[8] - u4[8])
+        e_long = torus.l2_norm(box, traj.u[8] - u4[8])
         long_ok = long_ok and e_long <= 2.0 * max(errs4)
         long_detail.append(f"{e_long / max(errs4):.2f}")
     order = float(np.polyfit(np.log(eps_list), np.log(sups), 1)[0])
@@ -180,7 +180,7 @@ def test_criterion_7_residuum_identities(smooth64):
 def test_criterion_8_transport(laminate_oracle):
     # homogeneous medium: ballistic rate constant after removing the O(1)
     # window offset (the moment at zero offset is itself of order one)
-    box = wave.BoxGrid(1, 2048, 48.0)
+    box = torus.TorusGrid(1, 2048, 48.0)
     scan = transport.constant_medium_moment_scan(box, 1.0, [1, 2, 4, 8])
     offset, slope, per_T = transport.affine_ballistic_fit(
         list(scan.windowed), list(scan.windowed.values()))
@@ -189,7 +189,7 @@ def test_criterion_8_transport(laminate_oracle):
     m0 = transport.transport_moment(g, box, 1.0, np.array([24.0]))
     m0_ok = abs(m0 - 1.21775) / 1.21775 <= 0.01
 
-    big = wave.BoxGrid(1, 16384, 64.0)
+    big = torus.TorusGrid(1, 16384, 64.0)
     rep = transport.ballistic_experiment(
         LAMINATE, big, [1 / 8, 1 / 16], 0.0, 1.0, 2,
         gamma_bar=float(laminate_oracle.lambdas[0]))
@@ -217,7 +217,7 @@ def test_criterion_9_source_term(laminate_oracle):
     energy_detail = ""
     for eps in eps_list:
         n = int(16 * side / eps)
-        box = wave.BoxGrid(1, n, side)
+        box = torus.TorusGrid(1, n, side)
         x = wave.box_coordinates(box)[0]
         # the step source h 1[0, 1](t), solved exactly in time on both sides
         h = np.sin(2 * np.pi * x / side)
@@ -225,10 +225,9 @@ def test_criterion_9_source_term(laminate_oracle):
         zero = np.zeros(box.shape)
         traj = bloch.solve_fine_wave_exact(a_box, box, zero, times, eps,
                                            source=h)
-        grid = box.torus()
         u_hat, ut_hat = wave.source_term_field(model, h, box, eps, times)
-        u_simpl = torus.irfftn(grid, u_hat)
-        l2_sups.append(max(wave.box_l2(box, traj.u[i] - u_simpl[i])
+        u_simpl = torus.irfftn(box, u_hat)
+        l2_sups.append(max(torus.l2_norm(box, traj.u[i] - u_simpl[i])
                            for i in range(len(times))))
         if eps == eps_list[0]:
             bc = wave.BoxCorrectors.from_oracle(oh, box, eps)
@@ -239,16 +238,16 @@ def test_criterion_9_source_term(laminate_oracle):
                                             eps, v0=h).u
             v_T = w[1] - w[0]
             ut_dress = wave.dress_with_correctors(
-                bc, torus.DerivativeCache(grid, ut_hat[i_T]))
+                bc, torus.DerivativeCache(box, ut_hat[i_T]))
             grad_dress = wave.dressed_gradient(
-                bc, torus.DerivativeCache(grid, u_hat[i_T]))
+                bc, torus.DerivativeCache(box, u_hat[i_T]))
             dv = v_T - ut_dress
-            dg = torus.gradient_values(grid, traj.u[i_T]) - grad_dress
-            e_err = np.sqrt(wave.box_l2(box, dv) ** 2
-                            + wave.box_l2(box, dg) ** 2)
-            e_ref = np.sqrt(wave.box_l2(box, v_T) ** 2
-                            + wave.box_l2(box, torus.gradient_values(
-                                grid, traj.u[i_T])) ** 2)
+            dg = torus.gradient_values(box, traj.u[i_T]) - grad_dress
+            e_err = np.sqrt(torus.l2_norm(box, dv) ** 2
+                            + torus.l2_norm(box, dg) ** 2)
+            e_ref = np.sqrt(torus.l2_norm(box, v_T) ** 2
+                            + torus.l2_norm(box, torus.gradient_values(
+                                box, traj.u[i_T])) ** 2)
             bound = 3.0 * float(budget.curve(eps, T))
             energy_ok = (e_err / e_ref) <= bound
             energy_detail = f"energy err rel = {e_err / e_ref:.3f} <= {bound:.3f}"
@@ -291,21 +290,21 @@ def test_criterion_10_structure_suite(smooth64_l5):
 
     # L2 energy estimate and invariant on a leapfrog run
     eps = 1 / 8
-    box = wave.BoxGrid(1, int(16 * 64.0 / eps), 64.0)
+    box = torus.TorusGrid(1, int(16 * 64.0 / eps), 64.0)
     x = wave.box_coordinates(box)[0]
     u0 = np.exp(-0.5 * (x - 32.0) ** 2)
     a_box = wave.coefficient_on_box(LAMINATE, box, eps)
     traj = wave.solve_fine_wave(a_box, box, u0, times=range(1, 9), eps=eps)
-    norm0 = wave.box_l2(box, u0)
+    norm0 = torus.l2_norm(box, u0)
     checks["energy estimate"] = all(
-        wave.box_l2(box, traj.u[i]) <= norm0 * (1 + 1e-6)
+        torus.l2_norm(box, traj.u[i]) <= norm0 * (1 + 1e-6)
         for i in range(traj.times.size))
     checks["leapfrog invariant"] = traj.energy_drift() <= 1e-6
 
     # spectral propagator time reversibility
     oh = oracle1d.correctors_1d(LAM_PROFILE, 2)
     model = dispersion.DispersionModel.from_oracle(oh, 2)
-    small = wave.BoxGrid(1, 1024, 32.0)
+    small = torus.TorusGrid(1, 1024, 32.0)
     xs = wave.box_coordinates(small)[0]
     us = np.exp(-0.5 * (xs - 16.0) ** 2)
     w, om = wave.filtered_dispersion(model, small, 0.25)

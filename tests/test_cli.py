@@ -67,6 +67,27 @@ class TestValidate:
                                dim=2, grid_n=16, ell=2)
         assert validate(cfg) == []
 
+    @pytest.mark.parametrize("cfg, message", [
+        # 16 points per period 0.2 make a 1280-point box, which no run builds
+        (dict(kind="wave-compare", eps_list=[0.2, 0.1], box_side=16.0),
+         "got 1280"),
+        (dict(kind="wave-compare", eps_list=[0.25, 0.0]), "eps must be positive"),
+        (dict(kind="transport", eps_list=[0.25, 0.0]), "eps must be positive"),
+        # transport runs every eps on the box of the smallest, here 1024
+        # points: 1/3 divides its side but not its points
+        (dict(kind="transport", eps_list=[1 / 3, 1 / 4], box_side=16.0),
+         "48 periods do not divide 1024 points"),
+    ])
+    def test_validate_checks_the_boxes_the_run_builds(self, cfg, message,
+                                                      tmp_path):
+        cfg = ExperimentConfig(coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0]},
+                               out_dir=str(tmp_path / "out"), **cfg)
+        errors = [m for level, m in validate(cfg) if level == "error"]
+        assert any(message in m for m in errors)
+        assert run(cfg) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_nondecreasing_eps_rejected(self):
         cfg = ExperimentConfig(kind="elliptic-rate",
                                coefficient={"kind": "laminate",

@@ -13,8 +13,8 @@ from homwave.elliptic import (
     residuum_identities,
     solve_effective_elliptic,
 )
-from homwave.torus import ConfigurationError, SolvabilityError
-from homwave.wave import BoxCorrectors, BoxGrid, box_coordinates
+from homwave.torus import ConfigurationError, SolvabilityError, TorusGrid
+from homwave.wave import BoxCorrectors, box_coordinates
 
 from conftest import LAMINATE, SMOOTH2D, anisotropic_model_2d, full_wavenumbers
 
@@ -29,33 +29,33 @@ def laminate_model(ell):
 
 class TestFineElliptic:
     def test_identity_single_mode(self):
-        box = BoxGrid(1, 256, 4.0)
+        box = TorusGrid(1, 256, 4.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 4.0
         rhs = np.sin(k * x)
-        unit = torus.CoefficientField(box.torus(), np.ones((1, 1) + box.shape))
+        unit = torus.CoefficientField(box, np.ones((1, 1) + box.shape))
         u = torus.solve_elliptic(unit, rhs)
         assert np.max(np.abs(u - rhs / k ** 2)) < 1e-11
 
     def test_zero_rhs(self):
-        box = BoxGrid(1, 64, 1.0)
-        unit = torus.CoefficientField(box.torus(), np.ones((1, 1) + box.shape))
+        box = TorusGrid(1, 64, 1.0)
+        unit = torus.CoefficientField(box, np.ones((1, 1) + box.shape))
         u = torus.solve_elliptic(unit, np.zeros(box.shape))
         assert np.all(u == 0.0)
 
     def test_residual_contract(self):
-        box = BoxGrid(1, 512, 2.0)
+        box = TorusGrid(1, 512, 2.0)
         a_box = wave.coefficient_on_box(LAMINATE, box, 0.125)
         x = box_coordinates(box)[0]
         rhs = np.sin(2 * np.pi * x / 2.0)
-        cf = torus.CoefficientField(box.torus(), a_box)
+        cf = torus.CoefficientField(box, a_box)
         u = torus.solve_elliptic(cf, rhs)
         res = torus.apply_div_a_grad(cf, u) - rhs
         assert np.sqrt(np.mean(res ** 2)) / np.sqrt(np.mean(rhs ** 2)) < 1e-10
 
     def test_nonzero_mean_rejected(self):
-        box = BoxGrid(1, 64, 1.0)
-        unit = torus.CoefficientField(box.torus(), np.ones((1, 1) + box.shape))
+        box = TorusGrid(1, 64, 1.0)
+        unit = torus.CoefficientField(box, np.ones((1, 1) + box.shape))
         with pytest.raises(SolvabilityError):
             torus.solve_elliptic(unit, np.ones(box.shape))
 
@@ -63,7 +63,7 @@ class TestFineElliptic:
 class TestHomogenizedElliptic:
     def test_classical_single_mode(self):
         _, model = laminate_model(1)
-        box = BoxGrid(1, 256, 4.0)
+        box = TorusGrid(1, 256, 4.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 4.0
         f = np.sin(k * x)
@@ -72,20 +72,20 @@ class TestHomogenizedElliptic:
 
     def test_nonzero_mean_source_rejected(self):
         _, model = laminate_model(2)
-        box = BoxGrid(1, 64, 4.0)
+        box = TorusGrid(1, 64, 4.0)
         with pytest.raises(SolvabilityError, match="source has mean"):
             solve_effective_elliptic(model, np.ones(box.shape), box, 0.25,
                                      gamma=0.0)
 
     def test_low_order_symbol_has_no_regularization(self):
         _, model = laminate_model(2)
-        k = wave.box_wavevectors(BoxGrid(1, 64, 4.0))
+        k = wave.box_wavevectors(TorusGrid(1, 64, 4.0))
         sym = wave.effective_symbol(model, 0.0, 0.25, k)
         assert np.allclose(sym, 1.6 * np.sum(k ** 2, axis=0))
 
     def test_linearity(self):
         _, model = laminate_model(2)
-        box = BoxGrid(1, 256, 4.0)
+        box = TorusGrid(1, 256, 4.0)
         x = box_coordinates(box)[0]
         f = np.sin(2 * np.pi * x / 4.0) + 0.3 * np.sin(4 * np.pi * x / 4.0)
         u1 = solve_effective_elliptic(model, f, box, 0.25, gamma=0.0)
@@ -96,7 +96,7 @@ class TestHomogenizedElliptic:
 def full_fft_effective_solve(model, f, box, eps, **operator):
     """Reference effective elliptic solve by the full complex FFT on the
     full mode lattice."""
-    k = full_wavenumbers(box.torus())
+    k = full_wavenumbers(box)
     num, den = wave.mode_symbol(model, eps, k, **operator)
     nz = np.sum(k ** 2, axis=0) > 0
     f_hat = np.fft.fftn(f)
@@ -113,7 +113,7 @@ class TestHalfSpectrumSolve:
         op = ({"gamma": wave.choose_gamma(model)}
               if operator == "regularized"
               else {"bt": wave.boussinesq_decomposition(model)})
-        box = BoxGrid(2, 32, 8.0)
+        box = TorusGrid(2, 32, 8.0)
         f = rng.standard_normal(box.shape)
         f -= f.mean()
         u = solve_effective_elliptic(model, f, box, 0.25, **op)
@@ -129,7 +129,7 @@ class TestHalfSpectrumSolve:
         model = dispersion.DispersionModel(
             dim=2, ell=2, polys=[np.array([1.5, 0.6, 1.2]), np.zeros(4)],
             directions=correctors.half_circle_directions(2, 8), Gamma_bar=1.5)
-        box = BoxGrid(2, 32, 8.0)
+        box = TorusGrid(2, 32, 8.0)
         f_hat = np.fft.fftn(rng.standard_normal(box.shape))
         f_hat[0, 0] = 0.0
         f = np.fft.ifftn(f_hat).real
@@ -151,7 +151,7 @@ class TestBoussinesqElliptic:
             polys=[np.array([1.0]), np.array([0.0]), np.array([0.0])],
             directions=np.array([[1.0]]), Gamma_bar=1.0)
         bt = wave.boussinesq_decomposition(model)
-        box = BoxGrid(1, 256, 4.0)
+        box = TorusGrid(1, 256, 4.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 4.0
         f = np.sin(k * x)
@@ -161,7 +161,7 @@ class TestBoussinesqElliptic:
     def test_single_mode_ratio(self):
         oh, model = laminate_model(3)
         bt = wave.boussinesq_decomposition(model)
-        box = BoxGrid(1, 256, 4.0)
+        box = TorusGrid(1, 256, 4.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 4.0
         eps = 0.25
@@ -177,16 +177,15 @@ class TestBoussinesqElliptic:
         # source on every nonzero mode
         _, model = laminate_model(4)
         bt = wave.boussinesq_decomposition(model)
-        box = BoxGrid(1, 256, 4.0)
+        box = TorusGrid(1, 256, 4.0)
         eps = 0.25
-        grid = box.torus()
         f = rng.standard_normal(box.shape)
         f -= f.mean()
         u = solve_effective_elliptic(model, f, box, eps, bt=bt)
         k = wave.box_wavevectors(box)
         num, den = wave.mode_symbol(model, eps, k, bt=bt)
-        f_hat = torus.rfftn(grid, f)
-        back = num / den * torus.rfftn(grid, u)
+        f_hat = torus.rfftn(box, f)
+        back = num / den * torus.rfftn(box, u)
         nz = k[0] != 0.0
         gap = np.max(np.abs(back[nz] - f_hat[nz])) / np.max(np.abs(f_hat))
         assert gap < 1e-12
@@ -194,7 +193,7 @@ class TestBoussinesqElliptic:
     def test_small_eps_limit(self):
         oh, model = laminate_model(3)
         bt = wave.boussinesq_decomposition(model)
-        box = BoxGrid(1, 512, 4.0)
+        box = TorusGrid(1, 512, 4.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 4.0
         f = np.sin(k * x)
@@ -212,7 +211,7 @@ class TestPreparedRhsAndExpansion:
         grid = torus.TorusGrid(1, 64)
         a = torus.coefficient_from_spec({"kind": "constant", "value": 1.0}, grid)
         tens = correctors.tensorize_correctors(a, 2)
-        box = BoxGrid(1, 512, 2.0)
+        box = TorusGrid(1, 512, 2.0)
         bc = BoxCorrectors.from_tensorized(tens, box, 0.125)
         x = box_coordinates(box)[0]
         f = np.sin(2 * np.pi * x / 2.0)
@@ -220,7 +219,7 @@ class TestPreparedRhsAndExpansion:
 
     def test_order_zero_returns_f(self):
         oh = oracle1d.correctors_1d(LAM_PROFILE, 2)
-        box = BoxGrid(1, 512, 2.0)
+        box = TorusGrid(1, 512, 2.0)
         bc = BoxCorrectors.from_oracle(oh, box, 0.125)
         x = box_coordinates(box)[0]
         f = np.sin(2 * np.pi * x / 2.0)
@@ -228,7 +227,7 @@ class TestPreparedRhsAndExpansion:
 
     def test_first_order_matches_manual(self):
         oh = oracle1d.correctors_1d(LAM_PROFILE, 1)
-        box = BoxGrid(1, 512, 2.0)
+        box = TorusGrid(1, 512, 2.0)
         eps = 0.125
         bc = BoxCorrectors.from_oracle(oh, box, eps)
         x = box_coordinates(box)[0]
@@ -239,7 +238,7 @@ class TestPreparedRhsAndExpansion:
 
     def test_order_beyond_correctors_rejected(self):
         oh = oracle1d.correctors_1d(LAM_PROFILE, 2)
-        box = BoxGrid(1, 512, 2.0)
+        box = TorusGrid(1, 512, 2.0)
         bc = BoxCorrectors.from_oracle(oh, box, 0.125)
         f = np.sin(2 * np.pi * box_coordinates(box)[0] / 2.0)
         with pytest.raises(ConfigurationError, match="corrector order 2"):
@@ -247,7 +246,7 @@ class TestPreparedRhsAndExpansion:
 
     def test_nonzero_mean_rejected(self):
         oh = oracle1d.correctors_1d(LAM_PROFILE, 1)
-        box = BoxGrid(1, 512, 2.0)
+        box = TorusGrid(1, 512, 2.0)
         bc = BoxCorrectors.from_oracle(oh, box, 0.125)
         with pytest.raises(SolvabilityError):
             prepared_rhs(bc, np.ones(box.shape))
@@ -344,7 +343,7 @@ class TestRateStudies:
         a = torus.coefficient_from_spec(spec_tag, grid)
         tens = correctors.tensorize_correctors(a, 2)
         model = correctors.reconstruct_dispersion(a, 2, tensors=tens)
-        box = BoxGrid(1, 1024, 1.0)
+        box = TorusGrid(1, 1024, 1.0)
         x = box_coordinates(box)[0]
         f = np.sin(2 * np.pi * x)
         st = elliptic_error_sweep_spectral(spec_tag, tens, model,
@@ -359,7 +358,7 @@ class TestRateStudies:
         a = torus.coefficient_from_spec(spec_tag, grid)
         tens = correctors.tensorize_correctors(a, 4)
         model = correctors.reconstruct_dispersion(a, 4, tensors=tens)
-        box = BoxGrid(1, 1024, 1.0)
+        box = TorusGrid(1, 1024, 1.0)
         f = np.sin(2 * np.pi * box_coordinates(box)[0])
         st = elliptic_error_sweep_spectral(spec_tag, tens, model,
                                            [1 / 4, 1 / 8, 1 / 16], box, f,

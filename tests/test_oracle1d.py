@@ -311,7 +311,7 @@ class TestBoxElliptic:
 
     def test_rejects_nonzero_mean(self, laminate):
         rhs = PiecewisePoly.constant(1.0, [0.0, 1.0])
-        with pytest.raises(torus.ConfigurationError):
+        with pytest.raises(torus.SolvabilityError):
             solve_elliptic_box(laminate, 0.125, 1.0, rhs)
 
 

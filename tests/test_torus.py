@@ -69,6 +69,32 @@ class TestGridAndField:
         with pytest.raises(ConfigurationError):
             TorusGrid(1, 4)   # too small
 
+    def test_points_per_period(self):
+        assert TorusGrid(1, 1024, 16.0).points_per_period(0.25) == 16
+        # eps = h is one node per period: no floor on the count here
+        assert TorusGrid(1, 64, 8.0).points_per_period(0.125) == 1
+
+    def test_points_per_period_needs_eps_dividing_the_period(self):
+        with pytest.raises(ConfigurationError, match="does not divide the period"):
+            TorusGrid(1, 1024, 16.0).points_per_period(0.3)
+
+    def test_points_per_period_needs_the_period_count_dividing_n(self):
+        with pytest.raises(ConfigurationError,
+                           match="6 periods do not divide 64 points"):
+            TorusGrid(1, 64, 6.0).points_per_period(1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_l2_norm(self, dim, rng):
+        # the L2 norm over the torus: a mode sin(2 pi x / L) has
+        # |u|^2 = L^dim / 2, and on the unit cell the norm is the RMS
+        box = TorusGrid(dim, 32, 8.0)
+        x = box.coordinate_axes()[0]
+        u = np.broadcast_to(np.sin(2 * np.pi * x / 8.0), box.shape)
+        assert abs(torus.l2_norm(box, u) / np.sqrt(8.0 ** dim / 2) - 1) < 1e-14
+        v = rng.standard_normal(TorusGrid(dim, 32).shape)
+        assert torus.l2_norm(TorusGrid(dim, 32), v) == float(
+            np.sqrt(np.mean(v ** 2)))
+
 
 class TestSpectralTransform:
     def test_constant_has_single_zero_mode(self, grid1d):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homwave import transport, wave
-from homwave.torus import ConfigurationError
+from homwave.torus import ConfigurationError, TorusGrid
 from homwave.transport import (
     affine_ballistic_fit,
     ballistic_experiment,
@@ -17,42 +17,42 @@ from homwave.transport import (
     wrap_guard,
 )
 from homwave.bloch import solve_fine_wave_exact
-from homwave.wave import BoxGrid, solve_fine_wave
+from homwave.wave import solve_fine_wave
 
 from conftest import LAMINATE
 
 
 class TestGaussianData:
     def test_l2_mass_1d(self):
-        box = BoxGrid(1, 2048, 48.0)
+        box = TorusGrid(1, 2048, 48.0)
         g = gaussian_data(box, 1.0)
         mass = np.sum(g ** 2) * box.h
         assert mass == pytest.approx(np.pi ** -0.5, rel=1e-8)
 
     def test_peak_value(self):
-        box = BoxGrid(1, 2048, 48.0)
+        box = TorusGrid(1, 2048, 48.0)
         g = gaussian_data(box, 1.0)
         assert np.max(g) == pytest.approx((1.0 / np.pi) ** 0.5, rel=1e-12)
 
     def test_symmetry(self):
-        box = BoxGrid(1, 256, 32.0)
+        box = TorusGrid(1, 256, 32.0)
         g = gaussian_data(box, 1.0)
         assert np.max(np.abs(g - g[::-1].take(range(-1, 255), mode="wrap"))) < 1e-12
 
     def test_support_guard(self):
-        box = BoxGrid(1, 64, 4.0)
+        box = TorusGrid(1, 64, 4.0)
         with pytest.raises(ConfigurationError):
             gaussian_data(box, 1.0)
 
 
 class TestTransportMoment:
     def test_zero_field(self):
-        box = BoxGrid(1, 256, 32.0)
+        box = TorusGrid(1, 256, 32.0)
         assert transport_moment(np.zeros(box.shape), box, 1.0,
                                 np.array([16.0])) == 0.0
 
     def test_closed_form_at_t0(self):
-        box = BoxGrid(1, 2048, 48.0)
+        box = TorusGrid(1, 2048, 48.0)
         g = gaussian_data(box, 1.0)
         m = transport_moment(g, box, 1.0, np.array([24.0]))
         # pi^-1/2 + 2/pi + pi^-1/2 / 2 under the square root
@@ -61,14 +61,14 @@ class TestTransportMoment:
         assert m == pytest.approx(1.21775, rel=1e-4)
 
     def test_homogeneity(self):
-        box = BoxGrid(1, 512, 32.0)
+        box = TorusGrid(1, 512, 32.0)
         g = gaussian_data(box, 1.0)
         c = np.array([16.0])
         assert transport_moment(2 * g, box, 1.0, c) == pytest.approx(
             2 * transport_moment(g, box, 1.0, c), rel=1e-14)
 
     def test_monotone_under_pointwise_increase(self, rng):
-        box = BoxGrid(1, 512, 32.0)
+        box = TorusGrid(1, 512, 32.0)
         u = gaussian_data(box, 1.0)
         bigger = u * (1.0 + 0.5 * rng.random(box.shape))
         c = np.array([16.0])
@@ -76,14 +76,14 @@ class TestTransportMoment:
             u, box, 1.0, c)
 
     def test_min_image_metric(self):
-        box = BoxGrid(1, 64, 8.0)
+        box = TorusGrid(1, 64, 8.0)
         r = min_image_radius(box, np.array([0.0]))
         assert np.max(r) <= 4.0 + 1e-12
 
 
 class TestWrapGuard:
     def test_wrap_guard(self):
-        box = BoxGrid(1, 256, 16.0)
+        box = TorusGrid(1, 256, 16.0)
         x = wave.box_coordinates(box)[0]
         u0 = np.exp(-10 * (x - 8.0) ** 2)
         ok, r0, reach = wrap_guard(u0, box, np.array([8.0]), 1.0, 1.0)
@@ -94,21 +94,21 @@ class TestWrapGuard:
 
 class TestWindowedMoment:
     def test_zero_trajectory(self):
-        box = BoxGrid(1, 256, 32.0)
+        box = TorusGrid(1, 256, 32.0)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                np.zeros(box.shape),
                                times=np.linspace(1.0, 2.0, 17))
         assert windowed_moment(traj, 1.0, 1.0, np.array([16.0])) == 0.0
 
     def test_insufficient_snapshots_rejected(self):
-        box = BoxGrid(1, 256, 32.0)
+        box = TorusGrid(1, 256, 32.0)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                gaussian_data(box, 1.0), times=[1.0, 2.0])
         with pytest.raises(ConfigurationError):
             windowed_moment(traj, 1.0, 1.0, np.array([16.0]))
 
     def test_consistent_with_stored_history(self):
-        box = BoxGrid(1, 512, 32.0)
+        box = TorusGrid(1, 512, 32.0)
         times = np.linspace(1.0, 2.0, 17)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                gaussian_data(box, 1.0), times=times)
@@ -119,7 +119,7 @@ class TestWindowedMoment:
             manual, abs=1e-12)
 
     def test_weight_formed_once_per_trajectory(self, monkeypatch):
-        box = BoxGrid(1, 512, 32.0)
+        box = TorusGrid(1, 512, 32.0)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                gaussian_data(box, 1.0),
                                times=np.linspace(1.0, 2.0, 17))
@@ -136,7 +136,7 @@ class TestWindowedMoment:
         assert windowed == np.sqrt(np.trapezoid(np.square(each), traj.times))
 
     def test_short_window_factor_four_of_closed_form(self):
-        box = BoxGrid(1, 1024, 48.0)
+        box = TorusGrid(1, 1024, 48.0)
         times = np.linspace(0.0, 1.0, 17)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                gaussian_data(box, 1.0), times=times)
@@ -147,7 +147,7 @@ class TestWindowedMoment:
 
 @pytest.fixture(scope="module")
 def scan():
-    box = BoxGrid(1, 2048, 48.0)
+    box = TorusGrid(1, 2048, 48.0)
     return constant_medium_moment_scan(box, 1.0, [1, 2, 4, 8])
 
 
@@ -172,7 +172,7 @@ class TestBallisticScaling:
         # on eps only through the window offset: the measured moments must sit
         # on the single eps-free reference curve, here one exact-in-time run
         # (with a third block size) holding both windows
-        box = BoxGrid(1, 2048, 32.0)
+        box = TorusGrid(1, 2048, 32.0)
         rep = ballistic_experiment({"kind": "constant", "value": 1.0}, box,
                                    [1 / 2, 1 / 4], 0.0, 1.0, 2, gamma_bar=1.0)
         times = np.concatenate([np.linspace(T, T + 1.0, 17) for T in (2.0, 4.0)])
@@ -184,7 +184,7 @@ class TestBallisticScaling:
                 windowed_moment(ref, 1.0, T, np.array([16.0])), rel=1e-9)
 
     def test_laminate_nondegeneration(self):
-        box = BoxGrid(1, 8192, 64.0)
+        box = TorusGrid(1, 8192, 64.0)
         rep = ballistic_experiment(LAMINATE, box, [1 / 4, 1 / 8], 0.0, 1.0, 2,
                                    gamma_bar=1.6)
         rows = rep.rows
@@ -194,7 +194,7 @@ class TestBallisticScaling:
         assert all(row.solver["energy_drift"] < 1e-10 for row in rows)
 
     def test_inconclusive_regime_flagged(self):
-        box = BoxGrid(1, 2048, 32.0)
+        box = TorusGrid(1, 2048, 32.0)
         rep = ballistic_experiment({"kind": "constant", "value": 1.0}, box,
                                    [1 / 2], 1.5, 1.0, 2, gamma_bar=1.0)
         assert not rep.rows[0].conclusive  # defect bound exceeds one

@@ -8,14 +8,12 @@ import pytest
 from homwave import (bloch, correctors, dispersion, oracle1d, torus,
                      transport, wave)
 from homwave.bloch import solve_fine_wave_exact
-from homwave.torus import ConfigurationError
+from homwave.torus import ConfigurationError, TorusGrid, l2_norm
 from homwave.wave import (
     BoxCorrectors,
-    BoxGrid,
     ErrorBudget,
     boussinesq_decomposition,
     box_coordinates,
-    box_l2,
     box_wavevectors,
     choose_gamma,
     coefficient_on_box,
@@ -55,23 +53,25 @@ def bending_model():
         directions=np.array([[1.0]]), Gamma_bar=1.0)
 
 
-class TestBoxGrid:
+class TestCoefficientOnBox:
     def test_epsilon_compatibility(self):
-        box = BoxGrid(1, 1024, 16.0)
-        box.validate_epsilon(0.25)
-        with pytest.raises(ConfigurationError):
-            box.validate_epsilon(0.3)
-        with pytest.raises(ConfigurationError):
-            box.validate_epsilon(1.0 / 128)  # too few points per period
+        box = TorusGrid(1, 1024, 16.0)
+        coefficient_on_box(LAMINATE, box, 0.25)
+        with pytest.raises(ConfigurationError, match="does not divide"):
+            coefficient_on_box(LAMINATE, box, 0.3)
+        with pytest.raises(ConfigurationError, match="periods do not divide"):
+            coefficient_on_box(LAMINATE, box, 1.0 / 128)  # more periods than points
+        with pytest.raises(ConfigurationError, match="need >= 16"):
+            coefficient_on_box(LAMINATE, box, 1.0 / 8)  # 8 points per period
 
     def test_coefficient_on_box_rejects_raw(self):
-        box = BoxGrid(1, 256, 4.0)
+        box = TorusGrid(1, 256, 4.0)
         raw = {"kind": "raw", "values": np.ones((1, 1, 16)).tolist()}
         with pytest.raises(ConfigurationError, match="no analytic form"):
             coefficient_on_box(raw, box, 0.25)
 
     def test_coefficient_on_box_laminate_exact(self):
-        box = BoxGrid(1, 512, 8.0)
+        box = TorusGrid(1, 512, 8.0)
         a_box = coefficient_on_box(LAMINATE, box, 0.5)
         x = box_coordinates(box)[0]
         expect = np.where(np.mod(x / 0.5, 1.0) < 0.5, 1.0, 4.0)
@@ -80,7 +80,7 @@ class TestBoxGrid:
 
 class TestFineSolver:
     def test_single_mode_free_wave(self):
-        box = BoxGrid(1, 256, 8.0)
+        box = TorusGrid(1, 256, 8.0)
         x = box_coordinates(box)[0]
         u0 = np.sin(2 * np.pi * x / 8.0)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box, u0, times=[1.3])
@@ -88,7 +88,7 @@ class TestFineSolver:
         assert np.max(np.abs(traj.u[0] - np.cos(k * 1.3) * u0)) < 1e-4
 
     def test_zero_data_stays_zero(self):
-        box = BoxGrid(1, 64, 4.0)
+        box = TorusGrid(1, 64, 4.0)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                np.zeros(box.shape), times=[1.0])
         assert np.all(traj.u[0] == 0.0)
@@ -97,7 +97,7 @@ class TestFineSolver:
         k = 2 * np.pi / 8.0
         errs = []
         for n in (256, 512):
-            box = BoxGrid(1, n, 8.0)
+            box = TorusGrid(1, n, 8.0)
             x = box_coordinates(box)[0]
             u0 = np.sin(k * x)
             traj = solve_fine_wave(np.ones((1, 1) + box.shape), box, u0,
@@ -106,7 +106,7 @@ class TestFineSolver:
         assert 3.0 < errs[0] / errs[1] < 5.5
 
     def test_energy_invariant_conserved(self):
-        box = BoxGrid(1, 512, 16.0)
+        box = TorusGrid(1, 512, 16.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 8.0) ** 2))
         a_box = coefficient_on_box(LAMINATE, box, 0.5)
@@ -115,19 +115,19 @@ class TestFineSolver:
 
     def test_l2_energy_estimate(self):
         # source-free runs never exceed the initial mass
-        box = BoxGrid(1, 512, 16.0)
+        box = TorusGrid(1, 512, 16.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 8.0) ** 2))
         a_box = coefficient_on_box(LAMINATE, box, 0.5)
         traj = solve_fine_wave(a_box, box, u0, times=np.linspace(0.5, 6.0, 12))
-        norm0 = box_l2(box, u0)
+        norm0 = l2_norm(box, u0)
         for i in range(traj.times.size):
-            assert box_l2(box, traj.u[i]) <= norm0 * (1 + 1e-6)
+            assert l2_norm(box, traj.u[i]) <= norm0 * (1 + 1e-6)
 
     def test_snapshots_held_once(self):
         # snapshots are written into preallocated arrays, so the peak
         # allocation is one copy of them plus a few work fields
-        box = BoxGrid(1, 2048, 16.0)
+        box = TorusGrid(1, 2048, 16.0)
         x = box_coordinates(box)[0]
         a_box = coefficient_on_box(LAMINATE, box, 0.25)
         tracemalloc.start()
@@ -140,7 +140,7 @@ class TestFineSolver:
         assert peak < 1.5 * (traj.u.nbytes + traj.v.nbytes)
 
     def test_2d_smooth_medium_runs(self):
-        box = BoxGrid(2, 32, 1.0)
+        box = TorusGrid(2, 32, 1.0)
         a_box = coefficient_on_box(
             {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0},
             box, 0.5)
@@ -157,7 +157,7 @@ class TestExactFineSolver:
 
     @staticmethod
     def laminate_run(n, side, eps):
-        box = BoxGrid(1, n, side)
+        box = TorusGrid(1, n, side)
         x = box_coordinates(box)[0]
         u0 = np.exp(-2.0 * (x - 0.5 * side) ** 2)
         v0 = np.sin(2 * np.pi * x / side) * np.exp(-(x - 0.3 * side) ** 2)
@@ -177,7 +177,7 @@ class TestExactFineSolver:
         maps its faces onto equal ones."""
         p = 16
         a_box = np.tile(1.0 + 3.0 * np.arange(p) / p, 32).reshape(1, 1, -1)
-        return BoxGrid(1, 512, 8.0), a_box, 0.25
+        return TorusGrid(1, 512, 8.0), a_box, 0.25
 
     @pytest.mark.parametrize("cell, field", [("laminate", "real"),
                                              ("ramp", "complex"),
@@ -187,7 +187,7 @@ class TestExactFineSolver:
         if cell == "ramp":
             box, a_box, eps = self.ramp_run()
         else:
-            box, eps = BoxGrid(1, 1024, 8.0), 1 / 8
+            box, eps = TorusGrid(1, 1024, 8.0), 1 / 8
             spec = (LAMINATE if cell == "laminate" else
                     {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0})
             a_box = coefficient_on_box(spec, box, eps)
@@ -228,7 +228,7 @@ class TestExactFineSolver:
         # a = 2 on side 32, eps 1/32, p = 64: each Fourier mode of the box
         # turns at (2 sqrt(a) / h) |sin(k h / 2)|; at t = 1024 eigh's
         # eigenvalues alone put 4.5e-4 into the relative error
-        box, eps, t = BoxGrid(1, 65536, 32.0), 1 / 32, 1024.0
+        box, eps, t = TorusGrid(1, 65536, 32.0), 1 / 32, 1024.0
         x = box_coordinates(box)[0]
         u0 = np.exp(-0.5 * (x - 16.0) ** 2)
         traj = solve_fine_wave_exact(np.full((1, 1, box.n), 2.0), box, u0,
@@ -237,7 +237,7 @@ class TestExactFineSolver:
         omega = 2 * np.sqrt(2.0) / box.h * np.abs(np.sin(0.5 * k * box.h))
         exact = np.fft.irfft(np.fft.rfft(u0) * np.cos(omega * t), n=box.n)
         assert traj.meta["blocks_solved"] == 44
-        assert box_l2(box, traj.u[0] - exact) <= 1e-11 * box_l2(box, exact)
+        assert l2_norm(box, traj.u[0] - exact) <= 1e-11 * l2_norm(box, exact)
         assert traj.energy_drift() < 1e-13
 
     @staticmethod
@@ -278,8 +278,8 @@ class TestExactFineSolver:
         modes = self.dense_modes(box, a_box)
         refs = self.dense_reference(modes, u0, v0, times)
         for i, (u_ref, v_ref) in enumerate(refs):
-            assert box_l2(box, traj.u[i] - u_ref) < 1e-9
-            assert box_l2(box, v_t[i] - v_ref) < 1e-9
+            assert l2_norm(box, traj.u[i] - u_ref) < 1e-9
+            assert l2_norm(box, v_t[i] - v_ref) < 1e-9
         assert traj.energy_drift() < 1e-10
         assert traj.meta["blocks"] == 33 and traj.meta["block_size"] == 16
         # a step source still acting at the first snapshot and stopped at
@@ -290,7 +290,7 @@ class TestExactFineSolver:
         op = wave.FluxFormOperator(box, a_box)
         refs = self.dense_reference(modes, u0, v0, times, h)
         for i, (u_ref, v_ref) in enumerate(refs):
-            assert box_l2(box, traj.u[i] - u_ref) < 1e-9
+            assert l2_norm(box, traj.u[i] - u_ref) < 1e-9
             assert traj.energy[i] == pytest.approx(op.energy(u_ref, v_ref),
                                                    rel=1e-10)
         assert traj.energy[0] < traj.energy[1]
@@ -410,7 +410,7 @@ class TestExactFineSolver:
         assert real.meta["block_field"] == "real"
         assert cplx.meta["block_field"] == "complex"
         for r, c in zip(real.u, cplx.u):
-            assert box_l2(box, r - c) <= 1e-12 * box_l2(box, c)
+            assert l2_norm(box, r - c) <= 1e-12 * l2_norm(box, c)
         assert np.all(np.abs(real.energy - cplx.energy) <= 1e-10 * cplx.energy)
 
     def test_cell_without_mirror_takes_complex_blocks(self):
@@ -428,15 +428,15 @@ class TestExactFineSolver:
         refs = self.dense_reference(self.dense_modes(box, a_box), u0, v0,
                                     times, h)
         for i, (u_ref, _) in enumerate(refs):
-            assert box_l2(box, traj.u[i] - u_ref) < 1e-9
+            assert l2_norm(box, traj.u[i] - u_ref) < 1e-9
 
     @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7])
     def test_benchmark_laminates_have_an_exact_mirror(self, fraction):
         # every low phase 1 + 0.05 k the benchmark seeds draw, on the
         # transport box (p = 64, 32, 16) and the wave-compare boxes
         # (p = 16); the sampled trig_checkerboard has none
-        grids = ([(BoxGrid(1, 16384, 64.0), eps) for eps in (1 / 4, 1 / 8, 1 / 16)]
-                 + [(BoxGrid(1, int(1024 / eps), 64.0), eps)
+        grids = ([(TorusGrid(1, 16384, 64.0), eps) for eps in (1 / 4, 1 / 8, 1 / 16)]
+                 + [(TorusGrid(1, int(1024 / eps), 64.0), eps)
                     for eps in (1 / 8, 1 / 16, 1 / 32)])
 
         def mirror(spec, box, eps):
@@ -482,8 +482,8 @@ class TestExactFineSolver:
         v_t = self.exact_velocity(a_box, box, u0, v0, times, 1.0)
         refs = self.dense_reference(self.dense_modes(box, a_box), u0, v0, times)
         for i, (u_ref, v_ref) in enumerate(refs):
-            assert box_l2(box, traj.u[i] - u_ref) <= 1e-12 * box_l2(box, u_ref)
-            assert box_l2(box, v_t[i] - v_ref) <= 1e-12 * box_l2(box, v_ref)
+            assert l2_norm(box, traj.u[i] - u_ref) <= 1e-12 * l2_norm(box, u_ref)
+            assert l2_norm(box, v_t[i] - v_ref) <= 1e-12 * l2_norm(box, v_ref)
 
     def test_zero_data_diagonalizes_no_phase(self):
         box, a_box, u0, _ = self.laminate_run(1024, 8.0, 1 / 8)
@@ -514,7 +514,7 @@ class TestExactFineSolver:
     def readme_gaussian(eps):
         """Box, coefficient, data and snapshot times of the README
         wave-compare config at one eps."""
-        box = BoxGrid(1, int(16 * 64.0 / eps), 64.0)
+        box = TorusGrid(1, int(16 * 64.0 / eps), 64.0)
         x = box_coordinates(box)[0]
         return (box, coefficient_on_box(LAMINATE, box, eps),
                 np.exp(-0.5 * (x - 32.0) ** 2), np.arange(1.0, 9.0))
@@ -575,7 +575,7 @@ class TestExactFineSolver:
     def test_phases_solved_on_the_transport_config(self):
         # the transport-1d benchmark config: one 16384-point box, p = 64,
         # 32 and 16 (gamma_bar only sets the wrap guard, not the solve)
-        box = BoxGrid(1, 16384, 64.0)
+        box = TorusGrid(1, 16384, 64.0)
         rep = transport.ballistic_experiment(LAMINATE, box, [1 / 4, 1 / 8, 1 / 16],
                                              0.0, 1.0, 2, gamma_bar=1.0)
         solved = [(r.solver["blocks_solved"], r.solver["blocks"])
@@ -589,15 +589,15 @@ class TestExactFineSolver:
         gaps_u, gaps_v = [], []
         for cfl in (0.1, 0.05, 0.025, 0.0125):
             traj = solve_fine_wave(a_box, box, u0, v0=v0, times=[1.0], cfl=cfl)
-            gaps_u.append(box_l2(box, traj.u[0] - exact.u[0]))
-            gaps_v.append(box_l2(box, traj.v[0] - v_exact[0]))
+            gaps_u.append(l2_norm(box, traj.u[0] - exact.u[0]))
+            gaps_v.append(l2_norm(box, traj.v[0] - v_exact[0]))
         for gaps in (gaps_u, gaps_v):
             rates = np.log2(np.asarray(gaps[:-1]) / np.asarray(gaps[1:]))
             assert np.all(np.abs(rates - 2.0) < 0.1), rates
 
     def test_roundoff_periodic_medium_accepted(self):
         # 16384 cells: the sampled cells differ by about 2e-12 (relative)
-        box = BoxGrid(1, 262144, 512.0)
+        box = TorusGrid(1, 262144, 512.0)
         a_box = coefficient_on_box(
             {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0},
             box, 1 / 32)
@@ -611,7 +611,7 @@ class TestExactFineSolver:
         bumped[0, 0, 100] += 0.5
         with pytest.raises(ConfigurationError):
             solve_fine_wave_exact(bumped, box, u0, [1.0], 1 / 4)
-        box2 = BoxGrid(2, 32, 1.0)
+        box2 = TorusGrid(2, 32, 1.0)
         a2 = coefficient_on_box(LAMINATE, box2, 0.5)
         with pytest.raises(ConfigurationError):
             solve_fine_wave_exact(a2, box2, np.zeros(box2.shape), [1.0], 0.5)
@@ -622,7 +622,7 @@ class TestResampling:
         grid = torus.TorusGrid(1, 64)
         x = grid.coordinate_axes()[0].ravel()
         vals = np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x)
-        box = BoxGrid(1, 128, 8.0)  # 16 points per period < 64 cell points
+        box = TorusGrid(1, 128, 8.0)  # 16 points per period < 64 cell points
         out = sample_cell_on_box(grid, vals, box, 0.5)
         y = np.mod(box_coordinates(box)[0] / 0.5, 1.0)
         ref = np.sin(2 * np.pi * y) + 0.2 * np.cos(6 * np.pi * y)
@@ -632,7 +632,7 @@ class TestResampling:
         grid = torus.TorusGrid(1, 8)
         x = grid.coordinate_axes()[0].ravel()
         vals = np.cos(2 * np.pi * x)
-        box = BoxGrid(1, 64, 2.0)  # 32 points per period > 8 cell points
+        box = TorusGrid(1, 64, 2.0)  # 32 points per period > 8 cell points
         out = sample_cell_on_box(grid, vals, box, 0.5)
         y = np.mod(box_coordinates(box)[0] / 0.5, 1.0)
         assert np.max(np.abs(out - np.cos(2 * np.pi * y))) < 1e-12
@@ -644,7 +644,7 @@ class TestResampling:
         # themselves, tiled, with leading axes carried along
         grid = torus.TorusGrid(dim, 64)
         vals = rng.standard_normal((3,) + grid.shape)
-        box = BoxGrid(dim, 64, 4.0)  # eps 0.5: 8 periods of 8 points
+        box = TorusGrid(dim, 64, 4.0)  # eps 0.5: 8 periods of 8 points
         out = sample_cell_on_box(grid, vals, box, 0.5)
         tile = vals[(Ellipsis,) + (slice(None, None, 8),) * dim]
         assert np.array_equal(out, np.tile(tile, (1,) + (8,) * dim))
@@ -653,7 +653,7 @@ class TestResampling:
         # one batched transform pair per corrector order gives the same
         # bits as one spectral derivative per axis and monomial
         tens = correctors.tensorize_correctors(smooth2d_a, 2)
-        box = BoxGrid(2, 64, 2.0)
+        box = TorusGrid(2, 64, 2.0)
         bc = BoxCorrectors.from_tensorized(tens, box, 0.5)
         for j, coeffs in enumerate(tens.phi):
             per_axis = np.stack([
@@ -673,9 +673,9 @@ class TestHalfSpectrumMatchesFullFFT:
 
     @pytest.fixture
     def case(self, rng):
-        box = BoxGrid(2, 32, 8.0)
+        box = TorusGrid(2, 32, 8.0)
         return (box, anisotropic_model_2d(), rng.standard_normal(box.shape),
-                full_wavenumbers(box.torus()))
+                full_wavenumbers(box))
 
     @staticmethod
     def assert_close(out, ref):
@@ -725,7 +725,7 @@ class TestHalfSpectrumMatchesFullFFT:
         box, model, f, k = case
         weights, omega = self.filtered_reference(model, k)
         times = np.array([0.5, 1.5, 2.5])
-        u, u_t = (torus.irfftn(box.torus(), half) for half in source_term_field(
+        u, u_t = (torus.irfftn(box, half) for half in source_term_field(
             model, f, box, self.EPS, times))
         f_hat = np.fft.fftn(f) * weights
         live = omega > 0
@@ -743,18 +743,17 @@ class TestHalfSpectrumMatchesFullFFT:
 class TestEffectivePropagator:
     def test_t0_returns_filtered_data(self):
         model = identity_model()
-        box = BoxGrid(1, 512, 32.0)
-        grid = box.torus()
+        box = TorusGrid(1, 512, 32.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 16.0) ** 2))
         out = homogenized_wave_field(model, u0, box, 0.25, [0.0])
         k = box_wavevectors(box)
         weights = dispersion.cutoff(model.kmax, 0.25 * np.sqrt(np.sum(k ** 2, axis=0)))
-        assert np.array_equal(out[0], torus.irfftn(grid, torus.rfftn(grid, u0) * weights))
+        assert np.array_equal(out[0], torus.irfftn(box, torus.rfftn(box, u0) * weights))
 
     def test_constant_medium_is_exact_filtered_wave(self):
         model = identity_model(kmax_cap=100.0)  # pass-through filter
-        box = BoxGrid(1, 256, 8.0)
+        box = TorusGrid(1, 256, 8.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         u0 = np.sin(k * x)
@@ -763,7 +762,7 @@ class TestEffectivePropagator:
 
     def test_output_real(self):
         _, model = laminate_model(4)
-        box = BoxGrid(1, 1024, 32.0)
+        box = TorusGrid(1, 1024, 32.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 16.0) ** 2)) * (1 + 0.3 * np.sin(x))
         out = homogenized_wave_field(model, u0, box, 0.25, [3.3])
@@ -771,7 +770,7 @@ class TestEffectivePropagator:
 
     def test_time_reversibility(self):
         _, model = laminate_model(4)
-        box = BoxGrid(1, 512, 32.0)
+        box = TorusGrid(1, 512, 32.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 16.0) ** 2))
         from homwave.wave import filtered_dispersion
@@ -785,7 +784,7 @@ class TestEffectivePropagator:
     def test_displacement_only_rotation_is_bitwise_full_rotation(self):
         # zero velocity: a cos + 0 sinc is a cos, bit for bit
         _, model = laminate_model(4)
-        box = BoxGrid(1, 512, 32.0)
+        box = TorusGrid(1, 512, 32.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 16.0) ** 2)) * (1 + 0.3 * np.sin(x))
         from homwave.wave import filtered_dispersion
@@ -801,20 +800,20 @@ class TestEffectivePropagator:
         model = identity_model(kmax_cap=100.0)
         errs = []
         for n in (256, 512):
-            box = BoxGrid(1, n, 8.0)
+            box = TorusGrid(1, n, 8.0)
             x = box_coordinates(box)[0]
             u0 = np.sin(2 * np.pi * x / 8.0)
             traj = solve_fine_wave(np.ones((1, 1) + box.shape), box, u0,
                                    times=[1.3])
             eff = homogenized_wave_field(model, u0, box, 0.25, [1.3])
-            errs.append(box_l2(box, traj.u[0] - eff[0]))
+            errs.append(l2_norm(box, traj.u[0] - eff[0]))
         assert 3.0 < errs[0] / errs[1] < 5.5
 
     def test_odd_even_truncation_identical(self):
         _, m3 = laminate_model(3)
         _, m4 = laminate_model(4)
         assert m3.kmax == m4.kmax
-        box = BoxGrid(1, 512, 32.0)
+        box = TorusGrid(1, 512, 32.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 16.0) ** 2))
         out3 = homogenized_wave_field(m3, u0, box, 0.25, [2.0])
@@ -823,7 +822,7 @@ class TestEffectivePropagator:
 
     def test_all_times_share_one_forward_transform(self, monkeypatch):
         _, model = laminate_model(2)
-        box = BoxGrid(1, 1024, 32.0)
+        box = TorusGrid(1, 1024, 32.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 16.0) ** 2))
         times = np.linspace(0.5, 4.0, 8)
@@ -850,7 +849,7 @@ class TestEffectivePropagator:
 @pytest.fixture(scope="module")
 def laminate_box_correctors():
     oh, model = laminate_model(2)
-    box = BoxGrid(1, 1024, 16.0)
+    box = TorusGrid(1, 1024, 16.0)
     bc = BoxCorrectors.from_oracle(oh, box, 0.25)
     return oh, model, box, bc
 
@@ -861,7 +860,7 @@ class TestDressing:
         a = torus.coefficient_from_spec({"kind": "constant", "value": 1.0}, grid)
         tens = correctors.tensorize_correctors(a, 2)
         model = identity_model()
-        box = BoxGrid(1, 512, 16.0)
+        box = TorusGrid(1, 512, 16.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 8.0) ** 2))
         bc = BoxCorrectors.from_tensorized(tens, box, 0.25)
@@ -883,8 +882,7 @@ class TestDressing:
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 8.0) ** 2))
         uf = homogenized_wave_field(model, u0, box, eps, [0.0])[0]
-        grad = torus.DerivativeCache(box.torus(),
-                                     torus.rfftn(box.torus(), uf)).get((1,))
+        grad = torus.DerivativeCache(box, torus.rfftn(box, uf)).get((1,))
         manual = uf + eps * oh.phi[1](np.mod(x / eps, 1.0)) * grad
         out = taylor_bloch_ansatz(bc, model, u0, box, eps, [0.0], ell=1)[0]
         assert np.max(np.abs(out - manual)) < 1e-8
@@ -892,20 +890,18 @@ class TestDressing:
     def test_ansatz_t0_equals_well_prepared(self, laminate_box_correctors):
         # well-prepared data: the dressing of the filtered spectrum of u0
         _, model, box, bc = laminate_box_correctors
-        grid = box.torus()
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 8.0) ** 2))
         weights, _ = wave.filtered_dispersion(model, box, 0.25)
         prepared = dress_with_correctors(
-            bc, torus.DerivativeCache(grid, torus.rfftn(grid, u0) * weights))
+            bc, torus.DerivativeCache(box, torus.rfftn(box, u0) * weights))
         a1 = taylor_bloch_ansatz(bc, model, u0, box, 0.25, [0.0])
         assert np.array_equal(a1[0], prepared)
 
     def test_dressing_beyond_corrector_order_rejected(self, laminate_box_correctors):
         _, model, box, bc = laminate_box_correctors
-        grid = box.torus()
         u0 = np.exp(-((box_coordinates(box)[0] - 8.0) ** 2))
-        cache = torus.DerivativeCache(grid, torus.rfftn(grid, u0))
+        cache = torus.DerivativeCache(box, torus.rfftn(box, u0))
         for dress in (dress_with_correctors, wave.dressed_gradient):
             with pytest.raises(ConfigurationError, match="corrector order 2"):
                 dress(bc, cache, max_order=3)
@@ -917,7 +913,7 @@ class TestDressing:
         a = torus.coefficient_from_spec({"kind": "constant", "value": 1.0}, grid)
         tens = correctors.tensorize_correctors(a, 2)
         model = identity_model()
-        box = BoxGrid(1, 512, 16.0)
+        box = TorusGrid(1, 512, 16.0)
         x = box_coordinates(box)[0]
         u0 = np.exp(-((x - 8.0) ** 2))
         bc = BoxCorrectors.from_tensorized(tens, box, 0.25)
@@ -931,8 +927,7 @@ class TestDressing:
         # gradient carry only the roundoff of the retained modes
         eps, ell = 1 / 8, 4
         oh, model = laminate_model(ell)
-        box = BoxGrid(1, 2048, 16.0)
-        grid = box.torus()
+        box = TorusGrid(1, 2048, 16.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 16.0
         u0 = np.sin(k * x)
@@ -945,7 +940,7 @@ class TestDressing:
                                + oh.phi[j](y) * du[j + 1])
                    for j in range(ell + 1))
         bc = BoxCorrectors.from_oracle(oh, box, eps)
-        cache = torus.DerivativeCache(grid, torus.rfftn(grid, u0) * weights)
+        cache = torus.DerivativeCache(box, torus.rfftn(box, u0) * weights)
         ansatz = taylor_bloch_ansatz(bc, model, u0, box, eps, [0.0])
         for out, ref in ((ansatz[0], field),
                          (wave.dressed_gradient(bc, cache)[0], grad)):
@@ -956,15 +951,15 @@ class TestDressing:
         a = torus.coefficient_from_spec(
             {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0}, grid)
         tens = correctors.tensorize_correctors(a, 2)
-        box = BoxGrid(1, 1024, 8.0)
+        box = TorusGrid(1, 1024, 8.0)
         bc = BoxCorrectors.from_tensorized(tens, box, 0.25)
         x = box_coordinates(box)[0]
         v = np.sin(2 * np.pi * x / 8.0)
         from homwave.wave import dressed_gradient
-        cache = torus.DerivativeCache(box.torus(), torus.rfftn(box.torus(), v))
+        cache = torus.DerivativeCache(box, torus.rfftn(box, v))
         g1 = dressed_gradient(bc, cache)
         w = dress_with_correctors(bc, cache)
-        g2 = torus.gradient_values(box.torus(), w)
+        g2 = torus.gradient_values(box, w)
         assert np.max(np.abs(g1 - g2)) < 1e-8
 
 
@@ -1014,7 +1009,7 @@ class TestRegularization:
         _, model = laminate_model(4)
         gamma = choose_gamma(model)
         eps = 0.25
-        k = box_wavevectors(BoxGrid(1, 512, 16.0))
+        k = box_wavevectors(TorusGrid(1, 512, 16.0))
         num, den = wave.mode_symbol(model, eps, k, gamma=gamma)
         k2 = np.sum(k ** 2, axis=0)
         target = 0.5 * (k2 + eps ** 4 * k2 ** 3) if gamma > 0 else 0.5 * k2
@@ -1022,7 +1017,7 @@ class TestRegularization:
 
     def test_regularized_wave_trivia(self):
         model = identity_model()
-        box = BoxGrid(1, 256, 8.0)
+        box = TorusGrid(1, 256, 8.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         u0 = np.sin(k * x)
@@ -1033,7 +1028,7 @@ class TestRegularization:
 
     def test_classical_limit_order_one(self):
         _, model = laminate_model(1)
-        box = BoxGrid(1, 512, 16.0)
+        box = TorusGrid(1, 512, 16.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 16.0
         u0 = np.sin(k * x)
@@ -1048,7 +1043,7 @@ class TestRegularization:
             polys=[np.array([1.0]), np.array([0.0]), np.array([1.0]),
                    np.array([0.0])],
             directions=np.array([[1.0]]), Gamma_bar=1.0)
-        box = BoxGrid(1, 256, 8.0)
+        box = TorusGrid(1, 256, 8.0)
         with pytest.raises(wave.PositivityError):
             wave.mode_symbol(model, 1.0, box_wavevectors(box), gamma=0.0)
 
@@ -1087,7 +1082,7 @@ class TestBoussinesq:
     def test_solver_trivia(self):
         model = identity_model(3)
         bt = boussinesq_decomposition(model)
-        box = BoxGrid(1, 256, 8.0)
+        box = TorusGrid(1, 256, 8.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         u0 = np.sin(k * x)
@@ -1107,24 +1102,24 @@ class TestBoussinesq:
 class TestSourceTerm:
     def test_zero_source_gives_zero(self):
         _, model = laminate_model(2)
-        box = BoxGrid(1, 256, 8.0)
+        box = TorusGrid(1, 256, 8.0)
         u, ut = source_term_field(model, np.zeros(box.shape), box, 0.25, [2.0])
         assert np.max(np.abs(u)) == 0.0 and np.max(np.abs(ut)) == 0.0
 
     def test_source_shape_checked(self):
         _, model = laminate_model(2)
-        box = BoxGrid(1, 256, 8.0)
+        box = TorusGrid(1, 256, 8.0)
         with pytest.raises(ConfigurationError, match="source shape"):
             source_term_field(model, np.zeros(255), box, 0.25, [2.0])
 
     def test_single_mode_closed_form(self):
         model = identity_model(kmax_cap=100.0)
-        box = BoxGrid(1, 256, 8.0)
+        box = TorusGrid(1, 256, 8.0)
         x = box_coordinates(box)[0]
         k = 2 * np.pi / 8.0
         f_field = np.sin(k * x)
         t = 2.5
-        (u,), (ut,) = (torus.irfftn(box.torus(), half) for half in
+        (u,), (ut,) = (torus.irfftn(box, half) for half in
                        source_term_field(model, f_field, box, 0.25, [t]))
         # integral of sin(omega (t-s))/omega over s in [0, 1]
         omega = k
@@ -1138,19 +1133,19 @@ class TestSourceTerm:
         a = torus.coefficient_from_spec({"kind": "constant", "value": 1.0}, grid)
         tens = correctors.tensorize_correctors(a, 2)
         model = identity_model()
-        box = BoxGrid(1, 256, 8.0)
+        box = TorusGrid(1, 256, 8.0)
         x = box_coordinates(box)[0]
         f_field = np.sin(2 * np.pi * x / 8.0)
         bc = BoxCorrectors.from_tensorized(tens, box, 0.25)
         (u_hat,), _ = source_term_field(model, f_field, box, 0.25, [2.0])
-        u_plain = torus.irfftn(box.torus(), u_hat)
-        u_drs = dress_with_correctors(bc, torus.DerivativeCache(box.torus(), u_hat))
+        u_plain = torus.irfftn(box, u_hat)
+        u_drs = dress_with_correctors(bc, torus.DerivativeCache(box, u_hat))
         assert np.max(np.abs(u_plain - u_drs)) < 1e-12
 
 
 class TestErrorReport:
     def test_self_comparison_is_zero(self):
-        box = BoxGrid(1, 128, 8.0)
+        box = TorusGrid(1, 128, 8.0)
         x = box_coordinates(box)[0]
         u0 = np.sin(2 * np.pi * x / 8.0)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box, u0,
@@ -1161,7 +1156,7 @@ class TestErrorReport:
 
     def test_displacement_only_reference_needs_a_velocity(self):
         # the exact solver returns no velocity: an energy-norm report says so
-        box = BoxGrid(1, 512, 8.0)
+        box = TorusGrid(1, 512, 8.0)
         u0 = np.exp(-(box_coordinates(box)[0] - 4.0) ** 2)
         traj = solve_fine_wave_exact(np.ones((1, 1) + box.shape), box, u0,
                                      [0.5, 1.0], 1 / 4)
