@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -29,6 +28,8 @@ from .torus import (CG_TOL, ConfigurationError, ConvergenceError,
 
 KINDS = ("correctors", "dispersion", "wave-compare", "elliptic-rate",
          "transport", "source-term")
+# the kinds built on the exact 1D oracle; the others build the unit-cell grid
+ORACLE_KINDS = ("wave-compare", "elliptic-rate", "transport", "source-term")
 
 # failures of the numerics rather than of the configuration: exit 1 with a
 # manifest (SolvabilityError is a ValueError, so it is caught first)
@@ -50,8 +51,7 @@ class ExperimentConfig:
     eps_list: list = dc_field(default_factory=list)
     T: float = 1.0
     box_side: float = 16.0
-    box_n: int | None = None
-    points_per_period: int = 16
+    points_per_period: int = wave.MIN_POINTS_PER_PERIOD
     directions: int | None = None
     gamma: float | None = None
     kmax_cap: float = 1.0
@@ -95,55 +95,58 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _error_of(build, *args) -> list:
+    """The message of the ConfigurationError ``build(*args)`` raises, as a
+    one-item list, or [] when it raises none."""
+    try:
+        build(*args)
+    except ConfigurationError as err:
+        return [str(err)]
+    return []
+
+
 def validate(cfg: ExperimentConfig) -> list:
-    """Static diagnostics: errors make the config unrunnable, warnings do not."""
+    """The configuration errors of the run, raised by the constructors of
+    the grids, boxes and 1D profile it builds; no coefficient is sampled."""
     out = []
     if cfg.kind not in KINDS:
-        out.append(("error", f"unknown kind {cfg.kind!r}"))
+        out.append(f"unknown kind {cfg.kind!r}")
+    elif cfg.kind in ORACLE_KINDS:
+        if cfg.dim != 1:
+            out.append(f"{cfg.kind} needs dim 1, got {cfg.dim}")
+        out += _error_of(oracle1d.profile_from_spec, cfg.coefficient)
+    else:
+        out += _error_of(TorusGrid, cfg.dim, cfg.grid_n)
+    if cfg.kind == "elliptic-rate":
+        out += _error_of(elliptic.check_sweep_options, cfg.mode, cfg.operator)
     if cfg.kind in ("wave-compare", "elliptic-rate", "transport"):
         if len(cfg.eps_list) < 2:
-            out.append(("error", "eps_list needs at least two eps: this kind "
-                                 "fits or compares across eps"))
+            out.append("eps_list needs at least two eps: this kind fits or "
+                       "compares across eps")
         elif any(e2 >= e1 for e1, e2 in zip(cfg.eps_list, cfg.eps_list[1:])):
-            out.append(("error", "eps_list must be strictly decreasing"))
+            out.append("eps_list must be strictly decreasing")
     if cfg.kind == "source-term" and len(cfg.eps_list) != 1:
-        out.append(("error", "eps_list needs exactly one eps for source-term"))
-    for n in (cfg.grid_n, cfg.box_n):
-        if n is not None and (n < 8 or n & (n - 1)):
-            out.append(("error", f"grid size {n} is not a power of two >= 8"))
+        out.append("eps_list needs exactly one eps for source-term")
     if any(not eps > 0 for eps in cfg.eps_list):
-        out.append(("error", "every eps must be positive"))
+        out.append("every eps must be positive")
     elif cfg.kind in ("wave-compare", "transport", "source-term"):
+        if cfg.points_per_period < wave.MIN_POINTS_PER_PERIOD:
+            out.append(f"points_per_period {cfg.points_per_period} is below "
+                       f"{wave.MIN_POINTS_PER_PERIOD}")
         for eps in cfg.eps_list:
             # the box the run builds: transport runs every eps on one box
             box_eps = min(cfg.eps_list) if cfg.kind == "transport" else eps
-            try:
-                _box(cfg, box_eps).points_per_period(eps)
-            except ConfigurationError as err:
-                out.append(("error", str(err)))
-        box_n = cfg.box_n or 0
-        if box_n:
-            for eps in cfg.eps_list:
-                ppp = box_n * eps / cfg.box_side
-                if ppp < cfg.points_per_period:
-                    out.append(("error",
-                                f"eps={eps}: {ppp:.0f} points per period < "
-                                f"{cfg.points_per_period}"))
-    if cfg.kind in ("wave-compare", "transport"):
-        # wavefront wrap guard, assuming data of unit support at the center
-        speed = math.sqrt(2.0)
-        reach = 1.0 + cfg.T * speed
-        if cfg.kind == "transport" and cfg.eps_list and min(cfg.eps_list) > 0:
-            t_max = min(cfg.eps_list) ** (-1.0 - (cfg.gamma or 0.0)) * cfg.T + 1.0
-            reach = 6.0 + t_max * speed
-        if reach > 0.5 * cfg.box_side:
-            t_adm = (0.5 * cfg.box_side - 6.0) / speed
-            out.append(("warning",
-                        f"wavefront may wrap: reach {reach:.1f} > side/2; "
-                        f"admissible horizon about {t_adm:.1f}"))
+            out += _error_of(lambda: _box(cfg, box_eps).points_per_period(eps))
     if cfg.kmax_cap <= 0:
-        out.append(("error", "kmax_cap must be positive"))
+        out.append("kmax_cap must be positive")
     return list(dict.fromkeys(out))
+
+
+def _report(errors: list) -> int:
+    """Print each configuration error; the exit code they make."""
+    for msg in errors:
+        print(f"error: {msg}", file=sys.stderr)
+    return 2 if errors else 0
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +279,12 @@ def _oracle_model(cfg: ExperimentConfig, ell: int):
 
 
 def _box(cfg: ExperimentConfig, eps: float) -> TorusGrid:
-    """The 1D box of side ``box_side``: ``box_n`` points, or
-    ``points_per_period`` per period eps."""
-    n = cfg.box_n or int(cfg.points_per_period * cfg.box_side / eps)
-    return TorusGrid(1, n, cfg.box_side)
+    """The 1D box of side ``box_side``, ``points_per_period`` per period eps."""
+    return TorusGrid(1, int(cfg.points_per_period * cfg.box_side / eps),
+                     cfg.box_side)
 
 
 def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
-    if cfg.dim != 1:
-        raise ConfigurationError("wave-compare runs in one dimension")
     _, model = _oracle_model(cfg, max(cfg.ell, 2))
     times = [float(t) for t in range(1, int(cfg.T) + 1)]
     rows = [("eps", "sup_l2_error", "fitted_order")]
@@ -309,8 +309,6 @@ def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 
 
 def run_elliptic_rate(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
-    if cfg.dim != 1:
-        raise ConfigurationError("elliptic-rate runs in one dimension")
     profile = oracle1d.profile_from_spec(cfg.coefficient)
     study = elliptic.elliptic_error_sweep_1d(
         profile, cfg.ell, cfg.eps_list, side=cfg.box_side or 1.0,
@@ -326,8 +324,6 @@ def run_elliptic_rate(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 
 
 def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
-    if cfg.dim != 1:
-        raise ConfigurationError("transport runs in one dimension")
     _, model = _oracle_model(cfg, max(cfg.ell, 2))
     box = _box(cfg, min(cfg.eps_list))
     rep = transport.ballistic_experiment(
@@ -346,8 +342,6 @@ def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 
 
 def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
-    if cfg.dim != 1:
-        raise ConfigurationError("source-term runs in one dimension")
     oh, model = _oracle_model(cfg, cfg.ell)
     eps = cfg.eps_list[0]
     box = _box(cfg, eps)
@@ -385,24 +379,19 @@ RUNNERS = {"correctors": run_correctors, "dispersion": run_dispersion,
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    diags = validate(cfg)
-    errors = [msg for level, msg in diags if level == "error"]
+    errors = validate(cfg)
     if errors:
-        for msg in errors:
-            print(f"error: {msg}", file=sys.stderr)
-        return 2
+        return _report(errors)
     out = Path(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     man = Manifest(cfg)
-    man.warnings.extend(msg for level, msg in diags if level == "warning")
     try:
         RUNNERS[cfg.kind](cfg, out, man)
     except NUMERICAL_ERRORS as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         man.fail(err)
     except (ConfigurationError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _report([str(err)])
     status = man.write(out)
     for check in man.checks:
         state = "PASS" if check["pass"] else "FAIL"
@@ -430,9 +419,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.command == "validate":
-        for level, msg in validate(cfg):
-            print(f"{level}: {msg}")
-        return 0
+        return _report(validate(cfg))
     if cfg.kind != args.command:
         print(f"error: config kind {cfg.kind!r} does not match "
               f"subcommand {args.command!r}", file=sys.stderr)

@@ -200,6 +200,16 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
 # gradient-error rate studies
 # ---------------------------------------------------------------------------
 
+def check_sweep_options(mode: str, operator: str) -> None:
+    """Reject a ``mode`` or ``operator`` that no branch of the sweeps reads."""
+    if mode not in ("prepared", "plain"):
+        raise ConfigurationError(
+            f"mode must be prepared or plain, got {mode!r}")
+    if operator not in ("regularized", "boussinesq"):
+        raise ConfigurationError("operator must be regularized or boussinesq, "
+                                 f"got {operator!r}")
+
+
 @dataclass
 class RateStudy:
     eps_list: np.ndarray
@@ -228,6 +238,7 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
     interfaces, so the measured error is purely the model error in eps.
     ``f_modes`` maps integer mode numbers q to amplitudes of sin(2 pi q x/L).
     """
+    check_sweep_options(mode, operator)
     if f_modes is None:
         f_modes = {1: 1.0}
     oh = oracle1d.correctors_1d(profile, ell)
@@ -303,6 +314,7 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
     Suitable for smooth coefficients; for discontinuous 1D profiles use the
     exact piecewise variant.
     """
+    check_sweep_options(mode, operator)
     ell = model.ell
     if gamma is None:
         gamma = wave.choose_gamma(model)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bloch import solve_fine_wave_exact
-from .torus import ConfigurationError, TorusGrid
+from .torus import ConfigurationError, TorusGrid, l2_norm
 from .wave import (
     ErrorBudget,
     WaveTrajectory,
@@ -66,25 +66,20 @@ def gaussian_data(box: TorusGrid, lam: float, center=None) -> np.ndarray:
 
 
 def _moment_weight(box: TorusGrid, lam: float, center) -> np.ndarray:
-    """The moment weight (1 + lam |x|)^2, |x| the minimum-image distance."""
+    """1 + lam |x|, the root of the moment weight (minimum-image |x|)."""
     r = min_image_radius(box, np.asarray(center, dtype=float))
-    return (1.0 + lam * r) ** 2
-
-
-def _weighted_mass(w: np.ndarray, u: np.ndarray, box: TorusGrid) -> float:
-    return float(np.sqrt(np.sum(w * u ** 2) * box.h ** box.dim))
+    return 1.0 + lam * r
 
 
 def transport_moment(u: np.ndarray, box: TorusGrid, lam: float,
                      center) -> float:
     """Weighted mass ( integral (1 + lam |x|)^2 u^2 )^(1/2)."""
-    return _weighted_mass(_moment_weight(box, lam, center), u, box)
+    return l2_norm(box, _moment_weight(box, lam, center) * u)
 
 
 def moment_history(traj: WaveTrajectory, lam: float, center) -> np.ndarray:
     w = _moment_weight(traj.box, lam, center)
-    return np.array([_weighted_mass(w, traj.u[i], traj.box)
-                     for i in range(traj.times.size)])
+    return np.array([l2_norm(traj.box, w * u) for u in traj.u])
 
 
 def windowed_moment(traj: WaveTrajectory, lam: float, T: float,
@@ -104,7 +99,7 @@ def windowed_moment(traj: WaveTrajectory, lam: float, T: float,
         raise ConfigurationError(
             f"snapshot spacing exceeds {window / 16.0:g} over the window")
     w = _moment_weight(traj.box, lam, center)
-    msq = np.array([_weighted_mass(w, traj.u[i], traj.box) ** 2
+    msq = np.array([l2_norm(traj.box, w * traj.u[i]) ** 2
                     for i in np.nonzero(sel)[0]])
     return float(math.sqrt(np.trapezoid(msq, ts)))
 

@@ -86,12 +86,17 @@ def box_wavevectors(box: TorusGrid) -> np.ndarray:
                      for ax in box.wavenumber_axes()])
 
 
+# fewest box nodes per period eps; the reference's lambda_2 error goes as 1/p^2
+MIN_POINTS_PER_PERIOD = 16
+
+
 def coefficient_on_box(spec: dict, box: TorusGrid, eps: float) -> np.ndarray:
-    """Sample a(x / eps) at the box nodes, at least 16 per period eps, from
-    an analytic catalog entry; a ``raw`` grid has none and is rejected."""
+    """Sample a(x / eps) at MIN_POINTS_PER_PERIOD or more box nodes per period
+    eps, from an analytic catalog entry; a ``raw`` grid has none: rejected."""
     p = box.points_per_period(eps)
-    if p < 16:
-        raise ConfigurationError(f"only {p} points per period eps={eps}; need >= 16")
+    if p < MIN_POINTS_PER_PERIOD:
+        raise ConfigurationError(f"only {p} points per period eps={eps}; "
+                                 f"need >= {MIN_POINTS_PER_PERIOD}")
     return evaluate_coefficient(spec, box_coordinates(box) / eps, box.dim)
 
 

@@ -1,6 +1,8 @@
 """Experiment driver: config validation, runs, manifests, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from homwave import cli, correctors, torus, wave
 from homwave.cli import ExperimentConfig, config_hash, load_config, run, validate
 
 EPS_MACH = float(np.finfo(float).eps)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, **kwargs):
@@ -22,8 +25,7 @@ class TestValidate:
     def test_missing_eps_list_is_error(self):
         cfg = ExperimentConfig(kind="wave-compare",
                                coefficient={"kind": "constant", "value": 1.0})
-        msgs = validate(cfg)
-        assert any("eps_list" in m for level, m in msgs if level == "error")
+        assert any("eps_list" in m for m in validate(cfg))
 
     @pytest.mark.parametrize("kind", ["wave-compare", "elliptic-rate",
                                       "transport"])
@@ -34,8 +36,7 @@ class TestValidate:
                                coefficient={"kind": "laminate",
                                             "values": [1.0, 4.0]},
                                eps_list=[0.125], out_dir=str(tmp_path / "out"))
-        msgs = validate(cfg)
-        assert any("two eps" in m for level, m in msgs if level == "error")
+        assert any("two eps" in m for m in validate(cfg))
         assert run(cfg) == 2
         assert not (tmp_path / "out").exists()
 
@@ -47,19 +48,9 @@ class TestValidate:
                                coefficient={"kind": "laminate",
                                             "values": [1.0, 4.0]},
                                eps_list=eps_list, out_dir=str(tmp_path / "out"))
-        msgs = validate(cfg)
-        assert any("exactly one eps" in m for level, m in msgs
-                   if level == "error")
+        assert any("exactly one eps" in m for m in validate(cfg))
         assert run(cfg) == 2
         assert not (tmp_path / "out").exists()
-
-    def test_wrap_guard_warning_reports_horizon(self):
-        cfg = ExperimentConfig(kind="wave-compare",
-                               coefficient={"kind": "constant", "value": 1.0},
-                               eps_list=[0.25], T=100.0, box_side=16.0)
-        msgs = validate(cfg)
-        warnings = [m for level, m in msgs if level == "warning"]
-        assert any("admissible horizon" in m for m in warnings)
 
     def test_valid_config_is_clean(self):
         cfg = ExperimentConfig(kind="correctors",
@@ -83,8 +74,7 @@ class TestValidate:
         cfg = ExperimentConfig(coefficient={"kind": "laminate",
                                             "values": [1.0, 4.0]},
                                out_dir=str(tmp_path / "out"), **cfg)
-        errors = [m for level, m in validate(cfg) if level == "error"]
-        assert any(message in m for m in errors)
+        assert any(message in m for m in validate(cfg))
         assert run(cfg) == 2
         assert not (tmp_path / "out").exists()
 
@@ -93,8 +83,44 @@ class TestValidate:
                                coefficient={"kind": "laminate",
                                             "values": [1.0, 4.0]},
                                eps_list=[0.125, 0.25])
-        msgs = validate(cfg)
-        assert any("decreasing" in m for level, m in msgs if level == "error")
+        assert any("decreasing" in m for m in validate(cfg))
+
+    @pytest.mark.parametrize("cfg, message", [
+        # the box kinds sample a(x / eps) at 16 points per period or more
+        (dict(kind="wave-compare", eps_list=[0.25, 0.125],
+              points_per_period=8), "points_per_period 8 is below 16"),
+        (dict(kind="wave-compare", dim=2, eps_list=[0.25, 0.125]),
+         "wave-compare needs dim 1, got 2"),
+        (dict(kind="wave-compare", eps_list=[0.25, 0.125],
+              coefficient={"kind": "laminate", "values": [1.0, 4.0],
+                           "period": 0.5}),
+         "the 1D oracle needs coefficient period 1"),
+        (dict(kind="elliptic-rate", eps_list=[0.25, 0.125], box_side=1.0,
+              coefficient={"kind": "raw", "values": [[[1.0] * 8]]}),
+         "no 1D profile for coefficient kind 'raw'"),
+        (dict(kind="correctors", dim=3, grid_n=8), "dim must be 1 or 2, got 3"),
+        # a mistyped mode would run the plain sweep in place of the prepared
+        (dict(kind="elliptic-rate", eps_list=[0.25, 0.125], box_side=1.0,
+              mode="prepard"), "mode must be prepared or plain, got 'prepard'"),
+        (dict(kind="elliptic-rate", eps_list=[0.25, 0.125], box_side=1.0,
+              operator="boussinesque"),
+         "operator must be regularized or boussinesq, got 'boussinesque'"),
+        # box_n was a second box-size knob beside points_per_period
+        (dict(kind="wave-compare", eps_list=[0.25, 0.125], box_n=1024),
+         "unknown config keys: ['box_n']"),
+    ], ids=["points-per-period-8", "dim-2-wave-compare", "laminate-period",
+            "raw-elliptic-rate", "dim-3-correctors", "mode", "operator",
+            "box-n"])
+    def test_the_run_rejects_what_validate_reports(self, cfg, message,
+                                                    tmp_path, capsys):
+        cfg.setdefault("coefficient", {"kind": "laminate",
+                                       "values": [1.0, 4.0]})
+        path = write_config(tmp_path, out_dir=str(tmp_path / "out"), **cfg)
+        assert cli.main(["validate", "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert cli.main([cfg["kind"], "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRun:
@@ -295,6 +321,23 @@ class TestRun:
             assert 0.0 < stats["skipped_share"] <= EPS_MACH
             assert 0 < stats["blocks_solved"] < stats["blocks"]
 
+    def test_transport_flags_the_rows_whose_front_wraps(self, tmp_path):
+        # the front of the unit Gaussian (radius 6.1 at 1e-8 of its peak)
+        # reaches 6.1 + 5 sqrt(Gamma_bar) < 16 by T' + 1 = 5 at eps 1/4, and
+        # 6.1 + 9 sqrt(Gamma_bar) > 16 by T' + 1 = 9 at eps 1/8
+        cfg = ExperimentConfig(kind="transport",
+                               coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0]},
+                               eps_list=[0.25, 0.125], T=1.0, box_side=32.0,
+                               out_dir=str(tmp_path))
+        run(cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        (warning,) = manifest["warnings"]
+        assert warning.startswith("eps=0.125: wavefront reach")
+        assert warning.endswith("wraps the box")
+        rows = (tmp_path / "transport.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[-1] for row in rows] == ["True", "False"]
+
     def test_source_term_run(self, tmp_path):
         base = dict(kind="source-term",
                     coefficient={"kind": "laminate", "values": [1.0, 4.0]},
@@ -349,6 +392,29 @@ class TestMain:
                             coefficient={"kind": "constant", "value": 1.0},
                             dim=2, grid_n=16)
         assert cli.main(["validate", "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+        # one eps fits no order: an error line, and the exit code of one
+        path = write_config(tmp_path, kind="wave-compare",
+                            coefficient={"kind": "laminate",
+                                         "values": [1.0, 4.0]},
+                            eps_list=[0.125])
+        assert cli.main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: eps_list needs at least two eps: this kind fits or "
+            "compares across eps\n")
+
+    def test_readme_configs_validate(self, tmp_path, capsys):
+        # the README's example configs name only keys that exist and pass
+        # validate as written
+        readme = (ROOT / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) >= 3
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.json"
+            path.write_text(block)
+            assert validate(load_config(str(path))) == []
+            assert cli.main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unknown_key_rejected(self, tmp_path):
         # seed was an option that no code read
