@@ -24,7 +24,8 @@ import numpy as np
 from . import bloch, correctors, dispersion, elliptic, oracle1d, transport, wave
 from .torus import (CG_TOL, ConfigurationError, ConvergenceError,
                     DerivativeCache, SolvabilityError, TorusGrid,
-                    coefficient_from_spec, irfftn, l2_norm)
+                    check_coefficient_spec, coefficient_from_spec, irfftn,
+                    l2_norm)
 
 KINDS = ("correctors", "dispersion", "wave-compare", "elliptic-rate",
          "transport", "source-term")
@@ -115,8 +116,13 @@ def validate(cfg: ExperimentConfig) -> list:
         if cfg.dim != 1:
             out.append(f"{cfg.kind} needs dim 1, got {cfg.dim}")
         out += _error_of(oracle1d.profile_from_spec, cfg.coefficient)
+        out += _error_of(oracle1d.check_order, _oracle_order(cfg))
     else:
         out += _error_of(TorusGrid, cfg.dim, cfg.grid_n)
+        out += _error_of(check_coefficient_spec, cfg.coefficient, cfg.dim)
+        out += _error_of(correctors.check_order, cfg.ell)
+    if cfg.kind == "wave-compare":
+        out += _error_of(_snapshot_times, cfg)
     if cfg.kind == "elliptic-rate":
         out += _error_of(elliptic.check_sweep_options, cfg.mode, cfg.operator)
     if cfg.kind in ("wave-compare", "elliptic-rate", "transport"):
@@ -271,11 +277,26 @@ def run_dispersion(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
     man.check("fit_residual", float(np.max(model.fit_residuals)), 1e-6)
 
 
-def _oracle_model(cfg: ExperimentConfig, ell: int):
-    """(hierarchy, model) of order ``ell`` from the exact 1D oracle of the
-    configured coefficient, the filter radius capped at ``kmax_cap``."""
+def _oracle_order(cfg: ExperimentConfig) -> int:
+    """The order of the oracle hierarchy the run builds: the wave kinds
+    propagate at least the order-2 model."""
+    return max(cfg.ell, 2) if cfg.kind in ("wave-compare", "transport") else cfg.ell
+
+
+def _oracle_model(cfg: ExperimentConfig):
+    """(hierarchy, model) of order ``_oracle_order`` from the exact 1D oracle
+    of the configured coefficient, the filter radius capped at ``kmax_cap``."""
+    ell = _oracle_order(cfg)
     oh = oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), ell)
     return oh, dispersion.DispersionModel.from_oracle(oh, ell, cfg.kmax_cap)
+
+
+def _snapshot_times(cfg: ExperimentConfig) -> list:
+    """The wave-compare snapshot times 1, 2, ..., floor(T)."""
+    if cfg.T < 1:
+        raise ConfigurationError(f"T {cfg.T:g} is below 1: wave-compare "
+                                 f"compares snapshots at t = 1, ..., floor(T)")
+    return [float(t) for t in range(1, int(cfg.T) + 1)]
 
 
 def _box(cfg: ExperimentConfig, eps: float) -> TorusGrid:
@@ -285,8 +306,8 @@ def _box(cfg: ExperimentConfig, eps: float) -> TorusGrid:
 
 
 def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
-    _, model = _oracle_model(cfg, max(cfg.ell, 2))
-    times = [float(t) for t in range(1, int(cfg.T) + 1)]
+    _, model = _oracle_model(cfg)
+    times = _snapshot_times(cfg)
     rows = [("eps", "sup_l2_error", "fitted_order")]
     sups = []
     for eps in cfg.eps_list:
@@ -324,7 +345,7 @@ def run_elliptic_rate(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 
 
 def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
-    _, model = _oracle_model(cfg, max(cfg.ell, 2))
+    _, model = _oracle_model(cfg)
     box = _box(cfg, min(cfg.eps_list))
     rep = transport.ballistic_experiment(
         cfg.coefficient, box, cfg.eps_list, cfg.gamma or 0.0, cfg.T, cfg.ell,
@@ -342,7 +363,7 @@ def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 
 
 def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
-    oh, model = _oracle_model(cfg, cfg.ell)
+    oh, model = _oracle_model(cfg)
     eps = cfg.eps_list[0]
     box = _box(cfg, eps)
     x = wave.box_coordinates(box)[0]
@@ -401,17 +422,17 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 
 
 def main(argv=None) -> int:
+    # one parser, the subcommand a positional choice: seven subparsers took
+    # ten times as long to build, in every process
     parser = argparse.ArgumentParser(
         prog="homwave",
         description="corrector, dispersion, wave, elliptic and transport "
                     "experiments on periodic media")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS + ("validate",):
-        p = sub.add_parser(kind)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--override", action="append", default=[],
-                       metavar="KEY=VALUE")
+    parser.add_argument("command", choices=KINDS + ("validate",))
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--override", action="append", default=[],
+                        metavar="KEY=VALUE")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.override)

@@ -144,6 +144,12 @@ def _unit_direction(dim: int, e) -> np.ndarray:
     return e / norm
 
 
+def check_order(ell: int) -> None:
+    """Reject a hierarchy order below 1."""
+    if ell < 1:
+        raise ConfigurationError("hierarchy order must be >= 1")
+
+
 def _corrector_stacks(a: CoefficientField, ell: int,
                       basis: np.ndarray) -> TensorizedCorrectors:
     """The corrector recursion up to order ell on coefficient stacks.
@@ -155,8 +161,7 @@ def _corrector_stacks(a: CoefficientField, ell: int,
     all, each to ``CG_TOL``; the curl and chi Poisson solves take a whole
     stack per transform.
     """
-    if ell < 1:
-        raise ConfigurationError("hierarchy order must be >= 1")
+    check_order(ell)
     grid = a.grid
     d = grid.dim
     e = basis.T

@@ -247,51 +247,46 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
         gamma = wave.choose_gamma(model)
     bt = wave.boussinesq_decomposition(model) if operator == "boussinesq" else None
 
-    def mode_sum(coeffs_by_q, deriv: int):
-        """callable for sum_q c_q * d^deriv sin(2 pi q x / L)."""
-        def f(x):
-            out = np.zeros_like(np.asarray(x, dtype=float))
-            for q, c in coeffs_by_q.items():
-                k = 2.0 * math.pi * q / side
-                phase = k * np.asarray(x) + 0.5 * math.pi * deriv
-                out = out + c * k ** deriv * np.sin(phase)
-            return out
-        return f
+    t = oracle1d._gauss(pp_degree + 1)[0]
+    ks = [2.0 * math.pi * q / side for q in f_modes]
+    f_amps = list(f_modes.values())
 
     errors = []
     for eps in eps_list:
         a_box, _ = oracle1d.coefficient_on_box(profile, eps, side)
         breaks = a_box.breaks
         phi_box = [oracle1d.tile_to_box(p, eps, side) for p in oh.phi[: ell + 1]]
+        # one sin/cos pair per mode at the nodes from_callable samples; the
+        # derivatives of sin(k x) cycle through sin, cos, -sin, -cos
+        x = oracle1d._nodes_on(breaks, t)
+        pairs = [(np.sin(k * x), np.cos(k * x)) for k in ks]
 
-        f_pp = oracle1d.PiecewisePoly.from_callable(mode_sum(f_modes, 0),
-                                                    breaks, pp_degree)
+        def fit(amplitudes, j: int):
+            """d^j/dx^j of sum_q c_q sin(k_q x), fitted on the box partition."""
+            sign = -1.0 if j % 4 >= 2 else 1.0
+            vals = 0.0
+            for c, k, pair in zip(amplitudes, ks, pairs):
+                vals = vals + sign * c * k ** j * pair[j % 2]
+            return oracle1d.PiecewisePoly.from_callable(lambda _: vals, breaks,
+                                                        pp_degree)
+
+        rhs_pp = fit(f_amps, 0)
         if mode == "prepared":
-            rhs_pp = f_pp
             for j in range(1, ell + 1):
-                fj = oracle1d.PiecewisePoly.from_callable(
-                    mode_sum(f_modes, j), breaks, pp_degree)
-                rhs_pp = rhs_pp + (eps ** j) * (phi_box[j] * fj)
-        else:
-            rhs_pp = f_pp
+                rhs_pp = rhs_pp + (eps ** j) * (phi_box[j] * fit(f_amps, j))
         u_fine = oracle1d.solve_elliptic_box(profile, eps, side, rhs_pp)
 
-        kq = np.array([[2.0 * math.pi * q / side for q in f_modes]])
-        num, den = mode_symbol(model, eps, kq, gamma=gamma, bt=bt)
+        num, den = mode_symbol(model, eps, np.array([ks]), gamma=gamma, bt=bt)
         den = np.broadcast_to(den, num.shape)
-        u_coeffs = {q: c * float(den[i]) / float(num[i])
-                    for i, (q, c) in enumerate(f_modes.items())}
+        u_amps = [c * float(den[i]) / float(num[i]) for i, c in enumerate(f_amps)]
 
-        w_prime = oracle1d.PiecewisePoly.constant(0.0, breaks)
-        for j in range(ell + 1):
-            uj = oracle1d.PiecewisePoly.from_callable(
-                mode_sum(u_coeffs, j), breaks, pp_degree)
-            uj1 = oracle1d.PiecewisePoly.from_callable(
-                mode_sum(u_coeffs, j + 1), breaks, pp_degree)
-            w_prime = w_prime + (eps ** j) * (phi_box[j] * uj1)
-            if j >= 1:
-                # the tiled derivative already carries the 1/eps chain factor
-                w_prime = w_prime + (eps ** j) * (phi_box[j].derivative() * uj)
+        # w' = sum_j eps^j (phi_j d^(j+1) u + phi_j' d^j u), where the tiled
+        # derivative already carries the 1/eps chain factor (phi_0' = 0)
+        du = {j: fit(u_amps, j) for j in range(1, ell + 2)}
+        w_prime = phi_box[0] * du[1]
+        for j in range(1, ell + 1):
+            w_prime = w_prime + (eps ** j) * (phi_box[j] * du[j + 1])
+            w_prime = w_prime + (eps ** j) * (phi_box[j].derivative() * du[j])
         diff = u_fine.derivative() - w_prime
         errors.append(math.sqrt(max((diff * diff).integral(), 0.0)))
 

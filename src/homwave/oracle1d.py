@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import legendre as leg
 
 from .torus import (ConfigurationError, SolvabilityError, _solvability_tolerance,
-                    l2_norm)
+                    check_coefficient_spec, l2_norm)
 
 
 @functools.cache
@@ -37,9 +37,28 @@ def _gauss(n: int):
     return t, vander, proj
 
 
+@functools.cache
+def _calculus(width: int):
+    """Legendre calculus on rows of ``width`` coefficients as matrices:
+    ``coeffs @ der`` is ``legder(coeffs, axis=1)`` and ``coeffs @ anti`` is
+    ``legint(coeffs, axis=1)``, each built by numpy from the identity."""
+    eye = np.eye(width)
+    der, anti = leg.legder(eye, axis=1), leg.legint(eye, axis=1)
+    for arr in (der, anti):
+        arr.setflags(write=False)
+    return der, anti
+
+
+@functools.cache
+def _sampler(samples: int, width: int) -> np.ndarray:
+    """``coeffs @ _sampler(samples, width)`` are the values of rows of
+    ``width`` coefficients at the ``samples`` Gauss nodes."""
+    vals = leg.legvander(_gauss(samples)[0], width - 1).T
+    vals.setflags(write=False)
+    return vals
+
+
 def _union_breaks(b1: np.ndarray, b2: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    if b1 is b2 or np.array_equal(b1, b2):
-        return b1
     merged = np.sort(np.concatenate([b1, b2]))
     keep = merged[np.concatenate([[True], np.diff(merged) > tol])]
     keep[-1] = max(b1[-1], b2[-1])
@@ -91,6 +110,10 @@ class PiecewisePoly:
         return float(self.breaks[-1] - self.breaks[0])
 
     def _aligned(self, other: "PiecewisePoly"):
+        """Both operands on one partition: unchanged when they share theirs,
+        else re-expanded on the union of their breakpoints."""
+        if self.breaks is other.breaks or np.array_equal(self.breaks, other.breaks):
+            return self, other, self.breaks
         breaks = _union_breaks(self.breaks, other.breaks)
         return self._on_breaks(breaks), other._on_breaks(breaks), breaks
 
@@ -148,13 +171,14 @@ class PiecewisePoly:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "PiecewisePoly":
+        der, _ = _calculus(self.coeffs.shape[1])
         scale = 2.0 / np.diff(self.breaks)
-        return PiecewisePoly(self.breaks,
-                             leg.legder(self.coeffs, axis=1) * scale[:, None])
+        return PiecewisePoly(self.breaks, (self.coeffs @ der) * scale[:, None])
 
     def antiderivative(self) -> "PiecewisePoly":
         """Continuous antiderivative vanishing at the left endpoint."""
-        ci = leg.legint(self.coeffs, axis=1) * (0.5 * np.diff(self.breaks))[:, None]
+        _, anti = _calculus(self.coeffs.shape[1])
+        ci = (self.coeffs @ anti) * (0.5 * np.diff(self.breaks))[:, None]
         left = ci @ (-1.0) ** np.arange(ci.shape[1])     # P_k(-1) = (-1)^k
         rise = ci.sum(axis=1) - left                       # P_k(1) = 1
         ci[:, 0] += np.concatenate([[0.0], np.cumsum(rise[:-1])]) - left
@@ -181,8 +205,8 @@ class PiecewisePoly:
         return out[()] if x.ndim == 0 else out
 
     def linf(self, samples_per_segment: int = 16) -> float:
-        t = _gauss(samples_per_segment)[0]
-        return float(np.max(np.abs(leg.legval(t, self.coeffs.T))))
+        vals = self.coeffs @ _sampler(samples_per_segment, self.coeffs.shape[1])
+        return float(np.max(np.abs(vals)))
 
     def l2_mean(self) -> float:
         """sqrt of the mean of the square over the domain."""
@@ -270,6 +294,7 @@ def profile_from_spec(spec: dict) -> Profile1D:
     """1D profile for an analytic coefficient catalog entry, on the unit
     cell: a spec of another ``period`` would pair the fine medium with the
     hierarchy of the wrong cell, so it is rejected."""
+    check_coefficient_spec(spec, 1)
     if float(spec.get("period", 1.0)) != 1.0:
         raise ConfigurationError("the 1D oracle needs coefficient period 1")
     kind = spec.get("kind")
@@ -279,8 +304,6 @@ def profile_from_spec(spec: dict) -> Profile1D:
     if kind == "diagonal":
         return Profile1D(breakpoints=[0.0, 1.0], values=[float(spec["entries"][0])])
     if kind == "laminate":
-        if int(spec.get("axis", 0)) != 0:
-            raise ConfigurationError("a 1D laminate has axis 0")
         vf = float(spec.get("volume_fraction", 0.5))
         v0, v1 = (float(v) for v in spec["values"])
         return Profile1D(breakpoints=[0.0, vf, 1.0], values=[v0, v1])
@@ -312,6 +335,14 @@ class Hierarchy1D:
     flux_residuals: np.ndarray = None
 
 
+def check_order(ell: int) -> None:
+    """Reject a hierarchy order the oracle does not build."""
+    if ell < 1:
+        raise ConfigurationError("order must be >= 1")
+    if ell > 6:
+        raise ConfigurationError("1D oracle supports orders up to 6")
+
+
 def correctors_1d(profile: Profile1D, ell: int) -> Hierarchy1D:
     """Build the corrector hierarchy on [0, 1) in direction e = +1.
 
@@ -319,10 +350,7 @@ def correctors_1d(profile: Profile1D, ell: int) -> Hierarchy1D:
     a (phi_j' + phi_{j-1}) = atilde_{j-1} - chi_{j-1}', and atilde_{j-1} is
     fixed by periodicity of phi_j.  chi_j then follows by double integration.
     """
-    if ell < 1:
-        raise ConfigurationError("order must be >= 1")
-    if ell > 6:
-        raise ConfigurationError("1D oracle supports orders up to 6")
+    check_order(ell)
     ainv = profile.ainv_pp()
     a_pp = profile.a_pp()
     inv_mean = ainv.mean()

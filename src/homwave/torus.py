@@ -694,12 +694,57 @@ def solve_elliptic(a: CoefficientField, rhs: np.ndarray) -> np.ndarray:
 # coefficient catalog
 # ---------------------------------------------------------------------------
 
+# the (required, optional) fields of each catalog kind
+_SPEC_FIELDS = {
+    "constant": ((), ("value",)),
+    "diagonal": (("entries",), ()),
+    "laminate": (("values",), ("volume_fraction", "axis", "period")),
+    "trig_checkerboard": ((), ("base", "amplitude", "period")),
+    "raw": (("values",), ()),
+}
+
+
+def check_coefficient_spec(spec: dict, dim: int) -> None:
+    """Reject a catalog spec that a ``dim``-dimensional run cannot read: an
+    unknown kind or field, a missing or non-numeric field, a value of the
+    wrong shape or a laminate axis outside [0, dim).  Reads the fields
+    only; the coefficient is not sampled."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _SPEC_FIELDS:
+        raise ConfigurationError(f"unknown coefficient kind {kind!r}")
+    required, optional = _SPEC_FIELDS[kind]
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ConfigurationError(f"a {kind} coefficient needs {missing}")
+    unknown = sorted(set(spec) - {"kind", *required, *optional})
+    if unknown:
+        raise ConfigurationError(f"unknown {kind} coefficient fields: {unknown}")
+    try:
+        fields = {key: np.asarray(value, dtype=float)
+                  for key, value in spec.items() if key != "kind"}
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{kind} coefficient fields must be numbers") from None
+    # a raw grid's shape is checked against the grid the run builds
+    for key, value in fields.items() if kind != "raw" else ():
+        want = {"entries": (dim,), "values": (2,)}.get(key, ())
+        if key == "value" and value.ndim == 2:
+            want = (dim, dim)           # a constant matrix
+        if value.shape != want:
+            raise ConfigurationError(
+                f"{kind} coefficient field {key!r} must have shape {want}, "
+                f"got {value.shape}")
+    axis = float(fields.get("axis", 0))
+    if not (axis == int(axis) and 0 <= axis < dim):
+        raise ConfigurationError(f"laminate axis {axis:g} outside [0, {dim})")
+
+
 def evaluate_coefficient(spec: dict, x: np.ndarray, dim: int) -> np.ndarray:
     """Evaluate an analytic catalog coefficient at points.
 
     ``x`` has shape (dim, ...); the result has shape (dim, dim, ...).
     Raw-grid specs have no analytic form and are rejected here.
     """
+    check_coefficient_spec(spec, dim)
     kind = spec.get("kind")
     base_shape = x.shape[1:]
     out = np.zeros((dim, dim) + base_shape)
@@ -710,19 +755,13 @@ def evaluate_coefficient(spec: dict, x: np.ndarray, dim: int) -> np.ndarray:
         return out
     if kind == "diagonal":
         entries = np.asarray(spec["entries"], dtype=float)
-        if entries.shape != (dim,):
-            raise ConfigurationError(f"diagonal entries must have length {dim}")
         for m in range(dim):
             out[m, m] = entries[m]
         return out
     if kind == "laminate":
         values = [float(v) for v in spec["values"]]
-        if len(values) != 2:
-            raise ConfigurationError("laminate needs exactly two phase values")
         vf = float(spec.get("volume_fraction", 0.5))
         axis = int(spec.get("axis", 0))
-        if not 0 <= axis < dim:
-            raise ConfigurationError(f"laminate axis {axis} outside [0, {dim})")
         period = float(spec.get("period", 1.0))
         frac = np.mod(x[axis] / period, 1.0)
         scalar = np.where(frac < vf, values[0], values[1])

@@ -108,9 +108,32 @@ class TestValidate:
         # box_n was a second box-size knob beside points_per_period
         (dict(kind="wave-compare", eps_list=[0.25, 0.125], box_n=1024),
          "unknown config keys: ['box_n']"),
+        # the hierarchy orders the corrector builds reject
+        (dict(kind="correctors", dim=1, grid_n=16, ell=0),
+         "hierarchy order must be >= 1"),
+        (dict(kind="elliptic-rate", eps_list=[0.25, 0.125], box_side=1.0,
+              ell=0), "order must be >= 1"),
+        (dict(kind="wave-compare", eps_list=[0.25, 0.125], ell=7),
+         "1D oracle supports orders up to 6"),
+        # snapshots are taken at t = 1, ..., floor(T)
+        (dict(kind="wave-compare", eps_list=[0.25, 0.125], T=0.5),
+         "T 0.5 is below 1"),
+        # catalog specs are read field by field, before anything is sampled
+        (dict(kind="wave-compare", eps_list=[0.25, 0.125],
+              coefficient={"kind": "laminate", "value": [1.0, 4.0]}),
+         "a laminate coefficient needs ['values']"),
+        (dict(kind="correctors", dim=1, grid_n=16,
+              coefficient={"kind": "laminate", "value": [1.0, 4.0]}),
+         "a laminate coefficient needs ['values']"),
+        (dict(kind="correctors", dim=1, grid_n=16,
+              coefficient={"kind": "laminate", "values": [1.0, 4.0],
+                           "axis": 1}), "laminate axis 1 outside [0, 1)"),
     ], ids=["points-per-period-8", "dim-2-wave-compare", "laminate-period",
             "raw-elliptic-rate", "dim-3-correctors", "mode", "operator",
-            "box-n"])
+            "box-n", "correctors-ell-0", "elliptic-rate-ell-0",
+            "wave-compare-ell-7", "wave-compare-T-below-1",
+            "laminate-value-wave-compare", "laminate-value-correctors",
+            "laminate-axis-outside-dim"])
     def test_the_run_rejects_what_validate_reports(self, cfg, message,
                                                     tmp_path, capsys):
         cfg.setdefault("coefficient", {"kind": "laminate",
@@ -453,6 +476,32 @@ class TestMain:
         cfg2 = load_config(path, overrides=["grid_n=32"])
         assert cfg2.grid_n == 32
         assert config_hash(cfg1) != config_hash(cfg2)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus", "--config", "config.json"], ["correctors"]],
+        ids=["no-subcommand", "unknown-subcommand", "no-config"])
+    def test_usage_errors_exit_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("kind, extra, code", [
+        ("correctors", {"dim": 2, "grid_n": 16}, 0),
+        ("transport", {"eps_list": [0.25, 0.125]}, 2)])
+    def test_validate_samples_no_coefficient(self, kind, extra, code, tmp_path,
+                                             monkeypatch):
+        # a laminate along y: valid in 2D, an error in 1D, and told apart
+        # from the spec's fields alone
+        def sampled(*args):
+            raise AssertionError("validate sampled the coefficient")
+
+        for module in (torus, wave):
+            monkeypatch.setattr(module, "evaluate_coefficient", sampled)
+        monkeypatch.setattr(cli, "coefficient_from_spec", sampled)
+        path = write_config(tmp_path, kind=kind, **extra,
+                            coefficient={"kind": "laminate",
+                                         "values": [1.0, 4.0], "axis": 1})
+        assert cli.main(["validate", "--config", path]) == code
 
     def test_kind_mismatch_rejected(self, tmp_path):
         path = write_config(tmp_path, kind="correctors",

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import legendre
 
 from homwave import elliptic, oracle1d, torus
+from homwave.dispersion import DispersionModel
+from homwave.wave import choose_gamma, mode_symbol
 from homwave.oracle1d import (
     PiecewisePoly,
     Profile1D,
@@ -101,6 +103,7 @@ def piecewise(draw, max_segments=12, max_degree=6):
     return breaks, rows, PiecewisePoly(breaks, rows)
 
 
+EPS = float(np.finfo(float).eps)
 SAMPLES = np.random.default_rng(7).uniform(0.0, 1.0, 200)
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
                     derandomize=True)
@@ -164,6 +167,102 @@ class TestArrayBackedProperties:
 
 
 LAM14 = Profile1D(breakpoints=[0.0, 0.5, 1.0], values=[1.0, 4.0])
+
+
+class TestPerOperationOverhead:
+    """The same arithmetic with fewer numpy calls: shared partitions skip
+    alignment, and Legendre calculus is one cached matrix per width."""
+
+    def test_equal_partitions_skip_alignment(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        breaks = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 7)), [1.0]])
+        p = PiecewisePoly(breaks, rng.uniform(-1, 1, (8, 4)))
+        q_rows = rng.uniform(-1, 1, (8, 6))
+        shared = PiecewisePoly(breaks, q_rows)
+        want = [p * shared, p + shared, p - shared]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("equal partitions reached the alignment path")
+
+        monkeypatch.setattr(np, "allclose", forbidden)
+        monkeypatch.setattr(oracle1d, "_union_breaks", forbidden)
+        distinct = PiecewisePoly(breaks.copy(), q_rows)
+        got = [p * distinct, p + distinct, p - distinct]
+        for g, w in zip(got, want):
+            assert g.breaks is p.breaks
+            assert np.array_equal(g.coeffs, w.coeffs)
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 15, 29])
+    def test_calculus_matrices_match_numpy(self, width):
+        rows = np.random.default_rng(width).uniform(-1.0, 1.0, (40, width))
+        der, anti = oracle1d._calculus(width)
+        sampler = oracle1d._sampler(16, width)
+        t = oracle1d._gauss(16)[0]
+        # roundoff of each entry against the sum of its terms' magnitudes;
+        # Clenshaw's own error grows with the degree
+        for mat, ref, ulps in [(der, legendre.legder(rows, axis=1), 4),
+                               (anti, legendre.legint(rows, axis=1), 4),
+                               (sampler, legendre.legval(t, rows.T), 16)]:
+            scale = np.abs(rows) @ np.abs(mat)
+            assert np.all(np.abs(rows @ mat - ref) <= ulps * EPS * scale)
+
+    def test_sweep_derivative_orders_match_mode_sums(self, monkeypatch):
+        # each order from one sin/cos pair against sin(k x + j pi / 2), the
+        # one-sin-per-order fit the sweep made before
+        f_modes, eps, degree = {1: 1.0, 3: 0.5}, 1 / 16, 14
+        fits = []
+        orig = PiecewisePoly.from_callable.__func__
+
+        def recorded(cls, func, breaks, degree=12):
+            fits.append(orig(cls, func, breaks, degree))
+            return fits[-1]
+
+        monkeypatch.setattr(PiecewisePoly, "from_callable", classmethod(recorded))
+        # a second eps for the fitted order; the first one's fits are checked
+        elliptic.elliptic_error_sweep_1d(LAM14, 2, [eps, eps / 2],
+                                         f_modes=f_modes, pp_degree=degree)
+        model = DispersionModel.from_oracle(correctors_1d(LAM14, 2), 2)
+        ks = np.array([[2 * np.pi * q for q in f_modes]])
+        num, den = mode_symbol(model, eps, ks, gamma=choose_gamma(model))
+        den = np.broadcast_to(den, num.shape)
+        u_modes = {q: c * float(den[i]) / float(num[i])
+                   for i, (q, c) in enumerate(f_modes.items())}
+        # prepared data: f and its first two derivatives, then the first
+        # three derivatives of the effective solution u
+        orders = [(f_modes, 0), (f_modes, 1), (f_modes, 2),
+                  (u_modes, 1), (u_modes, 2), (u_modes, 3)]
+        assert len(fits) == 2 * len(orders)
+        for fit, (modes, j) in zip(fits, orders):
+            def mode_sum(x, modes=modes, j=j):
+                return sum(c * (2 * np.pi * q) ** j
+                           * np.sin(2 * np.pi * q * x + 0.5 * np.pi * j)
+                           for q, c in modes.items())
+            ref = orig(PiecewisePoly, mode_sum, fit.breaks, degree)
+            gap = np.max(np.abs(fit.coeffs - ref.coeffs))
+            assert gap <= 1e-14 * np.max(np.abs(ref.coeffs))
+
+    def test_sweep_calls_after_cache_fill(self, monkeypatch):
+        eps_list, ell = [1 / 8, 1 / 16, 1 / 32], 2
+        elliptic.elliptic_error_sweep_1d(LAM14, ell, eps_list)   # fill caches
+        calls = {"legint": 0, "legder": 0, "allclose": 0, "from_callable": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        view = types.ModuleType(legendre.__name__)
+        view.__dict__.update(vars(legendre))
+        for name in ("legint", "legder"):
+            setattr(view, name, counted(name, getattr(legendre, name)))
+        monkeypatch.setattr(oracle1d, "leg", view)
+        monkeypatch.setattr(np, "allclose", counted("allclose", np.allclose))
+        fit = counted("from_callable", PiecewisePoly.from_callable.__func__)
+        monkeypatch.setattr(PiecewisePoly, "from_callable", classmethod(fit))
+        elliptic.elliptic_error_sweep_1d(LAM14, ell, eps_list)
+        assert calls["legint"] == calls["legder"] == calls["allclose"] == 0
+        assert 0 < calls["from_callable"] <= (2 * ell + 3) * len(eps_list)
 
 
 class TestSweepScaling:

@@ -676,6 +676,19 @@ class TestCoefficientField:
             {"kind": "raw", "values": laminate_a.values.tolist()}, grid1d)
         assert np.array_equal(again.values, laminate_a.values)
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "laminate", "value": [1.0, 4.0]}, "needs ['values']"),
+        ({"kind": "laminate", "values": [1.0, 4.0, 9.0]}, "shape (2,)"),
+        ({"kind": "laminate", "values": ["one", 4.0]}, "must be numbers"),
+        ({"kind": "constant", "values": 2.0}, "fields: ['values']"),
+        ({"kind": "diagonal", "entries": [2.0]}, "shape (2,)"),
+        ({"kind": "checkerboard"}, "unknown coefficient kind"),
+    ])
+    def test_spec_fields_are_configuration_errors(self, grid2d, spec, message):
+        with pytest.raises(ConfigurationError) as err:
+            coefficient_from_spec(spec, grid2d)
+        assert message in str(err.value)
+
 
 class TestProlongation:
     def test_exact_on_band_limited(self, grid2d, rng):
