@@ -210,14 +210,31 @@ def check_sweep_options(mode: str, operator: str) -> None:
                                  f"got {operator!r}")
 
 
+def _effective_operator(model: DispersionModel, operator: str,
+                        gamma: float | None):
+    """(gamma, bt) of a sweep: gamma defaults to ``choose_gamma(model)``, and
+    bt is the model's Boussinesq split for that operator, else None."""
+    if gamma is None:
+        gamma = wave.choose_gamma(model)
+    return gamma, (wave.boussinesq_decomposition(model)
+                   if operator == "boussinesq" else None)
+
+
 @dataclass
 class RateStudy:
+    """Gradient errors at each eps and the order fitted to them."""
+
     eps_list: np.ndarray
     errors: np.ndarray
-    fitted_order: float
     mode: str
     operator: str
     details: dict = dc_field(default_factory=dict)
+    fitted_order: float = dc_field(init=False)
+
+    def __post_init__(self):
+        self.eps_list = np.asarray(self.eps_list, dtype=float)
+        self.errors = np.asarray(self.errors)
+        self.fitted_order = wave.fit_order(self.eps_list, self.errors)
 
     def rows(self):
         out = [("eps", "gradient_error", "fitted_order")]
@@ -243,9 +260,7 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
         f_modes = {1: 1.0}
     oh = oracle1d.correctors_1d(profile, ell)
     model = DispersionModel.from_oracle(oh, ell)
-    if gamma is None:
-        gamma = wave.choose_gamma(model)
-    bt = wave.boussinesq_decomposition(model) if operator == "boussinesq" else None
+    gamma, bt = _effective_operator(model, operator, gamma)
 
     t = oracle1d._gauss(pp_degree + 1)[0]
     ks = [2.0 * math.pi * q / side for q in f_modes]
@@ -253,8 +268,8 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
 
     errors = []
     for eps in eps_list:
-        a_box, _ = oracle1d.coefficient_on_box(profile, eps, side)
-        breaks = a_box.breaks
+        ainv_box = oracle1d.tile_to_box(profile.ainv_pp, eps, side)
+        breaks = ainv_box.breaks
         phi_box = [oracle1d.tile_to_box(p, eps, side) for p in oh.phi[: ell + 1]]
         # one sin/cos pair per mode at the nodes from_callable samples; the
         # derivatives of sin(k x) cycle through sin, cos, -sin, -cos
@@ -274,7 +289,7 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
         if mode == "prepared":
             for j in range(1, ell + 1):
                 rhs_pp = rhs_pp + (eps ** j) * (phi_box[j] * fit(f_amps, j))
-        u_fine = oracle1d.solve_elliptic_box(profile, eps, side, rhs_pp)
+        u_fine = oracle1d.solve_elliptic_box(ainv_box, rhs_pp)
 
         num, den = mode_symbol(model, eps, np.array([ks]), gamma=gamma, bt=bt)
         den = np.broadcast_to(den, num.shape)
@@ -290,11 +305,8 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
         diff = u_fine.derivative() - w_prime
         errors.append(math.sqrt(max((diff * diff).integral(), 0.0)))
 
-    return RateStudy(eps_list=np.asarray(list(eps_list), dtype=float),
-                     errors=np.asarray(errors),
-                     fitted_order=wave.fit_order(eps_list, errors),
-                     mode=mode, operator=operator,
-                     details={"gamma": gamma, "lambdas": oh.lambdas.tolist()})
+    return RateStudy(eps_list, errors, mode, operator,
+                     {"gamma": gamma, "lambdas": oh.lambdas.tolist()})
 
 
 def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrectors,
@@ -311,9 +323,7 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
     """
     check_sweep_options(mode, operator)
     ell = model.ell
-    if gamma is None:
-        gamma = wave.choose_gamma(model)
-    bt = wave.boussinesq_decomposition(model) if operator == "boussinesq" else None
+    gamma, bt = _effective_operator(model, operator, gamma)
     errors = []
     for eps in eps_list:
         a_box = wave.coefficient_on_box(coeff_spec, box, eps)
@@ -325,7 +335,4 @@ def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrector
         grad_dressed = dressed_gradient(
             bc, DerivativeCache(box, rfftn(box, u_hom)), max_order=ell)
         errors.append(l2_norm(box, grad_fine - grad_dressed))
-    return RateStudy(eps_list=np.asarray(list(eps_list), dtype=float),
-                     errors=np.asarray(errors),
-                     fitted_order=wave.fit_order(eps_list, errors),
-                     mode=mode, operator=operator, details={"gamma": gamma})
+    return RateStudy(eps_list, errors, mode, operator, {"gamma": gamma})

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import legendre as leg
 
 from .torus import (ConfigurationError, SolvabilityError, _solvability_tolerance,
-                    check_coefficient_spec, l2_norm)
+                    check_coefficient_spec, evaluate_coefficient, l2_norm)
 
 
 @functools.cache
@@ -265,53 +265,40 @@ class Profile1D:
                 raise ConfigurationError("need len(breakpoints) == len(values)+1")
             if np.any(self.values < 1.0 - 1e-12):
                 raise ConfigurationError("profile must satisfy a(x) >= 1")
-        self._a_pp = None
-        self._ainv_pp = None
 
-    def a_pp(self) -> PiecewisePoly:
-        if self._a_pp is None:
-            if self.values is not None:
-                self._a_pp = PiecewisePoly(self.breakpoints, self.values[:, None])
-            else:
-                breaks = np.linspace(0.0, 1.0, self.n_segments + 1)
-                self._a_pp = PiecewisePoly.from_callable(
-                    self.func, breaks, self.degree)
-        return self._a_pp
+    def _on_cell(self, of) -> PiecewisePoly:
+        """of(a) on the cell as a piecewise polynomial: exact for a
+        piecewise-constant profile, else interpolated."""
+        if self.values is not None:
+            return PiecewisePoly(self.breakpoints, of(self.values)[:, None])
+        breaks = np.linspace(0.0, 1.0, self.n_segments + 1)
+        return PiecewisePoly.from_callable(lambda x: of(self.func(x)), breaks,
+                                           self.degree)
 
-    def ainv_pp(self) -> PiecewisePoly:
-        if self._ainv_pp is None:
-            if self.values is not None:
-                self._ainv_pp = PiecewisePoly(self.breakpoints,
-                                              1.0 / self.values[:, None])
-            else:
-                breaks = np.linspace(0.0, 1.0, self.n_segments + 1)
-                self._ainv_pp = PiecewisePoly.from_callable(
-                    lambda x: 1.0 / self.func(x), breaks, self.degree)
-        return self._ainv_pp
+    # a and 1/a on the cell, each built once per profile
+    a_pp = functools.cached_property(lambda self: self._on_cell(lambda a: a))
+    ainv_pp = functools.cached_property(lambda self: self._on_cell(lambda a: 1.0 / a))
 
 
 def profile_from_spec(spec: dict) -> Profile1D:
-    """1D profile for an analytic coefficient catalog entry, on the unit
-    cell: a spec of another ``period`` would pair the fine medium with the
-    hierarchy of the wrong cell, so it is rejected."""
-    check_coefficient_spec(spec, 1)
-    if float(spec.get("period", 1.0)) != 1.0:
+    """1D profile of an analytic catalog entry on the unit cell: a spec of
+    another ``period`` would pair the fine medium with the hierarchy of the
+    wrong cell, so it is rejected."""
+    fields = check_coefficient_spec(spec, 1)
+    kind = spec["kind"]
+    if kind == "raw":
+        raise ConfigurationError(f"no 1D profile for coefficient kind {kind!r}")
+    if "period" in fields and fields["period"] != 1.0:
         raise ConfigurationError("the 1D oracle needs coefficient period 1")
-    kind = spec.get("kind")
-    if kind == "constant":
-        value = float(np.asarray(spec.get("value", 1.0)).reshape(-1)[0])
-        return Profile1D(breakpoints=[0.0, 1.0], values=[value])
-    if kind == "diagonal":
-        return Profile1D(breakpoints=[0.0, 1.0], values=[float(spec["entries"][0])])
+    if kind == "trig_checkerboard":     # the catalog formula itself
+        return Profile1D(func=lambda x: evaluate_coefficient(
+            spec, np.asarray(x)[None], 1)[0, 0])
     if kind == "laminate":
-        vf = float(spec.get("volume_fraction", 0.5))
-        v0, v1 = (float(v) for v in spec["values"])
-        return Profile1D(breakpoints=[0.0, vf, 1.0], values=[v0, v1])
-    if kind == "trig_checkerboard":
-        base = float(spec.get("base", 2.0))
-        amp = float(spec.get("amplitude", 1.0))
-        return Profile1D(func=lambda x: base + amp * np.sin(2.0 * np.pi * x))
-    raise ConfigurationError(f"no 1D profile for coefficient kind {kind!r}")
+        return Profile1D(breakpoints=[0.0, fields["volume_fraction"], 1.0],
+                         values=fields["values"])
+    # constant and diagonal: one value on the whole cell
+    return Profile1D(breakpoints=[0.0, 1.0],
+                     values=evaluate_coefficient(spec, np.zeros((1, 1)), 1)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +338,8 @@ def correctors_1d(profile: Profile1D, ell: int) -> Hierarchy1D:
     fixed by periodicity of phi_j.  chi_j then follows by double integration.
     """
     check_order(ell)
-    ainv = profile.ainv_pp()
-    a_pp = profile.a_pp()
+    ainv = profile.ainv_pp
+    a_pp = profile.a_pp
     inv_mean = ainv.mean()
     one = PiecewisePoly.constant(1.0, ainv.breaks)
     zero = PiecewisePoly.constant(0.0, ainv.breaks)
@@ -414,23 +401,17 @@ def compare_with_spectral(profile: Profile1D, hierarchy) -> dict:
 # exact periodic elliptic solves on a 1D box
 # ---------------------------------------------------------------------------
 
-def coefficient_on_box(profile: Profile1D, eps: float, length: float):
-    """(a(x/eps), 1/a(x/eps)) as piecewise polynomials on [0, length)."""
-    return (tile_to_box(profile.a_pp(), eps, length),
-            tile_to_box(profile.ainv_pp(), eps, length))
+def solve_elliptic_box(ainv_box: PiecewisePoly, rhs: PiecewisePoly) -> PiecewisePoly:
+    """Solve -(a u')' = rhs exactly on the periodic box that ``ainv_box``,
+    the tiled 1/a (``tile_to_box(profile.ainv_pp, eps, length)``), covers;
+    zero-mean u.
 
-
-def solve_elliptic_box(profile: Profile1D, eps: float, length: float,
-                       rhs: PiecewisePoly) -> PiecewisePoly:
-    """Solve -(a(x/eps) u')' = rhs on the periodic box, zero-mean u, exactly.
-
-    Integrating once gives a(x/eps) u' = c - R with R the antiderivative of
-    rhs; periodicity of u fixes c, and zero-mean rhs makes u' periodic.
+    Integrating once gives a u' = c - R with R the antiderivative of rhs;
+    periodicity of u fixes c, and zero-mean rhs makes u' periodic.
     """
     mean_rhs = rhs.mean()
     if abs(mean_rhs) > _solvability_tolerance(rhs.linf()):
         raise SolvabilityError(f"rhs has mean {mean_rhs:.3e}; needs zero mean")
-    _, ainv_box = coefficient_on_box(profile, eps, length)
     R = rhs.antiderivative()
     c = (R * ainv_box).mean() / ainv_box.mean()
     u_prime = ainv_box * (c - R)

@@ -392,7 +392,8 @@ def _restrict_hat(grid: TorusGrid, spec: np.ndarray) -> np.ndarray:
 class CoefficientField:
     """Symmetric uniformly elliptic matrix field a(x) sampled on a torus grid.
 
-    Construction checks xi . a xi >= |xi|^2 and |a xi| <= Lambda |xi| nodewise.
+    Construction checks that the samples are finite, xi . a xi >= |xi|^2
+    and |a xi| <= Lambda |xi| nodewise.
     """
 
     def __init__(self, grid: TorusGrid, values: np.ndarray, spec: dict | None = None):
@@ -401,6 +402,9 @@ class CoefficientField:
         if values.shape != (d, d) + grid.shape:
             raise ConfigurationError(
                 f"coefficient values must have shape {(d, d) + grid.shape}")
+        # NaN fails every comparison, so the checks below would pass it
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError("coefficient values must be finite")
         sym_gap = np.max(np.abs(values - np.swapaxes(values, 0, 1)))
         if sym_gap > 1e-12 * max(1.0, np.max(np.abs(values))):
             raise ConfigurationError("coefficient matrix field is not symmetric")
@@ -694,34 +698,46 @@ def solve_elliptic(a: CoefficientField, rhs: np.ndarray) -> np.ndarray:
 # coefficient catalog
 # ---------------------------------------------------------------------------
 
-# the (required, optional) fields of each catalog kind
+# each catalog kind: its required fields, its optional fields with their
+# defaults, and the closed-form minimum of its scalar a(x) as (the fields it
+# reads, its value from the parsed fields); a constant matrix and a raw grid
+# have none and are checked where they are sampled, by CoefficientField
 _SPEC_FIELDS = {
-    "constant": ((), ("value",)),
-    "diagonal": (("entries",), ()),
-    "laminate": (("values",), ("volume_fraction", "axis", "period")),
-    "trig_checkerboard": ((), ("base", "amplitude", "period")),
-    "raw": (("values",), ()),
+    "constant": ((), {"value": 1.0},
+                 ("value", lambda f: f["value"] if f["value"].ndim == 0 else np.inf)),
+    "diagonal": (("entries",), {}, ("min(entries)", lambda f: f["entries"].min())),
+    "laminate": (("values",), {"volume_fraction": 0.5, "axis": 0, "period": 1.0},
+                 ("min(values)", lambda f: f["values"].min())),
+    "trig_checkerboard": ((), {"base": 2.0, "amplitude": 1.0, "period": 1.0},
+                          ("base - |amplitude|",
+                           lambda f: f["base"] - abs(f["amplitude"]))),
+    "raw": (("values",), {}, None),
 }
+# the open interval each bounded field lies in
+_OPEN_RANGES = {"volume_fraction": (0.0, 1.0), "period": (0.0, np.inf)}
 
 
-def check_coefficient_spec(spec: dict, dim: int) -> None:
-    """Reject a catalog spec that a ``dim``-dimensional run cannot read: an
-    unknown kind or field, a missing or non-numeric field, a value of the
-    wrong shape or a laminate axis outside [0, dim).  Reads the fields
-    only; the coefficient is not sampled."""
+def check_coefficient_spec(spec: dict, dim: int) -> dict:
+    """The fields of a catalog spec, as float arrays with the kind's
+    defaults filled in, once a ``dim``-dimensional run can read them.
+
+    Rejects an unknown kind or field, a missing, non-numeric or non-finite
+    field, a value of the wrong shape, a laminate axis outside [0, dim) or
+    volume fraction outside (0, 1), a period that is not positive, and a
+    closed-form minimum of a below 1.  The coefficient is not sampled."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in _SPEC_FIELDS:
         raise ConfigurationError(f"unknown coefficient kind {kind!r}")
-    required, optional = _SPEC_FIELDS[kind]
+    required, defaults, minimum = _SPEC_FIELDS[kind]
     missing = [key for key in required if key not in spec]
     if missing:
         raise ConfigurationError(f"a {kind} coefficient needs {missing}")
-    unknown = sorted(set(spec) - {"kind", *required, *optional})
+    unknown = sorted(set(spec) - {"kind", *required, *defaults})
     if unknown:
         raise ConfigurationError(f"unknown {kind} coefficient fields: {unknown}")
     try:
         fields = {key: np.asarray(value, dtype=float)
-                  for key, value in spec.items() if key != "kind"}
+                  for key, value in {**defaults, **spec}.items() if key != "kind"}
     except (TypeError, ValueError):
         raise ConfigurationError(f"{kind} coefficient fields must be numbers") from None
     # a raw grid's shape is checked against the grid the run builds
@@ -733,9 +749,20 @@ def check_coefficient_spec(spec: dict, dim: int) -> None:
             raise ConfigurationError(
                 f"{kind} coefficient field {key!r} must have shape {want}, "
                 f"got {value.shape}")
-    axis = float(fields.get("axis", 0))
+    for key, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"{kind} coefficient field {key!r} must be finite")
+    axis = float(fields["axis"]) if "axis" in fields else 0.0
     if not (axis == int(axis) and 0 <= axis < dim):
         raise ConfigurationError(f"laminate axis {axis:g} outside [0, {dim})")
+    for key, (lo, hi) in _OPEN_RANGES.items():
+        if key in fields and not lo < fields[key] < hi:
+            raise ConfigurationError(f"{kind} coefficient field {key!r} = "
+                                     f"{float(fields[key]):g} outside ({lo:g}, {hi:g})")
+    if minimum is not None and minimum[1](fields) < 1.0 - 1e-12:
+        raise ConfigurationError(f"{kind} coefficient has a below 1: "
+                                 f"{minimum[0]} = {float(minimum[1](fields)):.6g}")
+    return fields
 
 
 def evaluate_coefficient(spec: dict, x: np.ndarray, dim: int) -> np.ndarray:
@@ -744,43 +771,28 @@ def evaluate_coefficient(spec: dict, x: np.ndarray, dim: int) -> np.ndarray:
     ``x`` has shape (dim, ...); the result has shape (dim, dim, ...).
     Raw-grid specs have no analytic form and are rejected here.
     """
-    check_coefficient_spec(spec, dim)
-    kind = spec.get("kind")
+    fields = check_coefficient_spec(spec, dim)
+    kind = spec["kind"]
     base_shape = x.shape[1:]
     out = np.zeros((dim, dim) + base_shape)
-    if kind == "constant":
-        value = np.asarray(spec.get("value", 1.0), dtype=float)
-        mat = np.eye(dim) * value if value.ndim == 0 else value
-        out[...] = mat.reshape((dim, dim) + (1,) * len(base_shape))
-        return out
-    if kind == "diagonal":
-        entries = np.asarray(spec["entries"], dtype=float)
-        for m in range(dim):
-            out[m, m] = entries[m]
+    if kind in ("constant", "diagonal"):
+        value = fields["value"] if kind == "constant" else np.diag(fields["entries"])
+        matrix = value if value.ndim == 2 else np.eye(dim) * value
+        out[...] = matrix.reshape((dim, dim) + (1,) * len(base_shape))
         return out
     if kind == "laminate":
-        values = [float(v) for v in spec["values"]]
-        vf = float(spec.get("volume_fraction", 0.5))
-        axis = int(spec.get("axis", 0))
-        period = float(spec.get("period", 1.0))
-        frac = np.mod(x[axis] / period, 1.0)
-        scalar = np.where(frac < vf, values[0], values[1])
-        for m in range(dim):
-            out[m, m] = scalar
-        return out
-    if kind == "trig_checkerboard":
-        base = float(spec.get("base", 2.0))
-        amp = float(spec.get("amplitude", 1.0))
-        period = float(spec.get("period", 1.0))
-        scalar = np.full(base_shape, base)
+        frac = np.mod(x[int(fields["axis"])] / fields["period"], 1.0)
+        scalar = np.where(frac < fields["volume_fraction"], *fields["values"])
+    elif kind == "trig_checkerboard":
         prod = np.ones(base_shape)
         for ax in range(dim):
-            prod = prod * np.sin(2.0 * np.pi * x[ax] / period)
-        scalar = scalar + amp * prod
-        for m in range(dim):
-            out[m, m] = scalar
-        return out
-    raise ConfigurationError(f"coefficient kind {kind!r} has no analytic form")
+            prod = prod * np.sin(2.0 * np.pi * x[ax] / fields["period"])
+        scalar = np.full(base_shape, fields["base"]) + fields["amplitude"] * prod
+    else:
+        raise ConfigurationError(f"coefficient kind {kind!r} has no analytic form")
+    for m in range(dim):
+        out[m, m] = scalar
+    return out
 
 
 def coefficient_from_spec(spec: dict, grid: TorusGrid) -> CoefficientField:

@@ -50,7 +50,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .dispersion import (DispersionModel, PositivityError, _positive_real_roots,
                          _radial_coefficients, _require_positive, cutoff,
-                         eigenvalue)
+                         dispersion_Lambda)
 from .torus import (
     ConfigurationError,
     DerivativeCache,
@@ -409,13 +409,10 @@ def filtered_dispersion(model: DispersionModel, box: TorusGrid, eps: float):
     k = box_wavevectors(box)
     weights = cutoff(model.kmax, eps * np.sqrt(np.sum(k ** 2, axis=0)))
     mask = weights > 0.0
-    eig = np.zeros(weights.shape)
+    lam = np.zeros(weights.shape)
     if np.any(mask):
-        km = eps * k[:, mask]
-        eig_vals = eigenvalue(model, km)
-        _require_positive(eig_vals, km)
-        eig[mask] = eig_vals
-    return weights, np.sqrt(eig) / eps
+        lam[mask] = dispersion_Lambda(model, eps * k[:, mask])
+    return weights, lam / eps
 
 
 def _rotate(a, b, omega: np.ndarray, t):

@@ -128,12 +128,39 @@ class TestValidate:
         (dict(kind="correctors", dim=1, grid_n=16,
               coefficient={"kind": "laminate", "values": [1.0, 4.0],
                            "axis": 1}), "laminate axis 1 outside [0, 1)"),
+        # catalog fields the run cannot use: a NaN value (json reads NaN)
+        # gave fitted order nan, an empty phase gave NaN, a fraction past 1
+        # built the oracle on non-monotone breaks, period 0 ran the CG to
+        # its budget, and a checkerboard dipping below 1 failed on kmax
+        (dict(kind="elliptic-rate", eps_list=[0.25, 0.125], box_side=1.0,
+              coefficient={"kind": "laminate", "values": [float("nan"), 4.0]}),
+         "laminate coefficient field 'values' must be finite"),
+        *[(dict(kind=kind, eps_list=[0.25, 0.125], box_side=1.0,
+                coefficient={"kind": "laminate", "values": [1.0, 4.0],
+                             "volume_fraction": vf}),
+           f"field 'volume_fraction' = {vf:g} outside (0, 1)")
+          for kind, vf in [("elliptic-rate", 0), ("elliptic-rate", 1),
+                           ("wave-compare", 1.5), ("elliptic-rate", -0.2)]],
+        (dict(kind="correctors", dim=1, grid_n=16,
+              coefficient={"kind": "laminate", "values": [1.0, 4.0],
+                           "period": 0}),
+         "laminate coefficient field 'period' = 0 outside (0, inf)"),
+        *[(dict(kind=kind, eps_list=[0.25, 0.125], box_side=1.0,
+                coefficient={"kind": "trig_checkerboard", "base": 1,
+                             "amplitude": 2}),
+           "trig_checkerboard coefficient has a below 1: "
+           "base - |amplitude| = -1") for kind in ("elliptic-rate",
+                                                   "wave-compare")],
     ], ids=["points-per-period-8", "dim-2-wave-compare", "laminate-period",
             "raw-elliptic-rate", "dim-3-correctors", "mode", "operator",
             "box-n", "correctors-ell-0", "elliptic-rate-ell-0",
             "wave-compare-ell-7", "wave-compare-T-below-1",
             "laminate-value-wave-compare", "laminate-value-correctors",
-            "laminate-axis-outside-dim"])
+            "laminate-axis-outside-dim", "laminate-nan-value",
+            "volume-fraction-0", "volume-fraction-1", "volume-fraction-1.5",
+            "volume-fraction-negative", "laminate-period-0",
+            "checkerboard-below-1-elliptic-rate",
+            "checkerboard-below-1-wave-compare"])
     def test_the_run_rejects_what_validate_reports(self, cfg, message,
                                                     tmp_path, capsys):
         cfg.setdefault("coefficient", {"kind": "laminate",

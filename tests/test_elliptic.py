@@ -322,17 +322,29 @@ class TestRateStudies:
                                      mode="prepared", operator="boussinesq")
         assert st.fitted_order > 1.5
 
+    def test_one_tiling_of_the_coefficient_per_eps(self, monkeypatch):
+        # 1/a is tiled once per eps, for the box partition and the fine
+        # solve alike, beside the tiled correctors phi_0 .. phi_ell
+        tiled = []
+        tile = oracle1d.tile_to_box
+        monkeypatch.setattr(oracle1d, "tile_to_box",
+                            lambda pp, eps, length: tiled.append(eps)
+                            or tile(pp, eps, length))
+        ell, eps_list = 2, [1 / 4, 1 / 8, 1 / 16]
+        elliptic_error_sweep_1d(LAM_PROFILE, ell, eps_list)
+        assert tiled == [eps for eps in eps_list for _ in range(ell + 2)]
+
     def test_scaling_reduction_to_unit_eps(self):
         # solving at eps on [0, L) matches eps = 1 on [0, L/eps) rescaled
         eps, L = 0.25, 1.0
-        a_box, _ = oracle1d.coefficient_on_box(LAM_PROFILE, eps, L)
+        ainv_box = oracle1d.tile_to_box(LAM_PROFILE.ainv_pp, eps, L)
         rhs = oracle1d.PiecewisePoly.from_callable(
-            lambda x: np.sin(2 * np.pi * x / L), a_box.breaks, 14)
-        u = oracle1d.solve_elliptic_box(LAM_PROFILE, eps, L, rhs)
-        a_big, _ = oracle1d.coefficient_on_box(LAM_PROFILE, 1.0, L / eps)
+            lambda x: np.sin(2 * np.pi * x / L), ainv_box.breaks, 14)
+        u = oracle1d.solve_elliptic_box(ainv_box, rhs)
+        ainv_big = oracle1d.tile_to_box(LAM_PROFILE.ainv_pp, 1.0, L / eps)
         rhs_big = oracle1d.PiecewisePoly.from_callable(
-            lambda y: np.sin(2 * np.pi * eps * y / L), a_big.breaks, 14)
-        v = oracle1d.solve_elliptic_box(LAM_PROFILE, 1.0, L / eps, rhs_big)
+            lambda y: np.sin(2 * np.pi * eps * y / L), ainv_big.breaks, 14)
+        v = oracle1d.solve_elliptic_box(ainv_big, rhs_big)
         x = np.linspace(0, L * 0.999, 400)
         gap = np.max(np.abs(u(x) - eps ** 2 * v(x / eps)))
         assert gap < 1e-10

@@ -13,7 +13,6 @@ from homwave.wave import choose_gamma, mode_symbol
 from homwave.oracle1d import (
     PiecewisePoly,
     Profile1D,
-    coefficient_on_box,
     correctors_1d,
     compare_with_spectral,
     profile_from_spec,
@@ -331,7 +330,7 @@ class TestCorrectorRecursion:
         h = correctors_1d(laminate, 3)
         w = h.phi[2] - 0.5 * (h.phi[1] * h.phi[1])
         wp = w.derivative()
-        quad = (laminate.a_pp() * wp * wp).mean()
+        quad = (laminate.a_pp * wp * wp).mean()
         assert quad == pytest.approx(h.lambdas[2], rel=1e-10)
         assert quad >= 0.0
 
@@ -391,27 +390,45 @@ class TestBoxElliptic:
     def test_constant_coefficient_single_mode(self):
         prof = Profile1D(breakpoints=[0, 1], values=[1.0])
         L = 2.0
-        a_box, _ = coefficient_on_box(prof, 0.5, L)
+        ainv_box = tile_to_box(prof.ainv_pp, 0.5, L)
         rhs = PiecewisePoly.from_callable(
-            lambda x: np.sin(2 * np.pi * x / L), a_box.breaks, 14)
-        u = solve_elliptic_box(prof, 0.5, L, rhs)
+            lambda x: np.sin(2 * np.pi * x / L), ainv_box.breaks, 14)
+        u = solve_elliptic_box(ainv_box, rhs)
         k = 2 * np.pi / L
         x = np.linspace(0, 1.999, 200)
         assert np.max(np.abs(u(x) - np.sin(k * x) / k ** 2)) < 1e-11
 
     def test_laminate_residual(self, laminate):
         L, eps = 1.0, 0.125
-        a_box, _ = coefficient_on_box(laminate, eps, L)
+        a_box = tile_to_box(laminate.a_pp, eps, L)
         rhs = PiecewisePoly.from_callable(
             lambda x: np.sin(2 * np.pi * x), a_box.breaks, 14)
-        u = solve_elliptic_box(laminate, eps, L, rhs)
+        u = solve_elliptic_box(tile_to_box(laminate.ainv_pp, eps, L), rhs)
         res = (a_box * u.derivative()).derivative() + rhs
         assert res.l2_mean() < 1e-9 * rhs.l2_mean() + 1e-11
 
     def test_rejects_nonzero_mean(self, laminate):
         rhs = PiecewisePoly.constant(1.0, [0.0, 1.0])
         with pytest.raises(torus.SolvabilityError):
-            solve_elliptic_box(laminate, 0.125, 1.0, rhs)
+            solve_elliptic_box(tile_to_box(laminate.ainv_pp, 0.125, 1.0), rhs)
+
+
+# a value of each catalog field that a 1D profile on the unit cell accepts
+FIELD_SAMPLES = {"value": 2.5, "entries": [3.0], "values": [1.5, 4.0],
+                 "volume_fraction": 0.3, "axis": 0, "period": 1.0,
+                 "base": 3.0, "amplitude": -0.75}
+
+
+def catalog_specs():
+    """Each analytic catalog kind with its required fields only, then with
+    each optional field set (``raw`` has no analytic form)."""
+    for kind, (required, defaults, _) in torus._SPEC_FIELDS.items():
+        if kind == "raw":
+            continue
+        spec = {"kind": kind, **{key: FIELD_SAMPLES[key] for key in required}}
+        yield spec
+        for key in defaults:
+            yield {**spec, key: FIELD_SAMPLES[key]}
 
 
 class TestProfileFromSpec:
@@ -423,6 +440,17 @@ class TestProfileFromSpec:
         prof = profile_from_spec({"kind": "trig_checkerboard", "base": 2.0,
                                   "amplitude": 1.0})
         assert prof.func(0.25) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("spec", list(catalog_specs()), ids=str)
+    def test_profile_is_the_sampled_catalog(self, spec):
+        # the profile (its pieces, or the formula a smooth profile fits) and
+        # the torus samples read one table: equal at the nodes, bit for bit
+        grid = torus.TorusGrid(1, 64)
+        x = grid.coordinate_axes()[0]
+        field = torus.coefficient_from_spec(spec, grid).values[0, 0]
+        prof = profile_from_spec(spec)
+        assert np.array_equal(prof.a_pp(x) if prof.func is None else prof.func(x),
+                              field)
 
     @pytest.mark.parametrize("spec", [
         {"kind": "laminate", "values": [1.0, 4.0], "period": 0.5},

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import, every function parameter and
 every private module-level helper of the package is used, no module runs a
-full complex FFT, only ``wave`` names the leapfrog solver, and every name
+full complex FFT, only ``wave`` names the leapfrog solver, no module writes
+a coefficient catalog default outside the catalog table, and every name
 the benchmark's tracer binds exists."""
 
 import ast
@@ -11,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from homwave.torus import _SPEC_FIELDS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "homwave"
@@ -249,6 +252,40 @@ def test_checker_sees_a_named_solver(tmp_path):
         "from .bloch import solve_fine_wave_exact\n"
         "# solve_fine_wave in a comment\nDOC = 'solve_fine_wave'\n")
     assert modules_naming(tmp_path, "solve_fine_wave") == ["b.py", "c.py"]
+
+
+# the catalog's field names: its defaults live in one table
+CATALOG_FIELDS = {"kind"} | {key for required, defaults, _ in _SPEC_FIELDS.values()
+                             for key in (*required, *defaults)}
+
+
+def catalog_defaults(path: Path) -> list:
+    """(line, field) of each ``.get(field, default)`` call a module makes
+    with a catalog field name: a default written outside
+    ``torus._SPEC_FIELDS``, on a spec or on its parsed fields."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted((node.lineno, node.args[0].value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "get" and len(node.args) == 2
+                  and isinstance(node.args[0], ast.Constant)
+                  and node.args[0].value in CATALOG_FIELDS)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_catalog_defaults_are_written_once(path):
+    assert catalog_defaults(path) == []
+
+
+def test_checker_flags_a_catalog_default(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(spec, fields, meta):\n"
+                     "    kind = spec.get('kind')\n"
+                     "    period = float(spec.get('period', 1.0))\n"
+                     "    axis = int(fields.get('axis', 0))\n"
+                     "    return meta.get('energy_t0', 0.0), spec['values']\n")
+    assert catalog_defaults(probe) == [(3, "period"), (4, "axis")]
 
 
 def install_tracer(prelude: str = "") -> subprocess.CompletedProcess:

@@ -655,6 +655,16 @@ class TestCoefficientField:
         with pytest.raises(ConfigurationError):
             CoefficientField(grid1d, bad)
 
+    def test_non_finite_samples_rejected(self, grid1d):
+        # NaN fails every comparison: the symmetry and ellipticity checks
+        # alone built this field, with ellipticity nan
+        bad = np.full((1, 1) + grid1d.shape, 2.0)
+        bad[0, 0, 3] = np.nan
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            CoefficientField(grid1d, bad)
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            coefficient_from_spec({"kind": "raw", "values": bad.tolist()}, grid1d)
+
     def test_symmetry_enforced(self, grid2d):
         vals = np.zeros((2, 2) + grid2d.shape)
         vals[0, 0] = vals[1, 1] = 2.0
@@ -683,6 +693,18 @@ class TestCoefficientField:
         ({"kind": "constant", "values": 2.0}, "fields: ['values']"),
         ({"kind": "diagonal", "entries": [2.0]}, "shape (2,)"),
         ({"kind": "checkerboard"}, "unknown coefficient kind"),
+        # a >= 1 from each scalar kind's closed-form minimum
+        ({"kind": "constant", "value": 0.5}, "a below 1: value = 0.5"),
+        ({"kind": "diagonal", "entries": [2.0, 0.5]},
+         "a below 1: min(entries) = 0.5"),
+        ({"kind": "laminate", "values": [0.5, 4.0]}, "a below 1: min(values) = 0.5"),
+        ({"kind": "trig_checkerboard", "amplitude": -1.5},
+         "a below 1: base - |amplitude| = 0.5"),
+        # a constant matrix is checked where it is sampled
+        ({"kind": "constant", "value": [[0.5, 0.0], [0.0, 2.0]]},
+         "ellipticity violated"),
+        ({"kind": "trig_checkerboard", "period": float("inf")},
+         "field 'period' must be finite"),
     ])
     def test_spec_fields_are_configuration_errors(self, grid2d, spec, message):
         with pytest.raises(ConfigurationError) as err:
