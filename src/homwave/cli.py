@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bloch, correctors, dispersion, elliptic, oracle1d, transport, wave
-from .torus import (CG_TOL, ConfigurationError, ConvergenceError,
-                    DerivativeCache, SolvabilityError, TorusGrid,
+from .torus import (CG_TOL, CoefficientField, ConfigurationError,
+                    ConvergenceError, DerivativeCache, SolvabilityError, TorusGrid,
                     check_coefficient_spec, coefficient_from_spec, irfftn,
                     l2_norm)
 
@@ -108,7 +108,8 @@ def _error_of(build, *args) -> list:
 
 def validate(cfg: ExperimentConfig) -> list:
     """The configuration errors of the run, raised by the constructors of
-    the grids, boxes and 1D profile it builds; no coefficient is sampled."""
+    the grids, boxes, 1D profile and raw coefficient grid it builds; no
+    coefficient is sampled."""
     out = []
     if cfg.kind not in KINDS:
         out.append(f"unknown kind {cfg.kind!r}")
@@ -120,6 +121,10 @@ def validate(cfg: ExperimentConfig) -> list:
     else:
         out += _error_of(TorusGrid, cfg.dim, cfg.grid_n)
         out += _error_of(check_coefficient_spec, cfg.coefficient, cfg.dim)
+        if not out and cfg.coefficient["kind"] == "raw":
+            # a raw grid is the coefficient itself, checked on the run's grid
+            out += _error_of(CoefficientField, TorusGrid(cfg.dim, cfg.grid_n),
+                             cfg.coefficient["values"])
         out += _error_of(correctors.check_order, cfg.ell)
     if cfg.kind == "wave-compare":
         out += _error_of(_snapshot_times, cfg)

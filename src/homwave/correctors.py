@@ -20,10 +20,14 @@ the effective tensors and the tensorized corrector fields exactly, with
 j + 1 right-hand sides at level j in 2D.  With one variable t and e = t e0
 (``build_hierarchy``) it is the hierarchy in the one direction e0, with one
 solve per level.
+
+Every field is held once, as its half spectrum: samples are formed only
+for the products with a, and handed out by ``Samples``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -34,16 +38,16 @@ from .torus import (
     ConfigurationError,
     ConvergenceError,
     TorusGrid,
+    _half_gradient_multiplier,
+    _inverse_laplacian,
     _matvec,
-    curl_values,
-    divergence_values,
+    _nyquist_lines,
+    _pcg_div_a_grad,
     gradient_values,
+    irfftn,
     l2_norm,
-    matrix_divergence_values,
-    mean_values,
-    nyquist_part,
-    solve_div_a_grad,
-    solve_poisson_values,
+    l2_norm_hat,
+    rfftn,
 )
 
 
@@ -52,10 +56,30 @@ class ReconstructionError(RuntimeError):
     directions."""
 
 
+class Samples(Sequence):
+    """Samples of the list ``spectra`` of half spectra (None stays None),
+    each formed by ``form`` (default ``irfftn``) when read, and not kept."""
+
+    def __init__(self, grid: TorusGrid, spectra: list, form=None):
+        self.spectra = spectra
+        self.form = form or (lambda spec: None if spec is None
+                             else irfftn(grid, spec))
+
+    def __len__(self):
+        return len(self.spectra)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self.form(spec) for spec in self.spectra[j]]
+        return self.form(self.spectra[j])
+
+
 @dataclass
 class CorrectorHierarchy:
     """Per-direction extended correctors up to a given order.
 
+    ``sigma[j]`` is the (dim, dim) matrix field of the skew component held
+    (zero in 1D, where none is held).
     ``lambdas[j]`` is the direction-diagonal homogenized coefficient of order
     j (j = 0..order-1), e . atilde_j for the flux average atilde_j.
     ``cg_iterations[j - 1]`` and ``cg_residual[j - 1]`` record the CG solves
@@ -66,13 +90,13 @@ class CorrectorHierarchy:
     a: CoefficientField
     direction: np.ndarray
     order: int
-    phi: list
-    sigma: list
-    chi: list
-    q: list
+    phi: Samples
+    sigma: Samples
+    chi: Samples
+    q: Samples
     lambdas: np.ndarray
-    cg_iterations: list = dc_field(default_factory=list)
-    cg_residual: list = dc_field(default_factory=list)
+    cg_iterations: list
+    cg_residual: list
 
     @property
     def grid(self) -> TorusGrid:
@@ -87,29 +111,25 @@ class CorrectorHierarchy:
 class TensorizedCorrectors:
     """The corrector hierarchy as homogeneous polynomials in the direction.
 
-    Every entry is a coefficient stack over the monomials e1^(k-r) e2^r,
-    r = 0..k, of its degree k (one coefficient e1^k in 1D), on the leading
-    axis of the fields.  ``phi[j]`` (degree j) and ``chi[j]`` (degree j + 1)
-    have shape (n_coefficients, grid...); contracting phi_j against the j-th
-    derivative tensor of a slowly varying profile realizes the
-    corrector-dressed expansion.  ``sigma12[j]`` is the one component s of
-    the skew flux potential sigma_j = s [[0, 1], [-1, 0]] (degree j; None in
-    1D, where sigma_j vanishes).  ``q[j]`` (j >= 1, degree j) has shape
-    (dim, n_coefficients, grid...), and ``lambdas[j]`` holds the
-    coefficients of the effective tensor lambda_j (degree j + 2),
-    j = 0..order-1.
-    ``cg_iterations[j - 1]`` and ``cg_residual[j - 1]`` list the CG solve of
-    each coefficient of phi_j, and ``cg_coarse_iterations[j - 1]`` the CG
-    iterations of its coarse-grid start, each a dict keyed by the points per
-    axis of the coarser grid (``torus.PCGSolve``).
+    Every field is a stack of its coefficients over the monomials
+    e1^(k-r) e2^r, r = 0..k, of its degree k (e1^k in 1D), on the leading
+    axis: ``phi[j]`` (degree j), ``chi[j]`` (degree j + 1), ``sigma12[j]``,
+    the component s of sigma_j = s [[0, 1], [-1, 0]] (degree j; None in
+    1D), and ``q[j]`` (degree j, j >= 1, shape (dim, n_coefficients,
+    grid...)).  ``lambdas[j]`` holds the coefficients of the effective
+    tensor lambda_j (degree j + 2), j = 0..order-1.  ``cg_iterations[j - 1]``
+    and ``cg_residual[j - 1]`` list the CG solve of each coefficient of
+    phi_j, and ``cg_coarse_iterations[j - 1]`` the CG iterations of its
+    coarse-grid start, each a dict keyed by the points per axis of the
+    coarser grid (``torus.PCGSolve``).
     """
 
     a: CoefficientField
     order: int
-    phi: list
-    sigma12: list
-    chi: list
-    q: list
+    phi: Samples
+    sigma12: Samples
+    chi: Samples
+    q: Samples
     lambdas: list
     cg_iterations: list
     cg_residual: list
@@ -120,17 +140,19 @@ class TensorizedCorrectors:
         return self.a.grid
 
     def in_direction(self, e) -> CorrectorHierarchy:
-        """The hierarchy in direction e, contracted from the coefficients
-        (no solve)."""
+        """The hierarchy in direction e, contracted from the coefficient
+        spectra (no solve, no transform)."""
         e = _unit_direction(self.grid.dim, e)
         return _contract(self, e, e)
 
 
 def times_polynomial(poly, stack) -> np.ndarray:
     """Coefficient stack of the product of the direction polynomial with
-    coefficients ``poly`` (numbers) and the field held as ``stack``, both in
-    the same monomial basis: their convolution along the leading axis."""
-    out = np.zeros((len(poly) + len(stack) - 1,) + np.shape(stack)[1:])
+    coefficients ``poly`` (numbers) and the field held as ``stack`` (samples
+    or spectra), both in the same monomial basis: their convolution along
+    the leading axis."""
+    out = np.zeros((len(poly) + len(stack) - 1,) + stack.shape[1:],
+                   np.result_type(stack, float))
     for r, c in enumerate(poly):
         out[r:r + len(stack)] += c * stack
     return out
@@ -158,23 +180,32 @@ def _corrector_stacks(a: CoefficientField, ell: int,
     m of ``basis`` holds the coefficients of e_m, and a degree-k field has
     (len(basis) - 1) k + 1 coefficients, on the monomials of t.  The
     coefficients of phi_j share one operator, so one PCG call solves them
-    all, each to ``CG_TOL``; the curl and chi Poisson solves take a whole
-    stack per transform.
+    all, each to ``CG_TOL``.  The products with a are formed on samples,
+    one forward transform each; all else is Fourier multipliers.
     """
     check_order(ell)
     grid = a.grid
     d = grid.dim
     e = basis.T
-    # a broadcast against the coefficient axis of a stack of vector fields
+    # a broadcast against the coefficient axis of a stack of vector fields,
+    # and i k against the coefficient axis of a stack of spectra
     a_stack = a.values[:, :, None]
+    ik = _half_gradient_multiplier(grid)[:, None]
+    mean = (...,) + (0,) * d  # the zero mode: the cell mean times n^d
 
     def zeros(degree):
-        return np.zeros(((len(basis) - 1) * degree + 1,) + grid.shape)
+        return np.zeros(((len(basis) - 1) * degree + 1,) + grid.half_shape,
+                        complex)
 
     def dot_e(vec):
         return sum(times_polynomial(e[m], vec[m]) for m in range(d))
 
-    phi = [np.ones((1,) + grid.shape)]
+    def times_a(vec):
+        return rfftn(grid, _matvec(a_stack, vec))
+
+    phi = [zeros(0)]
+    phi[0][mean] = grid.n ** d          # phi_0 = 1
+    phi_prev = np.ones((1,) + grid.shape)  # samples of phi_{j-1}
     s = [zeros(0) if d == 2 else None]
     chi = [zeros(1), zeros(2)]
     q = [None]
@@ -182,77 +213,76 @@ def _corrector_stacks(a: CoefficientField, ell: int,
     cg_iterations, cg_residual, cg_coarse_iterations = [], [], []
 
     for j in range(1, ell + 1):
-        grad_chi = gradient_values(grid, chi[j - 1])
-        # sigma e for sigma = s [[0, 1], [-1, 0]]
-        sig_e = 0.0 if d == 1 else np.stack([times_polynomial(e[1], s[j - 1]),
-                                             -times_polynomial(e[0], s[j - 1])])
-        a_e_phi = _matvec(a_stack, np.stack([times_polynomial(e[m], phi[j - 1])
-                                             for m in range(d)]))
-        flux_src = a_e_phi + grad_chi - sig_e
+        rest = ik * chi[j - 1]
+        if j >= 2:
+            # chi_j reads lambda_{j-2} .. lambda_0 only
+            src = dot_e(rest)
+            for p in range(1, j):
+                src += times_polynomial(lambdas[j - 1 - p], phi[p])
+            chi.append(src * _inverse_laplacian(grid))
+        if d == 2:
+            # rest = grad chi - sigma e, for sigma = s [[0, 1], [-1, 0]]
+            rest[0] -= times_polynomial(e[1], s[j - 1])
+            rest[1] += times_polynomial(e[0], s[j - 1])
+        a_e_phi = times_a(np.stack([times_polynomial(e[m], phi_prev)
+                                    for m in range(d)]))
         try:
-            solved = solve_div_a_grad(a, flux_src)
+            phi_j, its, res, coarse = _pcg_div_a_grad(
+                a, sum(ik[m] * (a_e_phi[m] + rest[m]) for m in range(d)))
         except ConvergenceError as err:
-            raise ConvergenceError(
-                f"corrector solve failed at level {j}, coefficient "
-                f"{err.column}: {err}", residual=err.residual,
-                iterations=err.iterations, column=err.column) from err
-        del flux_src  # not needed past the solve; frees a level-sized stack
-        phi_j, its, res = solved
+            err.args = (f"corrector solve failed at level {j}, coefficient "
+                        f"{err.column}: {err}",)
+            raise
         phi.append(phi_j)
         cg_iterations.append(its)
         cg_residual.append(res)
-        cg_coarse_iterations.append(solved.coarse_iterations)
+        cg_coarse_iterations.append(coarse)
 
-        flux = _matvec(a_stack, gradient_values(grid, phi_j)) + a_e_phi
-        at = mean_values(grid, flux)
-        lambdas.append(dot_e(at))
-        q_j = flux - at[(...,) + (None,) * d] + grad_chi - sig_e
+        q_j = times_a(irfftn(grid, ik * phi_j))
+        q_j += a_e_phi
+        del a_e_phi
+        lambdas.append(dot_e(q_j[mean].real / grid.n ** d))
+        q_j[mean] = 0.0
+        q_j += rest
         q.append(q_j)
+        # in 1D sigma_j vanishes (1x1 skew), and q_j up to the CG residual
+        s.append(None if d == 1 else
+                 (ik[0] * q_j[1] - ik[1] * q_j[0]) * _inverse_laplacian(grid))
+        if j < ell:
+            phi_prev = irfftn(grid, phi_j)
 
-        if d == 1:
-            # 1x1 skew-symmetry: the flux potential vanishes identically and
-            # the flux itself is zero up to the elliptic solver residual.
-            s.append(None)
-        else:
-            s.append(solve_poisson_values(grid, curl_values(grid, q_j))[0])
-
-        if j >= 2:
-            src = dot_e(grad_chi)
-            for p in range(1, j):
-                src = src + times_polynomial(lambdas[j - 1 - p], phi[p])
-            chi.append(solve_poisson_values(grid, src)[0])
-
-    return TensorizedCorrectors(a=a, order=ell, phi=phi, sigma12=s, chi=chi,
-                                q=q, lambdas=lambdas,
-                                cg_iterations=cg_iterations,
-                                cg_residual=cg_residual,
-                                cg_coarse_iterations=cg_coarse_iterations)
+    return TensorizedCorrectors(
+        a=a, order=ell, phi=Samples(grid, phi), sigma12=Samples(grid, s),
+        chi=Samples(grid, chi), q=Samples(grid, q), lambdas=lambdas,
+        cg_iterations=cg_iterations, cg_residual=cg_residual,
+        cg_coarse_iterations=cg_coarse_iterations)
 
 
 def _contract(t: TensorizedCorrectors, e: np.ndarray,
               coords) -> CorrectorHierarchy:
-    """The hierarchy in the unit direction e from the stacks of ``t``, each
+    """The hierarchy in the unit direction e from the spectra of ``t``, each
     evaluated at ``coords``, the values of t's direction variables at e."""
-    d = t.grid.dim
-    shape = t.grid.shape
+    grid = t.grid
+    d = grid.dim
 
     def value(stack, degree):
         return evaluate_monomials(stack, degree, coords)
 
-    sigma = []
-    for j, s in enumerate(t.sigma12):
-        sig = np.zeros((d, d) + shape)
-        if d == 2:
-            sig[0, 1] = value(s, j)
+    def skew(spec):
+        sig = np.zeros((d, d) + grid.shape)
+        if spec is not None:
+            sig[0, 1] = irfftn(grid, spec)
             sig[1, 0] = -sig[0, 1]
-        sigma.append(sig)
+        return sig
+
     return CorrectorHierarchy(
         a=t.a, direction=e, order=t.order,
-        phi=[value(p, j) for j, p in enumerate(t.phi)],
-        sigma=sigma,
-        chi=[value(c, j + 1) for j, c in enumerate(t.chi)],
-        q=[None] + [np.stack([value(qm, j) for qm in t.q[j]])
-                    for j in range(1, t.order + 1)],
+        phi=Samples(grid, [value(p, j) for j, p in enumerate(t.phi.spectra)]),
+        sigma=Samples(grid, [None if s is None else value(s, j)
+                             for j, s in enumerate(t.sigma12.spectra)], skew),
+        chi=Samples(grid, [value(c, j + 1) for j, c in enumerate(t.chi.spectra)]),
+        q=Samples(grid, [None] + [np.stack([value(qm, j) for qm in t.q.spectra[j]])
+                                  for j in range(1, t.order + 1)]),
         lambdas=np.array([float(value(lam, j + 2))
                           for j, lam in enumerate(t.lambdas)]),
         cg_iterations=[sum(its) for its in t.cg_iterations],
@@ -275,7 +305,8 @@ def tensorize_correctors(a: CoefficientField, ell: int) -> TensorizedCorrectors:
 
 
 def hierarchy_invariants(h: CorrectorHierarchy) -> dict:
-    """Structural residuals of the hierarchy (all should be tiny).
+    """Structural residuals of the hierarchy (all should be tiny), read from
+    its spectra: means from the zero mode, L2 norms by Parseval.
 
     Keys: mean_phi, mean_sigma, mean_chi, mean_q, div_q, flux_exactness,
     q_nyquist, skew_gap, lambda0.  Residuals are measured against the size
@@ -286,42 +317,46 @@ def hierarchy_invariants(h: CorrectorHierarchy) -> dict:
     |div sigma_j - q_j| / |q_j| off the Nyquist lines, where div sigma_j can
     reproduce q_j; the odd derivatives zero the Nyquist lines, so what q_j
     carries there is reported on its own as q_nyquist, the share of |q_j|
-    the grid does not resolve.
+    the grid does not resolve.  skew_gap is 0: sigma_j is held skew.
     """
     grid = h.grid
     d = grid.dim
-    e_col = h.direction.reshape((d,) + (1,) * d)
-    out = {"mean_phi": 0.0, "mean_sigma": 0.0, "mean_chi": 0.0, "mean_q": 0.0,
-           "div_q": 0.0, "flux_exactness": 0.0, "q_nyquist": 0.0,
-           "skew_gap": 0.0, "lambda0": float(h.lambdas[0])}
+    ik = _half_gradient_multiplier(grid)
+    ae = _matvec(h.a.values, h.direction.reshape((d,) + (1,) * d))
+    phi, s, chi, q = (h.phi.spectra, h.sigma.spectra, h.chi.spectra,
+                      h.q.spectra)
+
+    def mean(spec):
+        return float(np.max(np.abs(spec[(...,) + (0,) * d]))) / grid.n ** d
+
+    def norm(spec):
+        return l2_norm_hat(grid, spec)
+
+    out = dict.fromkeys(("mean_phi", "mean_sigma", "mean_chi", "mean_q", "div_q",
+                         "flux_exactness", "q_nyquist", "skew_gap"), 0.0)
+    out["lambda0"] = float(h.lambdas[0])
+
+    def keep(key, value):
+        out[key] = max(out[key], value)
+
     for j in range(1, h.order + 1):
-        out["mean_phi"] = max(out["mean_phi"], abs(float(mean_values(grid, h.phi[j]))))
-        out["mean_sigma"] = max(out["mean_sigma"],
-                                float(np.max(np.abs(mean_values(grid, h.sigma[j])))))
-        out["mean_chi"] = max(out["mean_chi"], abs(float(mean_values(grid, h.chi[j]))))
-        q_j = h.q[j]
-        out["mean_q"] = max(out["mean_q"], float(np.max(np.abs(mean_values(grid, q_j)))))
-        a_grad_phi = _matvec(h.a.values, gradient_values(grid, h.phi[j]))
-        scale = max(l2_norm(grid, a_grad_phi),
-                    l2_norm(grid, h.phi[j - 1] * _matvec(h.a.values, e_col)),
-                    l2_norm(grid, gradient_values(grid, h.chi[j - 1])),
-                    float(h.lambdas[0]))
-        out["div_q"] = max(out["div_q"],
-                           l2_norm(grid, divergence_values(grid, q_j)) / scale)
+        keep("mean_phi", mean(phi[j]))
+        keep("mean_sigma", 0.0 if d == 1 else mean(s[j]))
+        keep("mean_chi", mean(chi[j]))
+        keep("mean_q", mean(q[j]))
+        scale = max(l2_norm(grid, _matvec(h.a.values, irfftn(grid, ik * phi[j]))),
+                    l2_norm(grid, irfftn(grid, phi[j - 1]) * ae),
+                    norm(ik * chi[j - 1]), out["lambda0"])
+        keep("div_q", norm(np.sum(ik * q[j], axis=0)) / scale)
+        q_scale = norm(q[j])
         if d == 1:
-            out["flux_exactness"] = max(out["flux_exactness"],
-                                        l2_norm(grid, q_j) / scale)
-        else:
-            q_scale = l2_norm(grid, q_j)
-            if q_scale > 1e-12 * scale:
-                gap = matrix_divergence_values(grid, h.sigma[j]) - q_j
-                out["flux_exactness"] = max(
-                    out["flux_exactness"],
-                    l2_norm(grid, gap - nyquist_part(grid, gap)) / q_scale)
-                out["q_nyquist"] = max(
-                    out["q_nyquist"], l2_norm(grid, nyquist_part(grid, q_j)) / q_scale)
-            out["skew_gap"] = max(out["skew_gap"], float(np.max(np.abs(
-                h.sigma[j] + np.swapaxes(h.sigma[j], 0, 1)))))
+            keep("flux_exactness", q_scale / scale)
+        elif q_scale > 1e-12 * scale:
+            nyquist = _nyquist_lines(grid)
+            # div sigma_j - q_j, row m of div sigma being sum_n d_n sigma_mn
+            gap = np.stack([ik[1] * s[j] - q[j][0], -ik[0] * s[j] - q[j][1]])
+            keep("flux_exactness", norm(gap * ~nyquist) / q_scale)
+            keep("q_nyquist", norm(q[j] * nyquist) / q_scale)
     return out
 
 
@@ -360,10 +395,10 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
     All identities are consequences of the corrector equations, discrete
     integration by parts (exact for trigonometric collocation), and the
     skew-symmetry of the flux potentials, so their residuals measure only
-    the iterative solver tolerance.
+    the iterative solver tolerance.  They are means of products, taken on
+    samples.
     """
     grid = h.grid
-    d = grid.dim
     ell = h.order
     a_values = h.a.values
     e = h.direction
@@ -371,11 +406,13 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
     lam = h.lambdas
     lam0 = float(lam[0])
 
-    grads = [gradient_values(grid, p) for p in h.phi]
+    phi = list(h.phi)
+    ik = _half_gradient_multiplier(grid)
+    grads = [irfftn(grid, ik * spec) for spec in h.phi.spectra]
     agrads = [_matvec(a_values, g) for g in grads]
 
     def m(x):
-        return float(mean_values(grid, x))
+        return float(np.mean(x))
 
     def dirichlet(i, j):
         return m(np.einsum("m...,m...->...", grads[i], agrads[j]))
@@ -383,23 +420,23 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
     report_pairs = {}
     for j in range(1, ell):  # needs phi_{j+1}
         for l in range(j + 1, ell + 1):  # needs phi_l
-            terms = [dirichlet(j, l), -m(h.phi[j - 1] * h.phi[l - 1] * eae),
-                     dirichlet(j + 1, l - 1), -m(h.phi[j] * h.phi[l - 2] * eae)]
+            terms = [dirichlet(j, l), -m(phi[j - 1] * phi[l - 1] * eae),
+                     dirichlet(j + 1, l - 1), -m(phi[j] * phi[l - 2] * eae)]
             side = terms[0] + terms[1] + terms[2] + terms[3]
             corr = 0.0
             for mm in range(1, j):
-                corr += lam[j - 1 - mm] * m(h.phi[l - 1] * h.phi[mm])
+                corr += lam[j - 1 - mm] * m(phi[l - 1] * phi[mm])
             for mm in range(1, l - 1):
-                corr += lam[l - 2 - mm] * m(h.phi[mm] * h.phi[j])
+                corr += lam[l - 2 - mm] * m(phi[mm] * phi[j])
             scale = max([abs(t) for t in terms] + [abs(corr), lam0])
             report_pairs[(j, l)] = abs(side + corr) / scale
 
     report_steps = {}
     for j in range(1, ell):
-        lhs = dirichlet(j, j + 1) - m(h.phi[j - 1] * h.phi[j] * eae)
+        lhs = dirichlet(j, j + 1) - m(phi[j - 1] * phi[j] * eae)
         rhs = 0.0
         for mm in range(1, j):
-            rhs -= lam[j - 1 - mm] * m(h.phi[mm] * h.phi[j])
+            rhs -= lam[j - 1 - mm] * m(phi[mm] * phi[j])
         scale = max(abs(dirichlet(j, j + 1)), abs(rhs), lam0)
         report_steps[j] = abs(lhs - rhs) / scale
 
@@ -408,8 +445,7 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
     lambda2_def = lambda2_quad = lambda2_gap = None
     if ell >= 3:
         lambda2_def = float(lam[2])
-        w = h.phi[2] - 0.5 * h.phi[1] ** 2
-        gw = gradient_values(grid, w)
+        gw = gradient_values(grid, phi[2] - 0.5 * phi[1] ** 2)
         lambda2_quad = m(np.einsum("m...,m...->...", gw, _matvec(a_values, gw)))
         denom = max(abs(lambda2_def), abs(lambda2_quad), 1e-14 * lam0)
         lambda2_gap = abs(lambda2_def - lambda2_quad) / denom
@@ -418,8 +454,8 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
     if ell >= 5:
         lambda4_def = float(lam[4])
         lambda4_ref = m(-np.einsum("m...,m...->...", grads[3], agrads[3])
-                        + h.phi[2] ** 2 * eae - lam0 * h.phi[2] ** 2
-                        + float(lam[2]) * h.phi[1] ** 2)
+                        + phi[2] ** 2 * eae - lam0 * phi[2] ** 2
+                        + float(lam[2]) * phi[1] ** 2)
         denom = max(abs(lambda4_def), abs(lambda4_ref), 1e-14 * lam0)
         lambda4_gap = abs(lambda4_def - lambda4_ref) / denom
 
@@ -428,8 +464,6 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
                           lambda2_gap=lambda2_gap, lambda4_def=lambda4_def,
                           lambda4_reformulated=lambda4_ref, lambda4_gap=lambda4_gap,
                           pair_identity=report_pairs, step_identity=report_steps)
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +494,8 @@ def evaluate_monomials(coeffs: np.ndarray, degree: int, vec) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.shape[0] == 1:
         return coeffs[0] * vec[0] ** degree
-    out = np.zeros(np.broadcast_shapes(coeffs[0].shape if coeffs[0].ndim else (),
-                                       vec.shape[1:]))
-    for r in range(degree + 1):
-        out = out + coeffs[r] * vec[0] ** (degree - r) * vec[1] ** r
-    return out
+    return sum(coeffs[r] * vec[0] ** (degree - r) * vec[1] ** r
+               for r in range(degree + 1))
 
 
 def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,

@@ -21,17 +21,9 @@ average the two.  Complex fields are split into real and imaginary parts
 by the caller.
 
 Variable-coefficient elliptic problems -div(a grad u) = f are solved
-matrix-free by conjugate gradients on the half spectrum: one operator
-application is dim inverse transforms of i k_m u_hat, a pointwise product
-with a, and dim forward transforms; the preconditioner (the inverse
-constant-coefficient operator with the cell mean of a) is a diagonal
-multiply, and inner products follow from Parseval.  Every solve runs to the
-one relative residual ``CG_TOL``.  A coefficient resolved on the half grid
-(``CoefficientField.coarse``) gives a stack of right-hand sides one
-coarse-grid start: the stack is solved on the half grid first, recursively
-down to a direct solve on 8 points per axis, and prolonged, all in the half
-spectrum, so on smooth media the fine CG only polishes.  Any other
-coefficient starts from zero.
+matrix-free by preconditioned conjugate gradients on the half spectrum
+(``_pcg_div_a_grad``), every solve to the one relative residual ``CG_TOL``;
+on a coefficient resolved on the half grid, from a coarse-grid start.
 """
 
 from __future__ import annotations
@@ -65,10 +57,6 @@ class ConvergenceError(RuntimeError):
         self.column = column
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform collocation grid on [0, period)^dim."""
@@ -80,7 +68,7 @@ class TorusGrid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
-        if not _is_power_of_two(self.n) or self.n < 8:
+        if self.n < 8 or self.n & (self.n - 1):
             raise ConfigurationError(
                 f"points per axis must be a power of two >= 8, got {self.n}")
         if not self.period > 0:
@@ -214,12 +202,6 @@ def _nyquist_lines(grid: TorusGrid) -> np.ndarray:
     return mask
 
 
-def nyquist_part(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """The part of real samples on the Nyquist lines (see ``_nyquist_lines``):
-    a divergence cannot reproduce a vector field's content there."""
-    return irfftn(grid, rfftn(grid, values) * _nyquist_lines(grid))
-
-
 class DerivativeCache:
     """Spectral derivatives of one real field, read from its half spectrum
     and memoized by per-axis orders.
@@ -293,18 +275,6 @@ def _divergence_hat(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return total
 
 
-def curl_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Scalar curl d0 v1 - d1 v0 of a 2D field on the leading axis."""
-    spec = rfftn(grid, values)
-    ik = _half_gradient_multiplier(grid)
-    return irfftn(grid, spec[1] * ik[0] - spec[0] * ik[1])
-
-
-def matrix_divergence_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Row-wise divergence of a matrix field: out_m = sum_n d_n values[m, n]."""
-    return np.stack([divergence_values(grid, values[m]) for m in range(grid.dim)])
-
-
 def mean_values(grid: TorusGrid, values: np.ndarray):
     return values.mean(axis=_grid_axes(grid, values))
 
@@ -312,6 +282,13 @@ def mean_values(grid: TorusGrid, values: np.ndarray):
 def l2_norm(grid: TorusGrid, values: np.ndarray) -> float:
     """L2 norm over [0, period)^dim of grid samples, all components together."""
     return float(np.sqrt(np.mean(np.abs(values) ** 2) * grid.period ** grid.dim))
+
+
+def l2_norm_hat(grid: TorusGrid, spec: np.ndarray) -> float:
+    """``l2_norm`` of the fields with half spectra ``spec``, by Parseval."""
+    x = spec.reshape((-1,) + grid.half_shape)
+    return float(np.sqrt(np.mean(_half_dot(x, x)) * grid.period ** grid.dim)
+                 ) / grid.n ** grid.dim
 
 
 def solve_poisson_values(grid: TorusGrid, rhs: np.ndarray):
@@ -322,11 +299,17 @@ def solve_poisson_values(grid: TorusGrid, rhs: np.ndarray):
     (and returned) before inversion.  Callers that need solvability check
     it with ``require_zero_mean``.
     """
+    return (irfftn(grid, rfftn(grid, rhs) * _inverse_laplacian(grid)),
+            mean_values(grid, rhs))
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_laplacian(grid: TorusGrid) -> np.ndarray:
+    """The multiplier of -Lap^-1 in the zero-mean gauge: 1 / |k|^2, 0 at k = 0."""
     k2 = _k_squared(grid)
-    inv = np.zeros_like(k2)
-    nonzero = k2 > 0
-    inv[nonzero] = 1.0 / k2[nonzero]
-    return irfftn(grid, rfftn(grid, rhs) * inv), mean_values(grid, rhs)
+    inv = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+    inv.flags.writeable = False
+    return inv
 
 
 @functools.lru_cache(maxsize=None)
@@ -502,11 +485,15 @@ def _half_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Real inner products of the fields with half spectra x and y, one per
     column of the leading axis, times the point count (Parseval): columns 0
     and n/2 of the last axis hold their own conjugates, every other column
-    stands for itself and its mirror.  Per-column ``vdot``s keep a column's
-    value independent of its stack."""
-    return np.array([2.0 * np.vdot(xc, yc).real - np.vdot(xc[..., 0], yc[..., 0]).real
-                     - np.vdot(xc[..., -1], yc[..., -1]).real
-                     for xc, yc in zip(x, y)])
+    stands for itself and its mirror.  Each column is its own row of a
+    ``vecdot``, so its value does not depend on its stack."""
+    k = len(x)
+
+    def dot(u, v):
+        return np.vecdot(u.reshape(k, -1), v.reshape(k, -1)).real
+
+    return (2.0 * dot(x, y) - dot(x[..., :1], y[..., :1])
+            - dot(x[..., -1:], y[..., -1:]))
 
 
 def _div_a_grad_hat(a: CoefficientField, u_hat: np.ndarray) -> np.ndarray:
@@ -603,7 +590,7 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray,
     apply costs more than single ones and holds k columns' vectors.  Each
     column stops at ``CG_TOL``, tested before the first iteration too.
     Returns (u, iterations, residuals, coarse_iterations) per column, u as
-    samples when ``polish``, else as half spectra.
+    half spectra.
     """
     grid = a.grid
     r = np.multiply(rhs_hat, _divergence_range(grid), out=rhs_hat)
@@ -640,11 +627,10 @@ def _pcg_div_a_grad(a: CoefficientField, rhs_hat: np.ndarray,
 
     if not polish:
         return (*solve(np.s_[:]), coarse_iterations)
-    out = np.empty((len(r),) + grid.shape)
+    out = np.empty_like(r)
     iterations, residuals = [], []
     for c in columns:
-        u, its, res = solve(np.s_[c:c + 1])
-        out[c] = irfftn(grid, u[0])
+        out[c:c + 1], its, res = solve(np.s_[c:c + 1])
         iterations += its
         residuals += res
     return out, iterations, residuals, coarse_iterations
@@ -661,7 +647,8 @@ def solve_div_a_grad(a: CoefficientField, flux_rhs: np.ndarray) -> PCGSolve:
     single = flux.ndim == 1 + a.grid.dim
     if single:
         flux = flux[:, None]
-    solved = _pcg_div_a_grad(a, _divergence_hat(a.grid, flux))
+    u, *solved = _pcg_div_a_grad(a, _divergence_hat(a.grid, flux))
+    solved = [irfftn(a.grid, u), *solved]
     if single:
         solved = [entry[0] for entry in solved]
     return PCGSolve(*solved)
@@ -691,7 +678,7 @@ def solve_elliptic(a: CoefficientField, rhs: np.ndarray) -> np.ndarray:
     if unreached > _solvability_tolerance(rhs):
         raise SolvabilityError(f"rhs has amplitude {unreached:.3e} on a Nyquist "
                                f"mode no divergence reaches; needs none")
-    return _pcg_div_a_grad(a, rhs_hat[None])[0][0]
+    return irfftn(a.grid, _pcg_div_a_grad(a, rhs_hat[None])[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -530,6 +530,24 @@ class TestMain:
                                          "values": [1.0, 4.0], "axis": 1})
         assert cli.main(["validate", "--config", path]) == code
 
+    def test_raw_grid_off_the_run_grid_exits_two_before_any_output(self,
+                                                                   tmp_path):
+        # an 8-sample raw grid for grid_n 16: validate reports what the run
+        # would raise, and the run stops before it makes its directory
+        out = tmp_path / "out"
+        path = write_config(tmp_path, kind="correctors", dim=1, grid_n=16,
+                            coefficient={"kind": "raw", "values": [[[2.0] * 8]]},
+                            out_dir=str(out))
+        assert validate(load_config(path)) == [
+            "coefficient values must have shape (1, 1, 16)"]
+        for command in ("validate", "correctors"):
+            assert cli.main([command, "--config", path]) == 2
+        assert not out.exists()
+        path = write_config(tmp_path, kind="correctors", dim=1, grid_n=16,
+                            coefficient={"kind": "raw", "values": [[[2.0] * 16]]},
+                            out_dir=str(out))
+        assert validate(load_config(path)) == []
+
     def test_kind_mismatch_rejected(self, tmp_path):
         path = write_config(tmp_path, kind="correctors",
                             coefficient={"kind": "constant", "value": 1.0},

@@ -289,35 +289,194 @@ class TestMonomialBuild:
         # the j + 1 coefficients of phi_j share one operator and one
         # coarse-grid start, so each level is one stacked solve
         shapes = []
-        solve = correctors.solve_div_a_grad
+        solve = correctors._pcg_div_a_grad
 
-        def counted(a, flux):
-            shapes.append(np.shape(flux))
-            return solve(a, flux)
+        def counted(a, rhs_hat):
+            shapes.append(np.shape(rhs_hat))
+            return solve(a, rhs_hat)
 
-        monkeypatch.setattr(correctors, "solve_div_a_grad", counted)
+        monkeypatch.setattr(correctors, "_pcg_div_a_grad", counted)
         tens = tensorize_correctors(smooth2d_a, 3)
         grid = smooth2d_a.grid
-        assert shapes == [(2, j + 1) + grid.shape for j in (1, 2, 3)]
+        assert shapes == [(j + 1,) + grid.half_shape for j in (1, 2, 3)]
         assert [len(its) for its in tens.cg_iterations] == [2, 3, 4]
         assert all(start[8] == 0 for starts in tens.cg_coarse_iterations
                    for start in starts)
 
     def test_transform_budget(self, monkeypatch):
         # numpy.fft calls of the 32^2 checkerboard build at ell 3, floor
-        # inverse included: 389 with one stacked solve per level and the
-        # direct 8^2 start (784 with a solve per coefficient, each with its
-        # own coarse ladder).  Counters are deterministic, so this is exact.
-        calls = []
-        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
-                     "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
-            def counted(*args, _orig=getattr(np.fft, name), **kwargs):
-                calls.append(1)
-                return _orig(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+        # inverse included: 354 with every field held as its half spectrum
+        # (389 when each level went back and forth between samples and
+        # spectra, 784 with a solve per coefficient, each with its own
+        # coarse ladder).  Counters are deterministic, so this is exact.
+        calls, _ = count_transforms(monkeypatch)
         a = torus.coefficient_from_spec(SMOOTH2D, torus.TorusGrid(2, 32))
         tensorize_correctors(a, 3)
-        assert len(calls) == 389
+        assert len(calls) == 354
+
+    def test_transformed_field_budget(self, monkeypatch):
+        # the same build and the correctors kind's checks, counted in fields
+        # per grid size rather than in calls, so that stacking cannot hide
+        # work: 555 fields at 32^2 (700 when the build and the checks turned
+        # their fields back and forth between samples and spectra), and the
+        # coarse ladder's 520 at 16^2 and 506 at 8^2, floor inverse included
+        _, fields = count_transforms(monkeypatch)
+        a = torus.coefficient_from_spec(SMOOTH2D, torus.TorusGrid(2, 32))
+        h0 = tensorize_correctors(a, 3).in_direction(
+            correctors.default_directions(2, 3)[0])
+        hierarchy_invariants(h0)
+        verify_corrector_identities(h0)
+        assert fields == {32: 555, 16: 520, 8: 506}
+
+
+def count_transforms(monkeypatch):
+    """Count every numpy.fft call: a list with one entry per call, and the
+    fields transformed per points per axis (the package passes ``axes``)."""
+    calls, fields = [], {}
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
+                 "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _orig=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            shape, axes = np.shape(args[0]), kwargs["axes"]
+            n = kwargs["s"][0] if "s" in kwargs else shape[axes[0]]
+            fields[n] = fields.get(n, 0) + int(np.prod(shape[:axes[0]]))
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls, fields
+
+
+def sample_invariants(h) -> dict:
+    """``hierarchy_invariants`` by its sample formulas: every mean, norm,
+    divergence and Nyquist part taken on the samples the hierarchy hands
+    out, with a forward transform wherever one is needed."""
+    grid = h.grid
+    d = grid.dim
+    phi, sigma, chi, q = list(h.phi), list(h.sigma), list(h.chi), list(h.q)
+    e_col = h.direction.reshape((d,) + (1,) * d)
+
+    def mean(x):
+        return float(np.max(np.abs(torus.mean_values(grid, x))))
+
+    def nyquist_part(x):
+        return torus.irfftn(grid, torus.rfftn(grid, x) * torus._nyquist_lines(grid))
+
+    out = {"mean_phi": 0.0, "mean_sigma": 0.0, "mean_chi": 0.0, "mean_q": 0.0,
+           "div_q": 0.0, "flux_exactness": 0.0, "q_nyquist": 0.0,
+           "skew_gap": 0.0, "lambda0": float(h.lambdas[0])}
+    for j in range(1, h.order + 1):
+        out["mean_phi"] = max(out["mean_phi"], mean(phi[j]))
+        out["mean_sigma"] = max(out["mean_sigma"], mean(sigma[j]))
+        out["mean_chi"] = max(out["mean_chi"], mean(chi[j]))
+        out["mean_q"] = max(out["mean_q"], mean(q[j]))
+        a_grad_phi = torus._matvec(h.a.values, torus.gradient_values(grid, phi[j]))
+        scale = max(torus.l2_norm(grid, a_grad_phi),
+                    torus.l2_norm(grid, phi[j - 1] * torus._matvec(h.a.values, e_col)),
+                    torus.l2_norm(grid, torus.gradient_values(grid, chi[j - 1])),
+                    float(h.lambdas[0]))
+        out["div_q"] = max(out["div_q"], torus.l2_norm(
+            grid, torus.divergence_values(grid, q[j])) / scale)
+        q_scale = torus.l2_norm(grid, q[j])
+        if d == 1:
+            out["flux_exactness"] = max(out["flux_exactness"], q_scale / scale)
+        elif q_scale > 1e-12 * scale:
+            div_sigma = np.stack([torus.divergence_values(grid, sigma[j][m])
+                                  for m in range(d)])
+            gap = div_sigma - q[j]
+            out["flux_exactness"] = max(out["flux_exactness"], torus.l2_norm(
+                grid, gap - nyquist_part(gap)) / q_scale)
+            out["q_nyquist"] = max(out["q_nyquist"], torus.l2_norm(
+                grid, nyquist_part(q[j])) / q_scale)
+        out["skew_gap"] = max(out["skew_gap"], float(np.max(np.abs(
+            sigma[j] + np.swapaxes(sigma[j], 0, 1)))))
+    return out
+
+
+def sample_identities(h) -> dict:
+    """The values of ``verify_corrector_identities`` by its sample formulas,
+    the gradients taken from the samples by a forward transform each."""
+    grid = h.grid
+    ell = h.order
+    a_values = h.a.values
+    e = h.direction
+    eae = np.einsum("m,mn...,n->...", e, a_values, e)
+    lam = h.lambdas
+    lam0 = float(lam[0])
+    phi = list(h.phi)
+    grads = [torus.gradient_values(grid, p) for p in phi]
+    agrads = [torus._matvec(a_values, g) for g in grads]
+
+    def m(x):
+        return float(torus.mean_values(grid, x))
+
+    def dirichlet(i, j):
+        return m(np.einsum("m...,m...->...", grads[i], agrads[j]))
+
+    out = {}
+    for j in range(1, ell):
+        for l in range(j + 1, ell + 1):
+            terms = [dirichlet(j, l), -m(phi[j - 1] * phi[l - 1] * eae),
+                     dirichlet(j + 1, l - 1), -m(phi[j] * phi[l - 2] * eae)]
+            corr = sum(lam[j - 1 - mm] * m(phi[l - 1] * phi[mm])
+                       for mm in range(1, j))
+            corr += sum(lam[l - 2 - mm] * m(phi[mm] * phi[j])
+                        for mm in range(1, l - 1))
+            scale = max([abs(t) for t in terms] + [abs(corr), lam0])
+            out[("pair", j, l)] = abs(sum(terms) + corr) / scale
+        lhs = dirichlet(j, j + 1) - m(phi[j - 1] * phi[j] * eae)
+        rhs = -sum(lam[j - 1 - mm] * m(phi[mm] * phi[j]) for mm in range(1, j))
+        out[("step", j)] = abs(lhs - rhs) / max(abs(dirichlet(j, j + 1)),
+                                                abs(rhs), lam0)
+    if ell >= 3:
+        gw = torus.gradient_values(grid, phi[2] - 0.5 * phi[1] ** 2)
+        out["lambda2_quadratic"] = m(np.einsum(
+            "m...,m...->...", gw, torus._matvec(a_values, gw)))
+    if ell >= 5:
+        out["lambda4_reformulated"] = m(
+            -np.einsum("m...,m...->...", grads[3], agrads[3])
+            + phi[2] ** 2 * eae - lam0 * phi[2] ** 2 + float(lam[2]) * phi[1] ** 2)
+    return out
+
+
+class TestSpectralChecks:
+    """The checks read the hierarchy's spectra (means from the zero mode,
+    norms by Parseval); their sample formulas, kept above, agree."""
+
+    @pytest.fixture(scope="class", params=["32-l3", "64-l5"])
+    def hierarchy(self, request):
+        # 32^2 at ell 3 is the under-resolved case the correctors kind
+        # fails on q_nyquist alone; 64^2 at ell 5 a resolved one, in a
+        # direction off the axes, with lambda_4
+        if request.param == "32-l3":
+            a = torus.coefficient_from_spec(SMOOTH2D, torus.TorusGrid(2, 32))
+            return tensorize_correctors(a, 3).in_direction(
+                correctors.default_directions(2, 3)[0])
+        a = torus.coefficient_from_spec(SMOOTH2D, torus.TorusGrid(2, 64))
+        return build_hierarchy(a, [np.cos(0.37), np.sin(0.37)], 5)
+
+    def test_invariants_match_the_sample_formulas(self, hierarchy):
+        # every invariant is a ratio to a scale of its level, a mean of
+        # fields of unit size, or lambda_0, so agreement to 1e-12 in value
+        # is agreement to 1e-12 relative to that scale
+        got = hierarchy_invariants(hierarchy)
+        ref = sample_invariants(hierarchy)
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert abs(got[key] - ref[key]) <= 1e-12 * max(1.0, abs(ref[key])), key
+        if hierarchy.grid.n == 32:
+            assert 1e-9 < got["q_nyquist"] < 1e-8
+            assert got["flux_exactness"] < 1e-10
+
+    def test_identities_match_the_sample_formulas(self, hierarchy):
+        rep = verify_corrector_identities(hierarchy)
+        ref = sample_identities(hierarchy)
+        got = {("pair",) + key: value for key, value in rep.pair_identity.items()}
+        got.update({("step", j): value for j, value in rep.step_identity.items()})
+        got["lambda2_quadratic"] = rep.lambda2_quadratic
+        if hierarchy.order >= 5:
+            got["lambda4_reformulated"] = rep.lambda4_reformulated
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert abs(got[key] - ref[key]) <= 1e-12 * rep.lambda0, key
 
 
 class TestParallelAndSerialization:

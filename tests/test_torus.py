@@ -210,16 +210,22 @@ class TestDerivative:
     def test_nyquist_part_is_the_content_no_divergence_reaches(self, grid2d, rng):
         x0, x1 = grid2d.coordinate_axes()
         smooth = band_limited(grid2d, rng)
-        assert np.max(np.abs(torus.nyquist_part(grid2d, smooth))) <= 1e-15
+        assert np.max(np.abs(nyquist_part(grid2d, smooth))) <= 1e-15
         # frequency n/2 along axis 0: wholly on a Nyquist line, and the
         # derivative along that axis is zero
         line = np.cos(np.pi * grid2d.n * x0) * (1.0 + np.sin(2 * np.pi * x1))
-        assert np.max(np.abs(torus.nyquist_part(grid2d, line) - line)) <= 1e-14
+        assert np.max(np.abs(nyquist_part(grid2d, line) - line)) <= 1e-14
         assert not np.any(derivative(grid2d, line, (1, 0)))
         noise = rng.standard_normal(grid2d.shape)
-        on = torus.nyquist_part(grid2d, noise)
-        assert np.max(np.abs(torus.nyquist_part(grid2d, on) - on)) <= 1e-14
-        assert np.max(np.abs(torus.nyquist_part(grid2d, noise - on))) <= 1e-14
+        on = nyquist_part(grid2d, noise)
+        assert np.max(np.abs(nyquist_part(grid2d, on) - on)) <= 1e-14
+        assert np.max(np.abs(nyquist_part(grid2d, noise - on))) <= 1e-14
+
+
+def nyquist_part(grid, values):
+    """The part of real samples on the Nyquist lines ``torus._nyquist_lines``,
+    the mask the corrector checks read: the sample-space reference."""
+    return irfftn(grid, rfftn(grid, values) * torus._nyquist_lines(grid))
 
 
 class TestPoisson:
@@ -557,8 +563,9 @@ class TestStackedSolve:
         u, its, res, _ = torus._pcg_div_a_grad(a, rhs_hat.copy(), polish=False)
         assert its == [0, 0, 0]
         assert max(res) <= torus.CG_TOL
-        cold, cold_its, _, _ = torus._pcg_div_a_grad(a, rhs_hat.copy())
+        cold_hat, cold_its, _, _ = torus._pcg_div_a_grad(a, rhs_hat.copy())
         assert min(cold_its) > 0
+        cold = irfftn(grid, cold_hat)
         direct = irfftn(grid, u)
         for c in range(3):
             assert (np.linalg.norm(direct[c] - cold[c])
@@ -577,6 +584,30 @@ class TestStackedSolve:
         assert err.value.column == 1
         assert err.value.iterations == 2
         assert err.value.residual > torus.CG_TOL
+
+
+class TestHalfDot:
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 16384), (2, 8), (2, 128)])
+    def test_equals_the_per_column_vdot(self, dim, n, rng):
+        # the stacked vecdot form is bit for bit the per-column vdot it
+        # replaced, for a whole stack and for each column alone, and with
+        # the point count it is the sample inner product (Parseval)
+        grid = TorusGrid(dim, n)
+        for k in (1, 3, 14):
+            u, v = rng.standard_normal((2, k) + grid.shape)
+            x, y = rfftn(grid, u), rfftn(grid, v)
+            ref = np.array([2.0 * np.vdot(xc, yc).real
+                            - np.vdot(xc[..., 0], yc[..., 0]).real
+                            - np.vdot(xc[..., -1], yc[..., -1]).real
+                            for xc, yc in zip(x, y)])
+            got = torus._half_dot(x, y)
+            assert got.tobytes() == ref.tobytes()
+            for c in range(k):
+                assert torus._half_dot(x[c:c + 1], y[c:c + 1])[0] == got[c]
+            sample = np.sum(u * v, axis=tuple(range(1, dim + 1))) * grid.n ** dim
+            assert np.max(np.abs(got - sample)) <= 1e-12 * np.max(np.abs(sample))
+            assert torus.l2_norm_hat(grid, x) == pytest.approx(
+                torus.l2_norm(grid, u), rel=1e-13)
 
 
 class TestUnreachableContent:
