@@ -25,18 +25,22 @@ relative, where ``eigh``'s own carry an absolute error of eps_mach |B|.
 This is the fine-scale reference of every wave experiment
 (``wave-compare``, ``transport``, ``source-term`` and the constant-medium
 moment scan); leapfrog (``wave.solve_fine_wave``) is its independent
-cross-check.
+cross-check.  Its snapshots stay in Bloch space until a caller reads them
+as samples, and ``effective_gap`` measures the L2 gap to the filtered
+effective wave there, by Parseval, with neither field in real space.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import DispersionModel
 from .torus import ConfigurationError, TorusGrid
 from .wave import (FluxFormOperator, WaveTrajectory, _face_harmonic,
-                   _fine_inputs, _rotate, _step_source)
+                   _fine_inputs, _rotate, _step_source, homogenized_spectrum)
 
 
 # block entries per eigh call: the eigensystems and work arrays of one call
@@ -181,6 +185,37 @@ class _GaugedBlocks:
         return self.gauge * (w[0] * c[:, cols[0]] + w[1] * c[:, cols[1]])
 
 
+@dataclass
+class BlochSnapshots:
+    """Displacement snapshots in Bloch space, as ``solve_fine_wave_exact``
+    computes them.
+
+    ``nodes[i, r, j]`` is the rfft across the M = ``n_cells`` cells of
+    snapshot i at node j of a cell and the kept phase m = ``kept[r]``,
+    sum_c u_i(c p + j) exp(-2 pi i m c / M); the skipped phases hold zero.
+    ``weight`` holds the kept phases' Parseval weights
+    (``_parseval_weights``)."""
+
+    n_cells: int
+    kept: np.ndarray
+    weight: np.ndarray
+    nodes: np.ndarray
+
+    def displacements(self) -> np.ndarray:
+        """Real snapshots, shape (times, M p): one snapshot at a time, the
+        kept phases scattered into one zero-filled spectrum and transformed
+        back across the cells, with no full-size temporary besides the
+        output."""
+        n_times, _, p = self.nodes.shape
+        u = np.empty((n_times, self.n_cells * p))
+        full = np.zeros((self.n_cells // 2 + 1, p), dtype=complex)
+        for i in range(n_times):
+            full[self.kept] = self.nodes[i]
+            u[i].reshape(self.n_cells, p)[...] = np.fft.irfft(
+                full, n=self.n_cells, axis=0)
+        return u
+
+
 def _times(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     """mat @ z for complex z.  A real ``mat`` multiplies the real and
     imaginary parts side by side in one real product, where matmul would
@@ -201,22 +236,25 @@ def _parseval_weights(n_cells: int) -> np.ndarray:
     return weight
 
 
-def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray, n_cells: int,
-                          tau: float, h_hat: np.ndarray | None = None
+def _phases_carrying_data(u_hat: np.ndarray, v_hat: np.ndarray | None,
+                          n_cells: int, tau: float,
+                          h_hat: np.ndarray | None = None
                           ) -> tuple[np.ndarray, float]:
     """Kept Bloch phases and the share of the data the skipped ones hold.
 
     Phase m has the bound b_m = w_m (|u_m| + tau |v_m| + tau^2 |h_m| / 2)^2
     from the rfft across the ``n_cells`` periods of the data and of the
-    step source (``h_hat`` None for none); w_m is the Parseval weight
-    (``_parseval_weights``).  The phases with the smallest bounds (in a
-    stable sort) are skipped while their running sum stays at most
-    eps_mach^2 sum_m b_m.
+    step source (``v_hat`` and ``h_hat`` None for none); w_m is the
+    Parseval weight (``_parseval_weights``).  The phases with the smallest
+    bounds (in a stable sort) are skipped while their running sum stays at
+    most eps_mach^2 sum_m b_m.
     Returns the kept indices in ascending order and the skipped share
     sqrt(sum_skipped b / sum b), at most eps_mach (0 for zero data, which
     keeps no phase).
     """
-    norms = np.linalg.norm(u_hat, axis=1) + tau * np.linalg.norm(v_hat, axis=1)
+    norms = np.linalg.norm(u_hat, axis=1)
+    if v_hat is not None:
+        norms += tau * np.linalg.norm(v_hat, axis=1)
     if h_hat is not None:
         norms += 0.5 * tau ** 2 * np.linalg.norm(h_hat, axis=1)
     bound = _parseval_weights(n_cells) * norms ** 2
@@ -242,32 +280,37 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
     discrete Fourier transform across the M = n / p cells of the box splits
     the flux-form operator into one Hermitian p x p block per Bloch phase
     (n_blocks = M // 2 + 1 of them by conjugate symmetry).  Each block that
-    carries data is diagonalized, every eigenmode is rotated to all snapshot
-    times by ``wave._rotate`` (plus ``wave._step_source`` for its amplitude
-    of h), and the displacement snapshots are transformed back.  Blocks are
-    diagonalized ``_CHUNK_ENTRIES`` / p^2 phases at a time, so the working
-    set stays O(``_CHUNK_ENTRIES`` + snapshots n); ``dt`` is 0 (no step).
+    carries data is diagonalized, and every eigenmode is rotated to all
+    snapshot times by ``wave._rotate`` (plus ``wave._step_source`` for its
+    amplitude of h).  The snapshots stay in Bloch space: the trajectory
+    holds the kept phases, their Parseval weights and each snapshot's node
+    amplitudes (``BlochSnapshots``), and forms real samples only when a
+    caller reads ``u``; ``effective_gap`` reads the Bloch snapshots.
+    Blocks are diagonalized ``_CHUNK_ENTRIES`` / p^2 phases at a time, so
+    the working set stays O(``_CHUNK_ENTRIES`` + snapshots n); ``dt`` is 0
+    (no step).
 
     Every block is taken in the gauge y_j = exp(-i theta j / p) x_j and an
     orthonormal basis Q of the cell (``_GaugedBlocks``): the data are
     gathered into it once, each chunk runs one ``eigh``, and each snapshot
-    is gathered back and gauged.  When the cell's faces have an exact
-    mirror s, faces[(s - 1 - j) % p] == faces[j] for all j (``_mirror``;
-    every two-phase laminate has one), reflection composed with conjugation
-    is an antiunitary symmetry of every block, and Q is the even/odd basis
-    of the node pairs (j, s - j), in which each block is real symmetric: the
-    real ``eigh`` applies its real eigenvectors to the real and imaginary
-    parts.  A cell without an exact mirror has Q = I and complex Hermitian
+    is gathered back and gauged into its node amplitudes.  When the cell's
+    faces have an exact mirror s, faces[(s - 1 - j) % p] == faces[j] for
+    all j (``_mirror``; every two-phase laminate has one), reflection
+    composed with conjugation is an antiunitary symmetry of every block,
+    and Q is the even/odd basis of the node pairs (j, s - j), in which each
+    block is real symmetric: the real ``eigh`` applies its real
+    eigenvectors to the real and imaginary parts.  A cell without an exact mirror has Q = I and complex Hermitian
     blocks.  ``meta["block_field"]`` records which ("real" or "complex").
     Every omega^2 is the Rayleigh quotient ``_GaugedBlocks.omega2`` of its
     eigenvector, to relative accuracy; ``meta["eigenvalue_correction"]``
     is the largest relative gap to ``eigh``'s own eigenvalue (the constant
     mode of phase 0 left out), the error ``eigh`` alone would have left.
 
-    The trajectory's ``v`` is None.  Without a source the velocity u_t
-    solves the same discrete wave equation with data (v0, L u0),
-    L = ``FluxFormOperator.apply``, so it is the displacement of a second
-    solve from those data.
+    The trajectory's ``v`` is None, and a zero or absent ``v0`` is not
+    transformed.  Without a source the velocity u_t solves the same
+    discrete wave equation with data (v0, L u0), L =
+    ``FluxFormOperator.apply``, so it is the displacement of a second solve
+    from those data.
 
     The energy log holds the Bloch-space energy of the kept modes at each
     snapshot, E = h / (2 M) sum_m w_m sum_bands (|b|^2 + omega^2 |a|^2), with
@@ -316,7 +359,8 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
     faces = _face_harmonic(a, 0)[:p]
     n_blocks = n_cells // 2 + 1
     u_hat = np.fft.rfft(u.reshape(n_cells, p), axis=0)
-    v_hat = np.fft.rfft(v.reshape(n_cells, p), axis=0)
+    v_hat = (np.fft.rfft(v.reshape(n_cells, p), axis=0)
+             if v0 is not None and np.any(v) else None)
     h_hat = (None if source is None
              else np.fft.rfft(np.reshape(source, (n_cells, p)), axis=0))
     lam_bound = 2.0 * np.max(np.abs(faces) + np.abs(np.roll(faces, 1))) / box.h ** 2
@@ -326,7 +370,7 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
     weight = _parseval_weights(n_cells)[kept]
     basis = _GaugedBlocks(faces, box.h, phases)
     u_hat = basis.to_basis(u_hat[kept, :, None])
-    v_hat = basis.to_basis(v_hat[kept, :, None]) if np.any(v) else None
+    v_hat = None if v_hat is None else basis.to_basis(v_hat[kept, :, None])
     h_hat = None if h_hat is None else basis.to_basis(h_hat[kept, :, None])
     ut_hat = np.empty((times.size, kept.size, p), dtype=complex)
     # kept-mode energy: per phase at t = 0, or per snapshot with a source
@@ -362,13 +406,9 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
             mode_energy[sl] = weight[sl] * np.sum(energy, axis=(1, 2))
         ut_hat[:, sl] = np.moveaxis(_times(vecs, a_t), -1, 0)
 
-    # one snapshot at a time, the kept phases scattered into one zero-filled
-    # spectrum: no full-size temporary besides the output
-    u_t = np.empty((times.size,) + box.shape)
-    full = np.zeros((n_blocks, p), dtype=complex)
+    # the node amplitudes of each snapshot overwrite its eigenmode ones
     for i in range(times.size):
-        full[kept] = basis.to_nodes(ut_hat[i])
-        u_t[i].reshape(n_cells, p)[...] = np.fft.irfft(full, n=n_cells, axis=0)
+        ut_hat[i] = basis.to_nodes(ut_hat[i])
     meta = {"solver": "bloch-exact", "blocks": n_blocks,
             "blocks_solved": int(kept.size), "skipped_share": share,
             "block_size": p, "block_field": basis.field,
@@ -378,5 +418,59 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
         meta["energy_t0"] = FluxFormOperator(box, a_box).energy(u, v)
     else:
         energy = box.h / (2 * n_cells) * mode_energy
-    return WaveTrajectory(box=box, eps=eps, times=times, u=u_t, v=None, dt=0.0,
-                          energy=energy, meta=meta)
+    return WaveTrajectory(box=box, eps=eps, times=times, v=None, dt=0.0,
+                          energy=energy, meta=meta,
+                          bloch=BlochSnapshots(n_cells, kept, weight, ut_hat))
+
+
+def effective_gap(traj: WaveTrajectory, model: DispersionModel,
+                  u0: np.ndarray) -> tuple[np.ndarray, int]:
+    """|u(t) - u_eff(t)|_2 at each snapshot of ``traj`` (a trajectory of
+    ``solve_fine_wave_exact`` whose ``u`` has not been read), with u_eff the
+    filtered effective wave of ``wave.homogenized_wave_field`` from the data
+    ``u0`` under the ``DispersionModel`` ``model``, and the number of
+    effective modes it ran over.  Neither field is formed in real space.
+
+    By Parseval |f|_2^2 = L / n^2 sum_k |F_k|^2 over the box spectrum F of
+    the n = M p samples.  At k = m + M q, q = 0, ..., p - 1, the fine
+    spectrum is the p-point DFT of the twiddled node amplitudes
+    exp(-2 pi i m j / n) nodes[m, j] of phase m (``BlochSnapshots``); a
+    phase and its mirror M - m hold conjugate spectra, whence the Parseval
+    weights.  The effective field has its half spectrum on the filter's
+    support (``wave.homogenized_spectrum``).  Each supported mode k, and
+    its partner n - k of conjugate value, is placed at (k mod M, k // M)
+    where that phase is stored, k mod M <= M / 2: rows m = 0 and m = M / 2
+    take both, every other row one.  On a kept phase it is subtracted from
+    the fine spectrum; on a skipped one, where the fine field is zero, its
+    square is added on its own.
+    """
+    snaps = traj.bloch
+    if snaps is None:
+        raise ConfigurationError(
+            "the gap needs the Bloch snapshots of solve_fine_wave_exact, "
+            "which reading u releases")
+    box = traj.box
+    n, n_cells = box.n, snaps.n_cells
+    j = np.arange(n // n_cells)
+    support, eff = homogenized_spectrum(model, u0, box, traj.eps, traj.times)
+    twiddle = np.exp(-2j * np.pi * np.outer(snaps.kept, j) / n)
+    # the p-point DFT as a product with its matrix (the package runs no
+    # full complex transform), its angles reduced mod 2 pi before the
+    # exponential is taken
+    gap = (twiddle * snaps.nodes) @ np.exp(
+        -2j * np.pi * (np.outer(j, j) % j.size) / j.size)
+    paired = (support > 0) & (2 * support < n)
+    k = np.concatenate([support, n - support[paired]])
+    values = np.concatenate([eff, np.conj(eff[:, paired])], axis=1)
+    q, m = np.divmod(k, n_cells)
+    stored = m <= n_cells // 2
+    q, m, values = q[stored], m[stored], values[:, stored]
+    row = np.full(n_cells // 2 + 1, -1)
+    row[snaps.kept] = np.arange(snaps.kept.size)
+    on_kept = row[m] >= 0
+    gap[:, row[m[on_kept]], q[on_kept]] -= values[:, on_kept]
+    skipped = ~on_kept
+    total = (np.sum(np.abs(gap) ** 2, axis=2) @ snaps.weight
+             + np.abs(values[:, skipped]) ** 2
+             @ _parseval_weights(n_cells)[m[skipped]])
+    return np.sqrt(box.period * total) / n, int(support.size)

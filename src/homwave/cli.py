@@ -321,10 +321,10 @@ def run_wave_compare(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
         u0 = np.exp(-0.5 * (x - 0.5 * cfg.box_side) ** 2)
         a_box = wave.coefficient_on_box(cfg.coefficient, box, eps)
         traj = bloch.solve_fine_wave_exact(a_box, box, u0, times, eps)
-        man.solver.append({"eps": eps, **traj.solver_stats()})
-        u_eff = wave.homogenized_wave_field(model, u0, box, eps, times)
-        sups.append(max(l2_norm(box, r - e) for r, e in zip(traj.u, u_eff)))
-        del traj, u_eff  # free the snapshots before the next eps allocates
+        gaps, modes = bloch.effective_gap(traj, model, u0)
+        man.solver.append({"eps": eps, **traj.solver_stats(),
+                           "effective_modes": modes})
+        sups.append(float(np.max(gaps)))
     order = wave.fit_order(cfg.eps_list, sups)
     for eps, sup in zip(cfg.eps_list, sups):
         rows.append((format(eps, ".17g"), format(sup, ".17g"),

@@ -8,36 +8,37 @@ div(a(x/eps) grad) in conservative flux form with harmonic face averaging
 - ``homwave.bloch.solve_fine_wave_exact`` (1D, periodic medium) splits the
   operator into Bloch blocks, evolves every mode exactly in time, with or
   without a step source h(x) 1[0, 1](t), and returns displacements
-  only.  It is the one reference of every wave experiment
-  (``wave-compare``, ``transport``, ``source-term`` and the constant-medium
-  moment scan), so their errors carry no time-stepping error.
+  only, held in Bloch space until read.  It is the one reference of
+  every wave experiment (``wave-compare``, ``transport``, ``source-term``
+  and the constant-medium moment scan), so their errors carry no
+  time-stepping error.
 - ``solve_fine_wave`` steps with the leapfrog scheme in kick-drift-kick
   form, in any dimension and without a source.  No experiment runs it: it
   is the independent cross-check of the exact solver.
 
 Every effective model is one constant-coefficient symbol omega^2(k) per
-Fourier mode: the filtered truncated Bloch eigenvalue
-(``filtered_dispersion``), the regularized operator or the Boussinesq
-splitting (``mode_symbol``).  Symbols, filter weights and wavevectors live
-on the ``torus`` half lattice (``box_wavevectors``) and fields move through
-the one ``torus.rfftn``/``torus.irfftn`` pair; every symbol is even in k,
-so the half lattice carries all of its values (``homwave.torus`` states the
-one Nyquist-row convention this takes in 2D).  Positivity is checked
-once, by ``dispersion``'s one check and error class (``PositivityError``);
-the regularization constant of the ell >= 3 symbols (``choose_gamma``) is
-a closed form in the roots of one radial polynomial.  The elliptic solve
-in ``homwave.elliptic`` divides by omega^2 and every exact wave solve
-(effective or Bloch block) rotates each mode through one kernel,
-``_rotate``; a step source adds its closed-form Duhamel integral,
-``_step_source``, on both sides.  Corrector dressing
+Fourier mode: the filtered truncated Bloch eigenvalue, evaluated on the
+filter's support only (``_filter_support``), the regularized operator or
+the Boussinesq splitting (``mode_symbol``).  Symbols, filter weights and
+wavevectors live on the ``torus`` half lattice (``box_wavevectors``) and
+fields move through the one ``torus.rfftn``/``torus.irfftn`` pair; every
+symbol is even in k, so the half lattice carries all of its values
+(``homwave.torus`` states the one Nyquist-row convention this takes in
+2D).  Positivity is checked once, by ``dispersion``'s one check and error
+class (``PositivityError``); the regularization constant of the ell >= 3
+symbols (``choose_gamma``) is a closed form in the roots of one radial
+polynomial.  The elliptic solve in ``homwave.elliptic`` divides by omega^2
+and every exact wave solve (effective or Bloch block) rotates each mode
+through one kernel, ``_rotate``; a step source adds its closed-form Duhamel
+integral, ``_step_source``, on both sides.  Corrector dressing
 (``dress_with_correctors``, ``dressed_gradient``) makes the fields
 fine-scale approximations.  It reads the derivatives of a field from a
 ``torus.DerivativeCache`` of its half spectrum; the effective fields
 (``taylor_bloch_ansatz``, whose t = 0 snapshot is the well-prepared data,
 and ``source_term_field``) reach it as their filtered spectrum, so no
-content above the filter is differentiated.  The ``DispersionModel`` is
-the one input that carries the effective order ``ell`` and the filter
-radius ``kmax``.
+content above the filter is differentiated.  The ``DispersionModel`` is the
+one input that carries the effective order ``ell`` and the filter radius
+``kmax``.
 """
 
 from __future__ import annotations
@@ -212,17 +213,31 @@ def dressed_gradient(bc: BoxCorrectors, cache: DerivativeCache,
 class WaveTrajectory:
     """Snapshots (u, du/dt) of a fine-scale run, with an energy log.
 
-    ``v`` is None where the solver returns displacements only
-    (``bloch.solve_fine_wave_exact``)."""
+    The displacements are held in one of two forms: ``samples``, shape
+    (times, box...), or, from ``bloch.solve_fine_wave_exact``, ``bloch``,
+    their Bloch-space snapshots (``bloch.BlochSnapshots``), which a caller
+    reads as ``u``.  ``v`` is None where the solver returns displacements
+    only (``bloch.solve_fine_wave_exact``)."""
 
     box: TorusGrid
     eps: float | None
     times: np.ndarray
-    u: np.ndarray
     v: np.ndarray | None
     dt: float
     energy: np.ndarray
     meta: dict = dc_field(default_factory=dict)
+    samples: np.ndarray | None = None
+    bloch: object | None = None
+
+    @property
+    def u(self) -> np.ndarray:
+        """Displacement snapshots, shape (times, box...).  A Bloch-space
+        trajectory forms them on the first read and then drops its Bloch
+        snapshots, so it never holds both forms."""
+        if self.samples is None:
+            self.samples = self.bloch.displacements()
+            self.bloch = None
+        return self.samples
 
     def energy_drift(self) -> float:
         e0 = self.meta.get("energy_t0", self.energy[0])
@@ -388,8 +403,8 @@ def solve_fine_wave(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
         energies.append(estar)
 
     return WaveTrajectory(
-        box=box, eps=eps, times=snap_times[skip:], u=u_snaps, v=v_snaps,
-        dt=dt0, energy=np.asarray(energies[skip:]),
+        box=box, eps=eps, times=snap_times[skip:], samples=u_snaps,
+        v=v_snaps, dt=dt0, energy=np.asarray(energies[skip:]),
         meta={"solver": "leapfrog", "steps": step_count, "cfl_dt": dt_max,
               "shared_dt": dt_shared, "energy_t0": energies[0]})
 
@@ -398,21 +413,28 @@ def solve_fine_wave(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
 # spectral effective propagators
 # ---------------------------------------------------------------------------
 
-def filtered_dispersion(model: DispersionModel, box: TorusGrid, eps: float):
-    """(filter weights, propagation frequency) on the box mode lattice.
-
-    The weights are the model's filter ``cutoff(model.kmax, eps |k|)``.  The
-    frequency is Lambda(eps k) / eps evaluated only where the filter is
-    positive, which is exactly where the truncated eigenvalue is guaranteed
-    positive.
-    """
-    k = box_wavevectors(box)
+def _filter_support(model: DispersionModel, box: TorusGrid, eps: float):
+    """(support, weights, omega) of the model's filter on the box modes:
+    the flat half-lattice indices where ``cutoff(model.kmax, eps |k|)`` is
+    positive, and the filter weight and the propagation frequency
+    Lambda(eps k) / eps at each of them.  The truncated eigenvalue is
+    guaranteed positive exactly there, and no other mode is evaluated."""
+    k = box_wavevectors(box).reshape(box.dim, -1)
     weights = cutoff(model.kmax, eps * np.sqrt(np.sum(k ** 2, axis=0)))
-    mask = weights > 0.0
-    lam = np.zeros(weights.shape)
-    if np.any(mask):
-        lam[mask] = dispersion_Lambda(model, eps * k[:, mask])
-    return weights, lam / eps
+    support = np.flatnonzero(weights)
+    omega = (dispersion_Lambda(model, eps * k[:, support]) / eps
+             if support.size else np.zeros(0))
+    return support, weights[support], omega
+
+
+def filtered_dispersion(model: DispersionModel, box: TorusGrid, eps: float):
+    """(filter weights, propagation frequency) on the box mode lattice: the
+    values of ``_filter_support`` on its support and zero elsewhere."""
+    support, on_support, omega_on_support = _filter_support(model, box, eps)
+    weights, omega = np.zeros(box.half_shape), np.zeros(box.half_shape)
+    weights.flat[support] = on_support
+    omega.flat[support] = omega_on_support
+    return weights, omega
 
 
 def _rotate(a, b, omega: np.ndarray, t):
@@ -466,20 +488,41 @@ def spectral_wave_state(weights, omega: np.ndarray,
     return u, u_t
 
 
+def homogenized_spectrum(model: DispersionModel, u0: np.ndarray,
+                         box: TorusGrid, eps: float, times):
+    """The filtered effective wave on its filter's support: (support,
+    spectra), with ``support`` the flat half-lattice indices the filter
+    passes (``_filter_support``) and ``spectra``, shape (times, support),
+    the half spectrum there at each snapshot time, the filtered data
+    spectrum times cos(omega t).  The field vanishes off the support."""
+    support, weights, omega = _filter_support(model, box, eps)
+    u_hat = rfftn(box, u0).reshape(-1)[support] * weights
+    t = np.asarray(times, dtype=float)[:, None]
+    return support, _rotate(u_hat, None, omega, t)
+
+
+def _half_spectrum(box: TorusGrid, support: np.ndarray,
+                   values: np.ndarray) -> np.ndarray:
+    """The half spectrum equal to ``values`` on the flat indices
+    ``support`` and zero elsewhere."""
+    out = np.zeros(box.half_shape, dtype=complex)
+    out.flat[support] = values
+    return out
+
+
 def homogenized_wave_field(model: DispersionModel, u0: np.ndarray,
                            box: TorusGrid, eps: float, times) -> np.ndarray:
     """Filtered effective wave field at each snapshot time, shape
-    (times, box...): per-mode cosine of the dispersion.
+    (times, box...): the samples of ``homogenized_spectrum``.
 
     At t = 0 this returns the low-pass filtered data.  It inverts no
     velocity, which would double the inverse transforms and the snapshot
     memory.
     """
-    weights, omega = filtered_dispersion(model, box, eps)
-    u_hat = rfftn(box, u0) * weights
-    u = np.empty((len(times),) + box.shape)
-    for i, t in enumerate(times):
-        u[i] = irfftn(box, _rotate(u_hat, None, omega, t))
+    support, spectra = homogenized_spectrum(model, u0, box, eps, times)
+    u = np.empty((len(spectra),) + box.shape)
+    for i, values in enumerate(spectra):
+        u[i] = irfftn(box, _half_spectrum(box, support, values))
     return u
 
 
@@ -495,12 +538,12 @@ def taylor_bloch_ansatz(bc: BoxCorrectors, model: DispersionModel,
     spectrum of the effective field at each time.  At t = 0 it is the
     well-prepared data: the dressing of the low-pass part of u0.
     """
-    weights, omega = filtered_dispersion(model, box, eps)
-    u_hat = rfftn(box, u0) * weights
+    support, spectra = homogenized_spectrum(model, u0, box, eps, times)
     return np.stack([
         dress_with_correctors(
-            bc, DerivativeCache(box, _rotate(u_hat, None, omega, t)), max_order=ell)
-        for t in times])
+            bc, DerivativeCache(box, _half_spectrum(box, support, values)),
+            max_order=ell)
+        for values in spectra])
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,39 @@ class TestRun:
             assert 0.0 < stats["eigenvalue_correction"] < 1e-6
         assert [s["blocks"] for s in manifest["solver"]] == [33, 65]
 
+    def test_wave_compare_gaps_need_no_box_size_inverse_transform(
+            self, tmp_path, monkeypatch):
+        # the README wave-compare config: each gap is a Parseval sum over the
+        # kept Bloch phases and the filter's support, so no inverse
+        # transform of a box's size runs, and the gaps are those the
+        # real-space difference of the two fields gave
+        cfg = ExperimentConfig(kind="wave-compare", dim=1, ell=2, T=8.0,
+                               coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0]},
+                               eps_list=[0.125, 0.0625, 0.03125],
+                               box_side=64.0, out_dir=str(tmp_path))
+        shapes = []
+        for name in ("irfft", "irfftn"):
+            def inverse(*args, _transform=getattr(np.fft, name), **kwargs):
+                out = _transform(*args, **kwargs)
+                shapes.append(out.shape)
+                return out
+
+            monkeypatch.setattr(np.fft, name, inverse)
+        assert run(cfg) == 0
+        boxes = [cli._box(cfg, eps) for eps in cfg.eps_list]
+        assert not any(box.n in shape for box in boxes for shape in shapes)
+        rows = (tmp_path / "wave_errors.csv").read_text().splitlines()[2:]
+        sups = [float(row.split(",")[1]) for row in rows]
+        assert sups == pytest.approx([0.011020920214316289, 0.00592313384189067,
+                                      0.0027637891337656292], rel=1e-13)
+        # the manifest records the size of the filter support per eps
+        _, model = cli._oracle_model(cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [s["effective_modes"] for s in manifest["solver"]] == [
+            np.count_nonzero(wave.filtered_dispersion(model, box, eps)[0])
+            for box, eps in zip(boxes, cfg.eps_list)]
+
     def test_wave_compare_without_mirror_takes_complex_blocks(self, tmp_path):
         # the sampled trig_checkerboard has no exact mirror
         cfg = ExperimentConfig(kind="wave-compare",

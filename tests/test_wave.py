@@ -344,10 +344,17 @@ class TestExactFineSolver:
     def test_one_inverse_transform_per_snapshot_and_one_apply(
             self, monkeypatch, with_velocity):
         # no velocity snapshots and no per-snapshot energy pass: the one
-        # operator apply is the physical energy of the data
+        # operator apply is the physical energy of the data.  The solve
+        # transforms the data across the cells, a zero velocity not at all,
+        # and the snapshots are transformed back once, when u is first read
         box, a_box, u0, v0 = self.laminate_run(1024, 8.0, 1 / 8)
-        calls = {"irfft": 0, "apply": 0}
-        irfft, apply = np.fft.irfft, wave.FluxFormOperator.apply
+        calls = {"rfft": 0, "irfft": 0, "apply": 0}
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        apply = wave.FluxFormOperator.apply
+
+        def counted_rfft(*args, **kwargs):
+            calls["rfft"] += 1
+            return rfft(*args, **kwargs)
 
         def counted_irfft(*args, **kwargs):
             calls["irfft"] += 1
@@ -357,13 +364,17 @@ class TestExactFineSolver:
             calls["apply"] += 1
             return apply(op, u)
 
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
         monkeypatch.setattr(np.fft, "irfft", counted_irfft)
         monkeypatch.setattr(wave.FluxFormOperator, "apply", counted_apply)
         times = [0.5, 1.0, 3.0, 8.0]
         traj = solve_fine_wave_exact(a_box, box, u0, times, 1 / 8,
                                      v0=v0 if with_velocity else None)
-        assert calls == {"irfft": len(times), "apply": 1}
-        assert traj.v is None
+        assert calls == {"rfft": 2 if with_velocity else 1, "irfft": 0,
+                         "apply": 1}
+        assert traj.u is traj.u
+        assert calls["irfft"] == len(times)
+        assert traj.v is None and traj.bloch is None
 
     @pytest.mark.parametrize("fault", ["corner phase", "one face"])
     def test_energy_drift_sees_wrong_blocks(self, monkeypatch, fault):
@@ -615,6 +626,106 @@ class TestExactFineSolver:
         a2 = coefficient_on_box(LAMINATE, box2, 0.5)
         with pytest.raises(ConfigurationError):
             solve_fine_wave_exact(a2, box2, np.zeros(box2.shape), [1.0], 0.5)
+
+
+class TestEffectiveGap:
+    """``bloch.effective_gap``, the Parseval sum in Bloch space, against
+    the real-space gap to ``homogenized_wave_field``."""
+
+    TIMES = [0.5, 3.0, 8.0]
+
+    @staticmethod
+    def three_layer_run():
+        """Layers a = 1, 2.5, 4 over 3, 5 and 8 of the p = 16 nodes of a
+        cell, on a 512-point box at eps 1/4: no reflection maps the faces
+        onto equal ones."""
+        cell = np.repeat([1.0, 2.5, 4.0], [3, 5, 8])
+        profile = oracle1d.Profile1D(breakpoints=[0, 3 / 16, 8 / 16, 1],
+                                     values=[1.0, 2.5, 4.0])
+        model = dispersion.DispersionModel.from_oracle(
+            oracle1d.correctors_1d(profile, 2), 2)
+        box = TorusGrid(1, 512, 8.0)
+        return box, np.tile(cell, 32).reshape(1, 1, -1), 0.25, model
+
+    @staticmethod
+    def real_space_gaps(traj, model, u0):
+        eff = homogenized_wave_field(model, u0, traj.box, traj.eps, traj.times)
+        return np.array([l2_norm(traj.box, u - e) for u, e in zip(traj.u, eff)])
+
+    def assert_gaps_match(self, traj, model, u0):
+        gaps, modes = bloch.effective_gap(traj, model, u0)
+        support, _ = wave.homogenized_spectrum(model, u0, traj.box, traj.eps,
+                                               traj.times)
+        ref = self.real_space_gaps(traj, model, u0)
+        assert modes == support.size > 0
+        assert np.all(np.abs(gaps - ref) <= 1e-13 * ref), (gaps, ref)
+
+    @pytest.mark.parametrize("cell", ["laminate", "three-layer"])
+    @pytest.mark.parametrize("with_velocity", [False, True])
+    def test_matches_real_space(self, cell, with_velocity):
+        if cell == "laminate":
+            box, eps = TorusGrid(1, 1024, 8.0), 1 / 8
+            a_box = coefficient_on_box(LAMINATE, box, eps)
+            _, model = laminate_model(2)
+            field = "real"
+        else:
+            box, a_box, eps, model = self.three_layer_run()
+            field = "complex"
+        x = box_coordinates(box)[0]
+        u0 = np.exp(-2.0 * (x - 4.0) ** 2)
+        v0 = (np.sin(2 * np.pi * x / 8.0) * np.exp(-(x - 2.4) ** 2)
+              if with_velocity else None)
+        traj = solve_fine_wave_exact(a_box, box, u0, self.TIMES, eps, v0=v0)
+        assert traj.meta["block_field"] == field
+        self.assert_gaps_match(traj, model, u0)
+
+    def test_skipped_phases_with_effective_content(self):
+        # drop two kept phases that carry data from the snapshots: the fine
+        # field is zero there, and the effective content there counts on
+        # its own
+        box, eps = TorusGrid(1, 1024, 8.0), 1 / 8
+        _, model = laminate_model(2)
+        x = box_coordinates(box)[0]
+        u0 = np.exp(-2.0 * (x - 4.0) ** 2)
+        traj = solve_fine_wave_exact(coefficient_on_box(LAMINATE, box, eps),
+                                     box, u0, self.TIMES, eps)
+        snaps = traj.bloch
+        keep = ~np.isin(snaps.kept, [1, 2])
+        traj.bloch = bloch.BlochSnapshots(snaps.n_cells, snaps.kept[keep],
+                                          snaps.weight[keep],
+                                          snaps.nodes[:, keep])
+        support, eff = wave.homogenized_spectrum(model, u0, box, eps,
+                                                 traj.times)
+        dropped = np.isin(support % snaps.n_cells, [1, 2])
+        assert np.all(np.abs(eff[:, dropped]) > 1e-3 * np.max(np.abs(eff)))
+        self.assert_gaps_match(traj, model, u0)
+
+    @pytest.mark.parametrize("eps", [1 / 2, 1 / 4])
+    def test_support_past_half_the_phases(self, eps):
+        # kmax_cap 8 on side 8: the support runs past k = M / 2, so modes
+        # land on their partners' rows, and rows 0 and M / 2 take both; the
+        # data, a Gaussian of width 1/8, has content on all of them
+        box = TorusGrid(1, int(16 * 8.0 / eps), 8.0)
+        oh, _ = laminate_model(2)
+        model = dispersion.DispersionModel.from_oracle(oh, 2, kmax_cap=8.0)
+        x = box_coordinates(box)[0]
+        u0 = np.exp(-32.0 * (x - 4.0) ** 2)
+        v0 = np.sin(2 * np.pi * x / 8.0) * np.exp(-(x - 2.4) ** 2)
+        traj = solve_fine_wave_exact(coefficient_on_box(LAMINATE, box, eps),
+                                     box, u0, self.TIMES, eps, v0=v0)
+        support, _ = wave.homogenized_spectrum(model, u0, box, eps, [0.0])
+        assert np.max(support) > traj.bloch.n_cells // 2
+        self.assert_gaps_match(traj, model, u0)
+
+    def test_needs_the_bloch_snapshots(self):
+        box, eps = TorusGrid(1, 1024, 8.0), 1 / 8
+        _, model = laminate_model(2)
+        u0 = np.exp(-2.0 * (box_coordinates(box)[0] - 4.0) ** 2)
+        traj = solve_fine_wave_exact(coefficient_on_box(LAMINATE, box, eps),
+                                     box, u0, self.TIMES, eps)
+        assert traj.u.shape == (len(self.TIMES), box.n)
+        with pytest.raises(ConfigurationError, match="Bloch snapshots"):
+            bloch.effective_gap(traj, model, u0)
 
 
 class TestResampling:
