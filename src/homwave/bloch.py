@@ -287,8 +287,7 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
     amplitudes (``BlochSnapshots``), and forms real samples only when a
     caller reads ``u``; ``effective_gap`` reads the Bloch snapshots.
     Blocks are diagonalized ``_CHUNK_ENTRIES`` / p^2 phases at a time, so
-    the working set stays O(``_CHUNK_ENTRIES`` + snapshots n); ``dt`` is 0
-    (no step).
+    the working set stays O(``_CHUNK_ENTRIES`` + snapshots n).
 
     Every block is taken in the gauge y_j = exp(-i theta j / p) x_j and an
     orthonormal basis Q of the cell (``_GaugedBlocks``): the data are
@@ -418,7 +417,7 @@ def solve_fine_wave_exact(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
         meta["energy_t0"] = FluxFormOperator(box, a_box).energy(u, v)
     else:
         energy = box.h / (2 * n_cells) * mode_energy
-    return WaveTrajectory(box=box, eps=eps, times=times, v=None, dt=0.0,
+    return WaveTrajectory(box=box, eps=eps, times=times, v=None,
                           energy=energy, meta=meta,
                           bloch=BlochSnapshots(n_cells, kept, weight, ut_hat))
 

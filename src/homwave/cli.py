@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -40,6 +41,11 @@ NUMERICAL_ERRORS = (ConvergenceError, SolvabilityError,
 
 # run-time settings that cannot change a number in the output
 NON_SCIENTIFIC = ("out_dir",)
+
+# the config's numbers (None where a field is unset): the runs count with
+# the integer ones, and every one must be finite
+INTEGER_FIELDS = ("ell", "grid_n", "dim", "points_per_period", "directions")
+NUMBER_FIELDS = INTEGER_FIELDS + ("T", "box_side", "gamma", "kmax_cap")
 
 
 @dataclass
@@ -106,11 +112,36 @@ def _error_of(build, *args) -> list:
     return []
 
 
+def _number_errors(cfg: ExperimentConfig) -> list:
+    """Each config number that is not finite, or not an integer in an
+    ``INTEGER_FIELDS`` field (JSON true and false are no numbers)."""
+    if not isinstance(cfg.eps_list, list):
+        return [f"eps_list must be a list of numbers, got {cfg.eps_list!r}"]
+    values = [(key, getattr(cfg, key)) for key in NUMBER_FIELDS]
+    values += [("eps_list", eps) for eps in cfg.eps_list]
+    out = []
+    for key, value in values:
+        if value is None and key in ("directions", "gamma"):
+            continue
+        integer = key in INTEGER_FIELDS
+        if (isinstance(value, bool)
+                or not isinstance(value, int if integer else (int, float))):
+            out.append(f"{key} must be {'an integer' if integer else 'a number'}"
+                       f", got {value!r}")
+        elif not math.isfinite(value):
+            out.append(f"{key} must be finite, got {value!r}")
+    return out
+
+
 def validate(cfg: ExperimentConfig) -> list:
     """The configuration errors of the run, raised by the constructors of
     the grids, boxes, 1D profile and raw coefficient grid it builds; no
-    coefficient is sampled."""
-    out = []
+    coefficient is sampled.  A config number that is not finite, or not an
+    integer where the run counts with it, is reported alone, since the
+    constructors take only finite numbers."""
+    out = _number_errors(cfg)
+    if out:
+        return out
     if cfg.kind not in KINDS:
         out.append(f"unknown kind {cfg.kind!r}")
     elif cfg.kind in ORACLE_KINDS:
@@ -279,7 +310,8 @@ def run_dispersion(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
                  for kap, lam, w in zip(kappas, lams, weights)]
     _write_csv(out / "dispersion_curves.csv", rows, man.hash)
     man.artifacts.append("dispersion_curves.csv")
-    man.check("fit_residual", float(np.max(model.fit_residuals)), 1e-6)
+    man.check("fit_residual", float(np.max(model.fit_residuals)),
+              correctors.FIT_TOL)
 
 
 def _oracle_order(cfg: ExperimentConfig) -> int:
@@ -392,11 +424,10 @@ def run_source_term(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
                      format(errs_dressed[-1], ".17g")))
     _write_csv(out / "source_term_errors.csv", rows, man.hash)
     man.artifacts.append("source_term_errors.csv")
-    budget = wave.ErrorBudget(ell=cfg.ell)
     ref_scale = max(l2_norm(box, traj.u[i]) for i in range(traj.times.size))
     man.check("dressed_vs_budget",
               max(errs_dressed) / max(ref_scale, 1e-30),
-              3.0 * float(budget.curve(eps, cfg.T)))
+              3.0 * float(wave.error_budget(cfg.ell, eps, cfg.T)))
 
 
 RUNNERS = {"correctors": run_correctors, "dispersion": run_dispersion,

@@ -371,8 +371,9 @@ class IdentityReport:
     * odd_lambda:      {j: |lambda_j| / lambda_0} for odd j
     * lambda2_*:       order-2 coefficient by definition vs. as the Dirichlet
                        quadratic form of phi_2 - phi_1^2/2 (nonnegative)
-    * lambda4_*:       order-4 coefficient by definition vs. its mixed
-                       quadratic reformulation (needs order >= 5)
+    * lambda4_*:       order-4 coefficient as its mixed quadratic
+                       reformulation, and its gap to the definition (needs
+                       order >= 5)
     * pair_identity:   {(j, l): residual} of the two-level summation identity
     * step_identity:   {j: residual} of its diagonal l = j + 1 case
     """
@@ -382,7 +383,6 @@ class IdentityReport:
     lambda2_def: float | None
     lambda2_quadratic: float | None
     lambda2_gap: float | None
-    lambda4_def: float | None
     lambda4_reformulated: float | None
     lambda4_gap: float | None
     pair_identity: dict = dc_field(default_factory=dict)
@@ -450,7 +450,7 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
         denom = max(abs(lambda2_def), abs(lambda2_quad), 1e-14 * lam0)
         lambda2_gap = abs(lambda2_def - lambda2_quad) / denom
 
-    lambda4_def = lambda4_ref = lambda4_gap = None
+    lambda4_ref = lambda4_gap = None
     if ell >= 5:
         lambda4_def = float(lam[4])
         lambda4_ref = m(-np.einsum("m...,m...->...", grads[3], agrads[3])
@@ -461,7 +461,7 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
 
     return IdentityReport(lambda0=lam0, odd_lambda=odd,
                           lambda2_def=lambda2_def, lambda2_quadratic=lambda2_quad,
-                          lambda2_gap=lambda2_gap, lambda4_def=lambda4_def,
+                          lambda2_gap=lambda2_gap,
                           lambda4_reformulated=lambda4_ref, lambda4_gap=lambda4_gap,
                           pair_identity=report_pairs, step_identity=report_steps)
 
@@ -498,16 +498,19 @@ def evaluate_monomials(coeffs: np.ndarray, degree: int, vec) -> np.ndarray:
                for r in range(degree + 1))
 
 
+# the largest odd-order tensor magnitude, relative to lambda_0, read as zero
+FIT_TOL = 1e-6
+
+
 def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,
-                           kmax_cap: float = 1.0, tensors=None,
-                           fit_tol: float = 1e-6):
+                           kmax_cap: float = 1.0, tensors=None):
     """The homogenized tensors of orders 0..ell-1 as direction polynomials.
 
     lambda_j is a homogeneous polynomial of degree j + 2 in e, and the
     monomial build (``tensors``, built when not given) holds its
     coefficients exactly.  The sampled directions are evaluation points:
     odd orders (zero for symmetric coefficients) must vanish on them to
-    ``fit_tol`` lambda_0 and are stored as zero, and ``Gamma_bar`` is the
+    ``FIT_TOL`` lambda_0 and are stored as zero, and ``Gamma_bar`` is the
     largest |lambda_j| on them.  A degree-(ell + 1) polynomial that vanishes
     at ell + 2 distinct half-circle directions vanishes identically, so at
     least that many are required in 2D.  Returns a dispersion model carrying
@@ -538,10 +541,10 @@ def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,
             residuals.append(0.0)
             continue
         mag = float(np.max(np.abs(lam[:, j])))
-        if mag > fit_tol * lam0:
+        if mag > FIT_TOL * lam0:
             raise ReconstructionError(
                 f"odd-order coefficient {j} has magnitude {mag:.3e}, "
-                f"exceeds {fit_tol:g} * lambda_0")
+                f"exceeds {FIT_TOL:g} * lambda_0")
         polys.append(np.zeros_like(tensors.lambdas[j]))
         residuals.append(mag / lam0)
 

@@ -172,33 +172,23 @@ def dispersion_Lambda(model: DispersionModel, k) -> np.ndarray:
 # Bloch waves and eigendefects on the unit cell
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TaylorBlochMode:
-    """Truncated Bloch wave data at wavevector kappa * e on the unit cell;
-    ``wave`` and ``defect`` are complex samples on the cell grid."""
-
-    kappa: float
-    direction: np.ndarray
-    order: int
-    wave: np.ndarray | None = None
-    eigenvalue: float | None = None
-    defect: np.ndarray | None = None
-
-
-def taylor_bloch_wave(h, kappa: float) -> TaylorBlochMode:
-    """Assemble the truncated wave sum_j (i kappa)^j phi_j as a complex field."""
+def taylor_bloch_wave(h, kappa: float) -> tuple[np.ndarray, float]:
+    """(wave, eigenvalue) at wavevector kappa e, e = h.direction: the
+    truncated wave sum_j (i kappa)^j phi_j, complex samples on the cell
+    grid, and its truncated eigenvalue."""
     grid = h.grid
     psi = np.zeros(grid.shape, dtype=complex)
     for j in range(h.order + 1):
         psi += (1j * kappa) ** j * h.phi[j]
     lam = kappa ** 2 * sum(
         (1j * kappa) ** j * h.lambdas[j] for j in range(0, h.order, 2))
-    return TaylorBlochMode(kappa=kappa, direction=h.direction, order=h.order,
-                           wave=psi, eigenvalue=float(lam.real))
+    return psi, float(lam.real)
 
 
-def eigendefect(h, kappa: float) -> TaylorBlochMode:
-    """Assemble the order-(ell+1) defect field of the truncated eigenrelation."""
+def eigendefect(h, kappa: float) -> np.ndarray:
+    """The order-(ell+1) defect field of the truncated eigenrelation at
+    wavevector kappa e, e = h.direction, as complex samples on the cell
+    grid."""
     grid = h.grid
     ell = h.order
     e = h.direction
@@ -211,9 +201,7 @@ def eigendefect(h, kappa: float) -> TaylorBlochMode:
     for j in range(1, ell + 1):
         for l in range(ell - j, ell):
             series += (1j * kappa) ** (j + l - ell) * h.lambdas[l] * h.phi[j]
-    defect = defect + 1j * kappa * (eae * h.phi[ell] - series)
-    return TaylorBlochMode(kappa=kappa, direction=e, order=ell,
-                           defect=defect)
+    return defect + 1j * kappa * (eae * h.phi[ell] - series)
 
 
 def _by_parts(op, grid, values: np.ndarray, *args) -> np.ndarray:
@@ -239,10 +227,9 @@ def eigendefect_residual(h, kappa: float, refine: int = 1) -> float:
 
     grid = h.grid
     e = h.direction
-    mode = taylor_bloch_wave(h, kappa)
-    psi = mode.wave
+    psi, lam = taylor_bloch_wave(h, kappa)
     a_values = h.a.values
-    defect = eigendefect(h, kappa).defect
+    defect = eigendefect(h, kappa)
     if refine > 1:
         fine = TorusGrid(grid.dim, grid.n * refine, grid.period)
         if h.a.spec is not None and h.a.spec.get("kind") != "raw":
@@ -259,7 +246,7 @@ def eigendefect_residual(h, kappa: float, refine: int = 1) -> float:
            - 1j * kappa * _by_parts(divergence_values, grid, ae * psi)
            - 1j * kappa * np.einsum("m,m...->...", e, a_grad)
            + kappa ** 2 * np.einsum("m,m...->...", e, ae) * psi)
-    rhs = mode.eigenvalue * psi - (1j * kappa) ** (h.order + 1) * defect
+    rhs = lam * psi - (1j * kappa) ** (h.order + 1) * defect
     num = l2_norm(grid, lhs - rhs)
     den = l2_norm(grid, rhs)
     if den == 0.0:

@@ -118,7 +118,6 @@ class ResiduumReport:
     """
 
     order: int
-    lhs_norm: float
     second_order: float | None
     full: float
     raw: float
@@ -192,7 +191,7 @@ def residuum_identities(a: CoefficientField, tensors: TensorizedCorrectors,
         second = rel(rhs_21)
 
     gap = l2_norm(grid, rhs_full - rhs_raw) / max(lhs_norm, 1e-30)
-    return ResiduumReport(order=ell, lhs_norm=lhs_norm, second_order=second,
+    return ResiduumReport(order=ell, second_order=second,
                           full=rel(rhs_full), raw=rel(rhs_raw), full_vs_raw=gap)
 
 
@@ -312,27 +311,26 @@ def elliptic_error_sweep_1d(profile: oracle1d.Profile1D, ell: int, eps_list,
 def elliptic_error_sweep_spectral(coeff_spec: dict, tensors: TensorizedCorrectors,
                                   model: DispersionModel, eps_list,
                                   box: TorusGrid, f: np.ndarray,
-                                  mode: str = "prepared",
-                                  operator: str = "regularized",
-                                  gamma: float | None = None) -> RateStudy:
-    """Gradient-error sweep on the box with the spectral pipeline, dressed
-    to the model's order.
+                                  operator: str = "regularized") -> RateStudy:
+    """Gradient-error sweep on the box with the spectral pipeline: prepared
+    data, dressed to the model's order, and the regularization constant
+    ``choose_gamma(model)``.
 
     Suitable for smooth coefficients; for discontinuous 1D profiles use the
     exact piecewise variant.
     """
-    check_sweep_options(mode, operator)
+    check_sweep_options("prepared", operator)
     ell = model.ell
-    gamma, bt = _effective_operator(model, operator, gamma)
+    gamma, bt = _effective_operator(model, operator, None)
     errors = []
     for eps in eps_list:
         a_box = wave.coefficient_on_box(coeff_spec, box, eps)
         bc = BoxCorrectors.from_tensorized(tensors, box, eps)
-        rhs = prepared_rhs(bc, f, ell) if mode == "prepared" else f
-        u_fine = solve_elliptic(CoefficientField(box, a_box), rhs)
+        u_fine = solve_elliptic(CoefficientField(box, a_box),
+                                prepared_rhs(bc, f, ell))
         u_hom = solve_effective_elliptic(model, f, box, eps, gamma=gamma, bt=bt)
         grad_fine = gradient_values(box, u_fine)
         grad_dressed = dressed_gradient(
             bc, DerivativeCache(box, rfftn(box, u_hom)), max_order=ell)
         errors.append(l2_norm(box, grad_fine - grad_dressed))
-    return RateStudy(eps_list, errors, mode, operator, {"gamma": gamma})
+    return RateStudy(eps_list, errors, "prepared", operator, {"gamma": gamma})

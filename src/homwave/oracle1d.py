@@ -15,7 +15,7 @@ where spectral accuracy would be Gibbs-limited.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as leg
@@ -58,13 +58,6 @@ def _sampler(samples: int, width: int) -> np.ndarray:
     return vals
 
 
-def _union_breaks(b1: np.ndarray, b2: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    merged = np.sort(np.concatenate([b1, b2]))
-    keep = merged[np.concatenate([[True], np.diff(merged) > tol])]
-    keep[-1] = max(b1[-1], b2[-1])
-    return keep
-
-
 def _nodes_on(breaks: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Nodes t mapped onto every segment: shape (segments, len(t))."""
     a, b = breaks[:-1, None], breaks[1:, None]
@@ -78,7 +71,10 @@ class PiecewisePoly:
     width) holds the Legendre coefficients of segment [breaks[i],
     breaks[i+1]) in the affine coordinate t in [-1, 1].  All arithmetic
     (sums, products, antiderivatives, means) is exact for polynomial
-    operands and acts on every segment at once.
+    operands and acts on every segment at once.  The two operands of a sum
+    or product share one partition (the oracle builds every field of a cell
+    or a box on the same breaks); operands on different partitions are a
+    ``ConfigurationError``.
     """
 
     def __init__(self, breaks, coeffs):
@@ -110,26 +106,10 @@ class PiecewisePoly:
         return float(self.breaks[-1] - self.breaks[0])
 
     def _aligned(self, other: "PiecewisePoly"):
-        """Both operands on one partition: unchanged when they share theirs,
-        else re-expanded on the union of their breakpoints."""
+        """(self, other, their breaks), which must be the same partition."""
         if self.breaks is other.breaks or np.array_equal(self.breaks, other.breaks):
             return self, other, self.breaks
-        breaks = _union_breaks(self.breaks, other.breaks)
-        return self._on_breaks(breaks), other._on_breaks(breaks), breaks
-
-    def _on_breaks(self, breaks: np.ndarray) -> "PiecewisePoly":
-        if breaks is self.breaks or (len(breaks) == len(self.breaks)
-                                     and np.allclose(breaks, self.breaks)):
-            return self
-        # re-expand on each sub-segment: t_new -> t_old is affine
-        mid = 0.5 * (breaks[:-1] + breaks[1:])
-        idx = np.clip(np.searchsorted(self.breaks, mid, side="right") - 1,
-                      0, len(self.coeffs) - 1)
-        sa, sb = self.breaks[idx, None], self.breaks[idx + 1, None]
-        t, _, proj = _gauss(self.coeffs.shape[1])
-        t_old = (2.0 * _nodes_on(breaks, t) - sa - sb) / (sb - sa)
-        vals = leg.legval(t_old, self.coeffs[idx].T[..., None], tensor=False)
-        return PiecewisePoly(breaks, vals @ proj)
+        raise ConfigurationError("piecewise operands on different partitions")
 
     # -- arithmetic --------------------------------------------------------
 
@@ -204,8 +184,9 @@ class PiecewisePoly:
                          np.moveaxis(self.coeffs[idx], -1, 0), tensor=False)
         return out[()] if x.ndim == 0 else out
 
-    def linf(self, samples_per_segment: int = 16) -> float:
-        vals = self.coeffs @ _sampler(samples_per_segment, self.coeffs.shape[1])
+    def linf(self) -> float:
+        """Largest |value| at 16 Gauss nodes per segment."""
+        vals = self.coeffs @ _sampler(16, self.coeffs.shape[1])
         return float(np.max(np.abs(vals)))
 
     def l2_mean(self) -> float:
@@ -243,14 +224,12 @@ class Profile1D:
 
     Either piecewise-constant (breakpoints + per-segment values, handled
     exactly) or smooth (callable, represented by composite Gauss-Legendre
-    interpolation on ``n_segments`` segments of degree ``degree``).
+    interpolation on 64 equal segments of degree 12).
     """
 
     breakpoints: np.ndarray | None = None
     values: np.ndarray | None = None
     func: object = None
-    n_segments: int = 64
-    degree: int = 12
 
     def __post_init__(self):
         if (self.func is None) == (self.values is None):
@@ -271,9 +250,8 @@ class Profile1D:
         piecewise-constant profile, else interpolated."""
         if self.values is not None:
             return PiecewisePoly(self.breakpoints, of(self.values)[:, None])
-        breaks = np.linspace(0.0, 1.0, self.n_segments + 1)
-        return PiecewisePoly.from_callable(lambda x: of(self.func(x)), breaks,
-                                           self.degree)
+        return PiecewisePoly.from_callable(lambda x: of(self.func(x)),
+                                           np.linspace(0.0, 1.0, 65))
 
     # a and 1/a on the cell, each built once per profile
     a_pp = functools.cached_property(lambda self: self._on_cell(lambda a: a))
@@ -314,12 +292,11 @@ class Hierarchy1D:
     the construction achieves that.
     """
 
-    profile: Profile1D
     order: int
-    phi: list = dc_field(default_factory=list)
-    chi: list = dc_field(default_factory=list)
-    lambdas: np.ndarray = None
-    flux_residuals: np.ndarray = None
+    phi: list
+    chi: list
+    lambdas: np.ndarray
+    flux_residuals: np.ndarray
 
 
 def check_order(ell: int) -> None:
@@ -368,7 +345,7 @@ def correctors_1d(profile: Profile1D, ell: int) -> Hierarchy1D:
             chi_j_prime = neg_chi_prime.mean() - neg_chi_prime
             chi.append(chi_j_prime.antiderivative().zero_mean())
 
-    return Hierarchy1D(profile=profile, order=ell, phi=phi, chi=chi[: ell + 1],
+    return Hierarchy1D(order=ell, phi=phi, chi=chi[: ell + 1],
                        lambdas=lambdas, flux_residuals=flux_res)
 
 

@@ -1,11 +1,11 @@
 """Weighted transport moments and the scaled ballistic experiment.
 
 The moment of a wave field weights its mass by (1 + lam |x|)^2 around the
-data center (minimum-image distance on the periodic box), and the windowed
-moment averages its square over one interaction time 1/lam.  Ballistic
-transport shows up as linear growth of the windowed moment along the
-hyperbolically rescaled time axis; the experiment measures the growth ratio
-against the dispersive defect budget.
+box center, where the data are centered (minimum-image distance on the
+periodic box), and the windowed moment averages its square over one
+interaction time 1/lam.  Ballistic transport shows up as linear growth of
+the windowed moment along the hyperbolically rescaled time axis; the
+experiment measures the growth ratio against the dispersive defect budget.
 """
 
 from __future__ import annotations
@@ -17,73 +17,63 @@ import numpy as np
 
 from .bloch import solve_fine_wave_exact
 from .torus import ConfigurationError, TorusGrid, l2_norm
-from .wave import (
-    ErrorBudget,
-    WaveTrajectory,
-    box_coordinates,
-    coefficient_on_box,
-)
+from .wave import WaveTrajectory, box_coordinates, coefficient_on_box
+
+# snapshots per window 1/lam, evenly spaced ends included: spacing 1/(16 lam)
+SNAPSHOTS_PER_WINDOW = 17
 
 
-def min_image_radius(box: TorusGrid, center: np.ndarray) -> np.ndarray:
-    """Distance to ``center`` with the periodic minimum-image convention."""
+def min_image_radius(box: TorusGrid) -> np.ndarray:
+    """Distance to the box center with the periodic minimum-image
+    convention."""
+    center = np.full(box.dim, 0.5 * box.period)
     x = box_coordinates(box)
-    delta = np.abs(x - np.asarray(center).reshape((box.dim,) + (1,) * box.dim))
+    delta = np.abs(x - center.reshape((box.dim,) + (1,) * box.dim))
     delta = np.minimum(delta, box.period - delta)
     return np.sqrt(np.sum(delta ** 2, axis=0))
 
 
-def wrap_guard(u0: np.ndarray, box: TorusGrid, center: np.ndarray,
-               final_time: float, gamma_bar: float):
+def wrap_guard(u0: np.ndarray, box: TorusGrid, final_time: float,
+               gamma_bar: float):
     """Check r0 + T sqrt(Gamma_bar) < side/2 (wavefront must not wrap).
 
-    r0 is the radius of the smallest centered ball holding every node where
-    |u0| exceeds 1e-8 of its maximum.  Returns (ok, r0, reach); failing the
-    guard invalidates weighted-moment readings, while plain L2 comparisons
-    of two periodized evolutions stay meaningful.
+    r0 is the radius of the smallest ball around the box center holding
+    every node where |u0| exceeds 1e-8 of its maximum.  Returns (ok, r0,
+    reach); failing the guard invalidates weighted-moment readings, while
+    plain L2 comparisons of two periodized evolutions stay meaningful.
     """
     mask = np.abs(u0) > 1e-8 * float(np.max(np.abs(u0)))
-    r0 = float(np.max(min_image_radius(box, center)[mask])) if np.any(mask) else 0.0
+    r0 = float(np.max(min_image_radius(box)[mask])) if np.any(mask) else 0.0
     reach = r0 + final_time * math.sqrt(max(gamma_bar, 1.0))
     return reach < 0.5 * box.period, r0, reach
 
 
-def gaussian_data(box: TorusGrid, lam: float, center=None) -> np.ndarray:
-    """Centered Gaussian (lam/pi)^(d/2) exp(-lam^2 |x|^2 / 2) on the box.
+def gaussian_data(box: TorusGrid, lam: float) -> np.ndarray:
+    """Gaussian (lam/pi)^(d/2) exp(-lam^2 |x|^2 / 2) around the box center.
 
     The formula is used verbatim (its L2 norm is pi^(-d/4), not 1).  The
     tail must fit the box: exp(-lam^2 (L/2)^2 / 2) below 1e-12.
     """
-    if center is None:
-        center = np.full(box.dim, 0.5 * box.period)
     tail = math.exp(-0.5 * (lam * 0.5 * box.period) ** 2)
     if tail > 1e-12:
         raise ConfigurationError(
             f"Gaussian of width 1/{lam:g} does not fit the box "
             f"(tail {tail:.2e} at side/2)")
-    r = min_image_radius(box, np.asarray(center, dtype=float))
+    r = min_image_radius(box)
     return (lam / math.pi) ** (box.dim / 2.0) * np.exp(-0.5 * (lam * r) ** 2)
 
 
-def _moment_weight(box: TorusGrid, lam: float, center) -> np.ndarray:
+def _moment_weight(box: TorusGrid, lam: float) -> np.ndarray:
     """1 + lam |x|, the root of the moment weight (minimum-image |x|)."""
-    r = min_image_radius(box, np.asarray(center, dtype=float))
-    return 1.0 + lam * r
+    return 1.0 + lam * min_image_radius(box)
 
 
-def transport_moment(u: np.ndarray, box: TorusGrid, lam: float,
-                     center) -> float:
+def transport_moment(u: np.ndarray, box: TorusGrid, lam: float) -> float:
     """Weighted mass ( integral (1 + lam |x|)^2 u^2 )^(1/2)."""
-    return l2_norm(box, _moment_weight(box, lam, center) * u)
+    return l2_norm(box, _moment_weight(box, lam) * u)
 
 
-def moment_history(traj: WaveTrajectory, lam: float, center) -> np.ndarray:
-    w = _moment_weight(traj.box, lam, center)
-    return np.array([l2_norm(traj.box, w * u) for u in traj.u])
-
-
-def windowed_moment(traj: WaveTrajectory, lam: float, T: float,
-                    center) -> float:
+def windowed_moment(traj: WaveTrajectory, lam: float, T: float) -> float:
     """sqrt of the integral of the squared moment over [T, T + 1/lam].
 
     Needs snapshots covering the window with spacing at most 1/(16 lam);
@@ -98,7 +88,7 @@ def windowed_moment(traj: WaveTrajectory, lam: float, T: float,
     if np.max(np.diff(ts)) > window / 16.0 + 1e-12:
         raise ConfigurationError(
             f"snapshot spacing exceeds {window / 16.0:g} over the window")
-    w = _moment_weight(traj.box, lam, center)
+    w = _moment_weight(traj.box, lam)
     msq = np.array([l2_norm(traj.box, w * traj.u[i]) ** 2
                     for i in np.nonzero(sel)[0]])
     return float(math.sqrt(np.trapezoid(msq, ts)))
@@ -106,12 +96,8 @@ def windowed_moment(traj: WaveTrajectory, lam: float, T: float,
 
 @dataclass
 class MomentReport:
-    lam: float
-    times: np.ndarray
-    moments: np.ndarray
     windowed: dict
     valid: bool
-    guard: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -146,34 +132,30 @@ class BallisticReport:
 
 
 def ballistic_experiment(coeff_spec: dict, box: TorusGrid, eps_list, gamma: float,
-                         T: float, ell: int, gamma_bar: float,
-                         alpha=(0.0, 0.0),
-                         snapshots_per_window: int = 17) -> BallisticReport:
+                         T: float, ell: int, gamma_bar: float) -> BallisticReport:
     """Scaled transport experiment after the hyperbolic rescaling.
 
     For each eps the fine wave is solved exactly in time (Bloch blocks, see
-    ``solve_fine_wave_exact``) with unit-width Gaussian data in the
-    rescaled variables up to T' = eps^(-1-gamma) T; the windowed moment over
-    [T', T'+1] measured against T' is the ballistic ratio, reported next to
-    the dispersive defect budget eps^(ell-1-gamma) T mu(eps^(-2-gamma) T).
-    Wrap-around of the wavefront invalidates the weighted moment and flags
-    the row.
+    ``solve_fine_wave_exact``) with unit-width Gaussian data around the box
+    center in the rescaled variables up to T' = eps^(-1-gamma) T, at
+    ``SNAPSHOTS_PER_WINDOW`` times over [T', T'+1]; the windowed moment
+    there measured against T' is the ballistic ratio, reported next to the
+    dispersive defect budget eps^(ell-1-gamma) T (the growth envelope of a
+    periodic medium is 1).  Wrap-around of the wavefront invalidates the
+    weighted moment and flags the row.
     """
-    center = np.full(box.dim, 0.5 * box.period)
-    mu = ErrorBudget(ell, alpha).mu
     rows = []
     for eps in eps_list:
         t_resc = eps ** (-1.0 - gamma) * T
         a_box = coefficient_on_box(coeff_spec, box, eps)
         g1 = gaussian_data(box, 1.0)
-        ok, _, reach = wrap_guard(g1, box, center, t_resc + 1.0, gamma_bar)
-        times = np.linspace(t_resc, t_resc + 1.0, snapshots_per_window)
+        ok, _, reach = wrap_guard(g1, box, t_resc + 1.0, gamma_bar)
+        times = np.linspace(t_resc, t_resc + 1.0, SNAPSHOTS_PER_WINDOW)
         traj = solve_fine_wave_exact(a_box, box, g1, times, eps)
-        m_win = windowed_moment(traj, 1.0, t_resc, center)
+        m_win = windowed_moment(traj, 1.0, t_resc)
         stats = traj.solver_stats()
         del traj  # free the snapshots before the next eps allocates its own
-        defect = float(eps ** (ell - 1.0 - gamma) * T
-                       * mu(eps ** (-2.0 - gamma) * T))
+        defect = float(eps ** (ell - 1.0 - gamma) * T)
         rows.append(BallisticRow(
             eps=float(eps), T_rescaled=t_resc, windowed=m_win,
             ratio=m_win / t_resc, defect_bound=defect,
@@ -204,21 +186,17 @@ def constant_medium_moment_scan(box: TorusGrid, lam: float, T_values) -> MomentR
     homogeneous 1D medium; all windows are gathered from one exact
     trajectory, whose Bloch blocks are 1 x 1 (one node per period, eps = h).
     """
-    center = np.full(box.dim, 0.5 * box.period)
     a_box = np.ones((1, 1) + box.shape)
     u0 = gaussian_data(box, lam)
     window = 1.0 / lam
     times = set()
     for T in T_values:
         start = T / lam
-        times.update(np.linspace(start, start + window, 17).tolist())
-    times = sorted(times)
-    traj = solve_fine_wave_exact(a_box, box, u0, times, box.h)
-    guard_T = max(T_values) / lam + window
-    ok, r0, reach = wrap_guard(u0, box, center, guard_T, 1.0)
-    windowed = {float(T): windowed_moment(traj, lam, T / lam, center)
-                for T in T_values}
-    return MomentReport(lam=lam, times=traj.times,
-                        moments=moment_history(traj, lam, center),
-                        windowed=windowed, valid=bool(ok),
-                        guard={"r0": r0, "reach": reach, "limit": box.period / 2})
+        times.update(np.linspace(start, start + window,
+                                 SNAPSHOTS_PER_WINDOW).tolist())
+    traj = solve_fine_wave_exact(a_box, box, u0, sorted(times), box.h)
+    ok, _, _ = wrap_guard(u0, box, max(T_values) / lam + window, 1.0)
+    return MomentReport(
+        windowed={float(T): windowed_moment(traj, lam, T / lam)
+                  for T in T_values},
+        valid=bool(ok))

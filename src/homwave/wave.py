@@ -51,7 +51,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .dispersion import (DispersionModel, PositivityError, _positive_real_roots,
                          _radial_coefficients, _require_positive, cutoff,
-                         dispersion_Lambda)
+                         dispersion_Lambda, eigenvalue)
 from .torus import (
     ConfigurationError,
     DerivativeCache,
@@ -59,9 +59,7 @@ from .torus import (
     _half_gradient_multiplier,
     _sym_eig_bounds,
     evaluate_coefficient,
-    gradient_values,
     irfftn,
-    l2_norm,
     prolong_values,
     rfftn,
 )
@@ -223,7 +221,6 @@ class WaveTrajectory:
     eps: float | None
     times: np.ndarray
     v: np.ndarray | None
-    dt: float
     energy: np.ndarray
     meta: dict = dc_field(default_factory=dict)
     samples: np.ndarray | None = None
@@ -404,9 +401,9 @@ def solve_fine_wave(a_box: np.ndarray, box: TorusGrid, u0: np.ndarray,
 
     return WaveTrajectory(
         box=box, eps=eps, times=snap_times[skip:], samples=u_snaps,
-        v=v_snaps, dt=dt0, energy=np.asarray(energies[skip:]),
-        meta={"solver": "leapfrog", "steps": step_count, "cfl_dt": dt_max,
-              "shared_dt": dt_shared, "energy_t0": energies[0]})
+        v=v_snaps, energy=np.asarray(energies[skip:]),
+        meta={"solver": "leapfrog", "steps": step_count,
+              "energy_t0": energies[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +555,11 @@ def effective_symbol(model: DispersionModel, gamma: float, eps: float,
                      k: np.ndarray) -> np.ndarray:
     """Symbol of the effective elliptic operator with coercive regularization.
 
-    sum over even j < ell of (-1)^(j/2) eps^j P_j(k) plus
+    The truncated Bloch eigenvalue at eps k over eps^2, which is
+    sum over even j < ell of (-1)^(j/2) eps^j P_j(k), plus
     gamma eps^(2m) |k|^(2m+2), m = floor((ell-1)/2) + 1, ell = model.ell.
     """
-    out = np.zeros(k.shape[1:])
-    for j in range(0, model.ell, 2):
-        out = out + (-1.0) ** (j // 2) * eps ** j * model.poly_value(j, k)
+    out = eigenvalue(model, eps * k) / eps ** 2
     if gamma != 0.0:
         m = regularization_order(model.ell)
         k2 = np.sum(k ** 2, axis=0)
@@ -636,19 +632,18 @@ def _poly_times_k2(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def boussinesq_decomposition(model: DispersionModel,
-                             n_directions: int = 64) -> BoussinesqTensors:
+def boussinesq_decomposition(model: DispersionModel) -> BoussinesqTensors:
     """Split the fourth-order dispersive tensor into nonnegative parts.
 
-    beta is the smallest constant with beta P0(e) >= P2(e) on sampled unit
-    directions (clipped at zero), so c = beta P0 |e|^2 - P2 is pointwise
-    nonnegative there; the splitting identity is exact by construction and
-    its residual is re-verified on the samples.
+    beta is the smallest constant with beta P0(e) >= P2(e) on 64 sampled
+    unit directions (clipped at zero), so c = beta P0 |e|^2 - P2 is
+    pointwise nonnegative there; the splitting identity is exact by
+    construction and its residual is re-verified on the samples.
     """
     if model.ell < 3:
         raise ConfigurationError("needs the order-2 dispersion polynomial")
     from .correctors import evaluate_monomials, half_circle_directions
-    dirs = half_circle_directions(model.dim, n_directions, offset=0.5).T
+    dirs = half_circle_directions(model.dim, 64, offset=0.5).T
     p0 = model.poly_value(0, dirs)
     p2 = model.poly_value(2, dirs)
     beta = max(0.0, float(np.max(p2 / p0)))
@@ -710,30 +705,13 @@ def source_term_field(model: DispersionModel, h: np.ndarray, box: TorusGrid,
 
 
 # ---------------------------------------------------------------------------
-# error budgets and reports
+# error budget and fitted orders
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ErrorBudget:
-    """Error envelope eps + eps^ell * t * mu(t / eps) with growth exponents.
-
-    mu(t) = (1 + t)^alpha1 * log2(2 + t)^alpha2 is identically 1 for
-    periodic media (alpha = (0, 0)); other exponents are reporting envelopes
-    supplied by the user.
-    """
-
-    ell: int
-    alpha: tuple = (0.0, 0.0)
-    prefactor: float = 1.0
-
-    def mu(self, t) -> np.ndarray:
-        a1, a2 = self.alpha
-        t = np.asarray(t, dtype=float)
-        return (1.0 + t) ** a1 * np.log2(2.0 + t) ** a2
-
-    def curve(self, eps: float, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self.prefactor * (eps + eps ** self.ell * t * self.mu(t / eps))
+def error_budget(ell: int, eps: float, t):
+    """Error envelope eps + eps^ell t of a periodic medium at time t, the
+    long-time estimate's growth factor mu(t / eps) being 1 there."""
+    return eps + eps ** ell * t
 
 
 def fit_order(eps_list, errors) -> float:
@@ -742,52 +720,3 @@ def fit_order(eps_list, errors) -> float:
     errors = np.maximum(np.asarray(errors, dtype=float), 1e-300)
     return float(np.polyfit(np.log(np.asarray(eps_list, dtype=float)),
                             np.log(errors), 1)[0])
-
-
-@dataclass
-class ErrorReport:
-    times: np.ndarray
-    l2_error: np.ndarray
-    energy_error: np.ndarray | None
-    budget: np.ndarray
-    sup_l2: float
-    warnings: list = dc_field(default_factory=list)
-
-    def rows(self):
-        out = [("t", "l2_error", "energy_error", "budget")]
-        for i, t in enumerate(self.times):
-            en = "" if self.energy_error is None else format(self.energy_error[i], ".17g")
-            out.append((format(t, ".17g"), format(self.l2_error[i], ".17g"),
-                        en, format(self.budget[i], ".17g")))
-        return out
-
-
-def error_report(reference: WaveTrajectory, approx_u: np.ndarray,
-                 budget: ErrorBudget, eps: float,
-                 approx_v: np.ndarray | None = None,
-                 approx_grad: np.ndarray | None = None,
-                 warnings=()) -> ErrorReport:
-    """Per-time L2 (and energy-norm) gaps against the budget curve.
-
-    ``approx_u`` has shape (n_times, box...); the energy norm combines the
-    velocity gap with the gradient gap and needs both supplied (the
-    reference gradient is formed spectrally on the box).
-    """
-    box = reference.box
-    times = reference.times
-    if approx_u.shape[0] != times.size:
-        raise ConfigurationError("approximation snapshots do not match times")
-    if approx_v is not None and reference.v is None:
-        raise ConfigurationError("approx_v needs a reference velocity")
-    l2 = np.array([l2_norm(box, reference.u[i] - approx_u[i])
-                   for i in range(times.size)])
-    energy = None
-    if approx_v is not None and approx_grad is not None:
-        energy = np.zeros(times.size)
-        for i in range(times.size):
-            dv = reference.v[i] - approx_v[i]
-            dg = gradient_values(box, reference.u[i]) - approx_grad[i]
-            energy[i] = math.sqrt(l2_norm(box, dv) ** 2 + l2_norm(box, dg) ** 2)
-    return ErrorReport(times=times, l2_error=l2, energy_error=energy,
-                       budget=budget.curve(eps, times), sup_l2=float(np.max(l2)),
-                       warnings=list(warnings))

@@ -151,6 +151,24 @@ class TestValidate:
            "trig_checkerboard coefficient has a below 1: "
            "base - |amplitude| = -1") for kind in ("elliptic-rate",
                                                    "wave-compare")],
+        # config numbers json reads as NaN or Infinity, or a fractional
+        # order: each ended in a traceback, fitted order -0.000124, or an
+        # empty output directory
+        *[(dict(kind=kind, eps_list=[0.25, 0.125], **{key: value}),
+           f"{key} must be finite, got {value!r}")
+          for kind, key, value in [
+              ("wave-compare", "T", float("nan")),
+              ("wave-compare", "T", float("inf")),
+              ("wave-compare", "box_side", float("nan")),
+              ("wave-compare", "kmax_cap", float("nan")),
+              ("wave-compare", "kmax_cap", float("inf")),
+              ("transport", "T", float("nan")),
+              ("transport", "T", float("inf")),
+              ("transport", "gamma", float("nan"))]],
+        (dict(kind="elliptic-rate", eps_list=[0.25, 0.125], box_side=1.0,
+              ell=2.5), "ell must be an integer, got 2.5"),
+        (dict(kind="wave-compare", eps_list=0.25),
+         "eps_list must be a list of numbers, got 0.25"),
     ], ids=["points-per-period-8", "dim-2-wave-compare", "laminate-period",
             "raw-elliptic-rate", "dim-3-correctors", "mode", "operator",
             "box-n", "correctors-ell-0", "elliptic-rate-ell-0",
@@ -160,7 +178,12 @@ class TestValidate:
             "volume-fraction-0", "volume-fraction-1", "volume-fraction-1.5",
             "volume-fraction-negative", "laminate-period-0",
             "checkerboard-below-1-elliptic-rate",
-            "checkerboard-below-1-wave-compare"])
+            "checkerboard-below-1-wave-compare",
+            "wave-compare-T-nan", "wave-compare-T-inf",
+            "wave-compare-box-side-nan", "wave-compare-kmax-cap-nan",
+            "wave-compare-kmax-cap-inf", "transport-T-nan", "transport-T-inf",
+            "transport-gamma-nan", "elliptic-rate-ell-2.5",
+            "eps-list-not-a-list"])
     def test_the_run_rejects_what_validate_reports(self, cfg, message,
                                                     tmp_path, capsys):
         cfg.setdefault("coefficient", {"kind": "laminate",

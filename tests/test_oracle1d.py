@@ -1,5 +1,6 @@
 """Exact 1D reference: piecewise-Legendre calculus and the corrector recursion."""
 
+import operator
 import types
 
 import numpy as np
@@ -31,11 +32,17 @@ def laminate():
 class TestPiecewisePoly:
     def test_arithmetic_and_mean(self):
         p = PiecewisePoly.from_callable(lambda x: x ** 2, [0.0, 0.3, 1.0], 4)
-        q = PiecewisePoly.from_callable(lambda x: 1.0 + x, [0.0, 1.0], 3)
+        q = PiecewisePoly.from_callable(lambda x: 1.0 + x, [0.0, 0.3, 1.0], 3)
         prod = p * q
         x = np.linspace(0, 0.999, 301)
         assert np.max(np.abs(prod(x) - x ** 2 * (1 + x))) < 1e-13
         assert prod.mean() == pytest.approx(1 / 3 + 1 / 4, abs=1e-14)
+        # operands on different partitions are rejected, not realigned
+        other = PiecewisePoly.from_callable(lambda x: 1.0 + x, [0.0, 1.0], 3)
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(torus.ConfigurationError,
+                               match="different partitions"):
+                op(p, other)
 
     def test_antiderivative_continuous(self):
         p = PiecewisePoly.from_callable(lambda x: 3 * x ** 2, [0.0, 0.4, 1.0], 4)
@@ -110,13 +117,17 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None,
 
 class TestArrayBackedProperties:
     """Batched operations against the per-segment reference loop, on
-    random breakpoints that operands do not share."""
+    random breakpoints."""
 
     @PROPERTY
-    @given(piecewise(), piecewise())
-    def test_product_and_sum(self, p, q):
-        (bp, rp, pp), (bq, rq, qq) = p, q
-        vp, vq = ref_eval(bp, rp, SAMPLES), ref_eval(bq, rq, SAMPLES)
+    @given(piecewise(), st.integers(1, 7), st.integers(0, 2 ** 31))
+    def test_product_and_sum(self, p, width, seed):
+        # the second operand: its own coefficients on an equal copy of the
+        # first one's breaks
+        bp, rp, pp = p
+        rq = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(bp) - 1, width))
+        qq = PiecewisePoly(bp.copy(), rq)
+        vp, vq = ref_eval(bp, rp, SAMPLES), ref_eval(bp, rq, SAMPLES)
         assert_close((pp * qq)(SAMPLES), vp * vq)
         assert_close((pp + qq)(SAMPLES), vp + vq)
         assert_close((pp - 0.5 * qq)(SAMPLES), vp - 0.5 * vq)
@@ -184,7 +195,6 @@ class TestPerOperationOverhead:
             raise AssertionError("equal partitions reached the alignment path")
 
         monkeypatch.setattr(np, "allclose", forbidden)
-        monkeypatch.setattr(oracle1d, "_union_breaks", forbidden)
         distinct = PiecewisePoly(breaks.copy(), q_rows)
         got = [p * distinct, p + distinct, p - distinct]
         for g, w in zip(got, want):
@@ -336,9 +346,10 @@ class TestCorrectorRecursion:
 
     def test_values_are_quadrature_free(self, laminate):
         h1 = correctors_1d(laminate, 4)
-        # piecewise representation is exact; degree of the basis is irrelevant
-        lam2 = Profile1D(breakpoints=[0.0, 0.5, 1.0], values=[1.0, 4.0],
-                         degree=20)
+        # piecewise representation is exact: the same cell on a finer
+        # partition gives the same tensors
+        lam2 = Profile1D(breakpoints=[0.0, 0.25, 0.5, 0.75, 1.0],
+                         values=[1.0, 1.0, 4.0, 4.0])
         h2 = correctors_1d(lam2, 4)
         assert np.max(np.abs(h1.lambdas - h2.lambdas)) < 1e-12
 

@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import, every function parameter and
-every private module-level helper of the package is used, no module runs a
-full complex FFT, only ``wave`` names the leapfrog solver, no module writes
-a coefficient catalog default outside the catalog table, and every name
-the benchmark's tracer binds exists."""
+every private module-level helper of the package is used, every default
+some call overrides and every dataclass field some code reads, no module
+runs a full complex FFT, only ``wave`` names the leapfrog solver, no module
+writes a coefficient catalog default outside the catalog table, and every
+name the benchmark's tracer binds exists."""
 
 import ast
 import os
@@ -60,6 +61,185 @@ def unused_parameters(path: Path) -> list:
                 if a.arg not in ("self", "cls") and not a.arg.startswith("_")
                 and a.arg not in read]
     return out
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", "") == "dataclass"
+               for d in node.decorator_list)
+
+
+def _dataclass_fields(node: ast.ClassDef) -> list:
+    """(line, name, has_default, in_init) of each field, in order."""
+    out = []
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        in_init = not (isinstance(value, ast.Call) and any(
+            kw.arg == "init" and isinstance(kw.value, ast.Constant)
+            and kw.value.value is False for kw in value.keywords))
+        out.append((stmt.lineno, stmt.target.id, value is not None, in_init))
+    return out
+
+
+def _callables(tree) -> list:
+    """(line, label, call names, offset, parameters, defaulted) of every
+    function and dataclass of a module: the names a call of it goes by,
+    the number of leading parameters a call does not pass (self or cls),
+    its parameters in positional order (keyword-only ones last) and those
+    with a default."""
+    out = []
+    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        if _is_dataclass(cls):
+            fields = [f for f in _dataclass_fields(cls) if f[3]]
+            out.append((cls.lineno, cls.name, {cls.name}, 0,
+                        [f[1] for f in fields], {f[1] for f in fields if f[2]}))
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(getattr(d, "id", "") == "staticmethod"
+                         for d in fn.decorator_list)
+            if fn.name == "__init__":
+                label, names = cls.name, {cls.name, "__init__"}
+            else:
+                label, names = f"{cls.name}.{fn.name}", {fn.name}
+            out.append((fn.lineno, label, names, 0 if static else 1,
+                        *_signature(fn)))
+    methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body}
+    out += [(fn.lineno, fn.name, {fn.name}, 0, *_signature(fn))
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and id(fn) not in methods]
+    return out
+
+
+def _signature(fn: ast.FunctionDef):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaulted = {a.arg for a in positional[len(positional) - len(args.defaults):]}
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None}
+    return [a.arg for a in positional + args.kwonlyargs], defaulted
+
+
+def _calls(tree) -> list:
+    """(name, positional count or None after a ``*``, keywords or None
+    after a ``**``) of every call in a module; ``cls(...)`` inside a class
+    is a call of that class."""
+    out = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "cls" and owner is not None:
+                name = owner
+            starred = [i for i, a in enumerate(node.args)
+                       if isinstance(a, ast.Starred)]
+            keywords = {kw.arg for kw in node.keywords}
+            out.append((name, starred[0] if starred else len(node.args),
+                        bool(starred),
+                        None if None in keywords else keywords))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def defaults_never_passed(package: Path, callers) -> list:
+    """(module, line, owner.parameter) of each parameter or dataclass field
+    of ``package`` with a default that no call in the files ``callers``
+    passes: by keyword, by position (a dataclass's fields in order, a
+    method's after self), or through ``*``/``**``.  Calls are matched by
+    name, so a call of any same-named function counts."""
+    calls = [c for path in callers
+             for c in _calls(ast.parse(path.read_text(), filename=str(path)))]
+    out = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, label, names, offset, params, defaulted in _callables(tree):
+            passed = set()
+            for name, count, starred, keywords in calls:
+                if name not in names:
+                    continue
+                stop = len(params) if starred else offset + count
+                passed.update(params[offset:stop])
+                passed.update(params if keywords is None else keywords)
+            out += [(path.name, line, f"{label}.{p}")
+                    for p in params if p in defaulted and p not in passed]
+    return sorted(out)
+
+
+def dataclass_fields_never_read(package: Path, readers) -> list:
+    """(module, line, class.field) of each dataclass field of ``package``
+    that no file of ``readers`` reads as an attribute (``x.field`` loaded).
+    Attributes are matched by name, so a read of any same-named attribute
+    counts."""
+    read = {n.attr for path in readers
+            for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                out += [(path.name, line, f"{cls.name}.{name}")
+                        for line, name, _, _ in _dataclass_fields(cls)
+                        if name not in read]
+    return out
+
+
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def test_every_default_is_overridden_somewhere():
+    # a default that every call leaves alone is a constant with extra steps
+    assert defaults_never_passed(PACKAGE, SOURCES) == []
+
+
+def test_every_dataclass_field_is_read():
+    assert dataclass_fields_never_read(PACKAGE, SOURCES) == []
+
+
+def test_checker_flags_a_default_no_call_passes(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "def f(x, y=1, *, z=2, w=3):\n    return x + y + z + w\n\n"
+        "def g(x, y=1, z=2):\n    return x\n\n"
+        "@dataclass\nclass D:\n    a: int\n    b: int = 0\n    c: int = 1\n"
+        "    d: int = field(init=False)\n\n"
+        "    @classmethod\n    def make(cls, a, scale=1):\n"
+        "        return cls(a, 2, c=scale)\n\n"
+        "class K:\n    def __init__(self, p, q=None):\n        self.p = p\n"
+        "    def m(self, r, s=0):\n        return r\n")
+    (tmp_path / "use.py").write_text(
+        "from pkg.a import D, K, f, g\n"
+        "f(1, 2, w=4)\ng(*[1, 2, 3])\nD.make(1)\nK(1, 2).m(3)\n")
+    callers = [package / "a.py", tmp_path / "use.py"]
+    assert defaults_never_passed(package, callers) == [
+        ("a.py", 3, "f.z"), ("a.py", 17, "D.make.scale"),
+        ("a.py", 23, "K.m.s")]
+
+
+def test_checker_flags_an_unread_field(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "@dataclass\nclass D:\n    a: int\n    b: int = 0\n"
+        "    c: int = field(init=False)\n\n"
+        "    def __post_init__(self):\n        self.c = self.a\n\n"
+        "class K:\n    unread: int = 0\n")
+    (tmp_path / "b.py").write_text("def f(d):\n    return d.b\n")
+    assert dataclass_fields_never_read(
+        tmp_path, [tmp_path / "a.py", tmp_path / "b.py"]) == [
+        ("a.py", 7, "D.c")]
 
 
 # numpy transforms of complex data over every mode; the package keeps to

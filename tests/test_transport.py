@@ -11,7 +11,6 @@ from homwave.transport import (
     constant_medium_moment_scan,
     gaussian_data,
     min_image_radius,
-    moment_history,
     transport_moment,
     windowed_moment,
     wrap_guard,
@@ -48,13 +47,12 @@ class TestGaussianData:
 class TestTransportMoment:
     def test_zero_field(self):
         box = TorusGrid(1, 256, 32.0)
-        assert transport_moment(np.zeros(box.shape), box, 1.0,
-                                np.array([16.0])) == 0.0
+        assert transport_moment(np.zeros(box.shape), box, 1.0) == 0.0
 
     def test_closed_form_at_t0(self):
         box = TorusGrid(1, 2048, 48.0)
         g = gaussian_data(box, 1.0)
-        m = transport_moment(g, box, 1.0, np.array([24.0]))
+        m = transport_moment(g, box, 1.0)
         # pi^-1/2 + 2/pi + pi^-1/2 / 2 under the square root
         ref = np.sqrt(np.pi ** -0.5 + 2 / np.pi + 0.5 * np.pi ** -0.5)
         assert m == pytest.approx(ref, rel=1e-4)  # |x| kink limits node quadrature
@@ -63,22 +61,24 @@ class TestTransportMoment:
     def test_homogeneity(self):
         box = TorusGrid(1, 512, 32.0)
         g = gaussian_data(box, 1.0)
-        c = np.array([16.0])
-        assert transport_moment(2 * g, box, 1.0, c) == pytest.approx(
-            2 * transport_moment(g, box, 1.0, c), rel=1e-14)
+        assert transport_moment(2 * g, box, 1.0) == pytest.approx(
+            2 * transport_moment(g, box, 1.0), rel=1e-14)
 
     def test_monotone_under_pointwise_increase(self, rng):
         box = TorusGrid(1, 512, 32.0)
         u = gaussian_data(box, 1.0)
         bigger = u * (1.0 + 0.5 * rng.random(box.shape))
-        c = np.array([16.0])
-        assert transport_moment(bigger, box, 1.0, c) >= transport_moment(
-            u, box, 1.0, c)
+        assert transport_moment(bigger, box, 1.0) >= transport_moment(
+            u, box, 1.0)
 
     def test_min_image_metric(self):
+        # distances to the box center 4: at most half the side, and the
+        # same from both ends of the periodic box
         box = TorusGrid(1, 64, 8.0)
-        r = min_image_radius(box, np.array([0.0]))
+        r = min_image_radius(box)
         assert np.max(r) <= 4.0 + 1e-12
+        assert r[0] == 4.0 and r[32] == 0.0
+        assert np.array_equal(r[1:], r[:0:-1])
 
 
 class TestWrapGuard:
@@ -86,9 +86,9 @@ class TestWrapGuard:
         box = TorusGrid(1, 256, 16.0)
         x = wave.box_coordinates(box)[0]
         u0 = np.exp(-10 * (x - 8.0) ** 2)
-        ok, r0, reach = wrap_guard(u0, box, np.array([8.0]), 1.0, 1.0)
+        ok, r0, reach = wrap_guard(u0, box, 1.0, 1.0)
         assert ok and reach < 8.0
-        ok2, _, _ = wrap_guard(u0, box, np.array([8.0]), 20.0, 1.0)
+        ok2, _, _ = wrap_guard(u0, box, 20.0, 1.0)
         assert not ok2
 
 
@@ -98,24 +98,23 @@ class TestWindowedMoment:
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                np.zeros(box.shape),
                                times=np.linspace(1.0, 2.0, 17))
-        assert windowed_moment(traj, 1.0, 1.0, np.array([16.0])) == 0.0
+        assert windowed_moment(traj, 1.0, 1.0) == 0.0
 
     def test_insufficient_snapshots_rejected(self):
         box = TorusGrid(1, 256, 32.0)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                gaussian_data(box, 1.0), times=[1.0, 2.0])
         with pytest.raises(ConfigurationError):
-            windowed_moment(traj, 1.0, 1.0, np.array([16.0]))
+            windowed_moment(traj, 1.0, 1.0)
 
     def test_consistent_with_stored_history(self):
         box = TorusGrid(1, 512, 32.0)
         times = np.linspace(1.0, 2.0, 17)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                gaussian_data(box, 1.0), times=times)
-        center = np.array([16.0])
-        m = moment_history(traj, 1.0, center)
+        m = np.array([transport_moment(u, box, 1.0) for u in traj.u])
         manual = np.sqrt(np.trapezoid(m ** 2, traj.times))
-        assert windowed_moment(traj, 1.0, 1.0, center) == pytest.approx(
+        assert windowed_moment(traj, 1.0, 1.0) == pytest.approx(
             manual, abs=1e-12)
 
     def test_weight_formed_once_per_trajectory(self, monkeypatch):
@@ -123,16 +122,13 @@ class TestWindowedMoment:
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                gaussian_data(box, 1.0),
                                times=np.linspace(1.0, 2.0, 17))
-        center = np.array([16.0])
-        each = [transport_moment(u, box, 1.0, center) for u in traj.u]
+        each = [transport_moment(u, box, 1.0) for u in traj.u]
         calls = []
         radius = transport.min_image_radius
         monkeypatch.setattr(transport, "min_image_radius",
                             lambda *args: calls.append(1) or radius(*args))
-        history = moment_history(traj, 1.0, center)
-        windowed = windowed_moment(traj, 1.0, 1.0, center)
-        assert len(calls) == 2
-        assert history.tolist() == each
+        windowed = windowed_moment(traj, 1.0, 1.0)
+        assert len(calls) == 1
         assert windowed == np.sqrt(np.trapezoid(np.square(each), traj.times))
 
     def test_short_window_factor_four_of_closed_form(self):
@@ -140,7 +136,7 @@ class TestWindowedMoment:
         times = np.linspace(0.0, 1.0, 17)
         traj = solve_fine_wave(np.ones((1, 1) + box.shape), box,
                                gaussian_data(box, 1.0), times=times)
-        got = windowed_moment(traj, 1.0, 0.0, np.array([24.0]))
+        got = windowed_moment(traj, 1.0, 0.0)
         closed = 1.21775  # instantaneous moment at t = 0
         assert closed / 4 <= got <= closed * 4
 
@@ -181,7 +177,7 @@ class TestBallisticScaling:
         for row, T in zip(rep.rows, (2.0, 4.0)):
             assert row.T_rescaled == T
             assert row.windowed == pytest.approx(
-                windowed_moment(ref, 1.0, T, np.array([16.0])), rel=1e-9)
+                windowed_moment(ref, 1.0, T), rel=1e-9)
 
     def test_laminate_nondegeneration(self):
         box = TorusGrid(1, 8192, 64.0)
