@@ -148,7 +148,7 @@ def validate(cfg: ExperimentConfig) -> list:
         if cfg.dim != 1:
             out.append(f"{cfg.kind} needs dim 1, got {cfg.dim}")
         out += _error_of(oracle1d.profile_from_spec, cfg.coefficient)
-        out += _error_of(oracle1d.check_order, _oracle_order(cfg))
+        out += _error_of(oracle1d.check_order, cfg.ell)
     else:
         out += _error_of(TorusGrid, cfg.dim, cfg.grid_n)
         out += _error_of(check_coefficient_spec, cfg.coefficient, cfg.dim)
@@ -157,6 +157,9 @@ def validate(cfg: ExperimentConfig) -> list:
             out += _error_of(CoefficientField, TorusGrid(cfg.dim, cfg.grid_n),
                              cfg.coefficient["values"])
         out += _error_of(correctors.check_order, cfg.ell)
+        if cfg.directions is not None:
+            out += _error_of(correctors.check_directions, cfg.dim, cfg.ell,
+                             cfg.directions)
     if cfg.kind == "wave-compare":
         out += _error_of(_snapshot_times, cfg)
     if cfg.kind == "elliptic-rate":
@@ -244,9 +247,9 @@ class Manifest:
 def _directions(cfg: ExperimentConfig) -> np.ndarray:
     """The sampled half-circle directions: ``directions`` of them, or
     ``correctors.default_directions`` when it is unset."""
-    if cfg.directions:
-        return correctors.half_circle_directions(cfg.dim, cfg.directions)
-    return correctors.default_directions(cfg.dim, cfg.ell)
+    if cfg.directions is None:
+        return correctors.default_directions(cfg.dim, cfg.ell)
+    return dispersion.half_circle_directions(cfg.dim, cfg.directions)
 
 
 def run_correctors(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
@@ -314,18 +317,12 @@ def run_dispersion(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
               correctors.FIT_TOL)
 
 
-def _oracle_order(cfg: ExperimentConfig) -> int:
-    """The order of the oracle hierarchy the run builds: the wave kinds
-    propagate at least the order-2 model."""
-    return max(cfg.ell, 2) if cfg.kind in ("wave-compare", "transport") else cfg.ell
-
-
 def _oracle_model(cfg: ExperimentConfig):
-    """(hierarchy, model) of order ``_oracle_order`` from the exact 1D oracle
-    of the configured coefficient, the filter radius capped at ``kmax_cap``."""
-    ell = _oracle_order(cfg)
-    oh = oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient), ell)
-    return oh, dispersion.DispersionModel.from_oracle(oh, ell, cfg.kmax_cap)
+    """(hierarchy, model) of order ``ell`` from the exact 1D oracle of the
+    configured coefficient, the filter radius capped at ``kmax_cap``."""
+    oh = oracle1d.correctors_1d(oracle1d.profile_from_spec(cfg.coefficient),
+                                cfg.ell)
+    return oh, dispersion.DispersionModel.from_oracle(oh, cfg.ell, cfg.kmax_cap)
 
 
 def _snapshot_times(cfg: ExperimentConfig) -> list:
@@ -382,11 +379,9 @@ def run_elliptic_rate(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
 
 
 def run_transport(cfg: ExperimentConfig, out: Path, man: Manifest) -> None:
-    _, model = _oracle_model(cfg)
     box = _box(cfg, min(cfg.eps_list))
     rep = transport.ballistic_experiment(
-        cfg.coefficient, box, cfg.eps_list, cfg.gamma or 0.0, cfg.T, cfg.ell,
-        gamma_bar=model.Gamma_bar)
+        cfg.coefficient, box, cfg.eps_list, cfg.gamma or 0.0, cfg.T, cfg.ell)
     _write_csv(out / "transport.csv", rep.table(), man.hash)
     man.artifacts.append("transport.csv")
     man.solver.extend({"eps": r.eps, **r.solver} for r in rep.rows)

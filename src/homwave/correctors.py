@@ -13,7 +13,8 @@ degree j, chi_j and lambda_{j-1} of degree j + 1 (the multi-index
 correctors of Bakhvalov & Panasenko).  The recursion therefore runs on
 coefficient stacks.  A degree-k field is held as its coefficients over the
 degree-k monomials of a few direction variables.  Multiplying by a
-component of e is a convolution with that component's coefficients, and
+component of e is a convolution with that component's coefficients
+(``dispersion.times_polynomial``), and
 the coefficients of phi_j are one stacked elliptic solve.  With the
 monomial basis e1^(k-r) e2^r (``tensorize_correctors``) the recursion gives
 the effective tensors and the tensorized corrector fields exactly, with
@@ -32,7 +33,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import dispersion as _dispersion
+from .dispersion import (DispersionModel, evaluate_monomials,
+                         half_circle_directions, times_polynomial)
 from .torus import (
     CoefficientField,
     ConfigurationError,
@@ -144,18 +146,6 @@ class TensorizedCorrectors:
         spectra (no solve, no transform)."""
         e = _unit_direction(self.grid.dim, e)
         return _contract(self, e, e)
-
-
-def times_polynomial(poly, stack) -> np.ndarray:
-    """Coefficient stack of the product of the direction polynomial with
-    coefficients ``poly`` (numbers) and the field held as ``stack`` (samples
-    or spectra), both in the same monomial basis: their convolution along
-    the leading axis."""
-    out = np.zeros((len(poly) + len(stack) - 1,) + stack.shape[1:],
-                   np.result_type(stack, float))
-    for r, c in enumerate(poly):
-        out[r:r + len(stack)] += c * stack
-    return out
 
 
 def _unit_direction(dim: int, e) -> np.ndarray:
@@ -470,32 +460,19 @@ def verify_corrector_identities(h: CorrectorHierarchy) -> IdentityReport:
 # direction sampling and the effective tensors
 # ---------------------------------------------------------------------------
 
-def half_circle_directions(dim: int, n: int, offset: float = 0.0) -> np.ndarray:
-    """Unit directions at the angles (i + offset) pi / n, i = 0..n-1, as rows;
-    the single direction [[1.0]] in 1D."""
-    if dim == 1:
-        return np.array([[1.0]])
-    theta = (np.arange(n) + offset) * np.pi / n
-    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-
-
 def default_directions(dim: int, ell: int) -> np.ndarray:
     """Direction samples: 2*ell + 4 equispaced half-circle angles in 2D."""
     return half_circle_directions(dim, 2 * ell + 4)
 
 
-def evaluate_monomials(coeffs: np.ndarray, degree: int, vec) -> np.ndarray:
-    """Evaluate a homogeneous polynomial at (stacked) vectors.
-
-    ``vec`` has shape (d, ...); returns sum_r coeffs[r] * v1^(degree-r) v2^r,
-    which for unit vectors is the direction value and in general scales as
-    |v|^degree.
-    """
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape[0] == 1:
-        return coeffs[0] * vec[0] ** degree
-    return sum(coeffs[r] * vec[0] ** (degree - r) * vec[1] ** r
-               for r in range(degree + 1))
+def check_directions(dim: int, ell: int, count: int) -> None:
+    """Reject fewer directions than the order-ell fit needs: in 2D a
+    degree-(ell + 1) polynomial that vanishes at ell + 2 distinct
+    half-circle directions vanishes identically; 1D has one direction."""
+    needed = ell + 2 if dim == 2 else 1
+    if count < needed:
+        raise ConfigurationError(
+            f"need at least {needed} directions for order {ell}")
 
 
 # the largest odd-order tensor magnitude, relative to lambda_0, read as zero
@@ -510,10 +487,8 @@ def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,
     monomial build (``tensors``, built when not given) holds its
     coefficients exactly.  The sampled directions are evaluation points:
     odd orders (zero for symmetric coefficients) must vanish on them to
-    ``FIT_TOL`` lambda_0 and are stored as zero, and ``Gamma_bar`` is the
-    largest |lambda_j| on them.  A degree-(ell + 1) polynomial that vanishes
-    at ell + 2 distinct half-circle directions vanishes identically, so at
-    least that many are required in 2D.  Returns a dispersion model carrying
+    ``FIT_TOL`` lambda_0 and are stored as zero, so there must be enough
+    of them (``check_directions``).  Returns a dispersion model carrying
     the polynomials, the odd-order magnitudes as ``fit_residuals`` (0 at
     even orders), and the positivity radius k_max.
     """
@@ -521,10 +496,7 @@ def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,
     if directions is None:
         directions = default_directions(dim, ell)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    needed = ell + 2
-    if dim == 2 and directions.shape[0] < needed:
-        raise ConfigurationError(
-            f"need at least {needed} directions for order {ell}")
+    check_directions(dim, ell, directions.shape[0])
     if tensors is None:
         tensors = tensorize_correctors(a, ell)
     if tensors.order < ell:
@@ -548,11 +520,9 @@ def reconstruct_dispersion(a: CoefficientField, ell: int, directions=None,
         polys.append(np.zeros_like(tensors.lambdas[j]))
         residuals.append(mag / lam0)
 
-    gamma_bar = float(np.max(np.abs(lam)))
-    return _dispersion.DispersionModel(
+    return DispersionModel(
         dim=dim, ell=ell, polys=polys, directions=directions,
-        Gamma_bar=gamma_bar, kmax_cap=float(kmax_cap),
-        fit_residuals=np.asarray(residuals))
+        kmax_cap=float(kmax_cap), fit_residuals=np.asarray(residuals))
 
 
 def lambda_table_rows(model) -> list:

@@ -1,7 +1,9 @@
 """Truncated Bloch-wave dispersion: eigenvalues, waves, and eigendefects.
 
 The dispersion model collects the effective tensors of each order as
-homogeneous direction polynomials; the truncated Bloch eigenvalue is the
+homogeneous direction polynomials, held as coefficients over the monomials
+e1^(k-r) e2^r of their degree k (``evaluate_monomials``,
+``times_polynomial``); the truncated Bloch eigenvalue is the
 even-order alternating sum of those polynomials, real by symmetry of the
 coefficient field.  Along a unit direction e it is
 kappa^2 sum_i c_i u^i with u = kappa^2 and c_i = (-1)^i P_2i(e), so the
@@ -19,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .torus import (ConfigurationError, _matvec, divergence_values,
-                    gradient_values, l2_norm)
+from .torus import (ConfigurationError, TorusGrid, _matvec,
+                    coefficient_from_spec, divergence_values, gradient_values,
+                    l2_norm, prolong_values)
 
 
 class PositivityError(RuntimeError):
@@ -38,21 +41,55 @@ def _require_positive(sym: np.ndarray, k: np.ndarray) -> None:
             f"{float(sym[idx]):.3e}")
 
 
+def evaluate_monomials(coeffs: np.ndarray, degree: int, vec) -> np.ndarray:
+    """Evaluate a homogeneous polynomial at (stacked) vectors.
+
+    ``vec`` has shape (d, ...); returns sum_r coeffs[r] * v1^(degree-r) v2^r,
+    which for unit vectors is the direction value and in general scales as
+    |v|^degree.
+    """
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape[0] == 1:
+        return coeffs[0] * vec[0] ** degree
+    return sum(coeffs[r] * vec[0] ** (degree - r) * vec[1] ** r
+               for r in range(degree + 1))
+
+
+def times_polynomial(poly, stack) -> np.ndarray:
+    """Coefficient stack of the product of the direction polynomial with
+    coefficients ``poly`` (numbers) and the field held as ``stack`` (samples
+    or spectra), both in the same monomial basis: their convolution along
+    the leading axis."""
+    out = np.zeros((len(poly) + len(stack) - 1,) + stack.shape[1:],
+                   np.result_type(stack, float))
+    for r, c in enumerate(poly):
+        out[r:r + len(stack)] += c * stack
+    return out
+
+
+def half_circle_directions(dim: int, n: int, offset: float = 0.0) -> np.ndarray:
+    """Unit directions at the angles (i + offset) pi / n, i = 0..n-1, as rows;
+    the single direction [[1.0]] in 1D."""
+    if dim == 1:
+        return np.array([[1.0]])
+    theta = (np.arange(n) + offset) * np.pi / n
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
 @dataclass
 class DispersionModel:
     """Effective direction polynomials P_j of degree j + 2, j = 0..ell-1.
 
     ``polys[j]`` holds monomial coefficients (basis e1^(deg-r) e2^r; a single
-    coefficient in 1D); odd orders are identically zero.  ``Gamma_bar`` is
-    the largest coefficient magnitude over sampled directions, ``kmax`` the
-    validated positivity radius (<= kmax_cap), computed on construction.
+    coefficient in 1D); odd orders are identically zero.  ``kmax`` is the
+    validated positivity radius (<= kmax_cap), computed on construction
+    from the polynomials along ``directions``.
     """
 
     dim: int
     ell: int
     polys: list
     directions: np.ndarray
-    Gamma_bar: float
     kmax_cap: float = 1.0
     fit_residuals: np.ndarray | None = None
     kmax: float = field(init=False)
@@ -64,9 +101,7 @@ class DispersionModel:
 
     def poly_value(self, j: int, k) -> np.ndarray:
         """P_j evaluated at (stacked) wavevectors k of shape (dim, ...)."""
-        from .correctors import evaluate_monomials
-        return evaluate_monomials(np.atleast_1d(self.polys[j]), j + 2,
-                                  np.asarray(k, dtype=float))
+        return evaluate_monomials(np.atleast_1d(self.polys[j]), j + 2, k)
 
     @classmethod
     def from_oracle(cls, oh, ell: int,
@@ -76,8 +111,7 @@ class DispersionModel:
         capped at ``kmax_cap``."""
         lams = oh.lambdas[:ell]
         return cls(dim=1, ell=ell, polys=[np.array([lam]) for lam in lams],
-                   directions=np.array([[1.0]]),
-                   Gamma_bar=float(np.max(np.abs(lams))), kmax_cap=kmax_cap)
+                   directions=np.array([[1.0]]), kmax_cap=kmax_cap)
 
 
 def eigenvalue(model: DispersionModel, k) -> np.ndarray:
@@ -223,8 +257,6 @@ def eigendefect_residual(h, kappa: float, refine: int = 1) -> float:
     how well the coarse-built mode satisfies the continuum eigenrelation,
     which decays spectrally for smooth coefficients.
     """
-    from .torus import TorusGrid, coefficient_from_spec, prolong_values
-
     grid = h.grid
     e = h.direction
     psi, lam = taylor_bloch_wave(h, kappa)

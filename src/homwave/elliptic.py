@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import oracle1d, wave
-from .dispersion import DispersionModel
-from .correctors import TensorizedCorrectors, times_polynomial
+from .correctors import TensorizedCorrectors
+from .dispersion import DispersionModel, times_polynomial
 from .torus import (
     CoefficientField,
     ConfigurationError,

@@ -312,40 +312,24 @@ def _inverse_laplacian(grid: TorusGrid) -> np.ndarray:
     return inv
 
 
-@functools.lru_cache(maxsize=None)
-def _spread_matrix(n: int, m: int) -> np.ndarray:
-    """Frequency-spreading matrix for zero-padded prolongation n -> m.
-
-    The Nyquist content of the source is split evenly between +-n/2 so real
-    fields stay real and the trig interpolant keeps the cosine convention at
-    the unpaired mode.
-    """
-    freqs = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    S = np.zeros((m, n))
-    half = n // 2
-    for i, f in enumerate(freqs):
-        if abs(f) == half:
-            S[f % m, i] += 0.5
-            S[(-f) % m, i] += 0.5
-        else:
-            S[f % m, i] = 1.0
-    S.flags.writeable = False
-    return S
-
-
 def _prolong_hat(grid: TorusGrid, spec: np.ndarray, factor: int) -> np.ndarray:
     """Exact trigonometric prolongation of a half spectrum onto a
-    ``factor``-times finer grid: it is spread on the full axes and on the
-    half of the last axis that ``irfftn`` reads."""
+    ``factor``-times finer grid by zero padding.  Nyquist content is split
+    evenly between +-n/2, so real fields stay real and the interpolant keeps
+    the cosine convention; the half axis keeps the +n/2 half."""
     n, m = grid.n, grid.n * factor
-    S = _spread_matrix(n, m)
-    half = S[: m // 2 + 1, : n // 2 + 1]
-    scale = float(factor) ** grid.dim
+    half = n // 2
+    out = np.zeros(spec.shape[:spec.ndim - grid.dim] + (m,) * (grid.dim - 1)
+                   + (m // 2 + 1,), np.result_type(spec, float))
     if grid.dim == 1:
-        return np.einsum("ai,...i->...a", half, spec) * scale
-    # every row of S and of half holds at most one nonzero, a power of two,
-    # so the two products are exact in either order
-    return S @ spec @ half.T * scale
+        out[..., :half + 1] = spec
+    else:
+        # the full axis: frequencies 0..n/2 in place, -n/2..-1 at the top
+        out[..., :half + 1, :half + 1] = spec[..., :half + 1, :]
+        out[..., m - half:, :half + 1] = spec[..., half:, :]
+        out[..., [half, m - half], :] *= 0.5
+    out[..., half] *= 0.5
+    return out * float(factor) ** grid.dim
 
 
 def prolong_values(grid: TorusGrid, values: np.ndarray, factor: int) -> np.ndarray:

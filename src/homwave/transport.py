@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bloch import solve_fine_wave_exact
+from .oracle1d import profile_from_spec
 from .torus import ConfigurationError, TorusGrid, l2_norm
 from .wave import WaveTrajectory, box_coordinates, coefficient_on_box
 
@@ -34,8 +35,9 @@ def min_image_radius(box: TorusGrid) -> np.ndarray:
 
 
 def wrap_guard(u0: np.ndarray, box: TorusGrid, final_time: float,
-               gamma_bar: float):
-    """Check r0 + T sqrt(Gamma_bar) < side/2 (wavefront must not wrap).
+               lambda0: float):
+    """Check r0 + T sqrt(lambda0) < side/2: the front, moving at the
+    effective speed sqrt(lambda0), must not wrap.
 
     r0 is the radius of the smallest ball around the box center holding
     every node where |u0| exceeds 1e-8 of its maximum.  Returns (ok, r0,
@@ -44,7 +46,7 @@ def wrap_guard(u0: np.ndarray, box: TorusGrid, final_time: float,
     """
     mask = np.abs(u0) > 1e-8 * float(np.max(np.abs(u0)))
     r0 = float(np.max(min_image_radius(box)[mask])) if np.any(mask) else 0.0
-    reach = r0 + final_time * math.sqrt(max(gamma_bar, 1.0))
+    reach = r0 + final_time * math.sqrt(lambda0)
     return reach < 0.5 * box.period, r0, reach
 
 
@@ -132,7 +134,7 @@ class BallisticReport:
 
 
 def ballistic_experiment(coeff_spec: dict, box: TorusGrid, eps_list, gamma: float,
-                         T: float, ell: int, gamma_bar: float) -> BallisticReport:
+                         T: float, ell: int) -> BallisticReport:
     """Scaled transport experiment after the hyperbolic rescaling.
 
     For each eps the fine wave is solved exactly in time (Bloch blocks, see
@@ -141,15 +143,16 @@ def ballistic_experiment(coeff_spec: dict, box: TorusGrid, eps_list, gamma: floa
     ``SNAPSHOTS_PER_WINDOW`` times over [T', T'+1]; the windowed moment
     there measured against T' is the ballistic ratio, reported next to the
     dispersive defect budget eps^(ell-1-gamma) T (the growth envelope of a
-    periodic medium is 1).  Wrap-around of the wavefront invalidates the
-    weighted moment and flags the row.
+    periodic medium is 1).  Wrap-around of the wavefront (``wrap_guard`` at
+    lambda0 = 1 / <1/a>) invalidates the weighted moment and flags the row.
     """
+    lambda0 = 1.0 / profile_from_spec(coeff_spec).ainv_pp.mean()
     rows = []
     for eps in eps_list:
         t_resc = eps ** (-1.0 - gamma) * T
         a_box = coefficient_on_box(coeff_spec, box, eps)
         g1 = gaussian_data(box, 1.0)
-        ok, _, reach = wrap_guard(g1, box, t_resc + 1.0, gamma_bar)
+        ok, _, reach = wrap_guard(g1, box, t_resc + 1.0, lambda0)
         times = np.linspace(t_resc, t_resc + 1.0, SNAPSHOTS_PER_WINDOW)
         traj = solve_fine_wave_exact(a_box, box, g1, times, eps)
         m_win = windowed_moment(traj, 1.0, t_resc)

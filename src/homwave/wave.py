@@ -51,7 +51,8 @@ from numpy.polynomial.polynomial import polyval
 
 from .dispersion import (DispersionModel, PositivityError, _positive_real_roots,
                          _radial_coefficients, _require_positive, cutoff,
-                         dispersion_Lambda, eigenvalue)
+                         dispersion_Lambda, eigenvalue, evaluate_monomials,
+                         half_circle_directions, times_polynomial)
 from .torus import (
     ConfigurationError,
     DerivativeCache,
@@ -618,18 +619,7 @@ class BoussinesqTensors:
         return self.beta * np.sum(k ** 2, axis=0)
 
     def c_quartic(self, k: np.ndarray) -> np.ndarray:
-        from .correctors import evaluate_monomials
         return evaluate_monomials(self.c_coeffs, 4, k)
-
-
-def _poly_times_k2(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Multiply a homogeneous direction polynomial by |e|^2 (monomial basis)."""
-    if dim == 1:
-        return np.asarray(coeffs, dtype=float)
-    out = np.zeros(len(coeffs) + 2)
-    out[:-2] += coeffs  # * e1^2
-    out[2:] += coeffs   # * e2^2
-    return out
 
 
 def boussinesq_decomposition(model: DispersionModel) -> BoussinesqTensors:
@@ -642,12 +632,13 @@ def boussinesq_decomposition(model: DispersionModel) -> BoussinesqTensors:
     """
     if model.ell < 3:
         raise ConfigurationError("needs the order-2 dispersion polynomial")
-    from .correctors import evaluate_monomials, half_circle_directions
     dirs = half_circle_directions(model.dim, 64, offset=0.5).T
     p0 = model.poly_value(0, dirs)
     p2 = model.poly_value(2, dirs)
     beta = max(0.0, float(np.max(p2 / p0)))
-    c_full = (beta * _poly_times_k2(np.atleast_1d(model.polys[0]), model.dim)
+    # |e|^2 in the monomial basis: e1^2, or e1^2 + e2^2
+    e_squared = [1.0] if model.dim == 1 else [1.0, 0.0, 1.0]
+    c_full = (beta * times_polynomial(e_squared, np.atleast_1d(model.polys[0]))
               - np.atleast_1d(model.polys[2]))
     c_vals = evaluate_monomials(c_full, 4, dirs)
     ident = np.max(np.abs(beta * p0 - c_vals - p2)) / max(1.0, np.max(np.abs(p2)),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homwave import torus
+from homwave import dispersion, torus
 
 
 SMOOTH2D = {"kind": "trig_checkerboard", "base": 2.0, "amplitude": 1.0}
@@ -61,9 +61,8 @@ def anisotropic_model_2d():
     """2D dispersion model of order 4 with distinct axis coefficients and a
     mixed quartic term, every polynomial even in each wavevector component
     (as for cells with reflection symmetry)."""
-    from homwave import correctors, dispersion
     return dispersion.DispersionModel(
         dim=2, ell=4,
         polys=[np.array([1.5, 0.0, 1.2]), np.zeros(4),
                np.array([0.02, 0.0, 0.05, 0.0, 0.03]), np.zeros(6)],
-        directions=correctors.half_circle_directions(2, 12), Gamma_bar=1.5)
+        directions=dispersion.half_circle_directions(2, 12))

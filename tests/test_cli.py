@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homwave import cli, correctors, torus, wave
+from homwave import cli, correctors, dispersion, oracle1d, torus, wave
 from homwave.cli import ExperimentConfig, config_hash, load_config, run, validate
 
 EPS_MACH = float(np.finfo(float).eps)
@@ -115,6 +115,18 @@ class TestValidate:
               ell=0), "order must be >= 1"),
         (dict(kind="wave-compare", eps_list=[0.25, 0.125], ell=7),
          "1D oracle supports orders up to 6"),
+        # the wave kinds build the order they are given: no order-2 model
+        # stands in for an order below 1
+        (dict(kind="wave-compare", eps_list=[0.25, 0.125], ell=0),
+         "order must be >= 1"),
+        (dict(kind="transport", eps_list=[0.25, 0.125], ell=-3),
+         "order must be >= 1"),
+        # an order-2 fit in 2D reads its odd orders on 4 directions; 0 ran
+        # the default 8 while the hash recorded 0, and 2 stopped the run
+        # after it made its directory
+        *[(dict(kind="dispersion", dim=2, grid_n=16, ell=2, directions=n,
+                coefficient={"kind": "constant", "value": 1.0}),
+           "need at least 4 directions for order 2") for n in (2, 0, -3)],
         # snapshots are taken at t = 1, ..., floor(T)
         (dict(kind="wave-compare", eps_list=[0.25, 0.125], T=0.5),
          "T 0.5 is below 1"),
@@ -172,7 +184,9 @@ class TestValidate:
     ], ids=["points-per-period-8", "dim-2-wave-compare", "laminate-period",
             "raw-elliptic-rate", "dim-3-correctors", "mode", "operator",
             "box-n", "correctors-ell-0", "elliptic-rate-ell-0",
-            "wave-compare-ell-7", "wave-compare-T-below-1",
+            "wave-compare-ell-7", "wave-compare-ell-0", "transport-ell-neg-3",
+            "dispersion-directions-2", "dispersion-directions-0",
+            "dispersion-directions-neg-3", "wave-compare-T-below-1",
             "laminate-value-wave-compare", "laminate-value-correctors",
             "laminate-axis-outside-dim", "laminate-nan-value",
             "volume-fraction-0", "volume-fraction-1", "volume-fraction-1.5",
@@ -411,6 +425,37 @@ class TestRun:
             tables.append((out / "wave_errors.csv").read_text().splitlines()[2:])
         assert len(tables[0]) == 3 and tables[0] != tables[1]
 
+    def test_wave_compare_order_1_is_the_order_2_model(self, tmp_path):
+        # the order-1 model keeps lambda_0 alone, as the order-2 one does
+        # (lambda_1 vanishes), so on the README config the two runs write
+        # the same rows
+        base = dict(kind="wave-compare", T=8.0,
+                    coefficient={"kind": "laminate", "values": [1.0, 4.0]},
+                    eps_list=[0.125, 0.0625, 0.03125], box_side=64.0)
+        tables = []
+        for ell in (1, 2):
+            out = tmp_path / str(ell)
+            assert run(ExperimentConfig(**base, ell=ell, out_dir=str(out))) == 0
+            tables.append((out / "wave_errors.csv").read_text().splitlines()[1:])
+        assert len(tables[0]) == 4 and tables[0] == tables[1]
+
+    def test_transport_builds_no_oracle_hierarchy_or_model(self, tmp_path,
+                                                           monkeypatch):
+        # the wrap guard reads lambda_0 = 1 / <1/a> from the cell profile
+        def built(*args):
+            raise AssertionError("transport built an oracle model")
+
+        monkeypatch.setattr(oracle1d, "correctors_1d", built)
+        monkeypatch.setattr(dispersion, "compute_kmax", built)
+        cfg = ExperimentConfig(kind="transport",
+                               coefficient={"kind": "laminate",
+                                            "values": [1.0, 4.0]},
+                               eps_list=[0.25, 0.125], T=1.0, box_side=32.0,
+                               out_dir=str(tmp_path))
+        assert run(cfg) == 0
+        rows = (tmp_path / "transport.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[-1] for row in rows] == ["True", "False"]
+
     def test_transport_records_solver(self, tmp_path):
         cfg = ExperimentConfig(kind="transport",
                                coefficient={"kind": "laminate",
@@ -429,8 +474,8 @@ class TestRun:
 
     def test_transport_flags_the_rows_whose_front_wraps(self, tmp_path):
         # the front of the unit Gaussian (radius 6.1 at 1e-8 of its peak)
-        # reaches 6.1 + 5 sqrt(Gamma_bar) < 16 by T' + 1 = 5 at eps 1/4, and
-        # 6.1 + 9 sqrt(Gamma_bar) > 16 by T' + 1 = 9 at eps 1/8
+        # reaches 6.1 + 5 sqrt(lambda0) < 16 by T' + 1 = 5 at eps 1/4, and
+        # 6.1 + 9 sqrt(lambda0) > 16 by T' + 1 = 9 at eps 1/8 (lambda0 = 1.6)
         cfg = ExperimentConfig(kind="transport",
                                coefficient={"kind": "laminate",
                                             "values": [1.0, 4.0]},

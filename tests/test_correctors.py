@@ -6,12 +6,12 @@ import pytest
 from homwave import correctors, oracle1d, torus
 from homwave.correctors import (
     build_hierarchy,
-    half_circle_directions,
     hierarchy_invariants,
     reconstruct_dispersion,
     tensorize_correctors,
     verify_corrector_identities,
 )
+from homwave.dispersion import half_circle_directions
 
 from conftest import LAMINATE, SMOOTH2D
 

@@ -23,8 +23,7 @@ from conftest import LAMINATE, SMOOTH2D
 def toy_model(lams, ell, dim=1):
     polys = [np.array([lam]) for lam in lams[:ell]]
     return DispersionModel(dim=dim, ell=ell, polys=polys,
-                           directions=np.array([[1.0]]),
-                           Gamma_bar=float(np.max(np.abs(lams[:ell]))))
+                           directions=np.array([[1.0]]))
 
 
 class TestEigenvalue:
@@ -224,8 +223,7 @@ class TestModelKmax:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(torus.ConfigurationError, match="cap"):
             DispersionModel(dim=1, ell=1, polys=[np.array([1.0])],
-                            directions=np.array([[1.0]]), Gamma_bar=1.0,
-                            kmax_cap=0.0)
+                            directions=np.array([[1.0]]), kmax_cap=0.0)
         # below lambda_0 = 1/4 no radius has eigenvalue >= |k|^2 / 4
         with pytest.raises(torus.ConfigurationError, match="kmax must be positive"):
             toy_model([0.1], 1)

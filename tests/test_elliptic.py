@@ -128,7 +128,7 @@ class TestHalfSpectrumSolve:
         # averages the two signs.  Everywhere else the solves agree.
         model = dispersion.DispersionModel(
             dim=2, ell=2, polys=[np.array([1.5, 0.6, 1.2]), np.zeros(4)],
-            directions=correctors.half_circle_directions(2, 8), Gamma_bar=1.5)
+            directions=dispersion.half_circle_directions(2, 8))
         box = TorusGrid(2, 32, 8.0)
         f_hat = np.fft.fftn(rng.standard_normal(box.shape))
         f_hat[0, 0] = 0.0
@@ -149,7 +149,7 @@ class TestBoussinesqElliptic:
         model = dispersion.DispersionModel(
             dim=1, ell=3,
             polys=[np.array([1.0]), np.array([0.0]), np.array([0.0])],
-            directions=np.array([[1.0]]), Gamma_bar=1.0)
+            directions=np.array([[1.0]]))
         bt = wave.boussinesq_decomposition(model)
         box = TorusGrid(1, 256, 4.0)
         x = box_coordinates(box)[0]

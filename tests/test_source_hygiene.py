@@ -2,8 +2,9 @@
 every private module-level helper of the package is used, every default
 some call overrides and every dataclass field some code reads, no module
 runs a full complex FFT, only ``wave`` names the leapfrog solver, no module
-writes a coefficient catalog default outside the catalog table, and every
-name the benchmark's tracer binds exists."""
+writes a coefficient catalog default outside the catalog table, every
+import sits at module level and the modules import one another without a
+cycle, and every name the benchmark's tracer binds exists."""
 
 import ast
 import os
@@ -369,6 +370,100 @@ def test_checker_flags_a_dead_private_helper(tmp_path):
     assert dead_private_helpers(tmp_path) == [
         ("a.py", 10, "_recursive"), ("a.py", 13, "_dead"),
         ("a.py", 16, "_DeadClass")]
+
+
+def function_local_imports(path: Path) -> list:
+    """Line of each import statement inside a function body: an import
+    there hides a dependency from the module's head, and with it any
+    import cycle."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def module_imports(package: Path) -> dict:
+    """{module: sorted package modules it imports at module level}: each
+    imported name is spelled out from the package root (``from .c import
+    f`` is ``pkg.c.f``, ``from . import b`` is ``pkg.b``) and read for the
+    module after the package name."""
+    modules = {path.stem for path in package.glob("*.py")}
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, [package.name if node.level
+                                              else None, node.module]))
+                names += [f"{base}.{alias.name}" for alias in node.names]
+        parts = [name.split(".") for name in names]
+        out[path.stem] = sorted({p[1] for p in parts if len(p) > 1
+                                 and p[0] == package.name} & modules)
+    return out
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle [m0, m1, ..., m0] of the import graph, or [] when there is
+    none (depth-first search, modules in sorted order)."""
+    state = {}
+
+    def visit(module, trail):
+        state[module] = "open"
+        for dep in graph.get(module, []):
+            if state.get(dep) == "open":
+                return trail[trail.index(dep):] + [dep]
+            if dep not in state:
+                cycle = visit(dep, trail + [dep])
+                if cycle:
+                    return cycle
+        state[module] = "done"
+        return []
+
+    for module in sorted(graph):
+        if module not in state:
+            cycle = visit(module, [module])
+            if cycle:
+                return cycle
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert function_local_imports(path) == []
+
+
+def test_module_imports_form_a_dag():
+    assert import_cycle(module_imports(PACKAGE)) == []
+
+
+def test_checker_flags_a_function_local_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import math\n\n"
+                     "def f(x):\n    from .b import g\n    return g(x)\n\n"
+                     "class K:\n    def m(self):\n"
+                     "        def inner():\n            import os\n"
+                     "            return os\n        return inner\n")
+    assert function_local_imports(probe) == [4, 10]
+
+
+def test_checker_flags_an_import_cycle(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text("from . import b\nimport numpy\n")
+    (package / "b.py").write_text("from .c import f\n")
+    (package / "c.py").write_text("from pkg import a\n\ndef f():\n"
+                                  "    from .d import g\n    return g\n")
+    (package / "d.py").write_text("import pkg.c\n")
+    graph = module_imports(package)
+    assert graph == {"a": ["b"], "b": ["c"], "c": ["a"], "d": ["c"]}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    (package / "c.py").write_text("import math\n")
+    assert import_cycle(module_imports(package)) == []
 
 
 def names_read(path: Path) -> set:

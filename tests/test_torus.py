@@ -47,10 +47,25 @@ def derivative(grid, values, orders):
     return torus.DerivativeCache(grid, rfftn(grid, values)).get(orders)
 
 
+def spread_matrix(n, m):
+    """Frequency-spreading matrix of zero-padded prolongation n -> m, the
+    reference for the package's slice copy: the Nyquist content of the
+    source is split evenly between +-n/2."""
+    freqs = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    S = np.zeros((m, n))
+    for i, f in enumerate(freqs):
+        if abs(f) == n // 2:
+            S[f % m, i] += 0.5
+            S[(-f) % m, i] += 0.5
+        else:
+            S[f % m, i] = 1.0
+    return S
+
+
 def full_prolongation(grid, values, factor):
     """Reference zero-padded prolongation by the full complex FFT."""
     m = grid.n * factor
-    S = torus._spread_matrix(grid.n, m)
+    S = spread_matrix(grid.n, m)
     axes = tuple(range(-grid.dim, 0))
     spec = np.fft.fftn(values, axes=axes)
     if grid.dim == 1:
@@ -761,7 +776,7 @@ class TestProlongation:
 
     def test_2d_product_is_the_einsum_bit_for_bit(self, rng):
         # each output mode takes one nonzero term or the two exact halves of
-        # a Nyquist mode, so matrix products and the three-operand einsum
+        # a Nyquist mode, so the slice copy and the three-operand einsum
         # agree exactly, on single fields and stacks alike
         for n in (8, 32):
             grid = TorusGrid(2, n)
@@ -769,12 +784,23 @@ class TestProlongation:
                 f = rng.standard_normal(shape)
                 for factor in (2, 4):
                     m = n * factor
-                    S = torus._spread_matrix(n, m)
+                    S = spread_matrix(n, m)
                     spec = rfftn(grid, f)
                     out = np.einsum("ai,bj,...ij->...ab", S,
                                     S[: m // 2 + 1, : n // 2 + 1], spec)
                     ref = irfftn(TorusGrid(2, m), out * float(factor) ** 2)
                     assert np.array_equal(prolong_values(grid, f, factor), ref)
+
+    def test_1d_copy_is_the_einsum_bit_for_bit(self, rng):
+        for n in (8, 64):
+            grid = TorusGrid(1, n)
+            f = rng.standard_normal((3, n))
+            for factor in (2, 4):
+                m = n * factor
+                half = spread_matrix(n, m)[: m // 2 + 1, : n // 2 + 1]
+                out = np.einsum("ai,...i->...a", half, rfftn(grid, f))
+                ref = irfftn(TorusGrid(1, m), out * float(factor))
+                assert np.array_equal(prolong_values(grid, f, factor), ref)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_half_spectrum_matches_full_complex_fft(self, rng, dim):

@@ -170,7 +170,7 @@ class TestBallisticScaling:
         # (with a third block size) holding both windows
         box = TorusGrid(1, 2048, 32.0)
         rep = ballistic_experiment({"kind": "constant", "value": 1.0}, box,
-                                   [1 / 2, 1 / 4], 0.0, 1.0, 2, gamma_bar=1.0)
+                                   [1 / 2, 1 / 4], 0.0, 1.0, 2)
         times = np.concatenate([np.linspace(T, T + 1.0, 17) for T in (2.0, 4.0)])
         ref = solve_fine_wave_exact(np.ones((1, 1) + box.shape), box,
                                     gaussian_data(box, 1.0), times, 1 / 8)
@@ -181,8 +181,7 @@ class TestBallisticScaling:
 
     def test_laminate_nondegeneration(self):
         box = TorusGrid(1, 8192, 64.0)
-        rep = ballistic_experiment(LAMINATE, box, [1 / 4, 1 / 8], 0.0, 1.0, 2,
-                                   gamma_bar=1.6)
+        rep = ballistic_experiment(LAMINATE, box, [1 / 4, 1 / 8], 0.0, 1.0, 2)
         rows = rep.rows
         assert all(row.valid for row in rows)
         assert rows[1].ratio >= 0.8 * rows[0].ratio
@@ -192,5 +191,5 @@ class TestBallisticScaling:
     def test_inconclusive_regime_flagged(self):
         box = TorusGrid(1, 2048, 32.0)
         rep = ballistic_experiment({"kind": "constant", "value": 1.0}, box,
-                                   [1 / 2], 1.5, 1.0, 2, gamma_bar=1.0)
+                                   [1 / 2], 1.5, 1.0, 2)
         assert not rep.rows[0].conclusive  # defect bound exceeds one

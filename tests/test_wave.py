@@ -39,7 +39,7 @@ def laminate_model(ell):
 def identity_model(ell=2, kmax_cap=1.0):
     return dispersion.DispersionModel(
         dim=1, ell=ell, polys=[np.array([1.0])] + [np.array([0.0])] * (ell - 1),
-        directions=np.array([[1.0]]), Gamma_bar=1.0, kmax_cap=kmax_cap)
+        directions=np.array([[1.0]]), kmax_cap=kmax_cap)
 
 
 def bending_model():
@@ -48,7 +48,7 @@ def bending_model():
         dim=1, ell=4,
         polys=[np.array([1.0]), np.array([0.0]), np.array([1.0]),
                np.array([0.0])],
-        directions=np.array([[1.0]]), Gamma_bar=1.0)
+        directions=np.array([[1.0]]))
 
 
 class TestCoefficientOnBox:
@@ -583,10 +583,10 @@ class TestExactFineSolver:
 
     def test_phases_solved_on_the_transport_config(self):
         # the transport-1d benchmark config: one 16384-point box, p = 64,
-        # 32 and 16 (gamma_bar only sets the wrap guard, not the solve)
+        # 32 and 16
         box = TorusGrid(1, 16384, 64.0)
         rep = transport.ballistic_experiment(LAMINATE, box, [1 / 4, 1 / 8, 1 / 16],
-                                             0.0, 1.0, 2, gamma_bar=1.0)
+                                             0.0, 1.0, 2)
         solved = [(r.solver["blocks_solved"], r.solver["blocks"])
                   for r in rep.rows]
         assert solved == [(86, 129), (86, 257), (86, 513)]
@@ -1086,7 +1086,7 @@ class TestRegularization:
             dim=1, ell=4,
             polys=[np.array([1.0]), np.array([0.0]), np.array([1.0]),
                    np.array([0.0])],
-            directions=np.array([[1.0]]), Gamma_bar=1.0)
+            directions=np.array([[1.0]]))
         assert choose_gamma(model) == pytest.approx(2.0, abs=1e-9)
 
     def test_closed_form_is_exact(self):
@@ -1151,7 +1151,7 @@ class TestRegularization:
             dim=1, ell=4,
             polys=[np.array([1.0]), np.array([0.0]), np.array([1.0]),
                    np.array([0.0])],
-            directions=np.array([[1.0]]), Gamma_bar=1.0)
+            directions=np.array([[1.0]]))
         box = TorusGrid(1, 256, 8.0)
         with pytest.raises(wave.PositivityError):
             wave.mode_symbol(model, 1.0, box_wavevectors(box), gamma=0.0)
